@@ -82,7 +82,7 @@ NNCELL_N="${NNCELL_SERVER_N:-4000}" NNCELL_DIM="${NNCELL_SERVER_DIM:-8}" \
     NNCELL_SERVER_OVERLOAD_MS="${NNCELL_SERVER_OVERLOAD_MS:-800}" \
     cargo bench -p nncell-bench --bench server
 
-echo "== build-scaling bench smoke (pooled vs exhaustive construction) =="
+echo "== build-scaling bench smoke (pooled vs exhaustive NN-cell construction) =="
 # Exercises the sub-quadratic pooled build path end to end (STR bulk load,
 # approximate-kNN constraint pools, degeneracy fallback) and parity-checks
 # every pooled build against a linear scan. CI runs a seconds-long smoke
@@ -192,24 +192,27 @@ else
     echo "tracing gate: no committed BENCH_query_engine.json baseline; skipping"
 fi
 
-echo "== build-time regression gate (build_seconds vs committed baseline) =="
-# The pooled construction path is this repo's headline build-speed claim;
-# guard it the same way as query throughput. The fresh smoke run's
-# build_seconds may exceed the committed baseline by at most 25%. Skipped
-# when there is no committed baseline.
+echo "== cell-construction gate (cell_build_seconds vs committed baseline) =="
+# The pooled NN-cell construction path (NnCells::build) is this repo's
+# headline build-speed claim; guard it the same way as query throughput.
+# The serving index's own build_seconds is an STR bulk load of
+# milliseconds, so the gate reads cell_build_seconds, which the bench
+# times on the same points and configuration. The fresh smoke run may
+# exceed the committed baseline by at most 25%. Skipped when there is no
+# committed baseline.
 if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
-    extract_build_s() { grep -o '"build_seconds": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
+    extract_build_s() { grep -o '"cell_build_seconds": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
     old_build=$(printf '%s' "$baseline_json" | extract_build_s)
     cur_build=$(extract_build_s < BENCH_query_engine.json)
     if [ -z "$old_build" ] || [ -z "$cur_build" ]; then
-        echo "build gate: could not parse build_seconds (old='$old_build' cur='$cur_build')" >&2
+        echo "build gate: could not parse cell_build_seconds (old='$old_build' cur='$cur_build')" >&2
         exit 1
     fi
     awk -v old="$old_build" -v cur="$cur_build" 'BEGIN {
         ceil = 1.25 * old;
-        printf "build gate: build_seconds %.2f vs baseline %.2f (ceiling %.2f)\n", cur, old, ceil;
+        printf "build gate: cell_build_seconds %.2f vs baseline %.2f (ceiling %.2f)\n", cur, old, ceil;
         if (cur > ceil) {
-            printf "build gate: FAIL — build time regressed more than 25%%\n";
+            printf "build gate: FAIL — cell construction time regressed more than 25%%\n";
             exit 1;
         }
     }'

@@ -7,8 +7,8 @@
 //! the NN-cell point query, which sidesteps the argument entirely because it
 //! never searches a neighborhood.
 
-use nncell_bench::{as_queries, env_dims, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, cell_nn_run, env_dims, env_usize, print_table};
+use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::costmodel::{expected_access_fraction, expected_nn_distance};
 use nncell_index::{RStarTree, XTree};
@@ -35,15 +35,15 @@ fn main() {
             BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(5).build(),
         )
         .expect("build");
+        let cells = NnCells::build(&nncell);
 
         rstar.reset_stats();
         xtree.reset_stats();
-        nncell.reset_stats();
         for q in &queries {
             std::hint::black_box(rstar.nearest_neighbor(q));
             std::hint::black_box(xtree.nearest_neighbor(q));
-            std::hint::black_box(nncell_bench::nn_query(&nncell, q));
         }
+        let cell_reads = cell_nn_run(&nncell, &cells, &queries).io.page_reads;
         let c_eff = rstar.config().max_leaf_entries();
         let predicted = expected_access_fraction(n, d, c_eff);
         let frac = |reads: u64, pages: u64| {
@@ -58,10 +58,7 @@ fn main() {
             format!("{:.1}%", 100.0 * predicted),
             frac(rstar.stats().page_reads, rstar.total_pages()),
             frac(xtree.stats().page_reads, xtree.total_pages()),
-            frac(
-                nncell.cell_tree_stats().page_reads,
-                nncell.cell_tree_pages(),
-            ),
+            frac(cell_reads, cells.cell_tree_pages()),
         ]);
     }
 

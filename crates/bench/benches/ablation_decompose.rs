@@ -3,7 +3,8 @@
 //! `decompose_pieces`.
 //!
 //! Sweeps `decompose_pieces ∈ {1, 2, 4, 8}` on one fixed-seed workload
-//! and reports, per depth: build time, cell-tree candidates per point
+//! and reports, per depth: the cells' build time
+//! ([`nncell_core::NnCells::build`]), cell-tree candidates per point
 //! query (the paper's overlap-driven number, via
 //! [`nncell_core::measured_candidates`]), and the query engine's
 //! throughput and per-query evaluation work.
@@ -24,7 +25,7 @@
 
 use nncell_bench::{as_queries, env_usize, print_table, timed};
 use nncell_core::{
-    measured_candidates, BuildConfig, ConstraintPool, NnCellIndex, Query, Strategy,
+    measured_candidates, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Strategy,
 };
 use nncell_data::{Generator, UniformGenerator};
 
@@ -65,9 +66,10 @@ fn main() {
         if pieces > 1 {
             cfg = cfg.decompose_pieces(pieces);
         }
-        let (index, build_s) = timed(|| NnCellIndex::build(points.clone(), cfg.build()).unwrap());
+        let index = NnCellIndex::build(points.clone(), cfg.build()).unwrap();
+        let (cells, build_s) = timed(|| NnCells::build(&index));
 
-        let cell_cands = measured_candidates(&index, &raw_queries);
+        let cell_cands = measured_candidates(&cells, &raw_queries);
         let engine = index.engine().with_threads(1);
         engine.batch(&queries[..n_q.min(256)]); // warm the scratch
         let (resp, query_s) = timed(|| engine.batch(&queries));

@@ -10,9 +10,10 @@
 //! nearly every cell borders every other and per-insert refinement
 //! approaches a rebuild — turn it off there or batch the updates.
 
-use nncell_bench::{as_queries, cells_of, env_usize, print_table, secs, timed};
+use nncell_bench::{as_queries, env_usize, print_table, secs, timed};
 use nncell_core::{
-    average_overlap, linear_scan_nn, measured_candidates, BuildConfig, NnCellIndex, Strategy,
+    average_overlap, linear_scan_nn, measured_candidates, BuildConfig, NnCellIndex, NnCells,
+    Strategy,
 };
 use nncell_data::{Generator, UniformGenerator};
 
@@ -36,9 +37,11 @@ fn main() {
                 .seed(7).build(),
         )
         .expect("build");
+        let mut cells = NnCells::build(&index);
         let (_, t_ins) = timed(|| {
             for p in arrivals.clone() {
-                index.insert(p).expect("insert");
+                let id = index.insert(p).expect("insert");
+                cells.insert(&index, id);
             }
         });
 
@@ -46,13 +49,13 @@ fn main() {
         let mut all = base.clone();
         all.extend(arrivals.iter().cloned());
         for q in &queries {
-            let got = nncell_bench::nn_query(&index, q).unwrap();
+            let got = cells.nn(&index, q).unwrap();
             let want = linear_scan_nn(&all, q).unwrap();
             assert!((got.dist - want.dist).abs() < 1e-9, "{label}: inexact");
         }
 
-        let overlap = average_overlap(&cells_of(&index));
-        let cands = measured_candidates(&index, &queries);
+        let overlap = average_overlap(cells.cells());
+        let cands = measured_candidates(&cells, &queries);
         rows.push(vec![
             label.to_string(),
             secs(t_ins / inserts as f64),

@@ -6,8 +6,8 @@
 //!    overlapping) cell MBRs in an X-tree because its supernodes tolerate
 //!    unsplittable directories; the comparison quantifies that choice.
 
-use nncell_bench::{as_queries, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, cell_nn_run, env_usize, print_table};
+use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::Mbr;
 use nncell_index::{RStarTree, SplitPolicy, Tree, TreeConfig, XTree};
@@ -31,11 +31,7 @@ fn main() {
                 .seed(9).build(),
         )
         .expect("build");
-        index.reset_stats();
-        for q in &queries {
-            std::hint::black_box(nncell_bench::nn_query(&index, q).unwrap());
-        }
-        let st = index.cell_tree_stats();
+        let st = cell_nn_run(&index, &NnCells::build(&index), &queries).io;
         rows.push(vec![
             format!("{} B", block),
             format!("{:.1}", st.page_reads as f64 / n_queries as f64),
@@ -56,8 +52,9 @@ fn main() {
         BuildConfig::builder().strategy(Strategy::NnDirection).seed(9).build(),
     )
     .expect("build");
+    let nn_cells = NnCells::build(&index);
     let cells: Vec<Mbr> = (0..n)
-        .map(|i| index.cell(i).unwrap().pieces[0].clone())
+        .map(|i| nn_cells.cell(i).unwrap().pieces[0].clone())
         .collect();
 
     let mut rows = Vec::new();
@@ -99,15 +96,14 @@ fn main() {
         rstar.insert_point(p, i as u64);
     }
     for cache_pages in [0usize, 32, 128, 1024] {
-        index.enable_cache(cache_pages);
+        nn_cells.enable_cache(cache_pages);
         rstar.enable_cache(cache_pages);
-        index.reset_stats();
         rstar.reset_stats();
+        let sn = cell_nn_run(&index, &nn_cells, &queries).io;
         for q in &queries {
-            std::hint::black_box(nncell_bench::nn_query(&index, q).unwrap());
             std::hint::black_box(rstar.nearest_neighbor(q).unwrap());
         }
-        let (sn, sr) = (index.cell_tree_stats(), rstar.stats());
+        let sr = rstar.stats();
         rows.push(vec![
             cache_pages.to_string(),
             format!("{:.1}", sn.page_reads as f64 / n_queries as f64),
@@ -116,7 +112,7 @@ fn main() {
             format!("{:.1}", sr.cache_hits as f64 / n_queries as f64),
         ]);
     }
-    index.enable_cache(0);
+    nn_cells.enable_cache(0);
     print_table(
         "LRU cache budget vs disk reads per NN query",
         &[

@@ -8,7 +8,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use nncell_bench::{env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_lp::SolverKind;
 
@@ -36,14 +36,13 @@ fn main() {
             Strategy::CorrectPruned,
         ),
     ] {
-        let (index, t) = timed(|| {
-            NnCellIndex::build(
-                points.clone(),
-                BuildConfig::builder().strategy(strategy).solver(solver).seed(8).build(),
-            )
-            .expect("build")
-        });
-        let st = index.build_stats();
+        let index = NnCellIndex::build(
+            points.clone(),
+            BuildConfig::builder().strategy(strategy).solver(solver).seed(8).build(),
+        )
+        .expect("build");
+        let (cells, t) = timed(|| NnCells::build(&index));
+        let st = cells.build_stats();
         rows.push(vec![
             label.to_string(),
             secs(t),
@@ -52,7 +51,7 @@ fn main() {
         ]);
         mbrs.push(
             (0..n)
-                .map(|i| index.cell(i).unwrap().pieces[0].clone())
+                .map(|i| cells.cell(i).unwrap().pieces[0].clone())
                 .collect::<Vec<_>>(),
         );
     }

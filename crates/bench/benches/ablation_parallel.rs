@@ -7,8 +7,8 @@
 //! the sequential NN-cell point query — plus the plain sequential scan both
 //! are escaping from.
 
-use nncell_bench::{as_queries, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, cell_nn_run, env_usize, print_table};
+use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{DeclusteredScan, LinearScan};
 
@@ -26,6 +26,7 @@ fn main() {
         BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(11).build(),
     )
     .expect("build");
+    let cells = NnCells::build(&nncell);
     let mut scan = LinearScan::new(d);
     for (i, p) in points.iter().enumerate() {
         scan.insert(p, i as u64);
@@ -59,16 +60,10 @@ fn main() {
         ]);
     }
     // NN-cell row (sequential, one disk).
-    nncell.reset_stats();
-    for q in &queries {
-        std::hint::black_box(nncell_bench::nn_query(&nncell, q).unwrap());
-    }
+    let cell_reads = cell_nn_run(&nncell, &cells, &queries).io.page_reads;
     rows.push(vec![
         "NN-cell point query (1 disk)".into(),
-        format!(
-            "{:.1}",
-            nncell.cell_tree_stats().page_reads as f64 / n_queries as f64
-        ),
+        format!("{:.1}", cell_reads as f64 / n_queries as f64),
     ]);
 
     print_table(

@@ -1,6 +1,8 @@
-//! Build-time scaling of the pooled (sub-quadratic) construction path
-//! versus the exhaustive paths it replaces, written as JSON for CI trend
-//! tracking (`BENCH_build_scaling.json`).
+//! Build-time scaling of the pooled (sub-quadratic) NN-cell construction
+//! path versus the exhaustive paths it replaces, written as JSON for CI
+//! trend tracking (`BENCH_build_scaling.json`). Each build is the point
+//! index's STR load plus [`NnCells::build`]; nearly all of it is the
+//! cells'.
 //!
 //! Three series:
 //!
@@ -40,9 +42,7 @@
 //! `1000,2000,4000`), `NNCELL_BENCH_OUT`.
 
 use nncell_bench::{env_usize, timed};
-use nncell_core::{
-    linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, Query, QueryEngine, Strategy,
-};
+use nncell_core::{linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
 fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
@@ -79,20 +79,19 @@ fn predict(a: f64, b: f64, n: usize) -> f64 {
     a * (n as f64).powf(b)
 }
 
-fn build(points: Vec<nncell_geom::Point>, cfg: BuildConfig) -> (NnCellIndex, f64) {
-    let (idx, s) = timed(|| NnCellIndex::build(points, cfg).expect("build"));
-    (idx, s)
+fn build(points: Vec<nncell_geom::Point>, cfg: BuildConfig) -> ((NnCellIndex, NnCells), f64) {
+    timed(|| {
+        let idx = NnCellIndex::build(points, cfg).expect("build");
+        let cells = NnCells::build(&idx);
+        (idx, cells)
+    })
 }
 
-/// Exactness spot check: the pooled index must agree with a linear scan.
-fn assert_exact(idx: &NnCellIndex, pts: &[nncell_geom::Point], d: usize) {
+/// Exactness spot check: the pooled cells must agree with a linear scan.
+fn assert_exact((idx, cells): &(NnCellIndex, NnCells), pts: &[nncell_geom::Point], d: usize) {
     let probes = UniformGenerator::new(d).generate(64, 99);
-    let engine = QueryEngine::sequential(idx);
     for q in &probes {
-        let got = engine
-            .execute(&Query::nn(q.as_slice()))
-            .expect("probe")
-            .best;
+        let got = cells.nn(idx, q.as_slice()).expect("probe");
         let want = linear_scan_nn(pts, q.as_slice()).expect("non-empty");
         assert!(
             (got.dist - want.dist).abs() < 1e-9,
@@ -155,9 +154,9 @@ fn main() {
     let mut exhaustive_pts: Vec<(usize, f64)> = Vec::new();
     for &n in &sizes {
         let pts = UniformGenerator::new(d).generate(n, 7);
-        let (idx, pooled_s) = build(pts.clone(), pooled_cfg());
-        assert_exact(&idx, &pts, d);
-        let fell_back = idx.build_stats().pool_fallback_cells;
+        let (built, pooled_s) = build(pts.clone(), pooled_cfg());
+        assert_exact(&built, &pts, d);
+        let fell_back = built.1.build_stats().pool_fallback_cells;
         pooled_pts.push((n, pooled_s));
         let (exhaustive_s, measured) = if n <= exhaustive_cap {
             let (_, s) = build(pts, exhaustive_cfg());

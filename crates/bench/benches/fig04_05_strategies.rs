@@ -8,8 +8,10 @@
 //! slowest and tightest; NN-Direction is the fastest and loosest; Sphere
 //! wins the quality/performance trade-off at low d, NN-Direction at high d.
 
-use nncell_bench::{as_queries, cells_of, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{average_overlap, quality_to_performance, BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, env_dims, env_usize, print_table, secs, timed};
+use nncell_core::{
+    average_overlap, quality_to_performance, BuildConfig, NnCellIndex, NnCells, Strategy,
+};
 use nncell_data::{Generator, UniformGenerator};
 
 fn main() {
@@ -30,14 +32,16 @@ fn main() {
         let mut overlaps = Vec::new();
         let mut qprs = Vec::new();
         for strategy in strategies {
-            let (index, secs_taken) = timed(|| {
-                NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(strategy).seed(1).build())
-                    .expect("build")
-            });
-            let overlap = average_overlap(&cells_of(&index));
+            let index = NnCellIndex::build(
+                points.clone(),
+                BuildConfig::builder().strategy(strategy).seed(1).build(),
+            )
+            .expect("build");
+            let (cells, secs_taken) = timed(|| NnCells::build(&index));
+            let overlap = average_overlap(cells.cells());
             // Sanity: exact answers regardless of strategy.
             for q in queries.iter().take(10) {
-                let got = nncell_bench::nn_query(&index, q).unwrap();
+                let got = cells.nn(&index, q).unwrap();
                 let want = nncell_core::linear_scan_nn(&points, q).unwrap();
                 assert_eq!(got.id, want.id, "{strategy:?} inexact at d={d}");
             }

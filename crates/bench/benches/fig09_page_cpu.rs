@@ -6,10 +6,11 @@
 //! MINDIST sorting, while the NN-cell point query does none of it. The
 //! NN-cell CPU advantage is the decisive one; its page-access standing
 //! depends on density (the paper ran 100k points; at laptop scale the
-//! trees' NN search is less degraded, see EXPERIMENTS.md).
+//! trees' NN search is less degraded, see EXPERIMENTS.md). The NN-cell
+//! column is the paper's query ([`nncell_core::NnCells::nn`]).
 
-use nncell_bench::{as_queries, env_dims, env_usize, print_table, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, cell_nn_run, env_dims, env_usize, print_table, timed};
+use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{RStarTree, XTree};
 
@@ -30,6 +31,7 @@ fn main() {
             BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(3).build(),
         )
         .expect("build");
+        let cells = NnCells::build(&nncell);
         let mut rstar = RStarTree::for_points(d);
         let mut xtree = XTree::for_points(d);
         for (i, p) in points.iter().enumerate() {
@@ -37,15 +39,10 @@ fn main() {
             xtree.insert_point(p, i as u64);
         }
 
-        nncell.reset_stats();
         rstar.reset_stats();
         xtree.reset_stats();
-        let (ids_n, t_n) = timed(|| {
-            queries
-                .iter()
-                .map(|q| nncell_bench::nn_query(&nncell, q).unwrap().id)
-                .collect::<Vec<_>>()
-        });
+        let run = cell_nn_run(&nncell, &cells, &queries);
+        let (ids_n, t_n) = (run.ids, run.seconds);
         let (ids_r, t_r) = timed(|| {
             queries
                 .iter()
@@ -65,7 +62,7 @@ fn main() {
         let us = |t: f64| format!("{:.1}µs", t * 1e6 / n_queries as f64);
         pages.push(vec![
             d.to_string(),
-            per(nncell.cell_tree_stats().page_reads),
+            per(run.io.page_reads),
             per(rstar.stats().page_reads),
             per(xtree.stats().page_reads),
         ]);

@@ -4,10 +4,11 @@
 //! Paper shape to reproduce: a consistent NN-cell win in total search time
 //! (paper: up to ~2.5×), and — unlike the uniform case — a win on *both*
 //! page accesses and CPU time, because the clustered real data yields much
-//! tighter cell approximations.
+//! tighter cell approximations. The NN-cell column is the paper's query
+//! ([`nncell_core::NnCells::nn`]).
 
-use nncell_bench::{as_queries, env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{as_queries, cell_nn_run, env_usize, print_table, secs, timed};
+use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{FourierGenerator, Generator};
 use nncell_index::XTree;
 
@@ -29,19 +30,15 @@ fn main() {
             BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(5).build(),
         )
         .expect("build");
+        let cells = NnCells::build(&nncell);
         let mut xtree = XTree::for_points(d);
         for (i, p) in points.iter().enumerate() {
             xtree.insert_point(p, i as u64);
         }
 
-        nncell.reset_stats();
         xtree.reset_stats();
-        let (ids_n, t_n) = timed(|| {
-            queries
-                .iter()
-                .map(|q| nncell_bench::nn_query(&nncell, q).unwrap().id)
-                .collect::<Vec<_>>()
-        });
+        let run = cell_nn_run(&nncell, &cells, &queries);
+        let (ids_n, t_n) = (run.ids, run.seconds);
         let (ids_x, t_x) = timed(|| {
             queries
                 .iter()
@@ -56,7 +53,7 @@ fn main() {
                 assert!(da < 1e-9, "engines disagree beyond a tie");
             }
         }
-        let (sn, sx) = (nncell.cell_tree_stats(), xtree.stats());
+        let (sn, sx) = (run.io, xtree.stats());
         fig11.push(vec![
             n.to_string(),
             secs(t_n),

@@ -6,8 +6,8 @@
 //! Paper shape to reproduce: a clear overlap reduction that *increases* with
 //! dimensionality.
 
-use nncell_bench::{cells_of, env_dims, env_usize, print_table};
-use nncell_core::{average_overlap, BuildConfig, NnCellIndex, Strategy};
+use nncell_bench::{env_dims, env_usize, print_table};
+use nncell_core::{average_overlap, BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{FourierGenerator, Generator, UniformGenerator};
 
 fn main() {
@@ -25,20 +25,14 @@ fn main() {
             } else {
                 FourierGenerator::new(d).generate(n, 131 + d as u64)
             };
-            let exact = NnCellIndex::build(
-                points.clone(),
-                BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(6).build(),
-            )
-            .expect("build exact");
-            let decomposed = NnCellIndex::build(
-                points.clone(),
-                BuildConfig::builder().strategy(Strategy::CorrectPruned)
-                    .decompose_pieces(pieces)
-                    .seed(6).build(),
-            )
-            .expect("build decomposed");
-            let o_exact = average_overlap(&cells_of(&exact));
-            let o_dec = average_overlap(&cells_of(&decomposed));
+            let cells = |cfg: BuildConfig| {
+                NnCells::build(&NnCellIndex::build(points.clone(), cfg).expect("build"))
+            };
+            let cfg = BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(6);
+            let exact = cells(cfg.clone().build());
+            let decomposed = cells(cfg.decompose_pieces(pieces).build());
+            let o_exact = average_overlap(exact.cells());
+            let o_dec = average_overlap(decomposed.cells());
             let gain = if o_exact > 0.0 {
                 100.0 * (o_exact - o_dec) / o_exact
             } else {

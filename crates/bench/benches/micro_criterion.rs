@@ -5,7 +5,7 @@
 //! benchmark warms up, then reports the median of `SAMPLES` timed batches.
 
 use nncell_bench::env_usize;
-use nncell_core::{BuildConfig, NnCellIndex, Strategy};
+use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::{DataSpace, Euclidean, Mbr};
 use nncell_index::{RStarTree, XTree};
@@ -94,11 +94,12 @@ fn bench_nncell_query() {
         BuildConfig::builder().strategy(Strategy::NnDirection).seed(10).build(),
     )
     .expect("build");
+    let cells = NnCells::build(&index);
 
     let mut k = 0;
     bench("nncell_point_query_d8_n2000", 64, || {
         k = (k + 1) % queries.len();
-        nncell_bench::nn_query(&index, &queries[k]).unwrap()
+        cells.nn(&index, &queries[k]).unwrap()
     });
 }
 
@@ -107,7 +108,8 @@ fn bench_cell_build() {
     let points = UniformGenerator::new(d).generate(300, 7);
     for strategy in [Strategy::Sphere, Strategy::NnDirection] {
         bench(&format!("cell_index_build_d8_n300/{}", strategy.name()), 1, || {
-            NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(strategy).seed(11).build()).unwrap()
+            let cfg = BuildConfig::builder().strategy(strategy).seed(11).build();
+            NnCells::build(&NnCellIndex::build(points.clone(), cfg).unwrap())
         });
     }
 }

@@ -2,11 +2,11 @@
 //! JSON for CI trend tracking (`BENCH_mixed.json`).
 //!
 //! The headline claim under test: with the journaled memtable tail, an
-//! insert/remove ack does **O(1)** work — append to the tail, no cell
-//! construction, no snapshot publish — so ack latency is independent of
-//! index size. The synchronous write path (cell construction plus a
-//! copy-on-write snapshot publish per write) grows with `n` and serves
-//! as the contrast.
+//! insert/remove ack does **O(1)** work — append to the tail, no
+//! point-tree update, no snapshot publish — so ack latency is independent
+//! of index size. The synchronous write path (a point-tree update plus a
+//! copy-on-write snapshot publish, which clones the shard, per write)
+//! grows with `n` and serves as the contrast.
 //!
 //! For each database size (default n ∈ {2 000, 8 000, 32 000}; override
 //! with `NNCELL_MIXED_NS=a,b,c`):
@@ -18,18 +18,20 @@
 //!    repeat the storm — acks land in the tail, reads merge the tail by
 //!    linear scan;
 //! 4. **exactness**: a probe set is answered with the tail still
-//!    unfolded, the tail is flushed into the cells, and the same probes
-//!    must answer *bit-identically* (Lemma 1: snapshot + tail − tombstones
-//!    is exact);
+//!    unfolded, the tail is flushed into the shards, and the same probes
+//!    must answer *bit-identically* (snapshot + tail − tombstones is
+//!    exact);
 //! 5. the bench asserts the memtable ack p99 at the largest `n` stays
 //!    within 10x of the smallest `n` (with a 50 µs noise floor) — a
 //!    generous bound that still catches any O(n) work leaking back into
 //!    the ack path.
 //!
-//! The sync storm runs far fewer ops than the memtable storm
-//! (`NNCELL_MIXED_SYNC_OPS`, default 48): a synchronous ack costs
-//! hundreds of milliseconds at these sizes — the very pathology the
-//! memtable removes — and 48 samples are plenty for a contrast p99.
+//! The sync storm runs fewer ops than the memtable storm
+//! (`NNCELL_MIXED_SYNC_OPS`, default 48): 48 samples are plenty for a
+//! contrast p99.
+//!
+//! `fold_records_per_s` is the drain rate of the one `flush` that folds
+//! the memtable storm's tail into the shards.
 //!
 //! Env overrides: `NNCELL_MIXED_NS`, `NNCELL_MIXED_OPS` (memtable storm
 //! size), `NNCELL_MIXED_SYNC_OPS`, `NNCELL_DIM`, `NNCELL_BENCH_OUT`.
@@ -115,9 +117,9 @@ fn main() {
         let (idx, build_s) = timed(|| {
             ShardedIndex::build(seed_pts, SHARDS, cfg).expect("seed build")
         });
-        println!("n={n}: built in {build_s:.1}s");
+        println!("n={n}: built in {build_s:.3}s");
 
-        // Sync pass: every write constructs its cell and publishes a
+        // Sync pass: every write updates the point tree and publishes a
         // fresh snapshot before the ack.
         let (sync_ack_p99, sync_read_p99) = storm(&idx, &fresh[..sync_ops], &probes);
 
@@ -158,12 +160,12 @@ fn main() {
         }
         folded_reads.sort_unstable();
         let folded_read_p99 = percentile_us(&folded_reads, 0.99);
-        let fold_krecs = folded as f64 / fold_s.max(f64::MIN_POSITIVE) / 1e3;
+        let fold_rate = folded as f64 / fold_s.max(f64::MIN_POSITIVE);
 
         println!(
             "n={n}: ack p99 sync {sync_ack_p99:.1} µs vs memtable {mem_ack_p99:.1} µs — \
              read p99 sync {sync_read_p99:.1} µs, tail-merged {tail_read_p99:.1} µs, \
-             folded {folded_read_p99:.1} µs — fold {folded} recs @ {fold_krecs:.0}k/s"
+             folded {folded_read_p99:.1} µs — fold {folded} recs @ {fold_rate:.1}/s"
         );
         memtable_p99s.push((n, mem_ack_p99));
         rows.push(format!(
@@ -173,8 +175,8 @@ fn main() {
              \"tail_read_p99_us\": {tail_read_p99:.2},\n      \
              \"folded_read_p99_us\": {folded_read_p99:.2},\n      \
              \"tail_depth_at_flush\": {tail_depth},\n      \
-             \"fold_krecords_per_s\": {fold_krecs:.1},\n      \
-             \"build_seconds\": {build_s:.2}\n    }}"
+             \"fold_records_per_s\": {fold_rate:.1},\n      \
+             \"build_seconds\": {build_s:.4}\n    }}"
         ));
     }
 

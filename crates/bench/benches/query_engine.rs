@@ -2,6 +2,11 @@
 //! parallel batch QPS on one fixed-seed workload, written as JSON for CI
 //! trend tracking (`BENCH_query_engine.json`).
 //!
+//! `build_seconds` times the serving index (an STR bulk load);
+//! `cell_build_seconds` times [`nncell_core::NnCells::build`] on the same
+//! points and configuration — the pooled NN-cell construction path that
+//! the CI build-time gate guards.
+//!
 //! Defaults match the CI gate — 100 000 uniform points, d = 16, 10 000
 //! queries — and scale with the usual env overrides (`NNCELL_N`,
 //! `NNCELL_QUERIES`, `NNCELL_DIM`, `NNCELL_THREADS`, plus
@@ -30,7 +35,7 @@
 //! reported overhead to 8%.
 
 use nncell_bench::{env_usize, timed};
-use nncell_core::{BuildConfig, ConstraintPool, NnCellIndex, Query, Registry, Strategy};
+use nncell_core::{BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Registry, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
 /// Runs `f` twice and keeps the faster elapsed time (the result is
@@ -72,7 +77,13 @@ fn main() {
         )
         .expect("build")
     });
-    println!("built in {build_s:.1}s ({} cells)", index.len());
+    let (cells, cell_build_s) = timed(|| NnCells::build(&index));
+    println!(
+        "built in {build_s:.3}s ({} points); cells in {cell_build_s:.1}s ({} pieces)",
+        index.len(),
+        cells.total_pieces()
+    );
+    drop(cells);
 
     let queries: Vec<Query> = UniformGenerator::new(d)
         .generate(n_q, 8)
@@ -165,7 +176,8 @@ fn main() {
 
     let json = format!(
         "{{\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \
-         \"threads\": {threads},\n  \"build_seconds\": {build_s:.2},\n  \
+         \"threads\": {threads},\n  \"build_seconds\": {build_s:.4},\n  \
+         \"cell_build_seconds\": {cell_build_s:.2},\n  \
          \"seq_qps\": {seq_qps:.2},\n  \"par_qps\": {par_qps:.2},\n  \
          \"seq_qps_metrics\": {obs_qps:.2},\n  \"metrics_overhead\": {metrics_overhead:.4},\n  \
          \"speedup\": {:.4},\n  \"mean_candidates\": {mean_cands:.4},\n  \

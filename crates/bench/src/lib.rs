@@ -8,17 +8,47 @@
 //! Results are printed as aligned tables — the same rows/series the paper
 //! plots — and recorded in `EXPERIMENTS.md`.
 
-use nncell_core::{CellApprox, NnCellIndex, Query, QueryEngine, QueryResult};
+use nncell_core::{NnCellIndex, NnCells};
 use nncell_geom::{Metric, Point};
+use nncell_index::IoStats;
 use std::time::Instant;
 
-/// One NN query through the typed engine, with the `Option` shape the
-/// removed convenience shims had — what most figure benches need.
-pub fn nn_query<M: Metric>(index: &NnCellIndex<M>, q: &[f64]) -> Option<QueryResult> {
-    QueryEngine::sequential(index)
-        .execute(&Query::nn(q))
-        .ok()
-        .map(|r| r.best)
+/// One timed pass of the paper's NN-cell query ([`NnCells::nn`]) over
+/// `queries`.
+pub struct CellRun {
+    /// The answer ids, in query order.
+    pub ids: Vec<usize>,
+    /// Wall-clock seconds for the whole pass.
+    pub seconds: f64,
+    /// Cell-tree cost counters of the pass (page reads, CPU ops).
+    pub io: IoStats,
+}
+
+/// Runs the paper's query for every query point and counts what the cell
+/// tree paid for it.
+///
+/// # Panics
+/// If a query finds no answer, or if queries ran without reading a single
+/// cell-tree page (the counters would then describe some other structure).
+pub fn cell_nn_run<M: Metric>(
+    index: &NnCellIndex<M>,
+    cells: &NnCells<M>,
+    queries: &[Vec<f64>],
+) -> CellRun {
+    cells.reset_stats();
+    let (ids, seconds) = timed(|| {
+        queries
+            .iter()
+            .map(|q| cells.nn(index, q).expect("non-empty index").id)
+            .collect::<Vec<_>>()
+    });
+    let io = cells.cell_tree_stats();
+    assert!(
+        queries.is_empty() || io.page_reads > 0,
+        "{} cell queries read no cell-tree page",
+        queries.len()
+    );
+    CellRun { ids, seconds, io }
 }
 
 /// Reads a `usize` environment override.
@@ -47,13 +77,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t = Instant::now();
     let r = f();
     (r, t.elapsed().as_secs_f64())
-}
-
-/// Collects the live cell approximations of an index.
-pub fn cells_of<M: Metric>(index: &NnCellIndex<M>) -> Vec<CellApprox> {
-    (0..index.points().len())
-        .filter_map(|i| index.cell(i).cloned())
-        .collect()
 }
 
 /// Converts points into raw query vectors.

@@ -3,7 +3,7 @@
 //! Grammar: `nncell <command> [--flag value]...`. Flags are long-form only;
 //! unknown flags are hard errors so typos never silently fall back to
 //! defaults. A flag followed by another flag (or by the end of the line) is
-//! a bare boolean switch, e.g. `--repair`.
+//! a bare boolean switch, e.g. `--checkpoint`.
 
 use std::collections::BTreeMap;
 

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! nncell generate --kind uniform --n 2000 --dim 8 --seed 42 --out pts.csv
-//! nncell build    --points pts.csv --strategy sphere --out idx.nncell
-//! nncell build    --points pts.csv --strategy sphere --wal idx.db
+//! nncell build    --points pts.csv --out idx.nncell
+//! nncell build    --points pts.csv --wal idx.db
 //! nncell query    --index idx.nncell --point 0.1,0.2,... [--k 5]
 //! nncell query    --wal idx.db --point 0.1,0.2,...
 //! nncell insert   --wal idx.db --point 0.1,0.2,...
@@ -11,7 +11,7 @@
 //! nncell recover  --wal idx.db [--checkpoint]
 //! nncell flush    --wal idx.db
 //! nncell info     --index idx.nncell
-//! nncell verify   --index idx.nncell [--repair]
+//! nncell verify   --index idx.nncell
 //! nncell bench    --index idx.nncell --queries 200 --seed 7
 //! nncell stats    --index idx.nncell [--json | --prom | --slow]
 //! nncell stats    --server 127.0.0.1:8321
@@ -29,8 +29,7 @@ mod csv;
 use args::Parsed;
 use nncell_core::wal::WalTail;
 use nncell_core::{
-    BuildConfig, ConstraintPool, DurableIndex, FoldConfig, InputPolicy, NnCellIndex, Query,
-    Registry, ShardedIndex, Strategy,
+    BuildConfig, DurableIndex, FoldConfig, InputPolicy, NnCellIndex, Query, Registry, ShardedIndex,
 };
 use nncell_geom::Point;
 use nncell_data::{
@@ -100,75 +99,14 @@ fn cmd_generate(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_strategy(s: &str) -> Result<Strategy, String> {
-    Ok(match s {
-        "correct" => Strategy::Correct,
-        "correct-pruned" | "pruned" => Strategy::CorrectPruned,
-        "point" => Strategy::Point,
-        "sphere" => Strategy::Sphere,
-        "nn-direction" | "nndirection" => Strategy::NnDirection,
-        other => return Err(format!("unknown --strategy {other:?}")),
-    })
-}
-
-/// `--pool exhaustive | approx | approx:K` (the bare `approx` uses the
-/// dimension-derived [`ConstraintPool::recommended_k`]).
-fn parse_pool(s: &str, dim: usize) -> Result<ConstraintPool, String> {
-    if s == "exhaustive" {
-        return Ok(ConstraintPool::Exhaustive);
-    }
-    if s == "approx" {
-        return Ok(ConstraintPool::ApproxKnn {
-            k: ConstraintPool::recommended_k(dim),
-        });
-    }
-    if let Some(k) = s.strip_prefix("approx:") {
-        let k: usize = k.parse().map_err(|_| format!("bad --pool {s:?}"))?;
-        return Ok(ConstraintPool::ApproxKnn { k });
-    }
-    Err(format!(
-        "unknown --pool {s:?} (expected exhaustive, approx, or approx:K)"
-    ))
-}
-
 fn cmd_build(p: &Parsed) -> Result<(), String> {
-    p.allow_only(&[
-        "points",
-        "strategy",
-        "pool",
-        "decompose",
-        "seed",
-        "threads",
-        "out",
-        "wal",
-        "shards",
-        "skip-invalid",
-        "lp-max-iterations",
-    ])
-    .map_err(|e| e.to_string())?;
+    p.allow_only(&["points", "out", "wal", "shards", "skip-invalid"])
+        .map_err(|e| e.to_string())?;
     let points = csv::read_points(p.require("points").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
-    let strategy = parse_strategy(p.get("strategy").unwrap_or("correct-pruned"))?;
-    let dim = points.first().map_or(2, Point::dim);
-    let mut b = BuildConfig::builder()
-        .strategy(strategy)
-        .seed(p.get_or("seed", 0).map_err(|e| e.to_string())?)
-        .threads(p.get_or("threads", 1).map_err(|e| e.to_string())?);
-    if let Some(pool) = p.get("pool") {
-        b = b.constraint_pool(parse_pool(pool, dim)?);
-    }
-    let decompose: usize = p.get_or("decompose", 1).map_err(|e| e.to_string())?;
-    if decompose > 1 {
-        b = b.decompose_pieces(decompose);
-    }
+    let mut b = BuildConfig::builder();
     if p.get("skip-invalid").is_some() {
         b = b.input_policy(InputPolicy::Skip);
-    }
-    if let Some(iters) = p.get("lp-max-iterations") {
-        let n: usize = iters
-            .parse()
-            .map_err(|_| format!("bad --lp-max-iterations {iters:?}"))?;
-        b = b.lp_max_iterations(n);
     }
     let cfg = b.build();
     let out = p.get("out");
@@ -185,8 +123,8 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
     }
     let t = Instant::now();
     let index = NnCellIndex::build(points, cfg).map_err(|e| e.to_string())?;
-    let bs = index.build_stats().clone();
-    let (n_cells, n_pieces) = (index.len(), index.total_pieces());
+    let bs = *index.build_stats();
+    let n = index.len();
     let mut sinks = Vec::new();
     if let Some(out) = out {
         index.save(out).map_err(|e| e.to_string())?;
@@ -197,31 +135,26 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
         sinks.push(format!("durable directory initialized at {dir}"));
     }
     println!(
-        "built {n_cells} cells ({n_pieces} pieces) in {:.2}s — {} LPs over {} constraints — {}",
-        t.elapsed().as_secs_f64(),
-        bs.lp.lp_calls,
-        bs.lp.constraints,
+        "built {n} points in {:.2} ms (bulk load {:.2} ms) — {}",
+        t.elapsed().as_secs_f64() * 1e3,
+        bs.profile.bulk_load.seconds() * 1e3,
         sinks.join(", ")
     );
+    print_skipped(&bs);
+    Ok(())
+}
+
+fn print_skipped(bs: &nncell_core::BuildStats) {
     if bs.skipped_points > 0 {
         println!(
             "skipped {} invalid input point(s) (--skip-invalid)",
             bs.skipped_points
         );
     }
-    if bs.lp.fallback_lps > 0 || bs.lp.clamped_extents > 0 {
-        println!(
-            "LP degradation: {} fallback solve(s), {} extent(s) clamped to the data space \
-             (results stay exact; approximations widen)",
-            bs.lp.fallback_lps, bs.lp.clamped_extents
-        );
-    }
-    print_build_profile(&bs.profile);
-    Ok(())
 }
 
-/// `build --shards N`: partition round-robin, build every shard in its own
-/// thread, and land in a sharded directory (plain via `--out`, durable via
+/// `build --shards N`: partition round-robin, bulk-load every shard in its
+/// own thread, and land in a sharded directory (plain via `--out`, durable via
 /// `--wal` — both work; the save happens before the durable conversion
 /// consumes the in-memory masters).
 fn cmd_build_sharded(
@@ -234,8 +167,7 @@ fn cmd_build_sharded(
     let t = Instant::now();
     let index = ShardedIndex::build(points, shards, cfg).map_err(|e| e.to_string())?;
     let bs = index.build_stats();
-    let n_cells = index.len();
-    let n_pieces: usize = (0..shards).map(|i| index.shard(i).total_pieces()).sum();
+    let n = index.len();
     let mut sinks = Vec::new();
     if let Some(dir) = out {
         index.save(dir).map_err(|e| e.to_string())?;
@@ -246,20 +178,12 @@ fn cmd_build_sharded(
         sinks.push(format!("durable sharded directory initialized at {dir}"));
     }
     println!(
-        "built {n_cells} cells ({n_pieces} pieces) across {shards} shard(s) in {:.2}s — \
-         {} LPs over {} constraints — {}",
-        t.elapsed().as_secs_f64(),
-        bs.lp.lp_calls,
-        bs.lp.constraints,
+        "built {n} points across {shards} shard(s) in {:.2} ms (bulk load {:.2} ms) — {}",
+        t.elapsed().as_secs_f64() * 1e3,
+        bs.profile.bulk_load.seconds() * 1e3,
         sinks.join(", ")
     );
-    if bs.skipped_points > 0 {
-        println!(
-            "skipped {} invalid input point(s) (--skip-invalid)",
-            bs.skipped_points
-        );
-    }
-    print_build_profile(&bs.profile);
+    print_skipped(&bs);
     Ok(())
 }
 
@@ -494,63 +418,25 @@ fn cmd_info(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["index"]).map_err(|e| e.to_string())?;
     let index = NnCellIndex::load(p.require("index").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
-    let cells: Vec<_> = (0..index.points().len())
-        .filter_map(|i| index.cell(i).cloned())
-        .collect();
     println!("dimensionality : {}", index.dim());
     println!("live points    : {}", index.len());
-    println!("cell pieces    : {}", index.total_pieces());
-    println!("strategy       : {}", index.config().strategy.name());
-    println!("decomposition  : {:?}", index.config().decompose_pieces);
-    println!("cell-tree pages: {}", index.cell_tree_pages());
-    println!(
-        "avg overlap    : {:.3}",
-        nncell_core::average_overlap(&cells)
-    );
-    let report = index.verify_integrity();
-    if report.is_ok() {
-        println!("integrity      : ok ({} cells checked)", report.checked_cells);
-    } else {
-        println!(
-            "integrity      : {} of {} cells BAD — run `nncell verify --repair`",
-            report.bad_cells.len(),
-            report.checked_cells
-        );
-    }
+    println!("point slots    : {}", index.points().len());
     Ok(())
 }
 
+/// `verify --index FILE`: the loader checks the checksum (NNCELL02) and
+/// every structural field; nothing derived is persisted, so a file that
+/// loads is sound.
 fn cmd_verify(p: &Parsed) -> Result<(), String> {
-    p.allow_only(&["index", "repair", "out"])
-        .map_err(|e| e.to_string())?;
+    p.allow_only(&["index"]).map_err(|e| e.to_string())?;
     let path = p.require("index").map_err(|e| e.to_string())?;
-    let mut index = NnCellIndex::load(path).map_err(|e| e.to_string())?;
-    let report = index.verify_integrity();
-    if report.is_ok() {
-        println!("ok: all {} cells pass integrity checks", report.checked_cells);
-        return Ok(());
-    }
+    let index = NnCellIndex::load(path).map_err(|e| e.to_string())?;
     println!(
-        "{} of {} cells fail integrity checks: {:?}{}",
-        report.bad_cells.len(),
-        report.checked_cells,
-        &report.bad_cells[..report.bad_cells.len().min(20)],
-        if report.bad_cells.len() > 20 { " …" } else { "" }
+        "ok: checksum and structure verified ({} live of {} point slot(s), d={})",
+        index.len(),
+        index.points().len(),
+        index.dim()
     );
-    if p.get("repair").is_none() {
-        return Err("index is damaged (rerun with --repair to recompute bad cells)".into());
-    }
-    let n = index.repair();
-    let after = index.verify_integrity();
-    if !after.is_ok() {
-        return Err(format!(
-            "repair recomputed {n} cell(s) but {} still fail",
-            after.bad_cells.len()
-        ));
-    }
-    let out = p.get("out").unwrap_or(path);
-    index.save(out).map_err(|e| e.to_string())?;
-    println!("repaired {n} cell(s); index saved to {out}");
     Ok(())
 }
 
@@ -738,13 +624,6 @@ impl LoadedIndex {
         }
     }
 
-    fn build_profile(&self) -> nncell_core::BuildProfile {
-        match self {
-            LoadedIndex::Plain(i) => i.build_stats().profile,
-            LoadedIndex::Durable(d) => d.index().build_stats().profile,
-            LoadedIndex::Sharded(s) => s.build_stats().profile,
-        }
-    }
 }
 
 /// Builds the [`nncell_server::ServeIndex`] for `serve` from the same
@@ -792,7 +671,7 @@ fn open_serve_index(p: &Parsed) -> Result<nncell_server::ServeIndex, String> {
                 .parse()
                 .map_err(|_| "bad --dim".to_string())?;
             let shards: usize = p.get_or("shards", 1).map_err(|e| e.to_string())?;
-            let cfg = BuildConfig::builder().strategy(Strategy::CorrectPruned).build();
+            let cfg = BuildConfig::default();
             if shards > 1 {
                 Ok(memtable(
                     ShardedIndex::open_durable(dir, dim, shards, cfg)
@@ -1167,18 +1046,10 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         );
     }
     println!(
-        "cell tree      : {} page read(s), {} cache hit(s), {} split(s), {} pages",
-        get("nncell_cell_tree_page_reads_total"),
-        get("nncell_cell_tree_cache_hits_total"),
-        get("nncell_cell_tree_splits_total"),
-        snap.sum_gauges("nncell_cell_tree_pages").unwrap_or(0),
-    );
-    println!(
-        "LP (lifetime)  : {} LP call(s) over {} constraint(s), {} fallback(s), {} clamp(s)",
-        get("nncell_lp_calls_total"),
-        get("nncell_lp_constraints_total"),
-        get("nncell_lp_fallback_total"),
-        get("nncell_lp_clamped_extents_total"),
+        "point tree     : {} page read(s), {} cache hit(s), {} split(s)",
+        get("nncell_point_tree_page_reads_total"),
+        get("nncell_point_tree_cache_hits_total"),
+        get("nncell_point_tree_splits_total"),
     );
     if snap.sum_counters("nncell_wal_appends_total").is_some() {
         println!(
@@ -1190,34 +1061,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
             get("nncell_snapshot_rotations_total"),
         );
     }
-    print_build_profile(&loaded.build_profile());
     Ok(())
-}
-
-/// Shared build-profile report (`build` prints it after construction,
-/// `stats` prints the lifetime totals carried by the snapshot).
-fn print_build_profile(profile: &nncell_core::BuildProfile) {
-    if profile.lp_solve.calls == 0 {
-        return;
-    }
-    println!(
-        "build profile  : constraints {:.3}s/{} cell(s), LP {:.3}s, decomposition {:.3}s/{}, \
-         bulk load {:.3}s",
-        profile.constraint_selection.seconds(),
-        profile.constraint_selection.calls,
-        profile.lp_solve.seconds(),
-        profile.decomposition.seconds(),
-        profile.decomposition.calls,
-        profile.bulk_load.seconds(),
-    );
-    if profile.batches > 0 {
-        println!(
-            "build batches  : {} batch(es), slowest {:.3}s of {:.3}s total",
-            profile.batches,
-            profile.batch_max_nanos as f64 / 1e9,
-            profile.batch_total_nanos as f64 / 1e9,
-        );
-    }
 }
 
 fn print_help() {
@@ -1229,17 +1073,15 @@ USAGE: nncell <command> [--flag value]...
 COMMANDS
   generate  --out FILE [--kind uniform|grid|sparse|clustered|fourier]
             [--n 1000] [--dim 8] [--seed 42] [--clusters 8] [--sigma 0.05]
-  build     --points FILE (--out FILE | --wal DIR) [--strategy correct|
-            correct-pruned|point|sphere|nn-direction] [--decompose K] [--seed S]
-            [--pool exhaustive|approx|approx:K] [--threads T] [--shards S]
-            [--skip-invalid] [--lp-max-iterations N]
+  build     --points FILE (--out FILE | --wal DIR) [--shards S]
+            [--skip-invalid]
   query     (--index FILE | --wal DIR) --point x,y,... [--k K | --radius R]
   insert    --wal DIR --point x,y,... [--checkpoint]
   remove    --wal DIR --id N [--checkpoint]
   recover   --wal DIR [--checkpoint]
   flush     --wal DIR              (land journaled records, reset journals)
   info      --index FILE
-  verify    --index FILE [--repair] [--out FILE]
+  verify    --index FILE           (checksum and structure of a saved index)
   bench     --index FILE [--queries 200] [--seed 7] [--k 1] [--threads N]
             [--json FILE]
   stats     (--index FILE | --wal DIR) [--queries 200] [--seed 7] [--k 1]
@@ -1253,20 +1095,18 @@ COMMANDS
             (fetch recent request traces as Chrome trace-event JSON)
   help
 
-`build --pool approx` constructs cells from each point's approximate
-k-nearest constraint pool (sub-quadratic; `approx:K` picks the pool size,
-bare `approx` uses the dimension-derived default) instead of the
-exhaustive per-cell gather; answers are identical either way. `query
---radius R` returns every point within distance R, sorted by distance.
+`build` STR-loads the points into a point X-tree; every query is an exact
+best-first search over it. `query --radius R` returns every point within
+distance R, sorted by distance.
 
 `build --shards S` (S > 1) partitions points round-robin into S shards,
-builds them in parallel, and writes a sharded directory (plain with --out,
+bulk-loads them in parallel, and writes a sharded directory (plain with --out,
 durable with --wal). query/insert/remove/recover/stats auto-detect sharded
 layouts from the on-disk manifest; sharded answers are bit-identical to
 unsharded ones, and sharded metrics register per-shard `shard=\"i\"` series.
 
 `stats` attaches a metrics registry, replays a generated workload, and
-reports query-latency percentiles, candidate/page histograms, tree and LP
+reports query-latency percentiles, candidate/page histograms, point-tree
 counters, and (for --wal) WAL/fsync/rotation counters. --json and --prom
 print the raw registry snapshot; --slow drains the slow-query ring.
 
@@ -1285,8 +1125,8 @@ entries carry the trace id of their request as an exemplar.
 
 Sharded serving uses the LSM-style write path: inserts/removes are
 journaled and land in a small unindexed memtable tail (fsync, then an
-O(1) ack — no cell construction on the write path); a supervised
-background folder folds the tail into the NN-cells. Queries merge the
+O(1) ack — no tree update on the write path); a supervised background
+folder folds the tail into the shards' point trees. Queries merge the
 tail by linear scan and stay exact throughout, even while the folder is
 failing (visible as `nncell_fold_*` metrics and in /readyz). A tail past
 --tail-max unfolded ops sheds writes with 429 + Retry-After;

@@ -25,11 +25,11 @@ fn generate_build_query_info_bench_pipeline() {
 
     let out = bin()
         .args(["build", "--points", pts.to_str().unwrap()])
-        .args(["--strategy", "sphere", "--out", idx.to_str().unwrap()])
+        .args(["--out", idx.to_str().unwrap()])
         .output()
         .expect("spawn build");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("built 200 cells"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("built 200 points"));
 
     let out = bin()
         .args(["query", "--index", idx.to_str().unwrap()])
@@ -47,6 +47,13 @@ fn generate_build_query_info_bench_pipeline() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("live points    : 200"), "{text}");
+
+    let out = bin()
+        .args(["verify", "--index", idx.to_str().unwrap()])
+        .output()
+        .expect("spawn verify");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("ok: checksum and structure verified"));
 
     let out = bin()
         .args(["bench", "--index", idx.to_str().unwrap(), "--queries", "20"])
@@ -72,7 +79,7 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
         .unwrap();
     let out = bin()
         .args(["build", "--points", pts.to_str().unwrap()])
-        .args(["--strategy", "sphere", "--wal", db.to_str().unwrap()])
+        .args(["--wal", db.to_str().unwrap()])
         .output()
         .expect("spawn build --wal");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -153,12 +160,12 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .unwrap();
     let out = bin()
         .args(["build", "--points", pts.to_str().unwrap()])
-        .args(["--strategy", "sphere", "--out", idx.to_str().unwrap()])
+        .args(["--out", idx.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    // Human-readable summary: percentiles, counters, and the LP section.
+    // Human-readable summary: percentiles, counters, and the point tree.
     let out = bin()
         .args(["stats", "--index", idx.to_str().unwrap(), "--queries", "40"])
         .output()
@@ -167,7 +174,7 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("latency        : p50"), "{text}");
     assert!(text.contains("40 queries"), "{text}");
-    assert!(text.contains("cell tree"), "{text}");
+    assert!(text.contains("point tree"), "{text}");
 
     // --json prints the raw registry snapshot; the query counter matches
     // the workload exactly (40 issued, 0 errors).
@@ -223,7 +230,7 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     std::fs::remove_dir_all(&db).ok();
     bin()
         .args(["build", "--points", pts.to_str().unwrap()])
-        .args(["--strategy", "sphere", "--wal", db.to_str().unwrap()])
+        .args(["--wal", db.to_str().unwrap()])
         .output()
         .unwrap();
     let out = bin()

@@ -1,6 +1,7 @@
-//! Build configuration for the NN-cell index.
+//! Build configuration for the point index and its NN-cells.
 
-use nncell_lp::{LpBudget, SolverKind};
+use nncell_lp::LpBudget;
+pub use nncell_lp::SolverKind;
 
 /// The constraint-selection algorithm used when approximating a cell
 /// (section 2 of the paper, figure 3's `OptAlg`).
@@ -102,7 +103,13 @@ pub enum InputPolicy {
     Skip,
 }
 
-/// Configuration for [`crate::NnCellIndex::build`].
+/// Configuration for [`crate::NnCellIndex::build`] and the NN-cells built
+/// from it ([`crate::NnCells::build`]).
+///
+/// The index itself reads only `block_size` and `input_policy`; every
+/// other field configures cell construction and maintenance, is stored
+/// with the index (and, except `pool`, `threads` and `lp_budget`, in its
+/// snapshots) and is read by [`crate::NnCells`].
 ///
 /// Construct with [`BuildConfig::builder`]:
 ///
@@ -133,16 +140,16 @@ pub struct BuildConfig {
     /// `√d · (1/N)^(1/d)` (≈ 2× the expected NN distance of uniform data —
     /// the paper's printed formula is garbled, see DESIGN.md §5).
     pub sphere_radius: Option<f64>,
-    /// Simulated disk block size for both internal trees.
+    /// Simulated disk block size for the point tree and the cell tree.
     pub block_size: usize,
     /// RNG seed (Seidel shuffles; fully deterministic builds).
     pub seed: u64,
     /// After a dynamic insert, recompute the cells the new point affects
     /// (quality refinement; exactness holds either way).
     pub refine_on_insert: bool,
-    /// Worker threads for the cell-computation phase of a bulk build (cells
-    /// are independent given the shared read-only point tree). `1` =
-    /// sequential; queries and dynamic updates are unaffected.
+    /// Worker threads for [`crate::NnCells::build`] (cells are independent
+    /// given the index's shared read-only point tree). `1` = one worker;
+    /// queries and dynamic updates are unaffected.
     pub threads: usize,
     /// Work budget per LP solve. The default lets each backend size its own
     /// cap; a tiny explicit cap (even 0) is safe — exhausted solves walk the

@@ -24,7 +24,7 @@
 //! There is no interleaving in which a removed point can be resurrected or
 //! an acknowledged update lost — the crash-recovery property test in
 //! `tests/crash_recovery.rs` kills the process at every syscall of a
-//! randomized workload and checks exactly that, plus Lemma 1 exactness of
+//! randomized workload and checks exactly that, plus exactness of
 //! every query against a linear scan over the recovered point set.
 //!
 //! **Recovery** ([`NnCellIndex::open_durable`] / [`DurableIndex::open`]):

@@ -107,7 +107,9 @@ pub struct QueryEngine<'a, M: Metric = Euclidean> {
     /// When false, this engine skips metric recording even if the index has
     /// a registry attached (overhead A/B runs; see the bench).
     record_metrics: bool,
-    /// Optional per-request time budget (see [`QueryEngine::with_deadline`]).
+    /// Optional budget applied to every query this engine executes, set
+    /// only by the shard fan-out; per-request budgets ride on
+    /// [`Query::with_deadline`].
     deadline: Option<std::time::Instant>,
     /// Optional unindexed memtable tail merged into every answer (see
     /// [`QueryEngine::with_tail`]).
@@ -154,40 +156,17 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         self
     }
 
-    /// Attaches an engine-level time budget applied to **every** query this
-    /// engine executes.
-    ///
-    /// Deprecated: per-request options now ride on the query itself —
-    /// `Query::knn(q, k).with_deadline(d)` — so one engine can serve
-    /// requests with different budgets concurrently. This engine-level
-    /// variant remains for one release; while both are set the *earlier*
-    /// deadline wins.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the budget per request via `Query::with_deadline`; \
-                the engine-level deadline will be removed after one release"
-    )]
-    pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// [`Self::with_deadline`] with an `Option`, for internal threading
-    /// (shard fan-out applies one admission deadline to a whole batch
-    /// without cloning every query).
+    /// Applies one budget to every query this engine executes (the shard
+    /// fan-out applies one admission deadline to a whole batch without
+    /// cloning every query). While a query also carries its own
+    /// [`Query::with_deadline`] budget, the *earlier* of the two wins.
     pub(crate) fn with_deadline_opt(mut self, deadline: Option<std::time::Instant>) -> Self {
         self.deadline = deadline;
         self
     }
 
-    /// The configured engine-level deadline, if any (does not see
-    /// per-request [`Query::with_deadline`] budgets).
-    pub fn deadline(&self) -> Option<std::time::Instant> {
-        self.deadline
-    }
-
     /// The deadline that governs `q` on this engine: the earlier of the
-    /// per-request budget and the deprecated engine-level one.
+    /// per-request budget and the engine-level one.
     fn effective_deadline(&self, q: &Query) -> Option<std::time::Instant> {
         match (self.deadline, q.deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -199,7 +178,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// kernel is over-fetched by the tail's tombstone count, tombstoned
     /// ids are filtered out, live tail points are brought in by a
     /// deadline-aware linear scan, and the union is re-ranked by
-    /// `(distance, id)`. Exactness is the Lemma 1 covering-superset
+    /// `(distance, id)`. Exactness is a covering-superset
     /// argument — every live point is either in the index or in the tail —
     /// and the extra work is counted in [`QueryStats::tail`]. With an
     /// empty tail the plain (zero-allocation) path runs unchanged.
@@ -594,9 +573,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         })
     }
 
-    /// Exact radius query, riding the **point** tree (not the cell tree):
-    /// one sphere query collects every stored point whose Euclidean
-    /// distance can be within the ball, then the exact metric filter keeps
+    /// Exact radius query, riding the point tree: one sphere query
+    /// collects every stored point whose Euclidean distance can be within
+    /// the ball, then the exact metric filter keeps
     /// `dist ≤ r`. Unlike the NN kernels this needs no covering argument
     /// and no scan fallback — the point tree holds every live point
     /// directly, and its sphere query is exact for *any* center, including

@@ -2,14 +2,14 @@
 //!
 //! With a memtable enabled ([`crate::ShardedIndex::with_memtable`]), an
 //! insert or remove journals to the shard's WAL, lands in a small
-//! in-memory tail of raw operations, and is acknowledged — no LP solve,
-//! no cell refinement, no snapshot clone on the ack path. A supervised
-//! background *folder* ([`crate::ShardedIndex::run_folder`]) later applies
-//! the tail to the NN-cell index off the write path and publishes the
+//! in-memory tail of raw operations, and is acknowledged — no point-tree
+//! update, no snapshot clone on the ack path. A supervised background
+//! *folder* ([`crate::ShardedIndex::run_folder`]) later applies the tail
+//! to the shard's index off the write path and publishes the
 //! result through the copy-on-write [`crate::SnapshotCell`] swap.
 //!
-//! Exactness is preserved by construction (the Lemma 1 covering-superset
-//! argument): a query answers from the published cell index *plus* a
+//! Exactness is preserved by construction (a covering-superset argument):
+//! a query answers from the published index *plus* a
 //! linear scan of the tail, minus any tail tombstones. The tail is a
 //! superset merge — every live point is either in the snapshot or in the
 //! tail, every tombstone is applied — so the merged answer equals a
@@ -40,7 +40,7 @@ pub(crate) enum TailOp {
 /// fold is (or was) working on (`frozen`) and everything acked since
 /// (`active`). `removed` mirrors every unfolded tombstone for O(tail)
 /// membership checks. All access happens under the owning shard's tail
-/// mutex; holds are O(1) pushes or O(tail) clones — never an LP solve.
+/// mutex; holds are O(1) pushes or O(tail) clones — never a tree update.
 #[derive(Debug, Default)]
 pub(crate) struct Memtable {
     frozen: Vec<TailOp>,
@@ -240,7 +240,7 @@ pub struct FoldStatus {
     pub consecutive_failures: u32,
     /// Successful folds since open.
     pub folds: u64,
-    /// Operations folded into the cell index since open.
+    /// Operations folded into the shard indexes since open.
     pub folded_records: u64,
     /// Failed (panicked) folds since open.
     pub failures: u64,
@@ -249,7 +249,7 @@ pub struct FoldStatus {
 /// Why a fold attempt did not publish.
 #[derive(Debug)]
 pub enum FoldError {
-    /// The fold closure panicked (LP bug, poisoned data, injected chaos);
+    /// The fold closure panicked (a bug, poisoned data, injected chaos);
     /// the batch stays frozen in the tail and will be retried.
     Panicked {
         /// Shard whose fold panicked.

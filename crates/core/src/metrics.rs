@@ -1,5 +1,5 @@
 //! Registry bindings for the core layer: engine-side query metrics and
-//! index-side gauges and LP aggregates.
+//! index-side gauges.
 //!
 //! Everything here is opt-in: an index built without
 //! [`crate::NnCellIndex::attach_metrics`] carries no registry, every
@@ -7,17 +7,7 @@
 //! With a registry attached, recording is a handful of relaxed atomic
 //! operations — no locks, no allocation (covered by the counting-allocator
 //! test).
-//!
-//! The LP counters mirrored from [`CellLpStats`] are deliberately driven by
-//! *this* layer, not by `nncell-lp`: they are seeded from
-//! [`crate::BuildStats::lp`] when the registry is attached and advanced with
-//! the exact per-cell deltas the index merges into its own stats, so the
-//! registry totals agree with `build_stats().lp` by construction. The lp
-//! crate's own live metrics ([`nncell_lp::LpMetrics`]) cover only what
-//! `CellLpStats` cannot see (per-attempt counts, fallback depth, clamp
-//! events).
 
-use nncell_lp::CellLpStats;
 use nncell_obs::{Counter, Gauge, Histogram, Registry, SlowQueryLog};
 use std::sync::Arc;
 
@@ -86,8 +76,7 @@ impl EngineMetrics {
     }
 }
 
-/// Index-wide metric handles: the engine bundle plus structural gauges and
-/// the [`CellLpStats`]-mirrored LP aggregates.
+/// Index-wide metric handles: the engine bundle plus the structural gauge.
 ///
 /// Cloning shares every handle (all are `Arc`s into the registry); the
 /// copy-on-write shard snapshots rely on this so a published snapshot
@@ -98,17 +87,6 @@ pub struct IndexMetrics {
     pub(crate) engine: EngineMetrics,
     /// `nncell_live_points` — live points currently indexed.
     pub(crate) live_points: Arc<Gauge>,
-    /// `nncell_cell_tree_pages` — simulated pages of the cell X-tree.
-    pub(crate) cell_tree_pages: Arc<Gauge>,
-    /// `nncell_lp_calls_total` — mirrors `CellLpStats::lp_calls`.
-    pub(crate) lp_calls: Arc<Counter>,
-    /// `nncell_lp_constraints_total` — mirrors `CellLpStats::constraints`.
-    pub(crate) lp_constraints: Arc<Counter>,
-    /// `nncell_lp_fallback_total` — mirrors `CellLpStats::fallback_lps`.
-    pub(crate) lp_fallback: Arc<Counter>,
-    /// `nncell_lp_clamped_extents_total` — mirrors
-    /// `CellLpStats::clamped_extents`.
-    pub(crate) lp_clamped: Arc<Counter>,
 }
 
 /// Registry handles for the memtable fold pipeline (`nncell_fold_*`,
@@ -122,7 +100,7 @@ pub(crate) struct FoldMetrics {
     pub(crate) tail_depth: Arc<Gauge>,
     /// `nncell_fold_total` — successful folds.
     pub(crate) folds: Arc<Counter>,
-    /// `nncell_fold_records_total` — operations folded into NN-cells.
+    /// `nncell_fold_records_total` — operations folded into the point tree.
     pub(crate) folded_records: Arc<Counter>,
     /// `nncell_fold_failures_total` — folds that panicked and were kept
     /// for retry.
@@ -147,7 +125,7 @@ impl FoldMetrics {
         registry.describe("nncell_fold_total", "Successful memtable folds.");
         registry.describe(
             "nncell_fold_records_total",
-            "Operations folded from the memtable tail into NN-cells.",
+            "Operations folded from the memtable tail into the point tree.",
         );
         registry.describe(
             "nncell_fold_failures_total",
@@ -184,10 +162,7 @@ impl IndexMetrics {
     }
 
     /// Like [`IndexMetrics::register`] but every series carries the given
-    /// label set (e.g. `shard="<i>"`). The LP mirror counters stay
-    /// **unlabeled** on purpose: they mirror `build_stats().lp`, and the
-    /// per-shard builds sum into exactly the unsharded totals, so one
-    /// shared family keeps the registry == stats invariant.
+    /// label set (e.g. `shard="<i>"`).
     pub fn register_labeled(
         registry: Arc<Registry>,
         dim: usize,
@@ -198,11 +173,6 @@ impl IndexMetrics {
         Self {
             engine,
             live_points: registry.gauge(&format!("nncell_live_points{l}")),
-            cell_tree_pages: registry.gauge(&format!("nncell_cell_tree_pages{l}")),
-            lp_calls: registry.counter("nncell_lp_calls_total"),
-            lp_constraints: registry.counter("nncell_lp_constraints_total"),
-            lp_fallback: registry.counter("nncell_lp_fallback_total"),
-            lp_clamped: registry.counter("nncell_lp_clamped_extents_total"),
             registry,
         }
     }
@@ -215,21 +185,5 @@ impl IndexMetrics {
     /// The query-path handles.
     pub fn engine(&self) -> &EngineMetrics {
         &self.engine
-    }
-
-    /// Advances the mirrored LP counters by one per-cell delta — called at
-    /// exactly the sites that merge into [`crate::BuildStats::lp`], so the
-    /// registry stays equal to the stats totals.
-    pub(crate) fn record_lp_stats(&self, delta: &CellLpStats) {
-        self.lp_calls.add(delta.lp_calls as u64);
-        self.lp_constraints.add(delta.constraints as u64);
-        self.lp_fallback.add(delta.fallback_lps as u64);
-        self.lp_clamped.add(delta.clamped_extents as u64);
-    }
-
-    /// Seeds the mirrored LP counters with the pre-attach totals (the build
-    /// already happened when the registry arrives).
-    pub(crate) fn seed_lp_totals(&self, totals: &CellLpStats) {
-        self.record_lp_stats(totals);
     }
 }

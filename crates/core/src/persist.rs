@@ -1,10 +1,8 @@
 //! Index persistence.
 //!
-//! The whole point of the NN-cell approach is that the expensive work — the
-//! `2·d` linear programs per point — happens once, at build time. This
-//! module saves the computed approximations in a small versioned binary
-//! format and reloads them without rerunning a single LP (the X-trees are
-//! rebuilt by insertion, which is cheap and deterministic).
+//! An index is its configuration, its points and their liveness; the point
+//! X-tree is rebuilt by insertion on load, which is cheap and
+//! deterministic.
 //!
 //! **Format `NNCELL02`** (current): an 8-byte magic, the payload, and a
 //! CRC32 (IEEE) trailer over everything before it. [`NnCellIndex::load`]
@@ -13,18 +11,22 @@
 //! silently wrong index. **Format `NNCELL01`** (legacy, no checksum) is
 //! still readable; structural validation alone guards those files.
 //!
+//! Both formats end with one NN-cell piece list per point. `save` writes
+//! every list empty; `load` still reads and bounds-checks the lists of
+//! files that carry pieces, then drops them — nothing on the serving path
+//! reads cells, and [`crate::NnCells::build`] recomputes them on demand.
+//!
 //! Every size field read from disk is validated against the actual number
 //! of bytes present *before* any allocation, so a corrupted count cannot
 //! trigger an out-of-memory abort either.
 //!
-//! Only the Euclidean index is persistable: a weighted metric would change
-//! the meaning of the stored cells, so it is deliberately not serialized.
+//! Only the Euclidean index is persistable: the metric is not serialized.
 
-use crate::config::{BuildConfig, Strategy};
-use crate::index::{NnCellIndex, MAX_PIECES};
+use crate::cells::MAX_PIECES;
+use crate::config::{BuildConfig, SolverKind, Strategy};
+use crate::index::NnCellIndex;
 use crate::vfs::{write_atomic, StdVfs, Vfs};
-use nncell_geom::{Mbr, Point};
-use nncell_lp::SolverKind;
+use nncell_geom::Point;
 use std::io;
 use std::path::Path;
 
@@ -147,8 +149,8 @@ impl<'a> SliceReader<'a> {
 }
 
 impl NnCellIndex<nncell_geom::Euclidean> {
-    /// Writes the index (points, liveness, cell pieces, configuration) to
-    /// `path` in the checksummed `NNCELL02` format.
+    /// Writes the index (configuration, points, liveness) to `path` in the
+    /// checksummed `NNCELL02` format, with an empty piece list per point.
     ///
     /// The write is **crash-safe**: the bytes go to a fsynced sibling
     /// `.tmp` file that is renamed over `path` (then the directory is
@@ -198,24 +200,15 @@ impl NnCellIndex<nncell_geom::Euclidean> {
                 put_f64(out, c);
             }
         }
-        for id in 0..points.len() {
-            let pieces: &[Mbr] = self.cell(id).map(|c| c.pieces.as_slice()).unwrap_or(&[]);
-            put_u32(out, pieces.len() as u32);
-            for m in pieces {
-                for &c in m.lo() {
-                    put_f64(out, c);
-                }
-                for &c in m.hi() {
-                    put_f64(out, c);
-                }
-            }
+        for _ in points {
+            put_u32(out, 0);
         }
     }
 
     /// Reads an index previously written by [`Self::save`] (`NNCELL02`,
     /// checksum-verified) or by older releases (`NNCELL01`, structural
-    /// validation only). No LP is rerun: the stored approximations are
-    /// reinserted into fresh X-trees.
+    /// validation only). Stored cell pieces are validated and dropped; the
+    /// live points are reinserted into a fresh point tree.
     ///
     /// # Errors
     /// I/O failures, a bad magic/version, a checksum mismatch, or
@@ -336,39 +329,25 @@ fn parse_payload(
         }
         points.push(Point::new(coords));
     }
-    let mut all_pieces = Vec::with_capacity(n);
+    // Piece lists of files that carry them: bounds-checked like every
+    // other field, then dropped.
     for id in 0..n {
         let k = r.u32()? as usize;
         if k > MAX_PIECES {
             return Err(corrupt(format!("implausible piece count {k}")));
         }
-        if alive[id] && k == 0 {
-            return Err(corrupt(format!("live point {id} without cell pieces")));
-        }
         if k > r.remaining() / (16 * dim) {
             return Err(corrupt(format!("piece count {k} exceeds the bytes present")));
         }
-        let mut pieces = Vec::with_capacity(k);
         for _ in 0..k {
-            let mut lo = Vec::with_capacity(dim);
-            let mut hi = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                lo.push(r.f64()?);
+            let lo: Vec<f64> = (0..dim).map(|_| r.f64()).collect::<Result<_, _>>()?;
+            let hi: Vec<f64> = (0..dim).map(|_| r.f64()).collect::<Result<_, _>>()?;
+            // Saved boxes are always normalized (`hi ≥ lo`), so anything
+            // inverted at all is corruption.
+            if lo.iter().zip(&hi).any(|(l, h)| !(l.is_finite() && h.is_finite()) || h < l) {
+                return Err(corrupt(format!("invalid piece bounds for point {id}")));
             }
-            for _ in 0..dim {
-                hi.push(r.f64()?);
-            }
-            for i in 0..dim {
-                // `Mbr::new` snaps sub-EPS inversions but panics beyond
-                // them; saved boxes are always normalized (`hi ≥ lo`), so
-                // anything inverted at all is corruption.
-                if !(lo[i].is_finite() && hi[i].is_finite()) || hi[i] < lo[i] {
-                    return Err(corrupt(format!("invalid piece bounds for point {id}")));
-                }
-            }
-            pieces.push(Mbr::new(lo, hi));
         }
-        all_pieces.push(pieces);
     }
 
     let mut idx = NnCellIndex::new(dim, cfg);
@@ -377,7 +356,7 @@ fn parse_payload(
             idx.point_tree_insert(p, id);
         }
     }
-    idx.install_cells(points, alive, all_pieces);
+    idx.install_points(points, alive);
     Ok(idx)
 }
 
@@ -440,7 +419,6 @@ mod tests {
     use super::*;
     use crate::engine::QueryEngine;
     use crate::query::Query;
-    use crate::scan::linear_scan_nn;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -472,65 +450,92 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Rewrites a freshly saved file in the parent format: the same header
+    /// and points followed by the NN-cell piece lists of `cells`, under the
+    /// v2 magic with a recomputed checksum, or the v1 magic without one.
+    fn with_pieces(saved: &[u8], n: usize, cells: &crate::NnCells, v2: bool) -> Vec<u8> {
+        let mut out = saved[..saved.len() - 4 - 4 * n].to_vec();
+        for id in 0..n {
+            let pieces = cells.cell(id).map_or(&[][..], |c| &c.pieces[..]);
+            put_u32(&mut out, pieces.len() as u32);
+            for m in pieces {
+                for &c in m.lo().iter().chain(m.hi()) {
+                    put_f64(&mut out, c);
+                }
+            }
+        }
+        if v2 {
+            let crc = crc32(&out);
+            out.extend_from_slice(&crc.to_le_bytes());
+        } else {
+            out[..8].copy_from_slice(MAGIC_V1);
+        }
+        out
+    }
+
     #[test]
-    fn roundtrip_preserves_cells_and_answers() {
+    fn roundtrip_preserves_points_and_answers() {
         let pts = uniform(60, 3, 1);
-        let idx = NnCellIndex::build(
+        let mut idx = NnCellIndex::build(
             pts.clone(),
             BuildConfig::builder().strategy(Strategy::Sphere)
                 .decompose_pieces(4)
                 .seed(7).build(),
         )
         .unwrap();
+        assert!(idx.remove(5));
         let path = tmp("roundtrip");
         idx.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         let loaded = NnCellIndex::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(loaded.len(), idx.len());
+        // Header, points with liveness, one empty piece list per point.
+        assert_eq!(bytes.len(), 8 + 32 + 8 + 60 * (1 + 8 * 3) + 60 * 4 + 4);
+        assert_eq!(loaded.len(), 59);
         assert_eq!(loaded.dim(), idx.dim());
         assert_eq!(loaded.config().strategy, Strategy::Sphere);
         assert_eq!(loaded.config().decompose_pieces, Some(4));
-        for id in 0..pts.len() {
-            let a = &idx.cell(id).unwrap().pieces;
-            let b = &loaded.cell(id).unwrap().pieces;
-            assert_eq!(a.len(), b.len());
-            for (ma, mb) in a.iter().zip(b.iter()) {
-                assert_eq!(ma, mb, "cell {id} differs after reload");
-            }
-        }
-        assert!(loaded.verify_integrity().is_ok());
-        // No LP ran on load; queries still exact.
+        assert_eq!(loaded.points(), idx.points());
+        assert!(!loaded.is_live(5));
         let mut rng = SmallRng::seed_from_u64(9);
         for _ in 0..40 {
             let q: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let got = nn(&loaded, &q).unwrap();
-            let want = linear_scan_nn(&pts, &q).unwrap();
-            assert_eq!(got.id, want.id);
+            assert_eq!(nn(&loaded, &q), nn(&idx, &q));
         }
     }
 
     #[test]
-    fn legacy_nncell01_files_still_load() {
+    fn parent_format_files_with_pieces_still_load() {
         let pts = uniform(30, 2, 11);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+        let idx = NnCellIndex::build(
+            pts.clone(),
+            BuildConfig::builder().strategy(Strategy::Point).decompose_pieces(3).build(),
+        )
+        .unwrap();
+        let cells = crate::NnCells::build(&idx);
         let path = tmp("legacy");
         idx.save(&path).unwrap();
-        // Transform the v2 file into its v1 equivalent: same payload, v1
-        // magic, no checksum trailer.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 4);
-        bytes[..8].copy_from_slice(MAGIC_V1);
-        std::fs::write(&path, &bytes).unwrap();
-        let loaded = NnCellIndex::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.len(), idx.len());
-        for id in 0..pts.len() {
-            assert_eq!(
-                idx.cell(id).unwrap().pieces,
-                loaded.cell(id).unwrap().pieces
-            );
+        let saved = std::fs::read(&path).unwrap();
+        for v2 in [true, false] {
+            std::fs::write(&path, with_pieces(&saved, 30, &cells, v2)).unwrap();
+            let loaded = NnCellIndex::load(&path).unwrap();
+            assert_eq!(loaded.points(), idx.points());
+            assert_eq!(loaded.len(), idx.len());
         }
+        // The legacy format has no checksum, so structural checks on the
+        // piece lists are its only guard: an inverted box and an
+        // implausible piece count are both typed corruption.
+        let mut bytes = with_pieces(&saved, 30, &cells, false);
+        let first_piece = 8 + 32 + 8 + 30 * 17 + 4;
+        bytes[first_piece..first_piece + 8].copy_from_slice(&2.0f64.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(NnCellIndex::load(&path), Err(PersistError::Corrupt(_))));
+        let mut bytes = with_pieces(&saved, 30, &cells, false);
+        bytes[first_piece - 4..first_piece].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(NnCellIndex::load(&path), Err(PersistError::Corrupt(_))));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -630,53 +635,5 @@ mod tests {
             NnCellIndex::load("/nonexistent/nncell.idx"),
             Err(PersistError::Io(_))
         ));
-    }
-
-    #[test]
-    fn verify_detects_and_repair_fixes_a_bad_cell() {
-        // Forge a legacy (un-checksummed) file whose one stored piece does
-        // not contain its generating point — structurally plausible, so
-        // `load` accepts it, but `verify_integrity` must flag it and
-        // `repair` must restore exactness.
-        let pts = uniform(25, 2, 13);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Correct).build()).unwrap();
-        let path = tmp("verify");
-        idx.save(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 4); // drop checksum
-        bytes[..8].copy_from_slice(MAGIC_V1); // legacy magic
-        // Payload layout after the 8-byte magic: 4 (dim) + 4 (tags) +
-        // 4 (pieces) + 8 (radius) + 8 (seed) + 4 (block) = 32 bytes of
-        // config, then 8 (count) + 25 points × (1 + 16) bytes, then cell 0:
-        // 4 (piece count) + its first piece's lo/hi.
-        let cell0 = 8 + 32 + 8 + 25 * 17 + 4;
-        // Shrink piece 0 of cell 0 to a sliver far from the point.
-        for (off, val) in [
-            (0usize, 0.90f64),
-            (8, 0.90), // lo = (0.90, 0.90)
-            (16, 0.91),
-            (24, 0.91), // hi = (0.91, 0.91)
-        ] {
-            bytes[cell0 + off..cell0 + off + 8].copy_from_slice(&val.to_le_bytes());
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let mut loaded = NnCellIndex::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        // Point 0 of this seed is nowhere near (0.90, 0.91)², so its cell
-        // no longer covers it.
-        let report = loaded.verify_integrity();
-        assert_eq!(report.checked_cells, 25);
-        assert_eq!(report.bad_cells, vec![0]);
-        let repaired = loaded.repair();
-        assert_eq!(repaired, 1);
-        assert!(loaded.verify_integrity().is_ok());
-        // Exactness restored.
-        let mut rng = SmallRng::seed_from_u64(14);
-        for _ in 0..40 {
-            let q: Vec<f64> = (0..2).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let got = nn(&loaded, &q).unwrap();
-            let want = linear_scan_nn(&pts, &q).unwrap();
-            assert_eq!(got.id, want.id, "q={q:?}");
-        }
     }
 }

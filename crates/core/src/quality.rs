@@ -15,7 +15,7 @@
 //! quality-to-performance ratio of figure 5 divides quality
 //! (`1 / (1 + overlap)`) by the approximation time.
 
-use crate::index::{CellApprox, NnCellIndex, PIECE_BITS};
+use crate::cells::{CellApprox, NnCells, PIECE_BITS};
 use nncell_geom::Metric;
 
 /// Expected number of candidate approximations a uniformly random point
@@ -42,25 +42,23 @@ pub fn quality_to_performance(overlap: f64, seconds: f64) -> f64 {
 /// a point query of the cell tree returns over `queries`. This measures
 /// the approximation quality itself (the quantity `expected_candidates`
 /// predicts — it converges there for uniform queries), independent of the
-/// query engine: since the engine moved to the MINDIST-ordered point-tree
-/// traversal, its `candidates` stat reports evaluation work, not cell
-/// overlap, so this metric queries the cell tree directly.
-pub fn measured_candidates<M: Metric>(index: &NnCellIndex<M>, queries: &[Vec<f64>]) -> f64 {
+/// query engine, whose `candidates` stat reports the evaluation work of
+/// its point-tree traversal.
+pub fn measured_candidates<M: Metric>(cells: &NnCells<M>, queries: &[Vec<f64>]) -> f64 {
     if queries.is_empty() {
         return 0.0;
     }
-    let tree = index.cell_tree();
-    let alive = index.alive();
     let mut stack = Vec::new();
     let mut hits = Vec::new();
     let mut total = 0usize;
     for q in queries {
-        tree.point_query_with(q, &mut stack, &mut hits);
-        // Several pieces of one decomposed cell count once.
+        cells.tree().point_query_with(q, &mut stack, &mut hits);
+        // Several pieces of one decomposed cell count once; removed cells
+        // have no pieces in the tree.
         let mut pids: Vec<usize> = hits.iter().map(|&h| (h >> PIECE_BITS) as usize).collect();
         pids.sort_unstable();
         pids.dedup();
-        total += pids.iter().filter(|&&pid| alive[pid]).count();
+        total += pids.len();
     }
     total as f64 / queries.len() as f64
 }

@@ -7,8 +7,8 @@
 //! for nothing" into one silent `None`/`[]`. Every response now carries
 //! per-query execution statistics ([`QueryStats`]), and every failure is a
 //! typed [`QueryError`]. Execution happens in [`crate::QueryEngine`] (or
-//! fans out across shards in [`crate::ShardedIndex`]); the deprecated
-//! shims have been removed.
+//! fans out across shards in [`crate::ShardedIndex`]). A time budget is
+//! a per-request option ([`Query::with_deadline`]).
 
 use crate::index::QueryResult;
 
@@ -49,10 +49,7 @@ pub enum QueryKind {
 /// ```
 ///
 /// Per-request options ride on the query itself, so one engine can serve
-/// requests with different budgets concurrently. The engine-level
-/// [`crate::QueryEngine::with_deadline`] is deprecated in favor of
-/// [`Query::with_deadline`]; while both exist the *earlier* of the two
-/// deadlines wins.
+/// requests with different budgets concurrently.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Query {
     point: Vec<f64>,

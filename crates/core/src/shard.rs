@@ -5,12 +5,10 @@
 //!
 //! Points are partitioned **round-robin** by global id: global id `g`
 //! lives in shard `g % S` at local id `g / S` (so `global = local·S +
-//! shard`, a bijection). The NN-cell method is exact under partitioning:
-//! each shard's cell approximations are supersets of that shard's true
-//! Voronoi cells (Lemma 1 holds per shard — dropping rivals only *grows*
-//! cells), so each shard returns its exact local k nearest neighbors, and
-//! the k smallest of the union — merged by `(distance, global id)` — are
-//! exactly the unsharded answer, tie ordering included. The id mapping
+//! shard`, a bijection). Each shard returns its exact local k nearest
+//! neighbors (its best-first search is exact over the shard's points),
+//! and the k smallest of the union — merged by `(distance, global id)` —
+//! are exactly the unsharded answer, tie ordering included. The id mapping
 //! preserves order: within a shard, ascending local id means ascending
 //! global id, so per-shard `(dist, local id)` ordering merges into the
 //! global `(dist, global id)` ordering without re-sorting.
@@ -45,9 +43,8 @@
 
 use crate::config::BuildConfig;
 use crate::durable::{DurableError, RecoveryReport};
-use crate::index::{
-    validate_build_inputs, validate_point, BuildError, BuildStats, NnCellIndex, QueryResult,
-};
+use crate::cells::BuildStats;
+use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex, QueryResult};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp, TailSnapshot};
 use crate::metrics::FoldMetrics;
 use crate::persist::PersistError;
@@ -104,9 +101,9 @@ struct Writer {
 ///
 /// Lock order everywhere: `fold_lock` → writer mutex → tail mutexes.
 /// Queries take only tail mutexes (for a bounded snapshot clone), writers
-/// take writer → tail with O(1)/O(tail) holds, and the folder's heavy LP
-/// work happens with **no** lock held — only its freeze and publish steps
-/// touch the mutexes, both O(tail) at worst.
+/// take writer → tail with O(1)/O(tail) holds, and the folder's
+/// point-tree updates happen with **no** lock held — only its freeze and
+/// publish steps touch the mutexes, both O(tail) at worst.
 struct TailState {
     cfg: FoldConfig,
     tails: Vec<Mutex<Memtable>>,
@@ -218,7 +215,7 @@ fn sleep_interruptible(stop: &AtomicBool, dur: Duration) {
     }
 }
 
-/// S independent NN-cell shards behind one exact, concurrently servable
+/// S independent point-index shards behind one exact, concurrently servable
 /// query API. See the module docs for the partitioning and snapshot
 /// protocol. Built over the Euclidean metric (the durable layer's
 /// contract).
@@ -256,8 +253,7 @@ impl ShardedIndex {
     /// (identical to [`NnCellIndex::build`], including
     /// [`crate::InputPolicy`] handling and error ids), round-robin
     /// partitioning, then one [`NnCellIndex::build`] per shard — each
-    /// running in its own thread, each reusing the per-worker build
-    /// batching configured by [`BuildConfig::with_threads`].
+    /// running in its own thread.
     ///
     /// # Errors
     /// The same [`BuildError`] contract as the unsharded build, with ids
@@ -356,11 +352,11 @@ impl ShardedIndex {
 
     /// Enables the LSM-style memtable write path: inserts and removes
     /// journal (in durable mode), land in a small unindexed per-shard
-    /// tail, and acknowledge in O(1) — no LP solve, no snapshot clone on
-    /// the ack path. Queries stay exact by merging the tail via linear
-    /// scan; a supervised folder ([`Self::run_folder`] or explicit
+    /// tail, and acknowledge in O(1) — no point-tree update, no snapshot
+    /// clone on the ack path. Queries stay exact by merging the tail via
+    /// linear scan; a supervised folder ([`Self::run_folder`] or explicit
     /// [`Self::fold_once`] / [`Self::flush`] calls) applies the tail to
-    /// the NN-cells off the write path.
+    /// the shard indexes off the write path.
     ///
     /// Call at construction time, before the index is shared.
     ///
@@ -488,10 +484,11 @@ impl ShardedIndex {
         self.snaps[i].load()
     }
 
-    /// Aggregated construction counters: LP work, candidates, and phase
-    /// profiles summed over the shard masters' lifetimes (dynamic updates
-    /// included), with `seconds` the wall clock of the initial sharded
-    /// build and `skipped_points` from the global input validation.
+    /// Aggregated construction counters: `seconds` is the wall clock of the
+    /// initial sharded build, `skipped_points` comes from the global input
+    /// validation, and the point trees' bulk-load phases are summed over
+    /// the shards. The LP fields read 0: shards run no LP (see
+    /// [`BuildStats`]).
     pub fn build_stats(&self) -> BuildStats {
         let mut agg = BuildStats {
             seconds: self.build_seconds,
@@ -499,23 +496,10 @@ impl ShardedIndex {
             ..BuildStats::default()
         };
         for cell in &self.snaps {
-            let snap = cell.load();
-            let s = snap.build_stats();
-            agg.lp.merge(s.lp);
-            agg.candidates += s.candidates;
+            let s = *cell.load().build_stats();
             agg.skipped_points += s.skipped_points;
-            let p = &s.profile;
-            agg.profile.constraint_selection.nanos += p.constraint_selection.nanos;
-            agg.profile.constraint_selection.calls += p.constraint_selection.calls;
-            agg.profile.lp_solve.nanos += p.lp_solve.nanos;
-            agg.profile.lp_solve.calls += p.lp_solve.calls;
-            agg.profile.decomposition.nanos += p.decomposition.nanos;
-            agg.profile.decomposition.calls += p.decomposition.calls;
-            agg.profile.bulk_load.nanos += p.bulk_load.nanos;
-            agg.profile.bulk_load.calls += p.bulk_load.calls;
-            agg.profile.batches += p.batches;
-            agg.profile.batch_total_nanos += p.batch_total_nanos;
-            agg.profile.batch_max_nanos = agg.profile.batch_max_nanos.max(p.batch_max_nanos);
+            agg.profile.bulk_load.nanos += s.profile.bulk_load.nanos;
+            agg.profile.bulk_load.calls += s.profile.bulk_load.calls;
         }
         agg
     }
@@ -554,8 +538,8 @@ impl ShardedIndex {
     }
 
     /// Attaches a metrics registry: every shard's engine, gauge, and tree
-    /// series is registered under a `shard="<i>"` label (the LP and WAL
-    /// families stay unlabeled, shared as whole-index totals — see
+    /// series is registered under a `shard="<i>"` label (the WAL family
+    /// stays unlabeled, shared as whole-index totals — see
     /// [`NnCellIndex::attach_metrics_labeled`]). New snapshots are
     /// published so concurrent readers start recording immediately.
     /// Idempotent per shard.
@@ -938,8 +922,8 @@ impl ShardedIndex {
     }
 
     /// The memtable ack path: duplicate check against masters *and* tails,
-    /// backpressure check, journal, tail push. No LP work, no snapshot
-    /// clone — the writer-lock hold is O(log n) (the duplicate probe)
+    /// backpressure check, journal, tail push. No point-tree update, no
+    /// snapshot clone — the writer-lock hold is O(log n) (the duplicate probe)
     /// plus an O(1) push, so ack latency is independent of index size.
     fn insert_memtable(
         &self,
@@ -1038,13 +1022,14 @@ impl ShardedIndex {
     }
 
     // ------------------------------------------------------------------
-    // folding (memtable → NN-cells, off the write path)
+    // folding (memtable → shard indexes, off the write path)
     // ------------------------------------------------------------------
 
-    /// Folds every shard's frozen-plus-active tail into its NN-cell index
-    /// and publishes the results. Returns the number of operations folded
-    /// (0 without a memtable or with empty tails). Heavy LP work runs with
-    /// no lock held; only the freeze and publish steps touch the mutexes.
+    /// Folds every shard's frozen-plus-active tail into its index (one
+    /// point-tree insert or delete per operation) and publishes the
+    /// results. Returns the number of operations folded (0 without a
+    /// memtable or with empty tails). The tree updates run with no lock
+    /// held; only the freeze and publish steps touch the mutexes.
     ///
     /// # Errors
     /// [`FoldError::Panicked`] when a shard's fold panicked (the batch

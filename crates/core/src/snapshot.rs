@@ -13,7 +13,7 @@
 //! Readers therefore never block on index mutation work, only on the
 //! pointer exchange itself (the same guarantee a lock-free `ArcSwap`
 //! gives, minus the last few nanoseconds of the load — irrelevant next
-//! to a millisecond-scale LP-backed query).
+//! to a microsecond-scale query).
 
 use std::sync::{Arc, Mutex};
 

@@ -1,10 +1,10 @@
 //! End-to-end observability checks: with a registry attached, every counter
 //! and histogram in the snapshot agrees with the ground truth the engine and
-//! index already report (`QueryResponse` stats, `BuildStats::lp`, the
+//! index already report (`QueryResponse` stats, the live-point count, the
 //! recovery report) — the registry is a mirror, never a second opinion.
 
 use nncell_core::{
-    BuildConfig, DurableIndex, NnCellIndex, Query, QueryScratch, Registry, Strategy,
+    BuildConfig, DurableIndex, NnCellIndex, NnCells, Query, QueryScratch, Registry, Strategy,
 };
 use nncell_geom::Point;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ fn cfg() -> BuildConfig {
 }
 
 #[test]
-fn registry_counters_agree_with_engine_and_lp_totals() {
+fn registry_counters_agree_with_engine_and_index() {
     let mut index = NnCellIndex::build(grid(120), cfg()).unwrap();
     let registry = Registry::new();
     index.attach_metrics(registry.clone());
@@ -72,58 +72,20 @@ fn registry_counters_agree_with_engine_and_lp_totals() {
     let pages = snap.histogram("nncell_query_pages").unwrap();
     assert_eq!(pages.sum, total_pages);
 
-    // LP counters were seeded from the build and mirror CellLpStats exactly.
-    let lp = index.build_stats().lp;
-    assert_eq!(
-        snap.counter("nncell_lp_calls_total"),
-        Some(lp.lp_calls as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_constraints_total"),
-        Some(lp.constraints as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_fallback_total"),
-        Some(lp.fallback_lps as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_clamped_extents_total"),
-        Some(lp.clamped_extents as u64)
-    );
-
-    // Structural gauges match the accessors.
+    // Structural gauges match the accessors; the index runs no LP, so no
+    // LP family is registered.
     assert_eq!(snap.gauge("nncell_live_points"), Some(index.len() as i64));
-    assert_eq!(
-        snap.gauge("nncell_cell_tree_pages"),
-        Some(index.cell_tree_pages() as i64)
-    );
+    assert_eq!(snap.counter("nncell_lp_calls_total"), None);
 
-    // Dynamic updates keep the mirror in sync (insert + remove both
-    // recompute cells through the instrumented merge sites).
+    // Dynamic updates keep the gauge in sync.
     let id = index.insert(Point::new(vec![0.511, 0.377])).unwrap();
     index.remove(id);
     let snap = registry.snapshot();
-    let lp = index.build_stats().lp;
-    assert_eq!(
-        snap.counter("nncell_lp_calls_total"),
-        Some(lp.lp_calls as u64)
-    );
-    assert_eq!(
-        snap.counter("nncell_lp_constraints_total"),
-        Some(lp.constraints as u64)
-    );
     assert_eq!(snap.gauge("nncell_live_points"), Some(index.len() as i64));
-    assert_eq!(
-        snap.gauge("nncell_cell_tree_pages"),
-        Some(index.cell_tree_pages() as i64)
-    );
 
-    // The live LP chain metrics start at attach time (the build pre-dates
-    // the registry), so only the insert/remove recomputations above show up
-    // — but they must show up. The tree counters mirror the cost trackers'
-    // lifetime totals (reads happened during the queries above).
-    assert!(snap.counter("nncell_lp_solver_attempts_total").unwrap() > 0);
-    assert!(snap.counter("nncell_cell_tree_page_reads_total").unwrap() > 0);
+    // The tree counters mirror the cost trackers' lifetime totals (reads
+    // happened during the queries above).
+    assert!(snap.counter("nncell_point_tree_page_reads_total").unwrap() > 0);
 
     // Both render targets name every metric.
     let prom = snap.to_prometheus();
@@ -131,9 +93,8 @@ fn registry_counters_agree_with_engine_and_lp_totals() {
     for name in [
         "nncell_queries_total",
         "nncell_query_latency_ns",
-        "nncell_lp_calls_total",
         "nncell_live_points",
-        "nncell_cell_tree_page_reads_total",
+        "nncell_point_tree_page_reads_total",
     ] {
         assert!(prom.contains(name), "prometheus output missing {name}");
         assert!(json.contains(name), "json output missing {name}");
@@ -228,7 +189,12 @@ fn build_profile_times_every_phase() {
             .threads(2).build(),
     )
     .unwrap();
-    let profile = index.build_stats().profile;
+    // The index itself is one STR bulk load; the LP phases belong to the
+    // cells built from it.
+    let own = index.build_stats().profile;
+    assert_eq!(own.bulk_load.calls, 1);
+    assert_eq!((own.lp_solve.calls, own.batches), (0, 0));
+    let profile = NnCells::build(&index).build_stats().profile;
     assert_eq!(profile.constraint_selection.calls, 80);
     assert_eq!(profile.lp_solve.calls, 80);
     assert!(profile.lp_solve.nanos > 0);

@@ -1,16 +1,16 @@
 //! Exactness of the sub-quadratic build path and the radius query.
 //!
 //! The approximate-neighbor constraint pool drops rivals from the LP, and
-//! Lemma 1 says dropping rivals only *grows* cells — so a pool-built index
-//! is still a covering and must answer every query **bit-identically** to
-//! an exhaustive-built one (the answers are properties of the point set,
-//! not of the cell approximations). These properties pin that down for
+//! Lemma 1 says dropping rivals only *grows* cells — so pool-built NN-cells
+//! are still a covering and must answer every query **bit-identically** to
+//! exhaustive-built ones (the answers are properties of the point set, not
+//! of the cell approximations). These properties pin that down for
 //! static builds, for build-then-insert with the incremental re-solve
 //! rule, and for the new radius query against a linear scan.
 
 use nncell_core::{
-    linear_scan_knn, BuildConfig, ConstraintPool, NnCellIndex, Query, QueryEngine, QueryError,
-    ShardedIndex, Strategy as BuildStrategy,
+    linear_scan_knn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, QueryEngine,
+    QueryError, ShardedIndex, Strategy as BuildStrategy,
 };
 use nncell_geom::{dist_sq, Point};
 use proptest::prelude::*;
@@ -50,13 +50,24 @@ fn pooled_cfg(k: usize) -> BuildConfig {
         .build()
 }
 
-/// Both indexes must answer `nn` and a spread of `knn` queries with the
-/// same ids and bit-equal distances.
-fn assert_answer_parity(a: &NnCellIndex, b: &NnCellIndex, queries: &[Vec<f64>], tag: &str) {
+/// Both builds must answer the cell query and a spread of engine `knn`
+/// queries with the same ids and bit-equal distances.
+fn assert_answer_parity(
+    (a, cells_a): (&NnCellIndex, &NnCells),
+    (b, cells_b): (&NnCellIndex, &NnCells),
+    queries: &[Vec<f64>],
+    tag: &str,
+) {
     let ea = QueryEngine::sequential(a);
     let eb = QueryEngine::sequential(b);
     let n = a.len();
     for q in queries {
+        let (na, nb) = (cells_a.nn(a, q).unwrap(), cells_b.nn(b, q).unwrap());
+        assert_eq!(
+            (na.id, na.dist.to_bits()),
+            (nb.id, nb.dist.to_bits()),
+            "{tag}: q={q:?} cell answers diverged"
+        );
         for k in [1usize, 2, (n / 2).max(1), n] {
             let ra = ea.execute(&Query::knn(q.clone(), k));
             let rb = eb.execute(&Query::knn(q.clone(), k));
@@ -85,7 +96,8 @@ proptest! {
     ) {
         let ex = NnCellIndex::build(pts.clone(), exhaustive_cfg()).unwrap();
         let po = NnCellIndex::build(pts.clone(), pooled_cfg(k)).unwrap();
-        assert_answer_parity(&ex, &po, &queries, "static d=2");
+        let (cex, cpo) = (NnCells::build(&ex), NnCells::build(&po));
+        assert_answer_parity((&ex, &cex), (&po, &cpo), &queries, "static d=2");
     }
 
     /// Static build, d = 8 (where the pool floors and the degeneracy
@@ -98,7 +110,8 @@ proptest! {
     ) {
         let ex = NnCellIndex::build(pts.clone(), exhaustive_cfg()).unwrap();
         let po = NnCellIndex::build(pts.clone(), pooled_cfg(k)).unwrap();
-        assert_answer_parity(&ex, &po, &queries, "static d=8");
+        let (cex, cpo) = (NnCells::build(&ex), NnCells::build(&po));
+        assert_answer_parity((&ex, &cex), (&po, &cpo), &queries, "static d=8");
     }
 
     /// Build half, insert the rest one by one: the pooled insert path
@@ -113,11 +126,14 @@ proptest! {
         let (base, rest) = pts.split_at(split);
         let mut ex = NnCellIndex::build(base.to_vec(), exhaustive_cfg()).unwrap();
         let mut po = NnCellIndex::build(base.to_vec(), pooled_cfg(4)).unwrap();
+        let (mut cex, mut cpo) = (NnCells::build(&ex), NnCells::build(&po));
         for p in rest {
-            ex.insert(p.clone()).unwrap();
-            po.insert(p.clone()).unwrap();
+            let id = ex.insert(p.clone()).unwrap();
+            cex.insert(&ex, id);
+            let id = po.insert(p.clone()).unwrap();
+            cpo.insert(&po, id);
         }
-        assert_answer_parity(&ex, &po, &queries, "build-then-insert");
+        assert_answer_parity((&ex, &cex), (&po, &cpo), &queries, "build-then-insert");
     }
 
     /// `Query::radius` against a linear scan, on pool-built unsharded and

@@ -107,12 +107,14 @@ proptest! {
         let split = pts.len() / 2;
         let sharded =
             ShardedIndex::build(pts[..split].to_vec(), shards, cfg.clone()).unwrap();
+        assert_no_lp(&sharded);
         for (g, p) in pts.iter().enumerate().skip(split) {
             let got = sharded.query(&Query::nn(p.as_slice())).unwrap();
             prop_assert!(got.best.id < g, "pre-insert winner must be an older point");
             let assigned = sharded.insert(p.clone()).unwrap();
             prop_assert_eq!(assigned, g, "round-robin ids track input positions");
         }
+        assert_no_lp(&sharded);
         let whole = NnCellIndex::build(pts.clone(), cfg).unwrap();
         let engine = QueryEngine::sequential(&whole);
         for (g, p) in pts.iter().enumerate() {
@@ -210,6 +212,7 @@ fn durable_shards_recover_acknowledged_updates() {
 
     let recovered =
         ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), &dir, 2, 3, cfg()).unwrap();
+    assert_no_lp(&recovered);
     assert_eq!(recovered.len(), 10);
     assert_eq!(recovered.recovery().len(), 3);
     for i in 0..11 {
@@ -251,24 +254,35 @@ fn queries_run_concurrently_with_inserts() {
     let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
     let sharded = ShardedIndex::build(pts[..8].to_vec(), 3, cfg).unwrap();
     let stop = AtomicBool::new(false);
+    // The writes can finish before a reader thread is even scheduled, so
+    // the writer waits until both readers are serving.
+    let serving = std::sync::Barrier::new(3);
     std::thread::scope(|s| {
         for reader in 0..2 {
             let sharded = &sharded;
             let stop = &stop;
+            let serving = &serving;
             let probe = pts[reader].as_slice().to_vec();
             s.spawn(move || {
                 let mut served = 0u32;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     // Readers must never block, error, or observe a
                     // half-applied insert: every response is a live point.
                     let r = sharded.query(&Query::nn(probe.clone())).unwrap();
                     assert!(r.best.dist.is_finite());
                     assert!(r.best.id < 64, "id {} was never assigned", r.best.id);
                     served += 1;
+                    if served == 1 {
+                        serving.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 assert!(served > 0, "reader never ran");
             });
         }
+        serving.wait();
         for p in &pts[8..] {
             sharded.insert(p.clone()).unwrap();
         }
@@ -432,12 +446,22 @@ fn assert_remove_during_query_parity(idx: &ShardedIndex, pts: &[Point], n_remove
     }
 }
 
+/// Shards keep only points: build, insert, remove, fold and recovery run
+/// no LP, in the aggregate and in every shard.
+fn assert_no_lp(idx: &ShardedIndex) {
+    assert_eq!(idx.build_stats().lp.lp_calls, 0);
+    for i in 0..idx.num_shards() {
+        assert_eq!(idx.shard(i).build_stats().lp.lp_calls, 0, "shard {i}");
+    }
+}
+
 #[test]
 fn removes_race_queries_with_linear_scan_parity() {
     let pts = lcg_points(160, 0x5eed_0007);
     let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
     let sharded = ShardedIndex::build(pts.clone(), 3, cfg).unwrap();
     assert_remove_during_query_parity(&sharded, &pts, 150);
+    assert_no_lp(&sharded);
 }
 
 #[test]
@@ -454,4 +478,7 @@ fn removes_race_queries_through_the_memtable_tail() {
         assert_eq!(sharded.insert(p.clone()).unwrap(), i);
     }
     assert_remove_during_query_parity(&sharded, &pts, 150);
+    sharded.fold_once().unwrap();
+    assert_eq!(sharded.tail_depth(), 0);
+    assert_no_lp(&sharded);
 }

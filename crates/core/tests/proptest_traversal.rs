@@ -161,7 +161,7 @@ proptest! {
 }
 
 /// An already-expired per-request budget surfaces as `DeadlineExceeded`
-/// through the new `Query::with_deadline` builder.
+/// through the `Query::with_deadline` builder.
 #[test]
 fn expired_query_deadline_rejects() {
     let pts: Vec<Point> = (0..64)
@@ -174,29 +174,6 @@ fn expired_query_deadline_rejects() {
         .execute(&Query::knn([0.5, 0.5], 3).with_deadline(stale))
         .unwrap_err();
     assert!(matches!(err, QueryError::DeadlineExceeded));
-}
-
-/// The deprecated engine-level deadline keeps working for one release;
-/// while both deadlines are set the earlier one wins.
-#[test]
-#[allow(deprecated)]
-fn engine_level_deadline_still_honored_until_removal() {
-    let pts: Vec<Point> = (0..64)
-        .map(|i| Point::new(vec![(i % 8) as f64 / 8.0 + 0.06, (i / 8) as f64 / 8.0 + 0.06]))
-        .collect();
-    let idx = build(pts);
-    let now = std::time::Instant::now();
-    let stale = now - std::time::Duration::from_millis(1);
-    let generous = now + std::time::Duration::from_secs(60);
-    let engine = QueryEngine::sequential(&idx).with_deadline(stale);
-    // Engine-level stale budget rejects even a query with a generous one.
-    let err = engine
-        .execute(&Query::knn([0.5, 0.5], 3).with_deadline(generous))
-        .unwrap_err();
-    assert!(matches!(err, QueryError::DeadlineExceeded));
-    // And the generous engine budget lets an undecorated query through.
-    let engine = QueryEngine::sequential(&idx).with_deadline(generous);
-    assert!(engine.execute(&Query::knn([0.5, 0.5], 3)).is_ok());
 }
 
 /// Growing `k` can only weaken the abort bound, so the evaluation work

@@ -7,9 +7,8 @@
 //! fault-injection file system. The durable handle is then dropped
 //! *without* a checkpoint (the crash path) and recovered. Recovery must
 //! reproduce the in-memory index exactly: the same id→point slots, the
-//! same liveness, the same query answers, and — because replay re-runs the
-//! very same cell computations from the same empty starting state — the
-//! same [`CellLpStats`] counters to the last LP call.
+//! same liveness and the same query answers. Neither the live updates nor
+//! the replay run a single LP.
 
 use nncell_core::durable::DurableError;
 use nncell_core::vfs::{FaultSchedule, FaultVfs, Vfs};
@@ -142,6 +141,7 @@ proptest! {
         }
 
         // Crash: drop without checkpoint, recover from WAL replay alone.
+        prop_assert_eq!(durable.build_stats().lp.lp_calls, 0);
         drop(durable);
         let recovered =
             NnCellIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, cfg()).unwrap();
@@ -158,13 +158,8 @@ proptest! {
             );
         }
 
-        // Replay redid the same LP work from the same empty start: the
-        // counters must agree exactly.
-        prop_assert_eq!(
-            recovered.build_stats().lp,
-            reference.build_stats().lp,
-            "replay did different LP work than the live run"
-        );
+        // Replay is point-tree work only.
+        prop_assert_eq!(recovered.build_stats().lp.lp_calls, 0);
 
         // And queries agree with both the reference and a linear scan.
         let live: Vec<Point> = (0..reference.points().len())

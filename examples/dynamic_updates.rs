@@ -8,7 +8,9 @@
 //! cargo run --release --example dynamic_updates
 //! ```
 
-use nncell::core::{linear_scan_nn, BuildConfig, DurableIndex, NnCellIndex, Query, Strategy};
+use nncell::core::{
+    linear_scan_nn, BuildConfig, DurableIndex, NnCellIndex, NnCells, Query, Strategy,
+};
 use nncell::data::{ClusteredGenerator, Generator, UniformGenerator};
 use nncell::geom::Point;
 
@@ -28,11 +30,14 @@ fn main() {
         BuildConfig::builder().strategy(Strategy::Sphere).seed(5).build(),
     )
     .expect("build");
+    // The paper's cells follow every update of the index (§3.5).
+    let mut cells = NnCells::build(&index);
     let mut reference: Vec<Point> = initial;
 
     println!("inserting {} clustered arrivals ...", arrivals.len());
     for p in arrivals {
-        index.insert(p.clone()).expect("insert");
+        let id = index.insert(p.clone()).expect("insert");
+        cells.insert(&index, id);
         reference.push(p);
     }
     verify(&index, &reference, &queries, "after inserts");
@@ -41,6 +46,7 @@ fn main() {
     let doomed: Vec<usize> = (0..reference.len()).step_by(5).collect();
     for &id in &doomed {
         assert!(index.remove(id));
+        cells.remove(&index, id);
     }
     let survivors: Vec<Point> = reference
         .iter()
@@ -55,8 +61,9 @@ fn main() {
         let want = linear_scan_nn(&survivors, q).unwrap();
         assert!(
             (got.dist - want.dist).abs() < 1e-9,
-            "stale cell after delete at q={q:?}"
+            "stale answer after delete at q={q:?}"
         );
+        assert_eq!(cells.nn(&index, q), Some(got), "stale cell after delete at q={q:?}");
     }
     println!(
         "after removals: {} live points, all {} queries exact",
@@ -64,9 +71,9 @@ fn main() {
         queries.len()
     );
 
-    let bs = index.build_stats();
+    let bs = cells.build_stats();
     println!(
-        "lifetime LP work: {} solves over {} constraints",
+        "lifetime LP work of the cells: {} solves over {} constraints",
         bs.lp.lp_calls, bs.lp.constraints
     );
 

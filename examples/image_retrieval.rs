@@ -3,8 +3,8 @@
 //!
 //! We simulate a database of 8-dimensional Fourier shape descriptors (the
 //! paper's real workload), then compare three exact engines on the same
-//! queries: the NN-cell index, a classic X-tree NN search, and a linear
-//! scan — reporting latency and simulated page accesses for each.
+//! queries: the index's best-first engine, a classic X-tree NN search, and
+//! a linear scan — reporting latency and simulated page accesses for each.
 //!
 //! ```sh
 //! cargo run --release --example image_retrieval
@@ -29,14 +29,14 @@ fn main() {
         .map(|p| p.into_vec())
         .collect();
 
-    // Engine 1: NN-cell index (Sphere strategy + decomposition).
+    // Engine 1: the index and its batch engine.
     let t0 = Instant::now();
     let nncell = NnCellIndex::build(
         points.clone(),
         BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(4).build(),
     )
     .expect("build failed");
-    println!("NN-cell index built in {:.2}s", t0.elapsed().as_secs_f64());
+    println!("index built in {:.3}s", t0.elapsed().as_secs_f64());
 
     // Engine 2: X-tree over the raw points.
     let mut xtree = XTree::for_points(dim);
@@ -50,8 +50,8 @@ fn main() {
         scan.insert(p, i as u64);
     }
 
-    // Run the workload on all three engines. The NN-cell index goes through
-    // its batch engine — one warm scratch per worker thread.
+    // Run the workload on all three engines. The index goes through its
+    // batch engine — one warm scratch per worker thread.
     let batch: Vec<Query> = queries.iter().map(|q| Query::nn(q.clone())).collect();
     nncell.reset_stats();
     let t = Instant::now();
@@ -62,7 +62,7 @@ fn main() {
         .map(|r| r.expect("well-formed query").best.id)
         .collect();
     let nncell_time = t.elapsed().as_secs_f64();
-    let nncell_io = nncell.cell_tree_stats();
+    let nncell_io = nncell.point_tree_stats();
 
     xtree.reset_stats();
     let t = Instant::now();
@@ -82,7 +82,7 @@ fn main() {
     let scan_time = t.elapsed().as_secs_f64();
     let scan_io = scan.stats();
 
-    assert_eq!(nncell_res, scan_res, "NN-cell must be exact");
+    assert_eq!(nncell_res, scan_res, "the index must be exact");
     assert_eq!(xtree_res, scan_res, "X-tree must be exact");
 
     println!("\n{n_queries} similarity queries, all three engines exact:\n");
@@ -91,7 +91,7 @@ fn main() {
         "engine", "total time", "page reads", "reads/query"
     );
     for (name, time, reads) in [
-        ("NN-cell", nncell_time, nncell_io.page_reads),
+        ("index", nncell_time, nncell_io.page_reads),
         ("X-tree", xtree_time, xtree_io.page_reads),
         ("scan", scan_time, scan_io.page_reads),
     ] {

@@ -33,11 +33,7 @@ fn main() {
         metric.clone(),
     )
     .expect("build");
-    println!(
-        "index built in {:.2}s ({} LPs)",
-        index.build_stats().seconds,
-        index.build_stats().lp.lp_calls
-    );
+    println!("index built in {:.3}s", index.build_stats().seconds);
 
     // Probes: perturbed library compounds (an analog search) plus novel
     // ones — screened as one parallel batch through the query engine.

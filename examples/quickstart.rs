@@ -1,11 +1,11 @@
-//! Quickstart: build an NN-cell index, run exact NN queries through the
-//! typed query engine, inspect per-query costs.
+//! Quickstart: build an index, run exact NN queries through the typed query
+//! engine, inspect per-query costs, then build the paper's NN-cells.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use nncell::core::linear_scan_nn;
+use nncell::core::{linear_scan_nn, NnCells};
 use nncell::data::{Generator, UniformGenerator};
 use nncell::prelude::*;
 
@@ -16,21 +16,13 @@ fn main() {
     println!("generating {n} uniform points in [0,1]^{dim} ...");
     let points = UniformGenerator::new(dim).generate(n, 42);
 
-    println!("building the NN-cell index (Sphere strategy) ...");
+    println!("building the index ...");
     let index = NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build())
         .expect("build failed");
-    let bs = index.build_stats();
-    println!(
-        "  built in {:.2}s — {} LPs over {} constraints, {} cell pieces",
-        bs.seconds,
-        bs.lp.lp_calls,
-        bs.lp.constraints,
-        index.total_pieces()
-    );
+    println!("  built in {:.3}s (one STR bulk load)", index.build_stats().seconds);
 
-    // A nearest-neighbor query is now a point query on the cell index. The
-    // engine is the query API: typed errors in, responses with per-query
-    // stats out.
+    // The engine is the query API: typed errors in, responses with
+    // per-query stats out.
     let engine = index.engine();
     let queries: Vec<Query> = UniformGenerator::new(dim)
         .generate(5, 7)
@@ -41,7 +33,7 @@ fn main() {
         let resp = resp.expect("well-formed query on a non-empty index");
         // Exactness check against a linear scan.
         let scan = linear_scan_nn(&points, q.point()).unwrap();
-        assert_eq!(resp.best.id, scan.id, "NN-cell result must equal the scan");
+        assert_eq!(resp.best.id, scan.id, "the result must equal the scan");
         println!(
             "  query {:?}... -> point #{} at distance {:.4} \
              ({} candidates, {} pages)",
@@ -53,7 +45,7 @@ fn main() {
         );
     }
 
-    println!("all answers verified against a linear scan — exact, as Lemma 2 promises.");
+    println!("all answers verified against a linear scan.");
 
     // k-NN rides the same engine; malformed queries are typed errors, not
     // silent empties.
@@ -67,8 +59,21 @@ fn main() {
     let err = engine.execute(&Query::nn(vec![0.5])).unwrap_err();
     println!("a 1-d query on an {dim}-d index is rejected: {err}");
 
-    // The precomputed solution space persists: save and reload without
-    // rerunning a single linear program.
+    // The paper's structure: one MBR per NN-cell from 2·d LPs, queried by
+    // a point query plus a distance check — exact, as Lemma 2 promises.
+    let cells = NnCells::build(&index);
+    let bs = cells.build_stats();
+    println!(
+        "NN-cells built in {:.2}s — {} LPs over {} constraints, {} cell pieces",
+        bs.seconds,
+        bs.lp.lp_calls,
+        bs.lp.constraints,
+        cells.total_pieces()
+    );
+    let q = queries[1].point();
+    assert_eq!(cells.nn(&index, q), linear_scan_nn(&points, q));
+
+    // Save and reload the index.
     let path = std::env::temp_dir().join("quickstart.nncell");
     index.save(&path).expect("save");
     let reloaded = NnCellIndex::load(&path).expect("load");
@@ -78,9 +83,5 @@ fn main() {
         reloaded.engine().execute(q).unwrap().best.id,
         engine.execute(q).unwrap().best.id
     );
-    println!(
-        "index round-tripped through disk ({} points, {} cell pieces) — no LP rerun.",
-        reloaded.len(),
-        reloaded.total_pieces()
-    );
+    println!("index round-tripped through disk ({} points).", reloaded.len());
 }

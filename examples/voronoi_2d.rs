@@ -7,7 +7,8 @@
 //! # writes nn_diagram_{uniform,grid,sparse}.svg to the working directory
 //! ```
 
-use nncell::core::{average_overlap, BuildConfig, CellApprox, NnCellIndex, Strategy};
+use nncell::core::cells::CellApprox;
+use nncell::core::{average_overlap, BuildConfig, NnCellIndex, NnCells, Strategy};
 use nncell::data::{Generator, GridGenerator, SparseGenerator, UniformGenerator};
 use std::fmt::Write as _;
 use std::fs;
@@ -26,17 +27,15 @@ fn main() {
             BuildConfig::builder().strategy(Strategy::Correct).decompose_pieces(4).build(),
         )
         .expect("build");
-        let cells: Vec<CellApprox> = (0..points.len())
-            .map(|i| index.cell(i).unwrap().clone())
-            .collect();
-        let overlap = average_overlap(&cells);
+        let cells = NnCells::build(&index);
+        let overlap = average_overlap(cells.cells());
         // Exact cell polygons (figure 1's NN-diagram) for comparison.
         let raw: Vec<Vec<f64>> = points.iter().map(|p| p.as_slice().to_vec()).collect();
         let space = nncell::geom::Mbr::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         let polys: Vec<nncell::geom::ConvexPolygon> = (0..raw.len())
             .map(|i| nncell::geom::voronoi_cell_2d(&raw, i, &space))
             .collect();
-        let svg = render(&points, &cells, &polys);
+        let svg = render(&points, cells.cells(), &polys);
         let file = format!("nn_diagram_{name}.svg");
         fs::write(&file, svg).expect("write SVG");
         println!("{file}: {n} points, approximation overlap {overlap:.3}");

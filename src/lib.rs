@@ -7,7 +7,13 @@
 //! For every database point the first-order Voronoi cell (its *NN-cell*) is
 //! approximated by a minimum bounding hyper-rectangle obtained from `2·d`
 //! linear programs; the rectangles are stored in an X-tree, and a
-//! nearest-neighbor query becomes a cheap *point query* on that index.
+//! nearest-neighbor query becomes a cheap *point query* on that index
+//! ([`core::NnCells`]).
+//!
+//! Serving keeps only what queries read: [`core::NnCellIndex`] stores the
+//! points and a point X-tree, runs no LP, and answers every query by an
+//! exact best-first search, bit-identical to a linear scan. The cells are
+//! built on demand from an index, for the paper's experiments.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
@@ -15,7 +21,8 @@
 //! * [`lp`] — simplex & Seidel LP solvers, Voronoi-cell extents ([`nncell_lp`])
 //! * [`index`] — R\*-tree and X-tree on a simulated page store ([`nncell_index`])
 //! * [`data`] — workload generators ([`nncell_data`])
-//! * [`core`] — the NN-cell index itself ([`nncell_core`])
+//! * [`core`] — the point index, its query engine and the NN-cells
+//!   ([`nncell_core`])
 //!
 //! ## Quickstart
 //!
@@ -30,7 +37,7 @@
 //! // per-query statistics out.
 //! let engine = index.engine();
 //! let hit = engine.execute(&Query::nn(vec![0.3; 6])).unwrap();
-//! // The NN-cell result is exact: it matches a linear scan.
+//! // The result is exact: it matches a linear scan.
 //! let scan = nncell::core::linear_scan_nn(&points, &[0.3; 6]).unwrap();
 //! assert_eq!(hit.best, scan);
 //! assert!(hit.stats.candidates >= 1);
@@ -47,11 +54,12 @@
 //! );
 //! ```
 //!
-//! Everything configurable hangs off [`core::BuildConfig`]: the
-//! constraint-selection [`core::Strategy`], the LP backend, cell
-//! decomposition, threads for the build phase, and insert-time refinement.
-//! Built indexes persist with `index.save(path)` /
-//! [`core::NnCellIndex::load`] (no LP reruns on load), support dynamic
+//! Everything configurable hangs off [`core::BuildConfig`]: the index's
+//! block size and input policy, and the settings [`core::NnCells`] reads —
+//! the constraint-selection [`core::Strategy`], the LP backend, cell
+//! decomposition, build threads, and insert-time refinement. Built indexes
+//! persist with `index.save(path)` / [`core::NnCellIndex::load`], support
+//! dynamic
 //! [`core::NnCellIndex::insert`] / [`core::NnCellIndex::remove`], and work
 //! with any positive-diagonal weighted Euclidean metric
 //! ([`geom::WeightedEuclidean`]).
@@ -64,7 +72,7 @@
 //!
 //! The stack is observable end to end:
 //! [`core::NnCellIndex::attach_metrics`] wires query latency histograms,
-//! LP/tree/WAL counters, a build-phase profiler, and a slow-query ring
+//! tree/WAL counters, a build-phase profiler, and a slow-query ring
 //! into a lock-light [`core::Registry`] whose snapshots render Prometheus
 //! text or JSON — opt-in, allocation-free on the hot path (`DESIGN.md`
 //! §11).

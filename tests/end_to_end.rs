@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full pipelines from generator to query.
 
 use nncell::core::{
-    average_overlap, linear_scan_nn, BuildConfig, CellApprox, NnCellIndex, Query, QueryEngine,
+    average_overlap, linear_scan_nn, BuildConfig, NnCellIndex, NnCells, Query, QueryEngine,
     Strategy,
 };
 use nncell::data::{
@@ -83,15 +83,13 @@ fn sparse_data_has_worse_overlap_than_grid() {
     // The paper's best case (grid) vs worst case (sparse): overlap ordering
     // must hold (figure 2).
     let n = 64;
-    let build =
-        |pts: Vec<Point>| NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Correct).build()).unwrap();
-    let grid = build(GridGenerator::new(2).generate(n, 0));
-    let sparse = build(SparseGenerator::new(2).generate(n, 1));
-    let cells = |idx: &NnCellIndex| -> Vec<CellApprox> {
-        (0..n).map(|i| idx.cell(i).unwrap().clone()).collect()
+    let overlap = |pts: Vec<Point>| {
+        let index =
+            NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Correct).build()).unwrap();
+        average_overlap(NnCells::build(&index).cells())
     };
-    let grid_overlap = average_overlap(&cells(&grid));
-    let sparse_overlap = average_overlap(&cells(&sparse));
+    let grid_overlap = overlap(GridGenerator::new(2).generate(n, 0));
+    let sparse_overlap = overlap(SparseGenerator::new(2).generate(n, 1));
     assert!(
         grid_overlap < 1e-6,
         "grid approximations tile exactly: {grid_overlap}"

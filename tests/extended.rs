@@ -2,7 +2,7 @@
 //! end-to-end flows, and failure paths.
 
 use nncell::core::{
-    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex,
+    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex, NnCells,
     PersistError, Query, QueryEngine, Strategy,
 };
 use nncell::data::{FourierGenerator, Generator, UniformGenerator};
@@ -167,7 +167,8 @@ fn single_point_database() {
     let r = nn(&index, &[0.9, 0.1]).unwrap();
     assert_eq!(r.id, 0);
     // The lone cell must be the whole data space.
-    let cell = index.cell(0).unwrap();
+    let cells = NnCells::build(&index);
+    let cell = cells.cell(0).unwrap();
     assert!((cell.volume() - 1.0).abs() < 1e-9);
 }
 

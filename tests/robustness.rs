@@ -5,7 +5,7 @@
 use nncell::core::vfs::StdVfs;
 use nncell::core::wal::{read_wal, WalRecord, WalTail, WalWriter};
 use nncell::core::{
-    linear_scan_nn, BuildConfig, NnCellIndex, PersistError, Query, QueryEngine, Strategy,
+    linear_scan_nn, BuildConfig, NnCellIndex, NnCells, PersistError, Query, QueryEngine, Strategy,
 };
 use nncell::data::{Generator, UniformGenerator};
 use nncell::geom::Point;
@@ -223,7 +223,7 @@ fn pristine_file_roundtrips_exactly() {
     index.save(&path).unwrap();
     let loaded = NnCellIndex::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert!(loaded.verify_integrity().is_ok());
+    assert!(NnCells::build(&loaded).verify_integrity(&loaded).is_ok());
     for q in gen.generate(40, 911) {
         let q = q.into_vec();
         assert_eq!(
@@ -231,4 +231,62 @@ fn pristine_file_roundtrips_exactly() {
             nn(&index, &q).unwrap().id
         );
     }
+}
+
+/// Files written by earlier releases end with one NN-cell piece list per
+/// point. Both the checksummed `NNCELL02` and the legacy `NNCELL01` form
+/// still load and answer like the index they were saved from, and every
+/// bit flip of the `NNCELL02` form is still a typed corruption.
+#[test]
+fn parent_format_files_with_pieces_load_and_reject_corruption() {
+    let dim = 4;
+    let gen = UniformGenerator::new(dim);
+    let points = gen.generate(150, 930);
+    let index = NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(3).build(),
+    )
+    .unwrap();
+    let cells = NnCells::build(&index);
+    let path = tmp("parent_format");
+    index.save(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    // Drop the trailer and the empty piece lists, then write the pieces.
+    let mut v1 = saved[..saved.len() - 4 - 4 * points.len()].to_vec();
+    v1[..8].copy_from_slice(b"NNCELL01");
+    for id in 0..points.len() {
+        let pieces = &cells.cell(id).unwrap().pieces;
+        v1.extend_from_slice(&(pieces.len() as u32).to_le_bytes());
+        for m in pieces {
+            for c in m.lo().iter().chain(m.hi()) {
+                v1.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+    }
+    let mut v2 = v1.clone();
+    v2[..8].copy_from_slice(b"NNCELL02");
+    let crc = nncell::core::persist::crc32(&v2);
+    v2.extend_from_slice(&crc.to_le_bytes());
+
+    let queries = gen.generate(40, 931);
+    for bytes in [&v1, &v2] {
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = NnCellIndex::load(&path).unwrap();
+        assert_eq!(loaded.points(), index.points());
+        for q in &queries {
+            assert_eq!(nn(&loaded, q.as_slice()), nn(&index, q.as_slice()));
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(932);
+    for i in 0..100 {
+        let pos = rng.gen_range(0..v2.len());
+        let mut mutated = v2.clone();
+        mutated[pos] ^= 1u8 << rng.gen_range(0..8u32);
+        std::fs::write(&path, &mutated).unwrap();
+        assert!(
+            matches!(NnCellIndex::load(&path), Err(PersistError::Corrupt(_))),
+            "bit flip #{i} at byte {pos} went undetected"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
