@@ -100,11 +100,11 @@ NNCELL_BUILD_NS="${NNCELL_BUILD_NS:-1000,2000}" \
 echo "== mixed read/write bench (O(1) ack vs index size; writes BENCH_mixed.json) =="
 # The LSM write-path contract, asserted by the bench itself: memtable
 # insert/remove ack p99 must stay flat across n ∈ {2k, 8k, 32k} (within
-# 10x of the smallest size, 50 µs noise floor) while the synchronous
-# path grows with n; tail-merged answers must be bit-identical to the
-# folded answers. Runs the full default sizes (a few minutes, dominated
-# by the 32k seed build) so the committed JSON proves the headline claim;
-# NNCELL_MIXED_NS=500,2000 gives a quick local smoke.
+# 10x of the smallest size, 50 µs noise floor), and tail-merged answers
+# must be bit-identical to the folded answers. Runs the full default
+# sizes (seconds: a build is an STR bulk load) so the committed JSON
+# proves the headline claim; NNCELL_MIXED_NS=500,2000 gives a quick
+# local smoke.
 cargo bench -p nncell-bench --bench mixed
 
 echo "== public API surface gate =="

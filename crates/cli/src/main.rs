@@ -19,9 +19,12 @@
 //!                 [--threads 4] [--queue-depth 64] [--deadline-ms 2000]
 //! ```
 //!
-//! `--wal DIR` commands operate on a crash-consistent directory: every
-//! insert/remove is journaled and fsynced before it is acknowledged, and
-//! `recover` replays the journal after a crash (see DESIGN.md §Durability).
+//! Every command opens its index through [`ShardedIndex::open`], whatever
+//! the layout: one index file, a saved sharded directory, or a durable
+//! directory (unsharded or sharded). `--wal DIR` commands operate on a
+//! crash-consistent directory: every insert/remove is journaled and
+//! fsynced before it is acknowledged, and `recover` replays the journal
+//! after a crash (see DESIGN.md §Durability).
 
 mod args;
 mod csv;
@@ -29,13 +32,14 @@ mod csv;
 use args::Parsed;
 use nncell_core::wal::WalTail;
 use nncell_core::{
-    BuildConfig, DurableIndex, FoldConfig, InputPolicy, NnCellIndex, Query, Registry, ShardedIndex,
+    BuildConfig, FoldConfig, InputPolicy, Query, QueryError, QueryResponse, Registry, ShardedIndex,
 };
 use nncell_geom::Point;
 use nncell_data::{
     ClusteredGenerator, FourierGenerator, Generator, GridGenerator, SparseGenerator,
     UniformGenerator,
 };
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -118,64 +122,23 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    if shards > 1 {
-        return cmd_build_sharded(points, shards, cfg, out, wal);
-    }
-    let t = Instant::now();
-    let index = NnCellIndex::build(points, cfg).map_err(|e| e.to_string())?;
-    let bs = *index.build_stats();
-    let n = index.len();
-    let mut sinks = Vec::new();
-    if let Some(out) = out {
-        index.save(out).map_err(|e| e.to_string())?;
-        sinks.push(format!("saved to {out}"));
-    }
-    if let Some(dir) = wal {
-        DurableIndex::create(dir, index).map_err(|e| e.to_string())?;
-        sinks.push(format!("durable directory initialized at {dir}"));
-    }
-    println!(
-        "built {n} points in {:.2} ms (bulk load {:.2} ms) — {}",
-        t.elapsed().as_secs_f64() * 1e3,
-        bs.profile.bulk_load.seconds() * 1e3,
-        sinks.join(", ")
-    );
-    print_skipped(&bs);
-    Ok(())
-}
-
-fn print_skipped(bs: &nncell_core::BuildStats) {
-    if bs.skipped_points > 0 {
-        println!(
-            "skipped {} invalid input point(s) (--skip-invalid)",
-            bs.skipped_points
-        );
-    }
-}
-
-/// `build --shards N`: partition round-robin, bulk-load every shard in its
-/// own thread, and land in a sharded directory (plain via `--out`, durable via
-/// `--wal` — both work; the save happens before the durable conversion
-/// consumes the in-memory masters).
-fn cmd_build_sharded(
-    points: Vec<nncell_geom::Point>,
-    shards: usize,
-    cfg: BuildConfig,
-    out: Option<&str>,
-    wal: Option<&str>,
-) -> Result<(), String> {
     let t = Instant::now();
     let index = ShardedIndex::build(points, shards, cfg).map_err(|e| e.to_string())?;
     let bs = index.build_stats();
     let n = index.len();
     let mut sinks = Vec::new();
-    if let Some(dir) = out {
-        index.save(dir).map_err(|e| e.to_string())?;
-        sinks.push(format!("saved sharded directory to {dir}"));
+    // The save happens before the durable conversion consumes the index.
+    if let Some(out) = out {
+        if shards == 1 {
+            index.shard(0).save(out).map_err(|e| e.to_string())?;
+        } else {
+            index.save(out).map_err(|e| e.to_string())?;
+        }
+        sinks.push(format!("saved to {out}"));
     }
     if let Some(dir) = wal {
         index.into_durable(dir).map_err(|e| e.to_string())?;
-        sinks.push(format!("durable sharded directory initialized at {dir}"));
+        sinks.push(format!("durable directory initialized at {dir}"));
     }
     println!(
         "built {n} points across {shards} shard(s) in {:.2} ms (bulk load {:.2} ms) — {}",
@@ -183,22 +146,37 @@ fn cmd_build_sharded(
         bs.profile.bulk_load.seconds() * 1e3,
         sinks.join(", ")
     );
-    print_skipped(&bs);
+    if bs.skipped_points > 0 {
+        println!(
+            "skipped {} invalid input point(s) (--skip-invalid)",
+            bs.skipped_points
+        );
+    }
     Ok(())
 }
 
-/// Opens a sharded layout when the path carries a sharded manifest (plain
-/// or durable), regardless of which flag it arrived under.
-fn open_sharded_at(path: &str, durable_hint: bool) -> Result<Option<ShardedIndex>, String> {
-    if ShardedIndex::manifest_shards(path).is_none() {
-        return Ok(None);
-    }
-    let idx = if durable_hint {
-        ShardedIndex::open_durable_existing(path).map_err(|e| e.to_string())?
-    } else {
-        ShardedIndex::load(path).map_err(|e| e.to_string())?
+/// Opens the index named by `--index PATH` or `--wal DIR`, whatever its
+/// on-disk layout (see [`ShardedIndex::open`]).
+fn open_index(p: &Parsed, cmd: &str) -> Result<ShardedIndex, String> {
+    let path = match (p.get("index"), p.get("wal")) {
+        (Some(path), None) | (None, Some(path)) => path,
+        _ => {
+            return Err(format!(
+                "{cmd} needs exactly one of --index FILE or --wal DIR"
+            ))
+        }
     };
-    Ok(Some(idx))
+    ShardedIndex::open(path).map_err(|e| e.to_string())
+}
+
+/// Opens the durable directory named by `--wal DIR` for a write command.
+fn open_durable_index(p: &Parsed) -> Result<ShardedIndex, String> {
+    let dir = p.require("wal").map_err(|e| e.to_string())?;
+    let index = ShardedIndex::open(dir).map_err(|e| e.to_string())?;
+    if !index.is_durable() {
+        return Err(format!("{dir} is not a durable directory"));
+    }
+    Ok(index)
 }
 
 fn cmd_query(p: &Parsed) -> Result<(), String> {
@@ -217,30 +195,9 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
         }
         None => Query::knn(q, k),
     };
-    // All four surfaces (plain file, durable dir, and the sharded flavor
-    // of each — auto-detected from the on-disk manifest) route through the
-    // same engine semantics, so a malformed query produces the same typed
-    // QueryError everywhere.
-    let resp = match (p.get("index"), p.get("wal")) {
-        (Some(file), None) => match open_sharded_at(file, false)? {
-            Some(sharded) => sharded.query(&query).map_err(|e| e.to_string())?,
-            None => NnCellIndex::load(file)
-                .map_err(|e| e.to_string())?
-                .engine()
-                .execute(&query)
-                .map_err(|e| e.to_string())?,
-        },
-        (None, Some(dir)) => match open_sharded_at(dir, true)? {
-            Some(sharded) => sharded.query(&query).map_err(|e| e.to_string())?,
-            None => DurableIndex::open(dir)
-                .map_err(|e| e.to_string())?
-                .index()
-                .engine()
-                .execute(&query)
-                .map_err(|e| e.to_string())?,
-        },
-        _ => return Err("query needs exactly one of --index FILE or --wal DIR".into()),
-    };
+    let resp = open_index(p, "query")?
+        .query(&query)
+        .map_err(|e| e.to_string())?;
     if k == 1 && p.get("radius").is_none() {
         println!(
             "nearest neighbor: #{} at distance {:.6}",
@@ -268,65 +225,46 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
 fn cmd_insert(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["wal", "point", "checkpoint"])
         .map_err(|e| e.to_string())?;
-    let dir = p.require("wal").map_err(|e| e.to_string())?;
     let coords = csv::parse_point(p.require("point").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        let id = sharded.insert(Point::new(coords)).map_err(|e| e.to_string())?;
-        println!(
-            "inserted point #{id} into shard {} — journaled and fsynced \
-             ({} record(s) across {} shard journal(s))",
-            id % sharded.num_shards(),
-            sharded.wal_records(),
-            sharded.num_shards()
-        );
-        return maybe_checkpoint_sharded(p, sharded);
-    }
-    let mut index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
-    let id = index.insert(Point::new(coords)).map_err(|e| e.to_string())?;
+    let index = open_durable_index(p)?;
+    let id = index
+        .insert(Point::new(coords))
+        .map_err(|e| e.to_string())?;
     println!(
-        "inserted point #{id} — journaled and fsynced ({} record(s) since last checkpoint)",
-        index.wal_records()
+        "inserted point #{id} into shard {} — journaled and fsynced \
+         ({} record(s) across {} shard journal(s))",
+        id % index.num_shards(),
+        index.wal_records(),
+        index.num_shards()
     );
-    maybe_checkpoint(p, index)
+    checkpoint_if_asked(p, index)
 }
 
 fn cmd_remove(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["wal", "id", "checkpoint"])
         .map_err(|e| e.to_string())?;
-    let dir = p.require("wal").map_err(|e| e.to_string())?;
     let id: usize = p
         .require("id")
         .map_err(|e| e.to_string())?
         .parse()
         .map_err(|_| "bad --id (expected a point id)".to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        if sharded.remove(id).map_err(|e| e.to_string())? {
-            println!(
-                "removed point #{id} from shard {} — journaled and fsynced \
-                 ({} record(s) across {} shard journal(s))",
-                id % sharded.num_shards(),
-                sharded.wal_records(),
-                sharded.num_shards()
-            );
-        } else {
-            println!("point #{id} is not live; nothing journaled");
-        }
-        return maybe_checkpoint_sharded(p, sharded);
-    }
-    let mut index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
+    let index = open_durable_index(p)?;
     if index.remove(id).map_err(|e| e.to_string())? {
         println!(
-            "removed point #{id} — journaled and fsynced ({} record(s) since last checkpoint)",
-            index.wal_records()
+            "removed point #{id} from shard {} — journaled and fsynced \
+             ({} record(s) across {} shard journal(s))",
+            id % index.num_shards(),
+            index.wal_records(),
+            index.num_shards()
         );
     } else {
         println!("point #{id} is not live; nothing journaled");
     }
-    maybe_checkpoint(p, index)
+    checkpoint_if_asked(p, index)
 }
 
-fn print_recovery(rec: &nncell_core::RecoveryReport, generation: u64) {
+fn print_recovery(rec: &nncell_core::RecoveryReport) {
     println!("generation     : {}", rec.generation);
     println!("records replayed: {}", rec.replayed);
     if rec.skipped > 0 {
@@ -342,27 +280,26 @@ fn print_recovery(rec: &nncell_core::RecoveryReport, generation: u64) {
         ),
     }
     if rec.rotated {
-        println!("rotated        : damaged journal retired; now at generation {generation}");
+        println!(
+            "rotated        : damaged journal retired; now at generation {}",
+            rec.generation + 1
+        );
     }
 }
 
 fn cmd_recover(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["wal", "checkpoint"])
         .map_err(|e| e.to_string())?;
-    let dir = p.require("wal").map_err(|e| e.to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        for (i, rec) in sharded.recovery().iter().enumerate() {
+    let index = open_durable_index(p)?;
+    let shards = index.num_shards();
+    for (i, rec) in index.recovery().iter().enumerate() {
+        if shards > 1 {
             println!("--- shard {i} ---");
-            print_recovery(rec, rec.generation + u64::from(rec.rotated));
         }
-        println!("live points    : {} across {} shard(s)", sharded.len(), sharded.num_shards());
-        return maybe_checkpoint_sharded(p, sharded);
+        print_recovery(rec);
     }
-    let index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
-    let rec = index.recovery().clone();
-    print_recovery(&rec, index.generation());
-    println!("live points    : {}", index.len());
-    maybe_checkpoint(p, index)
+    println!("live points    : {} across {shards} shard(s)", index.len());
+    checkpoint_if_asked(p, index)
 }
 
 /// `flush --wal DIR`: land every journaled record in the snapshot and
@@ -372,79 +309,87 @@ fn cmd_recover(p: &Parsed) -> Result<(), String> {
 /// the next open carries zero replay debt.
 fn cmd_flush(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["wal"]).map_err(|e| e.to_string())?;
-    let dir = p.require("wal").map_err(|e| e.to_string())?;
-    if let Some(sharded) = open_sharded_at(dir, true)? {
-        let replayed: usize = sharded.recovery().iter().map(|r| r.replayed).sum();
-        sharded.checkpoint().map_err(|e| e.to_string())?;
-        println!(
-            "flushed {replayed} journaled record(s) into the snapshot across {} shard(s); \
-             journals reset",
-            sharded.num_shards()
-        );
-        return Ok(());
-    }
-    let mut index = DurableIndex::open(dir).map_err(|e| e.to_string())?;
-    let replayed = index.recovery().replayed;
+    let index = open_durable_index(p)?;
+    let replayed: usize = index.recovery().iter().map(|r| r.replayed).sum();
     index.checkpoint().map_err(|e| e.to_string())?;
     println!(
-        "flushed {replayed} journaled record(s) into the snapshot (generation {}); journal reset",
-        index.generation()
+        "flushed {replayed} journaled record(s) into the snapshot across {} shard(s); \
+         journals reset",
+        index.num_shards()
     );
     Ok(())
 }
 
-/// Shared `--checkpoint` tail for sharded durable directories.
-fn maybe_checkpoint_sharded(p: &Parsed, index: ShardedIndex) -> Result<(), String> {
+/// `--checkpoint` for the durable write commands: fold the memtable tail
+/// and rotate every shard's journal, so the next open replays nothing.
+fn checkpoint_if_asked(p: &Parsed, index: ShardedIndex) -> Result<(), String> {
     if p.get("checkpoint").is_some() {
-        index.checkpoint().map_err(|e| e.to_string())?;
-        println!("checkpointed all {} shard(s) (journals reset)", index.num_shards());
+        let shards = index.num_shards();
+        index.close().map_err(|e| e.to_string())?;
+        println!("checkpointed all {shards} shard(s) (journals reset)");
     }
     Ok(())
 }
 
-/// Shared `--checkpoint` tail for the durable subcommands.
-fn maybe_checkpoint(p: &Parsed, mut index: DurableIndex) -> Result<(), String> {
-    if p.get("checkpoint").is_some() {
-        index.checkpoint().map_err(|e| e.to_string())?;
-        println!(
-            "checkpointed to generation {} (journal reset)",
-            index.generation()
-        );
-    }
-    Ok(())
+/// Live points and point slots (live or tombstoned) across the shards.
+fn slot_counts(index: &ShardedIndex) -> (usize, usize) {
+    let slots = (0..index.num_shards())
+        .map(|i| index.shard(i).points().len())
+        .sum();
+    (index.len(), slots)
 }
 
 fn cmd_info(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["index"]).map_err(|e| e.to_string())?;
-    let index = NnCellIndex::load(p.require("index").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
+    let index = open_index(p, "info")?;
+    let (live, slots) = slot_counts(&index);
     println!("dimensionality : {}", index.dim());
-    println!("live points    : {}", index.len());
-    println!("point slots    : {}", index.points().len());
+    println!("shards         : {}", index.num_shards());
+    println!("live points    : {live}");
+    println!("point slots    : {slots}");
     Ok(())
 }
 
-/// `verify --index FILE`: the loader checks the checksum (NNCELL02) and
-/// every structural field; nothing derived is persisted, so a file that
-/// loads is sound.
+/// `verify --index PATH`: the loader checks every file's checksum
+/// (NNCELL02) and structural fields; nothing derived is persisted, so an
+/// index that opens is sound.
 fn cmd_verify(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["index"]).map_err(|e| e.to_string())?;
-    let path = p.require("index").map_err(|e| e.to_string())?;
-    let index = NnCellIndex::load(path).map_err(|e| e.to_string())?;
+    let index = open_index(p, "verify")?;
+    let (live, slots) = slot_counts(&index);
     println!(
-        "ok: checksum and structure verified ({} live of {} point slot(s), d={})",
-        index.len(),
-        index.points().len(),
-        index.dim()
+        "ok: checksum and structure verified ({live} live of {slots} point slot(s), d={}, \
+         {} shard(s))",
+        index.dim(),
+        index.num_shards()
     );
     Ok(())
+}
+
+/// Answers `queries` on `threads` workers, each taking a contiguous
+/// share; results come back in input order.
+fn run_queries(
+    index: &ShardedIndex,
+    queries: &[Query],
+    threads: usize,
+) -> Vec<Result<QueryResponse, QueryError>> {
+    let share = queries.len().div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = queries
+            .chunks(share)
+            .map(|chunk| s.spawn(move || chunk.iter().map(|q| index.query(q)).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("query worker panicked"))
+            .collect()
+    })
 }
 
 fn cmd_bench(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["index", "queries", "seed", "k", "threads", "json"])
         .map_err(|e| e.to_string())?;
-    let index = NnCellIndex::load(p.require("index").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
+    let index = open_index(p, "bench")?;
     let n_q: usize = p.get_or("queries", 200).map_err(|e| e.to_string())?;
     let seed: u64 = p.get_or("seed", 7).map_err(|e| e.to_string())?;
     let k: usize = p.get_or("k", 1).map_err(|e| e.to_string())?;
@@ -460,18 +405,16 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
         .map(|pt| Query::knn(pt.as_slice(), k))
         .collect();
 
-    index.reset_stats();
     let t = Instant::now();
-    let seq = index.engine().with_threads(1).batch(&queries);
+    let seq = run_queries(&index, &queries, 1);
     let seq_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let par = index.engine().with_threads(threads).batch(&queries);
+    let par = run_queries(&index, &queries, threads);
     let par_s = t.elapsed().as_secs_f64();
     if seq != par {
         return Err("parallel batch diverged from sequential execution".into());
     }
-
     let ok = seq.iter().filter(|r| r.is_ok()).count();
     let cands: usize = seq
         .iter()
@@ -530,161 +473,41 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Either surface the observability commands accept: a plain snapshot, a
-/// durable directory (whose WAL/rotation counters come along for free),
-/// or the sharded flavor of either — auto-detected from the manifest and
-/// reporting per-shard labeled series.
-enum LoadedIndex {
-    Plain(Box<NnCellIndex>),
-    Durable(Box<DurableIndex>),
-    Sharded(Box<ShardedIndex>),
-}
-
-impl LoadedIndex {
-    fn open(p: &Parsed, cmd: &str) -> Result<Self, String> {
-        match (p.get("index"), p.get("wal")) {
-            (Some(file), None) => Ok(match open_sharded_at(file, false)? {
-                Some(s) => LoadedIndex::Sharded(Box::new(s)),
-                None => LoadedIndex::Plain(Box::new(
-                    NnCellIndex::load(file).map_err(|e| e.to_string())?,
-                )),
-            }),
-            (None, Some(dir)) => Ok(match open_sharded_at(dir, true)? {
-                Some(s) => LoadedIndex::Sharded(Box::new(s)),
-                None => LoadedIndex::Durable(Box::new(
-                    DurableIndex::open(dir).map_err(|e| e.to_string())?,
-                )),
-            }),
-            _ => Err(format!(
-                "{cmd} needs exactly one of --index FILE or --wal DIR"
-            )),
-        }
-    }
-
-    fn attach_metrics(&mut self, registry: std::sync::Arc<Registry>) {
-        match self {
-            LoadedIndex::Plain(i) => i.attach_metrics(registry),
-            LoadedIndex::Durable(d) => d.attach_metrics(registry),
-            LoadedIndex::Sharded(s) => s.attach_metrics(registry),
-        }
-    }
-
-    fn dim(&self) -> usize {
-        match self {
-            LoadedIndex::Plain(i) => i.dim(),
-            LoadedIndex::Durable(d) => d.index().dim(),
-            LoadedIndex::Sharded(s) => s.dim(),
-        }
-    }
-
-    fn num_shards(&self) -> usize {
-        match self {
-            LoadedIndex::Sharded(s) => s.num_shards(),
-            _ => 1,
-        }
-    }
-
-    fn run_batch(&self, queries: &[Query], threads: usize) {
-        match self {
-            LoadedIndex::Plain(i) => {
-                let _ = i.engine().with_threads(threads).batch(queries);
-            }
-            LoadedIndex::Durable(d) => {
-                let _ = d.index().engine().with_threads(threads).batch(queries);
-            }
-            // Sharding is the concurrency story here: the fan-out across
-            // shard engines replaces the single engine's thread pool.
-            LoadedIndex::Sharded(s) => {
-                let _ = s.batch(queries);
-            }
-        }
-    }
-
-    /// Slow-query rings, one per shard (exactly one for unsharded).
-    fn slow_logs(&self) -> Vec<std::sync::Arc<nncell_core::SlowQueryLog>> {
-        use std::sync::Arc;
-        match self {
-            LoadedIndex::Plain(i) => i
-                .metrics()
-                .map(|m| Arc::clone(m.engine().slow_log()))
-                .into_iter()
-                .collect(),
-            LoadedIndex::Durable(d) => d
-                .index()
-                .metrics()
-                .map(|m| Arc::clone(m.engine().slow_log()))
-                .into_iter()
-                .collect(),
-            LoadedIndex::Sharded(s) => (0..s.num_shards())
-                .filter_map(|i| {
-                    let shard = s.shard(i);
-                    shard.metrics().map(|m| Arc::clone(m.engine().slow_log()))
-                })
-                .collect(),
-        }
-    }
-
-}
-
-/// Builds the [`nncell_server::ServeIndex`] for `serve` from the same
-/// `--index FILE`/`--wal DIR` surfaces the other commands accept, with
-/// the extra twist that a missing `--wal` directory is initialized
-/// fresh (requires `--dim`; `--shards` > 1 makes it sharded).
-///
-/// Sharded indexes get the journaled memtable tail (O(1) write acks, a
-/// supervised background folder) unless `--tail-max 0` asks for the
-/// synchronous write path.
-fn open_serve_index(p: &Parsed) -> Result<nncell_server::ServeIndex, String> {
-    use nncell_server::ServeIndex;
+/// Opens the index `serve` answers from the same `--index PATH`/`--wal
+/// DIR` surfaces the other commands accept, with the extra twist that a
+/// `--wal` directory without a committed index is initialized fresh
+/// (requires `--dim`; `--shards` sets the shard count). Every write goes
+/// through the journaled memtable (O(1) acks, a supervised background
+/// folder), bounded by `--tail-max` unfolded operations.
+fn open_serve_index(p: &Parsed) -> Result<ShardedIndex, String> {
     let tail_max: usize = p.get_or("tail-max", 4096).map_err(|e| e.to_string())?;
+    if tail_max == 0 {
+        return Err("--tail-max must be at least 1 (every write goes through the memtable)".into());
+    }
     let fold_interval_ms: u64 = p
         .get_or("fold-interval-ms", 20)
         .map_err(|e| e.to_string())?;
-    let memtable = |s: ShardedIndex| -> ServeIndex {
-        if tail_max == 0 {
-            return ServeIndex::Sharded(s);
-        }
-        ServeIndex::Sharded(s.with_memtable(FoldConfig {
-            tail_max,
-            poll_interval: std::time::Duration::from_millis(fold_interval_ms.max(1)),
-            ..FoldConfig::default()
-        }))
-    };
-    match (p.get("index"), p.get("wal")) {
-        (Some(file), None) => Ok(match open_sharded_at(file, false)? {
-            Some(s) => memtable(s),
-            None => ServeIndex::Plain(NnCellIndex::load(file).map_err(|e| e.to_string())?),
-        }),
-        (None, Some(dir)) => {
-            if let Some(s) = open_sharded_at(dir, true)? {
-                return Ok(memtable(s));
-            }
-            if std::path::Path::new(dir).join("CURRENT").exists() {
-                return Ok(ServeIndex::Durable(std::sync::Mutex::new(
-                    DurableIndex::open(dir).map_err(|e| e.to_string())?,
-                )));
-            }
-            // Fresh directory: initialize an empty durable index.
+    let index = match p.get("wal") {
+        Some(dir) if p.get("index").is_none() && !Path::new(dir).join("CURRENT").exists() => {
             let dim: usize = p
                 .get("dim")
                 .ok_or("--wal DIR does not exist yet; --dim N is required to initialize it")?
                 .parse()
                 .map_err(|_| "bad --dim".to_string())?;
             let shards: usize = p.get_or("shards", 1).map_err(|e| e.to_string())?;
-            let cfg = BuildConfig::default();
-            if shards > 1 {
-                Ok(memtable(
-                    ShardedIndex::open_durable(dir, dim, shards, cfg)
-                        .map_err(|e| e.to_string())?,
-                ))
-            } else {
-                Ok(ServeIndex::Durable(std::sync::Mutex::new(
-                    NnCellIndex::open_durable(dir, dim, cfg).map_err(|e| e.to_string())?,
-                )))
+            if shards == 0 {
+                return Err("--shards must be at least 1".into());
             }
+            ShardedIndex::open_durable(dir, dim, shards, BuildConfig::default())
+                .map_err(|e| e.to_string())?
         }
-        _ => Err("serve needs exactly one of --index FILE or --wal DIR".into()),
-    }
+        _ => open_index(p, "serve")?,
+    };
+    Ok(index.with_memtable(FoldConfig {
+        tail_max,
+        poll_interval: std::time::Duration::from_millis(fold_interval_ms.max(1)),
+        ..FoldConfig::default()
+    }))
 }
 
 fn cmd_serve(p: &Parsed) -> Result<(), String> {
@@ -722,20 +545,22 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
     if config.threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    // One registry serves both the index families (queries, WAL, trees)
-    // and the HTTP families — /metrics exposes the whole picture.
+    // One registry serves both the index families (queries, WAL, trees,
+    // memtable) and the HTTP families — /metrics exposes the whole picture.
     let registry = Registry::new();
-    let mut index = index;
-    match &mut index {
-        nncell_server::ServeIndex::Sharded(s) => s.attach_metrics(registry.clone()),
-        nncell_server::ServeIndex::Durable(m) => match m.lock() {
-            Ok(mut d) => d.attach_metrics(registry.clone()),
-            Err(p) => p.into_inner().attach_metrics(registry.clone()),
-        },
-        nncell_server::ServeIndex::Plain(i) => i.attach_metrics(registry.clone()),
-    }
-    let server = nncell_server::Server::bind(config, index, registry)
-        .map_err(|e| format!("bind failed: {e}"))?;
+    index.attach_metrics(registry.clone());
+    let write_path = if index.is_durable() {
+        format!(
+            "journaled memtable tail (O(1) acks, background folder, backpressure past {} \
+             unfolded ops)",
+            index.fold_config().tail_max
+        )
+    } else {
+        String::from("none — an in-memory index is served read-only (writes answer 403)")
+    };
+    let server =
+        nncell_server::Server::bind(config, nncell_server::ServeIndex::Sharded(index), registry)
+            .map_err(|e| format!("bind failed: {e}"))?;
     nncell_server::install_signal_handlers();
     // The E2E harness starts us with --addr 127.0.0.1:0 and parses this
     // line for the real port, so flush it through any pipe buffering.
@@ -743,19 +568,7 @@ fn cmd_serve(p: &Parsed) -> Result<(), String> {
     println!(
         "serving: POST /query /batch /insert /remove — GET /metrics /healthz /readyz /debug/trace"
     );
-    match server.index() {
-        nncell_server::ServeIndex::Sharded(s) if s.memtable_enabled() => {
-            let max = s.fold_config().map_or(0, |c| c.tail_max);
-            println!(
-                "write path: journaled memtable tail (O(1) acks, background folder, \
-                 backpressure past {max} unfolded ops)"
-            );
-        }
-        nncell_server::ServeIndex::Sharded(_) => {
-            println!("write path: synchronous snapshot publish (--tail-max 0)");
-        }
-        _ => {}
-    }
+    println!("write path: {write_path}");
     println!("shutdown: SIGTERM/ctrl-c drains in-flight requests, then checkpoints");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -812,30 +625,24 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
     );
     // Always print the write-path lines: degraded-mode and tail depth
     // must be visible even on a quiet server (empty slow-query ring, no
-    // traffic since start). The memtable family only exists when the
-    // server runs a journaled tail — say so explicitly instead of
-    // silently omitting the folder's health.
-    if text.contains("nncell_tail_depth") {
-        println!(
-            "write path     : {} unfolded tail op(s), {} fold(s) ({} record(s)), \
-             {} backpressure shed(s)",
-            value("nncell_tail_depth"),
-            value("nncell_fold_total"),
-            value("nncell_fold_records_total"),
-            value("nncell_tail_backpressure_total"),
-        );
-        println!(
-            "folder         : {}, {} fold failure(s)",
-            if value("nncell_fold_degraded") > 0 {
-                "DEGRADED (folds failing; tail absorbing writes, queries exact)"
-            } else {
-                "healthy"
-            },
-            value("nncell_fold_failures_total"),
-        );
-    } else {
-        println!("write path     : synchronous (no memtable tail)");
-    }
+    // traffic since start).
+    println!(
+        "write path     : {} unfolded tail op(s), {} fold(s) ({} record(s)), \
+         {} backpressure shed(s)",
+        value("nncell_tail_depth"),
+        value("nncell_fold_total"),
+        value("nncell_fold_records_total"),
+        value("nncell_tail_backpressure_total"),
+    );
+    println!(
+        "folder         : {}, {} fold failure(s)",
+        if value("nncell_fold_degraded") > 0 {
+            "DEGRADED (folds failing; tail absorbing writes, queries exact)"
+        } else {
+            "healthy"
+        },
+        value("nncell_fold_failures_total"),
+    );
     if text.contains("nncell_trace_spans_total") {
         println!(
             "tracing        : {} span(s) in {} trace(s) recorded, {} evicted from the flight ring",
@@ -899,8 +706,8 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         return cmd_stats_server(addr);
     }
     let registry = Registry::new();
-    let mut loaded = LoadedIndex::open(p, "stats")?;
-    loaded.attach_metrics(registry.clone());
+    let index = open_index(p, "stats")?;
+    index.attach_metrics(registry.clone());
     let n_q: usize = p.get_or("queries", 200).map_err(|e| e.to_string())?;
     let seed: u64 = p.get_or("seed", 7).map_err(|e| e.to_string())?;
     let k: usize = p.get_or("k", 1).map_err(|e| e.to_string())?;
@@ -908,19 +715,27 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     let slow_threshold_us: u64 = p
         .get_or("slow-threshold-us", 0)
         .map_err(|e| e.to_string())?;
-    let slow_logs = loaded.slow_logs();
+    // Slow-query rings, one per shard.
+    let slow_logs: Vec<_> = (0..index.num_shards())
+        .filter_map(|i| {
+            let shard = index.shard(i);
+            shard
+                .metrics()
+                .map(|m| std::sync::Arc::clone(m.engine().slow_log()))
+        })
+        .collect();
     if p.get("slow").is_some() {
         for log in &slow_logs {
             log.set_threshold_ns(slow_threshold_us.saturating_mul(1_000));
         }
     }
     if n_q > 0 {
-        let queries: Vec<Query> = UniformGenerator::new(loaded.dim())
+        let queries: Vec<Query> = UniformGenerator::new(index.dim())
             .generate(n_q, seed)
             .iter()
             .map(|pt| Query::knn(pt.as_slice(), k))
             .collect();
-        loaded.run_batch(&queries, threads.max(1));
+        run_queries(&index, &queries, threads);
     }
     let snap = registry.snapshot();
     if p.get("json").is_some() {
@@ -974,7 +789,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     // Human-readable summary. Sharded indexes register per-shard labeled
     // series (`name{shard="i"}`); sum_counters/sum_gauges fold a whole
     // family into one number either way.
-    let shards = loaded.num_shards();
+    let shards = index.num_shards();
     println!(
         "workload       : {n_q} queries (k={k}, threads={threads}, seed={seed}){}",
         if shards > 1 {
@@ -1075,19 +890,19 @@ COMMANDS
             [--n 1000] [--dim 8] [--seed 42] [--clusters 8] [--sigma 0.05]
   build     --points FILE (--out FILE | --wal DIR) [--shards S]
             [--skip-invalid]
-  query     (--index FILE | --wal DIR) --point x,y,... [--k K | --radius R]
+  query     (--index PATH | --wal DIR) --point x,y,... [--k K | --radius R]
   insert    --wal DIR --point x,y,... [--checkpoint]
   remove    --wal DIR --id N [--checkpoint]
   recover   --wal DIR [--checkpoint]
   flush     --wal DIR              (land journaled records, reset journals)
-  info      --index FILE
-  verify    --index FILE           (checksum and structure of a saved index)
-  bench     --index FILE [--queries 200] [--seed 7] [--k 1] [--threads N]
+  info      --index PATH
+  verify    --index PATH           (checksum and structure of a saved index)
+  bench     --index PATH [--queries 200] [--seed 7] [--k 1] [--threads N]
             [--json FILE]
-  stats     (--index FILE | --wal DIR) [--queries 200] [--seed 7] [--k 1]
+  stats     (--index PATH | --wal DIR) [--queries 200] [--seed 7] [--k 1]
             [--threads 1] [--json | --prom | --slow [--slow-threshold-us N]]
   stats     --server HOST:PORT     (shed-pressure view of a running server)
-  serve     (--index FILE | --wal DIR) [--addr 127.0.0.1:8321] [--threads 4]
+  serve     (--index PATH | --wal DIR) [--addr 127.0.0.1:8321] [--threads 4]
             [--queue-depth 64] [--deadline-ms 2000] [--retry-after 1]
             [--slow-ms 100] [--tail-max 4096] [--fold-interval-ms 20]
             [--trace-sample N] [--dim N --shards S  (fresh --wal init)]
@@ -1099,11 +914,13 @@ COMMANDS
 best-first search over it. `query --radius R` returns every point within
 distance R, sorted by distance.
 
-`build --shards S` (S > 1) partitions points round-robin into S shards,
-bulk-loads them in parallel, and writes a sharded directory (plain with --out,
-durable with --wal). query/insert/remove/recover/stats auto-detect sharded
-layouts from the on-disk manifest; sharded answers are bit-identical to
-unsharded ones, and sharded metrics register per-shard `shard=\"i\"` series.
+`build --shards S` partitions points round-robin into S shards and
+bulk-loads them in parallel. --out writes one index file (S = 1) or a
+sharded directory (S > 1); --wal initializes a durable directory of S
+shards. Every command opens any layout — PATH is an index file, a saved
+directory, or a durable directory, told apart by its manifest; sharded
+answers are bit-identical to unsharded ones, and with S > 1 metrics
+register per-shard `shard=\"i\"` series.
 
 `stats` attaches a metrics registry, replays a generated workload, and
 reports query-latency percentiles, candidate/page histograms, point-tree
@@ -1123,14 +940,15 @@ recent traces as Chrome trace-event JSON — pipe to a file (--out) and
 load it in Perfetto (ui.perfetto.dev) or chrome://tracing. Slow-query
 entries carry the trace id of their request as an exemplar.
 
-Sharded serving uses the LSM-style write path: inserts/removes are
-journaled and land in a small unindexed memtable tail (fsync, then an
-O(1) ack — no tree update on the write path); a supervised background
-folder folds the tail into the shards' point trees. Queries merge the
-tail by linear scan and stay exact throughout, even while the folder is
-failing (visible as `nncell_fold_*` metrics and in /readyz). A tail past
---tail-max unfolded ops sheds writes with 429 + Retry-After;
---tail-max 0 restores the synchronous write path. `flush` folds a
-directory's journal into the snapshot offline."
+Every write takes the LSM-style path: inserts/removes are journaled and
+land in a small unindexed memtable tail (fsync, then an O(1) ack — no
+tree update on the write path); a supervised background folder folds
+the tail into the shards' point trees. Queries merge the tail by linear
+scan and stay exact throughout, even while the folder is failing
+(visible as `nncell_fold_*` metrics and in /readyz). A tail past
+--tail-max (at least 1) unfolded ops sheds writes with 429 +
+Retry-After. `serve` takes writes only on a durable (--wal) index; an
+in-memory one answers /insert and /remove with 403 read_only. `flush`
+folds a directory's journal into the snapshot offline."
     );
 }

@@ -113,7 +113,9 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("not live"));
 
     // Simulate a crash mid-append: tear the journal tail with garbage.
-    let wal_file = std::fs::read_dir(&db)
+    // `build --wal` initializes a one-shard durable directory, so the
+    // journal lives in its `shard-0` directory.
+    let wal_file = std::fs::read_dir(db.join("shard-0"))
         .unwrap()
         .filter_map(|e| e.ok())
         .find(|e| e.file_name().to_string_lossy().starts_with("wal."))

@@ -55,8 +55,8 @@ pub enum DurableError {
     Persist(PersistError),
     /// The memtable tail is at its high-watermark (the background folder
     /// is behind or degraded). Nothing was journaled; the write is safe to
-    /// retry after a backoff. Only memtable-enabled indexes
-    /// ([`crate::ShardedIndex::with_memtable`]) return this; the serving
+    /// retry after a backoff. Only [`crate::ShardedIndex`] writes, which
+    /// all go through the memtable, return this; the serving
     /// layer maps it to HTTP 429 + `Retry-After`.
     Backpressure {
         /// Unfolded tail operations at rejection time.

@@ -38,8 +38,8 @@
 //! floating-point differences between MBR MINDIST accumulation and the
 //! kernel can never skip a true answer.
 //!
-//! All exact-scan fallbacks (out-of-space query, `k ≥ len`, degenerate
-//! candidate search) are funneled through one helper here, which both sets
+//! All exact-scan fallbacks (`k ≥ len`, degenerate candidate search) are
+//! funneled through one helper here, which both sets
 //! [`QueryStats::fallback`] on the response and bumps the index-wide
 //! [`NnCellIndex::fallback_queries`] counter.
 
@@ -490,9 +490,10 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
         let idx = self.index;
-        if k >= idx.len() || !idx.space().contains(p) {
-            // k ≥ len needs every live point anyway; outside the data
-            // space the index makes no covering promise.
+        if k >= idx.len() {
+            // k ≥ len needs every live point anyway. A query outside the
+            // data space needs no scan: MINDIST ordering over the point
+            // tree is exact for any query point.
             return Ok(if k == 1 {
                 self.scan_nn(p)
             } else {

@@ -231,8 +231,8 @@ impl<M: Metric> NnCellIndex<M> {
         self.point_tree.stats()
     }
 
-    /// Number of queries that fell back to a scan (queries outside the unit
-    /// data space, or `k ≥ len`; always exact).
+    /// Number of queries that fell back to a scan (`k ≥ len`; always
+    /// exact).
     pub fn fallback_queries(&self) -> u64 {
         self.fallback_queries
             .load(std::sync::atomic::Ordering::Relaxed)
@@ -663,14 +663,15 @@ mod tests {
     }
 
     #[test]
-    fn out_of_space_queries_fall_back_but_stay_exact() {
+    fn out_of_space_queries_stay_exact_without_fallback() {
         let pts = uniform(50, 2, 18);
         let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
         let q = [1.5, -0.2];
         let got = nn(&idx, &q).unwrap();
         let want = linear_scan_nn(&pts, &q).unwrap();
         assert_eq!(got.id, want.id);
-        assert_eq!(idx.fallback_queries(), 1);
+        assert_eq!(got.dist.to_bits(), want.dist.to_bits());
+        assert_eq!(idx.fallback_queries(), 0, "the point tree is exact anywhere");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The unindexed memtable tail of the LSM-style write path.
 //!
-//! With a memtable enabled ([`crate::ShardedIndex::with_memtable`]), an
-//! insert or remove journals to the shard's WAL, lands in a small
+//! Every [`crate::ShardedIndex`] write takes this path: an insert or
+//! remove journals to the shard's WAL, lands in a small
 //! in-memory tail of raw operations, and is acknowledged — no point-tree
 //! update, no snapshot clone on the ack path. A supervised background
 //! *folder* ([`crate::ShardedIndex::run_folder`]) later applies the tail

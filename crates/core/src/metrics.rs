@@ -90,8 +90,8 @@ pub struct IndexMetrics {
 }
 
 /// Registry handles for the memtable fold pipeline (`nncell_fold_*`,
-/// `nncell_tail_*`), registered when a memtable-enabled
-/// [`crate::ShardedIndex`] attaches a registry. One unlabeled family per
+/// `nncell_tail_*`), registered when a [`crate::ShardedIndex`] attaches
+/// a registry. One unlabeled family per
 /// index: the folder is a single supervised loop over all shards, so
 /// per-shard labels would only split its health signal.
 #[derive(Clone)]

@@ -156,12 +156,11 @@ pub struct QueryStats {
     /// any LRU cache; 0 for a scan fallback, which reads no index pages).
     pub pages: u64,
     /// Whether the answer came from the exact linear-scan fallback
-    /// (out-of-space query, `k ≥ len`, a numerically degenerate candidate
-    /// search). All fallback paths are counted here — and nowhere else.
+    /// (`k ≥ len`, a numerically degenerate candidate search). All
+    /// fallback paths are counted here — and nowhere else.
     pub fallback: bool,
     /// Unindexed memtable-tail points merged into this answer by linear
-    /// scan (0 whenever the write path is synchronous or the tail was
-    /// empty). Tail points are also counted in `candidates`; this field
+    /// scan (0 whenever the tail was empty). Tail points are also counted in `candidates`; this field
     /// isolates how much of the work the un-folded tail caused.
     pub tail: usize,
     /// Subtrees the MINDIST-ordered traversal pruned **before their node

@@ -13,37 +13,47 @@
 //! global id, so per-shard `(dist, local id)` ordering merges into the
 //! global `(dist, global id)` ordering without re-sorting.
 //!
-//! # Concurrency: copy-on-write snapshots, single-writer log
+//! # Concurrency: copy-on-write snapshots, journaled memtable
 //!
 //! Each shard is wrapped in a [`SnapshotCell`]: readers
 //! ([`ShardedIndex::query`] / [`ShardedIndex::batch`], `&self`) load the
-//! current immutable snapshot `Arc` and run entirely on it. Writers
+//! current immutable snapshot `Arc` plus a bounded copy of the shard's
+//! unfolded memtable tail and run entirely on those. Writers
 //! ([`ShardedIndex::insert`] / [`ShardedIndex::remove`], also `&self`)
-//! serialize on one writer mutex, apply the mutation to the shard's
-//! authoritative *master* index (journaling through the shard's WAL
-//! first in durable mode), then **publish** a fresh clone. Readers never
-//! block on a write and never observe a half-applied mutation; a query
-//! overlapping a publish simply answers from the version it loaded.
+//! serialize on one writer mutex, journal through the shard's WAL (in
+//! durable mode), push the operation onto the shard's memtable tail and
+//! acknowledge — O(1), no tree update, no snapshot clone. The folder
+//! ([`ShardedIndex::run_folder`], [`ShardedIndex::fold_once`],
+//! [`ShardedIndex::flush`]) applies the tail to the shard's authoritative
+//! *master* index off the write path and **publishes** a fresh snapshot.
+//! Readers never block on a write and never observe a half-applied
+//! mutation; a query overlapping a publish simply answers from the
+//! version it loaded.
 //!
-//! # Durable layout
+//! # On-disk layouts
+//!
+//! [`ShardedIndex::open`] detects four layouts; each is S ≥ 1 shards:
 //!
 //! ```text
-//! dir/CURRENT        "sharded <S>"      (atomically written manifest)
-//! dir/shard-0/       a full PR-2 durable directory (CURRENT, snapshot.G, wal.G)
-//! dir/shard-1/       …
+//! FILE                     one index file (NnCellIndex::save)        1 in-memory shard
+//! dir/MANIFEST             "nncell-sharded <S>" + dir/shard-<i>.nncell  S in-memory shards
+//! dir/CURRENT = "<G>"      one durable directory (DurableIndex)       1 durable shard
+//! dir/CURRENT = "sharded S" + dir/shard-<i>/ (durable directories)    S durable shards
 //! ```
 //!
-//! The top-level `CURRENT` only records the shard count (written once at
-//! initialization via the same `write_atomic` tmp+fsync+rename path);
-//! each shard directory keeps its own generation machinery, so crash
-//! recovery is per-shard WAL replay. Round-robin assignment makes the
-//! global id watermark recoverable: acknowledged inserts are a prefix of
-//! the global id sequence, so `next_global` is the sum of per-shard slot
-//! counts.
+//! New durable directories are always the sharded kind
+//! ([`ShardedIndex::open_durable`], [`ShardedIndex::into_durable`]). The
+//! top-level `CURRENT` only records the shard count (written via the same
+//! `write_atomic` tmp+fsync+rename path); each shard directory keeps its
+//! own generation machinery, so crash recovery is per-shard WAL replay.
+//! Round-robin assignment makes the global id watermark recoverable:
+//! acknowledged inserts are a prefix of the global id sequence, so
+//! `next_global` is the sum of per-shard slot counts.
 
 use crate::config::BuildConfig;
-use crate::durable::{DurableError, RecoveryReport};
+use crate::durable::{DurableError, DurableIndex, RecoveryReport};
 use crate::cells::BuildStats;
+use crate::engine::QueryEngine;
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex, QueryResult};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp, TailSnapshot};
 use crate::metrics::FoldMetrics;
@@ -56,7 +66,7 @@ use nncell_geom::{DataSpace, Euclidean, Point};
 use nncell_obs::Registry;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -65,8 +75,10 @@ use std::time::{Duration, Instant};
 const PLAIN_MANIFEST: &str = "MANIFEST";
 /// Magic of the plain manifest: `nncell-sharded <S>`.
 const PLAIN_MAGIC: &str = "nncell-sharded";
+/// File name of the durable commit pointer, top-level and per shard.
+const CURRENT: &str = "CURRENT";
 /// Magic of the durable `CURRENT` manifest: `sharded <S>`. Deliberately
-/// not a number, so a plain [`crate::DurableIndex::open`] on a sharded
+/// not a number, so a plain [`DurableIndex::open`] on a sharded
 /// directory fails with a typed corrupt-manifest error instead of
 /// misreading it as a generation.
 const DURABLE_MAGIC: &str = "sharded";
@@ -75,8 +87,8 @@ const DURABLE_MAGIC: &str = "sharded";
 enum ShardWriter {
     /// In-memory shard.
     Mem(NnCellIndex<Euclidean>),
-    /// Crash-consistent shard: journal-before-apply through its own WAL.
-    Durable(crate::durable::DurableIndex),
+    /// Crash-consistent shard: journal-before-ack through its own WAL.
+    Durable(DurableIndex),
 }
 
 impl ShardWriter {
@@ -96,8 +108,8 @@ struct Writer {
     next_global: usize,
 }
 
-/// Memtable-tier state ([`ShardedIndex::with_memtable`]): per-shard
-/// unindexed tails plus folder supervision bookkeeping.
+/// Memtable state: per-shard unindexed tails plus folder supervision
+/// bookkeeping.
 ///
 /// Lock order everywhere: `fold_lock` → writer mutex → tail mutexes.
 /// Queries take only tail mutexes (for a bounded snapshot clone), writers
@@ -157,8 +169,17 @@ impl TailState {
         self.with_metrics(|m| m.tail_depth.set(now as i64));
     }
 
-    fn count_backpressure(&self) {
-        self.with_metrics(|m| m.backpressure.inc());
+    /// Refuses a write while the tail is at its high-watermark.
+    fn admit(&self) -> Result<(), DurableError> {
+        let depth = self.depth.load(Ordering::Acquire);
+        if depth >= self.cfg.tail_max {
+            self.with_metrics(|m| m.backpressure.inc());
+            return Err(DurableError::Backpressure {
+                tail: depth,
+                max: self.cfg.tail_max,
+            });
+        }
+        Ok(())
     }
 
     fn record_failure(&self) {
@@ -215,6 +236,10 @@ fn sleep_interruptible(stop: &AtomicBool, dur: Duration) {
     }
 }
 
+/// One shard a read consults: its published snapshot and, when
+/// non-empty, its unfolded tail.
+type ShardView = (usize, Arc<NnCellIndex<Euclidean>>, Option<TailSnapshot>);
+
 /// S independent point-index shards behind one exact, concurrently servable
 /// query API. See the module docs for the partitioning and snapshot
 /// protocol. Built over the Euclidean metric (the durable layer's
@@ -236,12 +261,11 @@ pub struct ShardedIndex {
     skipped_points: usize,
     /// Merged queries answered (in any shard) by the exact scan fallback.
     fallback_queries: AtomicU64,
-    /// Per-shard recovery reports from a durable open (empty otherwise).
+    /// Per-shard recovery reports of durable shards (empty otherwise).
     recovery: Vec<RecoveryReport>,
     durable: bool,
-    /// Memtable tier ([`Self::with_memtable`]); `None` keeps the original
-    /// synchronous apply-then-publish write path.
-    tail: Option<TailState>,
+    /// The journaled memtable every write lands in.
+    tail: TailState,
 }
 
 impl ShardedIndex {
@@ -303,8 +327,6 @@ impl ShardedIndex {
             next_global,
             start.elapsed().as_secs_f64(),
             skipped,
-            Vec::new(),
-            false,
         ))
     }
 
@@ -315,10 +337,12 @@ impl ShardedIndex {
         let masters = (0..shards)
             .map(|_| ShardWriter::Mem(NnCellIndex::new(dim, cfg.clone())))
             .collect();
-        Self::assemble(dim, cfg, masters, 0, 0.0, 0, Vec::new(), false)
+        Self::assemble(dim, cfg, masters, 0, 0.0, 0)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Wraps shard masters; durability and recovery reports come from the
+    /// masters themselves. The memtable starts empty with the default
+    /// [`FoldConfig`].
     fn assemble(
         dim: usize,
         cfg: BuildConfig,
@@ -326,17 +350,24 @@ impl ShardedIndex {
         next_global: usize,
         build_seconds: f64,
         skipped_points: usize,
-        recovery: Vec<RecoveryReport>,
-        durable: bool,
     ) -> Self {
         let snaps = masters
             .iter()
             .map(|m| SnapshotCell::new(m.index().clone()))
             .collect();
+        let recovery: Vec<RecoveryReport> = masters
+            .iter()
+            .filter_map(|m| match m {
+                ShardWriter::Durable(d) => Some(d.recovery().clone()),
+                ShardWriter::Mem(_) => None,
+            })
+            .collect();
+        let tail = TailState::new(FoldConfig::default(), masters.len());
         Self {
             dim,
             cfg,
             snaps,
+            durable: !recovery.is_empty(),
             writer: Mutex::new(Writer {
                 shards: masters,
                 next_global,
@@ -345,59 +376,49 @@ impl ShardedIndex {
             skipped_points,
             fallback_queries: AtomicU64::new(0),
             recovery,
-            durable,
-            tail: None,
+            tail,
         }
     }
 
-    /// Enables the LSM-style memtable write path: inserts and removes
-    /// journal (in durable mode), land in a small unindexed per-shard
-    /// tail, and acknowledge in O(1) — no point-tree update, no snapshot
-    /// clone on the ack path. Queries stay exact by merging the tail via
-    /// linear scan; a supervised folder ([`Self::run_folder`] or explicit
-    /// [`Self::fold_once`] / [`Self::flush`] calls) applies the tail to
-    /// the shard indexes off the write path.
+    /// Wraps shards opened from disk: they must agree on dimensionality,
+    /// and the global id watermark is the sum of their slot counts.
+    fn from_masters(masters: Vec<ShardWriter>) -> Result<Self, PersistError> {
+        let (dim, cfg) = check_shard_agreement(&masters)?;
+        let next_global = masters.iter().map(|m| m.index().points().len()).sum();
+        Ok(Self::assemble(dim, cfg, masters, next_global, 0.0, 0))
+    }
+
+    /// Replaces the memtable's [`FoldConfig`] (high-watermark, folder
+    /// pacing, fault hooks); an index starts with
+    /// [`FoldConfig::default`]. Every write goes through the memtable:
+    /// inserts and removes journal (in durable mode), land in a small
+    /// unindexed per-shard tail, and acknowledge in O(1). Queries stay
+    /// exact by merging the tail via linear scan; the folder
+    /// ([`Self::run_folder`], or explicit [`Self::fold_once`] /
+    /// [`Self::flush`] calls) applies the tail to the shard indexes.
     ///
     /// Call at construction time, before the index is shared.
-    ///
-    /// # Panics
-    /// Panics if a memtable is already enabled.
     #[must_use]
     pub fn with_memtable(mut self, cfg: FoldConfig) -> Self {
-        assert!(self.tail.is_none(), "memtable already enabled");
-        let shards = self.num_shards();
-        self.tail = Some(TailState::new(cfg, shards));
+        self.tail.cfg = cfg;
         self
     }
 
-    /// Whether the memtable write path is enabled.
-    pub fn memtable_enabled(&self) -> bool {
-        self.tail.is_some()
-    }
-
-    /// Journaled-but-unfolded operations across all shards (0 without a
-    /// memtable).
+    /// Journaled-but-unfolded operations across all shards.
     pub fn tail_depth(&self) -> usize {
-        self.tail
-            .as_ref()
-            .map_or(0, |t| t.depth.load(Ordering::Acquire))
+        self.tail.depth.load(Ordering::Acquire)
     }
 
     /// Whether the folder has failed [`FoldConfig::degrade_after`]
     /// consecutive times. Writes keep landing in the tail (up to the
     /// high-watermark) and queries stay exact while degraded.
     pub fn is_degraded(&self) -> bool {
-        self.tail
-            .as_ref()
-            .is_some_and(|t| t.degraded.load(Ordering::Acquire))
+        self.tail.degraded.load(Ordering::Acquire)
     }
 
-    /// A point-in-time view of the folder's health (all zeros without a
-    /// memtable).
+    /// A point-in-time view of the folder's health.
     pub fn fold_status(&self) -> FoldStatus {
-        let Some(ts) = &self.tail else {
-            return FoldStatus::default();
-        };
+        let ts = &self.tail;
         FoldStatus {
             tail_depth: ts.depth.load(Ordering::Acquire),
             degraded: ts.degraded.load(Ordering::Acquire),
@@ -408,14 +429,14 @@ impl ShardedIndex {
         }
     }
 
-    /// The memtable configuration, when enabled.
-    pub fn fold_config(&self) -> Option<&FoldConfig> {
-        self.tail.as_ref().map(|t| &t.cfg)
+    /// The memtable configuration.
+    pub fn fold_config(&self) -> &FoldConfig {
+        &self.tail.cfg
     }
 
     /// The writer lock. A poisoned lock is taken over: masters are only
-    /// mutated through `insert`/`remove`, whose underlying operations
-    /// keep the index consistent on failure.
+    /// mutated by folds and WAL replay, which keep the index consistent
+    /// on failure.
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
         match self.writer.lock() {
             Ok(g) => g,
@@ -442,19 +463,15 @@ impl ShardedIndex {
         &self.cfg
     }
 
-    /// Total live points across all shards. Without a memtable this reads
-    /// the current snapshots; with one it counts against the masters plus
-    /// the unfolded tails (under the writer lock, so acked writes are
-    /// always reflected even before they fold).
+    /// Total live points across all shards, counted against the masters
+    /// plus the unfolded tails (under the writer lock, so acked writes
+    /// are always reflected even before they fold).
     pub fn len(&self) -> usize {
-        let Some(ts) = &self.tail else {
-            return self.snaps.iter().map(|c| c.load().len()).sum();
-        };
         let w = self.lock_writer();
         let mut total = 0usize;
         for (i, sw) in w.shards.iter().enumerate() {
             let master = sw.index();
-            let m = lock_mem(&ts.tails[i]);
+            let m = lock_mem(&self.tail.tails[i]);
             let master_dead = m
                 .removed_ids()
                 .iter()
@@ -476,7 +493,8 @@ impl ShardedIndex {
     }
 
     /// The current published snapshot of shard `i` (a stable read-only
-    /// view; concurrent writes publish new versions without affecting it).
+    /// view; concurrent folds publish new versions without affecting it).
+    /// Writes still in the memtable tail are not in it until they fold.
     ///
     /// # Panics
     /// Panics if `i >= num_shards()`.
@@ -519,8 +537,8 @@ impl ShardedIndex {
         self.snaps.iter().map(|c| c.load().fallback_queries()).sum()
     }
 
-    /// Per-shard recovery reports from a durable open; empty for
-    /// in-memory indexes.
+    /// Per-shard recovery reports of durable shards; empty for in-memory
+    /// indexes.
     pub fn recovery(&self) -> &[RecoveryReport] {
         &self.recovery
     }
@@ -538,47 +556,46 @@ impl ShardedIndex {
     }
 
     /// Attaches a metrics registry: every shard's engine, gauge, and tree
-    /// series is registered under a `shard="<i>"` label (the WAL family
-    /// stays unlabeled, shared as whole-index totals — see
-    /// [`NnCellIndex::attach_metrics_labeled`]). New snapshots are
-    /// published so concurrent readers start recording immediately.
-    /// Idempotent per shard.
+    /// series is registered under a `shard="<i>"` label when there is more
+    /// than one shard, unlabeled otherwise (the WAL family stays
+    /// unlabeled, shared as whole-index totals — see
+    /// [`NnCellIndex::attach_metrics_labeled`]), plus the `nncell_fold_*` /
+    /// `nncell_tail_*` memtable family. New snapshots are published so
+    /// concurrent readers start recording immediately. Idempotent per
+    /// shard.
     pub fn attach_metrics(&self, registry: Arc<Registry>) {
         // Fold lock first (the global lock order): a fold publishing
         // between our store and its own would otherwise clobber the
         // metrics-attached snapshots with pre-attach clones.
-        let _fold = self.tail.as_ref().map(|ts| lock_fold(&ts.fold_lock));
+        let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
+        let labeled = w.shards.len() > 1;
         for (i, sw) in w.shards.iter_mut().enumerate() {
             let tag = i.to_string();
-            let labels: [(&str, &str); 1] = [("shard", tag.as_str())];
+            let shard_label = [("shard", tag.as_str())];
+            let labels: &[(&str, &str)] = if labeled { &shard_label } else { &[] };
             match sw {
-                ShardWriter::Mem(idx) => {
-                    idx.attach_metrics_labeled(Arc::clone(&registry), &labels);
-                }
-                ShardWriter::Durable(d) => {
-                    d.attach_metrics_labeled(Arc::clone(&registry), &labels);
-                }
+                ShardWriter::Mem(idx) => idx.attach_metrics_labeled(Arc::clone(&registry), labels),
+                ShardWriter::Durable(d) => d.attach_metrics_labeled(Arc::clone(&registry), labels),
             }
             self.snaps[i].store(Arc::new(sw.index().clone()));
         }
-        if let Some(ts) = &self.tail {
-            let mut slot = match ts.metrics.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            if slot.is_none() {
-                let fm = FoldMetrics::register(&registry);
-                // Seed with the pre-attach totals so registry values are
-                // correct even when the registry arrives late.
-                fm.tail_depth.set(ts.depth.load(Ordering::Acquire) as i64);
-                fm.degraded
-                    .set(i64::from(ts.degraded.load(Ordering::Acquire)));
-                fm.folds.add(ts.folds.load(Ordering::Acquire));
-                fm.folded_records.add(ts.folded_records.load(Ordering::Acquire));
-                fm.failures.add(ts.failures.load(Ordering::Acquire));
-                *slot = Some(fm);
-            }
+        let ts = &self.tail;
+        let mut slot = match ts.metrics.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        };
+        if slot.is_none() {
+            let fm = FoldMetrics::register(&registry);
+            // Seed with the pre-attach totals so registry values are
+            // correct even when the registry arrives late.
+            fm.tail_depth.set(ts.depth.load(Ordering::Acquire) as i64);
+            fm.degraded
+                .set(i64::from(ts.degraded.load(Ordering::Acquire)));
+            fm.folds.add(ts.folds.load(Ordering::Acquire));
+            fm.folded_records.add(ts.folded_records.load(Ordering::Acquire));
+            fm.failures.add(ts.failures.load(Ordering::Acquire));
+            *slot = Some(fm);
         }
     }
 
@@ -652,66 +669,50 @@ impl ShardedIndex {
         deadline: Option<Instant>,
     ) -> Result<QueryResponse, QueryError> {
         self.validate_query(q)?;
-        // Tails first, snapshots second: an operation folded between the
-        // two reads then appears in *both* views and is deduplicated by id
-        // at merge time; reading in the other order could miss it in both.
-        let tails = self.tail_snapshots();
-        let snaps: Vec<Arc<NnCellIndex<Euclidean>>> =
-            self.snaps.iter().map(SnapshotCell::load).collect();
-        let mut per: Vec<(usize, QueryResponse)> = Vec::with_capacity(snaps.len());
-        let mut radius_empty = false;
-        for (i, snap) in snaps.iter().enumerate() {
-            let tail_i = tails.as_ref().map(|t| &t[i]).filter(|t| !t.is_empty());
-            if snap.is_empty() && tail_i.is_none() {
-                continue;
-            }
-            // Sequential per shard: one query has no intra-shard
-            // parallelism to exploit, and the fan-out itself is the
-            // concurrency story (batch() adds the thread pool).
-            let mut engine =
-                crate::engine::QueryEngine::sequential(snap).with_deadline_opt(deadline);
-            if let Some(t) = tail_i {
+        let views = self.read_views();
+        // Sequential per shard, lazily: one query has no intra-shard
+        // parallelism to exploit, and a hard error stops the fan-out
+        // before the remaining shards run (batch() adds the thread pool).
+        let per_shard = views.iter().map(|(i, snap, tail)| {
+            let mut engine = QueryEngine::sequential(snap).with_deadline_opt(deadline);
+            if let Some(t) = tail {
                 engine = engine.with_tail(t);
             }
             // One child span per shard consulted; the engine's own spans
             // nest underneath it, so a trace shows the full fan-out.
             let mut span = nncell_obs::trace::child("shard.query");
-            span.arg("shard", i as u64);
-            match engine.execute(q) {
-                Ok(r) => per.push((i, r)),
-                // Every point of this shard is tombstoned in the tail:
-                // the shard contributes nothing, which is not a failure
-                // of the fan-out.
-                Err(QueryError::EmptyIndex) => continue,
-                // This shard's slice of the ball is empty; others may
-                // still contribute.
-                Err(QueryError::EmptyRadius) => {
-                    radius_empty = true;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if per.is_empty() {
-            // Shards were consulted but every ball slice came back empty:
-            // the radius error, not the empty-index one.
-            return Err(if radius_empty {
-                QueryError::EmptyRadius
-            } else {
-                QueryError::EmptyIndex
-            });
-        }
-        Ok(self.merge(q.k(), per))
+            span.arg("shard", *i as u64);
+            (*i, engine.execute(q))
+        });
+        self.merge_shards(q.k(), per_shard)
     }
 
-    /// Bounded-clone views of every shard's unfolded tail (`None` without
-    /// a memtable). Each clone is taken under its shard's tail mutex; the
-    /// combined view may straddle a concurrent ack, which is fine — a
-    /// query is only promised the writes acked before it started.
-    fn tail_snapshots(&self) -> Option<Vec<TailSnapshot>> {
-        self.tail
-            .as_ref()
-            .map(|ts| ts.tails.iter().map(|m| lock_mem(m).snapshot()).collect())
+    /// The shards a read consults, each with its published snapshot and
+    /// a bounded-clone view of its unfolded tail; shards with neither
+    /// points nor tail operations are skipped. Tails are copied first
+    /// (each under its shard's tail mutex), snapshots loaded second: an
+    /// operation folded between the two reads then appears in *both*
+    /// views and is deduplicated by id at merge time; reading in the
+    /// other order could miss it in both. The combined view may straddle
+    /// a concurrent ack, which is fine — a query is only promised the
+    /// writes acked before it started.
+    fn read_views(&self) -> Vec<ShardView> {
+        let tails: Vec<TailSnapshot> = self
+            .tail
+            .tails
+            .iter()
+            .map(|m| lock_mem(m).snapshot())
+            .collect();
+        tails
+            .into_iter()
+            .zip(&self.snaps)
+            .enumerate()
+            .filter_map(|(i, (tail, cell))| {
+                let snap = cell.load();
+                let tail = (!tail.is_empty()).then_some(tail);
+                (!snap.is_empty() || tail.is_some()).then_some((i, snap, tail))
+            })
+            .collect()
     }
 
     /// Executes a batch of typed queries: each non-empty shard runs the
@@ -733,24 +734,15 @@ impl ShardedIndex {
         queries: &[Query],
         deadline: Option<Instant>,
     ) -> Vec<Result<QueryResponse, QueryError>> {
-        // Tails before snapshots — same dedup-by-id rationale as
-        // query_with_deadline.
-        let tails = self.tail_snapshots();
-        let snaps: Vec<Arc<NnCellIndex<Euclidean>>> =
-            self.snaps.iter().map(SnapshotCell::load).collect();
-        let shard_results: Vec<(usize, Vec<Result<QueryResponse, QueryError>>)> = snaps
+        let shard_results: Vec<(usize, Vec<Result<QueryResponse, QueryError>>)> = self
+            .read_views()
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let tail_i = tails.as_ref().map(|t| &t[i]).filter(|t| !t.is_empty());
-                if s.is_empty() && tail_i.is_none() {
-                    return None;
-                }
-                let mut engine = s.engine().with_deadline_opt(deadline);
-                if let Some(t) = tail_i {
+            .map(|(i, snap, tail)| {
+                let mut engine = snap.engine().with_deadline_opt(deadline);
+                if let Some(t) = tail {
                     engine = engine.with_tail(t);
                 }
-                Some((i, engine.batch(queries)))
+                (*i, engine.batch(queries))
             })
             .collect();
         queries
@@ -758,34 +750,44 @@ impl ShardedIndex {
             .enumerate()
             .map(|(qi, q)| {
                 self.validate_query(q)?;
-                let mut per: Vec<(usize, QueryResponse)> =
-                    Vec::with_capacity(shard_results.len());
-                let mut radius_empty = false;
-                for (shard, results) in &shard_results {
-                    match &results[qi] {
-                        Ok(r) => per.push((*shard, r.clone())),
-                        // A shard whose live set the tail has fully
-                        // tombstoned contributes nothing — not a failure.
-                        Err(QueryError::EmptyIndex) => continue,
-                        // An empty ball slice in one shard; others may
-                        // still contribute.
-                        Err(QueryError::EmptyRadius) => {
-                            radius_empty = true;
-                            continue;
-                        }
-                        Err(e) => return Err(*e),
-                    }
-                }
-                if per.is_empty() {
-                    return Err(if radius_empty {
-                        QueryError::EmptyRadius
-                    } else {
-                        QueryError::EmptyIndex
-                    });
-                }
-                Ok(self.merge(q.k(), per))
+                self.merge_shards(
+                    q.k(),
+                    shard_results.iter().map(|(i, r)| (*i, r[qi].clone())),
+                )
             })
             .collect()
+    }
+
+    /// Folds per-shard outcomes of one query into its answer. A shard
+    /// whose live set the tail has fully tombstoned (`EmptyIndex`) or
+    /// whose slice of the ball is empty (`EmptyRadius`) contributes
+    /// nothing, which is not a failure of the fan-out; any other error
+    /// ends it. With no contribution at all the answer is the radius
+    /// error when some ball slice came back empty, the empty-index one
+    /// otherwise.
+    fn merge_shards(
+        &self,
+        k: usize,
+        per_shard: impl Iterator<Item = (usize, Result<QueryResponse, QueryError>)>,
+    ) -> Result<QueryResponse, QueryError> {
+        let mut per: Vec<(usize, QueryResponse)> = Vec::new();
+        let mut radius_empty = false;
+        for (shard, outcome) in per_shard {
+            match outcome {
+                Ok(r) => per.push((shard, r)),
+                Err(QueryError::EmptyIndex) => {}
+                Err(QueryError::EmptyRadius) => radius_empty = true,
+                Err(e) => return Err(e),
+            }
+        }
+        if per.is_empty() {
+            return Err(if radius_empty {
+                QueryError::EmptyRadius
+            } else {
+                QueryError::EmptyIndex
+            });
+        }
+        Ok(self.merge(k, per))
     }
 
     /// k-way merge of per-shard answers via a small binary heap keyed by
@@ -874,108 +876,61 @@ impl ShardedIndex {
     }
 
     // ------------------------------------------------------------------
-    // updates (single writer, copy-on-write publish)
+    // updates (single writer, journaled memtable tail)
     // ------------------------------------------------------------------
 
     /// Inserts a point: assign the next global id, validate (including a
-    /// cross-shard exact-duplicate check), then either apply to the owning
-    /// shard's master and publish a fresh snapshot (synchronous mode), or
-    /// journal and land in the shard's memtable tail (memtable mode —
-    /// O(1) ack, the folder indexes it later). Returns the global id.
-    /// Readers are never blocked; queries started before the publish
-    /// answer from the previous version (plus, in memtable mode, the
-    /// tail merge).
+    /// cross-shard exact-duplicate check against masters *and* tails),
+    /// check backpressure, journal (durable mode) and push onto the owning
+    /// shard's memtable tail. Returns the global id. No point-tree update,
+    /// no snapshot clone — the writer-lock hold is O(log n) (the duplicate
+    /// probe) plus an O(1) push, so ack latency is independent of index
+    /// size. Queries see the point immediately through the tail merge; the
+    /// folder indexes it later.
     ///
     /// # Errors
     /// [`DurableError::Invalid`] with the same [`BuildError`] variants an
     /// unsharded insert rejects (ids are global);
     /// [`DurableError::Persist`] when a durable shard's journal write
     /// fails; [`DurableError::Backpressure`] when the memtable tail is at
-    /// its high-watermark — nothing is applied or published in any case.
+    /// its high-watermark — nothing is journaled or acked in any case.
     pub fn insert(&self, p: Point) -> Result<usize, DurableError> {
         let mut w = self.lock_writer();
         let g = w.next_global;
         validate_point(&p, g, self.dim, &DataSpace::unit(self.dim))
             .map_err(DurableError::Invalid)?;
-        if let Some(ts) = &self.tail {
-            return self.insert_memtable(ts, &mut w, g, p);
-        }
-        // Cross-shard duplicate check against the masters (the
-        // authoritative state — snapshots may trail by the publish gap).
         for (si, sw) in w.shards.iter().enumerate() {
-            if let Some(local) = sw.index().find_live_duplicate(&p) {
+            let m = lock_mem(&self.tail.tails[si]);
+            // A master duplicate tombstoned in the tail is dead.
+            let dup = sw
+                .index()
+                .find_live_duplicate(&p)
+                .filter(|&local| !m.is_removed(local))
+                .or_else(|| m.find_live_duplicate(&p));
+            if let Some(local) = dup {
                 return Err(DurableError::Invalid(BuildError::DuplicatePoint {
                     id: g,
                     of: self.global_of(si, local),
                 }));
             }
         }
-        let (shard, expected_local) = self.locate(g);
-        let local = match &mut w.shards[shard] {
-            ShardWriter::Mem(idx) => idx.insert(p).map_err(DurableError::Invalid)?,
-            ShardWriter::Durable(d) => d.insert(p)?,
-        };
-        debug_assert_eq!(local, expected_local, "round-robin id mapping out of sync");
-        self.snaps[shard].store(Arc::new(w.shards[shard].index().clone()));
-        w.next_global += 1;
-        Ok(self.global_of(shard, local))
-    }
-
-    /// The memtable ack path: duplicate check against masters *and* tails,
-    /// backpressure check, journal, tail push. No point-tree update, no
-    /// snapshot clone — the writer-lock hold is O(log n) (the duplicate probe)
-    /// plus an O(1) push, so ack latency is independent of index size.
-    fn insert_memtable(
-        &self,
-        ts: &TailState,
-        w: &mut Writer,
-        g: usize,
-        p: Point,
-    ) -> Result<usize, DurableError> {
-        for (si, sw) in w.shards.iter().enumerate() {
-            let m = lock_mem(&ts.tails[si]);
-            if let Some(local) = sw.index().find_live_duplicate(&p) {
-                // A master duplicate tombstoned in the tail is dead.
-                if !m.is_removed(local) {
-                    return Err(DurableError::Invalid(BuildError::DuplicatePoint {
-                        id: g,
-                        of: self.global_of(si, local),
-                    }));
-                }
-            }
-            if let Some(local) = m.find_live_duplicate(&p) {
-                return Err(DurableError::Invalid(BuildError::DuplicatePoint {
-                    id: g,
-                    of: self.global_of(si, local),
-                }));
-            }
-        }
-        let depth = ts.depth.load(Ordering::Acquire);
-        if depth >= ts.cfg.tail_max {
-            ts.count_backpressure();
-            return Err(DurableError::Backpressure {
-                tail: depth,
-                max: ts.cfg.tail_max,
-            });
-        }
+        self.tail.admit()?;
         let (shard, local) = self.locate(g);
         if let ShardWriter::Durable(d) = &mut w.shards[shard] {
             // Journal-first: the fsync happens here, before the ack. A
             // failure leaves the tail untouched.
             d.journal(&WalRecord::Insert(p.clone()))?;
         }
-        lock_mem(&ts.tails[shard]).push_insert(local, p);
-        ts.add_depth(1);
+        lock_mem(&self.tail.tails[shard]).push_insert(local, p);
+        self.tail.add_depth(1);
         w.next_global += 1;
         Ok(self.global_of(shard, local))
     }
 
     /// Removes the point with global id `global`. Returns `false` when no
-    /// such point is live (never-assigned ids included). On `true`, in
-    /// synchronous mode the owning shard republished its snapshot
-    /// (journal-first in durable mode); in memtable mode a tombstone
-    /// landed in the shard's tail (journal-first) and queries stop
-    /// returning the point immediately.
+    /// such point is live (never-assigned ids included). On `true`, a
+    /// tombstone landed in the owning shard's tail (journal-first in
+    /// durable mode) and queries stop returning the point immediately.
     ///
     /// # Errors
     /// Journal I/O failures in durable mode, or
@@ -987,38 +942,21 @@ impl ShardedIndex {
             return Ok(false);
         }
         let (shard, local) = self.locate(global);
-        if let Some(ts) = &self.tail {
-            let live = {
-                let m = lock_mem(&ts.tails[shard]);
-                (w.shards[shard].index().is_live(local) && !m.is_removed(local))
-                    || m.has_live_insert(local)
-            };
-            if !live {
-                return Ok(false);
-            }
-            let depth = ts.depth.load(Ordering::Acquire);
-            if depth >= ts.cfg.tail_max {
-                ts.count_backpressure();
-                return Err(DurableError::Backpressure {
-                    tail: depth,
-                    max: ts.cfg.tail_max,
-                });
-            }
-            if let ShardWriter::Durable(d) = &mut w.shards[shard] {
-                d.journal(&WalRecord::Remove(local as u64))?;
-            }
-            lock_mem(&ts.tails[shard]).push_remove(local);
-            ts.add_depth(1);
-            return Ok(true);
-        }
-        let removed = match &mut w.shards[shard] {
-            ShardWriter::Mem(idx) => idx.remove(local),
-            ShardWriter::Durable(d) => d.remove(local).map_err(DurableError::Persist)?,
+        let live = {
+            let m = lock_mem(&self.tail.tails[shard]);
+            (w.shards[shard].index().is_live(local) && !m.is_removed(local))
+                || m.has_live_insert(local)
         };
-        if removed {
-            self.snaps[shard].store(Arc::new(w.shards[shard].index().clone()));
+        if !live {
+            return Ok(false);
         }
-        Ok(removed)
+        self.tail.admit()?;
+        if let ShardWriter::Durable(d) = &mut w.shards[shard] {
+            d.journal(&WalRecord::Remove(local as u64))?;
+        }
+        lock_mem(&self.tail.tails[shard]).push_remove(local);
+        self.tail.add_depth(1);
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -1027,22 +965,19 @@ impl ShardedIndex {
 
     /// Folds every shard's frozen-plus-active tail into its index (one
     /// point-tree insert or delete per operation) and publishes the
-    /// results. Returns the number of operations folded (0 without a
-    /// memtable or with empty tails). The tree updates run with no lock
-    /// held; only the freeze and publish steps touch the mutexes.
+    /// results. Returns the number of operations folded (0 with empty
+    /// tails). The tree updates run with no lock held; only the freeze
+    /// and publish steps touch the mutexes.
     ///
     /// # Errors
     /// [`FoldError::Panicked`] when a shard's fold panicked (the batch
     /// stays frozen and merges into the next attempt; shards folded
     /// before the failing one stay folded).
     pub fn fold_once(&self) -> Result<usize, FoldError> {
-        let Some(ts) = &self.tail else {
-            return Ok(0);
-        };
-        let _fold = lock_fold(&ts.fold_lock);
+        let _fold = lock_fold(&self.tail.fold_lock);
         let mut total = 0usize;
         for shard in 0..self.num_shards() {
-            total += self.fold_shard(ts, shard)?;
+            total += self.fold_shard(shard)?;
         }
         Ok(total)
     }
@@ -1054,8 +989,9 @@ impl ShardedIndex {
     /// and snapshot under the writer lock. Folding performs **zero**
     /// syscalls: the WAL already holds every record, so crash recovery
     /// never depends on fold progress and a fold can never double-apply
-    /// into durable state.
-    fn fold_shard(&self, ts: &TailState, shard: usize) -> Result<usize, FoldError> {
+    /// into durable state. Callers hold the fold lock.
+    fn fold_shard(&self, shard: usize) -> Result<usize, FoldError> {
+        let ts = &self.tail;
         let batch = lock_mem(&ts.tails[shard]).freeze();
         if batch.is_empty() {
             return Ok(0);
@@ -1066,10 +1002,10 @@ impl ShardedIndex {
         span.arg("shard", shard as u64);
         span.arg("records", batch.len() as u64);
         let start = Instant::now();
-        // Invariant (memtable mode): the published snapshot equals the
-        // master — both only change under fold_lock + writer lock, which
-        // we hold / will take. Cloning the snapshot instead of the master
-        // keeps the writer lock free during the expensive apply.
+        // Invariant: the published snapshot equals the master — both only
+        // change here, under fold_lock + writer lock, which we hold /
+        // will take. Cloning the snapshot instead of the master keeps the
+        // writer lock free during the expensive apply.
         let base = self.snaps[shard].load();
         let chaos = ts.cfg.fault_fold_panic.clone();
         let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1121,8 +1057,8 @@ impl ShardedIndex {
         Ok(records)
     }
 
-    /// Folds until the tail is empty (used by clean shutdown and the CLI
-    /// `flush` subcommand). Returns the total operations folded.
+    /// Folds until the tail is empty (used by clean shutdown and before
+    /// saves). Returns the total operations folded.
     ///
     /// # Errors
     /// [`FoldError`] from the first failing fold.
@@ -1140,25 +1076,23 @@ impl ShardedIndex {
     /// sleep [`FoldConfig::poll_interval`] when idle, back off
     /// exponentially (capped at [`FoldConfig::retry_cap`]) after a failed
     /// fold. Returns promptly once `stop` is set. Run it from a dedicated
-    /// thread with a shared `Arc<ShardedIndex>`; a no-op without a
-    /// memtable. All failure accounting (consecutive-failure streaks, the
-    /// degraded flag, `nncell_fold_*` metrics) happens inside
-    /// [`Self::fold_once`], so manual folds and the loop agree.
+    /// thread with a shared `Arc<ShardedIndex>`. All failure accounting
+    /// (consecutive-failure streaks, the degraded flag, `nncell_fold_*`
+    /// metrics) happens inside [`Self::fold_once`], so manual folds and
+    /// the loop agree.
     pub fn run_folder(&self, stop: &AtomicBool) {
-        let Some(ts) = &self.tail else {
-            return;
-        };
-        let mut backoff = ts.cfg.retry_base;
+        let cfg = &self.tail.cfg;
+        let mut backoff = cfg.retry_base;
         while !stop.load(Ordering::Acquire) {
-            if ts.depth.load(Ordering::Acquire) == 0 {
-                sleep_interruptible(stop, ts.cfg.poll_interval);
+            if self.tail_depth() == 0 {
+                sleep_interruptible(stop, cfg.poll_interval);
                 continue;
             }
             match self.fold_once() {
-                Ok(_) => backoff = ts.cfg.retry_base,
+                Ok(_) => backoff = cfg.retry_base,
                 Err(_) => {
                     sleep_interruptible(stop, backoff);
-                    backoff = (backoff * 2).min(ts.cfg.retry_cap);
+                    backoff = (backoff * 2).min(cfg.retry_cap);
                 }
             }
         }
@@ -1170,8 +1104,8 @@ impl ShardedIndex {
 
     /// Saves every shard master plus a manifest into `dir`
     /// (`MANIFEST` + `shard-<i>.nncell`, all through the atomic write
-    /// path). Point-in-time consistent: the writer lock is held across
-    /// the save.
+    /// path). Point-in-time consistent: the tail is folded in first and
+    /// the writer lock is held across the save.
     ///
     /// # Errors
     /// I/O failures of the underlying writes.
@@ -1184,29 +1118,24 @@ impl ShardedIndex {
     /// # Errors
     /// See [`Self::save`].
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, dir: &Path) -> Result<(), PersistError> {
-        // With a memtable the masters trail the acked state by the tail;
-        // fold everything in first so the saved files hold every ack.
-        // Fold lock before writer lock (the global order); the tail-empty
-        // check happens *under* the writer lock, so no write can sneak in
-        // between the final fold and the save.
-        let _fold = self.tail.as_ref().map(|ts| lock_fold(&ts.fold_lock));
+        // The masters trail the acked state by the tail; fold everything
+        // in first so the saved files hold every ack. Fold lock before
+        // writer lock (the global order); the tail-empty check happens
+        // *under* the writer lock, so no write can sneak in between the
+        // final fold and the save.
+        let _fold = lock_fold(&self.tail.fold_lock);
         let w = loop {
             let w = self.lock_writer();
             // Authoritative emptiness check under the writer lock (reads
             // the tails themselves, not the depth counter).
-            let drained = self.tail.as_ref().is_none_or(|ts| {
-                ts.tails.iter().all(|m| lock_mem(m).len() == 0)
-            });
-            if drained {
+            if self.tail.tails.iter().all(|m| lock_mem(m).len() == 0) {
                 break w;
             }
             drop(w);
-            if let Some(ts) = &self.tail {
-                for shard in 0..self.num_shards() {
-                    self.fold_shard(ts, shard).map_err(|e| {
-                        PersistError::Corrupt(format!("memtable flush before save failed: {e}"))
-                    })?;
-                }
+            for shard in 0..self.num_shards() {
+                self.fold_shard(shard).map_err(|e| {
+                    PersistError::Corrupt(format!("memtable flush before save failed: {e}"))
+                })?;
             }
         };
         vfs.create_dir_all(dir)?;
@@ -1239,36 +1168,57 @@ impl ShardedIndex {
     /// # Errors
     /// See [`Self::load`].
     pub fn load_with_vfs(vfs: &dyn Vfs, dir: &Path) -> Result<Self, PersistError> {
-        let text = manifest_text(vfs.read(&dir.join(PLAIN_MANIFEST))?)?;
-        let shards = parse_manifest(&text, PLAIN_MAGIC).ok_or_else(|| {
-            PersistError::Corrupt(format!("sharded manifest holds {text:?}"))
-        })?;
-        let mut masters = Vec::with_capacity(shards);
-        let mut next_global = 0usize;
-        for i in 0..shards {
-            let idx =
-                NnCellIndex::load_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))?;
-            next_global += idx.points().len();
-            masters.push(ShardWriter::Mem(idx));
+        let shards = read_manifest(vfs, &dir.join(PLAIN_MANIFEST), PLAIN_MAGIC)?;
+        let masters = (0..shards)
+            .map(|i| {
+                NnCellIndex::load_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))
+                    .map(ShardWriter::Mem)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::from_masters(masters)
+    }
+
+    /// Opens any on-disk layout (see the module docs): a single index
+    /// file as one in-memory shard, a [`Self::save`] directory as its
+    /// shards, an unsharded durable directory (`CURRENT` holds a
+    /// generation) as one durable shard rooted at that directory — so its
+    /// layout stays as it is — and a sharded durable directory as its
+    /// durable shards, each recovering by WAL replay (see
+    /// [`Self::recovery`]).
+    ///
+    /// # Errors
+    /// I/O failures, a missing, corrupt or damaged file or manifest, or
+    /// shards that disagree on dimensionality.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, PersistError> {
+        let path = path.as_ref();
+        let vfs: Arc<dyn Vfs> = Arc::new(StdVfs);
+        if vfs.exists(&path.join(PLAIN_MANIFEST)) {
+            return Self::load_with_vfs(vfs.as_ref(), path);
         }
-        let (dim, cfg) = check_shard_agreement(&masters)?;
-        Ok(Self::assemble(
-            dim,
-            cfg,
-            masters,
-            next_global,
-            0.0,
-            0,
-            Vec::new(),
-            false,
-        ))
+        let current = path.join(CURRENT);
+        if !vfs.exists(&current) {
+            let idx = NnCellIndex::load_with_vfs(vfs.as_ref(), path)?;
+            return Self::from_masters(vec![ShardWriter::Mem(idx)]);
+        }
+        let text = manifest_text(vfs.read(&current)?)?;
+        let dirs: Vec<PathBuf> = match parse_manifest(&text, DURABLE_MAGIC) {
+            Some(shards) => (0..shards).map(|i| shard_dir(path, i)).collect(),
+            None => vec![path.to_path_buf()],
+        };
+        let masters = dirs
+            .iter()
+            .map(|d| DurableIndex::open_with_vfs(Arc::clone(&vfs), d).map(ShardWriter::Durable))
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::from_masters(masters)
     }
 
     /// Opens (or initializes) a crash-consistent sharded index: a
     /// top-level `CURRENT` manifest recording the shard count, one full
     /// durable directory (`shard-<i>/`) per shard. On open, each shard
     /// recovers independently (snapshot load + WAL replay; see
-    /// [`Self::recovery`]); `shards` must match the manifest.
+    /// [`Self::recovery`]); `shards` must match the manifest. A shard
+    /// directory an interrupted initialization left without a committed
+    /// generation starts empty.
     ///
     /// # Errors
     /// I/O failures, a corrupt manifest, or a shard-count/dimensionality
@@ -1295,112 +1245,41 @@ impl ShardedIndex {
     ) -> Result<Self, PersistError> {
         assert!(shards >= 1, "need at least one shard");
         vfs.create_dir_all(dir)?;
-        let manifest = dir.join("CURRENT");
-        let shard_count = if vfs.exists(&manifest) {
-            let text = manifest_text(vfs.read(&manifest)?)?;
-            let stored = parse_manifest(&text, DURABLE_MAGIC).ok_or_else(|| {
-                PersistError::Corrupt(format!(
-                    "sharded CURRENT holds {text:?} (expected `{DURABLE_MAGIC} <count>`)"
-                ))
-            })?;
+        let manifest = dir.join(CURRENT);
+        if vfs.exists(&manifest) {
+            let stored = read_manifest(vfs.as_ref(), &manifest, DURABLE_MAGIC)?;
             if stored != shards {
                 return Err(PersistError::Corrupt(format!(
                     "directory {dir:?} is sharded {stored} ways, caller expected {shards}"
                 )));
             }
-            stored
         } else {
             write_atomic(
                 vfs.as_ref(),
                 &manifest,
                 format!("{DURABLE_MAGIC} {shards}\n").as_bytes(),
             )?;
-            shards
-        };
-        let mut masters = Vec::with_capacity(shard_count);
-        let mut recovery = Vec::with_capacity(shard_count);
-        let mut next_global = 0usize;
-        for i in 0..shard_count {
-            let d = NnCellIndex::open_durable_with_vfs(
-                Arc::clone(&vfs),
-                &dir.join(format!("shard-{i}")),
-                dim,
-                cfg.clone(),
-            )?;
-            recovery.push(d.recovery().clone());
-            next_global += d.index().points().len();
-            masters.push(ShardWriter::Durable(d));
         }
-        let (dim, cfg) = check_shard_agreement(&masters)?;
-        Ok(Self::assemble(
-            dim,
-            cfg,
-            masters,
-            next_global,
-            0.0,
-            0,
-            recovery,
-            true,
-        ))
-    }
-
-    /// Opens an **existing** durable sharded directory, taking the shard
-    /// count from the top-level `CURRENT` manifest and dimensionality and
-    /// configuration from the shards' committed generations — the
-    /// counterpart of [`crate::DurableIndex::open`] for directories the
-    /// CLI auto-detects via [`Self::manifest_shards`].
-    ///
-    /// # Errors
-    /// I/O failures, a missing or corrupt manifest, no committed shard
-    /// generations, or shards that disagree on dimensionality.
-    pub fn open_durable_existing(dir: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Self::open_durable_existing_with_vfs(Arc::new(StdVfs), dir.as_ref())
-    }
-
-    /// [`Self::open_durable_existing`] through an explicit [`Vfs`].
-    ///
-    /// # Errors
-    /// See [`Self::open_durable_existing`].
-    pub fn open_durable_existing_with_vfs(
-        vfs: Arc<dyn Vfs>,
-        dir: &Path,
-    ) -> Result<Self, PersistError> {
-        let text = manifest_text(vfs.read(&dir.join("CURRENT"))?)?;
-        let shards = parse_manifest(&text, DURABLE_MAGIC).ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "sharded CURRENT holds {text:?} (expected `{DURABLE_MAGIC} <count>`)"
-            ))
-        })?;
-        let mut masters = Vec::with_capacity(shards);
-        let mut recovery = Vec::with_capacity(shards);
-        let mut next_global = 0usize;
-        for i in 0..shards {
-            let d = crate::durable::DurableIndex::open_with_vfs(
-                Arc::clone(&vfs),
-                &dir.join(format!("shard-{i}")),
-            )?;
-            recovery.push(d.recovery().clone());
-            next_global += d.index().points().len();
-            masters.push(ShardWriter::Durable(d));
-        }
-        let (dim, cfg) = check_shard_agreement(&masters)?;
-        Ok(Self::assemble(
-            dim,
-            cfg,
-            masters,
-            next_global,
-            0.0,
-            0,
-            recovery,
-            true,
-        ))
+        let masters = (0..shards)
+            .map(|i| {
+                NnCellIndex::open_durable_with_vfs(
+                    Arc::clone(&vfs),
+                    &shard_dir(dir, i),
+                    dim,
+                    cfg.clone(),
+                )
+                .map(ShardWriter::Durable)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::from_masters(masters)
     }
 
     /// Converts an in-memory sharded index into a crash-consistent one:
-    /// each shard master becomes the generation-0 snapshot of its own
-    /// durable directory (`dir/shard-<i>/`) and the top-level `CURRENT`
-    /// records the shard count. Build stats carry over; subsequent
-    /// updates journal through the per-shard WALs.
+    /// the tail is folded in, then each shard master becomes the
+    /// generation-0 snapshot of its own durable directory
+    /// (`dir/shard-<i>/`) and the top-level `CURRENT` records the shard
+    /// count. Build stats and the memtable configuration carry over;
+    /// subsequent updates journal through the per-shard WALs.
     ///
     /// # Errors
     /// I/O failures, an already-initialized target directory, or calling
@@ -1423,16 +1302,12 @@ impl ShardedIndex {
                 "index is already durable; open it in place instead".into(),
             ));
         }
-        // Fold any unindexed tail into the masters first: we own `self`
-        // exclusively here, so the tail is quiescent after the flush. The
-        // memtable (with its configuration) carries over to the durable
-        // index.
-        if self.tail.is_some() {
-            self.flush().map_err(|e| {
-                PersistError::Corrupt(format!("memtable flush before conversion failed: {e}"))
-            })?;
-        }
-        let tail_cfg = self.tail.as_ref().map(|t| t.cfg.clone());
+        // We own `self` exclusively here, so the tail is quiescent after
+        // the flush.
+        self.flush().map_err(|e| {
+            PersistError::Corrupt(format!("memtable flush before conversion failed: {e}"))
+        })?;
+        let fold_cfg = self.tail.cfg.clone();
         let w = match self.writer.into_inner() {
             Ok(w) => w,
             Err(p) => p.into_inner(),
@@ -1444,9 +1319,9 @@ impl ShardedIndex {
             let ShardWriter::Mem(idx) = sw else {
                 unreachable!("non-durable index holds only Mem shards");
             };
-            masters.push(ShardWriter::Durable(crate::durable::DurableIndex::create_with_vfs(
+            masters.push(ShardWriter::Durable(DurableIndex::create_with_vfs(
                 Arc::clone(&vfs),
-                &dir.join(format!("shard-{i}")),
+                &shard_dir(dir, i),
                 idx,
             )?));
         }
@@ -1454,45 +1329,28 @@ impl ShardedIndex {
         // CURRENT, so the half-written directory fails typed on open.
         write_atomic(
             vfs.as_ref(),
-            &dir.join("CURRENT"),
+            &dir.join(CURRENT),
             format!("{DURABLE_MAGIC} {shards}\n").as_bytes(),
         )?;
-        let out = Self::assemble(
+        Ok(Self::assemble(
             self.dim,
             self.cfg,
             masters,
             w.next_global,
             self.build_seconds,
             self.skipped_points,
-            Vec::new(),
-            true,
-        );
-        Ok(match tail_cfg {
-            Some(cfg) => out.with_memtable(cfg),
-            None => out,
-        })
-    }
-
-    /// The shard count recorded in a sharded directory's manifest — plain
-    /// ([`Self::save`]) or durable ([`Self::open_durable`]) — or `None`
-    /// when `dir` holds neither. How the CLI auto-detects sharded layouts.
-    pub fn manifest_shards(dir: impl AsRef<Path>) -> Option<usize> {
-        let dir = dir.as_ref();
-        let try_file = |name: &str, magic: &str| -> Option<usize> {
-            let text = String::from_utf8(std::fs::read(dir.join(name)).ok()?).ok()?;
-            parse_manifest(&text, magic)
-        };
-        try_file("CURRENT", DURABLE_MAGIC).or_else(|| try_file(PLAIN_MANIFEST, PLAIN_MAGIC))
+        )
+        .with_memtable(fold_cfg))
     }
 
     /// Checkpoints every durable shard (snapshot + fresh WAL + `CURRENT`
     /// flip, per shard). A no-op for in-memory indexes.
     ///
-    /// In memtable mode the fresh WAL is seeded with the shard's unfolded
-    /// tail (one batched fsync) before the `CURRENT` flip, preserving the
-    /// invariant *disk snapshot + disk WAL ≡ master + tail*: a checkpoint
-    /// taken while the folder is behind (or broken) still recovers every
-    /// acked write, and because folding performs no syscalls, nothing can
+    /// The fresh WAL is seeded with the shard's unfolded tail (one
+    /// batched fsync) before the `CURRENT` flip, preserving the invariant
+    /// *disk snapshot + disk WAL ≡ master + tail*: a checkpoint taken
+    /// while the folder is behind (or broken) still recovers every acked
+    /// write, and because folding performs no syscalls, nothing can
     /// double-apply.
     ///
     /// # Errors
@@ -1502,50 +1360,35 @@ impl ShardedIndex {
         // Fold lock first: a checkpoint interleaved with an in-flight
         // fold could otherwise snapshot a master missing the frozen batch
         // while seeding the WAL without it either.
-        let _fold = self.tail.as_ref().map(|ts| lock_fold(&ts.fold_lock));
+        let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
         for (i, sw) in w.shards.iter_mut().enumerate() {
             if let ShardWriter::Durable(d) = sw {
-                let tail_recs = match &self.tail {
-                    Some(ts) => lock_mem(&ts.tails[i]).wal_records(),
-                    None => Vec::new(),
-                };
+                let tail_recs = lock_mem(&self.tail.tails[i]).wal_records();
                 d.checkpoint_with_tail(&tail_recs)?;
             }
         }
         Ok(())
     }
 
-    /// Checkpoints every durable shard and consumes the handle — the
-    /// clean-shutdown path leaving zero replay debt (in memtable mode:
-    /// zero debt when the final flush folds everything; a tail stranded
-    /// by a broken folder is re-journaled by the tail-aware checkpoint
-    /// and replayed on the next open).
+    /// Folds the tail and checkpoints every durable shard, consuming the
+    /// handle — the clean-shutdown path leaving zero replay debt when the
+    /// final flush folds everything (a tail stranded by a broken folder
+    /// is re-journaled by the tail-aware checkpoint and replayed on the
+    /// next open).
     ///
     /// # Errors
     /// See [`Self::checkpoint`].
     pub fn close(self) -> Result<(), PersistError> {
-        if self.tail.is_some() {
-            // Best-effort fold: a degraded folder must not block
-            // shutdown, and the tail-aware checkpoint below preserves
-            // whatever stays unfolded.
-            let _ = self.flush();
-            self.checkpoint()?;
-            // Not d.close(): that would checkpoint again with an empty
-            // tail, discarding any unfolded acked writes.
-            return Ok(());
-        }
-        let w = match self.writer.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
-        for sw in w.shards {
-            if let ShardWriter::Durable(d) = sw {
-                d.close()?;
-            }
-        }
-        Ok(())
+        // Best-effort fold: a degraded folder must not block shutdown.
+        let _ = self.flush();
+        self.checkpoint()
     }
+}
+
+/// Directory of durable shard `i` under a sharded durable directory.
+fn shard_dir(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("shard-{i}"))
 }
 
 /// UTF-8-decodes a manifest file.
@@ -1559,6 +1402,16 @@ fn parse_manifest(text: &str, magic: &str) -> Option<usize> {
     let rest = text.trim().strip_prefix(magic)?;
     let count: usize = rest.trim().parse().ok()?;
     (count >= 1).then_some(count)
+}
+
+/// Reads the shard count out of the manifest at `path`.
+fn read_manifest(vfs: &dyn Vfs, path: &Path, magic: &str) -> Result<usize, PersistError> {
+    let text = manifest_text(vfs.read(path)?)?;
+    parse_manifest(&text, magic).ok_or_else(|| {
+        PersistError::Corrupt(format!(
+            "sharded manifest {path:?} holds {text:?} (expected `{magic} <count>`)"
+        ))
+    })
 }
 
 /// Every shard must agree on dimensionality and configuration; returns

@@ -2,9 +2,10 @@
 //!
 //! The sharded serving layer ([`crate::ShardedIndex`]) needs readers to
 //! proceed concurrently with writers without ever observing a
-//! half-mutated index. The protocol is copy-on-write publication: a
-//! writer clones the authoritative index, applies its mutation, and
-//! *publishes* the new version by swapping an `Arc`; readers grab the
+//! half-mutated index. The protocol is copy-on-write publication: the
+//! folder clones the authoritative index, applies a batch of
+//! acknowledged writes, and *publishes* the new version by swapping an
+//! `Arc`; readers grab the
 //! current `Arc` once and run the whole query on that immutable version.
 //!
 //! With no external dependencies available, the swap is built from a

@@ -184,14 +184,15 @@ fn batch_races_reset_stats_and_enable_cache() {
 }
 
 /// Every scan fallback funnels through the engine and is counted — the old
-/// `knn` paths (`k ≥ len`, out-of-space) scanned without counting.
+/// `knn` path for `k ≥ len` scanned without counting. Out-of-space queries
+/// need no fallback: the point-tree search is exact for any query point.
 #[test]
 fn all_fallback_paths_are_counted() {
     let pts: Vec<Point> = (0..20)
         .map(|i| Point::new(vec![(i as f64 + 0.5) / 20.0, ((i * 7 % 20) as f64 + 0.5) / 20.0]))
         .collect();
     let index = NnCellIndex::build(
-        pts,
+        pts.clone(),
         BuildConfig::builder().strategy(BuildStrategy::CorrectPruned).seed(3).build(),
     )
     .unwrap();
@@ -204,20 +205,23 @@ fn all_fallback_paths_are_counted() {
     assert_eq!(r.len(), 20);
     assert_eq!(engine.fallback_queries(), 1);
 
-    // Out-of-space NN query.
-    let r = engine.execute(&Query::nn([1.7, -0.3])).unwrap();
-    assert!(r.stats.fallback);
-    assert_eq!(engine.fallback_queries(), 2);
-
-    // Out-of-space k-NN query.
-    let r = engine.execute(&Query::knn([1.7, -0.3], 3)).unwrap();
-    assert!(r.stats.fallback);
-    assert_eq!(engine.fallback_queries(), 3);
+    // Out-of-space NN and k-NN queries traverse the tree, exactly.
+    for k in [1, 3] {
+        let r = engine.execute(&Query::knn([1.7, -0.3], k)).unwrap();
+        assert!(!r.stats.fallback);
+        let want: Vec<_> = linear_scan_knn(&pts, &[1.7, -0.3], k)
+            .iter()
+            .map(|w| (w.id, w.dist.to_bits()))
+            .collect();
+        let got: Vec<_> = r.iter().map(|g| (g.id, g.dist.to_bits())).collect();
+        assert_eq!(got, want);
+    }
+    assert_eq!(engine.fallback_queries(), 1);
 
     // In-space queries of a healthy index never fall back.
     let r = engine.execute(&Query::knn([0.4, 0.6], 5)).unwrap();
     assert!(!r.stats.fallback);
-    assert_eq!(engine.fallback_queries(), 3);
+    assert_eq!(engine.fallback_queries(), 1);
 }
 
 /// The typed error contract, end to end.

@@ -7,8 +7,8 @@
 //! ordering is actually exercised, not vacuously satisfied.
 
 use nncell_core::{
-    linear_scan_knn, BuildConfig, FoldConfig, NnCellIndex, Query, QueryEngine, QueryResponse,
-    ShardedIndex, Strategy as BuildStrategy,
+    linear_scan_knn, BuildConfig, NnCellIndex, Query, QueryEngine, QueryResponse, ShardedIndex,
+    Strategy as BuildStrategy,
 };
 use nncell_geom::{dist, dist_sq, Point};
 use proptest::prelude::*;
@@ -143,7 +143,7 @@ fn single_shard_fallback_counts_match_unsharded() {
         Query::knn(vec![0.5, 0.5], pts.len()), // k == n → fallback
         Query::nn(vec![0.1, 0.9]),             // in-space NN → no fallback
         Query::knn(vec![0.3, 0.3], 2),
-        Query::nn(vec![2.0, 2.0]), // outside the unit space → fallback
+        Query::nn(vec![2.0, 2.0]), // outside the unit space → no fallback either
     ];
     for q in &queries {
         let a = sharded.query(q).unwrap();
@@ -166,17 +166,15 @@ fn grid_point(i: usize) -> Point {
 
 #[test]
 fn save_load_round_trips_through_a_manifest() {
+    use nncell_core::DurableIndex;
+
     let pts: Vec<Point> = (0..17).map(grid_point).collect();
     let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(9).build();
-    let sharded = ShardedIndex::build(pts.clone(), 3, cfg).unwrap();
-    let dir = std::env::temp_dir().join(format!("nncell_shard_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let sharded = ShardedIndex::build(pts.clone(), 3, cfg.clone()).unwrap();
+    let root = std::env::temp_dir().join(format!("nncell_shard_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dir = root.join("saved");
     sharded.save(&dir).unwrap();
-    assert_eq!(
-        ShardedIndex::manifest_shards(&dir),
-        Some(3),
-        "the CLI's layout auto-detection reads this manifest"
-    );
     let loaded = ShardedIndex::load(&dir).unwrap();
     assert_eq!(loaded.num_shards(), 3);
     assert_eq!(loaded.len(), pts.len());
@@ -186,7 +184,68 @@ fn save_load_round_trips_through_a_manifest() {
     }
     // Inserts keep numbering where the save left off.
     assert_eq!(loaded.insert(grid_point(17)).unwrap(), 17);
-    std::fs::remove_dir_all(&dir).ok();
+
+    // `open` detects all four layouts, each written by its own writer,
+    // and every one answers bit-identically to the index that wrote it.
+    let whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
+    let probes: Vec<Query> = (0..12)
+        .map(|i| {
+            Query::knn(
+                vec![(i * 7 % 12) as f64 / 12.0, (i * 5 % 12) as f64 / 12.0],
+                4,
+            )
+        })
+        .collect();
+    let answers = |f: &dyn Fn(&Query) -> QueryResponse| -> Vec<QueryResponse> {
+        probes.iter().map(f).collect()
+    };
+    let whole_answers = answers(&|q| QueryEngine::sequential(&whole).execute(q).unwrap());
+    let sharded_answers = answers(&|q| sharded.query(q).unwrap());
+
+    let file = root.join("whole.nncell");
+    whole.save(&file).unwrap();
+    let unsharded_durable = root.join("durable");
+    drop(DurableIndex::create(&unsharded_durable, whole.clone()).unwrap());
+    let sharded_durable = root.join("sharded-durable");
+    let converted = ShardedIndex::build(pts.clone(), 3, cfg)
+        .unwrap()
+        .into_durable(&sharded_durable)
+        .unwrap();
+    let converted_answers = answers(&|q| converted.query(q).unwrap());
+    drop(converted);
+
+    for (path, writer, shards, durable) in [
+        (&file, &whole_answers, 1, false),
+        (&dir, &sharded_answers, 3, false),
+        (&unsharded_durable, &whole_answers, 1, true),
+        (&sharded_durable, &converted_answers, 3, true),
+    ] {
+        let opened = ShardedIndex::open(path).unwrap();
+        let ctx = format!("{path:?}");
+        assert_eq!(opened.num_shards(), shards, "{ctx}");
+        assert_eq!(opened.is_durable(), durable, "{ctx}");
+        assert_eq!(opened.len(), pts.len(), "{ctx}");
+        for (q, want) in probes.iter().zip(writer) {
+            let ok = assert_bit_identical(&opened.query(q).unwrap(), want, &ctx).is_ok();
+            assert!(ok, "{ctx}: {q:?} diverged from the writer's answer");
+        }
+    }
+
+    // The unsharded durable directory is one durable shard rooted at the
+    // directory itself: it takes writes and checkpoints in place, and the
+    // result still opens as a plain DurableIndex.
+    let opened = ShardedIndex::open(&unsharded_durable).unwrap();
+    assert_eq!(opened.insert(grid_point(17)).unwrap(), 17);
+    opened.checkpoint().unwrap();
+    drop(opened);
+    assert!(!unsharded_durable.join("shard-0").exists(), "layout must stay unsharded");
+    let reopened = DurableIndex::open(&unsharded_durable).unwrap();
+    assert_eq!(reopened.generation(), 1);
+    assert_eq!(reopened.len(), 18);
+    let hit = reopened.query(&Query::nn(grid_point(17).as_slice())).unwrap();
+    assert_eq!(hit.best.id, 17);
+    assert!(hit.best.dist < 1e-12);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -342,7 +401,7 @@ fn assert_remove_during_query_parity(idx: &ShardedIndex, pts: &[Point], n_remove
     // barrier makes sure every reader brackets at least the storm's tail.
     let start = std::sync::Barrier::new(3);
     std::thread::scope(|s| {
-        if idx.memtable_enabled() {
+        {
             let (idx, stop) = (&idx, &stop);
             s.spawn(move || idx.run_folder(stop));
         }
@@ -456,24 +515,14 @@ fn assert_no_lp(idx: &ShardedIndex) {
 }
 
 #[test]
-fn removes_race_queries_with_linear_scan_parity() {
-    let pts = lcg_points(160, 0x5eed_0007);
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
-    let sharded = ShardedIndex::build(pts.clone(), 3, cfg).unwrap();
-    assert_remove_during_query_parity(&sharded, &pts, 150);
-    assert_no_lp(&sharded);
-}
-
-#[test]
 fn removes_race_queries_through_the_memtable_tail() {
     let pts = lcg_points(160, 0x5eed_0011);
     let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
-    // Seed the cells with a prefix, push the rest through the journaled
-    // tail, then race the same removal storm against a live folder: the
-    // merge must stay indistinguishable from the synchronous path.
-    let sharded = ShardedIndex::build(pts[..16].to_vec(), 3, cfg)
-        .unwrap()
-        .with_memtable(FoldConfig::default());
+    // Seed the shards with a prefix, push the rest through the journaled
+    // tail, then race a removal storm against a live folder: answers must
+    // stay explainable by a prefix of the removals and bit-identical to
+    // a linear scan once quiesced.
+    let sharded = ShardedIndex::build(pts[..16].to_vec(), 3, cfg).unwrap();
     for (i, p) in pts.iter().enumerate().skip(16) {
         assert_eq!(sharded.insert(p.clone()).unwrap(), i);
     }

@@ -95,6 +95,7 @@ proptest! {
         dim_pick in 0usize..DIMS.len(),
         seed_pts in prop::collection::vec(prop::collection::vec(lattice_coord(), 8), 6..40),
         queries in prop::collection::vec(prop::collection::vec(lattice_coord(), 8), 6),
+        far in prop::collection::vec(prop::collection::vec(-1.0f64..2.0, 8), 4),
         k in 1usize..7,
     ) {
         let d = DIMS[dim_pick];
@@ -113,6 +114,18 @@ proptest! {
             let want = linear_scan_knn(&pts, q, k);
             assert_bit_identical(&resp, &want);
             assert_counters(&resp, pts.len());
+        }
+        // Query points outside the unit data space: the point tree is
+        // exact anywhere, so they traverse it like any other query — no
+        // scan fallback (k stays below n, which would force one).
+        let k_far = k.min(pts.len() - 1);
+        for q in &far {
+            let q = &q[..d];
+            let resp = engine.execute(&Query::knn(q, k_far)).unwrap();
+            let want = linear_scan_knn(&pts, q, k_far);
+            assert_bit_identical(&resp, &want);
+            assert_counters(&resp, pts.len());
+            prop_assert!(!resp.stats.fallback, "out-of-space query {:?} fell back to a scan", q);
         }
     }
 

@@ -27,8 +27,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use nncell_core::{
-    DurableError, DurableIndex, NnCellIndex, PersistError, Query, QueryEngine, QueryError,
-    QueryResponse, Registry, ShardedIndex, SlowQueryLog, SLOW_QUERY_CAPACITY,
+    DurableError, PersistError, Query, QueryError, QueryResponse, Registry, ShardedIndex,
+    SlowQueryLog, SLOW_QUERY_CAPACITY,
 };
 use nncell_geom::Point;
 
@@ -86,116 +86,21 @@ impl Default for ServerConfig {
     }
 }
 
-/// The index behind the server. Reads never block each other on any
-/// variant; writes are serialized ([`ShardedIndex`] by its single
-/// writer, [`DurableIndex`] by the wrapping mutex, and the plain
-/// variant is read-only).
+/// The index handed to [`Server::bind`]: every layout opens as a
+/// [`ShardedIndex`] (see [`ShardedIndex::open`]). Reads never block each
+/// other or a write; writes serialize on the index's single writer and
+/// land in its journaled memtable, which a supervised folder thread folds
+/// into the shards. A durable index takes writes; an in-memory one is
+/// served read-only (`/insert` and `/remove` answer `403 read_only`),
+/// since its writes would not survive a restart.
 pub enum ServeIndex {
-    /// Sharded (optionally durable) index: lock-free snapshot reads,
-    /// single-writer updates — the intended serving configuration.
+    /// Lock-free snapshot reads, single-writer memtable updates.
     Sharded(ShardedIndex),
-    /// A single durable index. Queries and writes share one mutex, so
-    /// reads serialize; fine for light traffic, use shards otherwise.
-    Durable(Mutex<DurableIndex>),
-    /// An in-memory index served read-only (`/insert` and `/remove`
-    /// answer `403 read_only`).
-    Plain(NnCellIndex),
-}
-
-impl ServeIndex {
-    fn dim(&self) -> usize {
-        match self {
-            ServeIndex::Sharded(s) => s.dim(),
-            ServeIndex::Durable(m) => lock(m).index().dim(),
-            ServeIndex::Plain(i) => i.dim(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ServeIndex::Sharded(s) => s.len(),
-            ServeIndex::Durable(m) => lock(m).index().len(),
-            ServeIndex::Plain(i) => i.len(),
-        }
-    }
-
-    /// The admission deadline is stamped onto the (server-owned) query via
-    /// [`Query::with_deadline`]; the sharded index takes it as a fan-out
-    /// argument instead so it is applied once, not cloned per shard.
-    fn query(&self, q: Query, deadline: Instant) -> Result<QueryResponse, QueryError> {
-        match self {
-            ServeIndex::Sharded(s) => s.query_with_deadline(&q, Some(deadline)),
-            ServeIndex::Durable(m) => {
-                let g = lock(m);
-                QueryEngine::sequential(g.index()).execute(&q.with_deadline(deadline))
-            }
-            ServeIndex::Plain(i) => {
-                QueryEngine::sequential(i).execute(&q.with_deadline(deadline))
-            }
-        }
-    }
-
-    fn batch(
-        &self,
-        queries: Vec<Query>,
-        deadline: Instant,
-    ) -> Vec<Result<QueryResponse, QueryError>> {
-        match self {
-            ServeIndex::Sharded(s) => s.batch_with_deadline(&queries, Some(deadline)),
-            ServeIndex::Durable(m) => {
-                let g = lock(m);
-                let engine = QueryEngine::sequential(g.index());
-                queries
-                    .into_iter()
-                    .map(|q| engine.execute(&q.with_deadline(deadline)))
-                    .collect()
-            }
-            ServeIndex::Plain(i) => {
-                let engine = QueryEngine::sequential(i);
-                queries
-                    .into_iter()
-                    .map(|q| engine.execute(&q.with_deadline(deadline)))
-                    .collect()
-            }
-        }
-    }
-
-    fn insert(&self, p: Point) -> Result<usize, WriteError> {
-        match self {
-            ServeIndex::Sharded(s) => s.insert(p).map_err(WriteError::Durable),
-            ServeIndex::Durable(m) => lock(m).insert(p).map_err(WriteError::Durable),
-            ServeIndex::Plain(_) => Err(WriteError::ReadOnly),
-        }
-    }
-
-    fn remove(&self, id: usize) -> Result<bool, WriteError> {
-        match self {
-            ServeIndex::Sharded(s) => s.remove(id).map_err(WriteError::Durable),
-            ServeIndex::Durable(m) => lock(m).remove(id).map_err(WriteError::Persist),
-            ServeIndex::Plain(_) => Err(WriteError::ReadOnly),
-        }
-    }
-
-    /// The clean-shutdown checkpoint: rotate every WAL so a subsequent
-    /// open replays nothing. No-op for in-memory variants. A sharded
-    /// index folds its memtable tail first (best-effort — the tail-aware
-    /// checkpoint re-journals whatever a broken folder left behind).
-    fn final_checkpoint(&self) -> Result<(), PersistError> {
-        match self {
-            ServeIndex::Sharded(s) => {
-                let _ = s.flush();
-                s.checkpoint()
-            }
-            ServeIndex::Durable(m) => lock(m).checkpoint(),
-            ServeIndex::Plain(_) => Ok(()),
-        }
-    }
 }
 
 enum WriteError {
     ReadOnly,
     Durable(DurableError),
-    Persist(PersistError),
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -296,7 +201,7 @@ struct Admitted {
 
 struct Shared {
     cfg: ServerConfig,
-    index: ServeIndex,
+    index: ShardedIndex,
     metrics: HttpMetrics,
     slowlog: SlowQueryLog,
     queue: Mutex<VecDeque<Admitted>>,
@@ -382,6 +287,7 @@ impl Server {
         nncell_obs::trace::set_sampling(cfg.trace_sample);
         nncell_obs::trace::attach_metrics(&registry);
         let metrics = HttpMetrics::new(registry, cfg.retry_after_secs);
+        let ServeIndex::Sharded(index) = index;
         let slowlog = SlowQueryLog::new(SLOW_QUERY_CAPACITY, index.dim());
         slowlog.set_threshold_ns(cfg.slow_ms.saturating_mul(1_000_000));
         let shared = Arc::new(Shared {
@@ -405,7 +311,7 @@ impl Server {
     }
 
     /// The index being served (read-only; banners and introspection).
-    pub fn index(&self) -> &ServeIndex {
+    pub fn index(&self) -> &ShardedIndex {
         &self.shared.index
     }
 
@@ -452,25 +358,16 @@ impl Server {
                 })
                 .map_err(PersistError::Io)?;
         }
-        // Supervised folder for a memtable-enabled sharded index: folds
-        // the tail into NN-cells off the write path until the drain flag
-        // (doubling as its stop signal) is set. Panics inside a fold are
-        // caught by fold_once itself; the loop only paces retries.
-        let folder = match &shared.index {
-            ServeIndex::Sharded(s) if s.memtable_enabled() => {
-                let s = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name(String::from("nncell-folder"))
-                        .spawn(move || {
-                            if let ServeIndex::Sharded(idx) = &s.index {
-                                idx.run_folder(&s.draining);
-                            }
-                        })
-                        .map_err(PersistError::Io)?,
-                )
-            }
-            _ => None,
+        // Supervised folder: folds the memtable tail into the shards off
+        // the write path until the drain flag (doubling as its stop
+        // signal) is set. Panics inside a fold are caught by fold_once
+        // itself; the loop only paces retries.
+        let folder = {
+            let s = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(String::from("nncell-folder"))
+                .spawn(move || s.index.run_folder(&s.draining))
+                .map_err(PersistError::Io)?
         };
         shared.ready.store(true, Ordering::SeqCst);
 
@@ -496,10 +393,13 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        if let Some(f) = folder {
-            let _ = f.join();
-        }
-        shared.index.final_checkpoint()
+        let _ = folder.join();
+        // The clean-shutdown checkpoint: fold the tail (best-effort — the
+        // tail-aware checkpoint re-journals whatever a broken folder left
+        // behind), then rotate every WAL so the next open replays
+        // nothing. A no-op for in-memory indexes.
+        let _ = shared.index.flush();
+        shared.index.checkpoint()
     }
 }
 
@@ -734,15 +634,14 @@ fn route(shared: &Arc<Shared>, req: &Request, deadline: Instant) -> Reply {
                 // Degraded-but-serving is still ready (writes land in the
                 // tail, queries stay exact); the body carries the folder
                 // health so probes and operators can see it.
-                let body = match &shared.index {
-                    ServeIndex::Sharded(s) if s.is_degraded() => {
-                        let st = s.fold_status();
-                        format!(
-                            "{{\"ready\":true,\"degraded\":true,\"tail_depth\":{},\"fold_failures\":{}}}",
-                            st.tail_depth, st.failures
-                        )
-                    }
-                    _ => String::from("{\"ready\":true}"),
+                let st = shared.index.fold_status();
+                let body = if st.degraded {
+                    format!(
+                        "{{\"ready\":true,\"degraded\":true,\"tail_depth\":{},\"fold_failures\":{}}}",
+                        st.tail_depth, st.failures
+                    )
+                } else {
+                    String::from("{\"ready\":true}")
                 };
                 json_reply(200, "/readyz", body)
             } else {
@@ -876,7 +775,7 @@ fn handle_query(shared: &Arc<Shared>, body: &[u8], deadline: Instant) -> Reply {
     drop(parse_span);
     let handled = {
         let _span = nncell_obs::trace::child("server.handle");
-        shared.index.query(q.clone(), deadline)
+        shared.index.query_with_deadline(&q, Some(deadline))
     };
     let mut reply = match handled {
         Ok(resp) => {
@@ -908,7 +807,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8], deadline: Instant) -> Reply {
     let results = {
         let mut span = nncell_obs::trace::child("server.handle");
         span.arg("queries", queries.len() as u64);
-        shared.index.batch(queries, deadline)
+        shared.index.batch_with_deadline(&queries, Some(deadline))
     };
     let _span = nncell_obs::trace::child("server.serialize");
     let mut out = String::from("{\"results\":[");
@@ -938,11 +837,20 @@ fn handle_insert(shared: &Arc<Shared>, body: &[u8]) -> Reply {
     let inserted = {
         // The WAL append/fsync span nests under this one.
         let _span = nncell_obs::trace::child("server.handle");
-        shared.index.insert(Point::new(coords))
+        writable(shared).and_then(|s| s.insert(Point::new(coords)).map_err(WriteError::Durable))
     };
     match inserted {
         Ok(id) => json_reply(200, "/insert", format!("{{\"id\":{id}}}")),
         Err(e) => write_error_reply(shared, "/insert", e),
+    }
+}
+
+/// The write target, refused exactly when the index is not durable.
+fn writable(shared: &Shared) -> Result<&ShardedIndex, WriteError> {
+    if shared.index.is_durable() {
+        Ok(&shared.index)
+    } else {
+        Err(WriteError::ReadOnly)
     }
 }
 
@@ -960,9 +868,7 @@ fn write_error_reply(shared: &Arc<Shared>, route: &'static str, e: WriteError) -
                 .push(format!("Retry-After: {}", shared.cfg.retry_after_secs));
             r
         }
-        WriteError::Durable(DurableError::Persist(e)) | WriteError::Persist(e) => {
-            error_reply(500, route, &e.to_string())
-        }
+        WriteError::Durable(DurableError::Persist(e)) => error_reply(500, route, &e.to_string()),
     }
 }
 
@@ -976,7 +882,7 @@ fn handle_remove(shared: &Arc<Shared>, body: &[u8]) -> Reply {
     };
     let removed = {
         let _span = nncell_obs::trace::child("server.handle");
-        shared.index.remove(id)
+        writable(shared).and_then(|s| s.remove(id).map_err(WriteError::Durable))
     };
     match removed {
         Ok(removed) => json_reply(200, "/remove", format!("{{\"removed\":{removed}}}")),
@@ -1016,9 +922,4 @@ pub fn install_signal_handlers() {
 /// their own loop around [`Server::run`]).
 pub fn signal_received() -> bool {
     SIGNAL_FLAG.load(Ordering::SeqCst)
-}
-
-/// The number of live points currently served (for the CLI banner).
-pub fn index_len(index: &ServeIndex) -> usize {
-    index.len()
 }

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use nncell_core::{BuildConfig, NnCellIndex, Query, Registry, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, Query, Registry, ShardedIndex, Strategy};
 use nncell_geom::Point;
 use nncell_server::{Client, ServeIndex, Server, ServerConfig, ServerHandle};
 
@@ -123,7 +123,11 @@ fn query_round_trip_matches_in_process_engine() {
 
 #[test]
 fn writes_are_visible_and_read_only_mode_refuses() {
+    // A durable index takes writes.
+    let dir = std::env::temp_dir().join(format!("nncell_srv_writes_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     let (idx, _) = sharded_index(30, 2);
+    let idx = idx.into_durable(&dir).expect("durable");
     let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
     let client = srv.client();
 
@@ -152,13 +156,18 @@ fn writes_are_visible_and_read_only_mode_refuses() {
     assert!(r.text().contains("\"removed\":false"), "{}", r.text());
     srv.stop();
 
-    // Plain in-memory index: read-only serving.
-    let plain = NnCellIndex::build(points(20, 2, 3), cfg()).expect("build");
-    let srv = spawn(ServerConfig::default(), ServeIndex::Plain(plain));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // An in-memory index is served read-only: its writes would not
+    // survive a restart.
+    let (idx, _) = sharded_index(20, 2);
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
     let client = srv.client();
     let r = client.post("/insert", "{\"point\":[0.5,0.5]}").expect("insert");
     assert_eq!(r.status, 403, "{}", r.text());
     assert!(r.text().contains("read_only"));
+    let r = client.post("/remove", "{\"id\":0}").expect("remove");
+    assert_eq!(r.status, 403, "{}", r.text());
     let r = client.post("/query", "{\"point\":[0.5,0.5]}").expect("query");
     assert_eq!(r.status, 200);
     srv.stop();

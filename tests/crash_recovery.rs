@@ -327,7 +327,7 @@ fn run_sharded_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op]) -> usize {
                     panic!("workload points are valid by construction: {e}")
                 }
                 Err(DurableError::Backpressure { .. }) => {
-                    panic!("no memtable configured — backpressure is impossible")
+                    panic!("tail_max is far above the workload length")
                 }
                 Err(DurableError::Persist(_)) => false,
             },
@@ -515,7 +515,7 @@ fn run_sharded_memtable_workload(fault: &FaultVfs, dir: &Path, ops: &[Op]) -> us
 }
 
 /// Kill-at-every-syscall over the memtable write path. Recovery opens
-/// the directory through the ordinary (synchronous) durable path: the
+/// the directory by plain per-shard WAL replay: the
 /// WAL alone must reconstruct master + tail, whatever mix of folded and
 /// unfolded state the crash interrupted.
 #[test]
