@@ -943,8 +943,8 @@ entries carry the trace id of their request as an exemplar.
 Every write takes the LSM-style path: inserts/removes are journaled and
 land in a small unindexed memtable tail (fsync, then an O(1) ack — no
 tree update on the write path); a supervised background folder folds
-the tail into the shards' point trees. Queries merge the tail by linear
-scan and stay exact throughout, even while the folder is failing
+the tail into the shards' point trees. Queries scan the tail's live
+inserts ahead of the index traversal and stay exact throughout, even while the folder is failing
 (visible as `nncell_fold_*` metrics and in /readyz). A tail past
 --tail-max (at least 1) unfolded ops sheds writes with 429 +
 Retry-After. `serve` takes writes only on a durable (--wal) index; an

@@ -41,7 +41,9 @@
 //! All exact-scan fallbacks (`k ≥ len`, degenerate candidate search) are
 //! funneled through one helper here, which both sets
 //! [`QueryStats::fallback`] on the response and bumps the index-wide
-//! [`NnCellIndex::fallback_queries`] counter.
+//! [`NnCellIndex::fallback_queries`] counter. A query with a non-empty
+//! memtable tail never falls back: its traversal is complete whenever
+//! fewer than k live points exist.
 
 use crate::index::{NnCellIndex, QueryResult};
 use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
@@ -111,7 +113,7 @@ pub struct QueryEngine<'a, M: Metric = Euclidean> {
     /// only by the shard fan-out; per-request budgets ride on
     /// [`Query::with_deadline`].
     deadline: Option<std::time::Instant>,
-    /// Optional unindexed memtable tail merged into every answer (see
+    /// Optional unindexed memtable tail every answer covers (see
     /// [`QueryEngine::with_tail`]).
     tail: Option<&'a crate::memtable::TailSnapshot>,
 }
@@ -174,13 +176,15 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         }
     }
 
-    /// Merges an unindexed memtable tail into every answer: the indexed
-    /// kernel is over-fetched by the tail's tombstone count, tombstoned
-    /// ids are filtered out, live tail points are brought in by a
-    /// deadline-aware linear scan, and the union is re-ranked by
-    /// `(distance, id)`. Exactness is a covering-superset
-    /// argument — every live point is either in the index or in the tail —
-    /// and the extra work is counted in [`QueryStats::tail`]. With an
+    /// Answers every query over the index *plus* an unindexed memtable
+    /// tail. For k-NN the tail seeds the one k-NN kernel: its live
+    /// inserts are scanned first (early-abort, deadline-aware) into the
+    /// running k-best, and the traversal then starts from that bound,
+    /// skipping tombstoned ids and ids the seed already holds. Radius
+    /// queries filter tombstones from the indexed ball and add the tail
+    /// inserts inside it. Exactness is a covering-superset argument —
+    /// every live point is either in the index or in the tail — and the
+    /// tail's live inserts are counted in [`QueryStats::tail`]. With an
     /// empty tail the plain (zero-allocation) path runs unchanged.
     pub fn with_tail(mut self, tail: &'a crate::memtable::TailSnapshot) -> Self {
         self.tail = Some(tail);
@@ -316,91 +320,19 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             _ => {}
         }
         let deadline = self.effective_deadline(q);
-        if let Some(tail) = self.tail.filter(|t| !t.is_empty()) {
-            if idx.is_empty() && tail.inserts.is_empty() {
-                return Err(QueryError::EmptyIndex);
-            }
-            if out_of_budget(deadline) {
-                return Err(QueryError::DeadlineExceeded);
-            }
-            return match q.kind() {
-                QueryKind::Nearest { k } => self.run_with_tail(scratch, p, k, tail, deadline),
-                QueryKind::Radius { radius } => {
-                    self.run_radius_with_tail(scratch, p, radius, tail, deadline)
-                }
-            };
-        }
-        if idx.is_empty() {
+        let tail = self.tail.filter(|t| !t.is_empty());
+        if idx.is_empty() && tail.is_none_or(|t| t.inserts.is_empty()) {
             return Err(QueryError::EmptyIndex);
         }
         if out_of_budget(deadline) {
             return Err(QueryError::DeadlineExceeded);
         }
-        match q.kind() {
-            QueryKind::Nearest { k } => self.run_knn(scratch, p, k, deadline),
-            QueryKind::Radius { radius } => self.run_radius(scratch, p, radius),
-        }
-    }
-
-    /// The merged kernel for a non-empty tail. The indexed side asks for
-    /// `k + tombstones` neighbors: at most that many of its top results
-    /// can be knocked out by tail tombstones, so the survivors still
-    /// contain the true indexed top-k (when fewer live points exist the
-    /// kernel already degrades to a complete scan). Tail inserts are then
-    /// scanned linearly (bounded by the configured tail high-watermark,
-    /// budget-checked) and the union re-ranked. An id present on both
-    /// sides — a fold published between the tail copy and the snapshot
-    /// load — sorts adjacently (same point, bit-identical distance) and is
-    /// deduplicated, so the race cannot double-count.
-    fn run_with_tail(
-        &self,
-        scratch: &mut QueryScratch,
-        p: &[f64],
-        k: usize,
-        tail: &crate::memtable::TailSnapshot,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<QueryResponse, QueryError> {
-        let idx = self.index;
-        let mut stats = QueryStats::default();
-        let mut merged: Vec<QueryResult> = Vec::new();
-        if !idx.is_empty() {
-            let k_eff = k + tail.removed.len();
-            let resp = self.run_knn(scratch, p, k_eff, deadline)?;
-            stats = resp.stats;
-            merged = resp.into_results();
-            if !tail.removed.is_empty() {
-                merged.retain(|r| !tail.removed.contains(&r.id));
+        match (q.kind(), tail) {
+            (QueryKind::Nearest { k }, _) => self.run_knn(scratch, p, k, tail, deadline),
+            (QueryKind::Radius { radius }, None) => self.run_radius(scratch, p, radius),
+            (QueryKind::Radius { radius }, Some(tail)) => {
+                self.run_radius_with_tail(scratch, p, radius, tail, deadline)
             }
-        }
-        let mut tspan = nncell_obs::trace::child("engine.tail_merge");
-        tspan.arg("tail", tail.inserts.len() as u64);
-        let metric = idx.metric();
-        merged.reserve(tail.inserts.len());
-        for (i, (id, pt)) in tail.inserts.iter().enumerate() {
-            if i % 256 == 255 && out_of_budget(deadline) {
-                return Err(QueryError::DeadlineExceeded);
-            }
-            merged.push(QueryResult {
-                id: *id,
-                dist: metric.dist(p, pt.as_slice()),
-            });
-        }
-        stats.candidates += tail.inserts.len();
-        stats.tail = tail.inserts.len();
-        merged.sort_unstable_by(cmp_results);
-        merged.dedup_by(|a, b| a.id == b.id);
-        merged.truncate(k);
-        drop(tspan);
-        let mut it = merged.into_iter();
-        match it.next() {
-            // Every indexed point tombstoned and no tail inserts: the
-            // live set is genuinely empty.
-            None => Err(QueryError::EmptyIndex),
-            Some(best) => Ok(QueryResponse {
-                best,
-                rest: it.collect(),
-                stats,
-            }),
         }
     }
 
@@ -465,7 +397,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     // ------------------------------------------------------------------
 
     /// Exact k-NN (including `k = 1`) by MINDIST-ordered best-first
-    /// traversal of the **point** X-tree with early-abort refinement.
+    /// traversal of the **point** X-tree with early-abort refinement,
+    /// optionally seeded by a non-empty memtable tail.
     ///
     /// The traversal ([`nncell_index::Tree::best_first_stream_with`])
     /// expands directory pages in ascending MINDIST order and streams leaf
@@ -479,18 +412,31 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// beat the k-th result is evaluated exactly — with the same kernel,
     /// in the same `(dist, id)` order, as the linear scan.
     ///
-    /// The configured budget (if any) is checked every 128 streamed items;
-    /// an expired budget aborts the traversal and surfaces as
-    /// [`QueryError::DeadlineExceeded`] instead of hogging the worker.
+    /// With a tail, its live inserts are scanned first into the same
+    /// k-best (same kernel, same order, same slop), so the traversal runs
+    /// from the bound they set instead of from ∞ (it adopts it at its
+    /// first streamed item). Tombstoned ids are skipped, and so is an id
+    /// the seed already holds — a fold published between the tail view and
+    /// the snapshot load puts a point on both sides with bit-identical
+    /// distances. Both checks run only for a completed candidate that
+    /// would enter the k-best. The tail path never takes the `k ≥ len`
+    /// scan fallback: the traversal is complete while the k-best is short,
+    /// and `len` counts neither tail inserts nor tombstones.
+    ///
+    /// The configured budget (if any) is checked every 256 tail inserts
+    /// and every 128 streamed items; an expired budget aborts the query
+    /// and surfaces as [`QueryError::DeadlineExceeded`] instead of hogging
+    /// the worker.
     fn run_knn(
         &self,
         scratch: &mut QueryScratch,
         p: &[f64],
         k: usize,
+        tail: Option<&crate::memtable::TailSnapshot>,
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
         let idx = self.index;
-        if k >= idx.len() {
+        if tail.is_none() && k >= idx.len() {
             // k ≥ len needs every live point anyway. A query outside the
             // data space needs no scan: MINDIST ordering over the point
             // tree is exact for any query point.
@@ -516,6 +462,35 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         // short, `tree_bound` (its Euclidean relaxation) prunes pages.
         let mut abort_bound = f64::INFINITY;
         let mut tree_bound = f64::INFINITY;
+        // Both bounds from a new k-th-best distance `b`.
+        let bounds = |b: f64| {
+            let abort = (b * b) * BOUND_SLOP;
+            (abort, abort / w_min)
+        };
+        let mut tombstones: &[usize] = &[];
+        if let Some(t) = tail {
+            tombstones = &t.removed;
+            let mut span = nncell_obs::trace::child("engine.tail_merge");
+            span.arg("tail", t.inserts.len() as u64);
+            for (i, (id, pt)) in t.inserts.iter().enumerate() {
+                if i % 256 == 255 && out_of_budget(deadline) {
+                    return Err(QueryError::DeadlineExceeded);
+                }
+                examined += 1;
+                match metric.dist_sq_early_abort(p, pt.as_slice(), abort_bound) {
+                    None => aborted += 1,
+                    Some(d2) => {
+                        let r = QueryResult {
+                            id: *id,
+                            dist: d2.sqrt(),
+                        };
+                        if let Some(b) = offer(ranked, k, r, &[]) {
+                            (abort_bound, tree_bound) = bounds(b);
+                        }
+                    }
+                }
+            }
+        }
         let tstats = idx.point_tree().best_first_stream_with(p, bf, |item| {
             visits += 1;
             if visits.is_multiple_of(128) && out_of_budget(deadline) {
@@ -531,20 +506,12 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             match metric.dist_sq_early_abort(p, idx.flat_point(id), abort_bound) {
                 None => aborted += 1, // provably beyond the k-th best
                 Some(d2) => {
-                    let r = QueryResult { id, dist: d2.sqrt() };
-                    let full = ranked.len() == k;
-                    if !full || cmp_results(&r, &ranked[k - 1]) == std::cmp::Ordering::Less {
-                        let pos =
-                            ranked.partition_point(|x| cmp_results(x, &r) == std::cmp::Ordering::Less);
-                        if full {
-                            ranked.pop();
-                        }
-                        ranked.insert(pos, r);
-                        if ranked.len() == k {
-                            let b = ranked[k - 1].dist;
-                            abort_bound = (b * b) * BOUND_SLOP;
-                            tree_bound = abort_bound / w_min;
-                        }
+                    let r = QueryResult {
+                        id,
+                        dist: d2.sqrt(),
+                    };
+                    if let Some(b) = offer(ranked, k, r, tombstones) {
+                        (abort_bound, tree_bound) = bounds(b);
                     }
                 }
             }
@@ -554,10 +521,16 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return Err(QueryError::DeadlineExceeded);
         }
         if ranked.is_empty() {
-            // Unreachable while the tree and alive-mask agree (k < len
-            // guarantees live points exist), but the library contract is
-            // degrade-not-panic.
-            return Ok(self.scan_knn(p, k));
+            // With a tail: every indexed point is tombstoned and the tail
+            // holds no insert, so the live set is genuinely empty.
+            // Without one this is unreachable while the tree and
+            // alive-mask agree (k < len guarantees live points exist), but
+            // the library contract is degrade-not-panic.
+            return if tail.is_some() {
+                Err(QueryError::EmptyIndex)
+            } else {
+                Ok(self.scan_knn(p, k))
+            };
         }
         Ok(QueryResponse {
             best: ranked[0],
@@ -566,7 +539,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 candidates: examined - aborted,
                 pages: tstats.pages,
                 fallback: false,
-                tail: 0,
+                tail: tail.map_or(0, |t| t.inserts.len()),
                 nodes_pruned: tstats.nodes_pruned,
                 candidates_examined: examined,
                 candidates_aborted_early: aborted,
@@ -674,7 +647,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 Err(e) => return Err(e),
             }
             if !tail.removed.is_empty() {
-                merged.retain(|x| !tail.removed.contains(&x.id));
+                merged.retain(|x| !tail.is_removed(x.id));
             }
         }
         let metric = idx.metric();
@@ -784,6 +757,36 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     }
 }
 
+/// Offers a completed candidate to the running k-best `ranked` (ascending
+/// `(dist, id)`, at most `k` long). It enters when the list is short or it
+/// beats the k-th, unless its id is in `tombstones` (sorted) or already in
+/// the list — the same point reached from the tail seed and the snapshot,
+/// whose identical `(dist, id)` sorts it exactly onto its twin. Returns
+/// the k-th distance when the candidate entered and the list is full.
+fn offer(
+    ranked: &mut Vec<QueryResult>,
+    k: usize,
+    r: QueryResult,
+    tombstones: &[usize],
+) -> Option<f64> {
+    let full = ranked.len() == k;
+    if full && cmp_results(&r, &ranked[k - 1]) != std::cmp::Ordering::Less {
+        return None;
+    }
+    if !tombstones.is_empty() && tombstones.binary_search(&r.id).is_ok() {
+        return None;
+    }
+    let pos = ranked.partition_point(|x| cmp_results(x, &r) == std::cmp::Ordering::Less);
+    if ranked.get(pos).is_some_and(|x| x.id == r.id) {
+        return None;
+    }
+    if full {
+        ranked.pop();
+    }
+    ranked.insert(pos, r);
+    (ranked.len() == k).then(|| ranked[k - 1].dist)
+}
+
 /// Whether the (optional) deadline has passed.
 fn out_of_budget(deadline: Option<std::time::Instant>) -> bool {
     deadline.is_some_and(|d| std::time::Instant::now() >= d)
@@ -795,4 +798,116 @@ fn out_of_budget(deadline: Option<std::time::Instant>) -> bool {
 /// the linear scan and independent of candidate arrival order.
 fn cmp_results(a: &QueryResult, b: &QueryResult) -> std::cmp::Ordering {
     a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{BuildConfig, Strategy};
+    use crate::memtable::TailSnapshot;
+    use nncell_geom::{dist_sq, Point};
+
+    /// 60 distinct points on a 2-d lattice, ids 0..60.
+    fn lattice() -> Vec<Point> {
+        (0..60)
+            .map(|i| Point::new(vec![(i % 8) as f64 / 8.0, (i / 8) as f64 / 8.0]))
+            .collect()
+    }
+
+    fn build(pts: &[Point]) -> NnCellIndex {
+        NnCellIndex::build(
+            pts.to_vec(),
+            BuildConfig::builder()
+                .strategy(Strategy::Sphere)
+                .seed(5)
+                .build(),
+        )
+        .unwrap()
+    }
+
+    /// `(id, distance bits)` of the k nearest `(id, point)` pairs by
+    /// linear scan, ranked by `(distance, id)`.
+    fn scan(live: &[(usize, &Point)], q: &[f64], k: usize) -> Vec<(usize, u64)> {
+        let mut all: Vec<QueryResult> = live
+            .iter()
+            .map(|(id, p)| QueryResult {
+                id: *id,
+                dist: dist_sq(q, p).sqrt(),
+            })
+            .collect();
+        all.sort_by(cmp_results);
+        all.iter()
+            .take(k)
+            .map(|r| (r.id, r.dist.to_bits()))
+            .collect()
+    }
+
+    fn bits(r: &QueryResponse) -> Vec<(usize, u64)> {
+        r.iter().map(|x| (x.id, x.dist.to_bits())).collect()
+    }
+
+    #[test]
+    fn an_id_live_in_the_index_and_in_the_tail_is_returned_once() {
+        let pts = lattice();
+        let index = build(&pts);
+        // A fold published between the tail view and the snapshot load:
+        // the same point, under the same id, on both sides.
+        let tail = TailSnapshot::new(vec![(17, pts[17].clone()), (18, pts[18].clone())], vec![]);
+        let engine = QueryEngine::sequential(&index).with_tail(&tail);
+        let live: Vec<(usize, &Point)> = pts.iter().enumerate().collect();
+        let q = pts[17].as_slice();
+        for k in [1, 2, 5, 60, 70] {
+            let r = engine.execute(&Query::knn(q, k)).unwrap();
+            assert_eq!(bits(&r), scan(&live, q, k), "k = {k}");
+            assert!(!r.stats.fallback, "the tail path takes no scan fallback");
+            assert_eq!(r.stats.tail, 2);
+            assert_eq!(
+                r.stats.candidates_examined,
+                r.stats.candidates + r.stats.candidates_aborted_early
+            );
+        }
+        let r = engine.execute(&Query::radius(q, 0.2)).unwrap();
+        let mut ids: Vec<usize> = r.iter().map(|x| x.id).collect();
+        let n = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), n, "radius answers hold each id once");
+    }
+
+    #[test]
+    fn a_tombstoned_neighbor_is_replaced_by_the_next_one() {
+        let pts = lattice();
+        let index = build(&pts);
+        let q = [0.3, 0.4];
+        let all: Vec<(usize, &Point)> = pts.iter().enumerate().collect();
+        let nearest: Vec<usize> = scan(&all, &q, 4).iter().map(|(id, _)| *id).collect();
+        // Tombstone the best and the third-best of the true 4 nearest.
+        let dead = [nearest[0], nearest[2]];
+        let tail = TailSnapshot::new(Vec::new(), dead.to_vec());
+        let engine = QueryEngine::sequential(&index).with_tail(&tail);
+        let live: Vec<(usize, &Point)> = all
+            .iter()
+            .copied()
+            .filter(|(id, _)| !dead.contains(id))
+            .collect();
+        for k in [1, 3, 4, 58, 60] {
+            let r = engine.execute(&Query::knn(q, k)).unwrap();
+            assert_eq!(bits(&r), scan(&live, &q, k), "k = {k}");
+            assert!(r.iter().all(|x| !dead.contains(&x.id)));
+        }
+        let r = engine.execute(&Query::radius(q, 0.3)).unwrap();
+        assert!(r.iter().all(|x| !dead.contains(&x.id)));
+        assert_eq!(bits(&r), scan(&live, &q, r.len()));
+    }
+
+    #[test]
+    fn a_fully_tombstoned_index_without_tail_inserts_is_empty() {
+        let pts: Vec<Point> = lattice().into_iter().take(3).collect();
+        let index = build(&pts);
+        let tail = TailSnapshot::new(Vec::new(), vec![0, 1, 2]);
+        let engine = QueryEngine::sequential(&index).with_tail(&tail);
+        assert_eq!(
+            engine.execute(&Query::knn([0.5, 0.5], 2)).unwrap_err(),
+            QueryError::EmptyIndex
+        );
+    }
 }

@@ -9,11 +9,12 @@
 //! result through the copy-on-write [`crate::SnapshotCell`] swap.
 //!
 //! Exactness is preserved by construction (a covering-superset argument):
-//! a query answers from the published index *plus* a
-//! linear scan of the tail, minus any tail tombstones. The tail is a
-//! superset merge — every live point is either in the snapshot or in the
-//! tail, every tombstone is applied — so the merged answer equals a
-//! linear scan over the true live set.
+//! a query's k-NN kernel first scans the tail's live inserts, then
+//! traverses the published index, skipping tombstoned ids. Every live
+//! point is either in the snapshot or in the tail and every tombstone is
+//! applied, so the answer equals a linear scan over the true live set.
+//! The memtable keeps that query-side view ([`TailSnapshot`]) current on
+//! every push and shares it by `Arc`, so a read never copies the tail.
 //!
 //! Durability never depends on the folder: folding performs **zero**
 //! syscalls (the WAL already holds every tail record, fsynced before the
@@ -38,14 +39,18 @@ pub(crate) enum TailOp {
 
 /// Per-shard memtable: operations in ack order, split into the batch a
 /// fold is (or was) working on (`frozen`) and everything acked since
-/// (`active`). `removed` mirrors every unfolded tombstone for O(tail)
-/// membership checks. All access happens under the owning shard's tail
-/// mutex; holds are O(1) pushes or O(tail) clones — never a tree update.
+/// (`active`), plus the query-side `view` of both, kept current on every
+/// push. All access happens under the owning shard's tail mutex; holds
+/// are pushes, an `Arc` clone, or (once per fold) a view rebuild — never
+/// a tree update.
 #[derive(Debug, Default)]
 pub(crate) struct Memtable {
     frozen: Vec<TailOp>,
     active: Vec<TailOp>,
-    removed: Vec<usize>,
+    /// Live inserts and sorted tombstones of `frozen` + `active`. Shared
+    /// with readers by `Arc` clone; a push copies it only while a reader
+    /// still holds the previous version ([`Arc::make_mut`]).
+    view: Arc<TailSnapshot>,
 }
 
 impl Memtable {
@@ -54,52 +59,26 @@ impl Memtable {
     }
 
     pub(crate) fn push_insert(&mut self, local: usize, point: Point) {
+        Arc::make_mut(&mut self.view)
+            .inserts
+            .push((local, point.clone()));
         self.active.push(TailOp::Insert { local, point });
     }
 
     pub(crate) fn push_remove(&mut self, local: usize) {
+        Arc::make_mut(&mut self.view).push_remove(local);
         self.active.push(TailOp::Remove { local });
-        self.removed.push(local);
     }
 
-    /// Whether an unfolded tombstone targets `local`.
-    pub(crate) fn is_removed(&self, local: usize) -> bool {
-        self.removed.contains(&local)
+    /// The current query-side view, for membership checks under the lock.
+    pub(crate) fn view(&self) -> &TailSnapshot {
+        &self.view
     }
 
-    /// Whether the tail holds a live (not tombstoned) insert for `local`.
-    pub(crate) fn has_live_insert(&self, local: usize) -> bool {
-        !self.is_removed(local)
-            && self.ops().any(|op| matches!(op, TailOp::Insert { local: l, .. } if *l == local))
-    }
-
-    /// The slot of a live tail insert with exactly these coordinates
-    /// (bit-identical, mirroring the index's duplicate policy).
-    pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
-        self.ops().find_map(|op| match op {
-            TailOp::Insert { local, point }
-                if point.as_slice() == p.as_slice() && !self.is_removed(*local) =>
-            {
-                Some(*local)
-            }
-            _ => None,
-        })
-    }
-
-    fn ops(&self) -> impl Iterator<Item = &TailOp> {
-        self.frozen.iter().chain(self.active.iter())
-    }
-
-    /// Count of live (not tombstoned) tail inserts.
-    pub(crate) fn live_inserts(&self) -> usize {
-        self.ops()
-            .filter(|op| matches!(op, TailOp::Insert { local, .. } if !self.is_removed(*local)))
-            .count()
-    }
-
-    /// Slots tombstoned by unfolded removes.
-    pub(crate) fn removed_ids(&self) -> &[usize] {
-        &self.removed
+    /// The current query-side view, shared: an `Arc` clone, O(1) in the
+    /// tail's size. Later pushes never change a view already handed out.
+    pub(crate) fn snapshot(&self) -> Arc<TailSnapshot> {
+        Arc::clone(&self.view)
     }
 
     /// Moves the active ops into the frozen batch (merging with any
@@ -110,43 +89,27 @@ impl Memtable {
         self.frozen.clone()
     }
 
-    /// Discards the frozen batch after a successful fold published it,
-    /// dropping its tombstones from the membership mirror.
+    /// Discards the frozen batch after a successful fold published it and
+    /// rebuilds the view from the ops acked since the freeze.
     pub(crate) fn clear_frozen(&mut self) {
-        // A live point is tombstoned at most once, so every id occurs at
-        // most once in `removed` and a retain-by-membership is exact.
-        let folded: Vec<usize> = self
-            .frozen
-            .iter()
-            .filter_map(|op| match op {
-                TailOp::Remove { local } => Some(*local),
-                TailOp::Insert { .. } => None,
-            })
-            .collect();
-        self.removed.retain(|id| !folded.contains(id));
         self.frozen.clear();
-    }
-
-    /// An owned, immutable view for query-side merging: live tail inserts
-    /// in ack order plus every unfolded tombstone.
-    pub(crate) fn snapshot(&self) -> TailSnapshot {
-        let inserts = self
-            .ops()
-            .filter_map(|op| match op {
-                TailOp::Insert { local, point } if !self.is_removed(*local) => {
-                    Some((*local, point.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        TailSnapshot::new(inserts, self.removed.clone())
+        let mut view = TailSnapshot::default();
+        for op in &self.active {
+            match op {
+                TailOp::Insert { local, point } => view.inserts.push((*local, point.clone())),
+                TailOp::Remove { local } => view.push_remove(*local),
+            }
+        }
+        self.view = Arc::new(view);
     }
 
     /// The unfolded tail as WAL records in ack order — exactly the suffix
     /// a checkpoint must re-journal into its fresh log so replay
     /// reconstructs master + tail.
     pub(crate) fn wal_records(&self) -> Vec<WalRecord> {
-        self.ops()
+        self.frozen
+            .iter()
+            .chain(&self.active)
             .map(|op| match op {
                 TailOp::Insert { point, .. } => WalRecord::Insert(point.clone()),
                 TailOp::Remove { local } => WalRecord::Remove(*local as u64),
@@ -155,23 +118,30 @@ impl Memtable {
     }
 }
 
-/// An immutable copy of one shard's memtable tail, merged into answers by
-/// [`crate::QueryEngine::with_tail`]. Cheap to take (a bounded clone under
-/// the tail mutex) and safe to scan off-lock: writers never wait on a
-/// query holding one.
+/// An immutable view of one shard's memtable tail, answered together with
+/// the shard's snapshot by [`crate::QueryEngine::with_tail`]. The memtable
+/// shares its current view by `Arc` (taking one is a refcount bump under
+/// the tail mutex) and keeps it current on every push, so a read never
+/// copies the tail and writers never wait on a query holding one.
 #[derive(Clone, Debug, Default)]
 pub struct TailSnapshot {
-    /// Live unfolded inserts as `(local slot, point)`, ack order.
+    /// Live unfolded inserts as `(local slot, point)`, ack order — which
+    /// is ascending slot order, since a shard assigns slots in ack order.
     pub(crate) inserts: Vec<(usize, Point)>,
-    /// Slots tombstoned by unfolded removes (targets may live in the
-    /// published snapshot *or* in `inserts`' originating tail).
+    /// Slots tombstoned by unfolded removes, ascending and distinct
+    /// (targets may live in the published snapshot *or* have been tail
+    /// inserts, which a tombstone drops from `inserts`).
     pub(crate) removed: Vec<usize>,
 }
 
 impl TailSnapshot {
     /// A tail view from raw parts (primarily for tests; production views
-    /// come from the memtable under its shard lock).
+    /// come from the memtable under its shard lock). `inserts` are taken
+    /// as live; `removed` may come in any order.
     pub fn new(inserts: Vec<(usize, Point)>, removed: Vec<usize>) -> Self {
+        let mut removed = removed;
+        removed.sort_unstable();
+        removed.dedup();
         Self { inserts, removed }
     }
 
@@ -188,6 +158,38 @@ impl TailSnapshot {
     /// Unfolded tombstones.
     pub fn tombstones(&self) -> usize {
         self.removed.len()
+    }
+
+    /// Whether an unfolded tombstone targets `local` (a binary search).
+    pub(crate) fn is_removed(&self, local: usize) -> bool {
+        self.removed.binary_search(&local).is_ok()
+    }
+
+    /// Whether the tail holds a live insert for `local` (a binary search).
+    pub(crate) fn has_live_insert(&self, local: usize) -> bool {
+        self.inserts
+            .binary_search_by_key(&local, |(l, _)| *l)
+            .is_ok()
+    }
+
+    /// The slot of a live tail insert with exactly these coordinates
+    /// (bit-identical, mirroring the index's duplicate policy).
+    pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
+        self.inserts
+            .iter()
+            .find(|(_, point)| point.as_slice() == p.as_slice())
+            .map(|(local, _)| *local)
+    }
+
+    /// Tombstones `local`: a live tail insert for it leaves `inserts`,
+    /// and the slot joins the sorted tombstone list.
+    fn push_remove(&mut self, local: usize) {
+        if let Ok(at) = self.inserts.binary_search_by_key(&local, |(l, _)| *l) {
+            self.inserts.remove(at);
+        }
+        if let Err(at) = self.removed.binary_search(&local) {
+            self.removed.insert(at, local);
+        }
     }
 }
 
@@ -284,25 +286,81 @@ mod tests {
         m.push_insert(1, pt(0.2));
         m.push_remove(0);
         assert_eq!(m.len(), 3);
-        assert!(m.is_removed(0));
-        assert!(m.has_live_insert(1));
-        assert!(!m.has_live_insert(0), "tombstoned tail insert is dead");
-        assert_eq!(m.find_live_duplicate(&pt(0.2)), Some(1));
-        assert_eq!(m.find_live_duplicate(&pt(0.1)), None);
+        assert!(m.view().is_removed(0));
+        assert!(m.view().has_live_insert(1));
+        assert!(
+            !m.view().has_live_insert(0),
+            "tombstoned tail insert is dead"
+        );
+        assert_eq!(m.view().find_live_duplicate(&pt(0.2)), Some(1));
+        assert_eq!(m.view().find_live_duplicate(&pt(0.1)), None);
 
         let batch = m.freeze();
         assert_eq!(batch.len(), 3);
         // Ops acked mid-fold land in the next batch but stay visible.
         m.push_remove(1);
-        assert!(m.is_removed(1));
+        assert!(m.view().is_removed(1));
         let snap = m.snapshot();
         assert_eq!(snap.live(), 0);
         assert_eq!(snap.tombstones(), 2);
 
         m.clear_frozen();
         assert_eq!(m.len(), 1, "only the post-freeze remove is left");
-        assert!(!m.is_removed(0), "folded tombstone left the mirror");
-        assert!(m.is_removed(1), "unfolded tombstone stays");
+        assert!(!m.view().is_removed(0), "folded tombstone left the view");
+        assert!(m.view().is_removed(1), "unfolded tombstone stays");
+    }
+
+    #[test]
+    fn tombstones_stay_sorted_for_binary_search() {
+        let mut m = Memtable::default();
+        for local in [7, 2, 9, 4] {
+            m.push_remove(local);
+        }
+        m.push_insert(10, pt(0.3));
+        m.push_remove(10);
+        assert_eq!(m.view().removed, vec![2, 4, 7, 9, 10]);
+        assert_eq!(m.view().live(), 0);
+        assert_eq!(
+            TailSnapshot::new(Vec::new(), vec![5, 1, 5, 3]).removed,
+            vec![1, 3, 5],
+            "raw parts are sorted and deduplicated"
+        );
+    }
+
+    #[test]
+    fn snapshots_share_the_view_until_the_next_write() {
+        let mut m = Memtable::default();
+        m.push_insert(0, pt(0.1));
+        let a = m.snapshot();
+        let b = m.snapshot();
+        assert!(Arc::ptr_eq(&a, &b), "no write between: one shared view");
+        drop(b);
+        m.push_insert(1, pt(0.2));
+        let c = m.snapshot();
+        assert!(!Arc::ptr_eq(&a, &c), "a write under a held view copies it");
+        drop(a);
+        drop(c);
+        // No reader holds the view: the push appends in place.
+        let before = Arc::as_ptr(&m.view);
+        m.push_remove(0);
+        assert_eq!(Arc::as_ptr(&m.view), before);
+    }
+
+    #[test]
+    fn a_held_view_is_unchanged_by_later_writes() {
+        let mut m = Memtable::default();
+        m.push_insert(0, pt(0.1));
+        m.push_remove(5);
+        let held = m.snapshot();
+        m.push_insert(1, pt(0.2));
+        m.push_remove(0);
+        m.freeze();
+        m.clear_frozen();
+        assert_eq!(held.inserts.len(), 1);
+        assert_eq!(held.inserts[0].0, 0);
+        assert_eq!(held.inserts[0].1.as_slice(), pt(0.1).as_slice());
+        assert_eq!(held.removed, vec![5]);
+        assert_eq!(m.view().live(), 0, "the live view moved on");
     }
 
     #[test]

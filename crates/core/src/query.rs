@@ -93,10 +93,10 @@ impl Query {
     /// query returns [`QueryError::DeadlineExceeded`] instead of continuing
     /// to consume its worker. The budget is checked between units of
     /// bounded work (before the query starts, periodically inside the
-    /// best-first traversal and tail merge, and between the queries of a
-    /// batch), so an answer already in hand is never discarded. Without a
-    /// deadline behavior is unchanged and bit-identical across thread
-    /// counts.
+    /// memtable tail scan and the best-first traversal, and between the
+    /// queries of a batch), so an answer already in hand is never
+    /// discarded. Without a deadline behavior is unchanged and
+    /// bit-identical across thread counts.
     #[must_use]
     pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
         self.deadline = Some(deadline);
@@ -159,17 +159,20 @@ pub struct QueryStats {
     /// (`k ≥ len`, a numerically degenerate candidate search). All
     /// fallback paths are counted here — and nowhere else.
     pub fallback: bool,
-    /// Unindexed memtable-tail points merged into this answer by linear
-    /// scan (0 whenever the tail was empty). Tail points are also counted in `candidates`; this field
-    /// isolates how much of the work the un-folded tail caused.
+    /// Live unindexed memtable-tail points this answer scanned (0 whenever
+    /// the tail was empty). Tail points are also counted in
+    /// `candidates_examined` (and in `candidates` or
+    /// `candidates_aborted_early`); this field isolates how much of the
+    /// work the un-folded tail caused.
     pub tail: usize,
     /// Subtrees the MINDIST-ordered traversal pruned **before their node
     /// was ever read**: directory entries whose MINDIST exceeded the
     /// running best distance, plus queued pages discarded after the bound
     /// shrank past them. 0 for scan fallbacks and plain sphere gathering.
     pub nodes_pruned: u64,
-    /// Live candidate points whose distance evaluation *started* (streamed
-    /// out of the traversal and past the tombstone filter).
+    /// Live candidate points whose distance evaluation *started*: memtable
+    /// tail inserts, then points streamed out of the traversal past the
+    /// index's liveness mask.
     pub candidates_examined: usize,
     /// Evaluations the early-abort kernel cut short because a partial
     /// lane-block sum already exceeded the running best distance. Each

@@ -17,8 +17,9 @@
 //!
 //! Each shard is wrapped in a [`SnapshotCell`]: readers
 //! ([`ShardedIndex::query`] / [`ShardedIndex::batch`], `&self`) load the
-//! current immutable snapshot `Arc` plus a bounded copy of the shard's
-//! unfolded memtable tail and run entirely on those. Writers
+//! current immutable snapshot `Arc` plus the shard's shared view of its
+//! unfolded memtable tail (another `Arc`, kept current by every write)
+//! and run entirely on those. Writers
 //! ([`ShardedIndex::insert`] / [`ShardedIndex::remove`], also `&self`)
 //! serialize on one writer mutex, journal through the shard's WAL (in
 //! durable mode), push the operation onto the shard's memtable tail and
@@ -112,8 +113,8 @@ struct Writer {
 /// bookkeeping.
 ///
 /// Lock order everywhere: `fold_lock` → writer mutex → tail mutexes.
-/// Queries take only tail mutexes (for a bounded snapshot clone), writers
-/// take writer → tail with O(1)/O(tail) holds, and the folder's
+/// Queries take only tail mutexes (for an `Arc` clone of the tail view),
+/// writers take writer → tail with O(1)/O(tail) holds, and the folder's
 /// point-tree updates happen with **no** lock held — only its freeze and
 /// publish steps touch the mutexes, both O(tail) at worst.
 struct TailState {
@@ -207,8 +208,9 @@ impl TailState {
 }
 
 /// Poison-tolerant lock on a shard's memtable. Every critical section is
-/// a handful of `Vec` pushes or a bounded clone — state stays consistent
-/// even if a recording site panicked while holding the guard.
+/// a handful of `Vec` pushes, an `Arc` clone, or a bounded rebuild —
+/// state stays consistent even if a recording site panicked while
+/// holding the guard.
 fn lock_mem(m: &Mutex<Memtable>) -> MutexGuard<'_, Memtable> {
     match m.lock() {
         Ok(g) => g,
@@ -237,8 +239,8 @@ fn sleep_interruptible(stop: &AtomicBool, dur: Duration) {
 }
 
 /// One shard a read consults: its published snapshot and, when
-/// non-empty, its unfolded tail.
-type ShardView = (usize, Arc<NnCellIndex<Euclidean>>, Option<TailSnapshot>);
+/// non-empty, the shared view of its unfolded tail.
+type ShardView = (usize, Arc<NnCellIndex<Euclidean>>, Option<Arc<TailSnapshot>>);
 
 /// S independent point-index shards behind one exact, concurrently servable
 /// query API. See the module docs for the partitioning and snapshot
@@ -393,7 +395,8 @@ impl ShardedIndex {
     /// [`FoldConfig::default`]. Every write goes through the memtable:
     /// inserts and removes journal (in durable mode), land in a small
     /// unindexed per-shard tail, and acknowledge in O(1). Queries stay
-    /// exact by merging the tail via linear scan; the folder
+    /// exact by scanning the tail's live inserts ahead of the index
+    /// traversal and skipping its tombstones; the folder
     /// ([`Self::run_folder`], or explicit [`Self::fold_once`] /
     /// [`Self::flush`] calls) applies the tail to the shard indexes.
     ///
@@ -472,12 +475,13 @@ impl ShardedIndex {
         for (i, sw) in w.shards.iter().enumerate() {
             let master = sw.index();
             let m = lock_mem(&self.tail.tails[i]);
-            let master_dead = m
-                .removed_ids()
+            let view = m.view();
+            let master_dead = view
+                .removed
                 .iter()
                 .filter(|&&local| master.is_live(local))
                 .count();
-            total += master.len() + m.live_inserts() - master_dead;
+            total += master.len() + view.live() - master_dead;
         }
         total
     }
@@ -688,26 +692,23 @@ impl ShardedIndex {
     }
 
     /// The shards a read consults, each with its published snapshot and
-    /// a bounded-clone view of its unfolded tail; shards with neither
-    /// points nor tail operations are skipped. Tails are copied first
-    /// (each under its shard's tail mutex), snapshots loaded second: an
-    /// operation folded between the two reads then appears in *both*
-    /// views and is deduplicated by id at merge time; reading in the
-    /// other order could miss it in both. The combined view may straddle
-    /// a concurrent ack, which is fine — a query is only promised the
+    /// the shared view of its unfolded tail (an `Arc` clone under the
+    /// shard's tail mutex, O(1) in the tail's size); shards with neither
+    /// points nor tail operations are skipped. Per shard the tail view is
+    /// taken first and the snapshot loaded second: an insert folded
+    /// between the two reads then appears on *both* sides and the k-NN
+    /// kernel skips its second copy by id; reading in the other order
+    /// could miss it on both. The combined view may straddle a
+    /// concurrent ack, which is fine — a query is only promised the
     /// writes acked before it started.
     fn read_views(&self) -> Vec<ShardView> {
-        let tails: Vec<TailSnapshot> = self
-            .tail
+        self.tail
             .tails
             .iter()
-            .map(|m| lock_mem(m).snapshot())
-            .collect();
-        tails
-            .into_iter()
             .zip(&self.snaps)
             .enumerate()
-            .filter_map(|(i, (tail, cell))| {
+            .filter_map(|(i, (mem, cell))| {
+                let tail = lock_mem(mem).snapshot();
                 let snap = cell.load();
                 let tail = (!tail.is_empty()).then_some(tail);
                 (!snap.is_empty() || tail.is_some()).then_some((i, snap, tail))
@@ -885,7 +886,7 @@ impl ShardedIndex {
     /// shard's memtable tail. Returns the global id. No point-tree update,
     /// no snapshot clone — the writer-lock hold is O(log n) (the duplicate
     /// probe) plus an O(1) push, so ack latency is independent of index
-    /// size. Queries see the point immediately through the tail merge; the
+    /// size. Queries see the point immediately through the tail view; the
     /// folder indexes it later.
     ///
     /// # Errors
@@ -901,12 +902,13 @@ impl ShardedIndex {
             .map_err(DurableError::Invalid)?;
         for (si, sw) in w.shards.iter().enumerate() {
             let m = lock_mem(&self.tail.tails[si]);
+            let view = m.view();
             // A master duplicate tombstoned in the tail is dead.
             let dup = sw
                 .index()
                 .find_live_duplicate(&p)
-                .filter(|&local| !m.is_removed(local))
-                .or_else(|| m.find_live_duplicate(&p));
+                .filter(|&local| !view.is_removed(local))
+                .or_else(|| view.find_live_duplicate(&p));
             if let Some(local) = dup {
                 return Err(DurableError::Invalid(BuildError::DuplicatePoint {
                     id: g,
@@ -944,8 +946,9 @@ impl ShardedIndex {
         let (shard, local) = self.locate(global);
         let live = {
             let m = lock_mem(&self.tail.tails[shard]);
-            (w.shards[shard].index().is_live(local) && !m.is_removed(local))
-                || m.has_live_insert(local)
+            let view = m.view();
+            (w.shards[shard].index().is_live(local) && !view.is_removed(local))
+                || view.has_live_insert(local)
         };
         if !live {
             return Ok(false);

@@ -7,33 +7,43 @@
 //! path is threaded with tracing span sites, this is also the proof that
 //! tracing with sampling off (the default) allocates nothing.
 //!
-//! The counter is gated by an `AtomicBool` so the surrounding test harness
-//! (and index construction) does not pollute the count. This file contains a
-//! single `#[test]` — a second test running concurrently in this binary
-//! would allocate while the gate is open.
+//! A second test pins the memtable tail's read cost: one
+//! `ShardedIndex::query` allocates the same number of times at tail depth
+//! 10 and at tail depth 1000 — a read shares the tail, never copies it.
+//!
+//! The counter is gated by a thread-local flag, so only the thread that
+//! opened the gate counts: the surrounding test harness, index
+//! construction and the other test in this binary do not pollute it.
 
-use nncell_core::{BuildConfig, NnCellIndex, Query, QueryScratch, Registry, Strategy};
+use nncell_core::{
+    BuildConfig, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex, Strategy,
+};
 use nncell_geom::Point;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation when this thread's gate is open.
+fn tick() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        tick();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        tick();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -45,13 +55,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the counter open and returns how many allocations it made.
+/// Runs `f` with this thread's counter open and returns how many
+/// allocations it made.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     f();
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
@@ -177,4 +188,49 @@ fn warm_scratch_queries_do_not_allocate() {
         .slow_log();
     assert_eq!(slow.total_seen(), 2 * nn_queries.len() as u64);
     assert!(!slow.drain().is_empty());
+}
+
+#[test]
+fn a_read_allocates_the_same_at_any_tail_depth() {
+    // Index points fill [0, 0.4]³; tail inserts sit in [0.6, 1]³, beyond
+    // every page's MINDIST from the query at the origin, so the traversal
+    // (and its heap growth) is the same at both depths and only the tail
+    // could make the counts differ.
+    let grid = |i: usize, lo: f64| {
+        Point::new(vec![
+            lo + 0.4 * ((i % 10) as f64 / 10.0),
+            lo + 0.4 * (((i / 10) % 10) as f64 / 10.0),
+            lo + 0.4 * ((i / 100) as f64 / 10.0),
+        ])
+    };
+    let idx = ShardedIndex::build(
+        (0..400).map(|i| grid(i, 0.0)).collect(),
+        1,
+        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+    )
+    .unwrap();
+    let q = Query::knn(vec![0.0, 0.0, 0.0], 5);
+    let mut counts = Vec::new();
+    let mut inserted = 0;
+    for depth in [10, 1000] {
+        while inserted < depth {
+            idx.insert(grid(inserted, 0.6)).unwrap();
+            inserted += 1;
+        }
+        assert_eq!(idx.tail_depth(), depth);
+        // Warm: the first read after a write may still share a view the
+        // write replaced; every read below sees the same one.
+        let want = idx.query(&q).unwrap();
+        assert_eq!(want.stats.tail, depth);
+        let allocs = count_allocs(|| {
+            let r = idx.query(&q).unwrap();
+            assert_eq!(r.len(), 5);
+            std::hint::black_box(&r);
+        });
+        counts.push(allocs);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "a read must not copy the tail (allocations at depth 10 vs 1000)"
+    );
 }
