@@ -27,7 +27,7 @@
 //! Env overrides: `NNCELL_MIXED_NS`, `NNCELL_MIXED_OPS` (storm size),
 //! `NNCELL_DIM`, `NNCELL_BENCH_OUT`.
 
-use nncell_bench::{env_dims, env_usize, timed};
+use nncell_bench::{env_dims, env_usize, provenance_json, timed};
 use nncell_core::{BuildConfig, FoldConfig, Query, ShardedIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::Point;
@@ -181,8 +181,9 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"dim\": {d},\n  \"shards\": {SHARDS},\n  \"ops_per_storm\": {ops},\n  \
+        "{{\n  {},\n  \"dim\": {d},\n  \"shards\": {SHARDS},\n  \"ops_per_storm\": {ops},\n  \
          \"sizes\": [\n{}\n  ],\n  \"memtable_ack_p99_flat\": true\n}}\n",
+        provenance_json(),
         rows.join(",\n")
     );
     std::fs::write(&out, json).expect("write bench json");

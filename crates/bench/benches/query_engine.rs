@@ -34,7 +34,7 @@
 //! drift masquerade as recording cost — that is what once inflated the
 //! reported overhead to 8%.
 
-use nncell_bench::{env_usize, timed};
+use nncell_bench::{env_usize, provenance_json, timed};
 use nncell_core::{BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Registry, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
@@ -175,7 +175,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \
+        "{{\n  {},\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \
          \"threads\": {threads},\n  \"build_seconds\": {build_s:.4},\n  \
          \"cell_build_seconds\": {cell_build_s:.2},\n  \
          \"seq_qps\": {seq_qps:.2},\n  \"par_qps\": {par_qps:.2},\n  \
@@ -184,6 +184,7 @@ fn main() {
          \"mean_examined\": {mean_examined:.4},\n  \"mean_aborted_early\": {mean_aborted:.4},\n  \
          \"mean_nodes_pruned\": {mean_pruned:.4},\n  \
          \"fallbacks\": {fallbacks},\n  \"bit_identical\": true\n}}\n",
+        provenance_json(),
         par_qps / seq_qps
     );
     std::fs::write(&out, json).expect("write bench json");

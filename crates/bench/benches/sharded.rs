@@ -11,7 +11,7 @@
 //! `NNCELL_SHARD_COUNTS` as a comma list, `NNCELL_BENCH_OUT` for the
 //! JSON path).
 
-use nncell_bench::{env_usize, timed};
+use nncell_bench::{env_usize, provenance_json, timed};
 use nncell_core::{BuildConfig, Query, QueryResponse, ShardedIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
@@ -77,8 +77,9 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \"runs\": [\n{}\n  ],\n  \
+        "{{\n  {},\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \"runs\": [\n{}\n  ],\n  \
          \"bit_identical\": true\n}}\n",
+        provenance_json(),
         rows.join(",\n")
     );
     std::fs::write(&out, json).expect("write bench json");

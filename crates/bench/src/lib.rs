@@ -51,6 +51,25 @@ pub fn cell_nn_run<M: Metric>(
     CellRun { ids, seconds, io }
 }
 
+/// Provenance members for a committed `BENCH_*.json`: the code measured
+/// and the host's CPU count, as `"git_sha": "…",\n  "nproc": N` (no
+/// surrounding braces). The sha is `git describe --always --dirty` in the
+/// repository root, so a run on uncommitted changes carries a `-dirty`
+/// suffix; it reads `unknown` where git is unavailable.
+pub fn provenance_json() -> String {
+    let sha = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!("\"git_sha\": \"{sha}\",\n  \"nproc\": {nproc}")
+}
+
 /// Reads a `usize` environment override.
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)

@@ -402,7 +402,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     ///
     /// The traversal ([`nncell_index::Tree::best_first_stream_with`])
     /// expands directory pages in ascending MINDIST order and streams leaf
-    /// items to the closure below, which evaluates each live candidate with
+    /// items, each with its coordinates from the leaf's row, to the closure
+    /// below, which evaluates each live candidate with
     /// the early-abort kernel against the current k-th-best distance and
     /// hands the shrunk bound back for page pruning. Exactness: a page is
     /// pruned only when its MINDIST **strictly** exceeds the slopped bound
@@ -491,7 +492,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 }
             }
         }
-        let tstats = idx.point_tree().best_first_stream_with(p, bf, |item| {
+        let tree = idx.point_tree();
+        let tstats = tree.best_first_stream_with(p, bf, |item, coords| {
             visits += 1;
             if visits.is_multiple_of(128) && out_of_budget(deadline) {
                 deadline_hit = true;
@@ -503,7 +505,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 return tree_bound;
             }
             examined += 1;
-            match metric.dist_sq_early_abort(p, idx.flat_point(id), abort_bound) {
+            // `coords` is the point's row in its leaf, bit-identical to
+            // `idx.flat_point(id)` and adjacent to its leaf neighbours'.
+            match metric.dist_sq_early_abort(p, coords, abort_bound) {
                 None => aborted += 1, // provably beyond the k-th best
                 Some(d2) => {
                     let r = QueryResult {

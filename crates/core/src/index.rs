@@ -94,9 +94,9 @@ pub struct NnCellIndex<M: Metric = Euclidean> {
     cfg: BuildConfig,
     points: Vec<Point>,
     /// Row-major copy of `points` (`n × d`), kept in sync by every mutation.
-    /// Queries read this layout: candidate distance evaluations walk
-    /// contiguous memory instead of chasing one `Box<[f64]>` per point,
-    /// and all query threads share the one read-only buffer.
+    /// The radius kernel, the scan fallbacks and the NN-cell queries read
+    /// this layout instead of chasing one `Box<[f64]>` per point; the k-NN
+    /// kernel reads each point's copy in its point-tree leaf row.
     points_flat: Vec<f64>,
     alive: Vec<bool>,
     live_count: usize,
@@ -246,12 +246,6 @@ impl<M: Metric> NnCellIndex<M> {
     /// Resets the point tree's cost counters.
     pub fn reset_stats(&self) {
         self.point_tree.reset_stats();
-    }
-
-    /// Enables a simulated LRU page cache of `pages` pages on the point
-    /// tree (0 disables) — the structure queries read.
-    pub fn enable_cache(&self, pages: usize) {
-        self.point_tree.enable_cache(pages);
     }
 
     // ------------------------------------------------------------------
@@ -856,5 +850,77 @@ mod tests {
         idx.insert(Point::new(vec![0.5, 0.5])).unwrap();
         assert!(idx.remove(3));
         assert_eq!(idx.build_stats().lp.lp_calls, 0);
+    }
+
+    /// The point tree's structure and its leaf rows, checked against the
+    /// index: `validate()` passes, and the traversal streams every live
+    /// point exactly once with a row bit-identical to `flat_point(id)`.
+    fn check_layout(idx: &NnCellIndex) -> Result<(), proptest::TestCaseError> {
+        let tree = idx.point_tree();
+        tree.validate();
+        let mut streamed = 0usize;
+        let mut bad: Option<u64> = None;
+        let q = vec![0.5; idx.dim()];
+        tree.best_first_stream_with(&q, &mut nncell_index::BestFirstScratch::new(), |id, row| {
+            streamed += 1;
+            let flat = idx.flat_point(id as usize);
+            let same = row.len() == flat.len()
+                && row
+                    .iter()
+                    .zip(flat)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            if !same || !idx.is_live(id as usize) {
+                bad = bad.or(Some(id));
+            }
+            f64::INFINITY // visit every leaf
+        });
+        proptest::prop_assert_eq!(bad, None, "leaf row differs from flat_point");
+        proptest::prop_assert_eq!(streamed, idx.len(), "every live point streamed once");
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Bulk build, then interleaved inserts, removes, clones and
+        /// save→load round trips keep the inline layout consistent.
+        #[test]
+        fn point_leaf_rows_track_flat_points(
+            seed_pts in proptest::prelude::prop::collection::vec(
+                proptest::prelude::prop::collection::vec(0u32..=1000, 3), 1..120),
+            ops in proptest::prelude::prop::collection::vec(
+                (0u32..16, proptest::prelude::prop::collection::vec(0u32..=1000, 3)), 0..80),
+        ) {
+            let coords = |v: &[u32]| Point::new(v.iter().map(|&c| c as f64 / 1000.0).collect::<Vec<_>>());
+            let cfg = BuildConfig::builder().block_size(256).build();
+            let pts: Vec<Point> = seed_pts.iter().map(|v| coords(v)).collect();
+            let mut idx = NnCellIndex::build(
+                pts,
+                BuildConfig { input_policy: InputPolicy::Skip, ..cfg },
+            )
+            .unwrap();
+            check_layout(&idx)?;
+            let vfs = crate::vfs::FaultVfs::new(crate::vfs::FaultSchedule::none(1));
+            let path = std::path::Path::new("layout.nncell");
+            for (op, v) in &ops {
+                match op {
+                    // Inserts dominate so trees grow, split and make
+                    // supernodes; a duplicate of a live point is rejected.
+                    0..=8 => {
+                        let _ = idx.insert(coords(v));
+                    }
+                    9..=12 => {
+                        let slots = idx.points().len();
+                        idx.remove((v[0] as usize * 7 + v[1] as usize) % slots);
+                    }
+                    13 => idx = idx.clone(),
+                    _ => {
+                        idx.save_with_vfs(&vfs, path).unwrap();
+                        idx = NnCellIndex::load_with_vfs(&vfs, path).unwrap();
+                    }
+                }
+                check_layout(&idx)?;
+            }
+        }
     }
 }

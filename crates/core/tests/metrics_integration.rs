@@ -71,6 +71,14 @@ fn registry_counters_agree_with_engine_and_index() {
     assert_eq!(candidates.sum, total_candidates);
     let pages = snap.histogram("nncell_query_pages").unwrap();
     assert_eq!(pages.sum, total_pages);
+    // Each serving traversal bills the point tree once, with the page
+    // count it reports, and a build reads no page: before any update, the
+    // tree's read counters equal the summed per-query page counts.
+    assert_eq!(
+        snap.counter("nncell_point_tree_page_reads_total"),
+        Some(pages.sum)
+    );
+    assert_eq!(index.point_tree_stats().page_reads, total_pages);
 
     // Structural gauges match the accessors; the index runs no LP, so no
     // LP family is registered.

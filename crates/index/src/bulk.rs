@@ -8,7 +8,7 @@
 //! result; the overflow policy only matters for later dynamic inserts.
 
 use crate::config::TreeConfig;
-use crate::node::{Entry, ItemId, Node, PageId};
+use crate::node::{BoxRef, ItemId, PageId};
 use crate::tree::Tree;
 use nncell_geom::Mbr;
 
@@ -16,76 +16,72 @@ use nncell_geom::Mbr;
 ///
 /// `fill` in `(0,1]` is the target node-fill fraction (1.0 = fully packed;
 /// the R\*-tree literature recommends ~0.7 for update-heavy workloads so
-/// early inserts don't split every touched node).
+/// early inserts don't split every touched node). Each packed group is
+/// written straight into its node's bounds and payload arrays.
 ///
 /// # Panics
-/// Panics on an empty `items` slice, mismatched dimensionality, or a `fill`
-/// outside `(0,1]`.
+/// Panics on an empty `items` slice, mismatched dimensionality, a box item
+/// for a point-leaf configuration, or a `fill` outside `(0,1]`.
 pub fn bulk_load(cfg: TreeConfig, items: Vec<(Mbr, ItemId)>, fill: f64) -> Tree {
     assert!(!items.is_empty(), "bulk_load needs at least one item");
     assert!(fill > 0.0 && fill <= 1.0, "fill must be in (0,1]");
     let dim = cfg.dim;
     for (m, _) in &items {
         assert_eq!(m.dim(), dim, "item dimensionality mismatch");
+        assert!(
+            !cfg.leaf_stores_points || m.lo() == m.hi(),
+            "a point-leaf tree indexes points, not boxes"
+        );
     }
 
     let mut tree = Tree::new(cfg.clone());
     let leaf_cap = ((cfg.max_leaf_entries() as f64 * fill) as usize).max(1);
     let dir_cap = ((cfg.max_dir_entries() as f64 * fill) as usize).max(2);
 
-    // Level 0: pack the items into leaves.
-    let entries: Vec<Entry> = items
-        .into_iter()
-        .map(|(m, id)| Entry::item(m, id))
-        .collect();
-    let mut level_nodes: Vec<(Mbr, PageId)> = str_pack(entries, dim, leaf_cap)
-        .into_iter()
-        .map(|group| {
-            let mbr = Mbr::union_all(group.iter().map(|e| &e.mbr)).expect("non-empty group");
-            let mut node = Node::new(0);
-            node.entries = group;
-            (mbr, tree.adopt_node(node))
-        })
-        .collect();
-
-    // Upper levels until one root remains.
+    // Level 0 packs the items into leaves; every upper level packs the
+    // (box, page) pairs of the level below until one root remains.
+    let mut level_nodes = pack_level(&mut tree, 0, str_pack(items, dim, leaf_cap));
     let mut level = 1u32;
     while level_nodes.len() > 1 {
-        let entries: Vec<Entry> = level_nodes
-            .into_iter()
-            .map(|(mbr, id)| Entry::child(mbr, id))
-            .collect();
-        level_nodes = str_pack(entries, dim, dir_cap)
-            .into_iter()
-            .map(|group| {
-                let mbr = Mbr::union_all(group.iter().map(|e| &e.mbr)).expect("non-empty group");
-                let mut node = Node::new(level);
-                node.entries = group;
-                (mbr, tree.adopt_node(node))
-            })
-            .collect();
+        level_nodes = pack_level(&mut tree, level, str_pack(level_nodes, dim, dir_cap));
         level += 1;
     }
     let (_, root) = level_nodes.pop().expect("exactly one root");
-    tree.adopt_root(root);
+    tree.adopt_root(PageId(root as u32));
     tree
+}
+
+/// Writes each group into a fresh node at `level`; returns each node's
+/// bounding box and page id (as a directory payload).
+fn pack_level(tree: &mut Tree, level: u32, groups: Vec<Vec<(Mbr, u64)>>) -> Vec<(Mbr, u64)> {
+    groups
+        .into_iter()
+        .map(|group| {
+            let mut node = tree.empty_node(level);
+            for (m, payload) in &group {
+                node.push(BoxRef::of(m), *payload);
+            }
+            let mbr = node.mbr().expect("non-empty group");
+            (mbr, tree.adopt_node(node).0 as u64)
+        })
+        .collect()
 }
 
 /// Recursive STR tiling: slice along the first dimension into
 /// `⌈(N/c)^(1/d)⌉` runs by center coordinate, recurse on the remaining
 /// dimensions, emit runs of ≤ `cap` entries.
-fn str_pack(mut entries: Vec<Entry>, dims_left: usize, cap: usize) -> Vec<Vec<Entry>> {
+fn str_pack(mut entries: Vec<(Mbr, u64)>, dims_left: usize, cap: usize) -> Vec<Vec<(Mbr, u64)>> {
     let n = entries.len();
     if n <= cap {
         return vec![entries];
     }
     if dims_left <= 1 {
         sort_by_center(&mut entries, 0);
-        return entries.chunks(cap).map(|c| c.to_vec()).collect();
+        return chunks(entries, cap);
     }
     let n_groups = (n as f64 / cap as f64).ceil();
     let slices = n_groups.powf(1.0 / dims_left as f64).ceil() as usize;
-    let axis = entries[0].mbr.dim() - dims_left;
+    let axis = entries[0].0.dim() - dims_left;
     sort_by_center(&mut entries, axis);
     let per_slice = n.div_ceil(slices.max(1));
     let mut out = Vec::new();
@@ -100,17 +96,17 @@ fn str_pack(mut entries: Vec<Entry>, dims_left: usize, cap: usize) -> Vec<Vec<En
 
 /// Inner recursion keeps slicing along successive axes.
 fn str_pack_inner(
-    mut entries: Vec<Entry>,
+    mut entries: Vec<(Mbr, u64)>,
     dims_left: usize,
     cap: usize,
     axis: usize,
-) -> Vec<Vec<Entry>> {
+) -> Vec<Vec<(Mbr, u64)>> {
     let n = entries.len();
     if n <= cap {
         return vec![entries];
     }
-    if dims_left == 0 || axis >= entries[0].mbr.dim() {
-        return entries.chunks(cap).map(|c| c.to_vec()).collect();
+    if dims_left == 0 || axis >= entries[0].0.dim() {
+        return chunks(entries, cap);
     }
     let n_groups = (n as f64 / cap as f64).ceil();
     let slices = n_groups.powf(1.0 / dims_left as f64).ceil() as usize;
@@ -126,10 +122,20 @@ fn str_pack_inner(
     out
 }
 
-fn sort_by_center(entries: &mut [Entry], axis: usize) {
+/// Consecutive runs of at most `cap` entries, in order.
+fn chunks(entries: Vec<(Mbr, u64)>, cap: usize) -> Vec<Vec<(Mbr, u64)>> {
+    let mut out = Vec::with_capacity(entries.len().div_ceil(cap));
+    let mut it = entries.into_iter().peekable();
+    while it.peek().is_some() {
+        out.push(it.by_ref().take(cap).collect());
+    }
+    out
+}
+
+fn sort_by_center(entries: &mut [(Mbr, u64)], axis: usize) {
     entries.sort_by(|a, b| {
-        let ca = a.mbr.lo()[axis] + a.mbr.hi()[axis];
-        let cb = b.mbr.lo()[axis] + b.mbr.hi()[axis];
+        let ca = a.0.lo()[axis] + a.0.hi()[axis];
+        let cb = b.0.lo()[axis] + b.0.hi()[axis];
         ca.total_cmp(&cb)
     });
 }

@@ -6,10 +6,19 @@
 //! We therefore track both: every node touch costs its page span in reads,
 //! and every distance computation / heap operation costs one CPU op.
 //!
+//! When the bill is paid depends on the traversal. The paper's traversals
+//! (the figure benches) call `CostTracker::access` on every node they
+//! touch. The two serving traversals (`Tree::best_first_stream_with` and
+//! `Tree::sphere_query_with`) count pages and CPU ops in locals and make
+//! one `CostTracker::read` and one `CostTracker::cpu` call per
+//! traversal, so concurrent queries do not update the shared counters on
+//! every page. Both regimes give the same totals without a cache.
+//!
 //! An optional **LRU page cache** can be enabled per structure — the paper
 //! notes "all index structures were allowed to use the same amount of
 //! cache" — in which case re-touched pages within the budget count as cache
-//! hits instead of reads.
+//! hits instead of reads. Only `CostTracker::access` consults it, so it
+//! shapes the figure benches' page counts and never a serving query's.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -25,7 +25,7 @@ pub mod config;
 pub mod cost;
 pub mod costmodel;
 pub mod linear;
-pub mod node;
+mod node;
 pub mod parallel;
 pub mod rstar;
 pub mod tree;
@@ -35,7 +35,7 @@ pub use bulk::bulk_load;
 pub use config::{SplitPolicy, TreeConfig};
 pub use cost::{IoStats, TreeMetrics};
 pub use linear::LinearScan;
-pub use node::{Entry, ItemId, Node, PageId};
+pub use node::{ItemId, PageId};
 pub use parallel::DeclusteredScan;
 pub use rstar::RStarTree;
 pub use tree::{BestFirstScratch, Neighbor, TraversalStats, Tree};

@@ -11,13 +11,26 @@
 //!   dimension; if that would be unbalanced, no split at all: the node grows
 //!   into a **supernode** spanning one more disk page \[BKK 96\].
 //!
-//! Every node touch is billed to the `CostTracker` (a supernode costs its
-//! page span), and every distance/heap operation is billed as a CPU op, so
-//! benches can report the same two cost axes as the paper's figures 9 / 12.
+//! Nodes store their entries structure-of-arrays (see the `node` module):
+//! one row-major bounds array and one payload array per node, and a point
+//! leaf keeps each point's coordinates once, in leaf order.
+//!
+//! Cost accounting has two regimes. The paper's traversals (point, window,
+//! sphere and page queries, [`Tree::knn_best_first`],
+//! [`Tree::nn_branch_bound`], [`Tree::approx_knn`], the halfspace NN and
+//! [`Tree::point_query_with`]) bill every node touch to the `CostTracker`
+//! as it happens — a supernode costs its page span, and the optional LRU
+//! page cache turns re-touches into hits — and every distance/heap
+//! operation as a CPU op, so benches can report the same two cost axes as
+//! the paper's figures 9 / 12. The two serving traversals,
+//! [`Tree::best_first_stream_with`] and [`Tree::sphere_query_with`], count
+//! pages and CPU ops in locals and bill the tracker once per traversal,
+//! without consulting the cache, so concurrent queries do not contend on
+//! the tracker's shared counters.
 
 use crate::config::{SplitPolicy, TreeConfig};
 use crate::cost::{CostTracker, IoStats};
-use crate::node::{Entry, ItemId, Node, PageId, Payload};
+use crate::node::{min_dist_sq, BoxRef, Entry, ItemId, Node, PageId, Payload};
 use nncell_geom::{dist_sq, Mbr};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -46,9 +59,9 @@ pub struct Neighbor {
 /// Use the [`crate::RStarTree`] / [`crate::XTree`] wrappers for a
 /// policy-labelled API; this type is the shared engine.
 ///
-/// `Clone` deep-copies the page arena; the cost tracker's counter values
-/// are carried over and any bound registry metrics stay shared (see
-/// `CostTracker`).
+/// `Clone` deep-copies the page arena (two arrays per node, no per-entry
+/// allocation); the cost tracker's counter values are carried over and any
+/// bound registry metrics stay shared (see `CostTracker`).
 #[derive(Clone)]
 pub struct Tree {
     cfg: TreeConfig,
@@ -70,7 +83,8 @@ impl Tree {
             len: 0,
             cost: CostTracker::default(),
         };
-        t.root = t.alloc(Node::new(0));
+        let root = t.empty_node(0);
+        t.root = t.alloc(root);
         t
     }
 
@@ -128,16 +142,16 @@ impl Tree {
         let mut overlap_sum = 0.0;
         let mut overlap_pairs = 0usize;
         for n in self.nodes.iter().flatten() {
-            if n.entries.is_empty() {
+            if n.is_empty() {
                 continue;
             }
-            fill_sum += n.entries.len() as f64 / self.capacity(n) as f64;
+            fill_sum += n.len() as f64 / self.capacity(n) as f64;
             nodes += 1;
             if !n.is_leaf() {
-                for i in 0..n.entries.len() {
-                    for j in (i + 1)..n.entries.len() {
-                        let a = &n.entries[i].mbr;
-                        let b = &n.entries[j].mbr;
+                for i in 0..n.len() {
+                    for j in (i + 1)..n.len() {
+                        let a = n.rect(i);
+                        let b = n.rect(j);
                         let denom = a.volume().min(b.volume());
                         if denom > 0.0 {
                             overlap_sum += a.overlap_volume(b) / denom;
@@ -184,6 +198,15 @@ impl Tree {
     // arena
     // ------------------------------------------------------------------
 
+    /// An empty node at `level` with this tree's row layout.
+    pub(crate) fn empty_node(&self, level: u32) -> Node {
+        Node::new(
+            level,
+            self.cfg.dim,
+            level == 0 && self.cfg.leaf_stores_points,
+        )
+    }
+
     fn alloc(&mut self, node: Node) -> PageId {
         if let Some(id) = self.free.pop() {
             self.nodes[id.0 as usize] = Some(node);
@@ -217,7 +240,9 @@ impl Tree {
 
     /// Enables a simulated LRU page cache of `pages` pages (0 disables).
     /// The paper grants every structure "the same amount of cache"; benches
-    /// use this to level the I/O comparison.
+    /// use this to level the I/O comparison. The serving traversals
+    /// ([`Self::best_first_stream_with`], [`Self::sphere_query_with`]) do
+    /// not consult it.
     pub fn enable_cache(&self, pages: usize) {
         self.cost.set_cache(pages);
     }
@@ -233,12 +258,12 @@ impl Tree {
 
     fn overflowing(&self, id: PageId) -> bool {
         let n = self.node(id);
-        n.entries.len() > self.capacity(n)
+        n.len() > self.capacity(n)
     }
 
     /// Bulk-loader plumbing: installs a fully built node into the arena.
     pub(crate) fn adopt_node(&mut self, node: Node) -> PageId {
-        debug_assert!(node.entries.len() <= self.capacity(&node));
+        debug_assert!(node.len() <= self.capacity(&node));
         self.cost.write(node.span as u64);
         self.alloc(node)
     }
@@ -249,13 +274,28 @@ impl Tree {
         let old = self.root;
         self.root = root;
         if old != root {
-            let stale = self.node(old).entries.is_empty();
+            let stale = self.node(old).is_empty();
             debug_assert!(stale, "adopt_root over a non-empty root");
             if stale {
                 self.dealloc(old);
             }
         }
-        self.len = self.items().len();
+        self.len = self.leaf_entry_count();
+    }
+
+    /// Number of leaf entries reachable from the root.
+    fn leaf_entry_count(&self) -> usize {
+        let mut count = 0;
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let n = self.node(id);
+            if n.is_leaf() {
+                count += n.len();
+            } else {
+                stack.extend((0..n.len()).map(|i| n.child(i)));
+            }
+        }
+        count
     }
 
     // ------------------------------------------------------------------
@@ -263,24 +303,33 @@ impl Tree {
     // ------------------------------------------------------------------
 
     /// Inserts an item with bounding box `mbr`.
+    ///
+    /// # Panics
+    /// Panics on a dimensionality mismatch, and when a point-leaf tree
+    /// (`TreeConfig::with_point_leaves(true)`) is given a box that is not a
+    /// single point.
     pub fn insert(&mut self, mbr: Mbr, id: ItemId) {
         assert_eq!(mbr.dim(), self.cfg.dim, "dimensionality mismatch");
+        assert!(
+            !self.cfg.leaf_stores_points || mbr.lo() == mbr.hi(),
+            "a point-leaf tree indexes points, not boxes"
+        );
         self.len += 1;
         let mut reinserted: u64 = 0;
         self.insert_at_level(Entry::item(mbr, id), 0, &mut reinserted);
     }
 
     fn insert_at_level(&mut self, entry: Entry, level: u32, reinserted: &mut u64) {
-        let path = self.choose_path(&entry.mbr, level);
+        let path = self.choose_path(BoxRef::of(&entry.mbr), level);
         let target = *path.last().expect("path never empty");
-        self.node_mut(target).entries.push(entry);
+        self.node_mut(target).push_entry(&entry);
         self.cost.write(self.node(target).span as u64);
         self.propagate_mbr(&path);
         self.resolve_overflow(&path, reinserted);
     }
 
     /// Root-to-`level` descent choosing the insertion subtree (R\* criteria).
-    fn choose_path(&self, mbr: &Mbr, level: u32) -> Vec<PageId> {
+    fn choose_path(&self, b: BoxRef<'_>, level: u32) -> Vec<PageId> {
         let mut path = vec![self.root];
         let mut cur = self.root;
         self.touch(cur);
@@ -288,24 +337,25 @@ impl Tree {
             let n = self.node(cur);
             let idx = if n.level == 1 {
                 // children are leaves: minimize overlap enlargement
-                self.pick_min_overlap_enlargement(n, mbr)
+                self.pick_min_overlap_enlargement(n, b)
             } else {
-                self.pick_min_area_enlargement(n, mbr)
+                self.pick_min_area_enlargement(n, b)
             };
-            cur = n.entries[idx].child_id();
+            cur = n.child(idx);
             self.touch(cur);
             path.push(cur);
         }
         path
     }
 
-    fn pick_min_area_enlargement(&self, n: &Node, mbr: &Mbr) -> usize {
+    fn pick_min_area_enlargement(&self, n: &Node, b: BoxRef<'_>) -> usize {
         let mut best = 0usize;
         let mut best_enl = f64::INFINITY;
         let mut best_area = f64::INFINITY;
-        for (i, e) in n.entries.iter().enumerate() {
-            let enl = e.mbr.enlargement(mbr);
-            let area = e.mbr.volume();
+        for i in 0..n.len() {
+            let e = n.rect(i);
+            let enl = e.enlargement(b);
+            let area = e.volume();
             if enl < best_enl - 1e-15 || (enl <= best_enl + 1e-15 && area < best_area) {
                 best = i;
                 best_enl = enl;
@@ -315,40 +365,42 @@ impl Tree {
         best
     }
 
-    fn pick_min_overlap_enlargement(&self, n: &Node, mbr: &Mbr) -> usize {
+    fn pick_min_overlap_enlargement(&self, n: &Node, b: BoxRef<'_>) -> usize {
         // R* optimization: with many entries (supernodes!), restrict the
         // quadratic overlap check to the 32 candidates with least area
         // enlargement.
         const CANDIDATE_CAP: usize = 32;
-        let mut order: Vec<usize> = (0..n.entries.len()).collect();
-        if n.entries.len() > CANDIDATE_CAP {
-            order.sort_by(|&a, &b| {
-                let ea = n.entries[a].mbr.enlargement(mbr);
-                let eb = n.entries[b].mbr.enlargement(mbr);
-                ea.partial_cmp(&eb).unwrap_or(Ordering::Equal)
+        let len = n.len();
+        let mut order: Vec<usize> = (0..len).collect();
+        if len > CANDIDATE_CAP {
+            order.sort_by(|&x, &y| {
+                let ex = n.rect(x).enlargement(b);
+                let ey = n.rect(y).enlargement(b);
+                ex.partial_cmp(&ey).unwrap_or(Ordering::Equal)
             });
             order.truncate(CANDIDATE_CAP);
         }
+        let d = self.cfg.dim;
+        let mut grown_row = vec![0.0; 2 * d];
         let mut best = order[0];
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for &i in &order {
-            let e = &n.entries[i];
-            let grown = e.mbr.union(mbr);
+            let e = n.rect(i);
+            e.union_into(b, &mut grown_row);
+            let (lo, hi) = grown_row.split_at(d);
+            let grown = BoxRef { lo, hi };
             let mut overlap_before = 0.0;
             let mut overlap_after = 0.0;
-            for (j, f) in n.entries.iter().enumerate() {
+            for j in 0..len {
                 if i == j {
                     continue;
                 }
-                overlap_before += e.mbr.overlap_volume(&f.mbr);
-                overlap_after += grown.overlap_volume(&f.mbr);
+                let f = n.rect(j);
+                overlap_before += e.overlap_volume(f);
+                overlap_after += grown.overlap_volume(f);
             }
-            self.cost.cpu(n.entries.len() as u64);
-            let key = (
-                overlap_after - overlap_before,
-                e.mbr.enlargement(mbr),
-                e.mbr.volume(),
-            );
+            self.cost.cpu(len as u64);
+            let key = (overlap_after - overlap_before, e.enlargement(b), e.volume());
             if key < best_key {
                 best = i;
                 best_key = key;
@@ -364,12 +416,8 @@ impl Tree {
             let parent = path[i - 1];
             let child_mbr = self.node(child).mbr().expect("child not empty");
             let p = self.node_mut(parent);
-            let idx = p
-                .entries
-                .iter()
-                .position(|e| e.payload == Payload::Child(child))
-                .expect("child entry present in parent");
-            p.entries[idx].mbr = child_mbr;
+            let idx = p.child_index(child).expect("child entry present in parent");
+            p.set_rect(idx, &child_mbr);
         }
     }
 
@@ -407,7 +455,7 @@ impl Tree {
         }
 
         // Topological split (R* always; X-tree leaves).
-        let entries = std::mem::take(&mut self.node_mut(id).entries);
+        let entries = self.node_mut(id).take_entries();
         let leaf = self.node(id).is_leaf();
         let (a, b, dim) = self.rstar_split(entries, leaf);
         self.apply_split(path, a, b, dim, reinserted);
@@ -436,12 +484,12 @@ impl Tree {
         {
             let n = self.node_mut(id);
             n.span = span_for(a.len());
-            n.entries = a;
+            n.set_entries(a);
         }
-        let mut sibling = Node::new(level);
+        let mut sibling = self.empty_node(level);
         sibling.span = span_for(b.len());
         sibling.split_history = hist;
-        sibling.entries = b;
+        sibling.set_entries(b);
         let sib_mbr = sibling.mbr().expect("split side not empty");
         let sib_id = self.alloc(sibling);
         let node_mbr = self.node(id).mbr().expect("split side not empty");
@@ -449,10 +497,10 @@ impl Tree {
             .write(self.node(id).span as u64 + self.node(sib_id).span as u64);
 
         if id == self.root {
-            let mut new_root = Node::new(level + 1);
+            let mut new_root = self.empty_node(level + 1);
             new_root.record_split(dim);
-            new_root.entries.push(Entry::child(node_mbr, id));
-            new_root.entries.push(Entry::child(sib_mbr, sib_id));
+            new_root.push_child(&node_mbr, id);
+            new_root.push_child(&sib_mbr, sib_id);
             self.root = self.alloc(new_root);
             self.cost.write(1);
             return;
@@ -462,13 +510,9 @@ impl Tree {
         {
             let p = self.node_mut(parent);
             p.record_split(dim);
-            let idx = p
-                .entries
-                .iter()
-                .position(|e| e.payload == Payload::Child(id))
-                .expect("split child present in parent");
-            p.entries[idx].mbr = node_mbr;
-            p.entries.push(Entry::child(sib_mbr, sib_id));
+            let idx = p.child_index(id).expect("split child present in parent");
+            p.set_rect(idx, &node_mbr);
+            p.push_child(&sib_mbr, sib_id);
         }
         self.cost.write(self.node(parent).span as u64);
         self.resolve_overflow(&path[..path.len() - 1], reinserted);
@@ -480,16 +524,17 @@ impl Tree {
         let level = self.node(id).level;
         let center = self.node(id).mbr().expect("non-empty").center();
         let frac = self.cfg.reinsert_fraction;
-        let n = self.node_mut(id);
+        let mut entries = self.node_mut(id).take_entries();
         // Sort by center distance, farthest last; split off the tail.
-        n.entries.sort_by(|x, y| {
+        entries.sort_by(|x, y| {
             let dx = dist_sq(&x.mbr.center(), &center);
             let dy = dist_sq(&y.mbr.center(), &center);
             dx.partial_cmp(&dy).unwrap_or(Ordering::Equal)
         });
-        let total = n.entries.len();
+        let total = entries.len();
         let p = ((total as f64 * frac) as usize).clamp(1, total - 1);
-        let evicted: Vec<Entry> = n.entries.split_off(total - p);
+        let evicted: Vec<Entry> = entries.split_off(total - p);
+        self.node_mut(id).set_entries(entries);
         self.cost.cpu(total as u64);
         self.propagate_mbr(path);
         // Close reinsert: nearest-to-center first.
@@ -563,7 +608,7 @@ impl Tree {
     /// overlap-minimal split along a split-history dimension; `None` means
     /// "make a supernode".
     fn try_xtree_split(&mut self, id: PageId) -> Option<(Vec<Entry>, Vec<Entry>, usize)> {
-        let entries = std::mem::take(&mut self.node_mut(id).entries);
+        let entries = self.node_mut(id).take_entries();
         let total = entries.len();
         let min_side = ((total as f64 * self.cfg.min_fanout) as usize).max(1);
 
@@ -614,7 +659,7 @@ impl Tree {
         }
 
         // 3. Give up: restore entries; caller makes a supernode.
-        self.node_mut(id).entries = entries;
+        self.node_mut(id).set_entries(entries);
         None
     }
 
@@ -627,18 +672,17 @@ impl Tree {
     /// Returns `false` when no such entry exists. Underflowing nodes are
     /// dissolved and their entries reinserted (the R-tree condense step).
     pub fn delete(&mut self, mbr: &Mbr, id: ItemId) -> bool {
-        let Some(path) = self.find_leaf(self.root, mbr, id, &mut Vec::new()) else {
+        let target = BoxRef::of(mbr);
+        let Some(path) = self.find_leaf(self.root, target, id, &mut Vec::new()) else {
             return false;
         };
         let leaf = *path.last().expect("find_leaf returns a non-empty path");
         {
             let n = self.node_mut(leaf);
             let idx = n
-                .entries
-                .iter()
-                .position(|e| e.payload == Payload::Item(id) && &e.mbr == mbr)
+                .item_index(id, target)
                 .expect("find_leaf returned a leaf containing the entry");
-            n.entries.swap_remove(idx);
+            n.swap_remove(idx);
         }
         self.cost.write(self.node(leaf).span as u64);
         self.len -= 1;
@@ -649,7 +693,7 @@ impl Tree {
     fn find_leaf(
         &self,
         cur: PageId,
-        mbr: &Mbr,
+        target: BoxRef<'_>,
         id: ItemId,
         path: &mut Vec<PageId>,
     ) -> Option<Vec<PageId>> {
@@ -657,16 +701,13 @@ impl Tree {
         path.push(cur);
         let n = self.node(cur);
         if n.is_leaf() {
-            if n.entries
-                .iter()
-                .any(|e| e.payload == Payload::Item(id) && &e.mbr == mbr)
-            {
+            if n.item_index(id, target).is_some() {
                 return Some(path.clone());
             }
         } else {
-            for e in &n.entries {
-                if e.mbr.contains_mbr(mbr) {
-                    if let Some(p) = self.find_leaf(e.child_id(), mbr, id, path) {
+            for i in 0..n.len() {
+                if n.rect(i).contains(target) {
+                    if let Some(p) = self.find_leaf(n.child(i), target, id, path) {
                         return Some(p);
                     }
                 }
@@ -683,17 +724,13 @@ impl Tree {
             let parent = *path.last().expect("condense path has at least two nodes");
             let n = self.node(id);
             let min = self.cfg.min_entries(n.is_leaf());
-            if n.entries.len() < min {
+            if n.len() < min {
                 let level = n.level;
-                let taken = std::mem::take(&mut self.node_mut(id).entries);
+                let taken = self.node_mut(id).take_entries();
                 orphans.extend(taken.into_iter().map(|e| (level, e)));
                 let p = self.node_mut(parent);
-                let idx = p
-                    .entries
-                    .iter()
-                    .position(|e| e.payload == Payload::Child(id))
-                    .expect("child present");
-                p.entries.swap_remove(idx);
+                let idx = p.child_index(id).expect("child present");
+                p.swap_remove(idx);
                 self.dealloc(id);
             } else {
                 // Shrink supernode span if the entries now fit fewer pages.
@@ -702,22 +739,18 @@ impl Tree {
                 } else {
                     self.cfg.max_dir_entries()
                 };
-                let need = n.entries.len().div_ceil(per_page).max(1) as u32;
+                let need = n.len().div_ceil(per_page).max(1) as u32;
                 if need < n.span {
                     self.node_mut(id).span = need;
                 }
                 // Tighten the parent entry MBR.
                 let child_mbr = self.node(id).mbr();
                 let p = self.node_mut(parent);
-                let idx = p
-                    .entries
-                    .iter()
-                    .position(|e| e.payload == Payload::Child(id))
-                    .expect("child present");
+                let idx = p.child_index(id).expect("child present");
                 match child_mbr {
-                    Some(m) => p.entries[idx].mbr = m,
+                    Some(m) => p.set_rect(idx, &m),
                     None => {
-                        p.entries.swap_remove(idx);
+                        p.swap_remove(idx);
                         self.dealloc(id);
                     }
                 }
@@ -727,8 +760,8 @@ impl Tree {
         // Shrink the root: a directory root with one child hands over.
         loop {
             let r = self.node(self.root);
-            if !r.is_leaf() && r.entries.len() == 1 {
-                let child = r.entries[0].child_id();
+            if !r.is_leaf() && r.len() == 1 {
+                let child = r.child(0);
                 let old = self.root;
                 self.root = child;
                 self.dealloc(old);
@@ -752,11 +785,11 @@ impl Tree {
 
     fn reinsert_subtree(&mut self, e: Entry, reinserted: &mut u64) {
         match e.payload {
-            Payload::Item(id) => {
-                self.insert_at_level(Entry::item(e.mbr, id), 0, reinserted);
+            Payload::Item(_) => {
+                self.insert_at_level(e, 0, reinserted);
             }
             Payload::Child(cid) => {
-                let entries = std::mem::take(&mut self.node_mut(cid).entries);
+                let entries = self.node_mut(cid).take_entries();
                 let level = self.node(cid).level;
                 self.dealloc(cid);
                 for sub in entries {
@@ -785,12 +818,13 @@ impl Tree {
     fn point_query_rec(&self, id: PageId, q: &[f64], out: &mut Vec<ItemId>) {
         self.touch(id);
         let n = self.node(id);
-        self.cost.cpu(n.entries.len() as u64);
-        for e in &n.entries {
-            if e.mbr.contains_point(q) {
-                match e.payload {
-                    Payload::Item(item) => out.push(item),
-                    Payload::Child(c) => self.point_query_rec(c, q, out),
+        self.cost.cpu(n.len() as u64);
+        for i in 0..n.len() {
+            if n.rect(i).contains_point(q) {
+                if n.is_leaf() {
+                    out.push(n.item(i));
+                } else {
+                    self.point_query_rec(n.child(i), q, out);
                 }
             }
         }
@@ -818,12 +852,13 @@ impl Tree {
             self.touch(id);
             let n = self.node(id);
             pages += n.span as u64;
-            self.cost.cpu(n.entries.len() as u64);
-            for e in &n.entries {
-                if e.mbr.contains_point(q) {
-                    match e.payload {
-                        Payload::Item(item) => out.push(item),
-                        Payload::Child(c) => stack.push(c),
+            self.cost.cpu(n.len() as u64);
+            for i in 0..n.len() {
+                if n.rect(i).contains_point(q) {
+                    if n.is_leaf() {
+                        out.push(n.item(i));
+                    } else {
+                        stack.push(n.child(i));
                     }
                 }
             }
@@ -832,7 +867,9 @@ impl Tree {
     }
 
     /// [`Self::sphere_query`] with caller-provided buffers; see
-    /// [`Self::point_query_with`] for the contract.
+    /// [`Self::point_query_with`] for the buffer contract. A serving
+    /// traversal: it counts pages and CPU ops in locals and bills the cost
+    /// tracker once at the end, without consulting the page cache.
     pub fn sphere_query_with(
         &self,
         center: &[f64],
@@ -844,39 +881,43 @@ impl Tree {
         out.clear();
         stack.push(self.root);
         let mut pages = 0u64;
+        let mut ops = 0u64;
         while let Some(id) = stack.pop() {
-            self.touch(id);
             let n = self.node(id);
             pages += n.span as u64;
-            self.cost.cpu(n.entries.len() as u64);
-            for e in &n.entries {
-                if e.mbr.intersects_sphere(center, radius) {
-                    match e.payload {
-                        Payload::Item(item) => out.push(item),
-                        Payload::Child(c) => stack.push(c),
+            ops += n.len() as u64;
+            for i in 0..n.len() {
+                if n.rect(i).intersects_sphere(center, radius) {
+                    if n.is_leaf() {
+                        out.push(n.item(i));
+                    } else {
+                        stack.push(n.child(i));
                     }
                 }
             }
         }
+        self.cost.read(pages);
+        self.cost.cpu(ops);
         pages
     }
 
     /// All items whose MBR intersects the query window.
     pub fn window_query(&self, window: &Mbr) -> Vec<ItemId> {
         let mut out = Vec::new();
-        self.window_query_rec(self.root, window, &mut out);
+        self.window_query_rec(self.root, BoxRef::of(window), &mut out);
         out
     }
 
-    fn window_query_rec(&self, id: PageId, w: &Mbr, out: &mut Vec<ItemId>) {
+    fn window_query_rec(&self, id: PageId, w: BoxRef<'_>, out: &mut Vec<ItemId>) {
         self.touch(id);
         let n = self.node(id);
-        self.cost.cpu(n.entries.len() as u64);
-        for e in &n.entries {
-            if e.mbr.intersects(w) {
-                match e.payload {
-                    Payload::Item(item) => out.push(item),
-                    Payload::Child(c) => self.window_query_rec(c, w, out),
+        self.cost.cpu(n.len() as u64);
+        for i in 0..n.len() {
+            if n.rect(i).intersects(w) {
+                if n.is_leaf() {
+                    out.push(n.item(i));
+                } else {
+                    self.window_query_rec(n.child(i), w, out);
                 }
             }
         }
@@ -892,12 +933,13 @@ impl Tree {
     fn sphere_query_rec(&self, id: PageId, c: &[f64], r: f64, out: &mut Vec<ItemId>) {
         self.touch(id);
         let n = self.node(id);
-        self.cost.cpu(n.entries.len() as u64);
-        for e in &n.entries {
-            if e.mbr.intersects_sphere(c, r) {
-                match e.payload {
-                    Payload::Item(item) => out.push(item),
-                    Payload::Child(child) => self.sphere_query_rec(child, c, r, out),
+        self.cost.cpu(n.len() as u64);
+        for i in 0..n.len() {
+            if n.rect(i).intersects_sphere(c, r) {
+                if n.is_leaf() {
+                    out.push(n.item(i));
+                } else {
+                    self.sphere_query_rec(n.child(i), c, r, out);
                 }
             }
         }
@@ -908,7 +950,7 @@ impl Tree {
     /// rectangle in the index contains the point").
     pub fn page_point_query(&self, q: &[f64]) -> Vec<ItemId> {
         let mut out = Vec::new();
-        self.page_query_rec(self.root, &mut out, &|m: &Mbr| m.contains_point(q));
+        self.page_query_rec(self.root, &mut out, &|b: BoxRef<'_>| b.contains_point(q));
         out
     }
 
@@ -916,24 +958,24 @@ impl Tree {
     /// the paper's **Sphere** candidate strategy.
     pub fn page_sphere_query(&self, center: &[f64], radius: f64) -> Vec<ItemId> {
         let mut out = Vec::new();
-        self.page_query_rec(self.root, &mut out, &|m: &Mbr| {
-            m.intersects_sphere(center, radius)
+        self.page_query_rec(self.root, &mut out, &|b: BoxRef<'_>| {
+            b.intersects_sphere(center, radius)
         });
         out
     }
 
-    fn page_query_rec(&self, id: PageId, out: &mut Vec<ItemId>, pred: &dyn Fn(&Mbr) -> bool) {
+    fn page_query_rec(&self, id: PageId, out: &mut Vec<ItemId>, pred: &dyn Fn(BoxRef<'_>) -> bool) {
         self.touch(id);
         let n = self.node(id);
-        self.cost.cpu(n.entries.len() as u64);
+        self.cost.cpu(n.len() as u64);
         if n.is_leaf() {
             // The page region qualified; return everything stored in it.
-            out.extend(n.entries.iter().map(|e| e.item_id()));
+            out.extend_from_slice(n.items());
             return;
         }
-        for e in &n.entries {
-            if pred(&e.mbr) {
-                self.page_query_rec(e.child_id(), out, pred);
+        for i in 0..n.len() {
+            if pred(n.rect(i)) {
+                self.page_query_rec(n.child(i), out, pred);
             }
         }
     }
@@ -942,11 +984,11 @@ impl Tree {
     /// `sign·(x[dim] − q[dim]) > 0` — the directional NN of the paper's
     /// **NN-Direction** strategy (2·d of these per cell).
     pub fn nn_in_halfspace(&self, q: &[f64], dim: usize, positive: bool) -> Option<Neighbor> {
-        let in_halfspace = |m: &Mbr| {
+        let in_halfspace = |b: BoxRef<'_>| {
             if positive {
-                m.hi()[dim] > q[dim]
+                b.hi[dim] > q[dim]
             } else {
-                m.lo()[dim] < q[dim]
+                b.lo[dim] < q[dim]
             }
         };
         #[derive(PartialEq)]
@@ -982,22 +1024,21 @@ impl Tree {
                 Ok(page) => {
                     self.touch(page);
                     let n = self.node(page);
-                    self.cost.cpu(n.entries.len() as u64);
-                    for e in &n.entries {
-                        if !in_halfspace(&e.mbr) {
+                    self.cost.cpu(n.len() as u64);
+                    for i in 0..n.len() {
+                        let b = n.rect(i);
+                        if !in_halfspace(b) {
                             continue;
                         }
-                        let d2 = e.mbr.min_dist_sq(q);
-                        match e.payload {
-                            Payload::Item(id) => heap.push(It {
-                                key: d2,
-                                target: Err((id, d2)),
-                            }),
-                            Payload::Child(c) => heap.push(It {
-                                key: d2,
-                                target: Ok(c),
-                            }),
-                        }
+                        let d2 = b.min_dist_sq(q);
+                        heap.push(It {
+                            key: d2,
+                            target: if n.is_leaf() {
+                                Err((n.item(i), d2))
+                            } else {
+                                Ok(n.child(i))
+                            },
+                        });
                     }
                 }
             }
@@ -1012,11 +1053,14 @@ impl Tree {
     /// `DESIGN.md` §17).
     ///
     /// Pages are expanded in ascending `MINDIST(q, MBR)` order from a
-    /// priority queue \[HS 95\]. When a leaf is expanded, `visit(item)` is
-    /// called for **every** entry it stores — the traversal computes no
-    /// per-item distances; the caller owns item evaluation (typically via
-    /// the early-abort distance kernel) and returns the current pruning
-    /// bound as a *squared* distance in the tree's Euclidean geometry:
+    /// priority queue \[HS 95\]. When a leaf is expanded, `visit(item, row)`
+    /// is called for **every** entry it stores, where `row` is the entry's
+    /// row of the leaf: the point's `d` coordinates in a point-leaf tree
+    /// (`lo ‖ hi`, `2·d` values, in a box-leaf tree). The traversal
+    /// computes no per-item distances; the caller owns item evaluation
+    /// (typically via the early-abort distance kernel on `row`) and
+    /// returns the current pruning bound as a *squared* distance in the
+    /// tree's Euclidean geometry:
     ///
     /// * `f64::INFINITY` — no bound yet; nothing is pruned.
     /// * any non-negative value `b²` — directory entries and queued pages
@@ -1034,8 +1078,10 @@ impl Tree {
     /// (a min-heap pop ordering makes that a global statement).
     ///
     /// Returns the page count (supernodes bill their span) and the number
-    /// of subtrees pruned before their node was ever read. The heap lives
-    /// in the caller's [`BestFirstScratch`]; a warmed-up scratch makes the
+    /// of subtrees pruned before their node was ever read. Pages and CPU
+    /// ops are counted in locals and billed to the cost tracker once, at
+    /// the end, without consulting the page cache. The heap lives in the
+    /// caller's [`BestFirstScratch`]; a warmed-up scratch makes the
     /// traversal allocation-free.
     pub fn best_first_stream_with<F>(
         &self,
@@ -1044,52 +1090,56 @@ impl Tree {
         mut visit: F,
     ) -> TraversalStats
     where
-        F: FnMut(ItemId) -> f64,
+        F: FnMut(ItemId, &[f64]) -> f64,
     {
         let mut stats = TraversalStats::default();
         scratch.heap.clear();
         if self.len == 0 {
             return stats;
         }
+        let d = self.cfg.dim;
+        let mut ops = 0u64;
         let mut bound = f64::INFINITY;
         scratch.heap.push(PageSlot {
             key: 0.0,
             page: self.root,
         });
         'walk: while let Some(slot) = scratch.heap.pop() {
-            self.cost.cpu(1);
+            ops += 1;
             if slot.key > bound {
                 // Min-heap: every page still queued is at least this far
                 // out, so the whole frontier is pruned in one step.
                 stats.nodes_pruned += 1 + scratch.heap.len() as u64;
                 break;
             }
-            self.touch(slot.page);
             let n = self.node(slot.page);
             stats.pages += n.span as u64;
-            self.cost.cpu(n.entries.len() as u64);
+            ops += n.len() as u64;
             if n.is_leaf() {
-                for e in &n.entries {
-                    bound = visit(e.item_id());
+                for (row, item) in n.rows() {
+                    bound = visit(item, row);
                     if bound < 0.0 {
                         stats.nodes_pruned += scratch.heap.len() as u64;
                         break 'walk;
                     }
                 }
             } else {
-                for e in &n.entries {
-                    let d2 = e.mbr.min_dist_sq(q);
+                for (row, child) in n.rows() {
+                    let (lo, hi) = row.split_at(d);
+                    let d2 = min_dist_sq(lo, hi, q);
                     if d2 > bound {
                         stats.nodes_pruned += 1;
                         continue;
                     }
                     scratch.heap.push(PageSlot {
                         key: d2,
-                        page: e.child_id(),
+                        page: PageId(child as u32),
                     });
                 }
             }
         }
+        self.cost.read(stats.pages);
+        self.cost.cpu(ops);
         stats
     }
 
@@ -1100,85 +1150,7 @@ impl Tree {
 
     /// Best-first k-nearest-neighbor search.
     pub fn knn_best_first(&self, q: &[f64], k: usize) -> Vec<Neighbor> {
-        #[derive(PartialEq)]
-        struct Item {
-            key: f64,
-            target: Result<PageId, (ItemId, f64)>,
-        }
-        impl Eq for Item {}
-        impl PartialOrd for Item {
-            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Item {
-            fn cmp(&self, o: &Self) -> Ordering {
-                // min-heap by key
-                o.key.partial_cmp(&self.key).unwrap_or(Ordering::Equal)
-            }
-        }
-
-        let mut out = Vec::new();
-        if self.len == 0 || k == 0 {
-            return out;
-        }
-        let mut heap: BinaryHeap<Item> = BinaryHeap::new();
-        heap.push(Item {
-            key: 0.0,
-            target: Ok(self.root),
-        });
-        // Upper bound: the k-th best item distance seen so far (max-heap of
-        // item keys). Entries beyond it can never reach the result.
-        let mut kth: BinaryHeap<OrderedF64> = BinaryHeap::new();
-        let bound = |kth: &BinaryHeap<OrderedF64>| {
-            if kth.len() == k {
-                kth.peek().map(|b| b.0).unwrap_or(f64::INFINITY)
-            } else {
-                f64::INFINITY
-            }
-        };
-        while let Some(it) = heap.pop() {
-            self.cost.cpu(1);
-            match it.target {
-                Err((id, d2)) => {
-                    out.push(Neighbor {
-                        id,
-                        dist: d2.sqrt(),
-                    });
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Ok(page) => {
-                    self.touch(page);
-                    let n = self.node(page);
-                    self.cost.cpu(n.entries.len() as u64);
-                    for e in &n.entries {
-                        let d2 = e.mbr.min_dist_sq(q);
-                        if d2 > bound(&kth) {
-                            continue;
-                        }
-                        match e.payload {
-                            Payload::Item(id) => {
-                                if kth.len() == k {
-                                    kth.pop();
-                                }
-                                kth.push(OrderedF64(d2));
-                                heap.push(Item {
-                                    key: d2,
-                                    target: Err((id, d2)),
-                                });
-                            }
-                            Payload::Child(c) => heap.push(Item {
-                                key: d2,
-                                target: Ok(c),
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.approx_knn(q, k, usize::MAX).0
     }
 
     /// Budgeted best-first k-nearest-neighbor probe.
@@ -1222,6 +1194,8 @@ impl Tree {
             key: 0.0,
             target: Ok(self.root),
         });
+        // Upper bound: the k-th best item distance seen so far (max-heap of
+        // item keys). Entries beyond it can never reach the result.
         let mut kth: BinaryHeap<OrderedF64> = BinaryHeap::new();
         let bound = |kth: &BinaryHeap<OrderedF64>| {
             if kth.len() == k {
@@ -1254,27 +1228,26 @@ impl Tree {
                     pages_left -= 1;
                     self.touch(page);
                     let n = self.node(page);
-                    self.cost.cpu(n.entries.len() as u64);
-                    for e in &n.entries {
-                        let d2 = e.mbr.min_dist_sq(q);
+                    self.cost.cpu(n.len() as u64);
+                    for i in 0..n.len() {
+                        let d2 = n.rect(i).min_dist_sq(q);
                         if d2 > bound(&kth) {
                             continue;
                         }
-                        match e.payload {
-                            Payload::Item(id) => {
-                                if kth.len() == k {
-                                    kth.pop();
-                                }
-                                kth.push(OrderedF64(d2));
-                                heap.push(Item {
-                                    key: d2,
-                                    target: Err((id, d2)),
-                                });
+                        if n.is_leaf() {
+                            if kth.len() == k {
+                                kth.pop();
                             }
-                            Payload::Child(c) => heap.push(Item {
+                            kth.push(OrderedF64(d2));
+                            heap.push(Item {
                                 key: d2,
-                                target: Ok(c),
-                            }),
+                                target: Err((n.item(i), d2)),
+                            });
+                        } else {
+                            heap.push(Item {
+                                key: d2,
+                                target: Ok(n.child(i)),
+                            });
                         }
                     }
                 }
@@ -1300,21 +1273,22 @@ impl Tree {
     fn nn_bb_rec(&self, id: PageId, q: &[f64], best: &mut Option<(ItemId, f64)>) {
         self.touch(id);
         let n = self.node(id);
-        self.cost.cpu(n.entries.len() as u64);
+        self.cost.cpu(n.len() as u64);
         if n.is_leaf() {
-            for e in &n.entries {
-                let d2 = e.mbr.min_dist_sq(q);
+            for i in 0..n.len() {
+                let d2 = n.rect(i).min_dist_sq(q);
                 if best.is_none_or(|(_, b)| d2 < b) {
-                    *best = Some((e.item_id(), d2));
+                    *best = Some((n.item(i), d2));
                 }
             }
             return;
         }
         // Active branch list ordered by MINDIST; prune with MINMAXDIST.
-        let mut abl: Vec<(f64, f64, PageId)> = n
-            .entries
-            .iter()
-            .map(|e| (e.mbr.min_dist_sq(q), e.mbr.minmax_dist_sq(q), e.child_id()))
+        let mut abl: Vec<(f64, f64, PageId)> = (0..n.len())
+            .map(|i| {
+                let b = n.rect(i);
+                (b.min_dist_sq(q), b.minmax_dist_sq(q), n.child(i))
+            })
             .collect();
         self.cost.cpu(2 * abl.len() as u64);
         abl.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
@@ -1344,53 +1318,76 @@ impl Tree {
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             let n = self.node(id);
-            for e in &n.entries {
-                match e.payload {
-                    Payload::Item(item) => out.push((item, e.mbr.clone())),
-                    Payload::Child(c) => stack.push(c),
+            for i in 0..n.len() {
+                if n.is_leaf() {
+                    out.push((n.item(i), n.rect(i).to_mbr()));
+                } else {
+                    stack.push(n.child(i));
                 }
             }
         }
         out
     }
 
-    /// Structural invariant check for tests: levels descend by one, parent
-    /// entry MBRs are exact unions, entry counts fit page spans.
+    /// Structural invariant check for tests: levels descend by one, entry
+    /// counts fit page spans, every node's bounds array holds one row per
+    /// entry with the layout's stride (`d` in a point leaf, `2·d`
+    /// otherwise), directory rows contain their children's rows and are
+    /// their exact unions.
     ///
     /// # Panics
     /// Panics with a description of the violated invariant.
     pub fn validate(&self) {
         self.validate_rec(self.root, None);
         assert_eq!(
-            self.items().len(),
+            self.leaf_entry_count(),
             self.len,
             "len() disagrees with leaf entry count"
         );
     }
 
-    fn validate_rec(&self, id: PageId, expected_mbr: Option<&Mbr>) {
+    fn validate_rec(&self, id: PageId, expected: Option<BoxRef<'_>>) {
         let n = self.node(id);
         assert!(
-            n.entries.len() <= self.capacity(n),
+            n.len() <= self.capacity(n),
             "node {id:?} over capacity: {} > {}",
-            n.entries.len(),
+            n.len(),
             self.capacity(n)
         );
-        if let Some(exp) = expected_mbr {
+        let d = self.cfg.dim;
+        let stride = if n.is_leaf() && self.cfg.leaf_stores_points {
+            d
+        } else {
+            2 * d
+        };
+        assert_eq!(n.stride(), stride, "node {id:?} has the wrong row stride");
+        assert_eq!(
+            n.bounds().len(),
+            n.len() * stride,
+            "node {id:?}: bounds array does not hold one row per entry"
+        );
+        if let Some(exp) = expected {
             let actual = n.mbr().expect("non-root node must be non-empty");
-            for i in 0..exp.dim() {
+            for i in 0..d {
                 assert!(
-                    (exp.lo()[i] - actual.lo()[i]).abs() < 1e-9
-                        && (exp.hi()[i] - actual.hi()[i]).abs() < 1e-9,
+                    (exp.lo[i] - actual.lo()[i]).abs() < 1e-9
+                        && (exp.hi[i] - actual.hi()[i]).abs() < 1e-9,
                     "parent entry MBR not tight for node {id:?}"
+                );
+            }
+            for j in 0..n.len() {
+                let r = n.rect(j);
+                assert!(
+                    (0..d).all(|i| exp.lo[i] <= r.lo[i] && r.hi[i] <= exp.hi[i]),
+                    "parent entry of node {id:?} does not contain entry {j}"
                 );
             }
         }
         if !n.is_leaf() {
-            for e in &n.entries {
-                let c = self.node(e.child_id());
+            for i in 0..n.len() {
+                let c = self.node(n.child(i));
                 assert_eq!(c.level + 1, n.level, "level mismatch under {id:?}");
-                self.validate_rec(e.child_id(), Some(&e.mbr));
+                self.validate_rec(n.child(i), Some(n.rect(i)));
             }
         }
     }
@@ -1584,9 +1581,10 @@ mod tests {
                 // shrink the bound to the best squared distance seen.
                 let mut best: Option<(ItemId, f64)> = None;
                 let mut visited = 0usize;
-                let stats = t.best_first_stream_with(q, &mut scratch, |id| {
+                let stats = t.best_first_stream_with(q, &mut scratch, |id, row| {
                     visited += 1;
-                    let d2 = dist_sq(q, &pts[id as usize]);
+                    assert_eq!(row, &pts[id as usize][..], "leaf row is the point");
+                    let d2 = dist_sq(q, row);
                     if best.is_none_or(|(_, b)| d2 < b) {
                         best = Some((id, d2));
                     }
@@ -1617,7 +1615,7 @@ mod tests {
         let t = build(SplitPolicy::XTree, &pts);
         let mut scratch = BestFirstScratch::new();
         let mut visited = 0usize;
-        let stats = t.best_first_stream_with(&pts[0], &mut scratch, |_| {
+        let stats = t.best_first_stream_with(&pts[0], &mut scratch, |_, _| {
             visited += 1;
             f64::NEG_INFINITY
         });
@@ -1876,6 +1874,33 @@ mod tests {
         assert!(s.cpu_ops > 0);
         t.reset_stats();
         assert_eq!(t.stats(), IoStats::default());
+    }
+
+    #[test]
+    fn serving_traversals_bill_their_own_page_counts_and_skip_the_cache() {
+        let pts = points(500, 4, 15);
+        let t = build(SplitPolicy::XTree, &pts);
+        // A cache big enough for the whole tree would turn every re-touch
+        // into a hit; the serving traversals must not consult it.
+        t.enable_cache(t.total_pages() as usize + 8);
+        let mut scratch = BestFirstScratch::new();
+        let (mut stack, mut out) = (Vec::new(), Vec::new());
+        t.reset_stats();
+        let mut pages = 0;
+        for q in points(20, 4, 16) {
+            let mut best = f64::INFINITY;
+            pages += t
+                .best_first_stream_with(&q, &mut scratch, |_, row| {
+                    best = best.min(dist_sq(&q, row));
+                    best
+                })
+                .pages;
+            pages += t.sphere_query_with(&q, 0.1, &mut stack, &mut out);
+        }
+        let s = t.stats();
+        assert_eq!(s.page_reads, pages, "one read per page, billed once");
+        assert_eq!(s.cache_hits, 0, "serving traversals skip the cache");
+        assert!(s.cpu_ops > 0);
     }
 
     #[test]
