@@ -83,9 +83,11 @@ NNCELL_N="${NNCELL_SERVER_N:-4000}" NNCELL_DIM="${NNCELL_SERVER_DIM:-8}" \
     cargo bench -p nncell-bench --bench server
 
 echo "== build-scaling bench smoke (pooled vs exhaustive NN-cell construction) =="
-# Exercises the sub-quadratic pooled build path end to end (STR bulk load,
-# approximate-kNN constraint pools, degeneracy fallback) and parity-checks
-# every pooled build against a linear scan. CI runs a seconds-long smoke
+# Times NnCells::build, the paper's structure, which is off the serving
+# path (a serving build is an STR bulk load of milliseconds). Exercises
+# the sub-quadratic pooled cell build end to end (approximate-kNN
+# constraint pools, degeneracy fallback) and parity-checks every pooled
+# build against a linear scan. CI runs a seconds-long smoke
 # ladder and writes the JSON to target/ so it never clobbers the committed
 # full-scale BENCH_build_scaling.json; to regenerate that file, run the
 # bench with all overrides unset (defaults: n ∈ {8k, 32k, 128k}, d=8 —
@@ -193,8 +195,10 @@ else
 fi
 
 echo "== cell-construction gate (cell_build_seconds vs committed baseline) =="
-# The pooled NN-cell construction path (NnCells::build) is this repo's
-# headline build-speed claim; guard it the same way as query throughput.
+# The pooled NN-cell construction path (NnCells::build) builds the
+# paper's structure, which is off the serving path; this gate guards that
+# structure's build speed the same way as query throughput, not the
+# serving build.
 # The serving index's own build_seconds is an STR bulk load of
 # milliseconds, so the gate reads cell_build_seconds, which the bench
 # times on the same points and configuration. The fresh smoke run may

@@ -23,7 +23,7 @@
 //! usual env overrides (`NNCELL_N`, `NNCELL_DIM`, `NNCELL_QUERIES`,
 //! `NNCELL_SERVER_THREADS`, `NNCELL_BENCH_OUT` for the JSON path).
 
-use nncell_bench::{env_usize, timed};
+use nncell_bench::{env_usize, provenance_json, timed};
 use nncell_core::{BuildConfig, Registry, ShardedIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_server::{Client, Server, ServerConfig, ServeIndex};
@@ -239,11 +239,12 @@ fn main() {
     join.join().expect("server thread");
 
     let json = format!(
-        "{{\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {},\n  \"server_threads\": {threads},\n  \
+        "{{\n  {},\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {},\n  \"server_threads\": {threads},\n  \
          \"qps\": {qps:.2},\n  \"p50_ms\": {p50_ms:.3},\n  \"p99_ms\": {p99_ms:.3},\n  \
          \"overload\": {{\n    \"offered_concurrency\": {offered_clients},\n    \"capacity\": {capacity},\n    \
          \"offered_requests\": {offered},\n    \"served\": {served},\n    \"retries\": {retries},\n    \
          \"abandoned\": {abandoned},\n    \"sheds_per_offered\": {sheds_per_offered:.4}\n  }}\n}}\n",
+        provenance_json(),
         latencies.len()
     );
     std::fs::write(&out, json).expect("write bench json");

@@ -304,7 +304,7 @@ fn cmd_recover(p: &Parsed) -> Result<(), String> {
 
 /// `flush --wal DIR`: land every journaled record in the snapshot and
 /// reset the journals. Opening the directory already replays the WAL
-/// into the in-memory masters (the offline equivalent of folding the
+/// into the in-memory shard indexes (the offline equivalent of folding the
 /// memtable tail); `flush` makes that state the new on-disk baseline so
 /// the next open carries zero replay debt.
 fn cmd_flush(p: &Parsed) -> Result<(), String> {

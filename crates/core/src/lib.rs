@@ -60,7 +60,7 @@ pub use cells::{BuildProfile, BuildStats, IntegrityReport, NnCells, PhaseTiming}
 pub use config::{
     BuildConfig, BuildConfigBuilder, ConstraintPool, InputPolicy, SolverKind, Strategy,
 };
-pub use durable::{DurableError, DurableIndex, RecoveryReport};
+pub use durable::{DurableError, RecoveryReport};
 pub use engine::{QueryEngine, QueryScratch};
 pub use error::Error;
 pub use index::{BuildError, NnCellIndex, QueryResult};

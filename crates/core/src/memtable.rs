@@ -105,7 +105,7 @@ impl Memtable {
 
     /// The unfolded tail as WAL records in ack order — exactly the suffix
     /// a checkpoint must re-journal into its fresh log so replay
-    /// reconstructs master + tail.
+    /// reconstructs the published snapshot + tail.
     pub(crate) fn wal_records(&self) -> Vec<WalRecord> {
         self.frozen
             .iter()

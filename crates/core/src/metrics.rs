@@ -80,7 +80,8 @@ impl EngineMetrics {
 ///
 /// Cloning shares every handle (all are `Arc`s into the registry); the
 /// copy-on-write shard snapshots rely on this so a published snapshot
-/// keeps recording into the same series as its master.
+/// keeps recording into the same series as the version it was cloned
+/// from.
 #[derive(Clone)]
 pub struct IndexMetrics {
     registry: Arc<Registry>,

@@ -223,8 +223,8 @@ impl QueryResponse {
 /// Why a query could not be answered.
 ///
 /// The same variants are returned by every surface — [`crate::QueryEngine`],
-/// the deprecated index shims (mapped to `None`/`[]`), [`crate::DurableIndex`],
-/// and the CLI — so malformed input behaves identically everywhere.
+/// [`crate::ShardedIndex`] and the CLI — so malformed input behaves
+/// identically everywhere.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum QueryError {

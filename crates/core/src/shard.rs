@@ -25,11 +25,13 @@
 //! durable mode), push the operation onto the shard's memtable tail and
 //! acknowledge — O(1), no tree update, no snapshot clone. The folder
 //! ([`ShardedIndex::run_folder`], [`ShardedIndex::fold_once`],
-//! [`ShardedIndex::flush`]) applies the tail to the shard's authoritative
-//! *master* index off the write path and **publishes** a fresh snapshot.
-//! Readers never block on a write and never observe a half-applied
-//! mutation; a query overlapping a publish simply answers from the
-//! version it loaded.
+//! [`ShardedIndex::flush`]) clones the shard's snapshot off the write
+//! path, applies the tail to the clone and **publishes** it. The
+//! published snapshot is the only copy of a shard's index: the writer
+//! reads it (under its lock, where it cannot change) for duplicate and
+//! liveness checks, saves and checkpoints. Readers never block on a write
+//! and never observe a half-applied mutation; a query overlapping a
+//! publish simply answers from the version it loaded.
 //!
 //! # On-disk layouts
 //!
@@ -38,7 +40,7 @@
 //! ```text
 //! FILE                     one index file (NnCellIndex::save)        1 in-memory shard
 //! dir/MANIFEST             "nncell-sharded <S>" + dir/shard-<i>.nncell  S in-memory shards
-//! dir/CURRENT = "<G>"      one durable directory (DurableIndex)       1 durable shard
+//! dir/CURRENT = "<G>"      one durable shard directory (older)       1 durable shard
 //! dir/CURRENT = "sharded S" + dir/shard-<i>/ (durable directories)    S durable shards
 //! ```
 //!
@@ -46,13 +48,14 @@
 //! ([`ShardedIndex::open_durable`], [`ShardedIndex::into_durable`]). The
 //! top-level `CURRENT` only records the shard count (written via the same
 //! `write_atomic` tmp+fsync+rename path); each shard directory keeps its
-//! own generation machinery, so crash recovery is per-shard WAL replay.
+//! own generation machinery (see [`crate::durable`]), so crash recovery is
+//! per-shard WAL replay.
 //! Round-robin assignment makes the global id watermark recoverable:
 //! acknowledged inserts are a prefix of the global id sequence, so
 //! `next_global` is the sum of per-shard slot counts.
 
 use crate::config::BuildConfig;
-use crate::durable::{DurableError, DurableIndex, RecoveryReport};
+use crate::durable::{DurableError, RecoveryReport, ShardLog};
 use crate::cells::BuildStats;
 use crate::engine::QueryEngine;
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex, QueryResult};
@@ -79,31 +82,16 @@ const PLAIN_MAGIC: &str = "nncell-sharded";
 /// File name of the durable commit pointer, top-level and per shard.
 const CURRENT: &str = "CURRENT";
 /// Magic of the durable `CURRENT` manifest: `sharded <S>`. Deliberately
-/// not a number, so a plain [`DurableIndex::open`] on a sharded
-/// directory fails with a typed corrupt-manifest error instead of
-/// misreading it as a generation.
+/// not a number, so opening a sharded directory as one shard directory
+/// fails with a typed corrupt-manifest error instead of misreading it as
+/// a generation.
 const DURABLE_MAGIC: &str = "sharded";
 
-/// The authoritative (writer-side) copy of one shard.
-enum ShardWriter {
-    /// In-memory shard.
-    Mem(NnCellIndex<Euclidean>),
-    /// Crash-consistent shard: journal-before-ack through its own WAL.
-    Durable(DurableIndex),
-}
-
-impl ShardWriter {
-    fn index(&self) -> &NnCellIndex<Euclidean> {
-        match self {
-            ShardWriter::Mem(idx) => idx,
-            ShardWriter::Durable(d) => d.index(),
-        }
-    }
-}
-
-/// Writer-side state, guarded by the single writer mutex.
+/// Writer-side state, guarded by the single writer mutex. The shard
+/// indexes themselves live only in the published snapshots.
 struct Writer {
-    shards: Vec<ShardWriter>,
+    /// One log per shard when the index is durable, none otherwise.
+    logs: Vec<ShardLog>,
     /// The next unassigned global id. Round-robin: acknowledged ids are
     /// exactly `0..next_global`.
     next_global: usize,
@@ -265,7 +253,6 @@ pub struct ShardedIndex {
     fallback_queries: AtomicU64,
     /// Per-shard recovery reports of durable shards (empty otherwise).
     recovery: Vec<RecoveryReport>,
-    durable: bool,
     /// The journaled memtable every write lands in.
     tail: TailState,
 }
@@ -318,14 +305,12 @@ impl ShardedIndex {
                 .map(|h| h.join().expect("shard build worker panicked"))
                 .collect()
         });
-        let mut masters = Vec::with_capacity(shards);
-        for r in built {
-            masters.push(ShardWriter::Mem(r?));
-        }
+        let indexes = built.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(Self::assemble(
             dim,
             cfg,
-            masters,
+            indexes,
+            Vec::new(),
             next_global,
             start.elapsed().as_secs_f64(),
             skipped,
@@ -336,58 +321,48 @@ impl ShardedIndex {
     /// [`Self::insert`].
     pub fn new(dim: usize, shards: usize, cfg: BuildConfig) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        let masters = (0..shards)
-            .map(|_| ShardWriter::Mem(NnCellIndex::new(dim, cfg.clone())))
+        let indexes = (0..shards)
+            .map(|_| NnCellIndex::new(dim, cfg.clone()))
             .collect();
-        Self::assemble(dim, cfg, masters, 0, 0.0, 0)
+        Self::assemble(dim, cfg, indexes, Vec::new(), 0, 0.0, 0)
     }
 
-    /// Wraps shard masters; durability and recovery reports come from the
-    /// masters themselves. The memtable starts empty with the default
-    /// [`FoldConfig`].
+    /// Publishes each shard index as its first snapshot (moved, not
+    /// copied). `logs` holds one log per shard for a durable index and is
+    /// empty otherwise; the recovery reports come from the logs. The
+    /// memtable starts empty with the default [`FoldConfig`].
     fn assemble(
         dim: usize,
         cfg: BuildConfig,
-        masters: Vec<ShardWriter>,
+        indexes: Vec<NnCellIndex<Euclidean>>,
+        logs: Vec<ShardLog>,
         next_global: usize,
         build_seconds: f64,
         skipped_points: usize,
     ) -> Self {
-        let snaps = masters
-            .iter()
-            .map(|m| SnapshotCell::new(m.index().clone()))
-            .collect();
-        let recovery: Vec<RecoveryReport> = masters
-            .iter()
-            .filter_map(|m| match m {
-                ShardWriter::Durable(d) => Some(d.recovery().clone()),
-                ShardWriter::Mem(_) => None,
-            })
-            .collect();
-        let tail = TailState::new(FoldConfig::default(), masters.len());
+        let tail = TailState::new(FoldConfig::default(), indexes.len());
         Self {
             dim,
             cfg,
-            snaps,
-            durable: !recovery.is_empty(),
-            writer: Mutex::new(Writer {
-                shards: masters,
-                next_global,
-            }),
+            snaps: indexes.into_iter().map(SnapshotCell::new).collect(),
+            recovery: logs.iter().map(|l| l.recovery().clone()).collect(),
+            writer: Mutex::new(Writer { logs, next_global }),
             build_seconds,
             skipped_points,
             fallback_queries: AtomicU64::new(0),
-            recovery,
             tail,
         }
     }
 
     /// Wraps shards opened from disk: they must agree on dimensionality,
     /// and the global id watermark is the sum of their slot counts.
-    fn from_masters(masters: Vec<ShardWriter>) -> Result<Self, PersistError> {
-        let (dim, cfg) = check_shard_agreement(&masters)?;
-        let next_global = masters.iter().map(|m| m.index().points().len()).sum();
-        Ok(Self::assemble(dim, cfg, masters, next_global, 0.0, 0))
+    fn from_shards(
+        indexes: Vec<NnCellIndex<Euclidean>>,
+        logs: Vec<ShardLog>,
+    ) -> Result<Self, PersistError> {
+        let (dim, cfg) = check_shard_agreement(&indexes)?;
+        let next_global = indexes.iter().map(|idx| idx.points().len()).sum();
+        Ok(Self::assemble(dim, cfg, indexes, logs, next_global, 0.0, 0))
     }
 
     /// Replaces the memtable's [`FoldConfig`] (high-watermark, folder
@@ -437,9 +412,9 @@ impl ShardedIndex {
         &self.tail.cfg
     }
 
-    /// The writer lock. A poisoned lock is taken over: masters are only
-    /// mutated by folds and WAL replay, which keep the index consistent
-    /// on failure.
+    /// The writer lock. A poisoned lock is taken over: it guards only the
+    /// id watermark and the shard logs, and every critical section leaves
+    /// them consistent before it can panic.
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
         match self.writer.lock() {
             Ok(g) => g,
@@ -466,22 +441,22 @@ impl ShardedIndex {
         &self.cfg
     }
 
-    /// Total live points across all shards, counted against the masters
-    /// plus the unfolded tails (under the writer lock, so acked writes
-    /// are always reflected even before they fold).
+    /// Total live points across all shards, counted against the
+    /// snapshots plus the unfolded tails (under the writer lock, so acked
+    /// writes are always reflected even before they fold).
     pub fn len(&self) -> usize {
-        let w = self.lock_writer();
+        let _w = self.lock_writer();
         let mut total = 0usize;
-        for (i, sw) in w.shards.iter().enumerate() {
-            let master = sw.index();
-            let m = lock_mem(&self.tail.tails[i]);
+        for (cell, mem) in self.snaps.iter().zip(&self.tail.tails) {
+            let snap = cell.load();
+            let m = lock_mem(mem);
             let view = m.view();
-            let master_dead = view
+            let snap_dead = view
                 .removed
                 .iter()
-                .filter(|&&local| master.is_live(local))
+                .filter(|&&local| snap.is_live(local))
                 .count();
-            total += master.len() + view.live() - master_dead;
+            total += snap.len() + view.live() - snap_dead;
         }
         total
     }
@@ -493,7 +468,7 @@ impl ShardedIndex {
 
     /// Whether updates are journaled through per-shard WALs.
     pub fn is_durable(&self) -> bool {
-        self.durable
+        !self.recovery.is_empty()
     }
 
     /// The current published snapshot of shard `i` (a stable read-only
@@ -549,13 +524,10 @@ impl ShardedIndex {
 
     /// Records sitting in the shards' active WALs (0 when not durable).
     pub fn wal_records(&self) -> u64 {
-        let w = self.lock_writer();
-        w.shards
+        self.lock_writer()
+            .logs
             .iter()
-            .map(|s| match s {
-                ShardWriter::Mem(_) => 0,
-                ShardWriter::Durable(d) => d.wal_records(),
-            })
+            .map(ShardLog::wal_records)
             .sum()
     }
 
@@ -573,16 +545,21 @@ impl ShardedIndex {
         // metrics-attached snapshots with pre-attach clones.
         let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
-        let labeled = w.shards.len() > 1;
-        for (i, sw) in w.shards.iter_mut().enumerate() {
+        let labeled = self.num_shards() > 1;
+        for (i, cell) in self.snaps.iter().enumerate() {
             let tag = i.to_string();
             let shard_label = [("shard", tag.as_str())];
             let labels: &[(&str, &str)] = if labeled { &shard_label } else { &[] };
-            match sw {
-                ShardWriter::Mem(idx) => idx.attach_metrics_labeled(Arc::clone(&registry), labels),
-                ShardWriter::Durable(d) => d.attach_metrics_labeled(Arc::clone(&registry), labels),
+            let snap = cell.load();
+            if snap.metrics().is_some() {
+                continue;
             }
-            self.snaps[i].store(Arc::new(sw.index().clone()));
+            let mut idx = (*snap).clone();
+            idx.attach_metrics_labeled(Arc::clone(&registry), labels);
+            cell.store(Arc::new(idx));
+        }
+        for log in &mut w.logs {
+            log.attach_metrics(&registry);
         }
         let ts = &self.tail;
         let mut slot = match ts.metrics.lock() {
@@ -881,7 +858,7 @@ impl ShardedIndex {
     // ------------------------------------------------------------------
 
     /// Inserts a point: assign the next global id, validate (including a
-    /// cross-shard exact-duplicate check against masters *and* tails),
+    /// cross-shard exact-duplicate check against snapshots *and* tails),
     /// check backpressure, journal (durable mode) and push onto the owning
     /// shard's memtable tail. Returns the global id. No point-tree update,
     /// no snapshot clone — the writer-lock hold is O(log n) (the duplicate
@@ -900,12 +877,12 @@ impl ShardedIndex {
         let g = w.next_global;
         validate_point(&p, g, self.dim, &DataSpace::unit(self.dim))
             .map_err(DurableError::Invalid)?;
-        for (si, sw) in w.shards.iter().enumerate() {
-            let m = lock_mem(&self.tail.tails[si]);
+        for (si, (cell, mem)) in self.snaps.iter().zip(&self.tail.tails).enumerate() {
+            let m = lock_mem(mem);
             let view = m.view();
-            // A master duplicate tombstoned in the tail is dead.
-            let dup = sw
-                .index()
+            // A snapshot duplicate tombstoned in the tail is dead.
+            let dup = cell
+                .load()
                 .find_live_duplicate(&p)
                 .filter(|&local| !view.is_removed(local))
                 .or_else(|| view.find_live_duplicate(&p));
@@ -918,10 +895,10 @@ impl ShardedIndex {
         }
         self.tail.admit()?;
         let (shard, local) = self.locate(g);
-        if let ShardWriter::Durable(d) = &mut w.shards[shard] {
+        if let Some(log) = w.logs.get_mut(shard) {
             // Journal-first: the fsync happens here, before the ack. A
             // failure leaves the tail untouched.
-            d.journal(&WalRecord::Insert(p.clone()))?;
+            log.journal(&WalRecord::Insert(p.clone()))?;
         }
         lock_mem(&self.tail.tails[shard]).push_insert(local, p);
         self.tail.add_depth(1);
@@ -947,15 +924,15 @@ impl ShardedIndex {
         let live = {
             let m = lock_mem(&self.tail.tails[shard]);
             let view = m.view();
-            (w.shards[shard].index().is_live(local) && !view.is_removed(local))
+            (self.snaps[shard].load().is_live(local) && !view.is_removed(local))
                 || view.has_live_insert(local)
         };
         if !live {
             return Ok(false);
         }
         self.tail.admit()?;
-        if let ShardWriter::Durable(d) = &mut w.shards[shard] {
-            d.journal(&WalRecord::Remove(local as u64))?;
+        if let Some(log) = w.logs.get_mut(shard) {
+            log.journal(&WalRecord::Remove(local as u64))?;
         }
         lock_mem(&self.tail.tails[shard]).push_remove(local);
         self.tail.add_depth(1);
@@ -986,10 +963,10 @@ impl ShardedIndex {
     }
 
     /// Folds one shard's tail: freeze the batch, deep-clone the published
-    /// snapshot, re-apply the batch in ack order off-lock (under
-    /// `catch_unwind` — a panicking fold, injected or organic, keeps the
-    /// batch for retry and never corrupts the index), then publish master
-    /// and snapshot under the writer lock. Folding performs **zero**
+    /// snapshot (the fold's only copy), re-apply the batch in ack order
+    /// off-lock (under `catch_unwind` — a panicking fold, injected or
+    /// organic, keeps the batch for retry and never corrupts the index),
+    /// then publish the result under the writer lock. Folding performs **zero**
     /// syscalls: the WAL already holds every record, so crash recovery
     /// never depends on fold progress and a fold can never double-apply
     /// into durable state. Callers hold the fold lock.
@@ -1005,10 +982,10 @@ impl ShardedIndex {
         span.arg("shard", shard as u64);
         span.arg("records", batch.len() as u64);
         let start = Instant::now();
-        // Invariant: the published snapshot equals the master — both only
-        // change here, under fold_lock + writer lock, which we hold /
-        // will take. Cloning the snapshot instead of the master keeps the
-        // writer lock free during the expensive apply.
+        // The snapshot only changes under fold_lock, which we hold, so the
+        // clone below is of the state the frozen batch was acked against.
+        // Cloning off the writer lock keeps writes flowing during the
+        // expensive apply.
         let base = self.snaps[shard].load();
         let chaos = ts.cfg.fault_fold_panic.clone();
         let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1045,13 +1022,11 @@ impl ShardedIndex {
             }
         };
         let records = batch.len();
-        let master_copy = folded.clone();
         {
-            let mut w = self.lock_writer();
-            match &mut w.shards[shard] {
-                ShardWriter::Mem(idx) => *idx = master_copy,
-                ShardWriter::Durable(d) => d.replace_index(master_copy),
-            }
+            // Publish and drop the frozen batch in one writer-lock critical
+            // section: the writer never sees the batch in both the
+            // snapshot and the tail, or in neither.
+            let _w = self.lock_writer();
             self.snaps[shard].store(Arc::new(folded));
             lock_mem(&ts.tails[shard]).clear_frozen();
             ts.sub_depth(records);
@@ -1105,7 +1080,7 @@ impl ShardedIndex {
     // persistence
     // ------------------------------------------------------------------
 
-    /// Saves every shard master plus a manifest into `dir`
+    /// Saves every shard snapshot plus a manifest into `dir`
     /// (`MANIFEST` + `shard-<i>.nncell`, all through the atomic write
     /// path). Point-in-time consistent: the tail is folded in first and
     /// the writer lock is held across the save.
@@ -1121,13 +1096,13 @@ impl ShardedIndex {
     /// # Errors
     /// See [`Self::save`].
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, dir: &Path) -> Result<(), PersistError> {
-        // The masters trail the acked state by the tail; fold everything
+        // The snapshots trail the acked state by the tail; fold everything
         // in first so the saved files hold every ack. Fold lock before
         // writer lock (the global order); the tail-empty check happens
         // *under* the writer lock, so no write can sneak in between the
         // final fold and the save.
         let _fold = lock_fold(&self.tail.fold_lock);
-        let w = loop {
+        let _w = loop {
             let w = self.lock_writer();
             // Authoritative emptiness check under the writer lock (reads
             // the tails themselves, not the depth counter).
@@ -1142,8 +1117,8 @@ impl ShardedIndex {
             }
         };
         vfs.create_dir_all(dir)?;
-        for (i, sw) in w.shards.iter().enumerate() {
-            sw.index()
+        for (i, cell) in self.snaps.iter().enumerate() {
+            cell.load()
                 .save_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))?;
         }
         // Manifest last: a crash mid-save leaves either the old manifest
@@ -1152,7 +1127,7 @@ impl ShardedIndex {
         write_atomic(
             vfs,
             &dir.join(PLAIN_MANIFEST),
-            format!("{PLAIN_MAGIC} {}\n", w.shards.len()).as_bytes(),
+            format!("{PLAIN_MAGIC} {}\n", self.num_shards()).as_bytes(),
         )?;
         Ok(())
     }
@@ -1172,13 +1147,10 @@ impl ShardedIndex {
     /// See [`Self::load`].
     pub fn load_with_vfs(vfs: &dyn Vfs, dir: &Path) -> Result<Self, PersistError> {
         let shards = read_manifest(vfs, &dir.join(PLAIN_MANIFEST), PLAIN_MAGIC)?;
-        let masters = (0..shards)
-            .map(|i| {
-                NnCellIndex::load_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))
-                    .map(ShardWriter::Mem)
-            })
+        let indexes = (0..shards)
+            .map(|i| NnCellIndex::load_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell"))))
             .collect::<Result<Vec<_>, _>>()?;
-        Self::from_masters(masters)
+        Self::from_shards(indexes, Vec::new())
     }
 
     /// Opens any on-disk layout (see the module docs): a single index
@@ -1201,18 +1173,20 @@ impl ShardedIndex {
         let current = path.join(CURRENT);
         if !vfs.exists(&current) {
             let idx = NnCellIndex::load_with_vfs(vfs.as_ref(), path)?;
-            return Self::from_masters(vec![ShardWriter::Mem(idx)]);
+            return Self::from_shards(vec![idx], Vec::new());
         }
         let text = manifest_text(vfs.read(&current)?)?;
         let dirs: Vec<PathBuf> = match parse_manifest(&text, DURABLE_MAGIC) {
             Some(shards) => (0..shards).map(|i| shard_dir(path, i)).collect(),
             None => vec![path.to_path_buf()],
         };
-        let masters = dirs
+        let (logs, indexes) = dirs
             .iter()
-            .map(|d| DurableIndex::open_with_vfs(Arc::clone(&vfs), d).map(ShardWriter::Durable))
-            .collect::<Result<Vec<_>, _>>()?;
-        Self::from_masters(masters)
+            .map(|d| ShardLog::open(Arc::clone(&vfs), d))
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
+        Self::from_shards(indexes, logs)
     }
 
     /// Opens (or initializes) a crash-consistent sharded index: a
@@ -1263,26 +1237,23 @@ impl ShardedIndex {
                 format!("{DURABLE_MAGIC} {shards}\n").as_bytes(),
             )?;
         }
-        let masters = (0..shards)
+        let (logs, indexes) = (0..shards)
             .map(|i| {
-                NnCellIndex::open_durable_with_vfs(
-                    Arc::clone(&vfs),
-                    &shard_dir(dir, i),
-                    dim,
-                    cfg.clone(),
-                )
-                .map(ShardWriter::Durable)
+                ShardLog::open_or_create(Arc::clone(&vfs), &shard_dir(dir, i), dim, cfg.clone())
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Self::from_masters(masters)
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
+        Self::from_shards(indexes, logs)
     }
 
     /// Converts an in-memory sharded index into a crash-consistent one:
-    /// the tail is folded in, then each shard master becomes the
-    /// generation-0 snapshot of its own durable directory
+    /// the tail is folded in, then each shard's published snapshot is
+    /// written as the generation-0 snapshot of its own durable directory
     /// (`dir/shard-<i>/`) and the top-level `CURRENT` records the shard
-    /// count. Build stats and the memtable configuration carry over;
-    /// subsequent updates journal through the per-shard WALs.
+    /// count. The published snapshots stay as they are, and build stats,
+    /// the memtable and its configuration carry over; subsequent updates
+    /// journal through the per-shard WALs.
     ///
     /// # Errors
     /// I/O failures, an already-initialized target directory, or calling
@@ -1296,11 +1267,11 @@ impl ShardedIndex {
     /// # Errors
     /// See [`Self::into_durable`].
     pub fn into_durable_with_vfs(
-        self,
+        mut self,
         vfs: Arc<dyn Vfs>,
         dir: &Path,
     ) -> Result<Self, PersistError> {
-        if self.durable {
+        if self.is_durable() {
             return Err(PersistError::Corrupt(
                 "index is already durable; open it in place instead".into(),
             ));
@@ -1310,40 +1281,27 @@ impl ShardedIndex {
         self.flush().map_err(|e| {
             PersistError::Corrupt(format!("memtable flush before conversion failed: {e}"))
         })?;
-        let fold_cfg = self.tail.cfg.clone();
-        let w = match self.writer.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
         vfs.create_dir_all(dir)?;
-        let shards = w.shards.len();
-        let mut masters = Vec::with_capacity(shards);
-        for (i, sw) in w.shards.into_iter().enumerate() {
-            let ShardWriter::Mem(idx) = sw else {
-                unreachable!("non-durable index holds only Mem shards");
-            };
-            masters.push(ShardWriter::Durable(DurableIndex::create_with_vfs(
-                Arc::clone(&vfs),
-                &shard_dir(dir, i),
-                idx,
-            )?));
-        }
+        let logs = self
+            .snaps
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| ShardLog::create(Arc::clone(&vfs), &shard_dir(dir, i), &cell.load()))
+            .collect::<Result<Vec<_>, _>>()?;
         // Manifest last, as in save(): a crash mid-conversion leaves no
         // CURRENT, so the half-written directory fails typed on open.
         write_atomic(
             vfs.as_ref(),
             &dir.join(CURRENT),
-            format!("{DURABLE_MAGIC} {shards}\n").as_bytes(),
+            format!("{DURABLE_MAGIC} {}\n", self.num_shards()).as_bytes(),
         )?;
-        Ok(Self::assemble(
-            self.dim,
-            self.cfg,
-            masters,
-            w.next_global,
-            self.build_seconds,
-            self.skipped_points,
-        )
-        .with_memtable(fold_cfg))
+        self.recovery = logs.iter().map(|l| l.recovery().clone()).collect();
+        let w = match self.writer.get_mut() {
+            Ok(w) => w,
+            Err(p) => p.into_inner(),
+        };
+        w.logs = logs;
+        Ok(self)
     }
 
     /// Checkpoints every durable shard (snapshot + fresh WAL + `CURRENT`
@@ -1351,7 +1309,7 @@ impl ShardedIndex {
     ///
     /// The fresh WAL is seeded with the shard's unfolded tail (one
     /// batched fsync) before the `CURRENT` flip, preserving the invariant
-    /// *disk snapshot + disk WAL ≡ master + tail*: a checkpoint taken
+    /// *disk snapshot + disk WAL ≡ published snapshot + tail*: a checkpoint taken
     /// while the folder is behind (or broken) still recovers every acked
     /// write, and because folding performs no syscalls, nothing can
     /// double-apply.
@@ -1361,15 +1319,13 @@ impl ShardedIndex {
     /// failing shard keeps its previous generation intact.
     pub fn checkpoint(&self) -> Result<(), PersistError> {
         // Fold lock first: a checkpoint interleaved with an in-flight
-        // fold could otherwise snapshot a master missing the frozen batch
+        // fold could otherwise snapshot an index missing the frozen batch
         // while seeding the WAL without it either.
         let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
-        for (i, sw) in w.shards.iter_mut().enumerate() {
-            if let ShardWriter::Durable(d) = sw {
-                let tail_recs = lock_mem(&self.tail.tails[i]).wal_records();
-                d.checkpoint_with_tail(&tail_recs)?;
-            }
+        for (i, log) in w.logs.iter_mut().enumerate() {
+            let tail_recs = lock_mem(&self.tail.tails[i]).wal_records();
+            log.checkpoint_with_tail(&self.snaps[i].load(), &tail_recs)?;
         }
         Ok(())
     }
@@ -1419,17 +1375,18 @@ fn read_manifest(vfs: &dyn Vfs, path: &Path, magic: &str) -> Result<usize, Persi
 
 /// Every shard must agree on dimensionality and configuration; returns
 /// the common `(dim, cfg)`.
-fn check_shard_agreement(masters: &[ShardWriter]) -> Result<(usize, BuildConfig), PersistError> {
-    let first = masters
+fn check_shard_agreement(
+    indexes: &[NnCellIndex<Euclidean>],
+) -> Result<(usize, BuildConfig), PersistError> {
+    let first = indexes
         .first()
-        .ok_or_else(|| PersistError::Corrupt("sharded manifest names zero shards".into()))?
-        .index();
+        .ok_or_else(|| PersistError::Corrupt("sharded manifest names zero shards".into()))?;
     let dim = first.dim();
-    for (i, sw) in masters.iter().enumerate().skip(1) {
-        if sw.index().dim() != dim {
+    for (i, idx) in indexes.iter().enumerate().skip(1) {
+        if idx.dim() != dim {
             return Err(PersistError::Corrupt(format!(
                 "shard {i} is {}-dimensional, shard 0 is {dim}-dimensional",
-                sw.index().dim()
+                idx.dim()
             )));
         }
     }

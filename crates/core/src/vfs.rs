@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// One open file: sequential writes plus fsync.
 ///
-/// `Send` so a [`crate::DurableIndex`] (which owns its WAL file) can sit
-/// behind the single-writer mutex of a [`crate::ShardedIndex`] and be
-/// driven from any thread.
+/// `Send` so a shard's log (which owns its WAL file; see
+/// [`crate::durable`]) can sit behind the single-writer mutex of a
+/// [`crate::ShardedIndex`] and be driven from any thread.
 pub trait VfsFile: Send {
     /// Appends `buf` at the end of the file.
     ///
@@ -53,7 +53,8 @@ pub trait VfsFile: Send {
 
 /// The file-system operations the persistence layer is allowed to use.
 ///
-/// Object-safe so `Arc<dyn Vfs>` threads through [`crate::DurableIndex`].
+/// Object-safe so `Arc<dyn Vfs>` threads through the durable layer
+/// ([`crate::ShardedIndex::open_durable_with_vfs`]).
 pub trait Vfs: Send + Sync {
     /// Creates (truncating) `path` for writing.
     ///

@@ -11,6 +11,10 @@
 //! `ShardedIndex::query` allocates the same number of times at tail depth
 //! 10 and at tail depth 1000 — a read shares the tail, never copies it.
 //!
+//! A third pins the fold's copy count by bytes: folding a one-record
+//! batch allocates less than 1.5 clones of the shard's index, because
+//! the published snapshot is the shard's only copy.
+//!
 //! The counter is gated by a thread-local flag, so only the thread that
 //! opened the gate counts: the surrounding test harness, index
 //! construction and the other test in this binary do not pollute it.
@@ -27,23 +31,27 @@ struct CountingAlloc;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation when this thread's gate is open.
-fn tick() {
+/// Counts one allocation of `bytes` new bytes when this thread's gate is
+/// open.
+fn tick(bytes: usize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tick();
+        tick(layout.size());
         unsafe { System.alloc(layout) }
     }
 
+    /// A growing realloc counts the bytes it adds, a shrinking one none.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tick();
+        tick(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -56,13 +64,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Runs `f` with this thread's counter open and returns how many
-/// allocations it made.
-fn count_allocs(f: impl FnOnce()) -> u64 {
+/// allocations it made and how many bytes they allocated.
+fn measure(f: impl FnOnce()) -> (u64, u64) {
     ALLOCS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.with(Cell::get)
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// How many allocations `f` made on this thread.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    measure(f).0
 }
 
 #[test]
@@ -234,3 +248,39 @@ fn a_read_allocates_the_same_at_any_tail_depth() {
         "a read must not copy the tail (allocations at depth 10 vs 1000)"
     );
 }
+
+#[test]
+fn a_fold_clones_the_shard_once() {
+    // One n = 4000, d = 8 shard; its coordinates are distinct by
+    // construction (the first one is the point's index).
+    let point = |i: usize| {
+        Point::new(
+            (0..8)
+                .map(|j| ((i * (2 * j + 1) * 7919 + j) % 4001) as f64 / 4001.0)
+                .collect::<Vec<_>>(),
+        )
+    };
+    let idx = ShardedIndex::build(
+        (0..4000).map(point).collect(),
+        1,
+        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+    )
+    .unwrap();
+    // Warm-up fold: thread-local state the fold path touches (the trace
+    // recorder among it) initializes once, outside the measurement.
+    idx.insert(Point::new(vec![0.5; 8])).unwrap();
+    assert_eq!(idx.fold_once().unwrap(), 1);
+    let (_, clone_bytes) = measure(|| {
+        std::hint::black_box(idx.shard(0).as_ref().clone());
+    });
+    idx.insert(Point::new(vec![0.25; 8])).unwrap();
+    let (_, fold_bytes) = measure(|| {
+        assert_eq!(idx.fold_once().unwrap(), 1);
+    });
+    assert!(
+        2 * fold_bytes < 3 * clone_bytes,
+        "a one-record fold allocated {fold_bytes} bytes, more than 1.5 clones of the \
+         shard ({clone_bytes} bytes each): the shard is copied more than once"
+    );
+}
+

@@ -191,7 +191,7 @@ fn tail_high_watermark_sheds_writes_until_a_fold_drains_it() {
 
 /// Interleaved writes, folds, and removes stay exact and agree with
 /// `len()` — including queries answered purely from the tail (empty
-/// masters) and shards emptied by tail tombstones.
+/// snapshots) and shards emptied by tail tombstones.
 #[test]
 fn folds_interleaved_with_writes_keep_answers_exact() {
     let idx = ShardedIndex::new(DIM, SHARDS, cfg()).with_memtable(FoldConfig::default());
@@ -220,7 +220,7 @@ fn folds_interleaved_with_writes_keep_answers_exact() {
     assert_exact(&idx, &live, "interleaved");
 
     // Tombstone every point: queries must report an empty index even
-    // though the masters still hold folded points.
+    // though the snapshots still hold folded points.
     for (id, _) in live.drain(..) {
         assert!(idx.remove(id).expect("remove all"));
     }

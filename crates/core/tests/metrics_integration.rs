@@ -4,7 +4,7 @@
 //! recovery report) — the registry is a mirror, never a second opinion.
 
 use nncell_core::{
-    BuildConfig, DurableIndex, NnCellIndex, NnCells, Query, QueryScratch, Registry, Strategy,
+    BuildConfig, NnCellIndex, NnCells, Query, QueryScratch, Registry, ShardedIndex, Strategy,
 };
 use nncell_geom::Point;
 use std::sync::Arc;
@@ -148,7 +148,7 @@ fn durable_stack_reports_wal_and_rotation_counters() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut d = NnCellIndex::open_durable(&dir, 2, cfg()).unwrap();
+    let d = ShardedIndex::open_durable(&dir, 2, 1, cfg()).unwrap();
     let registry = Registry::new();
     d.attach_metrics(registry.clone());
     for i in 0..6 {
@@ -174,13 +174,13 @@ fn durable_stack_reports_wal_and_rotation_counters() {
     drop(d);
 
     // Reopen: the replay counters are seeded from the recovery report.
-    let mut d = DurableIndex::open(&dir).unwrap();
+    let d = ShardedIndex::open(&dir).unwrap();
     let registry = Registry::new();
     d.attach_metrics(registry.clone());
     let snap = registry.snapshot();
     assert_eq!(
         snap.counter("nncell_wal_replayed_total"),
-        Some(d.recovery().replayed as u64)
+        Some(d.recovery()[0].replayed as u64)
     );
     assert_eq!(snap.counter("nncell_wal_replay_dropped_total"), Some(0));
     assert_eq!(snap.gauge("nncell_live_points"), Some(d.len() as i64));

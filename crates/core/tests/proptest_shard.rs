@@ -166,8 +166,6 @@ fn grid_point(i: usize) -> Point {
 
 #[test]
 fn save_load_round_trips_through_a_manifest() {
-    use nncell_core::DurableIndex;
-
     let pts: Vec<Point> = (0..17).map(grid_point).collect();
     let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(9).build();
     let sharded = ShardedIndex::build(pts.clone(), 3, cfg.clone()).unwrap();
@@ -204,8 +202,18 @@ fn save_load_round_trips_through_a_manifest() {
 
     let file = root.join("whole.nncell");
     whole.save(&file).unwrap();
+    // The older unsharded durable layout (`dir/CURRENT` holds a
+    // generation) is exactly one shard directory of a sharded durable
+    // directory: lift `shard-0/` out of a one-shard conversion.
     let unsharded_durable = root.join("durable");
-    drop(DurableIndex::create(&unsharded_durable, whole.clone()).unwrap());
+    let one_shard = root.join("one-shard");
+    drop(
+        ShardedIndex::build(pts.clone(), 1, cfg.clone())
+            .unwrap()
+            .into_durable(&one_shard)
+            .unwrap(),
+    );
+    std::fs::rename(one_shard.join("shard-0"), &unsharded_durable).unwrap();
     let sharded_durable = root.join("sharded-durable");
     let converted = ShardedIndex::build(pts.clone(), 3, cfg)
         .unwrap()
@@ -233,14 +241,15 @@ fn save_load_round_trips_through_a_manifest() {
 
     // The unsharded durable directory is one durable shard rooted at the
     // directory itself: it takes writes and checkpoints in place, and the
-    // result still opens as a plain DurableIndex.
+    // result still opens as the same one-shard layout.
     let opened = ShardedIndex::open(&unsharded_durable).unwrap();
     assert_eq!(opened.insert(grid_point(17)).unwrap(), 17);
     opened.checkpoint().unwrap();
     drop(opened);
     assert!(!unsharded_durable.join("shard-0").exists(), "layout must stay unsharded");
-    let reopened = DurableIndex::open(&unsharded_durable).unwrap();
-    assert_eq!(reopened.generation(), 1);
+    let reopened = ShardedIndex::open(&unsharded_durable).unwrap();
+    assert_eq!(reopened.num_shards(), 1);
+    assert_eq!(reopened.recovery()[0].generation, 1);
     assert_eq!(reopened.len(), 18);
     let hit = reopened.query(&Query::nn(grid_point(17).as_slice())).unwrap();
     assert_eq!(hit.best.id, 17);
@@ -292,6 +301,47 @@ fn durable_shards_recover_acknowledged_updates() {
         Err(e) => panic!("expected Corrupt, got {e:?}"),
         Ok(_) => panic!("shard-count mismatch must not open"),
     }
+}
+
+/// A rejected insert — a duplicate of a folded or of a still-unfolded
+/// point, a non-finite point, a point of the wrong dimension — journals
+/// nothing, changes nothing and consumes no global id.
+#[test]
+fn invalid_inserts_journal_nothing() {
+    use nncell_core::{BuildError, DurableError, FaultSchedule, FaultVfs, Vfs};
+    use std::path::Path;
+    use std::sync::Arc;
+
+    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultSchedule::none(11)));
+    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(13).build();
+    let sharded = ShardedIndex::open_durable_with_vfs(vfs, Path::new("/db"), 2, 2, cfg).unwrap();
+    for i in 0..2 {
+        sharded.insert(grid_point(i)).unwrap();
+    }
+    sharded.fold_once().unwrap();
+    sharded.insert(grid_point(2)).unwrap(); // stays in the tail
+    let before = sharded.wal_records();
+
+    for of in 0..3 {
+        match sharded.insert(grid_point(of)) {
+            Err(DurableError::Invalid(BuildError::DuplicatePoint { id: 3, of: got })) => {
+                assert_eq!(got, of, "the duplicate names its twin's global id");
+            }
+            other => panic!("duplicate of {of}: expected DuplicatePoint, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        sharded.insert(Point::new(vec![f64::NAN, 0.5])),
+        Err(DurableError::Invalid(BuildError::NonFinitePoint { .. }))
+    ));
+    assert!(matches!(
+        sharded.insert(Point::new(vec![0.5])),
+        Err(DurableError::Invalid(BuildError::DimensionMismatch { .. }))
+    ));
+    assert_eq!(sharded.wal_records(), before, "rejected updates must not reach the WAL");
+    assert_eq!(sharded.len(), 3);
+    assert_eq!(sharded.tail_depth(), 1);
+    assert_eq!(sharded.insert(grid_point(3)).unwrap(), 3, "no id was consumed");
 }
 
 #[test]

@@ -3,17 +3,17 @@
 //! A random interleaving of inserts, duplicate inserts, and removes —
 //! removes of the id inserted one step earlier, of long-dead ids, and of
 //! ids that were never assigned — is applied simultaneously to an
-//! in-memory [`NnCellIndex`] and to a [`DurableIndex`] over the
-//! fault-injection file system. The durable handle is then dropped
-//! *without* a checkpoint (the crash path) and recovered. Recovery must
-//! reproduce the in-memory index exactly: the same id→point slots, the
-//! same liveness and the same query answers. Neither the live updates nor
-//! the replay run a single LP.
+//! in-memory [`NnCellIndex`] and to a durable one-shard [`ShardedIndex`]
+//! over the fault-injection file system, whose memtable folds every few
+//! ops. The durable handle is then dropped *without* a checkpoint (the
+//! crash path) and recovered. Recovery must reproduce the in-memory index
+//! exactly: the same id→point slots, the same liveness and the same query
+//! answers. Neither the live updates nor the replay run a single LP.
 
 use nncell_core::durable::DurableError;
 use nncell_core::vfs::{FaultSchedule, FaultVfs, Vfs};
 use nncell_core::{
-    linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine, Strategy as BuildStrategy,
+    linear_scan_nn, BuildConfig, NnCellIndex, Query, ShardedIndex, Strategy as BuildStrategy,
 };
 use nncell_geom::{Euclidean, Point};
 use proptest::prelude::*;
@@ -86,12 +86,15 @@ proptest! {
         let mut reference = NnCellIndex::<Euclidean>::new(DIM, cfg());
         let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultSchedule::none(41)));
         let dir = Path::new("/db");
-        let mut durable =
-            NnCellIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, cfg()).unwrap();
+        let durable =
+            ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, 1, cfg()).unwrap();
 
         let mut next = 0usize; // lattice cursor == next id to assign
         let mut last_inserted: Option<usize> = None;
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
+            if i % 5 == 4 {
+                durable.fold_once().unwrap();
+            }
             match op {
                 Op::Insert => {
                     let p = lattice_point(next);
@@ -143,8 +146,9 @@ proptest! {
         // Crash: drop without checkpoint, recover from WAL replay alone.
         prop_assert_eq!(durable.build_stats().lp.lp_calls, 0);
         drop(durable);
-        let recovered =
-            NnCellIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, cfg()).unwrap();
+        let recovered_shards =
+            ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, 1, cfg()).unwrap();
+        let recovered = recovered_shards.shard(0);
 
         // Slot-exact state equality.
         prop_assert_eq!(recovered.points().len(), reference.points().len());
@@ -168,10 +172,7 @@ proptest! {
             .collect();
         for q in &queries {
             let q: Vec<f64> = q.iter().map(|&v| v as f64 / 100.0).collect();
-            let got = QueryEngine::sequential(recovered.index())
-                .execute(&Query::nn(q.clone()))
-                .ok()
-                .map(|r| r.best);
+            let got = recovered_shards.query(&Query::nn(q.clone())).ok().map(|r| r.best);
             match (got, linear_scan_nn(&live, &q)) {
                 (Some(got), Some(want)) => prop_assert!(
                     (got.dist - want.dist).abs() < 1e-9,

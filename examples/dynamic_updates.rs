@@ -9,7 +9,7 @@
 //! ```
 
 use nncell::core::{
-    linear_scan_nn, BuildConfig, DurableIndex, NnCellIndex, NnCells, Query, Strategy,
+    linear_scan_nn, BuildConfig, NnCellIndex, NnCells, Query, ShardedIndex, Strategy,
 };
 use nncell::data::{ClusteredGenerator, Generator, UniformGenerator};
 use nncell::geom::Point;
@@ -79,24 +79,35 @@ fn main() {
 
     // ---- Durability: the same updates, journaled, survive a crash. ----
     //
-    // Hand the built index to a WAL-backed directory, apply more updates
-    // (each fsynced to the journal before it is acknowledged), then
-    // simulate a crash by dropping the handle WITHOUT a checkpoint or
-    // close. Reopening replays the journal and every query answer is
-    // unchanged.
-    let dir = std::env::temp_dir().join(format!("nncell_dynamic_wal_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    // Save the built index, open the file as a one-shard serving index and
+    // convert it into a WAL-backed directory. Apply more updates (each
+    // fsynced to the journal before it is acknowledged), then simulate a
+    // crash by dropping the handle WITHOUT a checkpoint or close.
+    // Reopening replays the journal and every query answer is unchanged.
+    let root = std::env::temp_dir().join(format!("nncell_dynamic_wal_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("create scratch dir");
+    let file = root.join("index.nncell");
+    index.save(&file).expect("save index");
+    let dir = root.join("db");
     println!("\nopening WAL-backed index at {} ...", dir.display());
-    let mut durable = DurableIndex::create(&dir, index).expect("create durable dir");
+    let durable = ShardedIndex::open(&file)
+        .expect("open saved index")
+        .into_durable(&dir)
+        .expect("create durable dir");
 
     let late_arrivals = UniformGenerator::new(dim).generate(40, 13);
-    let first_new_id = durable.points().len();
+    let mut new_ids = Vec::with_capacity(late_arrivals.len());
     for p in &late_arrivals {
-        durable.insert(p.clone()).expect("journaled insert");
+        new_ids.push(durable.insert(p.clone()).expect("journaled insert"));
     }
-    assert!(durable.remove(first_new_id).expect("journaled remove"));
-    let expected: Vec<(usize, Option<Point>)> = (0..durable.points().len())
-        .map(|i| (i, durable.is_live(i).then(|| durable.points()[i].clone())))
+    assert!(durable.remove(new_ids[0]).expect("journaled remove"));
+    // Fold the memtable tail into the shard so its snapshot holds every
+    // update. Folding writes nothing: the journal alone carries them.
+    durable.flush().expect("fold");
+    let shard = durable.shard(0);
+    let expected: Vec<(usize, Option<Point>)> = (0..shard.points().len())
+        .map(|i| (i, shard.is_live(i).then(|| shard.points()[i].clone())))
         .collect();
     let expected_answers: Vec<Option<usize>> = queries
         .iter()
@@ -109,20 +120,22 @@ fn main() {
     );
     drop(durable); // the crash: no checkpoint, no close
 
-    let recovered = DurableIndex::open(&dir).expect("recover");
+    let recovered = ShardedIndex::open(&dir).expect("recover");
+    let report = &recovered.recovery()[0];
     println!(
         "recovered generation {}: {} records replayed, {} live points",
-        recovered.recovery().generation,
-        recovered.recovery().replayed,
+        report.generation,
+        report.replayed,
         recovered.len()
     );
+    let shard = recovered.shard(0);
     for (i, slot) in &expected {
         match slot {
             Some(p) => assert!(
-                recovered.is_live(*i) && recovered.points()[*i].as_slice() == p.as_slice(),
+                shard.is_live(*i) && shard.points()[*i].as_slice() == p.as_slice(),
                 "point #{i} lost in the crash"
             ),
-            None => assert!(!recovered.is_live(*i), "removed point #{i} resurrected"),
+            None => assert!(!shard.is_live(*i), "removed point #{i} resurrected"),
         }
     }
     for (q, want) in queries.iter().zip(&expected_answers) {
@@ -137,7 +150,7 @@ fn main() {
         queries.len()
     );
     recovered.close().expect("clean shutdown");
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 fn verify(index: &NnCellIndex, reference: &[Point], queries: &[Vec<f64>], label: &str) {

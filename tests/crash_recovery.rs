@@ -7,7 +7,8 @@
 //! times, crashing at syscall `k` for every `k < T`; each crashed file
 //! system is materialized into its post-crash survivor (unsynced bytes
 //! torn to a seeded prefix, unsynced directory entries gone) and recovered
-//! with [`NnCellIndex::open_durable_with_vfs`]. The recovered index must
+//! with [`ShardedIndex::open_durable_with_vfs`], the one durable write
+//! path. The recovered index must
 //!
 //! 1. open without error or panic,
 //! 2. hold exactly the state after some *prefix* of the workload — at
@@ -24,10 +25,9 @@
 use nncell::core::durable::DurableError;
 use nncell::core::vfs::{FaultSchedule, FaultVfs, Vfs};
 use nncell::core::{
-    linear_scan_nn, BuildConfig, ConstraintPool, FoldConfig, NnCellIndex, Query, QueryEngine,
-    ShardedIndex, Strategy,
+    linear_scan_nn, BuildConfig, FoldConfig, NnCellIndex, Query, ShardedIndex, Strategy,
 };
-use nncell::geom::{Euclidean, Point};
+use nncell::geom::Point;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -44,17 +44,6 @@ fn fault_seed() -> u64 {
 
 fn cfg() -> BuildConfig {
     BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build()
-}
-
-/// The sub-quadratic build path: approximate-neighbor constraint pools.
-/// Small `k` so the floors (`2d+1`) and the degeneracy fallback are both
-/// in play during the sweep.
-fn pooled_cfg() -> BuildConfig {
-    BuildConfig::builder()
-        .strategy(Strategy::Sphere)
-        .constraint_pool(ConstraintPool::ApproxKnn { k: 4 })
-        .seed(7)
-        .build()
 }
 
 #[derive(Clone, Debug)]
@@ -87,9 +76,10 @@ fn workload(seed: u64, len: usize) -> Vec<Op> {
 }
 
 /// Logical index states after each op prefix: slot `i` of a state is the
-/// point with id `i`, `None` once removed. Mirrors `DurableIndex`
-/// semantics exactly (ids are assigned by insertion order; removes of
-/// non-live ids are no-ops; checkpoints change nothing).
+/// point with global id `i`, `None` once removed. Mirrors
+/// [`ShardedIndex`] semantics exactly (global ids are assigned by
+/// insertion order; removes of non-live ids are no-ops; checkpoints
+/// change nothing).
 fn model_states(ops: &[Op]) -> Vec<Vec<Option<Point>>> {
     let mut state: Vec<Option<Point>> = Vec::new();
     let mut states = vec![state.clone()];
@@ -108,51 +98,6 @@ fn model_states(ops: &[Op]) -> Vec<Vec<Option<Point>>> {
     states
 }
 
-/// Runs the workload until completion or the first crash-induced error;
-/// returns how many ops were acknowledged (`Ok`). The final `close` is
-/// attempted but not counted — it changes no logical state.
-fn run_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op]) -> usize {
-    run_workload_cfg(vfs, dir, ops, cfg())
-}
-
-/// [`run_workload`] with an explicit build configuration (the pooled
-/// sweep reuses the whole harness with a pooled config).
-fn run_workload_cfg(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op], cfg: BuildConfig) -> usize {
-    let mut d = match NnCellIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, cfg) {
-        Ok(d) => d,
-        Err(_) => return 0,
-    };
-    let mut acked = 0usize;
-    for op in ops {
-        let ok = match op {
-            Op::Insert(p) => match d.insert(p.clone()) {
-                Ok(_) => true,
-                Err(DurableError::Invalid(e)) => {
-                    panic!("workload points are valid by construction: {e}")
-                }
-                Err(DurableError::Backpressure { .. }) => {
-                    panic!("no memtable configured — backpressure is impossible")
-                }
-                Err(DurableError::Persist(_)) => false,
-            },
-            Op::Remove(id) => d.remove(*id).is_ok(),
-            Op::Checkpoint => d.checkpoint().is_ok(),
-        };
-        if !ok {
-            return acked;
-        }
-        acked += 1;
-    }
-    let _ = d.close();
-    acked
-}
-
-fn live_slots(idx: &NnCellIndex<Euclidean>) -> Vec<Option<Point>> {
-    (0..idx.points().len())
-        .map(|i| idx.is_live(i).then(|| idx.points()[i].clone()))
-        .collect()
-}
-
 fn states_equal(a: &[Option<Point>], b: &[Option<Point>]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| match (x, y) {
@@ -162,159 +107,19 @@ fn states_equal(a: &[Option<Point>], b: &[Option<Point>]) -> bool {
         })
 }
 
-/// Every recovered query must agree with a linear scan over the recovered
-/// live set — exactness is not allowed to degrade across a crash.
-fn assert_queries_exact(idx: &NnCellIndex<Euclidean>, tag: &str) {
-    let live: Vec<Point> = live_slots(idx).into_iter().flatten().collect();
-    for k in 0..12 {
-        let q: Vec<f64> = (0..DIM)
-            .map(|j| ((k * 17 + j * 29) % 100) as f64 / 100.0)
-            .collect();
-        let got = QueryEngine::sequential(idx)
-            .execute(&Query::nn(q.clone()))
-            .ok()
-            .map(|r| r.best);
-        match (got, linear_scan_nn(&live, &q)) {
-            (Some(got), Some(want)) => assert!(
-                (got.dist - want.dist).abs() < 1e-9,
-                "{tag}: query {q:?} returned dist {} but scan found {}",
-                got.dist,
-                want.dist
-            ),
-            (None, None) => {}
-            (got, want) => panic!("{tag}: query {q:?} disagreement: {got:?} vs {want:?}"),
-        }
-    }
-}
-
-/// The sweep: one crash point per syscall of the whole workload.
-#[test]
-fn every_crash_point_recovers_a_prefix_consistent_index() {
-    let seed = fault_seed();
-    let dir = Path::new("/db");
-    let ops = workload(seed, 28);
-    let states = model_states(&ops);
-
-    // Fault-free baseline: count syscalls, check the final state.
-    let clean = FaultVfs::new(FaultSchedule::none(seed));
-    let acked = run_workload(Arc::new(clean.clone()), dir, &ops);
-    assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
-    let total_ops = clean.ops();
-    assert!(!clean.crashed());
-    assert!(
-        total_ops >= 60,
-        "workload shrank to {total_ops} syscalls — the sweep no longer proves much"
-    );
-    let reopened = NnCellIndex::open_durable_with_vfs(
-        Arc::new(clean.survivor(FaultSchedule::none(seed))),
-        dir,
-        DIM,
-        cfg(),
-    )
-    .expect("clean reopen");
-    assert!(
-        states_equal(&live_slots(&reopened), &states[ops.len()]),
-        "fault-free run must end in the full-workload state"
-    );
-
-    // Crash at every syscall.
-    for k in 0..total_ops {
-        let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
-        let acked = run_workload(Arc::new(fault.clone()), dir, &ops);
-        assert!(
-            fault.crashed(),
-            "crash point {k} < {total_ops} must have fired"
-        );
-
-        let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered =
-            NnCellIndex::open_durable_with_vfs(Arc::new(survivor), dir, DIM, cfg())
-                .unwrap_or_else(|e| panic!("crash point {k}: recovery failed: {e}"));
-
-        // Prefix consistency: at least every acknowledged op, at most one
-        // unacknowledged in-flight op whose journal record hit the disk.
-        let got = live_slots(&recovered);
-        let lo = &states[acked];
-        let hi = &states[(acked + 1).min(ops.len())];
-        assert!(
-            states_equal(&got, lo) || states_equal(&got, hi),
-            "crash point {k}: recovered state matches neither the state after \
-             the {acked} acknowledged ops nor one in-flight op beyond it\n\
-             recovered: {} slots, expected {} or {} slots",
-            got.len(),
-            lo.len(),
-            hi.len()
-        );
-        assert_queries_exact(&recovered, &format!("crash point {k}"));
-    }
-}
-
-/// The same kill-at-every-syscall sweep over the **pooled** build path:
-/// every insert past the pool threshold computes its cell from an
-/// approximate-neighbor constraint pool (with the degeneracy fallback
-/// live), and incremental re-solve decides which existing cells refresh.
-/// Durability must be completely indifferent to how cells were computed —
-/// the WAL journals points, not cells.
-#[test]
-fn every_crash_point_recovers_with_pooled_build() {
-    let seed = fault_seed().wrapping_add(0x9E37_79B9);
-    let dir = Path::new("/db");
-    let ops = workload(seed, 28);
-    let states = model_states(&ops);
-
-    let clean = FaultVfs::new(FaultSchedule::none(seed));
-    let acked = run_workload_cfg(Arc::new(clean.clone()), dir, &ops, pooled_cfg());
-    assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
-    let total_ops = clean.ops();
-    assert!(!clean.crashed());
-    let reopened = NnCellIndex::open_durable_with_vfs(
-        Arc::new(clean.survivor(FaultSchedule::none(seed))),
-        dir,
-        DIM,
-        pooled_cfg(),
-    )
-    .expect("clean reopen");
-    assert!(
-        states_equal(&live_slots(&reopened), &states[ops.len()]),
-        "fault-free pooled run must end in the full-workload state"
-    );
-
-    for k in 0..total_ops {
-        let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
-        let acked = run_workload_cfg(Arc::new(fault.clone()), dir, &ops, pooled_cfg());
-        assert!(
-            fault.crashed(),
-            "crash point {k} < {total_ops} must have fired"
-        );
-
-        let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered =
-            NnCellIndex::open_durable_with_vfs(Arc::new(survivor), dir, DIM, pooled_cfg())
-                .unwrap_or_else(|e| panic!("pooled crash point {k}: recovery failed: {e}"));
-
-        let got = live_slots(&recovered);
-        let lo = &states[acked];
-        let hi = &states[(acked + 1).min(ops.len())];
-        assert!(
-            states_equal(&got, lo) || states_equal(&got, hi),
-            "pooled crash point {k}: recovered state matches neither the state \
-             after the {acked} acknowledged ops nor one in-flight op beyond it"
-        );
-        assert_queries_exact(&recovered, &format!("pooled crash point {k}"));
-    }
-}
-
 // ---------------------------------------------------------------------
-// The same sweep over the sharded durable layout: crash points now land
-// inside per-shard WAL appends, per-shard checkpoints, and the top-level
+// The sweep over the sharded durable layout: crash points land inside
+// per-shard WAL appends, per-shard checkpoints, and the top-level
 // "sharded S" manifest write.
 
-const SHARDS: usize = 2;
-
-/// Runs the workload against a sharded durable directory; returns acked
-/// op count (same contract as [`run_workload`]).
-fn run_sharded_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op]) -> usize {
-    let s = match ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, SHARDS, cfg()) {
+/// Runs the workload against a sharded durable directory of `shards`
+/// shards until completion or the first crash-induced error; returns how
+/// many ops were acknowledged (`Ok`). The final `close` is attempted but
+/// not counted — it changes no logical state. Writes stay in the memtable
+/// tail until `close` folds them, so every checkpoint re-journals the
+/// tail; the memtable sweep below interleaves folds.
+fn run_sharded_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op], shards: usize) -> usize {
+    let s = match ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), dir, DIM, shards, cfg()) {
         Ok(s) => s,
         Err(_) => return 0,
     };
@@ -379,51 +184,49 @@ fn assert_sharded_queries_exact(idx: &ShardedIndex, tag: &str) {
     }
 }
 
-/// Kill-at-every-syscall over the sharded layout (PR 5): per-shard WALs
-/// journal independently but acks still serialize through the single
-/// writer, so recovery must land on the state after the acked prefix
-/// (possibly plus one in-flight op) — crashing between one shard's WAL
-/// fsync and the manifest write must neither resurrect a shard's old
+/// Kill-at-every-syscall over the sharded layout at `shards` shards:
+/// per-shard WALs journal independently but acks still serialize through
+/// the single writer, so recovery must land on the state after the acked
+/// prefix (possibly plus one in-flight op) — crashing between one shard's
+/// WAL fsync and the manifest write must neither resurrect a shard's old
 /// generation into the global answer nor lose an acked op in another
 /// shard. Recovery opens through the same manifest-first path operators
 /// use, so a torn manifest write would fail loudly here.
-#[test]
-fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
-    let seed = fault_seed().wrapping_mul(5);
-    let dir = Path::new("/sharded-db");
+fn sweep_sharded(shards: usize, seed: u64, dir: &Path) {
     let ops = workload(seed, 18);
     let states = model_states(&ops);
 
     // Fault-free baseline: count syscalls, check the final state.
     let clean = FaultVfs::new(FaultSchedule::none(seed));
-    let acked = run_sharded_workload(Arc::new(clean.clone()), dir, &ops);
-    assert_eq!(acked, ops.len(), "fault-free run must acknowledge every op");
+    let acked = run_sharded_workload(Arc::new(clean.clone()), dir, &ops, shards);
+    assert_eq!(acked, ops.len(), "S={shards}: fault-free run must acknowledge every op");
     let total_ops = clean.ops();
     assert!(!clean.crashed());
     assert!(
         total_ops >= 60,
-        "sharded workload shrank to {total_ops} syscalls — the sweep no longer proves much"
+        "S={shards}: sharded workload shrank to {total_ops} syscalls — the sweep no longer \
+         proves much"
     );
     let reopened = ShardedIndex::open_durable_with_vfs(
         Arc::new(clean.survivor(FaultSchedule::none(seed))),
         dir,
         DIM,
-        SHARDS,
+        shards,
         cfg(),
     )
     .expect("clean reopen");
     assert!(
         states_equal(&sharded_live_slots(&reopened), &states[ops.len()]),
-        "fault-free run must end in the full-workload state"
+        "S={shards}: fault-free run must end in the full-workload state"
     );
 
     // Crash at every syscall.
     for k in 0..total_ops {
         let fault = FaultVfs::new(FaultSchedule::crash_at(seed, k));
-        let acked = run_sharded_workload(Arc::new(fault.clone()), dir, &ops);
+        let acked = run_sharded_workload(Arc::new(fault.clone()), dir, &ops, shards);
         assert!(
             fault.crashed(),
-            "crash point {k} < {total_ops} must have fired"
+            "S={shards}: crash point {k} < {total_ops} must have fired"
         );
 
         let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
@@ -431,16 +234,16 @@ fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
             Arc::new(survivor),
             dir,
             DIM,
-            SHARDS,
+            shards,
             cfg(),
         )
-        .unwrap_or_else(|e| panic!("crash point {k}: sharded recovery failed: {e}"));
+        .unwrap_or_else(|e| panic!("S={shards}: crash point {k}: sharded recovery failed: {e}"));
 
         // The manifest can never claim a shard layout that does not
         // exist on disk (manifest-last ordering): recovery reopened all
         // S shards or it would have errored above.
-        assert_eq!(recovered.num_shards(), SHARDS, "crash point {k}");
-        assert_eq!(recovered.recovery().len(), SHARDS, "crash point {k}");
+        assert_eq!(recovered.num_shards(), shards, "crash point {k}");
+        assert_eq!(recovered.recovery().len(), shards, "crash point {k}");
 
         // Prefix consistency across the *global* id space: no shard
         // resurrection (a removed point reappearing from a stale shard
@@ -450,15 +253,24 @@ fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
         let hi = &states[(acked + 1).min(ops.len())];
         assert!(
             states_equal(&got, lo) || states_equal(&got, hi),
-            "crash point {k}: recovered sharded state matches neither the state \
-             after the {acked} acknowledged ops nor one in-flight op beyond it\n\
+            "S={shards}: crash point {k}: recovered sharded state matches neither the \
+             state after the {acked} acknowledged ops nor one in-flight op beyond it\n\
              recovered: {} slots, expected {} or {} slots",
             got.len(),
             lo.len(),
             hi.len()
         );
-        assert_sharded_queries_exact(&recovered, &format!("sharded crash point {k}"));
+        assert_sharded_queries_exact(&recovered, &format!("S={shards}: crash point {k}"));
     }
+}
+
+/// The sweep at one shard (a single durable shard directory under the
+/// sharded manifest) and at two.
+#[test]
+fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
+    let seed = fault_seed().wrapping_mul(5);
+    sweep_sharded(1, seed, Path::new("/sharded-db-1"));
+    sweep_sharded(2, seed, Path::new("/sharded-db-2"));
 }
 
 // ---------------------------------------------------------------------
@@ -467,6 +279,8 @@ fn every_crash_point_recovers_a_prefix_consistent_sharded_index() {
 // unfolded tail into the fresh WAL. Crash points now land inside
 // tail-aware checkpoints and around folds — the fold/checkpoint
 // interleavings of the LSM design.
+
+const SHARDS: usize = 2;
 
 /// Runs the workload against a memtable-enabled sharded durable index,
 /// folding synchronously every third op (deterministic interleaving).
@@ -516,7 +330,7 @@ fn run_sharded_memtable_workload(fault: &FaultVfs, dir: &Path, ops: &[Op]) -> us
 
 /// Kill-at-every-syscall over the memtable write path. Recovery opens
 /// the directory by plain per-shard WAL replay: the
-/// WAL alone must reconstruct master + tail, whatever mix of folded and
+/// WAL alone must reconstruct snapshot + tail, whatever mix of folded and
 /// unfolded state the crash interrupted.
 #[test]
 fn every_crash_point_recovers_the_memtable_write_path() {
