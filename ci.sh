@@ -82,6 +82,24 @@ NNCELL_N="${NNCELL_SERVER_N:-4000}" NNCELL_DIM="${NNCELL_SERVER_DIM:-8}" \
     NNCELL_SERVER_OVERLOAD_MS="${NNCELL_SERVER_OVERLOAD_MS:-800}" \
     cargo bench -p nncell-bench --bench server
 
+echo "== repository benchmark smoke (perfbench knn_http + knn_inproc, 1 s each) =="
+# Runs the read workloads of the repository benchmark (BENCHMARK.json)
+# briefly and fails unless the result line reports every checked answer
+# correct and no failed operation. `--trace 0` prints the end-to-end
+# metrics only and writes nothing under perfbench/out/.
+for workload in knn_http knn_inproc; do
+    result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$workload: $result"
+    case "$result" in
+        *'"correct":true'*'"failed":0,'*) ;;
+        *)
+            echo "perfbench smoke: FAIL — $workload did not finish correct with 0 failed" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "== build-scaling bench smoke (pooled vs exhaustive NN-cell construction) =="
 # Times NnCells::build, the paper's structure, which is off the serving
 # path (a serving build is an STR bulk load of milliseconds). Exercises

@@ -505,6 +505,7 @@ fn traceparent_round_trips_and_debug_trace_exports_the_tree() {
         "server.parse",
         "server.handle",
         "server.serialize",
+        "server.write",
         "shard.query",
         "engine.query",
         "wal.append",

@@ -1,7 +1,9 @@
 //! A tiny std-only blocking HTTP/1.1 client, sized for the E2E tests
-//! and the CLI's `stats --server` view. One connection per request
-//! (matching the server's `Connection: close` policy), with optional
-//! retry + exponential backoff on `429`/`503` that honors `Retry-After`.
+//! and the CLI's `stats --server` view. One connection per request: it
+//! sends `Connection: close` and reads the response to end of stream,
+//! although the server would keep the connection for a client that
+//! asks. Optional retry + exponential backoff on `429`/`503` honors
+//! `Retry-After`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -121,7 +123,8 @@ impl Client {
         stream.write_all(body).map_err(ClientError::Io)?;
         stream.flush().map_err(ClientError::Io)?;
 
-        // The server closes after one response: read to EOF, then parse.
+        // `Connection: close` makes the server close after this one
+        // response: read to EOF, then parse.
         let mut raw = Vec::new();
         stream.read_to_end(&mut raw).map_err(ClientError::Io)?;
         parse_response(&raw)

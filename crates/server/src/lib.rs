@@ -8,9 +8,13 @@
 //! - **Admission control** — a bounded queue between `accept()` and the
 //!   worker pool; when it fills, connections are shed immediately with
 //!   `429` + `Retry-After` instead of growing an unbounded backlog.
+//! - **Keep-alive that yields** — a worker keeps an HTTP/1.1 connection
+//!   after a 2xx and serves its next request without a new handshake,
+//!   but closes it while idle as soon as another connection is queued.
 //! - **Deadlines** — every request carries a budget from the moment it
-//!   is admitted; socket reads, queue wait, and the candidate search
-//!   inside the engine all count against it, and exhaustion answers
+//!   is admitted (from its first byte on a kept-alive connection);
+//!   socket reads, queue wait, and the candidate search inside the
+//!   engine all count against it, and exhaustion answers
 //!   `503 deadline_exceeded`.
 //! - **Panic isolation** — handlers run under `catch_unwind`; a
 //!   poisoned request answers `500` and the pool survives.

@@ -5,19 +5,31 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! accept ──► admission queue (bounded) ──► worker ──► response
-//!    │              │ full                    │ panic        │
-//!    │              ▼                         ▼              │
-//!    │         429 Retry-After           500 (pool lives)    │
-//!    ▼
-//! shutdown flag set: stop accepting, drain queue + in-flight,
+//! accept ──► admission queue (bounded) ──► worker ──► response ──► close
+//!    │              │ full                 ▲    │ panic    │ 2xx, keep-alive
+//!    │              ▼                      │    ▼          ▼
+//!    │         429 Retry-After             │  500       idle ──► close (a connection
+//!    ▼                                     │             │       queued, drain,
+//! shutdown flag set: stop accepting,       └─────────────┘       idle timeout)
+//! drain queue + in-flight,              next request's first byte
 //! final checkpoint, exit
 //! ```
 //!
-//! The deadline clock starts at **admission**, not at dequeue: time a
-//! request spends queued counts against its budget, so a backed-up
-//! server sheds stale work with `503` instead of computing answers
-//! nobody is waiting for anymore.
+//! A worker keeps a connection after a 2xx response to an HTTP/1.1
+//! client that did not ask to close it, and serves its next request
+//! when the first byte arrives. While the connection is idle the worker
+//! looks every few milliseconds at the admission queue: another
+//! connection waiting there makes it close the idle one and take the
+//! queued one, so a kept connection never holds a worker that queued
+//! work needs, and shedding still happens only at accept time. Draining
+//! and `io_timeout` of idleness close it too.
+//!
+//! The deadline clock of a connection's first request starts at
+//! **admission**, not at dequeue: time a request spends queued counts
+//! against its budget, so a backed-up server sheds stale work with
+//! `503` instead of computing answers nobody is waiting for anymore. A
+//! follow-on request on a kept connection never queues; its clock
+//! starts at its first byte.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,7 +67,8 @@ pub struct ServerConfig {
     /// Seconds advertised in the `Retry-After` header on `429`.
     pub retry_after_secs: u64,
     /// Socket read/write timeout (slow-loris guard; the effective read
-    /// timeout is the smaller of this and the remaining deadline).
+    /// limit is the smaller of this and the remaining deadline), and how
+    /// long a kept-alive connection may sit idle before it is closed.
     pub io_timeout: Duration,
     /// Latency threshold for the slow-request ring, in milliseconds.
     pub slow_ms: u64,
@@ -140,7 +153,7 @@ pub fn describe_http_metrics(registry: &Registry) {
     );
     registry.describe(
         "nncell_http_request_latency_ns",
-        "End-to-end request latency (admission to response written).",
+        "End-to-end request latency (admission, or first byte on a kept-alive connection, to response written).",
     );
     registry.describe(
         "nncell_http_retry_after_seconds",
@@ -195,7 +208,8 @@ impl HttpMetrics {
 /// One admitted connection waiting for a worker.
 struct Admitted {
     stream: TcpStream,
-    /// When the connection was admitted — the deadline epoch.
+    /// When the connection was admitted — the deadline epoch of its
+    /// first request.
     at: Instant,
 }
 
@@ -212,7 +226,8 @@ struct Shared {
     ready: AtomicBool,
     /// Where the listener actually lives (for the shutdown self-wake).
     local_addr: SocketAddr,
-    /// Requests fully processed (responses written), for drain asserts.
+    /// Requests fully processed (responses written), for drain asserts;
+    /// a kept-alive connection counts once per request.
     served: AtomicU64,
 }
 
@@ -251,7 +266,8 @@ impl ServerHandle {
         self.shared.metrics.shed.get()
     }
 
-    /// Total requests fully served (response written).
+    /// Total requests fully served (response written), counting every
+    /// request of a kept-alive connection.
     pub fn served(&self) -> u64 {
         self.shared.served.load(Ordering::SeqCst)
     }
@@ -403,6 +419,17 @@ impl Server {
     }
 }
 
+/// How long the accept thread spends, in total, reading a shed
+/// connection's request before it answers.
+const SHED_DRAIN: Duration = Duration::from_millis(50);
+
+/// Write timeout for the answer to a shed connection.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// How often the worker of an idle kept-alive connection looks at the
+/// admission queue and the drain flag.
+const IDLE_POLL: Duration = Duration::from_millis(5);
+
 /// Admission control: under the cap the connection is queued; over it,
 /// the accept thread itself writes `429 Retry-After` (with a short
 /// write timeout so a dead client cannot stall accepts) and closes.
@@ -425,28 +452,23 @@ fn admit(shared: &Arc<Shared>, stream: TcpStream) {
     shared.queue_cv.notify_one();
 }
 
-fn shed_connection(shared: &Arc<Shared>, mut stream: TcpStream, status: u16, code: &str) {
-    // Drain what the client already sent (one segment covers any normal
-    // request) before writing and closing: closing a socket with unread
-    // data makes the kernel send RST, which can discard the 429/503
-    // response before the client reads it. The 50ms cap bounds how long
-    // a slow client can hold the accept thread here.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut drain = [0u8; 4096];
-    let _ = std::io::Read::read(&mut stream, &mut drain);
+fn shed_connection(shared: &Arc<Shared>, stream: TcpStream, status: u16, code: &str) {
+    let Ok(mut conn) = http::Connection::new(stream, SHED_WRITE_TIMEOUT) else {
+        return;
+    };
+    // Read the whole request, head and `Content-Length` body, before
+    // answering: closing a socket with unread data makes the kernel send
+    // RST, which can discard the 429/503 before the client reads it. A
+    // client that writes head and body separately has its body arrive
+    // after the head, so one read() is not enough. One total limit bounds
+    // the drain, so a slow client cannot stall accepts.
+    let _ = conn.read_request(SHED_DRAIN);
     let mut headers = Vec::new();
     if status == 429 {
         headers.push(format!("Retry-After: {}", shared.cfg.retry_after_secs));
     }
     let body = format!("{{\"error\":\"{code}\"}}");
-    let _ = http::write_response(
-        &mut stream,
-        Duration::from_millis(250),
-        status,
-        "application/json",
-        &headers,
-        body.as_bytes(),
-    );
+    let _ = conn.write_response(status, "application/json", &headers, body.as_bytes(), false);
 }
 
 fn set_gauge(g: &nncell_obs::Gauge, v: usize) {
@@ -471,10 +493,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 };
             }
         };
-        shared.metrics.inflight.add(1);
         serve_connection(shared, admitted);
-        shared.metrics.inflight.add(-1);
-        shared.served.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -512,57 +531,66 @@ fn error_reply(status: u16, route: &'static str, code: &str) -> Reply {
     json_reply(status, route, format!("{{\"error\":\"{}\"}}", json::escape(code)))
 }
 
-/// Reads, dispatches, and answers one connection. The handler runs
-/// under `catch_unwind`: a panicking request answers `500 panic` and
-/// the worker thread survives to take the next connection.
+/// Serves an admitted connection's requests in turn until one of them
+/// closes it (see [`keep_open`] and [`await_request`]).
 fn serve_connection(shared: &Arc<Shared>, admitted: Admitted) {
-    let Admitted { mut stream, at } = admitted;
-    let deadline = at + shared.cfg.deadline;
-
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        handle_request(shared, &mut stream, at, deadline)
-    }));
-    let reply = match outcome {
-        Ok(r) => r,
-        Err(_) => {
-            shared.metrics.panics.inc();
-            error_reply(500, "(panic)", "panic")
-        }
+    let Admitted { stream, mut at } = admitted;
+    let Ok(mut conn) = http::Connection::new(stream, shared.cfg.io_timeout) else {
+        return;
     };
-
-    if reply.status == 503 {
-        shared.metrics.deadline.inc();
+    loop {
+        shared.metrics.inflight.add(1);
+        let keep = serve_request(shared, &mut conn, at);
+        shared.metrics.inflight.add(-1);
+        shared.served.fetch_add(1, Ordering::SeqCst);
+        if !keep {
+            return;
+        }
+        match await_request(shared, &mut conn) {
+            Some(first_byte) => at = first_byte,
+            None => return,
+        }
     }
-    let _ = http::write_response(
-        &mut stream,
-        shared.cfg.io_timeout,
-        reply.status,
-        reply.content_type,
-        &reply.headers,
-        &reply.body,
-    );
-    let latency_ns = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    shared.metrics.latency.record(latency_ns);
-    shared.metrics.count_request(reply.route, reply.status);
-    // Slow-request exemplar: a traced request that trips the ring
-    // carries its trace id, linking the entry to its span timeline.
-    shared.slowlog.record(
-        latency_ns,
-        &reply.slow_point,
-        reply.slow_k,
-        0,
-        0,
-        false,
-        reply.trace.map_or(0, |c| c.trace),
-    );
 }
 
-fn handle_request(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    at: Instant,
-    deadline: Instant,
-) -> Reply {
+/// Whether a connection stays open after answering `req` with `status`:
+/// only after a 2xx to a client that allows it, while the server is not
+/// draining and no other connection waits for a worker.
+fn keep_open(shared: &Shared, req: &Request, status: u16) -> bool {
+    req.keep_alive
+        && (200..300).contains(&status)
+        && !shared.draining.load(Ordering::SeqCst)
+        && lock(&shared.queue).is_empty()
+}
+
+/// Waits on an idle kept-alive connection for the first byte of its next
+/// request and returns that instant, which starts the request's deadline
+/// clock. `None` closes the connection: the client closed it, the server
+/// is draining, another connection waits in the admission queue, or it
+/// has been idle for `io_timeout`.
+fn await_request(shared: &Shared, conn: &mut http::Connection) -> Option<Instant> {
+    let idle_since = Instant::now();
+    loop {
+        match conn.await_request(IDLE_POLL) {
+            Ok(true) => return Some(Instant::now()),
+            Ok(false) => {}
+            Err(_) => return None,
+        }
+        if shared.draining.load(Ordering::SeqCst)
+            || !lock(&shared.queue).is_empty()
+            || idle_since.elapsed() >= shared.cfg.io_timeout
+        {
+            return None;
+        }
+    }
+}
+
+/// Reads, dispatches, and answers one request whose deadline clock
+/// started at `at`; returns whether the connection stays open. The
+/// handler runs under `catch_unwind`: a panicking request answers
+/// `500 panic` and the worker thread survives to take the next one.
+fn serve_request(shared: &Arc<Shared>, conn: &mut http::Connection, at: Instant) -> bool {
+    let deadline = at + shared.cfg.deadline;
     let dequeued = Instant::now();
     // Always read the request, even with the budget already spent: an
     // unread request in the socket buffer turns close() into RST and the
@@ -573,23 +601,26 @@ fn handle_request(
         .cfg
         .io_timeout
         .min(remaining.max(Duration::from_millis(25)));
-    let req = match http::read_request(stream, read_to) {
+    let req = match conn.read_request(read_to) {
         Ok(r) => r,
-        Err(http::RecvError::TooLarge(_)) => return error_reply(413, "(read)", "too_large"),
-        Err(http::RecvError::BadRequest(_)) => return error_reply(400, "(read)", "bad_request"),
-        Err(http::RecvError::Io(_)) => {
-            // Read timeout or peer reset; if the budget is gone this is
-            // the deadline firing at the transport layer.
-            return if Instant::now() >= deadline {
-                error_reply(503, "(read)", "deadline_exceeded")
-            } else {
-                error_reply(400, "(read)", "read_failed")
+        Err(e) => {
+            let reply = match e {
+                http::RecvError::TooLarge(_) => error_reply(413, "(read)", "too_large"),
+                http::RecvError::BadRequest(_) => error_reply(400, "(read)", "bad_request"),
+                // Read timeout or peer reset; if the budget is gone this
+                // is the deadline firing at the transport layer.
+                http::RecvError::Io(_) if Instant::now() >= deadline => {
+                    error_reply(503, "(read)", "deadline_exceeded")
+                }
+                http::RecvError::Io(_) => error_reply(400, "(read)", "read_failed"),
             };
+            respond(shared, conn, at, &reply, false);
+            return false;
         }
     };
     let read_done = Instant::now();
-    // Root span for the whole request, backdated to admission so the
-    // retroactive queue-wait child nests inside it. An incoming
+    // Root span for the whole request, backdated to its deadline epoch
+    // so the retroactive queue-wait child nests inside it. An incoming
     // `traceparent` continues the upstream trace (and its sampled flag
     // forces recording even with local sampling off); otherwise the
     // head-sampling decision is one relaxed atomic load.
@@ -603,7 +634,13 @@ fn handle_request(
     let mut reply = if read_done >= deadline {
         error_reply(503, "(expired)", "deadline_exceeded")
     } else {
-        route(shared, &req, deadline)
+        match catch_unwind(AssertUnwindSafe(|| route(shared, &req, deadline))) {
+            Ok(r) => r,
+            Err(_) => {
+                shared.metrics.panics.inc();
+                error_reply(500, "(panic)", "panic")
+            }
+        }
     };
     if let Some(ctx) = root.context() {
         nncell_obs::trace::span_at(
@@ -623,7 +660,48 @@ fn handle_request(
             .push(format!("traceparent: {}", ctx.to_traceparent()));
         reply.trace = Some(ctx);
     }
-    reply
+    let keep = keep_open(shared, &req, reply.status);
+    respond(shared, conn, at, &reply, keep) && keep
+}
+
+/// Writes `reply` and records it in the metrics and the slow-request
+/// ring; returns whether the write succeeded.
+fn respond(
+    shared: &Shared,
+    conn: &mut http::Connection,
+    at: Instant,
+    reply: &Reply,
+    keep_alive: bool,
+) -> bool {
+    if reply.status == 503 {
+        shared.metrics.deadline.inc();
+    }
+    let written = {
+        let _span = nncell_obs::trace::child("server.write");
+        conn.write_response(
+            reply.status,
+            reply.content_type,
+            &reply.headers,
+            &reply.body,
+            keep_alive,
+        )
+        .is_ok()
+    };
+    let latency_ns = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    shared.metrics.latency.record(latency_ns);
+    shared.metrics.count_request(reply.route, reply.status);
+    // Slow-request exemplar: a traced request that trips the ring
+    // carries its trace id, linking the entry to its span timeline.
+    shared.slowlog.record(
+        latency_ns,
+        &reply.slow_point,
+        reply.slow_k,
+        0,
+        0,
+        false,
+        reply.trace.map_or(0, |c| c.trace),
+    );
+    written
 }
 
 fn route(shared: &Arc<Shared>, req: &Request, deadline: Instant) -> Reply {

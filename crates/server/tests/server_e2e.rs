@@ -4,6 +4,8 @@
 //! (the subprocess `kill -9` storm lives in the CLI's E2E suite, where
 //! the binary is available).
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use nncell_core::{BuildConfig, Query, Registry, ShardedIndex, Strategy};
@@ -451,4 +453,296 @@ fn slow_request_ring_captures_over_threshold_requests() {
     assert!(!entries.is_empty());
     assert!(entries.iter().any(|e| e.point == vec![0.25, 0.75] && e.k == 2));
     srv.stop();
+}
+
+// ---------------------------------------------------------------------
+// Keep-alive and shedding over raw sockets: these pin down connection
+// handling that `Client` (one `Connection: close` request per socket)
+// never exercises.
+
+/// A raw client socket plus the bytes it has read past the last
+/// response.
+struct Raw {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+/// One response as read off a [`Raw`] socket.
+struct RawResponse {
+    status: u16,
+    head: String,
+    body: String,
+}
+
+impl RawResponse {
+    /// Whether the response tells the client the server closes.
+    fn closes(&self) -> bool {
+        self.head
+            .to_ascii_lowercase()
+            .contains("\r\nconnection: close\r\n")
+    }
+}
+
+impl Raw {
+    fn connect(addr: &str) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        Raw {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).expect("send");
+    }
+
+    fn fill(&mut self) -> usize {
+        let mut chunk = [0u8; 4096];
+        let n = self.stream.read(&mut chunk).expect("read");
+        self.buf.extend_from_slice(&chunk[..n]);
+        n
+    }
+
+    /// Reads one `Content-Length`-framed response.
+    fn response(&mut self) -> RawResponse {
+        let head_end = loop {
+            if let Some(i) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                break i;
+            }
+            assert!(self.fill() > 0, "connection closed before a response");
+        };
+        let head = String::from_utf8(self.buf[..head_end + 2].to_vec()).expect("utf-8 head");
+        let len: usize = head
+            .lines()
+            .find_map(|l| {
+                let (n, v) = l.split_once(':')?;
+                n.eq_ignore_ascii_case("content-length")
+                    .then(|| v.trim().parse().expect("content-length"))
+            })
+            .expect("Content-Length header");
+        let end = head_end + 4 + len;
+        while self.buf.len() < end {
+            assert!(self.fill() > 0, "connection closed mid-body");
+        }
+        let body = String::from_utf8(self.buf[head_end + 4..end].to_vec()).expect("utf-8 body");
+        self.buf.drain(..end);
+        let status = head[9..12].parse().expect("status code");
+        RawResponse { status, head, body }
+    }
+
+    /// Whether the server closed the connection cleanly: the next read
+    /// is end of stream, not data and not a reset.
+    fn sees_clean_eof(&mut self) -> bool {
+        self.buf.is_empty() && matches!(self.stream.read(&mut [0u8; 64]), Ok(0))
+    }
+}
+
+/// A `POST /query` request for `point` (k = 3) with extra header lines.
+fn query_request(point: &str, version: &str, extra_headers: &str) -> String {
+    let body = format!("{{\"point\":[{point}],\"k\":3}}");
+    format!(
+        "POST /query {version}\r\nHost: t\r\nContent-Length: {}\r\n{extra_headers}\r\n{body}",
+        body.len()
+    )
+}
+
+/// The body `Client`, one request per connection, gets for `point`.
+fn closed_connection_answer(srv: &Running, point: &str) -> String {
+    let r = srv
+        .client()
+        .post("/query", &format!("{{\"point\":[{point}],\"k\":3}}"))
+        .expect("query");
+    assert_eq!(r.status, 200, "{}", r.text());
+    r.text()
+}
+
+/// Polls until the server thread has returned, for at most `limit`.
+fn joins_within(srv: Running, limit: Duration) -> bool {
+    let t0 = std::time::Instant::now();
+    while !srv.join.is_finished() {
+        if t0.elapsed() > limit {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    srv.join
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+    true
+}
+
+#[test]
+fn keep_alive_serves_two_requests_on_one_socket() {
+    let (idx, _) = sharded_index(60, 2);
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let want = [
+        closed_connection_answer(&srv, "0.25,0.5"),
+        closed_connection_answer(&srv, "0.75,0.125"),
+    ];
+    let served = srv.handle.served();
+
+    let mut raw = Raw::connect(&srv.addr);
+    for (point, want) in ["0.25,0.5", "0.75,0.125"].iter().zip(&want) {
+        raw.send(query_request(point, "HTTP/1.1", "").as_bytes());
+        let r = raw.response();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(!r.closes(), "{}", r.head);
+        assert_eq!(&r.body, want);
+    }
+    // Requests are counted, not connections; the idle kept-alive
+    // connection is not an executing request. The worker counts a
+    // request once it has finished it, just after writing the response,
+    // so wait for the count.
+    let t0 = std::time::Instant::now();
+    while srv.handle.served() < served + 2 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(srv.handle.served(), served + 2);
+    let m = srv.client().get("/metrics").expect("metrics").text();
+    assert!(
+        m.contains("nncell_http_requests_total{route=\"/query\",code=\"200\"} 4"),
+        "{m}"
+    );
+    assert!(m.contains("nncell_http_inflight 1\n"), "{m}");
+    drop(raw);
+    srv.stop();
+}
+
+#[test]
+fn pipelined_requests_in_one_write_get_both_answers() {
+    let (idx, _) = sharded_index(60, 2);
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let want = [
+        closed_connection_answer(&srv, "0.1,0.9"),
+        closed_connection_answer(&srv, "0.6,0.3"),
+    ];
+    let mut raw = Raw::connect(&srv.addr);
+    let both = query_request("0.1,0.9", "HTTP/1.1", "") + &query_request("0.6,0.3", "HTTP/1.1", "");
+    raw.send(both.as_bytes());
+    for want in &want {
+        let r = raw.response();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(&r.body, want);
+    }
+    drop(raw);
+    srv.stop();
+}
+
+#[test]
+fn connection_close_and_http10_close_after_one_response() {
+    let (idx, _) = sharded_index(20, 2);
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    for (version, header) in [("HTTP/1.1", "Connection: close\r\n"), ("HTTP/1.0", "")] {
+        let mut raw = Raw::connect(&srv.addr);
+        raw.send(query_request("0.5,0.5", version, header).as_bytes());
+        let r = raw.response();
+        assert_eq!(r.status, 200, "{version}: {}", r.body);
+        assert!(r.closes(), "{version}: {}", r.head);
+        assert!(raw.sees_clean_eof(), "{version}: connection left open");
+    }
+    srv.stop();
+}
+
+#[test]
+fn error_response_closes_the_connection() {
+    let (idx, _) = sharded_index(20, 2);
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let mut raw = Raw::connect(&srv.addr);
+    raw.send(b"POST /query HTTP/1.1\r\nContent-Length: 9\r\n\r\n{not json");
+    let r = raw.response();
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.closes(), "{}", r.head);
+    assert!(raw.sees_clean_eof(), "connection left open after a 4xx");
+    srv.stop();
+}
+
+#[test]
+fn idle_kept_alive_connection_yields_to_a_queued_one() {
+    let (idx, _) = sharded_index(20, 2);
+    let srv = spawn(
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+        ServeIndex::Sharded(idx),
+    );
+    let mut idle = Raw::connect(&srv.addr);
+    idle.send(query_request("0.5,0.5", "HTTP/1.1", "").as_bytes());
+    let r = idle.response();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(!r.closes(), "{}", r.head);
+
+    // The only worker holds the idle connection; a second connection
+    // must still be served promptly.
+    let t0 = std::time::Instant::now();
+    let r = srv.client().get("/healthz").expect("healthz");
+    let waited = t0.elapsed();
+    assert_eq!(r.status, 200);
+    assert!(waited < Duration::from_millis(100), "queued for {waited:?}");
+    assert!(idle.sees_clean_eof(), "the idle connection was not closed");
+    srv.stop();
+}
+
+#[test]
+fn shutdown_with_an_idle_kept_alive_connection_returns_promptly() {
+    let (idx, _) = sharded_index(20, 2);
+    let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
+    let mut idle = Raw::connect(&srv.addr);
+    idle.send(query_request("0.5,0.5", "HTTP/1.1", "").as_bytes());
+    let r = idle.response();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(!r.closes(), "{}", r.head);
+
+    srv.handle.shutdown();
+    assert!(
+        joins_within(srv, Duration::from_secs(1)),
+        "shutdown waited on an idle connection"
+    );
+    assert!(
+        idle.sees_clean_eof(),
+        "the idle connection was not closed cleanly"
+    );
+}
+
+#[test]
+fn shed_connection_reads_a_body_sent_after_the_head() {
+    let (idx, _) = sharded_index(20, 2);
+    // Queue depth 0: every connection is shed by the accept thread.
+    let config = ServerConfig {
+        addr: String::from("127.0.0.1:0"),
+        queue_depth: 0,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(config, ServeIndex::Sharded(idx), Registry::new()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    // A client that writes head and body separately. The head is longer
+    // than one 4 KiB read, so a server that answers after a single
+    // read() closes with unread bytes, and the kernel resets the
+    // connection instead of closing it.
+    let body = "{\"point\":[0.5,0.5]}";
+    let head = format!(
+        "POST /query HTTP/1.1\r\nX-Pad: {}\r\nContent-Length: {}\r\n\r\n",
+        "p".repeat(5000),
+        body.len()
+    );
+    let mut raw = Raw::connect(&addr);
+    raw.send(head.as_bytes());
+    std::thread::sleep(Duration::from_millis(10));
+    raw.send(body.as_bytes());
+    let r = raw.response();
+    assert_eq!(r.status, 429, "{}", r.body);
+    assert!(r.head.contains("Retry-After: 1\r\n"), "{}", r.head);
+    assert!(r.body.contains("overloaded"), "{}", r.body);
+    assert!(raw.sees_clean_eof(), "shed connection was reset");
+    assert_eq!(handle.sheds(), 1);
+
+    handle.shutdown();
+    join.join().expect("server thread").expect("clean shutdown");
 }
