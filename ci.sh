@@ -159,8 +159,8 @@ else
 fi
 
 echo "== candidate-count gate (mean_candidates vs committed baseline) =="
-# The MINDIST traversal + early-abort kernel's headline claim is how few
-# candidates survive to a *completed* distance evaluation. The fresh smoke
+# The MINDIST traversal's headline claim is how few streamed points lie
+# within the running k-th-best bound (`mean_candidates`). The fresh smoke
 # run's mean_candidates may exceed the committed baseline by at most 10%;
 # a bigger jump means the pruning bounds or the traversal order regressed
 # even if QPS happens to hide it. Skipped without a committed baseline.

@@ -164,8 +164,9 @@ fn main() {
     let mean_pruned = per_q(pruned as f64);
     println!(
         "sequential: {seq_qps:.0} q/s — parallel ({threads} threads): {par_qps:.0} q/s \
-         ({:.2}x) — {mean_cands:.1} candidates/query ({mean_examined:.1} examined, \
-         {mean_aborted:.1} aborted early, {mean_pruned:.1} subtrees pruned), \
+         ({:.2}x) — {mean_cands:.1} candidates/query within the bound \
+         ({mean_examined:.1} examined, {mean_aborted:.1} beyond the bound, \
+         {mean_pruned:.1} subtrees pruned), \
          {fallbacks} fallback(s)",
         par_qps / seq_qps
     );

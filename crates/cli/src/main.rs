@@ -449,13 +449,13 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
         par_qps / seq_qps
     );
     println!(
-        "per query: {:.1} candidates, {:.1} pages, {:.1} subtrees pruned, \
-         {:.1} early-aborted; {fallbacks} scan fallback(s); \
+        "per query: {:.1} candidates within the bound, {:.1} beyond it, {:.1} pages, \
+         {:.1} subtrees pruned; {fallbacks} scan fallback(s); \
          parallel results bit-identical to sequential",
         cands as f64 / n_q as f64,
+        aborted as f64 / n_q as f64,
         pages as f64 / n_q as f64,
         pruned as f64 / n_q as f64,
-        aborted as f64 / n_q as f64,
     );
     if let Some(path) = p.get("json") {
         let json = format!(

@@ -22,19 +22,21 @@
 //!
 //! Nearest-neighbor kernels (see `DESIGN.md` §17): a **MINDIST-ordered
 //! best-first traversal** of the point X-tree streams candidates to this
-//! engine in roughly ascending distance; the engine refines each candidate
-//! with the **early-abort** distance kernel
-//! ([`nncell_geom::dist_sq_early_abort`]) against its running k-th-best
-//! distance and hands the shrunk bound back to the traversal, which prunes
-//! every MBR whose MINDIST exceeds it before the node is ever read. The
+//! engine in roughly ascending distance; the engine evaluates each live
+//! candidate **once**, with the exact distance kernel, compares it once
+//! against its running k-th-best distance and hands the shrunk bound back
+//! to the traversal, which prunes every MBR whose MINDIST exceeds it
+//! before the node is ever read. The loop has no data-dependent branch
+//! inside the kernel: a mispredicted early-exit check costs more than the
+//! lanes it would skip at these dimensionalities (DESIGN.md §17.3). The
 //! pruning work is reported per query in [`QueryStats`] (`nodes_pruned`,
-//! `candidates_examined`, `candidates_aborted_early`).
+//! `candidates_examined`, and `candidates` / `candidates_aborted_early`
+//! for the evaluations within / beyond the bound).
 //!
 //! Results are **bit-identical** regardless of thread count, and identical
-//! to a linear scan: every completed distance evaluation uses the same
-//! auto-vectorizable kernel ([`nncell_geom::dist_sq`] — the early-abort
-//! variant is bit-identical whenever it completes), distance ties break by
-//! ascending point id, and the abort/prune bounds carry a relative slop so
+//! to a linear scan: every distance evaluation uses the same
+//! auto-vectorizable kernel ([`Metric::dist_sq`]), distance ties break by
+//! ascending point id, and the prune bounds carry a relative slop so
 //! floating-point differences between MBR MINDIST accumulation and the
 //! kernel can never skip a true answer.
 //!
@@ -56,7 +58,7 @@ use std::sync::Mutex;
 /// absorbs the rounding difference between an MBR's MINDIST accumulation
 /// and the distance kernel (~1 ulp each), so a bound comparison can only
 /// ever be *less* aggressive than the exact comparison it stands in for —
-/// a few extra candidates survive to full evaluation, never the reverse.
+/// a few extra candidates are offered to the k-best, never the reverse.
 const BOUND_SLOP: f64 = 1.0 + 1e-12;
 
 /// One worker-produced chunk of batch results, keyed by its input offset.
@@ -178,7 +180,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
 
     /// Answers every query over the index *plus* an unindexed memtable
     /// tail. For k-NN the tail seeds the one k-NN kernel: its live
-    /// inserts are scanned first (early-abort, deadline-aware) into the
+    /// inserts are scanned first (deadline-aware) into the
     /// running k-best, and the traversal then starts from that bound,
     /// skipping tombstoned ids and ids the seed already holds. Radius
     /// queries filter tombstones from the indexed ball and add the tail
@@ -397,14 +399,14 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     // ------------------------------------------------------------------
 
     /// Exact k-NN (including `k = 1`) by MINDIST-ordered best-first
-    /// traversal of the **point** X-tree with early-abort refinement,
-    /// optionally seeded by a non-empty memtable tail.
+    /// traversal of the **point** X-tree, optionally seeded by a non-empty
+    /// memtable tail.
     ///
     /// The traversal ([`nncell_index::Tree::best_first_stream_with`])
     /// expands directory pages in ascending MINDIST order and streams leaf
     /// items, each with its coordinates from the leaf's row, to the closure
-    /// below, which evaluates each live candidate with
-    /// the early-abort kernel against the current k-th-best distance and
+    /// below, which evaluates each live candidate exactly, offers it to the
+    /// k-best unless it lies beyond the slopped k-th-best bound, and
     /// hands the shrunk bound back for page pruning. Exactness: a page is
     /// pruned only when its MINDIST **strictly** exceeds the slopped bound
     /// `(kth_dist)² · BOUND_SLOP / w_min` (the `w_min` division converts a
@@ -419,8 +421,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// first streamed item). Tombstoned ids are skipped, and so is an id
     /// the seed already holds — a fold published between the tail view and
     /// the snapshot load puts a point on both sides with bit-identical
-    /// distances. Both checks run only for a completed candidate that
-    /// would enter the k-best. The tail path never takes the `k ≥ len`
+    /// distances. Both checks run only for a candidate that would enter
+    /// the k-best. The tail path never takes the `k ≥ len`
     /// scan fallback: the traversal is complete while the k-best is short,
     /// and `len` counts neither tail inserts nor tombstones.
     ///
@@ -459,8 +461,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         let mut aborted = 0usize;
         let mut visits = 0u32;
         let mut deadline_hit = false;
-        // Squared-distance bounds: `abort_bound` cuts kernel evaluations
-        // short, `tree_bound` (its Euclidean relaxation) prunes pages.
+        // Squared-distance bounds: a candidate beyond `abort_bound` is not
+        // offered, `tree_bound` (its Euclidean relaxation) prunes pages.
         let mut abort_bound = f64::INFINITY;
         let mut tree_bound = f64::INFINITY;
         // Both bounds from a new k-th-best distance `b`.
@@ -478,17 +480,17 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                     return Err(QueryError::DeadlineExceeded);
                 }
                 examined += 1;
-                match metric.dist_sq_early_abort(p, pt.as_slice(), abort_bound) {
-                    None => aborted += 1,
-                    Some(d2) => {
-                        let r = QueryResult {
-                            id: *id,
-                            dist: d2.sqrt(),
-                        };
-                        if let Some(b) = offer(ranked, k, r, &[]) {
-                            (abort_bound, tree_bound) = bounds(b);
-                        }
-                    }
+                let d2 = metric.dist_sq(p, pt.as_slice());
+                if d2 > abort_bound {
+                    aborted += 1;
+                    continue;
+                }
+                let r = QueryResult {
+                    id: *id,
+                    dist: d2.sqrt(),
+                };
+                if let Some(b) = offer(ranked, k, r, &[]) {
+                    (abort_bound, tree_bound) = bounds(b);
                 }
             }
         }
@@ -507,17 +509,17 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             examined += 1;
             // `coords` is the point's row in its leaf, bit-identical to
             // `idx.flat_point(id)` and adjacent to its leaf neighbours'.
-            match metric.dist_sq_early_abort(p, coords, abort_bound) {
-                None => aborted += 1, // provably beyond the k-th best
-                Some(d2) => {
-                    let r = QueryResult {
-                        id,
-                        dist: d2.sqrt(),
-                    };
-                    if let Some(b) = offer(ranked, k, r, tombstones) {
-                        (abort_bound, tree_bound) = bounds(b);
-                    }
-                }
+            let d2 = metric.dist_sq(p, coords);
+            if d2 > abort_bound {
+                aborted += 1; // provably beyond the k-th best
+                return tree_bound;
+            }
+            let r = QueryResult {
+                id,
+                dist: d2.sqrt(),
+            };
+            if let Some(b) = offer(ranked, k, r, tombstones) {
+                (abort_bound, tree_bound) = bounds(b);
             }
             tree_bound
         });
@@ -583,10 +585,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         let mut out: Vec<QueryResult> = Vec::new();
         let mut examined = 0usize;
         let mut aborted = 0usize;
-        // Squared abort bound for the ball: a partial sum already beyond
-        // `r²` (plus slop, so an exact-boundary point is never cut) proves
-        // the point is outside and the kernel can stop early.
-        let abort_bound = (r * r) * BOUND_SLOP;
+        let abort_bound = radius_bound(r);
         for &h in scratch.hits.iter() {
             // Point-tree items carry raw point ids (no piece encoding).
             let id = h as usize;
@@ -594,14 +593,14 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 continue;
             }
             examined += 1;
-            match metric.dist_sq_early_abort(p, idx.flat_point(id), abort_bound) {
-                None => aborted += 1, // provably outside the ball
-                Some(d2) => {
-                    let dist = d2.sqrt();
-                    if dist <= r {
-                        out.push(QueryResult { id, dist });
-                    }
-                }
+            let d2 = metric.dist_sq(p, idx.flat_point(id));
+            if d2 > abort_bound {
+                aborted += 1; // provably outside the ball
+                continue;
+            }
+            let dist = d2.sqrt();
+            if dist <= r {
+                out.push(QueryResult { id, dist });
             }
         }
         out.sort_unstable_by(cmp_results);
@@ -655,16 +654,23 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             }
         }
         let metric = idx.metric();
+        let abort_bound = radius_bound(r);
         for (i, (id, pt)) in tail.inserts.iter().enumerate() {
             if i % 256 == 255 && out_of_budget(deadline) {
                 return Err(QueryError::DeadlineExceeded);
             }
-            let dist = metric.dist(p, pt.as_slice());
+            stats.candidates_examined += 1;
+            let d2 = metric.dist_sq(p, pt.as_slice());
+            if d2 > abort_bound {
+                stats.candidates_aborted_early += 1;
+                continue;
+            }
+            stats.candidates += 1;
+            let dist = d2.sqrt();
             if dist <= r {
                 merged.push(QueryResult { id: *id, dist });
             }
         }
-        stats.candidates += tail.inserts.len();
         stats.tail = tail.inserts.len();
         merged.sort_unstable_by(cmp_results);
         merged.dedup_by(|a, b| a.id == b.id);
@@ -789,6 +795,12 @@ fn offer(
     }
     ranked.insert(pos, r);
     (ranked.len() == k).then(|| ranked[k - 1].dist)
+}
+
+/// The squared bound of a radius-`r` ball: a point beyond `r²` (plus slop,
+/// so an exact-boundary point is never cut) is outside the ball.
+fn radius_bound(r: f64) -> f64 {
+    (r * r) * BOUND_SLOP
 }
 
 /// Whether the (optional) deadline has passed.

@@ -34,10 +34,10 @@ pub struct EngineMetrics {
     pub(crate) pages: Arc<Histogram>,
     /// `nncell_query_nodes_pruned` — subtrees the MINDIST traversal cut.
     pub(crate) nodes_pruned: Arc<Histogram>,
-    /// `nncell_query_candidates_examined` — distance evaluations started.
+    /// `nncell_query_candidates_examined` — distance evaluations.
     pub(crate) candidates_examined: Arc<Histogram>,
-    /// `nncell_query_candidates_aborted` — evaluations the early-abort
-    /// kernel cut short.
+    /// `nncell_query_candidates_aborted` — evaluations beyond the running
+    /// bound (not offered to the answer).
     pub(crate) aborted_early: Arc<Histogram>,
     /// Fixed-size ring of queries slower than the configured threshold.
     pub(crate) slow: Arc<SlowQueryLog>,

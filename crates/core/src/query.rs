@@ -136,10 +136,11 @@ impl Query {
 /// cost, the pruning telemetry of the MINDIST-ordered traversal, and
 /// whether the query was answered by the exact scan fallback.
 ///
-/// Counter consistency (pinned by a unit test): for every response,
+/// Counter consistency (pinned by a unit test and the parity proptests):
+/// for every response,
 /// `candidates_examined == candidates + candidates_aborted_early` — every
-/// evaluation that starts either completes (and counts as a candidate) or
-/// is cut short by the early-abort kernel.
+/// live point the query evaluates gets one exact distance, which lies
+/// either within the running bound (a candidate) or beyond it.
 ///
 /// The struct is `#[non_exhaustive]`: construct it via `Default` and read
 /// fields directly; future telemetry can then be added without a breaking
@@ -147,10 +148,12 @@ impl Query {
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Distinct live candidate points whose distance was **fully**
-    /// evaluated (the paper's page-access driver). With the early-abort
-    /// kernel this is `candidates_examined − candidates_aborted_early`;
-    /// for a scan fallback it is the number of live points.
+    /// Evaluations whose distance lay **within** the running bound when
+    /// they were made — the slopped k-th-best distance for k-NN (∞ while
+    /// the k-best is short), the radius for a radius query — and so were
+    /// offered to the answer. This is
+    /// `candidates_examined − candidates_aborted_early`; for a scan
+    /// fallback it is the number of live points.
     pub candidates: usize,
     /// Simulated index pages touched while gathering candidates (before
     /// any LRU cache; 0 for a scan fallback, which reads no index pages).
@@ -162,8 +165,8 @@ pub struct QueryStats {
     /// Live unindexed memtable-tail points this answer scanned (0 whenever
     /// the tail was empty). Tail points are also counted in
     /// `candidates_examined` (and in `candidates` or
-    /// `candidates_aborted_early`); this field isolates how much of the
-    /// work the un-folded tail caused.
+    /// `candidates_aborted_early`), by k-NN and radius queries alike; this
+    /// field isolates how much of the work the un-folded tail caused.
     pub tail: usize,
     /// Subtrees the MINDIST-ordered traversal pruned **before their node
     /// was ever read**: directory entries whose MINDIST exceeded the
@@ -174,9 +177,10 @@ pub struct QueryStats {
     /// tail inserts, then points streamed out of the traversal past the
     /// index's liveness mask.
     pub candidates_examined: usize,
-    /// Evaluations the early-abort kernel cut short because a partial
-    /// lane-block sum already exceeded the running best distance. Each
-    /// abort proves the point cannot be in the answer set.
+    /// Evaluations whose exact distance lay **beyond** the running bound
+    /// (see `candidates`), so the point was not offered: it provably
+    /// cannot be in the answer set. Every evaluation runs to completion —
+    /// the name predates that and is kept for compatibility.
     pub candidates_aborted_early: usize,
 }
 

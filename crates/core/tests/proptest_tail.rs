@@ -5,7 +5,10 @@
 //! Inserts and removes interleave, removes hit both folded points and
 //! unfolded tail inserts, and an occasional `fold_once` moves the tail
 //! into the shard indexes, so answers come from every mix of snapshot and
-//! tail. Coordinates sit on a coarse lattice so ties are common.
+//! tail. Coordinates sit on a coarse lattice so ties are common. Every
+//! answer's counters must also add up: each evaluated point, indexed or
+//! in the tail, is examined once and is either within the bound or beyond
+//! it.
 
 use nncell_core::{
     BuildConfig, DurableError, Query, QueryError, QueryResponse, ShardedIndex,
@@ -46,6 +49,20 @@ fn bits(r: &QueryResponse) -> Vec<(usize, u64)> {
     r.iter().map(|x| (x.id, x.dist.to_bits())).collect()
 }
 
+/// Every evaluation is counted once as examined, and then exactly once as
+/// within the bound (`candidates`) or beyond it.
+fn counters_add_up(r: &QueryResponse, what: &str, ctx: &str) -> Result<(), TestCaseError> {
+    let s = r.stats;
+    prop_assert_eq!(
+        s.candidates_examined,
+        s.candidates + s.candidates_aborted_early,
+        "{} counters: {}",
+        what,
+        ctx
+    );
+    Ok(())
+}
+
 /// Checks one k-NN and one radius query against the scan of `live`.
 fn check(
     idx: &ShardedIndex,
@@ -57,7 +74,10 @@ fn check(
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(idx.len(), live.len(), "len: {}", ctx);
     match idx.query(&Query::knn(q, k)) {
-        Ok(r) => prop_assert_eq!(bits(&r), scan(live, q, k, None), "knn k={}: {}", k, ctx),
+        Ok(r) => {
+            prop_assert_eq!(bits(&r), scan(live, q, k, None), "knn k={}: {}", k, ctx);
+            counters_add_up(&r, "knn", ctx)?;
+        }
         Err(e) => {
             prop_assert_eq!(e, QueryError::EmptyIndex, "knn: {}", ctx);
             prop_assert!(live.is_empty(), "knn failed on a live set: {}", ctx);
@@ -65,7 +85,10 @@ fn check(
     }
     let want = scan(live, q, usize::MAX, Some(radius));
     match idx.query(&Query::radius(q, radius)) {
-        Ok(r) => prop_assert_eq!(bits(&r), want, "radius {}: {}", radius, ctx),
+        Ok(r) => {
+            prop_assert_eq!(bits(&r), want, "radius {}: {}", radius, ctx);
+            counters_add_up(&r, "radius", ctx)?;
+        }
         Err(e) => {
             prop_assert!(
                 matches!(e, QueryError::EmptyRadius | QueryError::EmptyIndex),

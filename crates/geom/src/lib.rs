@@ -28,11 +28,8 @@ pub mod polygon;
 
 pub use dataspace::DataSpace;
 pub use halfspace::Halfspace;
-pub use mbr::Mbr;
-pub use metric::{
-    dist, dist_sq, dist_sq_early_abort, weighted_dist_sq, weighted_dist_sq_early_abort, Euclidean,
-    Metric, WeightedEuclidean,
-};
+pub use mbr::{min_dist_sq, Mbr};
+pub use metric::{dist, dist_sq, weighted_dist_sq, Euclidean, Metric, WeightedEuclidean};
 pub use point::Point;
 pub use polygon::{voronoi_cell_2d, ConvexPolygon};
 

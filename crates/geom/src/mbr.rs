@@ -8,6 +8,31 @@ use crate::point::Point;
 use crate::EPS;
 use std::fmt;
 
+/// MINDIST²: squared Euclidean distance from `p` to the closest point of
+/// the box `[lo, hi]` (zero if `p` is inside). This is the one MINDIST
+/// formula of the workspace: [`Mbr::min_dist_sq`] and the tree's inline
+/// node bounds both call it.
+///
+/// Per dimension the gap is `max(lo − p, p − hi, 0)`, which compiles to
+/// two `max` instructions instead of a data-dependent three-way branch
+/// (during a traversal the query sits below, inside or above each bound
+/// in no predictable pattern). For `lo ≤ hi` and finite inputs it equals
+/// the branchy `if p < lo { lo − p } else if p > hi { p − hi } else { 0 }`
+/// bit for bit: at most one of the two differences is positive, and a
+/// zero gap squares to `+0.0` whatever its sign. The squares are summed
+/// in dimension order.
+#[inline]
+pub fn min_dist_sq(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
+    debug_assert_eq!(p.len(), lo.len());
+    debug_assert_eq!(p.len(), hi.len());
+    let mut s = 0.0;
+    for ((&l, &h), &x) in lo.iter().zip(hi).zip(p) {
+        let d = (l - x).max(x - h).max(0.0);
+        s += d * d;
+    }
+    s
+}
+
 /// An axis-aligned hyper-rectangle `[lo₁,hi₁] × … × [lo_d,hi_d]`.
 ///
 /// Invariant: `lo.len() == hi.len()` and `loᵢ ≤ hiᵢ` for all `i` (enforced by
@@ -228,21 +253,12 @@ impl Mbr {
     }
 
     /// MINDIST²: squared Euclidean distance from `p` to the closest point of
-    /// the box (zero if `p` is inside). Used for best-first NN search.
+    /// the box (zero if `p` is inside). Used for best-first NN search; see
+    /// the free function [`min_dist_sq`].
+    #[inline]
     pub fn min_dist_sq(&self, p: &[f64]) -> f64 {
         debug_assert_eq!(p.len(), self.dim());
-        let mut s = 0.0;
-        for i in 0..p.len() {
-            let d = if p[i] < self.lo[i] {
-                self.lo[i] - p[i]
-            } else if p[i] > self.hi[i] {
-                p[i] - self.hi[i]
-            } else {
-                0.0
-            };
-            s += d * d;
-        }
-        s
+        min_dist_sq(&self.lo, &self.hi, p)
     }
 
     /// MINMAXDIST² of Roussopoulos et al. (RKV95): the smallest upper bound

@@ -47,100 +47,6 @@ pub fn dist(a: &[f64], b: &[f64]) -> f64 {
     dist_sq(a, b).sqrt()
 }
 
-/// [`dist_sq`] with VA-file-style partial-distance early abort (Weber et
-/// al.): the partial sum is checked after every 4-lane block, and the
-/// evaluation bails with `None` as soon as it exceeds `bound_sq` while
-/// further lanes remain unprocessed. A completed evaluation returns
-/// `Some(d²)` that is **bit-identical** to [`dist_sq`] — the accumulators,
-/// chunking, and combination order are the same.
-///
-/// Soundness of the abort: every accumulator only ever grows (squares are
-/// non-negative and rounded floating-point addition of non-negative terms
-/// is monotone), and the checkpoint combines them in the final combination
-/// order, so the partial sum at any checkpoint is ≤ the completed kernel
-/// value. `None` therefore *proves* `dist_sq(a, b) > bound_sq`; it never
-/// fires for a point whose true distance is within the bound (equality
-/// included — the comparison is strict).
-///
-/// For `a.len() < 8` there is no interior checkpoint and the kernel never
-/// aborts; the early exit only pays off when whole lane blocks can be
-/// skipped.
-#[inline]
-pub fn dist_sq_early_abort(a: &[f64], b: &[f64], bound_sq: f64) -> Option<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    let mut first = true;
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        if !first && ((acc[0] + acc[1]) + (acc[2] + acc[3])) > bound_sq {
-            return None;
-        }
-        first = false;
-        let d0 = x[0] - y[0];
-        let d1 = x[1] - y[1];
-        let d2 = x[2] - y[2];
-        let d3 = x[3] - y[3];
-        acc[0] += d0 * d0;
-        acc[1] += d1 * d1;
-        acc[2] += d2 * d2;
-        acc[3] += d3 * d3;
-    }
-    let tail_a = ca.remainder();
-    if !first && !tail_a.is_empty() && ((acc[0] + acc[1]) + (acc[2] + acc[3])) > bound_sq {
-        return None;
-    }
-    let mut tail = 0.0;
-    for (x, y) in tail_a.iter().zip(cb.remainder()) {
-        let d = x - y;
-        tail += d * d;
-    }
-    Some(((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail)
-}
-
-/// [`weighted_dist_sq`] with the same early-abort contract as
-/// [`dist_sq_early_abort`]: `None` proves the weighted squared distance
-/// exceeds `bound_sq`; `Some` is bit-identical to the exact kernel.
-#[inline]
-pub fn weighted_dist_sq_early_abort(
-    w: &[f64],
-    a: &[f64],
-    b: &[f64],
-    bound_sq: f64,
-) -> Option<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), w.len());
-    let mut acc = [0.0f64; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    let mut cw = w.chunks_exact(4);
-    let mut first = true;
-    for ((x, y), w) in (&mut ca).zip(&mut cb).zip(&mut cw) {
-        if !first && ((acc[0] + acc[1]) + (acc[2] + acc[3])) > bound_sq {
-            return None;
-        }
-        first = false;
-        let d0 = x[0] - y[0];
-        let d1 = x[1] - y[1];
-        let d2 = x[2] - y[2];
-        let d3 = x[3] - y[3];
-        acc[0] += w[0] * d0 * d0;
-        acc[1] += w[1] * d1 * d1;
-        acc[2] += w[2] * d2 * d2;
-        acc[3] += w[3] * d3 * d3;
-    }
-    let tail_a = ca.remainder();
-    if !first && !tail_a.is_empty() && ((acc[0] + acc[1]) + (acc[2] + acc[3])) > bound_sq {
-        return None;
-    }
-    let mut tail = 0.0;
-    for ((x, y), w) in tail_a.iter().zip(cb.remainder()).zip(cw.remainder()) {
-        let d = x - y;
-        tail += w * d * d;
-    }
-    Some(((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail)
-}
-
 /// A distance function whose perpendicular bisectors are hyperplanes.
 ///
 /// This is the class of metrics the NN-cell linear-programming formulation
@@ -154,19 +60,6 @@ pub trait Metric: Clone + Send + Sync + 'static {
     /// Distance (defaults to `sqrt(dist_sq)`).
     fn dist(&self, a: &[f64], b: &[f64]) -> f64 {
         self.dist_sq(a, b).sqrt()
-    }
-
-    /// Squared distance with early abort: returns `None` only when the
-    /// evaluation was cut short by proving `dist_sq(a, b) > bound_sq`
-    /// mid-kernel; a `Some` value must be bit-identical to
-    /// [`Metric::dist_sq`]. The default implementation never aborts (it
-    /// completes the exact kernel), which is sound for any metric;
-    /// implementations with block-structured kernels override it with a
-    /// genuine partial-distance abort.
-    #[inline]
-    fn dist_sq_early_abort(&self, a: &[f64], b: &[f64], bound_sq: f64) -> Option<f64> {
-        let _ = bound_sq;
-        Some(self.dist_sq(a, b))
     }
 
     /// The diagonal weight of dimension `i` in the metric's quadratic form.
@@ -185,11 +78,6 @@ impl Metric for Euclidean {
     #[inline]
     fn dist_sq(&self, a: &[f64], b: &[f64]) -> f64 {
         dist_sq(a, b)
-    }
-
-    #[inline]
-    fn dist_sq_early_abort(&self, a: &[f64], b: &[f64], bound_sq: f64) -> Option<f64> {
-        dist_sq_early_abort(a, b, bound_sq)
     }
 
     #[inline]
@@ -269,11 +157,6 @@ impl Metric for WeightedEuclidean {
     #[inline]
     fn dist_sq(&self, a: &[f64], b: &[f64]) -> f64 {
         weighted_dist_sq(&self.weights, a, b)
-    }
-
-    #[inline]
-    fn dist_sq_early_abort(&self, a: &[f64], b: &[f64], bound_sq: f64) -> Option<f64> {
-        weighted_dist_sq_early_abort(&self.weights, a, b, bound_sq)
     }
 
     #[inline]
@@ -359,62 +242,6 @@ mod tests {
             let m = WeightedEuclidean::new(w.clone());
             assert_eq!(m.dist_sq(&a, &b).to_bits(), weighted_dist_sq(&w, &a, &b).to_bits());
         }
-    }
-
-    #[test]
-    fn early_abort_agrees_with_exact_kernel_for_all_lane_widths() {
-        // For every remainder width and a spread of bounds, the abort
-        // kernel must (a) be bit-identical to the exact kernel whenever it
-        // completes, and (b) abort only when the true distance genuinely
-        // exceeds the bound. Checked for both the plain and weighted forms.
-        for d in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 33] {
-            let a: Vec<f64> = (0..d).map(|i| (i as f64 * 0.37).sin()).collect();
-            let b: Vec<f64> = (0..d).map(|i| (i as f64 * 0.73).cos()).collect();
-            let w: Vec<f64> = (0..d).map(|i| 0.5 + (i % 5) as f64).collect();
-            let exact = dist_sq(&a, &b);
-            let exact_w = weighted_dist_sq(&w, &a, &b);
-            for frac in [0.0, 0.25, 0.5, 0.9999, 1.0, 1.0001, 2.0] {
-                let bound = exact * frac;
-                match dist_sq_early_abort(&a, &b, bound) {
-                    Some(v) => assert_eq!(v.to_bits(), exact.to_bits(), "d={d} frac={frac}"),
-                    None => assert!(exact > bound, "d={d} frac={frac}: aborted within bound"),
-                }
-                let bound_w = exact_w * frac;
-                match weighted_dist_sq_early_abort(&w, &a, &b, bound_w) {
-                    Some(v) => assert_eq!(v.to_bits(), exact_w.to_bits(), "d={d} frac={frac}"),
-                    None => assert!(exact_w > bound_w, "d={d} frac={frac}: aborted within bound"),
-                }
-            }
-            // Equality never aborts: a point exactly on the bound survives
-            // (the tie-break by id needs its completed distance).
-            assert_eq!(
-                dist_sq_early_abort(&a, &b, exact).map(f64::to_bits),
-                Some(exact.to_bits())
-            );
-            // An unbounded call is exactly the plain kernel.
-            assert_eq!(
-                dist_sq_early_abort(&a, &b, f64::INFINITY).map(f64::to_bits),
-                Some(exact.to_bits())
-            );
-        }
-    }
-
-    #[test]
-    fn early_abort_actually_aborts_on_wide_vectors() {
-        // With ≥ 2 lane blocks and a tiny bound, the first checkpoint must
-        // fire (returns None) — the "never aborts" default would hide a
-        // wiring mistake in the fast path.
-        let a = vec![1.0; 16];
-        let b = vec![0.0; 16];
-        assert_eq!(dist_sq_early_abort(&a, &b, 0.5), None);
-        let w = vec![2.0; 16];
-        assert_eq!(weighted_dist_sq_early_abort(&w, &a, &b, 0.5), None);
-        // Metric-trait plumbing reaches the same kernels.
-        assert_eq!(Euclidean.dist_sq_early_abort(&a, &b, 0.5), None);
-        assert_eq!(
-            WeightedEuclidean::new(w.clone()).dist_sq_early_abort(&a, &b, 0.5),
-            None
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the geometric primitives.
 
-use nncell_geom::{dist, dist_sq, Halfspace, Mbr, Point};
+use nncell_geom::{dist, dist_sq, min_dist_sq, Halfspace, Mbr, Point};
 use proptest::prelude::*;
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -17,6 +17,67 @@ fn mbr(d: usize) -> impl Strategy<Value = Mbr> {
         let hi: Vec<f64> = a.iter().zip(b.iter()).map(|(x, y)| x.max(*y)).collect();
         Mbr::new(lo, hi)
     })
+}
+
+/// The three-way MINDIST formula the branch-free [`min_dist_sq`] replaced,
+/// kept as the bit-for-bit reference.
+fn branchy_min_dist_sq(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for i in 0..p.len() {
+        let d = if p[i] < lo[i] {
+            lo[i] - p[i]
+        } else if p[i] > hi[i] {
+            p[i] - hi[i]
+        } else {
+            0.0
+        };
+        s += d * d;
+    }
+    s
+}
+
+/// One dimension of a MINDIST case, `(lo, hi, p)`: boxes of random extent
+/// or degenerate (`lo == hi`), signed-zero faces, and a query coordinate
+/// on a face, inside, at ±0.0, or far outside.
+fn mindist_dim() -> impl Strategy<Value = (f64, f64, f64)> {
+    (0..=2000u32, 0..=1000u32, 0..8u32, 0..8u32, 0..=4000u32).prop_map(
+        |(a, w, box_kind, p_kind, v)| {
+            let lo = (a as f64 - 1000.0) / 500.0;
+            let (lo, hi) = match box_kind {
+                0 => (lo, lo),
+                1 => (-0.0, 0.0),
+                2 => (-0.0, -0.0),
+                3 => (0.0, 0.0),
+                _ => (lo, lo + w as f64 / 1000.0),
+            };
+            let p = match p_kind {
+                0 => lo,
+                1 => hi,
+                2 => -0.0,
+                3 => 0.0,
+                4 => 1e300,
+                5 => -1e300,
+                _ => (v as f64 - 2000.0) / 1000.0,
+            };
+            (lo, hi, p)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn branch_free_mindist_is_bit_identical_to_the_branchy_formula(
+        dims in prop::collection::vec(mindist_dim(), 1..13),
+    ) {
+        let lo: Vec<f64> = dims.iter().map(|d| d.0).collect();
+        let hi: Vec<f64> = dims.iter().map(|d| d.1).collect();
+        let p: Vec<f64> = dims.iter().map(|d| d.2).collect();
+        let want = branchy_min_dist_sq(&lo, &hi, &p).to_bits();
+        prop_assert_eq!(min_dist_sq(&lo, &hi, &p).to_bits(), want);
+        prop_assert_eq!(Mbr::new(lo, hi).min_dist_sq(&p).to_bits(), want);
+    }
 }
 
 proptest! {

@@ -177,10 +177,11 @@ impl<'a> BoxRef<'a> {
         grown - self.volume()
     }
 
-    /// [`Mbr::min_dist_sq`] (MINDIST²).
+    /// [`Mbr::min_dist_sq`] (MINDIST²), by the one shared formula
+    /// [`nncell_geom::min_dist_sq`].
     #[inline]
     pub(crate) fn min_dist_sq(self, p: &[f64]) -> f64 {
-        min_dist_sq(self.lo, self.hi, p)
+        nncell_geom::min_dist_sq(self.lo, self.hi, p)
     }
 
     /// [`Mbr::minmax_dist_sq`] (MINMAXDIST² of \[RKV 95\]).
@@ -223,25 +224,6 @@ impl<'a> BoxRef<'a> {
     pub(crate) fn intersects_sphere(self, center: &[f64], radius: f64) -> bool {
         self.min_dist_sq(center) <= radius * radius + EPS
     }
-}
-
-/// MINDIST² from `p` to the box `[lo, hi]`, with [`Mbr::min_dist_sq`]'s
-/// per-dimension formula and summation order.
-#[inline]
-pub(crate) fn min_dist_sq(lo: &[f64], hi: &[f64], p: &[f64]) -> f64 {
-    debug_assert_eq!(p.len(), lo.len());
-    let mut s = 0.0;
-    for i in 0..p.len() {
-        let d = if p[i] < lo[i] {
-            lo[i] - p[i]
-        } else if p[i] > hi[i] {
-            p[i] - hi[i]
-        } else {
-            0.0
-        };
-        s += d * d;
-    }
-    s
 }
 
 /// A tree node. `level == 0` means leaf. `span` is the number of disk pages
@@ -500,7 +482,6 @@ mod tests {
                     ra.overlap_volume(rb).to_bits(),
                     a.overlap_volume(&b).to_bits()
                 );
-                assert_eq!(ra.min_dist_sq(&p).to_bits(), a.min_dist_sq(&p).to_bits());
                 assert_eq!(
                     ra.minmax_dist_sq(&p).to_bits(),
                     a.minmax_dist_sq(&p).to_bits()

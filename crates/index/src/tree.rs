@@ -30,8 +30,8 @@
 
 use crate::config::{SplitPolicy, TreeConfig};
 use crate::cost::{CostTracker, IoStats};
-use crate::node::{min_dist_sq, BoxRef, Entry, ItemId, Node, PageId, Payload};
-use nncell_geom::{dist_sq, Mbr};
+use crate::node::{BoxRef, Entry, ItemId, Node, PageId, Payload};
+use nncell_geom::{dist_sq, min_dist_sq, Mbr};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -1058,7 +1058,7 @@ impl Tree {
     /// row of the leaf: the point's `d` coordinates in a point-leaf tree
     /// (`lo ‖ hi`, `2·d` values, in a box-leaf tree). The traversal
     /// computes no per-item distances; the caller owns item evaluation
-    /// (typically via the early-abort distance kernel on `row`) and
+    /// (typically one exact distance evaluation of `row`) and
     /// returns the current pruning bound as a *squared* distance in the
     /// tree's Euclidean geometry:
     ///
