@@ -64,10 +64,12 @@ NNCELL_N="${NNCELL_ABLATION_N:-1000}" NNCELL_DIM="${NNCELL_ABLATION_DIM:-8}" \
     cargo bench -p nncell-bench --bench ablation_decompose
 
 echo "== sharded bench smoke (S=1,2,4; writes BENCH_sharded.json) =="
-# Build + merged-batch QPS at several shard counts; the bench asserts every
-# sharded pass is bit-identical to the S=1 pass, so this doubles as an
-# end-to-end exactness check of the fan-out/merge path. Same smoke-scale
-# philosophy as the query-engine bench above.
+# Build + batch QPS (median/min/max of 5 passes) and the mean
+# evaluations and pages per query at several shard counts; the bench
+# asserts every sharded pass is bit-identical to the S=1 pass, so this
+# doubles as an end-to-end exactness check of the one-forest fan-out
+# (every shard's tree in one MINDIST queue under one global k-best).
+# Same smoke-scale philosophy as the query-engine bench above.
 NNCELL_N="${NNCELL_SHARD_N:-8000}" NNCELL_DIM="${NNCELL_SHARD_DIM:-8}" \
     NNCELL_QUERIES="${NNCELL_SHARD_QUERIES:-2000}" \
     cargo bench -p nncell-bench --bench sharded
@@ -182,6 +184,49 @@ if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
     }'
 else
     echo "candidate gate: no committed BENCH_query_engine.json baseline; skipping"
+fi
+
+echo "== sharded evaluation-count gate (S>1 mean_examined vs committed baseline) =="
+# The one-forest fan-out's claim is how few points a sharded query
+# evaluates: every shard is pruned by the global k-th distance. For each
+# S > 1 row of the fresh BENCH_sharded.json, mean_examined may exceed the
+# committed row for the same S by at most 10%; a bigger jump means the
+# shards are searched apart again, or the shared bound stopped pruning.
+# The count does not depend on the host. Skipped without a committed
+# baseline.
+if baseline_json=$(git show HEAD:BENCH_sharded.json 2>/dev/null); then
+    extract_examined() { grep -o '"shards": *[0-9]*, *"mean_examined": *[0-9.]*' | tr -dc '0-9.,\n'; }
+    old_rows=$(printf '%s' "$baseline_json" | extract_examined)
+    cur_rows=$(extract_examined < BENCH_sharded.json)
+    if [ -z "$cur_rows" ]; then
+        echo "sharded count gate: could not parse mean_examined from BENCH_sharded.json" >&2
+        exit 1
+    fi
+    if [ -z "$old_rows" ]; then
+        echo "sharded count gate: committed BENCH_sharded.json records no mean_examined; skipping"
+    else
+        printf '%s\n' "$cur_rows" | awk -F, -v old="$old_rows" 'BEGIN {
+            n = split(old, rows, "\n");
+            for (i = 1; i <= n; i++) { split(rows[i], f, ","); base[f[1]] = f[2]; }
+        }
+        $1 > 1 {
+            if (!($1 in base)) {
+                printf "sharded count gate: S=%d has no committed baseline; skipping it\n", $1;
+                next;
+            }
+            ceil = 1.10 * base[$1];
+            printf "sharded count gate: S=%d mean_examined %.2f vs baseline %.2f (ceiling %.2f)\n", $1, $2, base[$1], ceil;
+            if ($2 > ceil) { failed = 1; }
+        }
+        END {
+            if (failed) {
+                printf "sharded count gate: FAIL — evaluations per sharded query regressed more than 10%%\n";
+                exit 1;
+            }
+        }'
+    fi
+else
+    echo "sharded count gate: no committed BENCH_sharded.json baseline; skipping"
 fi
 
 echo "== tracing-overhead gate (sampling-off QPS within 2% of committed baseline) =="

@@ -788,7 +788,7 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     }
     // Human-readable summary. Sharded indexes register per-shard labeled
     // series (`name{shard="i"}`); sum_counters/sum_gauges fold a whole
-    // family into one number either way.
+    // work family into one number either way.
     let shards = index.num_shards();
     println!(
         "workload       : {n_q} queries (k={k}, threads={threads}, seed={seed}){}",
@@ -799,11 +799,21 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         }
     );
     let get = |name: &str| snap.sum_counters(name).unwrap_or(0);
+    // Every shard records each fan-out query once, so the per-query
+    // counters are read from one shard's series, not summed.
+    let per_query = |name: &str| {
+        let series = if shards > 1 {
+            format!("{name}{{shard=\"0\"}}")
+        } else {
+            name.to_string()
+        };
+        snap.counter(&series).unwrap_or(0)
+    };
     println!(
         "queries        : {} ok, {} error(s), {} scan fallback(s)",
-        get("nncell_queries_total") - get("nncell_query_errors_total"),
-        get("nncell_query_errors_total"),
-        get("nncell_query_fallback_total"),
+        per_query("nncell_queries_total") - per_query("nncell_query_errors_total"),
+        per_query("nncell_query_errors_total"),
+        per_query("nncell_query_fallback_total"),
     );
     // Latency histograms stay per shard: there is one series per engine,
     // labeled when sharded.

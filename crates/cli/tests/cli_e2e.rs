@@ -243,9 +243,28 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("durability"), "{text}");
 
+    // A sharded index: every shard records each fan-out query once, and
+    // the summary counts the workload once, not once per shard.
+    let sharded = tmp("stats_sharded");
+    std::fs::remove_dir_all(&sharded).ok();
+    let out = bin()
+        .args(["build", "--points", pts.to_str().unwrap()])
+        .args(["--out", sharded.to_str().unwrap(), "--shards", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .args(["stats", "--index", sharded.to_str().unwrap(), "--queries", "40"])
+        .output()
+        .expect("spawn stats on a sharded index");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("queries        : 40 ok, 0 error(s)"), "{text}");
+
     std::fs::remove_file(&pts).ok();
     std::fs::remove_file(&idx).ok();
     std::fs::remove_dir_all(&db).ok();
+    std::fs::remove_dir_all(&sharded).ok();
 }
 
 #[test]

@@ -516,8 +516,9 @@ fn traceparent_round_trips_and_debug_trace_exports_the_tree() {
         );
     }
 
-    // Spot-check the nesting: every shard.query parents an engine.query,
-    // and the shard spans hang off a server.handle span.
+    // Spot-check the nesting: one shard.query span covers the whole
+    // two-shard fan-out and parents the engine.query, and it hangs off a
+    // server.handle span.
     let field = |line: &str, key: &str| -> String {
         let tag = format!("\"{key}\":\"");
         let start = line.find(&tag).map(|i| i + tag.len()).unwrap_or(0);
@@ -535,7 +536,11 @@ fn traceparent_round_trips_and_debug_trace_exports_the_tree() {
         .iter()
         .filter(|l| l.contains("\"name\":\"shard.query\""))
         .collect();
-    assert_eq!(shard_events.len(), 2, "one span per shard:\n{body}");
+    assert_eq!(shard_events.len(), 1, "one span per fan-out:\n{body}");
+    assert!(
+        shard_events[0].contains("\"shards\":2"),
+        "the fan-out span names both shards:\n{body}"
+    );
     for ev in &shard_events {
         assert!(
             handle_spans.contains(&field(ev, "parent")),

@@ -2,9 +2,11 @@
 //! reusable per-thread scratch state.
 //!
 //! [`QueryEngine`] is a cheap, read-only session over a built
-//! [`NnCellIndex`]. It owns no data — it borrows the index (including the
-//! cache-friendly flat point layout the index maintains) — so constructing
-//! one is free, and any number of engines can query one index concurrently.
+//! [`NnCellIndex`] — or, inside [`crate::ShardedIndex`], over the forest
+//! of every shard's index. It owns no data — it borrows the indexes
+//! (including the cache-friendly flat point layout each index maintains)
+//! — so constructing one is free, and any number of engines can query one
+//! index concurrently.
 //!
 //! Execution model:
 //!
@@ -21,36 +23,39 @@
 //!   allocator in `crates/core/tests/alloc_free.rs`.
 //!
 //! Nearest-neighbor kernels (see `DESIGN.md` §17): a **MINDIST-ordered
-//! best-first traversal** of the point X-tree streams candidates to this
-//! engine in roughly ascending distance; the engine evaluates each live
-//! candidate **once**, with the exact distance kernel, compares it once
-//! against its running k-th-best distance and hands the shrunk bound back
-//! to the traversal, which prunes every MBR whose MINDIST exceeds it
-//! before the node is ever read. The loop has no data-dependent branch
-//! inside the kernel: a mispredicted early-exit check costs more than the
-//! lanes it would skip at these dimensionalities (DESIGN.md §17.3). The
-//! pruning work is reported per query in [`QueryStats`] (`nodes_pruned`,
-//! `candidates_examined`, and `candidates` / `candidates_aborted_early`
-//! for the evaluations within / beyond the bound).
+//! best-first traversal** of the point X-tree — of every shard's point
+//! X-tree at once, through one queue, for a shard fan-out — streams
+//! candidates to this engine in roughly ascending distance; the engine
+//! evaluates each live candidate **once**, with the exact distance kernel,
+//! compares it once against its running k-th-best distance and hands the
+//! shrunk bound back to the traversal, which prunes every MBR whose
+//! MINDIST exceeds it before the node is ever read. The loop has no
+//! data-dependent branch inside the kernel: a mispredicted early-exit
+//! check costs more than the lanes it would skip at these dimensionalities
+//! (DESIGN.md §17.3). The pruning work is reported per query in
+//! [`QueryStats`] (`nodes_pruned`, `candidates_examined`, and
+//! `candidates` / `candidates_aborted_early` for the evaluations within /
+//! beyond the bound).
 //!
-//! Results are **bit-identical** regardless of thread count, and identical
-//! to a linear scan: every distance evaluation uses the same
-//! auto-vectorizable kernel ([`Metric::dist_sq`]), distance ties break by
-//! ascending point id, and the prune bounds carry a relative slop so
-//! floating-point differences between MBR MINDIST accumulation and the
-//! kernel can never skip a true answer.
+//! Results are **bit-identical** regardless of thread count and shard
+//! count, and identical to a linear scan: every distance evaluation uses
+//! the same auto-vectorizable kernel ([`Metric::dist_sq`]), distance ties
+//! break by ascending (global) point id, and the prune bounds carry a
+//! relative slop so floating-point differences between MBR MINDIST
+//! accumulation and the kernel can never skip a true answer.
 //!
 //! All exact-scan fallbacks (`k ≥ len`, degenerate candidate search) are
 //! funneled through one helper here, which both sets
 //! [`QueryStats::fallback`] on the response and bumps the index-wide
-//! [`NnCellIndex::fallback_queries`] counter. A query with a non-empty
-//! memtable tail never falls back: its traversal is complete whenever
-//! fewer than k live points exist.
+//! [`NnCellIndex::fallback_queries`] counter of every index it scanned. A
+//! query with a non-empty memtable tail never falls back: its traversal is
+//! complete whenever fewer than k live points exist.
 
 use crate::index::{NnCellIndex, QueryResult};
+use crate::memtable::TailSnapshot;
 use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
 use nncell_geom::{Euclidean, Metric};
-use nncell_index::{BestFirstScratch, ItemId, PageId};
+use nncell_index::{BestFirstScratch, ItemId, PageId, Tree};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -73,10 +78,12 @@ pub struct QueryScratch {
     hits: Vec<ItemId>,
     /// Tree traversal stack (radius kernel).
     stack: Vec<PageId>,
-    /// Running k-best `(id, dist)` buffer, ascending by `(dist, id)`.
+    /// Running k-best `(global id, dist)` buffer, ascending by `(dist, id)`.
     ranked: Vec<QueryResult>,
     /// Priority-queue scratch of the MINDIST-ordered best-first traversal.
     bf: BestFirstScratch,
+    /// The last query's counters, one entry per shard of the engine.
+    per_shard: Vec<QueryStats>,
 }
 
 impl QueryScratch {
@@ -86,7 +93,67 @@ impl QueryScratch {
     }
 }
 
-/// A read-only, thread-safe query session over a built [`NnCellIndex`].
+/// One shard of the forest an engine reads.
+pub(crate) struct Shard<'a, M: Metric> {
+    index: &'a NnCellIndex<M>,
+    /// The unfolded memtable tail every answer covers, when non-empty.
+    tail: Option<&'a TailSnapshot>,
+    /// The shard's number `s` in the id mapping `global = local·S + s`.
+    number: usize,
+    /// The index's liveness mask, by local id.
+    alive: &'a [bool],
+    /// The tail's tombstoned local ids, ascending (empty without a tail).
+    tombstones: &'a [usize],
+}
+
+impl<'a, M: Metric> Shard<'a, M> {
+    /// Shard `number` of a fan-out: its index and unfolded tail.
+    pub(crate) fn new(
+        number: usize,
+        index: &'a NnCellIndex<M>,
+        tail: Option<&'a TailSnapshot>,
+    ) -> Self {
+        let tail = tail.filter(|t| !t.is_empty());
+        Self {
+            index,
+            tail,
+            number,
+            alive: index.alive(),
+            tombstones: tail.map_or(&[], |t| &t.removed),
+        }
+    }
+
+    /// No live indexed point and no live tail insert.
+    fn is_empty(&self) -> bool {
+        self.index.is_empty() && self.tail.is_none_or(|t| t.inserts.is_empty())
+    }
+}
+
+/// The shards an engine reads, with their point trees in the same order
+/// (the traversal's forest). One index needs no allocation.
+enum Forest<'a, M: Metric> {
+    One(Shard<'a, M>, [&'a Tree; 1]),
+    Many(Vec<Shard<'a, M>>, Vec<&'a Tree>),
+}
+
+impl<'a, M: Metric> Forest<'a, M> {
+    fn shards(&self) -> &[Shard<'a, M>] {
+        match self {
+            Forest::One(shard, _) => std::slice::from_ref(shard),
+            Forest::Many(shards, _) => shards,
+        }
+    }
+
+    fn trees(&self) -> &[&'a Tree] {
+        match self {
+            Forest::One(_, tree) => tree,
+            Forest::Many(_, trees) => trees,
+        }
+    }
+}
+
+/// A read-only, thread-safe query session over a built [`NnCellIndex`]
+/// (or, inside [`crate::ShardedIndex`], over the forest of its shards).
 ///
 /// ```
 /// use nncell_core::{BuildConfig, NnCellIndex, Query, QueryEngine, Strategy};
@@ -106,7 +173,10 @@ impl QueryScratch {
 /// assert_eq!(responses[1].as_ref().unwrap().len(), 5);
 /// ```
 pub struct QueryEngine<'a, M: Metric = Euclidean> {
-    index: &'a NnCellIndex<M>,
+    forest: Forest<'a, M>,
+    /// The shard count `S` of the id mapping (1 for one index).
+    stride: usize,
+    dim: usize,
     threads: usize,
     /// When false, this engine skips metric recording even if the index has
     /// a registry attached (overhead A/B runs; see the bench).
@@ -115,34 +185,43 @@ pub struct QueryEngine<'a, M: Metric = Euclidean> {
     /// only by the shard fan-out; per-request budgets ride on
     /// [`Query::with_deadline`].
     deadline: Option<std::time::Instant>,
-    /// Optional unindexed memtable tail every answer covers (see
-    /// [`QueryEngine::with_tail`]).
-    tail: Option<&'a crate::memtable::TailSnapshot>,
 }
 
 impl<'a, M: Metric> QueryEngine<'a, M> {
     /// An engine using every available hardware thread for batches.
     pub fn new(index: &'a NnCellIndex<M>) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self {
-            index,
-            threads,
-            record_metrics: true,
-            deadline: None,
-            tail: None,
-        }
+        Self::sequential(index).with_threads(available_threads())
     }
 
     /// An engine that executes batches on the calling thread only.
     pub fn sequential(index: &'a NnCellIndex<M>) -> Self {
+        let tree: &Tree = index.point_tree();
+        Self::over(
+            Forest::One(Shard::new(0, index, None), [tree]),
+            1,
+            index.dim(),
+        )
+    }
+
+    /// The shard fan-out's engine: one traversal over every shard's point
+    /// tree, one k-best keyed by `(dist, global id)` with `global = local ·
+    /// stride + shard number`. `shards` may be empty (every query then
+    /// answers [`QueryError::EmptyIndex`] after validation). Batches run on
+    /// the calling thread; see [`Self::with_threads`].
+    pub(crate) fn fan_out(dim: usize, stride: usize, shards: Vec<Shard<'a, M>>) -> Self {
+        let trees = shards.iter().map(|s| &**s.index.point_tree()).collect();
+        Self::over(Forest::Many(shards, trees), stride, dim)
+    }
+
+    /// A sequential engine over `forest`.
+    fn over(forest: Forest<'a, M>, stride: usize, dim: usize) -> Self {
         Self {
-            index,
+            forest,
+            stride,
+            dim,
             threads: 1,
             record_metrics: true,
             deadline: None,
-            tail: None,
         }
     }
 
@@ -189,7 +268,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// tail's live inserts are counted in [`QueryStats::tail`]. With an
     /// empty tail the plain (zero-allocation) path runs unchanged.
     pub fn with_tail(mut self, tail: &'a crate::memtable::TailSnapshot) -> Self {
-        self.tail = Some(tail);
+        if let Forest::One(shard, _) = &mut self.forest {
+            *shard = Shard::new(0, shard.index, Some(tail));
+        }
         self
     }
 
@@ -200,13 +281,17 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
 
     /// The index this engine reads.
     pub fn index(&self) -> &'a NnCellIndex<M> {
-        self.index
+        self.forest.shards()[0].index
     }
 
     /// Total scan-fallback queries recorded on the underlying index (all
     /// fallback paths — NN and k-NN — are counted there by this engine).
     pub fn fallback_queries(&self) -> u64 {
-        self.index.fallback_queries()
+        self.forest
+            .shards()
+            .iter()
+            .map(|s| s.index.fallback_queries())
+            .sum()
     }
 
     // ------------------------------------------------------------------
@@ -225,6 +310,10 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// with or without an attached metrics registry (recording is a handful
     /// of relaxed atomics; the slow-query ring copies into preallocated
     /// slots).
+    ///
+    /// Each shard with a registry attached records the query in its own
+    /// (labelled) series: one query, the whole query's latency, and that
+    /// shard's share of the pages, pruned subtrees and evaluations.
     pub fn execute_with(
         &self,
         scratch: &mut QueryScratch,
@@ -233,81 +322,78 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         // Inert (one thread-local read) unless this thread is inside a
         // sampled trace; the guard closes when the function returns.
         let mut span = nncell_obs::trace::child("engine.query");
-        let metrics = if self.record_metrics {
-            self.index.engine_metrics()
-        } else {
-            None
-        };
-        let Some(m) = metrics else {
-            let result = self.execute_inner(scratch, q);
-            if let Ok(resp) = &result {
-                span.arg("candidates", resp.stats.candidates as u64);
-                span.arg("pages", resp.stats.pages);
-                span.arg("nodes_pruned", resp.stats.nodes_pruned);
-                span.arg("examined", resp.stats.candidates_examined as u64);
-                span.arg("aborted_early", resp.stats.candidates_aborted_early as u64);
-            }
+        let shards = self.forest.shards();
+        let recording =
+            self.record_metrics && shards.iter().any(|s| s.index.engine_metrics().is_some());
+        let start = recording.then(std::time::Instant::now);
+        let result = self.execute_inner(scratch, q);
+        if let Ok(resp) = &result {
+            span.arg("candidates", resp.stats.candidates as u64);
+            span.arg("pages", resp.stats.pages);
+            span.arg("nodes_pruned", resp.stats.nodes_pruned);
+            span.arg("examined", resp.stats.candidates_examined as u64);
+            span.arg("aborted_early", resp.stats.candidates_aborted_early as u64);
+        }
+        let Some(start) = start else {
             return result;
         };
-        let start = std::time::Instant::now();
-        let result = self.execute_inner(scratch, q);
         let latency_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        m.queries.inc();
-        match &result {
-            Ok(resp) => {
-                m.latency_ns.record(latency_ns);
-                m.candidates.record(resp.stats.candidates as u64);
-                m.pages.record(resp.stats.pages);
-                m.nodes_pruned.record(resp.stats.nodes_pruned);
-                m.candidates_examined
-                    .record(resp.stats.candidates_examined as u64);
-                m.aborted_early
-                    .record(resp.stats.candidates_aborted_early as u64);
-                if resp.stats.fallback {
-                    m.fallbacks.inc();
-                }
-                span.arg("candidates", resp.stats.candidates as u64);
-                span.arg("pages", resp.stats.pages);
-                span.arg("nodes_pruned", resp.stats.nodes_pruned);
-                span.arg("examined", resp.stats.candidates_examined as u64);
-                span.arg("aborted_early", resp.stats.candidates_aborted_early as u64);
-                // The slow log's `k` column is the requested neighbor
-                // count; a radius query has none, so it records 0 rather
-                // than the sentinel `usize::MAX` that `Query::k` returns.
-                let logged_k = match q.kind() {
-                    QueryKind::Nearest { k } => k,
-                    QueryKind::Radius { .. } => 0,
-                };
-                // Slow-query exemplar: stamp the active trace id (0 when
-                // untraced) so a tripped slow-log entry links to its span
-                // timeline in the flight recorder.
-                m.slow.record(
-                    latency_ns,
-                    q.point(),
-                    logged_k,
-                    resp.stats.candidates,
-                    resp.stats.pages as usize,
-                    resp.stats.fallback,
-                    nncell_obs::trace::current_trace_id(),
-                );
+        for (i, shard) in shards.iter().enumerate() {
+            let Some(m) = shard.index.engine_metrics() else {
+                continue;
+            };
+            m.queries.inc();
+            if result.is_err() {
+                m.query_errors.inc();
+                continue;
             }
-            Err(_) => m.query_errors.inc(),
+            let stats = &scratch.per_shard[i];
+            m.latency_ns.record(latency_ns);
+            m.candidates.record(stats.candidates as u64);
+            m.pages.record(stats.pages);
+            m.nodes_pruned.record(stats.nodes_pruned);
+            m.candidates_examined
+                .record(stats.candidates_examined as u64);
+            m.aborted_early
+                .record(stats.candidates_aborted_early as u64);
+            if stats.fallback {
+                m.fallbacks.inc();
+            }
+            // The slow log's `k` column is the requested neighbor
+            // count; a radius query has none, so it records 0 rather
+            // than the sentinel `usize::MAX` that `Query::k` returns.
+            let logged_k = match q.kind() {
+                QueryKind::Nearest { k } => k,
+                QueryKind::Radius { .. } => 0,
+            };
+            // Slow-query exemplar: stamp the active trace id (0 when
+            // untraced) so a tripped slow-log entry links to its span
+            // timeline in the flight recorder.
+            m.slow.record(
+                latency_ns,
+                q.point(),
+                logged_k,
+                stats.candidates,
+                stats.pages as usize,
+                stats.fallback,
+                nncell_obs::trace::current_trace_id(),
+            );
         }
         result
     }
 
-    /// The uninstrumented execution path shared by both arms.
+    /// The uninstrumented execution path shared by both arms. Every
+    /// successful path leaves one [`QueryStats`] per shard in
+    /// `scratch.per_shard`; the response carries their sum.
     fn execute_inner(
         &self,
         scratch: &mut QueryScratch,
         q: &Query,
     ) -> Result<QueryResponse, QueryError> {
-        let idx = self.index;
-        let dim = idx.dim();
         let p = q.point();
-        if p.len() != dim {
+        if p.len() != self.dim {
             return Err(QueryError::DimMismatch {
-                expected: dim,
+                expected: self.dim,
                 got: p.len(),
             });
         }
@@ -322,20 +408,25 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             _ => {}
         }
         let deadline = self.effective_deadline(q);
-        let tail = self.tail.filter(|t| !t.is_empty());
-        if idx.is_empty() && tail.is_none_or(|t| t.inserts.is_empty()) {
+        let shards = self.forest.shards();
+        if shards.iter().all(Shard::is_empty) {
             return Err(QueryError::EmptyIndex);
         }
         if out_of_budget(deadline) {
             return Err(QueryError::DeadlineExceeded);
         }
-        match (q.kind(), tail) {
-            (QueryKind::Nearest { k }, _) => self.run_knn(scratch, p, k, tail, deadline),
-            (QueryKind::Radius { radius }, None) => self.run_radius(scratch, p, radius),
-            (QueryKind::Radius { radius }, Some(tail)) => {
-                self.run_radius_with_tail(scratch, p, radius, tail, deadline)
-            }
+        scratch.per_shard.clear();
+        scratch
+            .per_shard
+            .resize(shards.len(), QueryStats::default());
+        let mut resp = match q.kind() {
+            QueryKind::Nearest { k } => self.run_knn(scratch, p, k, deadline),
+            QueryKind::Radius { radius } => self.run_radius(scratch, p, radius, deadline),
+        }?;
+        for s in &scratch.per_shard {
+            resp.stats.absorb(s);
         }
+        Ok(resp)
     }
 
     /// Executes a query slice across the configured thread pool, returning
@@ -398,31 +489,44 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     // the two query kernels
     // ------------------------------------------------------------------
 
-    /// Exact k-NN (including `k = 1`) by MINDIST-ordered best-first
-    /// traversal of the **point** X-tree, optionally seeded by a non-empty
-    /// memtable tail.
+    /// The metric (every shard shares it) and its smallest weight, which
+    /// converts a weighted-metric bound into the trees' Euclidean
+    /// geometry: `d²_w(q, x) ≥ w_min · ‖q − x‖²`.
+    fn metric(&self) -> (&'a M, f64) {
+        let metric = self.forest.shards()[0].index.metric();
+        let mut w_min = f64::INFINITY;
+        for i in 0..self.dim {
+            w_min = w_min.min(metric.weight(i));
+        }
+        (metric, w_min)
+    }
+
+    /// Exact k-NN (including `k = 1`) by one MINDIST-ordered best-first
+    /// traversal of every shard's **point** X-tree, optionally seeded by
+    /// the shards' non-empty memtable tails.
     ///
     /// The traversal ([`nncell_index::Tree::best_first_stream_with`])
-    /// expands directory pages in ascending MINDIST order and streams leaf
-    /// items, each with its coordinates from the leaf's row, to the closure
-    /// below, which evaluates each live candidate exactly, offers it to the
-    /// k-best unless it lies beyond the slopped k-th-best bound, and
-    /// hands the shrunk bound back for page pruning. Exactness: a page is
-    /// pruned only when its MINDIST **strictly** exceeds the slopped bound
-    /// `(kth_dist)² · BOUND_SLOP / w_min` (the `w_min` division converts a
-    /// weighted-metric bound into the tree's Euclidean geometry, since
-    /// `d²_w(q, x) ≥ w_min · ‖q − x‖²`), so every point that could tie or
-    /// beat the k-th result is evaluated exactly — with the same kernel,
-    /// in the same `(dist, id)` order, as the linear scan.
+    /// expands directory pages of the whole forest in ascending MINDIST
+    /// order and streams leaf items, each with its tree and its
+    /// coordinates from the leaf's row, to the closure below, which
+    /// evaluates each live candidate exactly, offers it under its global
+    /// id to the one k-best unless it lies beyond the slopped k-th-best
+    /// bound, and hands the shrunk bound back for page pruning in every
+    /// tree. Exactness: a page is pruned only when its MINDIST
+    /// **strictly** exceeds the slopped bound
+    /// `(kth_dist)² · BOUND_SLOP / w_min` (see [`Self::metric`]), so every
+    /// point of every shard that could tie or beat the k-th result is
+    /// evaluated exactly — with the same kernel, in the same
+    /// `(dist, global id)` order, as the linear scan.
     ///
-    /// With a tail, its live inserts are scanned first into the same
-    /// k-best (same kernel, same order, same slop), so the traversal runs
-    /// from the bound they set instead of from ∞ (it adopts it at its
-    /// first streamed item). Tombstoned ids are skipped, and so is an id
-    /// the seed already holds — a fold published between the tail view and
-    /// the snapshot load puts a point on both sides with bit-identical
-    /// distances. Both checks run only for a candidate that would enter
-    /// the k-best. The tail path never takes the `k ≥ len`
+    /// With tails, every shard's live inserts are scanned first into the
+    /// same k-best (same kernel, same order, same slop), so the traversal
+    /// runs from the bound they set instead of from ∞ (it adopts it at its
+    /// first streamed item). A shard's tombstoned ids are skipped, and so
+    /// is an id the seed already holds — a fold published between the
+    /// tail view and the snapshot load puts a point on both sides with
+    /// bit-identical distances. Both checks run only for a candidate that
+    /// would enter the k-best. The tail path never takes the `k ≥ len`
     /// scan fallback: the traversal is complete while the k-best is short,
     /// and `len` counts neither tail inserts nor tombstones.
     ///
@@ -435,30 +539,27 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         scratch: &mut QueryScratch,
         p: &[f64],
         k: usize,
-        tail: Option<&crate::memtable::TailSnapshot>,
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
-        let idx = self.index;
-        if tail.is_none() && k >= idx.len() {
+        let shards = self.forest.shards();
+        let has_tail = shards.iter().any(|s| s.tail.is_some());
+        let indexed: usize = shards.iter().map(|s| s.index.len()).sum();
+        if !has_tail && k >= indexed {
             // k ≥ len needs every live point anyway. A query outside the
             // data space needs no scan: MINDIST ordering over the point
             // tree is exact for any query point.
-            return Ok(if k == 1 {
-                self.scan_nn(p)
-            } else {
-                self.scan_knn(p, k)
-            });
+            return Ok(self.scan_knn(&mut scratch.per_shard, p, k));
         }
-        let metric = idx.metric();
-        let alive = idx.alive();
-        let mut w_min = f64::INFINITY;
-        for i in 0..idx.dim() {
-            w_min = w_min.min(metric.weight(i));
-        }
-        let QueryScratch { ranked, bf, .. } = scratch;
+        let (metric, w_min) = self.metric();
+        let stride = self.stride;
+        let QueryScratch {
+            ranked,
+            bf,
+            per_shard,
+            ..
+        } = scratch;
         ranked.clear();
-        let mut examined = 0usize;
-        let mut aborted = 0usize;
+        let mut seeded = 0usize;
         let mut visits = 0u32;
         let mut deadline_hit = false;
         // Squared-distance bounds: a candidate beyond `abort_bound` is not
@@ -470,55 +571,66 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             let abort = (b * b) * BOUND_SLOP;
             (abort, abort / w_min)
         };
-        let mut tombstones: &[usize] = &[];
-        if let Some(t) = tail {
-            tombstones = &t.removed;
+        for (s, st) in shards.iter().zip(per_shard.iter_mut()) {
+            let Some(t) = s.tail else {
+                continue;
+            };
             let mut span = nncell_obs::trace::child("engine.tail_merge");
             span.arg("tail", t.inserts.len() as u64);
-            for (i, (id, pt)) in t.inserts.iter().enumerate() {
-                if i % 256 == 255 && out_of_budget(deadline) {
+            st.tail = t.inserts.len();
+            st.candidates_examined = t.inserts.len();
+            for (local, pt) in &t.inserts {
+                if seeded % 256 == 255 && out_of_budget(deadline) {
                     return Err(QueryError::DeadlineExceeded);
                 }
-                examined += 1;
+                seeded += 1;
                 let d2 = metric.dist_sq(p, pt.as_slice());
                 if d2 > abort_bound {
-                    aborted += 1;
                     continue;
                 }
+                st.candidates += 1;
                 let r = QueryResult {
-                    id: *id,
+                    id: local * stride + s.number,
                     dist: d2.sqrt(),
                 };
-                if let Some(b) = offer(ranked, k, r, &[]) {
+                if let Some(b) = offer(ranked, k, r, &[], *local) {
                     (abort_bound, tree_bound) = bounds(b);
                 }
             }
         }
-        let tree = idx.point_tree();
-        let tstats = tree.best_first_stream_with(p, bf, |item, coords| {
+        // The per-item path updates no counter: a shard's evaluations are
+        // its streamed items (counted by the traversal, added after the
+        // walk) minus its dead ones, which are subtracted as they come —
+        // transiently below zero, hence the wrapping arithmetic — and only
+        // candidates within the bound are counted one by one. Both are
+        // rare next to the evaluations beyond the bound.
+        Tree::best_first_stream_with(self.forest.trees(), p, bf, |t, item, coords| {
             visits += 1;
             if visits.is_multiple_of(128) && out_of_budget(deadline) {
                 deadline_hit = true;
                 return f64::NEG_INFINITY; // abort the whole traversal
             }
-            // Point-tree items carry raw point ids (no piece encoding).
-            let id = item as usize;
-            if !alive[id] {
+            let s = &shards[t];
+            // Point-tree items carry raw local point ids (no piece
+            // encoding).
+            let local = item as usize;
+            if !s.alive[local] {
+                let st = &mut per_shard[t];
+                st.candidates_examined = st.candidates_examined.wrapping_sub(1);
                 return tree_bound;
             }
-            examined += 1;
             // `coords` is the point's row in its leaf, bit-identical to
-            // `idx.flat_point(id)` and adjacent to its leaf neighbours'.
+            // `flat_point(local)` and adjacent to its leaf neighbours'.
             let d2 = metric.dist_sq(p, coords);
             if d2 > abort_bound {
-                aborted += 1; // provably beyond the k-th best
-                return tree_bound;
+                return tree_bound; // provably beyond the k-th best
             }
+            per_shard[t].candidates += 1;
             let r = QueryResult {
-                id,
+                id: local * stride + s.number,
                 dist: d2.sqrt(),
             };
-            if let Some(b) = offer(ranked, k, r, tombstones) {
+            if let Some(b) = offer(ranked, k, r, s.tombstones, local) {
                 (abort_bound, tree_bound) = bounds(b);
             }
             tree_bound
@@ -526,161 +638,120 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         if deadline_hit {
             return Err(QueryError::DeadlineExceeded);
         }
+        for (st, ts) in per_shard.iter_mut().zip(bf.per_tree()) {
+            st.pages = ts.pages;
+            st.nodes_pruned = ts.nodes_pruned;
+            st.candidates_examined = st.candidates_examined.wrapping_add(ts.items as usize);
+            st.candidates_aborted_early = st.candidates_examined - st.candidates;
+        }
         if ranked.is_empty() {
-            // With a tail: every indexed point is tombstoned and the tail
-            // holds no insert, so the live set is genuinely empty.
-            // Without one this is unreachable while the tree and
-            // alive-mask agree (k < len guarantees live points exist), but
-            // the library contract is degrade-not-panic.
-            return if tail.is_some() {
+            // With a tail: every indexed point is tombstoned and no tail
+            // holds an insert, so the live set is genuinely empty.
+            // Without one this is unreachable while the trees and
+            // alive-masks agree (k < len guarantees live points exist),
+            // but the library contract is degrade-not-panic.
+            return if has_tail {
                 Err(QueryError::EmptyIndex)
             } else {
-                Ok(self.scan_knn(p, k))
+                Ok(self.scan_knn(per_shard, p, k))
             };
         }
         Ok(QueryResponse {
             best: ranked[0],
             rest: ranked[1..].to_vec(),
-            stats: QueryStats {
-                candidates: examined - aborted,
-                pages: tstats.pages,
-                fallback: false,
-                tail: tail.map_or(0, |t| t.inserts.len()),
-                nodes_pruned: tstats.nodes_pruned,
-                candidates_examined: examined,
-                candidates_aborted_early: aborted,
-            },
+            stats: QueryStats::default(),
         })
     }
 
-    /// Exact radius query, riding the point tree: one sphere query
-    /// collects every stored point whose Euclidean distance can be within
-    /// the ball, then the exact metric filter keeps
-    /// `dist ≤ r`. Unlike the NN kernels this needs no covering argument
-    /// and no scan fallback — the point tree holds every live point
-    /// directly, and its sphere query is exact for *any* center, including
-    /// centers outside the data space.
+    /// Exact radius query, riding the point trees: one sphere query per
+    /// shard collects every stored point whose Euclidean distance can be
+    /// within the ball, the exact metric filter keeps `dist ≤ r`, and each
+    /// hit is mapped to its global id. The shards' live tail inserts
+    /// inside the ball join them, tombstoned ids are skipped, and the
+    /// union is sorted by `(distance, global id)` once. No truncation — a
+    /// radius query returns everything the ball contains. Unlike the NN
+    /// kernel this needs no covering argument and no scan fallback — the
+    /// point trees hold every indexed live point directly, and a sphere
+    /// query is exact for *any* center, including centers outside the
+    /// data space.
     fn run_radius(
         &self,
         scratch: &mut QueryScratch,
         p: &[f64],
         r: f64,
+        deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
-        let idx = self.index;
-        let metric = idx.metric();
-        // The tree prunes in Euclidean geometry; a weighted-metric ball of
+        let (metric, w_min) = self.metric();
+        // The trees prune in Euclidean geometry; a weighted-metric ball of
         // radius r is contained in the Euclidean ball of radius
         // r / sqrt(min weight). The tiny inflation keeps boundary points
         // (dist == r exactly) from being pruned by the tree's own
         // floating-point arithmetic.
-        let mut w_min = f64::INFINITY;
-        for i in 0..idx.dim() {
-            w_min = w_min.min(metric.weight(i));
-        }
         let tree_r = (r / w_min.sqrt()) * (1.0 + 1e-9) + 1e-12;
-        let pages =
-            idx.point_tree()
-                .sphere_query_with(p, tree_r, &mut scratch.stack, &mut scratch.hits);
-        let alive = idx.alive();
-        let mut out: Vec<QueryResult> = Vec::new();
-        let mut examined = 0usize;
-        let mut aborted = 0usize;
         let abort_bound = radius_bound(r);
-        for &h in scratch.hits.iter() {
-            // Point-tree items carry raw point ids (no piece encoding).
-            let id = h as usize;
-            if !alive[id] {
-                continue;
+        let QueryScratch {
+            hits,
+            stack,
+            per_shard,
+            ..
+        } = scratch;
+        let mut out: Vec<QueryResult> = Vec::new();
+        let mut seeded = 0usize;
+        for (s, st) in self.forest.shards().iter().zip(per_shard.iter_mut()) {
+            let global = |local: usize| local * self.stride + s.number;
+            let mut keep = |st: &mut QueryStats, id: usize, d2: f64| {
+                st.candidates_examined += 1;
+                if d2 > abort_bound {
+                    st.candidates_aborted_early += 1; // provably outside the ball
+                    return;
+                }
+                st.candidates += 1;
+                let dist = d2.sqrt();
+                if dist <= r {
+                    out.push(QueryResult { id, dist });
+                }
+            };
+            if !s.index.is_empty() {
+                st.pages = s
+                    .index
+                    .point_tree()
+                    .sphere_query_with(p, tree_r, stack, hits);
+                for &h in hits.iter() {
+                    // Point-tree items carry raw local point ids.
+                    let local = h as usize;
+                    if !s.alive[local] || s.tombstones.binary_search(&local).is_ok() {
+                        continue;
+                    }
+                    keep(
+                        st,
+                        global(local),
+                        metric.dist_sq(p, s.index.flat_point(local)),
+                    );
+                }
             }
-            examined += 1;
-            let d2 = metric.dist_sq(p, idx.flat_point(id));
-            if d2 > abort_bound {
-                aborted += 1; // provably outside the ball
+            let Some(t) = s.tail else {
                 continue;
-            }
-            let dist = d2.sqrt();
-            if dist <= r {
-                out.push(QueryResult { id, dist });
+            };
+            st.tail = t.inserts.len();
+            for (local, pt) in &t.inserts {
+                if seeded % 256 == 255 && out_of_budget(deadline) {
+                    return Err(QueryError::DeadlineExceeded);
+                }
+                seeded += 1;
+                keep(st, global(*local), metric.dist_sq(p, pt.as_slice()));
             }
         }
         out.sort_unstable_by(cmp_results);
-        let stats = QueryStats {
-            candidates: examined - aborted,
-            pages,
-            fallback: false,
-            tail: 0,
-            nodes_pruned: 0,
-            candidates_examined: examined,
-            candidates_aborted_early: aborted,
-        };
+        // A fold published between a tail view and its snapshot load puts
+        // a point on both sides, with identical `(dist, id)`.
+        out.dedup_by(|a, b| a.id == b.id);
         let mut it = out.into_iter();
         match it.next() {
             None => Err(QueryError::EmptyRadius),
             Some(best) => Ok(QueryResponse {
                 best,
                 rest: it.collect(),
-                stats,
-            }),
-        }
-    }
-
-    /// The radius kernel merged with a non-empty memtable tail: indexed
-    /// ball results minus tombstoned ids, plus tail inserts inside the
-    /// ball, re-ranked by `(distance, id)`. No truncation — a radius query
-    /// returns everything the ball contains.
-    fn run_radius_with_tail(
-        &self,
-        scratch: &mut QueryScratch,
-        p: &[f64],
-        r: f64,
-        tail: &crate::memtable::TailSnapshot,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<QueryResponse, QueryError> {
-        let idx = self.index;
-        let mut stats = QueryStats::default();
-        let mut merged: Vec<QueryResult> = Vec::new();
-        if !idx.is_empty() {
-            match self.run_radius(scratch, p, r) {
-                Ok(resp) => {
-                    stats = resp.stats;
-                    merged = resp.into_results();
-                }
-                // An empty indexed ball can still be filled by the tail.
-                Err(QueryError::EmptyRadius) => {}
-                Err(e) => return Err(e),
-            }
-            if !tail.removed.is_empty() {
-                merged.retain(|x| !tail.is_removed(x.id));
-            }
-        }
-        let metric = idx.metric();
-        let abort_bound = radius_bound(r);
-        for (i, (id, pt)) in tail.inserts.iter().enumerate() {
-            if i % 256 == 255 && out_of_budget(deadline) {
-                return Err(QueryError::DeadlineExceeded);
-            }
-            stats.candidates_examined += 1;
-            let d2 = metric.dist_sq(p, pt.as_slice());
-            if d2 > abort_bound {
-                stats.candidates_aborted_early += 1;
-                continue;
-            }
-            stats.candidates += 1;
-            let dist = d2.sqrt();
-            if dist <= r {
-                merged.push(QueryResult { id: *id, dist });
-            }
-        }
-        stats.tail = tail.inserts.len();
-        merged.sort_unstable_by(cmp_results);
-        merged.dedup_by(|a, b| a.id == b.id);
-        let mut it = merged.into_iter();
-        match it.next() {
-            None => Err(QueryError::EmptyRadius),
-            Some(best) => Ok(QueryResponse {
-                best,
-                rest: it.collect(),
-                stats,
+                stats: QueryStats::default(),
             }),
         }
     }
@@ -689,101 +760,66 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     // the one place every scan fallback goes through
     // ------------------------------------------------------------------
 
-    /// Exact 1-NN by scanning the flat point layout. Counts the fallback.
-    fn scan_nn(&self, p: &[f64]) -> QueryResponse {
-        let idx = self.index;
+    /// Exact k-NN by scanning every shard's flat point layout, ranked by
+    /// `(dist, global id)`. Counts the fallback on every index it scans
+    /// and resets `per_shard` to the scan's counters.
+    fn scan_knn(&self, per_shard: &mut [QueryStats], p: &[f64], k: usize) -> QueryResponse {
         let _span = nncell_obs::trace::child("engine.scan_fallback");
-        idx.count_fallback();
-        let metric = idx.metric();
-        let alive = idx.alive();
-        let mut best: Option<(usize, f64)> = None;
-        for id in 0..alive.len() {
-            if !alive[id] {
-                continue;
-            }
-            let d2 = metric.dist_sq(p, idx.flat_point(id));
-            if best.is_none_or(|(_, b)| d2 < b) {
-                best = Some((id, d2));
-            }
-        }
-        // `execute_with` rejected empty indexes, so `best` is always set;
-        // the guard keeps this helper total anyway.
-        let (id, d2) = best.unwrap_or((0, f64::INFINITY));
-        QueryResponse {
-            best: QueryResult {
-                id,
-                dist: d2.sqrt(),
-            },
-            rest: Vec::new(),
-            stats: QueryStats {
+        let (metric, _) = self.metric();
+        let mut all: Vec<QueryResult> = Vec::new();
+        for (s, st) in self.forest.shards().iter().zip(per_shard.iter_mut()) {
+            let idx = s.index;
+            idx.count_fallback();
+            *st = QueryStats {
                 candidates: idx.len(),
-                pages: 0,
                 fallback: true,
-                tail: 0,
-                nodes_pruned: 0,
                 candidates_examined: idx.len(),
-                candidates_aborted_early: 0,
-            },
+                ..QueryStats::default()
+            };
+            all.extend(
+                (0..s.alive.len())
+                    .filter(|&l| s.alive[l])
+                    .map(|local| QueryResult {
+                        id: local * self.stride + s.number,
+                        dist: metric.dist(p, idx.flat_point(local)),
+                    }),
+            );
         }
-    }
-
-    /// Exact k-NN by scanning the flat point layout. Counts the fallback.
-    fn scan_knn(&self, p: &[f64], k: usize) -> QueryResponse {
-        let idx = self.index;
-        let _span = nncell_obs::trace::child("engine.scan_fallback");
-        idx.count_fallback();
-        let metric = idx.metric();
-        let alive = idx.alive();
-        let mut all: Vec<QueryResult> = (0..alive.len())
-            .filter(|&id| alive[id])
-            .map(|id| QueryResult {
-                id,
-                dist: metric.dist(p, idx.flat_point(id)),
-            })
-            .collect();
         all.sort_unstable_by(cmp_results);
         all.truncate(k);
+        // `execute_with` rejected empty indexes, so `all` is never empty;
+        // the guard keeps this helper total anyway.
         let best = all.first().copied().unwrap_or(QueryResult {
             id: 0,
             dist: f64::INFINITY,
         });
         QueryResponse {
             best,
-            rest: if all.len() > 1 {
-                all[1..].to_vec()
-            } else {
-                Vec::new()
-            },
-            stats: QueryStats {
-                candidates: idx.len(),
-                pages: 0,
-                fallback: true,
-                tail: 0,
-                nodes_pruned: 0,
-                candidates_examined: idx.len(),
-                candidates_aborted_early: 0,
-            },
+            rest: all.get(1..).map_or_else(Vec::new, <[QueryResult]>::to_vec),
+            stats: QueryStats::default(),
         }
     }
 }
 
 /// Offers a completed candidate to the running k-best `ranked` (ascending
-/// `(dist, id)`, at most `k` long). It enters when the list is short or it
-/// beats the k-th, unless its id is in `tombstones` (sorted) or already in
-/// the list — the same point reached from the tail seed and the snapshot,
-/// whose identical `(dist, id)` sorts it exactly onto its twin. Returns
-/// the k-th distance when the candidate entered and the list is full.
+/// `(dist, global id)`, at most `k` long). It enters when the list is
+/// short or it beats the k-th, unless its shard-local id `local` is in its
+/// shard's `tombstones` (sorted) or its global id is already in the list —
+/// the same point reached from the tail seed and the snapshot, whose
+/// identical `(dist, id)` sorts it exactly onto its twin. Returns the k-th
+/// distance when the candidate entered and the list is full.
 fn offer(
     ranked: &mut Vec<QueryResult>,
     k: usize,
     r: QueryResult,
     tombstones: &[usize],
+    local: usize,
 ) -> Option<f64> {
     let full = ranked.len() == k;
     if full && cmp_results(&r, &ranked[k - 1]) != std::cmp::Ordering::Less {
         return None;
     }
-    if !tombstones.is_empty() && tombstones.binary_search(&r.id).is_ok() {
+    if !tombstones.is_empty() && tombstones.binary_search(&local).is_ok() {
         return None;
     }
     let pos = ranked.partition_point(|x| cmp_results(x, &r) == std::cmp::Ordering::Less);
@@ -801,6 +837,13 @@ fn offer(
 /// so an exact-boundary point is never cut) is outside the ball.
 fn radius_bound(r: f64) -> f64 {
     (r * r) * BOUND_SLOP
+}
+
+/// Every available hardware thread (1 when the count is unknown).
+pub(crate) fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Whether the (optional) deadline has passed.

@@ -861,7 +861,9 @@ mod tests {
         let mut streamed = 0usize;
         let mut bad: Option<u64> = None;
         let q = vec![0.5; idx.dim()];
-        tree.best_first_stream_with(&q, &mut nncell_index::BestFirstScratch::new(), |id, row| {
+        let forest: [&nncell_index::Tree; 1] = [tree];
+        let mut scratch = nncell_index::BestFirstScratch::new();
+        nncell_index::Tree::best_first_stream_with(&forest, &q, &mut scratch, |_, id, row| {
             streamed += 1;
             let flat = idx.flat_point(id as usize);
             let same = row.len() == flat.len()

@@ -5,13 +5,17 @@
 //!
 //! Points are partitioned **round-robin** by global id: global id `g`
 //! lives in shard `g % S` at local id `g / S` (so `global = local·S +
-//! shard`, a bijection). Each shard returns its exact local k nearest
-//! neighbors (its best-first search is exact over the shard's points),
-//! and the k smallest of the union — merged by `(distance, global id)` —
-//! are exactly the unsharded answer, tie ordering included. The id mapping
-//! preserves order: within a shard, ascending local id means ascending
-//! global id, so per-shard `(dist, local id)` ordering merges into the
-//! global `(dist, global id)` ordering without re-sorting.
+//! shard`, a bijection). A k-NN query is **one** search over the whole
+//! index: a [`QueryEngine`] over the forest of every shard's point tree
+//! runs one MINDIST-ordered best-first traversal through one queue and
+//! feeds one running k-best keyed by `(distance, global id)`. The bound
+//! that prunes every shard is the global k-th distance, so no point that
+//! could tie or beat it is skipped in any shard, and ties break by global
+//! id exactly as in the unsharded ranking. Each shard's tail inserts seed
+//! the k-best, its tombstones and liveness mask filter its own points,
+//! and the duplicate check compares global ids. A radius query maps each
+//! shard's hits to global ids and sorts the union once. `DESIGN.md`
+//! §12.1 has the exactness argument.
 //!
 //! # Concurrency: copy-on-write snapshots, journaled memtable
 //!
@@ -57,19 +61,17 @@
 use crate::config::BuildConfig;
 use crate::durable::{DurableError, RecoveryReport, ShardLog};
 use crate::cells::BuildStats;
-use crate::engine::QueryEngine;
-use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex, QueryResult};
+use crate::engine::{available_threads, QueryEngine, Shard};
+use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp, TailSnapshot};
 use crate::metrics::FoldMetrics;
 use crate::persist::PersistError;
-use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
+use crate::query::{Query, QueryError, QueryResponse};
 use crate::snapshot::SnapshotCell;
 use crate::vfs::{write_atomic, StdVfs, Vfs};
 use crate::wal::WalRecord;
 use nncell_geom::{DataSpace, Euclidean, Point};
 use nncell_obs::Registry;
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -249,7 +251,7 @@ pub struct ShardedIndex {
     /// Points dropped by the global input validation under
     /// [`crate::InputPolicy::Skip`].
     skipped_points: usize,
-    /// Merged queries answered (in any shard) by the exact scan fallback.
+    /// Queries answered by the exact scan fallback.
     fallback_queries: AtomicU64,
     /// Per-shard recovery reports of durable shards (empty otherwise).
     recovery: Vec<RecoveryReport>,
@@ -501,17 +503,16 @@ impl ShardedIndex {
         agg
     }
 
-    /// Merged queries (via [`Self::query`] / [`Self::batch`]) in which any
-    /// shard answered by the exact scan fallback. Note that a shard can
-    /// legitimately fall back where the unsharded index would not — e.g.
-    /// `k ≥` that shard's live count — so this is an upper bound on what
-    /// the equivalent unsharded index would report.
+    /// Queries (via [`Self::query`] / [`Self::batch`]) answered by the
+    /// exact scan fallback — exactly those the equivalent unsharded index
+    /// would answer by scan: no unfolded tail and `k ≥` the total live
+    /// count.
     pub fn fallback_queries(&self) -> u64 {
         self.fallback_queries.load(Ordering::Relaxed)
     }
 
     /// Per-shard scan-fallback counters summed across the current
-    /// snapshots (each shard counts exactly like an unsharded index).
+    /// snapshots (a fallback counts once in every shard it scans).
     pub fn shard_fallback_queries(&self) -> u64 {
         self.snaps.iter().map(|c| c.load().fallback_queries()).sum()
     }
@@ -599,34 +600,11 @@ impl ShardedIndex {
     // queries
     // ------------------------------------------------------------------
 
-    /// The same validation [`crate::QueryEngine::execute`] applies, in the
-    /// same precedence order, so a sharded index rejects malformed input
-    /// identically to an unsharded one.
-    fn validate_query(&self, q: &Query) -> Result<(), QueryError> {
-        let p = q.point();
-        if p.len() != self.dim {
-            return Err(QueryError::DimMismatch {
-                expected: self.dim,
-                got: p.len(),
-            });
-        }
-        if p.iter().any(|c| !c.is_finite()) {
-            return Err(QueryError::NonFiniteQuery);
-        }
-        match q.kind() {
-            QueryKind::Nearest { k: 0 } => Err(QueryError::ZeroK),
-            QueryKind::Radius { radius } if !radius.is_finite() || radius < 0.0 => {
-                Err(QueryError::InvalidRadius)
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Executes one typed query: fan out to every non-empty shard on its
-    /// current snapshot, merge the per-shard answers by
-    /// `(distance, global id)`. Exact, including tie ordering (see the
-    /// module docs). Candidate and page counts are summed across shards;
-    /// `fallback` is set if any shard fell back to its exact scan.
+    /// Executes one typed query: one best-first traversal over every
+    /// non-empty shard's current snapshot, feeding one running k-best
+    /// keyed by `(distance, global id)`. Exact, including tie ordering
+    /// (see the module docs). Candidate and page counts are summed across
+    /// shards; `fallback` is set when the answer came from the exact scan.
     ///
     /// # Errors
     /// The [`QueryError`] contract of [`crate::QueryEngine::execute`].
@@ -635,11 +613,10 @@ impl ShardedIndex {
     }
 
     /// [`Self::query`] under an optional time budget: the deadline is
-    /// threaded into every per-shard engine (equivalent to stamping
-    /// [`Query::with_deadline`] on the request, without cloning it per
-    /// shard), so a budget that runs out mid-fan-out surfaces as
-    /// [`QueryError::DeadlineExceeded`] instead of finishing the
-    /// remaining shards.
+    /// threaded into the fan-out's engine (equivalent to stamping
+    /// [`Query::with_deadline`] on the request, without cloning it), so a
+    /// budget that runs out mid-traversal surfaces as
+    /// [`QueryError::DeadlineExceeded`].
     ///
     /// # Errors
     /// The [`QueryError`] contract of [`Self::query`], plus
@@ -649,23 +626,14 @@ impl ShardedIndex {
         q: &Query,
         deadline: Option<Instant>,
     ) -> Result<QueryResponse, QueryError> {
-        self.validate_query(q)?;
         let views = self.read_views();
-        // Sequential per shard, lazily: one query has no intra-shard
-        // parallelism to exploit, and a hard error stops the fan-out
-        // before the remaining shards run (batch() adds the thread pool).
-        let per_shard = views.iter().map(|(i, snap, tail)| {
-            let mut engine = QueryEngine::sequential(snap).with_deadline_opt(deadline);
-            if let Some(t) = tail {
-                engine = engine.with_tail(t);
-            }
-            // One child span per shard consulted; the engine's own spans
-            // nest underneath it, so a trace shows the full fan-out.
-            let mut span = nncell_obs::trace::child("shard.query");
-            span.arg("shard", *i as u64);
-            (*i, engine.execute(q))
-        });
-        self.merge_shards(q.k(), per_shard)
+        // One span for the whole fan-out; the engine's own spans nest
+        // underneath it.
+        let mut span = nncell_obs::trace::child("shard.query");
+        span.arg("shards", views.len() as u64);
+        let result = self.engine(&views).with_deadline_opt(deadline).execute(q);
+        self.count_fallback(&result);
+        result
     }
 
     /// The shards a read consults, each with its published snapshot and
@@ -693,164 +661,52 @@ impl ShardedIndex {
             .collect()
     }
 
-    /// Executes a batch of typed queries: each non-empty shard runs the
-    /// whole batch through its own [`crate::QueryEngine::batch`] thread
-    /// pool on its current snapshot, then per-query answers are merged as
-    /// in [`Self::query`]. Results come back in input order with the
-    /// engine's per-query error contract.
+    /// The fan-out's engine over `views`: one forest of shard point trees
+    /// under the round-robin id mapping. Sequential; batches widen it.
+    fn engine<'v>(&self, views: &'v [ShardView]) -> QueryEngine<'v, Euclidean> {
+        let shards = views
+            .iter()
+            .map(|(i, snap, tail)| Shard::new(*i, snap, tail.as_deref()))
+            .collect();
+        QueryEngine::fan_out(self.dim, self.num_shards(), shards)
+    }
+
+    /// Counts an answer that came from the exact scan fallback.
+    fn count_fallback(&self, result: &Result<QueryResponse, QueryError>) {
+        if result.as_ref().is_ok_and(|r| r.stats.fallback) {
+            self.fallback_queries.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Executes a batch of typed queries: every query runs the fan-out's
+    /// one-forest traversal of [`Self::query`] over the shards' current
+    /// snapshots, spread over the engine's worker pool (every hardware
+    /// thread). Results come back in input order with the engine's
+    /// per-query error contract.
     pub fn batch(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
         self.batch_with_deadline(queries, None)
     }
 
-    /// [`Self::batch`] under an optional time budget: every shard engine
-    /// checks the deadline between the queries of the batch (and inside the
-    /// k-NN candidate loop), so queries past the budget come back as
-    /// per-query [`QueryError::DeadlineExceeded`] results while answers
-    /// already computed are kept.
+    /// [`Self::batch`] under an optional time budget: the engine checks the
+    /// deadline between the queries of the batch (and inside the k-NN
+    /// candidate loop), so queries past the budget come back as per-query
+    /// [`QueryError::DeadlineExceeded`] results while answers already
+    /// computed are kept.
     pub fn batch_with_deadline(
         &self,
         queries: &[Query],
         deadline: Option<Instant>,
     ) -> Vec<Result<QueryResponse, QueryError>> {
-        let shard_results: Vec<(usize, Vec<Result<QueryResponse, QueryError>>)> = self
-            .read_views()
-            .iter()
-            .map(|(i, snap, tail)| {
-                let mut engine = snap.engine().with_deadline_opt(deadline);
-                if let Some(t) = tail {
-                    engine = engine.with_tail(t);
-                }
-                (*i, engine.batch(queries))
-            })
-            .collect();
-        queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| {
-                self.validate_query(q)?;
-                self.merge_shards(
-                    q.k(),
-                    shard_results.iter().map(|(i, r)| (*i, r[qi].clone())),
-                )
-            })
-            .collect()
-    }
-
-    /// Folds per-shard outcomes of one query into its answer. A shard
-    /// whose live set the tail has fully tombstoned (`EmptyIndex`) or
-    /// whose slice of the ball is empty (`EmptyRadius`) contributes
-    /// nothing, which is not a failure of the fan-out; any other error
-    /// ends it. With no contribution at all the answer is the radius
-    /// error when some ball slice came back empty, the empty-index one
-    /// otherwise.
-    fn merge_shards(
-        &self,
-        k: usize,
-        per_shard: impl Iterator<Item = (usize, Result<QueryResponse, QueryError>)>,
-    ) -> Result<QueryResponse, QueryError> {
-        let mut per: Vec<(usize, QueryResponse)> = Vec::new();
-        let mut radius_empty = false;
-        for (shard, outcome) in per_shard {
-            match outcome {
-                Ok(r) => per.push((shard, r)),
-                Err(QueryError::EmptyIndex) => {}
-                Err(QueryError::EmptyRadius) => radius_empty = true,
-                Err(e) => return Err(e),
-            }
+        let views = self.read_views();
+        let results = self
+            .engine(&views)
+            .with_threads(available_threads())
+            .with_deadline_opt(deadline)
+            .batch(queries);
+        for r in &results {
+            self.count_fallback(r);
         }
-        if per.is_empty() {
-            return Err(if radius_empty {
-                QueryError::EmptyRadius
-            } else {
-                QueryError::EmptyIndex
-            });
-        }
-        Ok(self.merge(k, per))
-    }
-
-    /// k-way merge of per-shard answers via a small binary heap keyed by
-    /// `(distance, global id)` — each shard's list is already sorted, so
-    /// the heap holds one head per shard and pops `k` times.
-    fn merge(&self, k: usize, per: Vec<(usize, QueryResponse)>) -> QueryResponse {
-        debug_assert!(!per.is_empty(), "merge of zero non-empty shards");
-        let mut stats = QueryStats::default();
-        let mut lists: Vec<(usize, Vec<QueryResult>)> = Vec::with_capacity(per.len());
-        for (shard, resp) in per {
-            stats.candidates += resp.stats.candidates;
-            stats.pages += resp.stats.pages;
-            stats.tail += resp.stats.tail;
-            stats.fallback |= resp.stats.fallback;
-            stats.nodes_pruned += resp.stats.nodes_pruned;
-            stats.candidates_examined += resp.stats.candidates_examined;
-            stats.candidates_aborted_early += resp.stats.candidates_aborted_early;
-            lists.push((shard, resp.into_results()));
-        }
-        if stats.fallback {
-            self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Heap entry: the current head of one shard's sorted list.
-        struct Head {
-            dist: f64,
-            gid: usize,
-            slot: usize,
-            pos: usize,
-        }
-        impl PartialEq for Head {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == CmpOrdering::Equal
-            }
-        }
-        impl Eq for Head {}
-        impl Ord for Head {
-            fn cmp(&self, other: &Self) -> CmpOrdering {
-                // Min-heap via Reverse at the push sites; ascending
-                // (dist, global id) — the unsharded ranking order.
-                self.dist
-                    .total_cmp(&other.dist)
-                    .then_with(|| self.gid.cmp(&other.gid))
-            }
-        }
-        impl PartialOrd for Head {
-            fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let mut heap: BinaryHeap<std::cmp::Reverse<Head>> =
-            BinaryHeap::with_capacity(lists.len());
-        for (slot, (shard, list)) in lists.iter().enumerate() {
-            if let Some(r) = list.first() {
-                heap.push(std::cmp::Reverse(Head {
-                    dist: r.dist,
-                    gid: self.global_of(*shard, r.id),
-                    slot,
-                    pos: 0,
-                }));
-            }
-        }
-        let mut merged: Vec<QueryResult> = Vec::with_capacity(k.min(64));
-        while merged.len() < k {
-            let Some(std::cmp::Reverse(head)) = heap.pop() else {
-                break;
-            };
-            merged.push(QueryResult {
-                id: head.gid,
-                dist: head.dist,
-            });
-            let (shard, list) = &lists[head.slot];
-            if let Some(r) = list.get(head.pos + 1) {
-                heap.push(std::cmp::Reverse(Head {
-                    dist: r.dist,
-                    gid: self.global_of(*shard, r.id),
-                    slot: head.slot,
-                    pos: head.pos + 1,
-                }));
-            }
-        }
-        let best = merged[0];
-        let rest = merged[1..].to_vec();
-        QueryResponse { best, rest, stats }
+        results
     }
 
     // ------------------------------------------------------------------

@@ -33,8 +33,9 @@ fn registry_counters_agree_with_engine_and_index() {
     index.attach_metrics(registry.clone());
 
     // Mixed workload: in-space queries, a k-NN, an out-of-space fallback,
-    // and two malformed queries.
+    // and three malformed queries, the first on a cold scratch.
     let queries = vec![
+        Query::nn([f64::NAN, 0.5]),
         Query::nn([0.21, 0.34]),
         Query::nn([0.91, 0.13]),
         Query::knn(vec![0.4, 0.6], 5),
@@ -107,6 +108,60 @@ fn registry_counters_agree_with_engine_and_index() {
         assert!(prom.contains(name), "prometheus output missing {name}");
         assert!(json.contains(name), "json output missing {name}");
     }
+}
+
+/// A sharded query is one fan-out, attributed per shard: every shard's
+/// labelled series records the query once (query, error and fallback
+/// counters, latency), so each shard reads the fan-out count and a sum
+/// over labels reads S times it; the work histograms hold each shard's
+/// own share, so their sum over labels is the query's total.
+#[test]
+fn sharded_series_count_each_fan_out_once_per_shard() {
+    const S: usize = 3;
+    let index = ShardedIndex::build(grid(90), S, cfg()).unwrap();
+    let registry = Registry::new();
+    index.attach_metrics(registry.clone());
+    let queries = vec![
+        Query::nn([0.21, 0.34]),
+        Query::knn(vec![0.4, 0.6], 5),
+        Query::knn(vec![0.7, 0.2], 90), // k ≥ len → exact-scan fallback
+        Query::nn([f64::NAN, 0.2]),
+        Query::knn(vec![0.1, 0.2, 0.3], 2), // dim mismatch
+    ];
+    let results: Vec<_> = queries.iter().map(|q| index.query(q)).collect();
+    let ok: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+    let errors = results.iter().filter(|r| r.is_err()).count() as u64;
+    let fallbacks = ok.iter().filter(|r| r.stats.fallback).count() as u64;
+    assert_eq!((errors, fallbacks), (2, 1));
+
+    let snap = registry.snapshot();
+    for i in 0..S {
+        let series = |name: &str| format!("{name}{{shard=\"{i}\"}}");
+        assert_eq!(
+            snap.counter(&series("nncell_queries_total")),
+            Some(queries.len() as u64),
+            "shard {i}"
+        );
+        assert_eq!(snap.counter(&series("nncell_query_errors_total")), Some(errors));
+        assert_eq!(snap.counter(&series("nncell_query_fallback_total")), Some(fallbacks));
+        let latency = snap.histogram(&series("nncell_query_latency_ns")).unwrap();
+        assert_eq!(latency.count(), ok.len() as u64, "shard {i}");
+    }
+    let total = S as u64 * queries.len() as u64;
+    assert_eq!(snap.sum_counters("nncell_queries_total"), Some(total));
+    assert_eq!(snap.sum_counters("nncell_query_errors_total"), Some(S as u64 * errors));
+
+    let family_sum = |name: &str| -> u64 {
+        (0..S)
+            .map(|i| snap.histogram(&format!("{name}{{shard=\"{i}\"}}")).unwrap().sum)
+            .sum()
+    };
+    let pages: u64 = ok.iter().map(|r| r.stats.pages).sum();
+    let pruned: u64 = ok.iter().map(|r| r.stats.nodes_pruned).sum();
+    let examined: u64 = ok.iter().map(|r| r.stats.candidates_examined as u64).sum();
+    assert_eq!(family_sum("nncell_query_pages"), pages);
+    assert_eq!(family_sum("nncell_query_nodes_pruned"), pruned);
+    assert_eq!(family_sum("nncell_query_candidates_examined"), examined);
 }
 
 #[test]

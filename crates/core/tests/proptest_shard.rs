@@ -1,14 +1,17 @@
 //! ShardedIndex parity: for any shard count the sharded index must be
-//! bit-identical to the unsharded one — same ids, same distance bits,
-//! same ranking, tie ordering included.
+//! bit-identical to the unsharded one and to a linear scan — same ids,
+//! same distance bits, same ranking, tie ordering included — whether
+//! the live points sit in the shards' snapshots or in their memtable
+//! tails.
 //!
 //! Points are drawn from a deliberately coarse lattice so equidistant
-//! rivals (ties) are common and the merge's `(distance, global id)`
-//! ordering is actually exercised, not vacuously satisfied.
+//! rivals (ties) are common, also across shards, and the fan-out's
+//! `(distance, global id)` ordering is actually exercised, not vacuously
+//! satisfied.
 
 use nncell_core::{
-    linear_scan_knn, BuildConfig, NnCellIndex, Query, QueryEngine, QueryResponse, ShardedIndex,
-    Strategy as BuildStrategy,
+    linear_scan_knn, BuildConfig, NnCellIndex, Query, QueryEngine, QueryError, QueryResponse,
+    ShardedIndex, Strategy as BuildStrategy,
 };
 use nncell_geom::{dist, dist_sq, Point};
 use proptest::prelude::*;
@@ -126,34 +129,196 @@ proptest! {
     }
 }
 
+/// `(global id, distance bits)` of every live point within `radius` of
+/// `q` (all of them for `radius = ∞`), ranked by `(distance, id)` — the
+/// linear-scan oracle.
+fn scan(live: &[(usize, &Point)], q: &[f64], radius: f64) -> Vec<(usize, u64)> {
+    let mut all: Vec<(f64, usize)> = live
+        .iter()
+        .map(|(id, p)| (dist_sq(q, p).sqrt(), *id))
+        .filter(|(d, _)| *d <= radius)
+        .collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    all.into_iter().map(|(d, id)| (id, d.to_bits())).collect()
+}
+
+fn answer_bits(r: &QueryResponse) -> Vec<(usize, u64)> {
+    r.iter().map(|x| (x.id, x.dist.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Snapshots plus memtable tails on every shard: a prefix is built,
+    /// the rest is inserted (part of it folded, the remainder left in the
+    /// tails), then ids are removed from snapshots and tails alike. Every
+    /// k-NN (k ≥ live count included) and radius answer of the one-forest
+    /// fan-out equals the linear scan over the live set by
+    /// `(distance, global id)`, before and after a flush.
+    #[test]
+    fn forest_with_tails_matches_linear_scan(
+        pts in lattice_points(2, 2, 40),
+        shards in 1usize..=4,
+        built_share in 0usize..=100,
+        folded_share in 0usize..=100,
+        removes in prop::collection::vec(0usize..64, 0..10),
+        queries in prop::collection::vec(prop::collection::vec(coarse_coord(), 2), 3),
+        k in 1usize..=8,
+    ) {
+        let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(5).build();
+        let built = pts.len() * built_share / 100;
+        let idx = if built == 0 {
+            ShardedIndex::new(2, shards, cfg)
+        } else {
+            ShardedIndex::build(pts[..built].to_vec(), shards, cfg).unwrap()
+        };
+        let folded = built + (pts.len() - built) * folded_share / 100;
+        for (g, p) in pts.iter().enumerate().skip(built) {
+            prop_assert_eq!(idx.insert(p.clone()).unwrap(), g);
+            if g + 1 == folded {
+                idx.flush().unwrap();
+            }
+        }
+        let mut dead = vec![false; pts.len()];
+        for &r in &removes {
+            let g = r % pts.len();
+            prop_assert_eq!(idx.remove(g).unwrap(), !dead[g], "remove {}", g);
+            dead[g] = true;
+        }
+        let live: Vec<(usize, &Point)> =
+            pts.iter().enumerate().filter(|(g, _)| !dead[*g]).collect();
+        prop_assert_eq!(idx.len(), live.len());
+        for pass in ["tails", "flushed"] {
+            let tails = idx.tail_depth() > 0;
+            for q in &queries {
+                let ctx = format!("S={shards} {pass} q={q:?} live={}", live.len());
+                let want_all = scan(&live, q, f64::INFINITY);
+                for k in [k, live.len().max(1), live.len() + 3] {
+                    match idx.query(&Query::knn(q.clone(), k)) {
+                        Ok(r) => {
+                            let want: Vec<_> = want_all.iter().copied().take(k).collect();
+                            prop_assert_eq!(answer_bits(&r), want, "k={} {}", k, &ctx);
+                            prop_assert_eq!(
+                                r.stats.fallback,
+                                !tails && k >= live.len(),
+                                "k={} {}", k, &ctx
+                            );
+                        }
+                        Err(e) => {
+                            prop_assert!(live.is_empty(), "k={} {}: {:?}", k, &ctx, e);
+                            prop_assert_eq!(e, QueryError::EmptyIndex);
+                        }
+                    }
+                }
+                for radius in [0.0, 0.125, 0.3, 2.0] {
+                    let want = scan(&live, q, radius);
+                    match idx.query(&Query::radius(q.clone(), radius)) {
+                        Ok(r) => prop_assert_eq!(answer_bits(&r), want, "r={} {}", radius, &ctx),
+                        Err(QueryError::EmptyRadius) if !live.is_empty() => {
+                            prop_assert!(want.is_empty(), "r={} {}", radius, &ctx)
+                        }
+                        // No live point at all: a fully tombstoned snapshot
+                        // answers like an empty ball, a fully flushed one
+                        // like an empty index.
+                        Err(e) => {
+                            prop_assert!(live.is_empty(), "r={} {}: {:?}", radius, &ctx, e);
+                            prop_assert!(
+                                matches!(e, QueryError::EmptyIndex | QueryError::EmptyRadius),
+                                "r={} {}: {:?}", radius, &ctx, e
+                            );
+                        }
+                    }
+                }
+            }
+            idx.flush().unwrap();
+        }
+    }
+}
+
+/// A one-shard sharded index is the forest of one: its answers and every
+/// work counter equal those of a `QueryEngine` on its lone shard.
 #[test]
-fn single_shard_fallback_counts_match_unsharded() {
-    // k ≥ live count forces the exact-scan fallback; with S=1 the sharded
-    // counters must agree exactly with the unsharded index (for S>1 a
-    // shard can fall back where the whole index would not, which is why
-    // parity is asserted on results, not stats — DESIGN.md §12).
+fn a_one_shard_fan_out_reports_its_engines_counts() {
+    let pts: Vec<Point> = (0..500)
+        .map(|i| {
+            Point::new(vec![
+                ((i * 37) % 500) as f64 / 500.0,
+                ((i * 113) % 500) as f64 / 500.0,
+            ])
+        })
+        .collect();
+    let cfg = BuildConfig::builder()
+        .strategy(BuildStrategy::Sphere)
+        .seed(5)
+        .build();
+    let sharded = ShardedIndex::build(pts, 1, cfg).unwrap();
+    let snap = sharded.shard(0);
+    let engine = QueryEngine::sequential(&snap);
+    let mut pruned = 0;
+    for i in 0..60 {
+        let q = vec![(i * 7 % 60) as f64 / 60.0, (i * 13 % 60) as f64 / 60.0];
+        for query in [
+            Query::nn(q.clone()),
+            Query::knn(q.clone(), 10),
+            Query::radius(q, 0.1),
+        ] {
+            let a = sharded.query(&query).unwrap();
+            let b = engine.execute(&query).unwrap();
+            assert_eq!(answer_bits(&a), answer_bits(&b), "{query:?}");
+            assert_eq!(a.stats, b.stats, "{query:?}");
+            pruned += a.stats.nodes_pruned;
+        }
+    }
+    assert!(
+        pruned > 0,
+        "the traversal must prune for the counts to mean anything"
+    );
+}
+
+#[test]
+fn fan_out_fallback_counts_match_unsharded() {
+    // k ≥ live count forces the exact-scan fallback. The fan-out is one
+    // search over every shard, so it falls back exactly when the
+    // unsharded index does, at any shard count; with S=1 the per-shard
+    // counter agrees too.
     let pts: Vec<Point> = (0..6)
         .map(|i| Point::new(vec![i as f64 / 8.0, (i * 3 % 7) as f64 / 8.0]))
         .collect();
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(5).build();
-    let whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
-    let engine = QueryEngine::sequential(&whole);
-    let sharded = ShardedIndex::build(pts.clone(), 1, cfg).unwrap();
+    let cfg = BuildConfig::builder()
+        .strategy(BuildStrategy::Sphere)
+        .seed(5)
+        .build();
     let queries = [
         Query::knn(vec![0.5, 0.5], pts.len()), // k == n → fallback
         Query::nn(vec![0.1, 0.9]),             // in-space NN → no fallback
         Query::knn(vec![0.3, 0.3], 2),
-        Query::nn(vec![2.0, 2.0]), // outside the unit space → no fallback either
+        Query::knn(vec![0.3, 0.3], 4), // k > any shard's len at S ≥ 2 → no fallback
+        Query::nn(vec![2.0, 2.0]),     // outside the unit space → no fallback either
     ];
-    for q in &queries {
-        let a = sharded.query(q).unwrap();
-        let b = engine.execute(q).unwrap();
-        assert_eq!(a.stats.fallback, b.stats.fallback, "{q:?}");
-        assert_eq!(a.best.id, b.best.id, "{q:?}");
+    for shards in 1..=3 {
+        let whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
+        let engine = QueryEngine::sequential(&whole);
+        let sharded = ShardedIndex::build(pts.clone(), shards, cfg.clone()).unwrap();
+        for q in &queries {
+            let a = sharded.query(q).unwrap();
+            let b = engine.execute(q).unwrap();
+            assert_eq!(a.stats.fallback, b.stats.fallback, "S={shards} {q:?}");
+            assert_eq!(answer_bits(&a), answer_bits(&b), "S={shards} {q:?}");
+        }
+        assert_eq!(
+            whole.fallback_queries(),
+            1,
+            "test must exercise the fallback"
+        );
+        assert_eq!(
+            sharded.fallback_queries(),
+            whole.fallback_queries(),
+            "S={shards}"
+        );
+        if shards == 1 {
+            assert_eq!(sharded.shard_fallback_queries(), whole.fallback_queries());
+        }
     }
-    assert!(whole.fallback_queries() > 0, "test must exercise the fallback");
-    assert_eq!(sharded.shard_fallback_queries(), whole.fallback_queries());
-    assert_eq!(sharded.fallback_queries(), whole.fallback_queries());
 }
 
 /// Distinct deterministic points on a 100×100 lattice, off the boundary.

@@ -1,7 +1,7 @@
 //! Trace propagation through the index stack: a sampled trace started
 //! above a [`ShardedIndex`] query must come out of the flight recorder
-//! as one unbroken tree — the same trace id on the per-shard fan-out
-//! spans, the engine spans underneath them, batch workers on other
+//! as one unbroken tree — the same trace id on the shard fan-out span,
+//! the engine span underneath it, batch workers on other
 //! threads, and the WAL append on the write path. Slow-query entries
 //! must carry the trace id as an exemplar.
 
@@ -51,7 +51,7 @@ fn forced_root(trace_id: u128) -> nncell_obs::SpanGuard {
 }
 
 #[test]
-fn sharded_fanout_carries_the_trace_id_per_shard() {
+fn sharded_fanout_carries_the_trace_id() {
     const TRACE: u128 = 0x7e57_0001;
     let idx = ShardedIndex::build(grid(60), 3, cfg()).unwrap();
 
@@ -69,33 +69,28 @@ fn sharded_fanout_carries_the_trace_id_per_shard() {
         .expect("root recorded");
     assert_eq!(root.span, root_span);
 
-    // One child span per shard consulted, all under the root interval.
+    // One child span covers the whole fan-out, under the root interval,
+    // and names the shards it consulted.
     let shard_spans: Vec<_> = spans.iter().filter(|r| r.name == "shard.query").collect();
-    assert_eq!(shard_spans.len(), 3, "one span per shard");
-    let mut seen_shards: Vec<u64> = shard_spans
+    assert_eq!(shard_spans.len(), 1, "one span per fan-out");
+    let fanout = shard_spans[0];
+    assert_eq!(fanout.parent, root.span, "shard span hangs off the root");
+    assert!(root.start_ns <= fanout.start_ns && fanout.end_ns <= root.end_ns);
+    let shards = fanout
+        .live_args()
         .iter()
-        .map(|s| {
-            assert_eq!(s.parent, root.span, "shard span hangs off the root");
-            assert!(root.start_ns <= s.start_ns && s.end_ns <= root.end_ns);
-            s.live_args()
-                .iter()
-                .find(|(k, _)| *k == "shard")
-                .map(|&(_, v)| v)
-                .expect("shard arg")
-        })
-        .collect();
-    seen_shards.sort_unstable();
-    assert_eq!(seen_shards, vec![0, 1, 2]);
+        .find(|(k, _)| *k == "shards")
+        .map(|&(_, v)| v);
+    assert_eq!(shards, Some(3), "the span counts the shards consulted");
 
-    // The engine spans nest under the shard spans, same trace.
+    // The one engine span (one traversal over every shard's tree) nests
+    // under the fan-out span, same trace.
     let engine_spans: Vec<_> = spans.iter().filter(|r| r.name == "engine.query").collect();
-    assert_eq!(engine_spans.len(), 3);
-    for e in engine_spans {
-        assert!(
-            shard_spans.iter().any(|s| s.span == e.parent),
-            "engine span parented by a shard span"
-        );
-    }
+    assert_eq!(engine_spans.len(), 1);
+    assert_eq!(
+        engine_spans[0].parent, fanout.span,
+        "engine span parented by the shard span"
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! (the figure benches) call `CostTracker::access` on every node they
 //! touch. The two serving traversals (`Tree::best_first_stream_with` and
 //! `Tree::sphere_query_with`) count pages and CPU ops in locals and make
-//! one `CostTracker::read` and one `CostTracker::cpu` call per
+//! one `CostTracker::read` and one `CostTracker::cpu` call per tree and
 //! traversal, so concurrent queries do not update the shared counters on
 //! every page. Both regimes give the same totals without a cache.
 //!

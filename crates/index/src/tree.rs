@@ -24,9 +24,9 @@
 //! operation as a CPU op, so benches can report the same two cost axes as
 //! the paper's figures 9 / 12. The two serving traversals,
 //! [`Tree::best_first_stream_with`] and [`Tree::sphere_query_with`], count
-//! pages and CPU ops in locals and bill the tracker once per traversal,
-//! without consulting the cache, so concurrent queries do not contend on
-//! the tracker's shared counters.
+//! pages and CPU ops in locals and bill each tree's tracker once per
+//! traversal, without consulting the cache, so concurrent queries do not
+//! contend on the tracker's shared counters.
 
 use crate::config::{SplitPolicy, TreeConfig};
 use crate::cost::{CostTracker, IoStats};
@@ -1046,21 +1046,26 @@ impl Tree {
         None
     }
 
-    /// MINDIST-ordered best-first traversal that **streams leaf items to
-    /// the caller** while the caller shrinks the pruning bound — the
-    /// candidate-gathering replacement for [`Self::point_query_with`] /
+    /// MINDIST-ordered best-first traversal of a **forest** of trees that
+    /// streams leaf items to the caller while the caller shrinks one
+    /// pruning bound shared by every tree — the candidate-gathering
+    /// replacement for [`Self::point_query_with`] /
     /// [`Self::sphere_query_with`] on nearest-neighbor paths (see
-    /// `DESIGN.md` §17).
+    /// `DESIGN.md` §17). A single tree is the forest of one
+    /// (`Tree::best_first_stream_with(&[&tree], …)`); a sharded index
+    /// passes every shard's tree, so each shard is pruned by the global
+    /// running bound rather than by its own (`DESIGN.md` §12.1).
     ///
-    /// Pages are expanded in ascending `MINDIST(q, MBR)` order from a
-    /// priority queue \[HS 95\]. When a leaf is expanded, `visit(item, row)`
-    /// is called for **every** entry it stores, where `row` is the entry's
-    /// row of the leaf: the point's `d` coordinates in a point-leaf tree
-    /// (`lo ‖ hi`, `2·d` values, in a box-leaf tree). The traversal
-    /// computes no per-item distances; the caller owns item evaluation
-    /// (typically one exact distance evaluation of `row`) and
-    /// returns the current pruning bound as a *squared* distance in the
-    /// tree's Euclidean geometry:
+    /// Pages of every tree share one priority queue and are expanded in
+    /// ascending `MINDIST(q, MBR)` order \[HS 95\]. When a leaf is
+    /// expanded, `visit(tree, item, row)` is called for **every** entry it
+    /// stores, where `tree` is the index of the leaf's tree in `forest`
+    /// and `row` is the entry's row of the leaf: the point's `d`
+    /// coordinates in a point-leaf tree (`lo ‖ hi`, `2·d` values, in a
+    /// box-leaf tree). The traversal computes no per-item distances; the
+    /// caller owns item evaluation (typically one exact distance
+    /// evaluation of `row`) and returns the current pruning bound as a
+    /// *squared* distance in the trees' Euclidean geometry:
     ///
     /// * `f64::INFINITY` — no bound yet; nothing is pruned.
     /// * any non-negative value `b²` — directory entries and queued pages
@@ -1073,53 +1078,67 @@ impl Tree {
     /// caller's running best can only improve), every skipped subtree had
     /// `MINDIST² > b²` against a bound that was already valid, and
     /// `MINDIST` lower-bounds the distance to anything inside the MBR —
-    /// so no item within the final bound is ever missed. The traversal
-    /// terminates early once the closest queued page is beyond the bound
-    /// (a min-heap pop ordering makes that a global statement).
+    /// so no item of any tree within the final bound is ever missed. The
+    /// traversal terminates early once the closest queued page is beyond
+    /// the bound (a min-heap pop ordering makes that a global statement,
+    /// across all trees).
     ///
-    /// Returns the page count (supernodes bill their span) and the number
-    /// of subtrees pruned before their node was ever read. Pages and CPU
-    /// ops are counted in locals and billed to the cost tracker once, at
-    /// the end, without consulting the page cache. The heap lives in the
-    /// caller's [`BestFirstScratch`]; a warmed-up scratch makes the
-    /// traversal allocation-free.
+    /// Returns the page count (supernodes bill their span), the number
+    /// of subtrees pruned before their node was ever read and the number
+    /// of items streamed, summed over the forest;
+    /// [`BestFirstScratch::per_tree`] holds the same counts per tree.
+    /// Each tree's pages and CPU ops are counted in locals and billed to
+    /// that tree's own cost tracker once, at the end, without consulting
+    /// the page cache. The heap lives in the caller's
+    /// [`BestFirstScratch`]; a warmed-up scratch makes the traversal
+    /// allocation-free.
     pub fn best_first_stream_with<F>(
-        &self,
+        forest: &[&Tree],
         q: &[f64],
         scratch: &mut BestFirstScratch,
         mut visit: F,
     ) -> TraversalStats
     where
-        F: FnMut(ItemId, &[f64]) -> f64,
+        F: FnMut(usize, ItemId, &[f64]) -> f64,
     {
-        let mut stats = TraversalStats::default();
-        scratch.heap.clear();
-        if self.len == 0 {
-            return stats;
+        let BestFirstScratch { heap, tally } = scratch;
+        heap.clear();
+        tally.clear();
+        tally.resize(forest.len(), TreeTally::default());
+        for (t, tree) in forest.iter().enumerate() {
+            if tree.len > 0 {
+                heap.push(PageSlot {
+                    key: 0.0,
+                    tree: u32::try_from(t).expect("a forest holds fewer than 2^32 trees"),
+                    page: tree.root,
+                });
+            }
         }
-        let d = self.cfg.dim;
-        let mut ops = 0u64;
         let mut bound = f64::INFINITY;
-        scratch.heap.push(PageSlot {
-            key: 0.0,
-            page: self.root,
-        });
-        'walk: while let Some(slot) = scratch.heap.pop() {
-            ops += 1;
+        'walk: while let Some(slot) = heap.pop() {
+            let t = slot.tree as usize;
+            tally[t].ops += 1;
             if slot.key > bound {
-                // Min-heap: every page still queued is at least this far
-                // out, so the whole frontier is pruned in one step.
-                stats.nodes_pruned += 1 + scratch.heap.len() as u64;
+                // Min-heap: every page still queued, in any tree, is at
+                // least this far out, so the whole frontier is pruned in
+                // one step.
+                tally[t].stats.nodes_pruned += 1;
+                prune_frontier(heap, tally);
                 break;
             }
-            let n = self.node(slot.page);
-            stats.pages += n.span as u64;
-            ops += n.len() as u64;
+            let tree = forest[t];
+            let d = tree.cfg.dim;
+            let n = tree.node(slot.page);
+            let tt = &mut tally[t];
+            tt.stats.pages += n.span as u64;
+            tt.ops += n.len() as u64;
             if n.is_leaf() {
-                for (row, item) in n.rows() {
-                    bound = visit(item, row);
+                tt.stats.items += n.len() as u64;
+                for (i, (row, item)) in n.rows().enumerate() {
+                    bound = visit(t, item, row);
                     if bound < 0.0 {
-                        stats.nodes_pruned += scratch.heap.len() as u64;
+                        tally[t].stats.items -= (n.len() - i - 1) as u64;
+                        prune_frontier(heap, tally);
                         break 'walk;
                     }
                 }
@@ -1128,19 +1147,28 @@ impl Tree {
                     let (lo, hi) = row.split_at(d);
                     let d2 = min_dist_sq(lo, hi, q);
                     if d2 > bound {
-                        stats.nodes_pruned += 1;
+                        tt.stats.nodes_pruned += 1;
                         continue;
                     }
-                    scratch.heap.push(PageSlot {
+                    heap.push(PageSlot {
                         key: d2,
+                        tree: slot.tree,
                         page: PageId(child as u32),
                     });
                 }
             }
         }
-        self.cost.read(stats.pages);
-        self.cost.cpu(ops);
-        stats
+        let mut total = TraversalStats::default();
+        for (tree, tt) in forest.iter().zip(tally.iter()) {
+            if tt.ops > 0 {
+                tree.cost.read(tt.stats.pages);
+                tree.cost.cpu(tt.ops);
+            }
+            total.pages += tt.stats.pages;
+            total.nodes_pruned += tt.stats.nodes_pruned;
+            total.items += tt.stats.items;
+        }
+        total
     }
 
     /// Best-first (priority-queue) nearest-neighbor search \[HS 95\].
@@ -1393,7 +1421,8 @@ impl Tree {
     }
 }
 
-/// Counters of one [`Tree::best_first_stream_with`] traversal.
+/// Counters of one [`Tree::best_first_stream_with`] traversal, of the
+/// whole forest or (see [`BestFirstScratch::per_tree`]) of one tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraversalStats {
     /// Simulated pages read (supernodes bill their span).
@@ -1402,14 +1431,18 @@ pub struct TraversalStats {
     /// directory entries never queued plus queued pages discarded after
     /// the bound shrank below their MINDIST.
     pub nodes_pruned: u64,
+    /// Leaf entries handed to the caller's `visit`.
+    pub items: u64,
 }
 
 /// Reusable priority-queue scratch for [`Tree::best_first_stream_with`].
-/// The heap grows to a high-water mark and is then reused
-/// allocation-free; one scratch must not be shared between threads.
+/// The heap and the per-tree counters grow to a high-water mark and are
+/// then reused allocation-free; one scratch must not be shared between
+/// threads.
 #[derive(Default)]
 pub struct BestFirstScratch {
     heap: BinaryHeap<PageSlot>,
+    tally: Vec<TreeTally>,
 }
 
 impl BestFirstScratch {
@@ -1417,12 +1450,40 @@ impl BestFirstScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Pages, pruned subtrees and streamed items of the last traversal,
+    /// per tree of its forest (in forest order).
+    pub fn per_tree(&self) -> impl ExactSizeIterator<Item = TraversalStats> + '_ {
+        self.tally.iter().map(|t| t.stats)
+    }
 }
 
-/// One queued page of the best-first traversal, min-ordered by MINDIST².
+/// Counts every page still queued as pruned, against its own tree (one
+/// step for a one-tree forest).
+fn prune_frontier(heap: &BinaryHeap<PageSlot>, tally: &mut [TreeTally]) {
+    if let [only] = tally {
+        only.stats.nodes_pruned += heap.len() as u64;
+        return;
+    }
+    for s in heap.iter() {
+        tally[s.tree as usize].stats.nodes_pruned += 1;
+    }
+}
+
+/// One tree's counters during a forest traversal: what it reports and
+/// the CPU ops billed to its cost tracker.
+#[derive(Clone, Copy, Default)]
+struct TreeTally {
+    stats: TraversalStats,
+    ops: u64,
+}
+
+/// One queued page of the best-first traversal, min-ordered by MINDIST²
+/// (16 bytes: the key, the page's tree in the forest, the page).
 #[derive(PartialEq)]
 struct PageSlot {
     key: f64,
+    tree: u32,
     page: PageId,
 }
 
@@ -1436,7 +1497,9 @@ impl PartialOrd for PageSlot {
 
 impl Ord for PageSlot {
     fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap by key inside std's max-heap.
+        // Min-heap by key inside std's max-heap. The tree does not take
+        // part: equal keys pop in the heap's own order, exactly as in a
+        // one-tree traversal.
         o.key.partial_cmp(&self.key).unwrap_or(Ordering::Equal)
     }
 }
@@ -1581,7 +1644,7 @@ mod tests {
                 // shrink the bound to the best squared distance seen.
                 let mut best: Option<(ItemId, f64)> = None;
                 let mut visited = 0usize;
-                let stats = t.best_first_stream_with(q, &mut scratch, |id, row| {
+                let stats = Tree::best_first_stream_with(&[&t], q, &mut scratch, |_, id, row| {
                     visited += 1;
                     assert_eq!(row, &pts[id as usize][..], "leaf row is the point");
                     let d2 = dist_sq(q, row);
@@ -1615,13 +1678,77 @@ mod tests {
         let t = build(SplitPolicy::XTree, &pts);
         let mut scratch = BestFirstScratch::new();
         let mut visited = 0usize;
-        let stats = t.best_first_stream_with(&pts[0], &mut scratch, |_, _| {
+        let stats = Tree::best_first_stream_with(&[&t], &pts[0], &mut scratch, |_, _, _| {
             visited += 1;
             f64::NEG_INFINITY
         });
         // One leaf expanded, first item visited, then the walk stops.
         assert_eq!(visited, 1);
         assert!(stats.pages < t.total_pages());
+    }
+
+    #[test]
+    fn a_forest_streams_under_one_bound_and_bills_each_tree() {
+        // Three trees over a round-robin split of one point set (the last
+        // one empty), searched as one forest for the exact 1-NN.
+        let pts = points(900, 5, 17);
+        let parts: Vec<Vec<Vec<f64>>> = (0..2)
+            .map(|s| pts.iter().skip(s).step_by(2).cloned().collect())
+            .collect();
+        let trees: Vec<Tree> = parts
+            .iter()
+            .map(|p| build(SplitPolicy::XTree, p))
+            .chain(std::iter::once(Tree::new(
+                TreeConfig::xtree(5).with_point_leaves(true),
+            )))
+            .collect();
+        let forest: Vec<&Tree> = trees.iter().collect();
+        let mut scratch = BestFirstScratch::new();
+        for q in points(30, 5, 18) {
+            for t in &trees {
+                t.reset_stats();
+            }
+            let mut best: Option<(usize, f64)> = None;
+            let mut visited = 0usize;
+            let stats = Tree::best_first_stream_with(&forest, &q, &mut scratch, |t, id, row| {
+                visited += 1;
+                assert_eq!(row, &parts[t][id as usize][..], "row of tree {t}");
+                let global = id as usize * 2 + t;
+                let d2 = dist_sq(&q, row);
+                if best.is_none_or(|(g, b)| (d2, global) < (b, g)) {
+                    best = Some((global, d2));
+                }
+                best.map_or(f64::INFINITY, |(_, b)| b)
+            });
+            let scan = (0..pts.len())
+                .min_by(|&a, &b| dist_sq(&q, &pts[a]).total_cmp(&dist_sq(&q, &pts[b])))
+                .unwrap();
+            assert_eq!(best.unwrap().0, scan);
+            assert!(visited < pts.len(), "one bound prunes the whole forest");
+            let per: Vec<TraversalStats> = scratch.per_tree().collect();
+            assert_eq!(per.len(), 3);
+            assert_eq!(
+                per[2],
+                TraversalStats::default(),
+                "an empty tree is never read"
+            );
+            assert_eq!(
+                stats.items as usize, visited,
+                "every streamed item is counted"
+            );
+            assert_eq!(per.iter().map(|s| s.pages).sum::<u64>(), stats.pages);
+            assert_eq!(
+                per.iter().map(|s| s.nodes_pruned).sum::<u64>(),
+                stats.nodes_pruned
+            );
+            for (t, s) in trees.iter().zip(&per) {
+                assert_eq!(
+                    t.stats().page_reads,
+                    s.pages,
+                    "each tree bills its own pages"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1889,12 +2016,11 @@ mod tests {
         let mut pages = 0;
         for q in points(20, 4, 16) {
             let mut best = f64::INFINITY;
-            pages += t
-                .best_first_stream_with(&q, &mut scratch, |_, row| {
-                    best = best.min(dist_sq(&q, row));
-                    best
-                })
-                .pages;
+            pages += Tree::best_first_stream_with(&[&t], &q, &mut scratch, |_, _, row| {
+                best = best.min(dist_sq(&q, row));
+                best
+            })
+            .pages;
             pages += t.sphere_query_with(&q, 0.1, &mut stack, &mut out);
         }
         let s = t.stats();

@@ -335,17 +335,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Renders an `f64` in a JSON-compatible way. Rust's `{}` for floats is
-/// already shortest-round-trip; integers get no trailing `.0`, matching
-/// what the parser produced them from.
-pub fn num(n: f64) -> String {
+/// Appends an `f64` to `out` in a JSON-compatible way. Rust's `{}` for
+/// floats is already shortest-round-trip; integers get no trailing `.0`,
+/// matching what the parser produced them from.
+pub(crate) fn push_num(out: &mut String, n: f64) {
     if n.is_finite() {
-        format!("{n}")
+        let _ = write!(out, "{n}");
     } else {
         // NaN/inf are unrepresentable in JSON; the protocol never emits
         // them (distances from finite points are finite), but render
         // null rather than producing invalid output.
-        String::from("null")
+        out.push_str("null");
     }
 }
 

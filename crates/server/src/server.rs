@@ -32,6 +32,7 @@
 //! starts at its first byte.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -807,19 +808,27 @@ fn body_json(body: &[u8]) -> Result<Json, Reply> {
     json::parse(text).map_err(|_| error_reply(400, "(body)", "body_not_json"))
 }
 
+/// The `/query` response body: the ranked results, then the stats.
 fn render_response(resp: &QueryResponse) -> String {
-    let mut out = String::from("{\"results\":[");
+    let mut out = String::with_capacity(160 + 48 * resp.len());
+    render_response_into(&mut out, resp);
+    out
+}
+
+/// Appends [`render_response`]'s body to `out`, writing every number in
+/// place (no intermediate `String` per result).
+fn render_response_into(out: &mut String, resp: &QueryResponse) {
+    out.push_str("{\"results\":[");
     for (i, r) in resp.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"id\":{},\"dist\":{}}}",
-            r.id,
-            json::num(r.dist)
-        ));
+        let _ = write!(out, "{{\"id\":{},\"dist\":", r.id);
+        json::push_num(out, r.dist);
+        out.push('}');
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "],\"stats\":{{\"candidates\":{},\"pages\":{},\"fallback\":{},\
          \"nodes_pruned\":{},\"examined\":{},\"aborted_early\":{}}}}}",
         resp.stats.candidates,
@@ -828,8 +837,7 @@ fn render_response(resp: &QueryResponse) -> String {
         resp.stats.nodes_pruned,
         resp.stats.candidates_examined,
         resp.stats.candidates_aborted_early
-    ));
-    out
+    );
 }
 
 fn query_error_reply(route: &'static str, e: QueryError) -> Reply {
@@ -894,7 +902,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8], deadline: Instant) -> Reply {
             out.push(',');
         }
         match r {
-            Ok(resp) => out.push_str(&render_response(resp)),
+            Ok(resp) => render_response_into(&mut out, resp),
             Err(e) => {
                 out.push_str(&format!("{{\"error\":\"{}\"}}", json::escape(&e.to_string())));
             }
@@ -1000,4 +1008,101 @@ pub fn install_signal_handlers() {
 /// their own loop around [`Server::run`]).
 pub fn signal_received() -> bool {
     SIGNAL_FLAG.load(Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nncell_core::{QueryResult, QueryStats};
+
+    /// The body as it was rendered before numbers were written in place:
+    /// one `format!` and one number string per result.
+    fn reference_render(resp: &QueryResponse) -> String {
+        let num = |n: f64| {
+            if n.is_finite() {
+                format!("{n}")
+            } else {
+                String::from("null")
+            }
+        };
+        let mut out = String::from("{\"results\":[");
+        for (i, r) in resp.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("{{\"id\":{},\"dist\":{}}}", r.id, num(r.dist)));
+        }
+        out.push_str(&format!(
+            "],\"stats\":{{\"candidates\":{},\"pages\":{},\"fallback\":{},\
+             \"nodes_pruned\":{},\"examined\":{},\"aborted_early\":{}}}}}",
+            resp.stats.candidates,
+            resp.stats.pages,
+            resp.stats.fallback,
+            resp.stats.nodes_pruned,
+            resp.stats.candidates_examined,
+            resp.stats.candidates_aborted_early
+        ));
+        out
+    }
+
+    #[test]
+    fn response_bytes_are_unchanged() {
+        let mut stats = QueryStats::default();
+        stats.candidates = 12;
+        stats.pages = 7;
+        stats.nodes_pruned = 5;
+        stats.candidates_examined = 20;
+        stats.candidates_aborted_early = 8;
+        let at = |id: usize, dist: f64| QueryResult { id, dist };
+        let resp = QueryResponse {
+            best: at(3, 0.5),
+            rest: vec![
+                at(17, 1.0 / 3.0),
+                at(8, 2.0),
+                at(4, 1e-4),
+                at(9, f64::INFINITY),
+                at(11, f64::NAN),
+            ],
+            stats,
+        };
+        let body = render_response(&resp);
+        assert_eq!(
+            body,
+            "{\"results\":[{\"id\":3,\"dist\":0.5},{\"id\":17,\"dist\":0.3333333333333333},\
+             {\"id\":8,\"dist\":2},{\"id\":4,\"dist\":0.0001},{\"id\":9,\"dist\":null},\
+             {\"id\":11,\"dist\":null}],\"stats\":{\"candidates\":12,\"pages\":7,\
+             \"fallback\":false,\"nodes_pruned\":5,\"examined\":20,\"aborted_early\":8}}"
+        );
+        assert_eq!(body, reference_render(&resp));
+        let single = QueryResponse {
+            best: at(0, 0.123_456_789_012_345_67),
+            rest: Vec::new(),
+            stats: QueryStats::default(),
+        };
+        assert_eq!(render_response(&single), reference_render(&single));
+    }
+
+    #[test]
+    fn request_counters_reach_metrics() {
+        let registry = Registry::new();
+        let m = HttpMetrics::new(Arc::clone(&registry), 1);
+        m.count_request("/query", 200);
+        m.count_request("/query", 200);
+        m.count_request("(shed)", 429);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("nncell_http_requests_total{route=\"/query\",code=\"200\"}"),
+            Some(2)
+        );
+        let text = snap.to_prometheus();
+        for line in [
+            "nncell_http_requests_total{route=\"/query\",code=\"200\"} 2",
+            "nncell_http_requests_total{route=\"(shed)\",code=\"429\"} 1",
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "{line} missing from:\n{text}"
+            );
+        }
+    }
 }
