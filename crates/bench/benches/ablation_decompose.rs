@@ -23,7 +23,7 @@
 //! `NNCELL_QUERIES`, `NNCELL_PIECES_SWEEP`, `NNCELL_BENCH_OUT`); the
 //! JSON lands in `BENCH_ablation_decompose.json` for CI trend tracking.
 
-use nncell_bench::{as_queries, env_usize, print_table, timed};
+use nncell_bench::{as_queries, env_usize, print_table, provenance_json, timed};
 use nncell_core::{
     measured_candidates, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Strategy,
 };
@@ -124,9 +124,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \"sweep\": [\n{}\n  ],\n  \
+        "{{\n  {},\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \"sweep\": [\n{}\n  ],\n  \
          \"default\": \"no decomposition — build cost scales with pieces while \
          engine throughput does not benefit\"\n}}\n",
+        provenance_json(),
         entries.join(",\n")
     );
     std::fs::write(&out, json).expect("write bench json");

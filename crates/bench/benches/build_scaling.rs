@@ -41,7 +41,7 @@
 //! `NNCELL_EXHAUSTIVE_CAP`, `NNCELL_ALLPAIRS_NS` (default
 //! `1000,2000,4000`), `NNCELL_BENCH_OUT`.
 
-use nncell_bench::{env_usize, timed};
+use nncell_bench::{env_usize, provenance_json, timed};
 use nncell_core::{linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
@@ -208,7 +208,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"dim\": {d},\n  \"pool_k\": {k},\n  \"threads\": {threads},\n  \
+        "{{\n  {},\n  \"dim\": {d},\n  \"pool_k\": {k},\n  \"threads\": {threads},\n  \
          \"sizes\": [\n{}\n  ],\n  \
          \"allpairs_fit\": {{\"a\": {ap_a:.6e}, \"b\": {ap_b:.4}}},\n  \
          \"pooled_fit\": {{\"a\": {po_a:.6e}, \"b\": {po_b:.4}}},\n  \
@@ -217,6 +217,7 @@ fn main() {
          \"speedup_100k\": {speedup_100k:.2},\n  \
          \"exhaustive_measured_n\": {n_meas},\n  \
          \"speedup_vs_exhaustive\": {speedup_vs_exhaustive:.2}\n}}\n",
+        provenance_json(),
         rows.join(",\n")
     );
     std::fs::write(&out, json).expect("write bench json");

@@ -334,7 +334,7 @@ fn checkpoint_if_asked(p: &Parsed, index: ShardedIndex) -> Result<(), String> {
 /// Live points and point slots (live or tombstoned) across the shards.
 fn slot_counts(index: &ShardedIndex) -> (usize, usize) {
     let slots = (0..index.num_shards())
-        .map(|i| index.shard(i).points().len())
+        .map(|i| index.shard(i).rows().len())
         .sum();
     (index.len(), slots)
 }

@@ -16,6 +16,7 @@
 //!    replays no WAL records because the drain ended in a checkpoint.
 
 use nncell_core::{BuildConfig, Query, ShardedIndex, Strategy};
+use nncell_geom::Point;
 use nncell_server::Client;
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -295,7 +296,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
             shard.is_live(local),
             "acked insert id {id} lost by SIGKILL recovery"
         );
-        let got = shard.points()[local].as_slice();
+        let got = shard.rows().nth(local).expect("acked slot");
         assert_eq!(
             got, &coords[..],
             "acked insert id {id} recovered with different bits"
@@ -307,7 +308,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
     // compare answers bit-for-bit across a probe grid.
     let replay = ShardedIndex::new(DIM, SHARDS, cfg());
     let total: usize = (0..SHARDS)
-        .map(|i| recovered.shard(i).points().len())
+        .map(|i| recovered.shard(i).rows().len())
         .sum();
     for g in 0..total {
         let shard = recovered.shard(g % SHARDS);
@@ -316,7 +317,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
         // here (the storm never removes), so every slot is live.
         assert!(shard.is_live(local), "insert-only storm left a dead slot");
         let id = replay
-            .insert(shard.points()[local].clone())
+            .insert(Point::new(shard.rows().nth(local).expect("slot").to_vec()))
             .expect("in-memory replay insert");
         assert_eq!(id, g, "replay must assign the same global ids");
     }
@@ -399,7 +400,7 @@ fn sigterm_drains_checkpoints_and_leaves_zero_replay_debt() {
     assert_eq!(reopened.len(), expect.len());
     for (id, coords) in &expect {
         let shard = reopened.shard(id % SHARDS);
-        assert_eq!(shard.points()[id / SHARDS].as_slice(), &coords[..]);
+        assert_eq!(shard.rows().nth(id / SHARDS), Some(&coords[..]));
     }
     // And the points actually serve.
     let hit = reopened

@@ -64,8 +64,8 @@ impl CellApprox {
 /// Counters describing one construction.
 ///
 /// [`NnCellIndex::build_stats`] fills only `seconds`, `skipped_points` and
-/// `profile.bulk_load` (the point-tree STR load); its LP, candidate and
-/// refresh fields read 0 because the index runs no LP.
+/// `profile.bulk_load` (the point-tree STR load of a build or a load); its
+/// LP, candidate and refresh fields read 0 because the index runs no LP.
 /// [`NnCells::build_stats`] fills the rest, accumulated over the cells'
 /// build and every later insert, remove and repair.
 #[derive(Clone, Copy, Debug, Default)]
@@ -243,11 +243,11 @@ impl<M: Metric> NnCells<M> {
         let mut this = Self {
             vlp: VoronoiLp::new(index.metric().clone(), index.space().clone(), cfg.solver)
                 .with_budget(cfg.lp_budget),
-            cells: vec![CellApprox::default(); index.points().len()],
+            cells: vec![CellApprox::default(); index.rows().len()],
             tree: XTree::with_config(tree_cfg.clone()),
             stats: BuildStats::default(),
         };
-        let live: Vec<usize> = (0..index.points().len())
+        let live: Vec<usize> = (0..index.rows().len())
             .filter(|&id| index.is_live(id))
             .collect();
         let threads = cfg.threads.clamp(1, live.len().max(1));
@@ -380,7 +380,7 @@ impl<M: Metric> NnCells<M> {
             Vec::new()
         };
         if candidates.is_empty() {
-            candidates = (0..index.points().len())
+            candidates = (0..index.rows().len())
                 .filter(|&id| index.is_live(id))
                 .collect();
         }
@@ -419,7 +419,7 @@ impl<M: Metric> NnCells<M> {
         let d = index.dim();
         let space = index.space();
         let mut report = IntegrityReport::default();
-        for (id, p) in index.points().iter().enumerate() {
+        for (id, p) in index.rows().enumerate() {
             if !index.is_live(id) {
                 continue;
             }
@@ -480,7 +480,7 @@ impl<M: Metric> NnCells<M> {
         // The cells that must shrink are those the new point's bisectors
         // cut; all of them lie within twice the new point's NN distance
         // sphere (conservative, and refinement is a quality matter only).
-        let q = &index.points()[id];
+        let q = index.flat_point(id);
         let Some(nn) = index
             .point_tree()
             .knn_best_first(q, 2)
@@ -506,11 +506,11 @@ impl<M: Metric> NnCells<M> {
         // approximation cannot change under a re-solve: the polytope is
         // inside the box, so the new constraint is inactive over all of it.
         for pid in affected {
-            let owner = index.points()[pid].as_slice();
+            let owner = index.flat_point(pid);
             let cut = self.cells[pid]
                 .pieces
                 .iter()
-                .any(|m| bisector_cuts_mbr(index.metric(), q.as_slice(), owner, m));
+                .any(|m| bisector_cuts_mbr(index.metric(), q, owner, m));
             if cut {
                 self.stats.insert_refreshes += 1;
                 self.refresh_cell(index, pid);
@@ -594,9 +594,8 @@ impl<M: Metric> NnCells<M> {
     /// [`BuildStats::pool_fallback_cells`].
     fn compute_cell_pieces(&self, index: &NnCellIndex<M>, id: usize) -> CellComputation {
         let cfg = index.config();
-        let points = index.points();
         let tree = index.point_tree();
-        let p = &points[id];
+        let p = index.flat_point(id);
         let d = index.dim();
         let seed = cfg.seed ^ ((id as u64).wrapping_mul(0x9e3779b97f4a7c15));
         let mut stats = CellLpStats::default();
@@ -615,7 +614,7 @@ impl<M: Metric> NnCells<M> {
                     .collect();
                 let cons = self
                     .vlp
-                    .bisectors(p, rivals.iter().map(|&j| points[j].as_slice()));
+                    .bisectors(p, rivals.iter().map(|&j| index.flat_point(j)));
                 let n_cands = cons.len();
                 timings.constraint_ns = elapsed_nanos(phase_start);
 
@@ -645,7 +644,7 @@ impl<M: Metric> NnCells<M> {
             let near = nearest_rivals(p, id, tree, 4 * d);
             let near_cons = self
                 .vlp
-                .bisectors(p, near.iter().map(|&j| points[j].as_slice()));
+                .bisectors(p, near.iter().map(|&j| index.flat_point(j)));
             // A data point is strictly inside its own cell, so the LPs are
             // feasible; a numerically contradictory outcome falls back to
             // the warm-started solve (still a superset).
@@ -678,12 +677,19 @@ impl<M: Metric> NnCells<M> {
             rivals.dedup();
             let all = self
                 .vlp
-                .bisectors(p, rivals.iter().map(|&j| points[j].as_slice()));
+                .bisectors(p, rivals.iter().map(|&j| index.flat_point(j)));
             VoronoiLp::<M>::prune_constraints(all, &rough.mbr)
         } else {
-            let rivals = gather_rival_ids(cfg, id, points, index.alive(), tree, index.len());
+            let rivals = gather_rival_ids(
+                cfg,
+                id,
+                index.points_flat(),
+                index.alive(),
+                tree,
+                index.len(),
+            );
             self.vlp
-                .bisectors(p, rivals.iter().map(|&j| points[j].as_slice()))
+                .bisectors(p, rivals.iter().map(|&j| index.flat_point(j)))
         };
         let n_cands = cons.len();
         timings.constraint_ns += elapsed_nanos(phase_start);
@@ -802,7 +808,7 @@ mod tests {
             let got = cells.nn(idx, q).expect("non-empty");
             let want = linear_scan_nn(live, q).unwrap();
             assert_eq!(got.dist.to_bits(), want.dist.to_bits(), "q={q:?}");
-            assert_eq!(idx.points()[got.id], live[want.id], "q={q:?}");
+            assert_eq!(idx.flat_point(got.id), live[want.id].as_slice(), "q={q:?}");
         }
     }
 

@@ -15,12 +15,12 @@
 //!   number of worker threads. Workers *steal work* at chunk granularity
 //!   from a shared atomic cursor, so an expensive straggler query cannot
 //!   idle the rest of the pool.
-//! * Each worker carries one [`QueryScratch`] — candidate id buffer,
-//!   ranked-distance buffer, tree traversal stack — reused across every
-//!   query it executes. Once warm, the per-query path performs **zero heap
-//!   allocations** for `k = 1` (and exactly one — the `rest` vector of the
-//!   response — for `k > 1`); this is property-checked by a counting
-//!   allocator in `crates/core/tests/alloc_free.rs`.
+//! * Each worker carries one [`QueryScratch`] — the radius gather's hit
+//!   buffer and stack, the ranked k-best buffer, the best-first queue —
+//!   reused across every query it executes. Once warm, the per-query path
+//!   performs **zero heap allocations** for `k = 1` (and exactly one — the
+//!   `rest` vector of the response — for `k > 1`); this is property-checked
+//!   by a counting allocator in `crates/core/tests/alloc_free.rs`.
 //!
 //! Nearest-neighbor kernels (see `DESIGN.md` §17): a **MINDIST-ordered
 //! best-first traversal** of the point X-tree — of every shard's point
@@ -44,12 +44,12 @@
 //! relative slop so floating-point differences between MBR MINDIST
 //! accumulation and the kernel can never skip a true answer.
 //!
-//! All exact-scan fallbacks (`k ≥ len`, degenerate candidate search) are
-//! funneled through one helper here, which both sets
-//! [`QueryStats::fallback`] on the response and bumps the index-wide
-//! [`NnCellIndex::fallback_queries`] counter of every index it scanned. A
-//! query with a non-empty memtable tail never falls back: its traversal is
-//! complete whenever fewer than k live points exist.
+//! The one exact-scan fallback (`k ≥` the live count) goes through one
+//! helper here, which both sets [`QueryStats::fallback`] on the response
+//! and bumps the index-wide [`NnCellIndex::fallback_queries`] counter of
+//! every index it scanned. A query with a non-empty memtable tail never
+//! falls back: its traversal is complete whenever fewer than k live points
+//! exist.
 
 use crate::index::{NnCellIndex, QueryResult};
 use crate::memtable::TailSnapshot;
@@ -156,16 +156,12 @@ impl<'a, M: Metric> Forest<'a, M> {
 /// (or, inside [`crate::ShardedIndex`], over the forest of its shards).
 ///
 /// ```
-/// use nncell_core::{BuildConfig, NnCellIndex, Query, QueryEngine, Strategy};
+/// use nncell_core::{BuildConfig, NnCellIndex, Query, QueryEngine};
 /// use nncell_geom::Point;
 /// let pts = (0..50)
 ///     .map(|i| Point::new(vec![(i as f64 + 0.5) / 50.0, ((i * 7 % 50) as f64 + 0.5) / 50.0]))
 ///     .collect();
-/// let index = NnCellIndex::build(
-///     pts,
-///     BuildConfig::builder().strategy(Strategy::Sphere).build(),
-/// )
-/// .unwrap();
+/// let index = NnCellIndex::build(pts, BuildConfig::default()).unwrap();
 /// let engine = QueryEngine::new(&index);
 /// let responses = engine.batch(&[Query::nn([0.2, 0.3]), Query::knn([0.8, 0.1], 5)]);
 /// let nn = responses[0].as_ref().unwrap();

@@ -7,7 +7,7 @@ use crate::metrics::{EngineMetrics, IndexMetrics};
 use nncell_geom::{DataSpace, Euclidean, Mbr, Metric, Point};
 use nncell_index::{IoStats, TreeConfig, TreeMetrics, XTree};
 use nncell_obs::Registry;
-use std::collections::HashSet;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,18 +85,22 @@ impl std::error::Error for BuildError {}
 /// The point index over a (weighted) Euclidean metric: the stored points,
 /// their liveness, and a point X-tree.
 ///
+/// The points live in one row-major buffer (`n × d`, removed slots
+/// included), indexed by id: the only copy the index owns besides each
+/// live point's row in its point-tree leaf. [`Self::rows`] reads it.
+///
 /// Queries ([`Self::engine`] + [`crate::Query`]) run a MINDIST-ordered
 /// best-first search over the point tree and are exact — bit-identical to
-/// a linear scan. Build is an STR bulk load, insert and remove are
-/// point-tree updates; no LP runs. The paper's NN-cells are a separate,
-/// on-demand structure ([`crate::NnCells`]) built from an index.
+/// a linear scan. Build and load are one STR bulk load of the live points;
+/// insert and remove are point-tree updates; no LP runs. The paper's
+/// NN-cells are a separate, on-demand structure ([`crate::NnCells`]) built
+/// from an index.
 pub struct NnCellIndex<M: Metric = Euclidean> {
     cfg: BuildConfig,
-    points: Vec<Point>,
-    /// Row-major copy of `points` (`n × d`), kept in sync by every mutation.
-    /// The radius kernel, the scan fallbacks and the NN-cell queries read
-    /// this layout instead of chasing one `Box<[f64]>` per point; the k-NN
-    /// kernel reads each point's copy in its point-tree leaf row.
+    /// Row-major coordinates of every slot (`n × d`), indexed by id and
+    /// kept in sync by every mutation. The radius kernel, the scan
+    /// fallbacks, the NN-cells and `save` read this layout; the k-NN kernel
+    /// reads each live point's copy in its point-tree leaf row.
     points_flat: Vec<f64>,
     alive: Vec<bool>,
     live_count: usize,
@@ -135,7 +139,6 @@ impl<M: Metric> NnCellIndex<M> {
         let point_tree = XTree::with_config(point_tree_config(dim, &cfg));
         Self {
             cfg,
-            points: Vec::new(),
             points_flat: Vec::new(),
             alive: Vec::new(),
             live_count: 0,
@@ -166,24 +169,47 @@ impl<M: Metric> NnCellIndex<M> {
         };
         let dim = first.dim();
         let start = Instant::now();
-        let (accepted, skipped) = validate_build_inputs(points, dim, cfg.input_policy)?;
-        let mut idx = Self::new_with_metric(dim, cfg, metric);
+        let (rows, skipped) = validate_build_inputs(points, dim, cfg.input_policy)?;
+        let alive = vec![true; rows.len() / dim];
+        let mut idx = Self::from_rows(dim, cfg, metric, rows, alive);
         idx.build_stats.skipped_points = skipped;
-        let load_start = Instant::now();
-        let items: Vec<(Mbr, u64)> = accepted
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (Mbr::from_point(p.as_slice()), i as u64))
-            .collect();
-        idx.point_tree = XTree::bulk_load(point_tree_config(dim, &idx.cfg), items, STR_FILL);
-        idx.build_stats
-            .profile
-            .bulk_load
-            .add(elapsed_nanos(load_start));
-        let alive = vec![true; accepted.len()];
-        idx.install_points(accepted, alive);
         idx.build_stats.seconds = start.elapsed().as_secs_f64();
         Ok(idx)
+    }
+
+    /// The one constructor behind build, the sharded build and load:
+    /// takes already-validated row-major coordinates (`rows`, one row of
+    /// `dim` per slot of `alive`) and STR bulk-loads the live ids into the
+    /// point tree at [`STR_FILL`]. The bulk load is timed into
+    /// [`BuildStats::profile`] when there is a live point to load.
+    pub(crate) fn from_rows(
+        dim: usize,
+        cfg: BuildConfig,
+        metric: M,
+        rows: Vec<f64>,
+        alive: Vec<bool>,
+    ) -> Self {
+        debug_assert_eq!(rows.len(), alive.len() * dim);
+        let mut idx = Self::new_with_metric(dim, cfg, metric);
+        let load_start = Instant::now();
+        let items: Vec<(Mbr, u64)> = rows
+            .chunks_exact(dim)
+            .zip(&alive)
+            .enumerate()
+            .filter(|(_, (_, live))| **live)
+            .map(|(id, (row, _))| (Mbr::from_point(row), id as u64))
+            .collect();
+        idx.live_count = items.len();
+        if !items.is_empty() {
+            idx.point_tree = XTree::bulk_load(point_tree_config(dim, &idx.cfg), items, STR_FILL);
+            idx.build_stats
+                .profile
+                .bulk_load
+                .add(elapsed_nanos(load_start));
+        }
+        idx.points_flat = rows;
+        idx.alive = alive;
+        idx
     }
 
     // ------------------------------------------------------------------
@@ -210,9 +236,11 @@ impl<M: Metric> NnCellIndex<M> {
         &self.cfg
     }
 
-    /// All stored points (including removed slots; check [`Self::is_live`]).
-    pub fn points(&self) -> &[Point] {
-        &self.points
+    /// The stored points as `d`-coordinate rows indexed by id, removed
+    /// slots included (check [`Self::is_live`]); `rows().len()` is the slot
+    /// count.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.points_flat.chunks_exact(self.dim())
     }
 
     /// Whether point `id` is live.
@@ -327,6 +355,11 @@ impl<M: Metric> NnCellIndex<M> {
         &self.space
     }
 
+    /// The flat point layout: row-major, one row of `d` per slot.
+    pub(crate) fn points_flat(&self) -> &[f64] {
+        &self.points_flat
+    }
+
     /// Row `id` of the flat point layout.
     #[inline]
     pub(crate) fn flat_point(&self, id: usize) -> &[f64] {
@@ -348,10 +381,9 @@ impl<M: Metric> NnCellIndex<M> {
     /// skip to).
     pub fn insert(&mut self, p: Point) -> Result<usize, BuildError> {
         self.validate_insert(&p)?;
-        let id = self.points.len();
+        let id = self.alive.len();
         self.point_tree.insert_point(&p, id as u64);
         self.points_flat.extend_from_slice(p.as_slice());
-        self.points.push(p);
         self.alive.push(true);
         self.live_count += 1;
         self.refresh_gauges();
@@ -366,7 +398,7 @@ impl<M: Metric> NnCellIndex<M> {
     /// # Errors
     /// The same [`BuildError`] variants `insert` would return.
     pub fn validate_insert(&self, p: &Point) -> Result<(), BuildError> {
-        let id = self.points.len();
+        let id = self.alive.len();
         validate_point(p, id, self.dim(), &self.space)?;
         if let Some(of) = self.find_live_duplicate(p) {
             return Err(BuildError::DuplicatePoint { id, of });
@@ -389,7 +421,7 @@ impl<M: Metric> NnCellIndex<M> {
             .into_iter()
             .find(|n| self.alive[n.id as usize])?;
         let of = nn.id as usize;
-        (self.points[of].as_slice() == p.as_slice()).then_some(of)
+        (self.flat_point(of) == p.as_slice()).then_some(of)
     }
 
     /// Removes point `id`: marks it dead and deletes it from the point
@@ -400,35 +432,11 @@ impl<M: Metric> NnCellIndex<M> {
         }
         self.alive[id] = false;
         self.live_count -= 1;
-        let removed = self
-            .point_tree
-            .delete(&Mbr::from_point(&self.points[id]), id as u64);
+        let mbr = Mbr::from_point(self.flat_point(id));
+        let removed = self.point_tree.delete(&mbr, id as u64);
         debug_assert!(removed, "point tree out of sync");
         self.refresh_gauges();
         true
-    }
-
-    // ------------------------------------------------------------------
-    // internals
-    // ------------------------------------------------------------------
-
-    /// Loader plumbing: registers a persisted point in the point tree.
-    pub(crate) fn point_tree_insert(&mut self, p: &Point, id: usize) {
-        self.point_tree.insert_point(p, id as u64);
-    }
-
-    /// Installs the point storage (build and load); the point tree must
-    /// already hold exactly the live ids.
-    pub(crate) fn install_points(&mut self, points: Vec<Point>, alive: Vec<bool>) {
-        debug_assert_eq!(points.len(), alive.len());
-        self.live_count = alive.iter().filter(|a| **a).count();
-        self.points_flat.clear();
-        self.points_flat.reserve(points.len() * self.dim());
-        for p in &points {
-            self.points_flat.extend_from_slice(p.as_slice());
-        }
-        self.points = points;
-        self.alive = alive;
     }
 }
 
@@ -441,7 +449,6 @@ impl<M: Metric> Clone for NnCellIndex<M> {
     fn clone(&self) -> Self {
         Self {
             cfg: self.cfg.clone(),
-            points: self.points.clone(),
             points_flat: self.points_flat.clone(),
             alive: self.alive.clone(),
             live_count: self.live_count,
@@ -468,44 +475,39 @@ fn point_tree_config(dim: usize, cfg: &BuildConfig) -> TreeConfig {
 /// Input validation shared by the unsharded and sharded builds: NaN/∞,
 /// dimensionality, data-space membership, bit-exact duplicates. Under
 /// [`InputPolicy::Skip`] offenders are dropped and counted; ids are assigned
-/// to the survivors in input order. Returns `(accepted, skipped)`.
+/// to the survivors in input order. Returns the survivors' coordinates as
+/// row-major rows of `dim` and the skipped count.
 pub(crate) fn validate_build_inputs(
     points: Vec<Point>,
     dim: usize,
     policy: InputPolicy,
-) -> Result<(Vec<Point>, usize), BuildError> {
+) -> Result<(Vec<f64>, usize), BuildError> {
     let space = DataSpace::unit(dim);
-    let mut accepted: Vec<Point> = Vec::with_capacity(points.len());
-    let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(points.len());
-    let mut first_seen: Vec<usize> = Vec::with_capacity(points.len());
+    let mut rows: Vec<f64> = Vec::with_capacity(points.len() * dim);
+    // Coordinate bits of every accepted point → its input id, so a
+    // duplicate names its first copy in O(1).
+    let mut first: HashMap<Vec<u64>, usize> = HashMap::with_capacity(points.len());
     let mut skipped = 0usize;
     for (id, p) in points.into_iter().enumerate() {
         let verdict = validate_point(&p, id, dim, &space).and_then(|()| {
-            let bits: Vec<u64> = p.as_slice().iter().map(|c| c.to_bits()).collect();
-            if seen.insert(bits) {
-                Ok(())
-            } else {
-                let of = accepted
-                    .iter()
-                    .position(|q| q.as_slice() == p.as_slice())
-                    .map(|i| first_seen[i])
-                    .unwrap_or(id);
-                Err(BuildError::DuplicatePoint { id, of })
+            match first.entry(p.as_slice().iter().map(|c| c.to_bits()).collect()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                    Ok(())
+                }
+                Entry::Occupied(of) => Err(BuildError::DuplicatePoint { id, of: *of.get() }),
             }
         });
         match (verdict, policy) {
-            (Ok(()), _) => {
-                accepted.push(p);
-                first_seen.push(id);
-            }
+            (Ok(()), _) => rows.extend_from_slice(p.as_slice()),
             (Err(e), InputPolicy::Reject) => return Err(e),
             (Err(_), InputPolicy::Skip) => skipped += 1,
         }
     }
-    if accepted.is_empty() {
+    if rows.is_empty() {
         return Err(BuildError::EmptyDatabase);
     }
-    Ok((accepted, skipped))
+    Ok((rows, skipped))
 }
 
 /// Validates one input point (dimensionality, finiteness, data-space
@@ -726,7 +728,7 @@ mod tests {
             idx.insert(Point::new(vec![-0.1, 0.1])),
             Err(BuildError::OutOfDataSpace { .. })
         ));
-        let twin = idx.points()[4].clone();
+        let twin = Point::new(idx.rows().nth(4).unwrap().to_vec());
         assert!(matches!(
             idx.insert(twin),
             Err(BuildError::DuplicatePoint { of: 4, .. })
@@ -773,6 +775,23 @@ mod tests {
     }
 
     #[test]
+    fn a_triplicated_point_names_its_first_copy_and_skips_two() {
+        use crate::config::InputPolicy;
+        let mut pts = uniform(12, 3, 47);
+        let twin = pts[2].clone();
+        pts.insert(6, twin.clone());
+        pts.push(twin);
+        let cfg = |policy| BuildConfig::builder().input_policy(policy).build();
+        assert!(matches!(
+            NnCellIndex::build(pts.clone(), cfg(InputPolicy::Reject)),
+            Err(BuildError::DuplicatePoint { id: 6, of: 2 })
+        ));
+        let idx = NnCellIndex::build(pts, cfg(InputPolicy::Skip)).unwrap();
+        assert_eq!(idx.build_stats().skipped_points, 2);
+        assert_eq!(idx.len(), 12);
+    }
+
+    #[test]
     fn malformed_queries_return_empty_not_panic() {
         let pts = uniform(30, 2, 46);
         let idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
@@ -802,7 +821,7 @@ mod tests {
         for q in &qs {
             for k in [2usize, 5, 20, 99, 150] {
                 let got = knn(&idx, q, k);
-                let want = crate::scan::linear_scan_knn(idx.points(), q, k.min(idx.len()));
+                let want = crate::scan::linear_scan_knn(&pts, q, k.min(idx.len()));
                 assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(want.iter()) {
                     assert!((g.dist - w.dist).abs() < 1e-9, "k={k} q={q:?}");
@@ -912,7 +931,7 @@ mod tests {
                         let _ = idx.insert(coords(v));
                     }
                     9..=12 => {
-                        let slots = idx.points().len();
+                        let slots = idx.rows().len();
                         idx.remove((v[0] as usize * 7 + v[1] as usize) % slots);
                     }
                     13 => idx = idx.clone(),

@@ -1,8 +1,10 @@
 //! Index persistence.
 //!
-//! An index is its configuration, its points and their liveness; the point
-//! X-tree is rebuilt by insertion on load, which is cheap and
-//! deterministic.
+//! An index is its configuration, its points and their liveness; on load
+//! the coordinates decode straight into the index's flat row buffer and the
+//! live points are STR bulk-loaded into the point X-tree, exactly as a
+//! build does — so a freshly built index and its saved copy read the same
+//! pages.
 //!
 //! **Format `NNCELL02`** (current): an 8-byte magic, the payload, and a
 //! CRC32 (IEEE) trailer over everything before it. [`NnCellIndex::load`]
@@ -26,7 +28,7 @@ use crate::cells::MAX_PIECES;
 use crate::config::{BuildConfig, SolverKind, Strategy};
 use crate::index::NnCellIndex;
 use crate::vfs::{write_atomic, StdVfs, Vfs};
-use nncell_geom::Point;
+use nncell_geom::Euclidean;
 use std::io;
 use std::path::Path;
 
@@ -148,7 +150,7 @@ impl<'a> SliceReader<'a> {
     }
 }
 
-impl NnCellIndex<nncell_geom::Euclidean> {
+impl NnCellIndex<Euclidean> {
     /// Writes the index (configuration, points, liveness) to `path` in the
     /// checksummed `NNCELL02` format, with an empty piece list per point.
     ///
@@ -169,7 +171,7 @@ impl NnCellIndex<nncell_geom::Euclidean> {
     /// # Errors
     /// I/O failures only.
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), PersistError> {
-        let mut bytes = Vec::with_capacity(64 + self.points().len() * (self.dim() * 8 + 8));
+        let mut bytes = Vec::with_capacity(64 + self.rows().len() * (self.dim() * 8 + 8));
         bytes.extend_from_slice(MAGIC_V2);
         self.write_payload(&mut bytes);
         let crc = crc32(&bytes[..]);
@@ -192,15 +194,15 @@ impl NnCellIndex<nncell_geom::Euclidean> {
         put_u64(out, cfg.seed);
         put_u32(out, cfg.block_size as u32);
 
-        let points = self.points();
-        put_u64(out, points.len() as u64);
-        for (id, p) in points.iter().enumerate() {
+        let slots = self.rows().len();
+        put_u64(out, slots as u64);
+        for (id, row) in self.rows().enumerate() {
             out.push(self.is_live(id) as u8);
-            for &c in p.as_slice() {
+            for &c in row {
                 put_f64(out, c);
             }
         }
-        for _ in points {
+        for _ in 0..slots {
             put_u32(out, 0);
         }
     }
@@ -208,7 +210,8 @@ impl NnCellIndex<nncell_geom::Euclidean> {
     /// Reads an index previously written by [`Self::save`] (`NNCELL02`,
     /// checksum-verified) or by older releases (`NNCELL01`, structural
     /// validation only). Stored cell pieces are validated and dropped; the
-    /// live points are reinserted into a fresh point tree.
+    /// live points are STR bulk-loaded into a fresh point tree, as in
+    /// [`NnCellIndex::build`].
     ///
     /// # Errors
     /// I/O failures, a bad magic/version, a checksum mismatch, or
@@ -267,7 +270,7 @@ impl NnCellIndex<nncell_geom::Euclidean> {
 /// would assert.
 fn parse_payload(
     r: &mut SliceReader<'_>,
-) -> Result<NnCellIndex<nncell_geom::Euclidean>, PersistError> {
+) -> Result<NnCellIndex<Euclidean>, PersistError> {
     let dim = r.u32()? as usize;
     if dim == 0 || dim > 1 << 16 {
         return Err(corrupt(format!("implausible dimensionality {dim}")));
@@ -316,18 +319,16 @@ fn parse_payload(
         return Err(corrupt(format!("point count {n} exceeds the bytes present")));
     }
     let mut alive = Vec::with_capacity(n);
-    let mut points = Vec::with_capacity(n);
+    let mut rows = Vec::with_capacity(n * dim);
     for _ in 0..n {
         alive.push(r.u8()? != 0);
-        let mut coords = Vec::with_capacity(dim);
         for _ in 0..dim {
             let c = r.f64()?;
             if !c.is_finite() {
                 return Err(corrupt("non-finite coordinate"));
             }
-            coords.push(c);
+            rows.push(c);
         }
-        points.push(Point::new(coords));
     }
     // Piece lists of files that carry them: bounds-checked like every
     // other field, then dropped.
@@ -350,14 +351,7 @@ fn parse_payload(
         }
     }
 
-    let mut idx = NnCellIndex::new(dim, cfg);
-    for (id, p) in points.iter().enumerate() {
-        if alive[id] {
-            idx.point_tree_insert(p, id);
-        }
-    }
-    idx.install_points(points, alive);
-    Ok(idx)
+    Ok(NnCellIndex::from_rows(dim, cfg, Euclidean, rows, alive))
 }
 
 fn strategy_tag(s: Strategy) -> u8 {
@@ -419,6 +413,7 @@ mod tests {
     use super::*;
     use crate::engine::QueryEngine;
     use crate::query::Query;
+    use nncell_geom::Point;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -496,7 +491,7 @@ mod tests {
         assert_eq!(loaded.dim(), idx.dim());
         assert_eq!(loaded.config().strategy, Strategy::Sphere);
         assert_eq!(loaded.config().decompose_pieces, Some(4));
-        assert_eq!(loaded.points(), idx.points());
+        assert!(loaded.rows().eq(idx.rows()));
         assert!(!loaded.is_live(5));
         let mut rng = SmallRng::seed_from_u64(9);
         for _ in 0..40 {
@@ -520,7 +515,7 @@ mod tests {
         for v2 in [true, false] {
             std::fs::write(&path, with_pieces(&saved, 30, &cells, v2)).unwrap();
             let loaded = NnCellIndex::load(&path).unwrap();
-            assert_eq!(loaded.points(), idx.points());
+            assert!(loaded.rows().eq(idx.rows()));
             assert_eq!(loaded.len(), idx.len());
         }
         // The legacy format has no checksum, so structural checks on the

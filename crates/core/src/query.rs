@@ -159,8 +159,7 @@ pub struct QueryStats {
     /// any LRU cache; 0 for a scan fallback, which reads no index pages).
     pub pages: u64,
     /// Whether the answer came from the exact linear-scan fallback
-    /// (`k ≥ len`, a numerically degenerate candidate search). All
-    /// fallback paths are counted here — and nowhere else.
+    /// (`k ≥` the live count).
     pub fallback: bool,
     /// Live unindexed memtable-tail points this answer scanned (0 whenever
     /// the tail was empty). Tail points are also counted in

@@ -264,11 +264,11 @@ impl ShardedIndex {
     // construction
     // ------------------------------------------------------------------
 
-    /// Builds a sharded index over `points`: global input validation
+    /// Builds a sharded index over `points`: one global input validation
     /// (identical to [`NnCellIndex::build`], including
     /// [`crate::InputPolicy`] handling and error ids), round-robin
-    /// partitioning, then one [`NnCellIndex::build`] per shard — each
-    /// running in its own thread.
+    /// partitioning of the validated rows, then one STR bulk load per
+    /// shard — each running in its own thread.
     ///
     /// # Errors
     /// The same [`BuildError`] contract as the unsharded build, with ids
@@ -280,25 +280,22 @@ impl ShardedIndex {
         };
         let dim = first.dim();
         let start = Instant::now();
-        let (accepted, skipped) = validate_build_inputs(points, dim, cfg.input_policy)?;
-        let next_global = accepted.len();
-        let mut parts: Vec<Vec<Point>> = (0..shards)
-            .map(|_| Vec::with_capacity(accepted.len() / shards + 1))
+        let (rows, skipped) = validate_build_inputs(points, dim, cfg.input_policy)?;
+        let next_global = rows.len() / dim;
+        let mut parts: Vec<Vec<f64>> = (0..shards)
+            .map(|_| Vec::with_capacity((next_global / shards + 1) * dim))
             .collect();
-        for (g, p) in accepted.into_iter().enumerate() {
-            parts[g % shards].push(p);
+        for (g, row) in rows.chunks_exact(dim).enumerate() {
+            parts[g % shards].extend_from_slice(row);
         }
-        let built: Vec<Result<NnCellIndex<Euclidean>, BuildError>> = std::thread::scope(|s| {
+        let indexes: Vec<NnCellIndex<Euclidean>> = std::thread::scope(|s| {
             let handles: Vec<_> = parts
                 .into_iter()
                 .map(|part| {
                     let cfg = cfg.clone();
                     s.spawn(move || {
-                        if part.is_empty() {
-                            Ok(NnCellIndex::new(dim, cfg))
-                        } else {
-                            NnCellIndex::build(part, cfg)
-                        }
+                        let alive = vec![true; part.len() / dim];
+                        NnCellIndex::from_rows(dim, cfg, Euclidean, part, alive)
                     })
                 })
                 .collect();
@@ -307,7 +304,6 @@ impl ShardedIndex {
                 .map(|h| h.join().expect("shard build worker panicked"))
                 .collect()
         });
-        let indexes = built.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(Self::assemble(
             dim,
             cfg,
@@ -363,7 +359,7 @@ impl ShardedIndex {
         logs: Vec<ShardLog>,
     ) -> Result<Self, PersistError> {
         let (dim, cfg) = check_shard_agreement(&indexes)?;
-        let next_global = indexes.iter().map(|idx| idx.points().len()).sum();
+        let next_global = indexes.iter().map(|idx| idx.rows().len()).sum();
         Ok(Self::assemble(dim, cfg, indexes, logs, next_global, 0.0, 0))
     }
 

@@ -6,27 +6,27 @@
 //! superset approximation, so every strategy preserves exact query answers.
 
 use crate::config::{BuildConfig, Strategy};
-use nncell_geom::Point;
 use nncell_index::XTree;
 
 /// Collects the rival point ids whose bisectors constrain the cell of point
 /// `id` under the configured strategy.
 ///
+/// `rows` is the row-major point layout, one row per slot of `alive`;
 /// `tree` is the data-point X-tree (ids are point indices); dead points are
 /// absent from it. `live_count` sizes the Sphere radius heuristic.
 pub(crate) fn gather_rival_ids(
     cfg: &BuildConfig,
     id: usize,
-    points: &[Point],
+    rows: &[f64],
     alive: &[bool],
     tree: &XTree,
     live_count: usize,
 ) -> Vec<usize> {
-    let p = &points[id];
-    let d = p.dim();
+    let d = rows.len() / alive.len();
+    let p = &rows[id * d..(id + 1) * d];
     let mut ids: Vec<usize> = match cfg.strategy {
         Strategy::Correct | Strategy::CorrectPruned => {
-            (0..points.len()).filter(|&j| j != id && alive[j]).collect()
+            (0..alive.len()).filter(|&j| j != id && alive[j]).collect()
         }
         Strategy::Point => tree
             .page_point_query(p)
@@ -40,7 +40,7 @@ pub(crate) fn gather_rival_ids(
                 .map(|x| x as usize)
                 .collect()
         }
-        Strategy::NnDirection => nn_direction_candidates(p, id, points, tree),
+        Strategy::NnDirection => nn_direction_candidates(p, id, rows, tree),
     };
     ids.sort_unstable();
     ids.dedup();
@@ -51,8 +51,8 @@ pub(crate) fn gather_rival_ids(
 /// The `4·d` NN-Direction candidates: per axis direction the nearest point
 /// in that halfspace, plus (from the `8·d` nearest neighbors) the point with
 /// the smallest angular deviation from that axis direction.
-fn nn_direction_candidates(p: &Point, id: usize, points: &[Point], tree: &XTree) -> Vec<usize> {
-    let d = p.dim();
+fn nn_direction_candidates(p: &[f64], id: usize, rows: &[f64], tree: &XTree) -> Vec<usize> {
+    let d = p.len();
     let mut out = Vec::with_capacity(4 * d);
     for dim in 0..d {
         for positive in [true, false] {
@@ -73,7 +73,7 @@ fn nn_direction_candidates(p: &Point, id: usize, points: &[Point], tree: &XTree)
                 if j == id {
                     continue;
                 }
-                let q = &points[j];
+                let q = &rows[j * d..(j + 1) * d];
                 let len = nncell_geom::dist(p, q);
                 if len <= 0.0 {
                     continue;
@@ -92,7 +92,7 @@ fn nn_direction_candidates(p: &Point, id: usize, points: &[Point], tree: &XTree)
 }
 
 /// The `4·d + 1` nearest rivals, used to seed the CorrectPruned rough MBR.
-pub(crate) fn nearest_rivals(p: &Point, id: usize, tree: &XTree, k: usize) -> Vec<usize> {
+pub(crate) fn nearest_rivals(p: &[f64], id: usize, tree: &XTree, k: usize) -> Vec<usize> {
     tree.knn_best_first(p, k + 1)
         .into_iter()
         .map(|n| n.id as usize)
@@ -108,17 +108,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn setup(n: usize, d: usize, seed: u64) -> (Vec<Point>, Vec<bool>, XTree) {
+    /// `n` uniform points in `d` dimensions as row-major rows, all live,
+    /// in an insert-built point tree.
+    fn setup(n: usize, d: usize, seed: u64) -> (Vec<f64>, Vec<bool>, XTree) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let points: Vec<Point> = (0..n)
-            .map(|_| Point::new((0..d).map(|_| rng.gen_range(0.0..1.0)).collect::<Vec<_>>()))
-            .collect();
+        let rows: Vec<f64> = (0..n * d).map(|_| rng.gen_range(0.0..1.0)).collect();
         let mut tree = XTree::for_points(d);
-        for (i, p) in points.iter().enumerate() {
+        for (i, p) in rows.chunks_exact(d).enumerate() {
             tree.insert_point(p, i as u64);
         }
         let alive = vec![true; n];
-        (points, alive, tree)
+        (rows, alive, tree)
     }
 
     #[test]
@@ -177,19 +177,17 @@ mod tests {
             4 * d
         );
         // Every axis direction with a point on that side is represented.
-        let p = &points[42];
+        let row = |j: usize| &points[j * d..(j + 1) * d];
+        let p = row(42);
         for dim in 0..d {
             for sign in [1.0f64, -1.0] {
                 let side_exists = points
-                    .iter()
+                    .chunks_exact(d)
                     .enumerate()
                     .any(|(j, q)| j != 42 && sign * (q[dim] - p[dim]) > 0.0);
                 if side_exists {
                     assert!(
-                        ids.iter().any(|&j| {
-                            let q = &points[j];
-                            sign * (q[dim] - p[dim]) > 0.0
-                        }),
+                        ids.iter().any(|&j| sign * (row(j)[dim] - p[dim]) > 0.0),
                         "no candidate on side ({dim}, {sign})"
                     );
                 }
@@ -200,11 +198,12 @@ mod tests {
     #[test]
     fn nearest_rivals_excludes_self_and_is_sorted_by_distance() {
         let (points, _, tree) = setup(100, 3, 6);
-        let ids = nearest_rivals(&points[10], 10, &tree, 12);
+        let row = |j: usize| &points[j * 3..(j + 1) * 3];
+        let ids = nearest_rivals(row(10), 10, &tree, 12);
         assert_eq!(ids.len(), 12);
         assert!(!ids.contains(&10));
-        let d0 = nncell_geom::dist(&points[10], &points[ids[0]]);
-        let dl = nncell_geom::dist(&points[10], &points[ids[11]]);
+        let d0 = nncell_geom::dist(row(10), row(ids[0]));
+        let dl = nncell_geom::dist(row(10), row(ids[11]));
         assert!(d0 <= dl);
     }
 }

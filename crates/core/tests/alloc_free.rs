@@ -13,7 +13,9 @@
 //!
 //! A third pins the fold's copy count by bytes: folding a one-record
 //! batch allocates less than 1.5 clones of the shard's index, because
-//! the published snapshot is the shard's only copy.
+//! the published snapshot is the shard's only copy. A fourth pins the
+//! clone itself by count: the coordinates are one flat buffer, so cloning
+//! a shard allocates per tree page, not per point.
 //!
 //! The counter is gated by a thread-local flag, so only the thread that
 //! opened the gate counts: the surrounding test harness, index
@@ -284,3 +286,30 @@ fn a_fold_clones_the_shard_once() {
     );
 }
 
+
+#[test]
+fn a_shard_clone_makes_no_per_point_allocation() {
+    // The shard of `a_fold_clones_the_shard_once`: n = 4000, d = 8.
+    const N: u64 = 4000;
+    let point = |i: usize| {
+        Point::new(
+            (0..8)
+                .map(|j| ((i * (2 * j + 1) * 7919 + j) % 4001) as f64 / 4001.0)
+                .collect::<Vec<_>>(),
+        )
+    };
+    let idx = ShardedIndex::build(
+        (0..N as usize).map(point).collect(),
+        1,
+        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+    )
+    .unwrap();
+    let shard = idx.shard(0);
+    let allocs = count_allocs(|| {
+        std::hint::black_box(shard.as_ref().clone());
+    });
+    assert!(
+        allocs < N / 4,
+        "cloning a {N}-point shard made {allocs} allocations: a per-point copy is back"
+    );
+}

@@ -106,8 +106,10 @@ fn main() {
     // update. Folding writes nothing: the journal alone carries them.
     durable.flush().expect("fold");
     let shard = durable.shard(0);
-    let expected: Vec<(usize, Option<Point>)> = (0..shard.points().len())
-        .map(|i| (i, shard.is_live(i).then(|| shard.points()[i].clone())))
+    let expected: Vec<(usize, Option<Vec<f64>>)> = shard
+        .rows()
+        .enumerate()
+        .map(|(i, row)| (i, shard.is_live(i).then(|| row.to_vec())))
         .collect();
     let expected_answers: Vec<Option<usize>> = queries
         .iter()
@@ -132,7 +134,7 @@ fn main() {
     for (i, slot) in &expected {
         match slot {
             Some(p) => assert!(
-                shard.is_live(*i) && shard.points()[*i].as_slice() == p.as_slice(),
+                shard.is_live(*i) && shard.rows().nth(*i) == Some(&p[..]),
                 "point #{i} lost in the crash"
             ),
             None => assert!(!shard.is_live(*i), "removed point #{i} resurrected"),

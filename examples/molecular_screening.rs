@@ -15,7 +15,7 @@
 
 use nncell::core::{BuildConfig, NnCellIndex, Query, Strategy};
 use nncell::data::{ClusteredGenerator, Generator};
-use nncell::geom::{Metric, Point, WeightedEuclidean};
+use nncell::geom::{Metric, WeightedEuclidean};
 
 fn main() {
     let dim = 6;
@@ -80,9 +80,10 @@ fn main() {
         index.len()
     );
     let probe: Vec<f64> = probes[0].clone().into_vec();
-    let survivors: Vec<(usize, &Point)> = (0..index.points().len())
-        .filter(|&i| index.is_live(i))
-        .map(|i| (i, &index.points()[i]))
+    let survivors: Vec<(usize, &[f64])> = index
+        .rows()
+        .enumerate()
+        .filter(|&(i, _)| index.is_live(i))
         .collect();
     let hit = index
         .engine()

@@ -154,12 +154,13 @@ fn run_sharded_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op], shards: usize
 fn sharded_live_slots(idx: &ShardedIndex) -> Vec<Option<Point>> {
     let shards = idx.num_shards();
     let handles: Vec<_> = (0..shards).map(|i| idx.shard(i)).collect();
-    let total: usize = handles.iter().map(|h| h.points().len()).sum();
+    let total: usize = handles.iter().map(|h| h.rows().len()).sum();
     (0..total)
         .map(|g| {
             let h = &handles[g % shards];
             let local = g / shards;
-            h.is_live(local).then(|| h.points()[local].clone())
+            let row = h.rows().nth(local).expect("slot below the total");
+            h.is_live(local).then(|| Point::new(row.to_vec()))
         })
         .collect()
 }
