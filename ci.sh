@@ -84,12 +84,15 @@ NNCELL_N="${NNCELL_SERVER_N:-4000}" NNCELL_DIM="${NNCELL_SERVER_DIM:-8}" \
     NNCELL_SERVER_OVERLOAD_MS="${NNCELL_SERVER_OVERLOAD_MS:-800}" \
     cargo bench -p nncell-bench --bench server
 
-echo "== repository benchmark smoke (perfbench knn_http + knn_inproc, 1 s each) =="
-# Runs the read workloads of the repository benchmark (BENCHMARK.json)
+echo "== repository benchmark smoke (perfbench knn_http + knn_inproc + ingest, 1 s each) =="
+# Runs every workload of the repository benchmark (BENCHMARK.json)
 # briefly and fails unless the result line reports every checked answer
-# correct and no failed operation. `--trace 0` prints the end-to-end
-# metrics only and writes nothing under perfbench/out/.
-for workload in knn_http knn_inproc; do
+# correct and no failed operation. `ingest` is the one workload that
+# inserts, so it also drives the insert's duplicate probe; its setup
+# builds 40 streams, so it takes 10–20 s rather than 1. `--trace 0`
+# prints the end-to-end metrics only and writes nothing under
+# perfbench/out/.
+for workload in knn_http knn_inproc ingest; do
     result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
     echo "$workload: $result"

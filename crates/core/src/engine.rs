@@ -15,12 +15,13 @@
 //!   number of worker threads. Workers *steal work* at chunk granularity
 //!   from a shared atomic cursor, so an expensive straggler query cannot
 //!   idle the rest of the pool.
-//! * Each worker carries one [`QueryScratch`] — the radius gather's hit
-//!   buffer and stack, the ranked k-best buffer, the best-first queue —
-//!   reused across every query it executes. Once warm, the per-query path
-//!   performs **zero heap allocations** for `k = 1` (and exactly one — the
-//!   `rest` vector of the response — for `k > 1`); this is property-checked
-//!   by a counting allocator in `crates/core/tests/alloc_free.rs`.
+//! * Each worker carries one [`QueryScratch`] — the ranked buffer (a
+//!   k-NN query's k-best, a radius query's hits), the best-first queue
+//!   and the per-shard counters — reused across every query it executes.
+//!   Once warm, the per-query path performs **zero heap allocations** for
+//!   `k = 1` (and exactly one — the `rest` vector of the response — for
+//!   `k > 1`); this is property-checked by a counting allocator in
+//!   `crates/core/tests/alloc_free.rs`.
 //!
 //! Nearest-neighbor kernels (see `DESIGN.md` §17): a **MINDIST-ordered
 //! best-first traversal** of the point X-tree — of every shard's point
@@ -32,10 +33,12 @@
 //! MINDIST exceeds it before the node is ever read. The loop has no
 //! data-dependent branch inside the kernel: a mispredicted early-exit
 //! check costs more than the lanes it would skip at these dimensionalities
-//! (DESIGN.md §17.3). The pruning work is reported per query in
-//! [`QueryStats`] (`nodes_pruned`, `candidates_examined`, and
-//! `candidates` / `candidates_aborted_early` for the evaluations within /
-//! beyond the bound).
+//! (DESIGN.md §17.3). A radius query runs the same traversal under the
+//! constant bound of its ball, so it reads exactly the pages that meet
+//! the ball. The pruning work is reported per query in [`QueryStats`]
+//! (`nodes_pruned`, `candidates_examined`, and `candidates` /
+//! `candidates_aborted_early` for the evaluations within / beyond the
+//! bound).
 //!
 //! Results are **bit-identical** regardless of thread count and shard
 //! count, and identical to a linear scan: every distance evaluation uses
@@ -55,7 +58,7 @@ use crate::index::{NnCellIndex, QueryResult};
 use crate::memtable::TailSnapshot;
 use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
 use nncell_geom::{Euclidean, Metric};
-use nncell_index::{BestFirstScratch, ItemId, PageId, Tree};
+use nncell_index::{BestFirstScratch, Tree};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -74,11 +77,8 @@ type BatchPart = (usize, Vec<Result<QueryResponse, QueryError>>);
 /// between threads (each [`QueryEngine::batch`] worker owns its own).
 #[derive(Default)]
 pub struct QueryScratch {
-    /// Raw point-tree hits of the radius kernel's sphere gather.
-    hits: Vec<ItemId>,
-    /// Tree traversal stack (radius kernel).
-    stack: Vec<PageId>,
-    /// Running k-best `(global id, dist)` buffer, ascending by `(dist, id)`.
+    /// `(global id, dist)` buffer: the running k-best of a k-NN query,
+    /// ascending by `(dist, id)`, or the hits of a radius query.
     ranked: Vec<QueryResult>,
     /// Priority-queue scratch of the MINDIST-ordered best-first traversal.
     bf: BestFirstScratch,
@@ -659,17 +659,22 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         })
     }
 
-    /// Exact radius query, riding the point trees: one sphere query per
-    /// shard collects every stored point whose Euclidean distance can be
-    /// within the ball, the exact metric filter keeps `dist ≤ r`, and each
-    /// hit is mapped to its global id. The shards' live tail inserts
-    /// inside the ball join them, tombstoned ids are skipped, and the
-    /// union is sorted by `(distance, global id)` once. No truncation — a
-    /// radius query returns everything the ball contains. Unlike the NN
-    /// kernel this needs no covering argument and no scan fallback — the
-    /// point trees hold every indexed live point directly, and a sphere
-    /// query is exact for *any* center, including centers outside the
+    /// Exact radius query: one best-first traversal of every shard's point
+    /// tree under a constant bound, the squared radius of the Euclidean
+    /// ball that holds the metric ball. That bound is the
+    /// `intersects_sphere` test, so the traversal reads exactly the pages
+    /// that meet the ball. Every streamed live leaf row is evaluated with
+    /// the exact kernel in place and kept when `dist ≤ r` and its id is
+    /// not tombstoned. The shards' live tail inserts inside the ball join
+    /// the hits, and the union is sorted by `(distance, global id)` and
+    /// deduplicated once. No truncation — a radius query returns
+    /// everything the ball contains. Unlike k-NN this needs no scan
+    /// fallback: the point trees hold every indexed live point, and the
+    /// traversal is exact for *any* center, including centers outside the
     /// data space.
+    ///
+    /// The configured budget (if any) is checked every 128 streamed items
+    /// and every 256 tail inserts.
     fn run_radius(
         &self,
         scratch: &mut QueryScratch,
@@ -684,69 +689,77 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         // (dist == r exactly) from being pruned by the tree's own
         // floating-point arithmetic.
         let tree_r = (r / w_min.sqrt()) * (1.0 + 1e-9) + 1e-12;
+        let tree_bound = tree_r * tree_r + nncell_geom::EPS;
         let abort_bound = radius_bound(r);
+        let shards = self.forest.shards();
+        let stride = self.stride;
         let QueryScratch {
-            hits,
-            stack,
+            ranked: hits,
+            bf,
             per_shard,
-            ..
         } = scratch;
-        let mut out: Vec<QueryResult> = Vec::new();
-        let mut seeded = 0usize;
-        for (s, st) in self.forest.shards().iter().zip(per_shard.iter_mut()) {
-            let global = |local: usize| local * self.stride + s.number;
-            let mut keep = |st: &mut QueryStats, id: usize, d2: f64| {
-                st.candidates_examined += 1;
-                if d2 > abort_bound {
-                    st.candidates_aborted_early += 1; // provably outside the ball
-                    return;
-                }
-                st.candidates += 1;
-                let dist = d2.sqrt();
-                if dist <= r {
-                    out.push(QueryResult { id, dist });
-                }
-            };
-            if !s.index.is_empty() {
-                st.pages = s
-                    .index
-                    .point_tree()
-                    .sphere_query_with(p, tree_r, stack, hits);
-                for &h in hits.iter() {
-                    // Point-tree items carry raw local point ids.
-                    let local = h as usize;
-                    if !s.alive[local] || s.tombstones.binary_search(&local).is_ok() {
-                        continue;
-                    }
-                    keep(
-                        st,
-                        global(local),
-                        metric.dist_sq(p, s.index.flat_point(local)),
-                    );
-                }
+        hits.clear();
+        // One evaluated point of shard `s`. A shard's examined count is its
+        // streamed items minus its dead ones (added after the walk) plus
+        // its tail inserts.
+        let mut keep = |s: &Shard<'a, M>, st: &mut QueryStats, local: usize, d2: f64| {
+            if d2 > abort_bound {
+                return; // provably outside the ball
             }
-            let Some(t) = s.tail else {
-                continue;
-            };
-            st.tail = t.inserts.len();
-            for (local, pt) in &t.inserts {
-                if seeded % 256 == 255 && out_of_budget(deadline) {
-                    return Err(QueryError::DeadlineExceeded);
-                }
-                seeded += 1;
-                keep(st, global(*local), metric.dist_sq(p, pt.as_slice()));
+            st.candidates += 1;
+            let dist = d2.sqrt();
+            if dist <= r && s.tombstones.binary_search(&local).is_err() {
+                let id = local * stride + s.number;
+                hits.push(QueryResult { id, dist });
             }
+        };
+        let mut visits = 0u32;
+        let mut deadline_hit = false;
+        Tree::best_first_stream_with(self.forest.trees(), p, bf, |t, item, coords| {
+            visits += 1;
+            if visits.is_multiple_of(128) && out_of_budget(deadline) {
+                deadline_hit = true;
+                return f64::NEG_INFINITY; // abort the whole traversal
+            }
+            let (s, st) = (&shards[t], &mut per_shard[t]);
+            let local = item as usize;
+            if s.alive[local] {
+                keep(s, st, local, metric.dist_sq(p, coords));
+            } else {
+                st.candidates_examined = st.candidates_examined.wrapping_sub(1);
+            }
+            tree_bound
+        });
+        if deadline_hit {
+            return Err(QueryError::DeadlineExceeded);
         }
-        out.sort_unstable_by(cmp_results);
+        let mut seeded = 0usize;
+        for ((s, st), ts) in shards.iter().zip(per_shard.iter_mut()).zip(bf.per_tree()) {
+            st.pages = ts.pages;
+            st.nodes_pruned = ts.nodes_pruned;
+            st.candidates_examined = st.candidates_examined.wrapping_add(ts.items as usize);
+            if let Some(t) = s.tail {
+                st.tail = t.inserts.len();
+                st.candidates_examined += t.inserts.len();
+                for (local, pt) in &t.inserts {
+                    if seeded % 256 == 255 && out_of_budget(deadline) {
+                        return Err(QueryError::DeadlineExceeded);
+                    }
+                    seeded += 1;
+                    keep(s, st, *local, metric.dist_sq(p, pt.as_slice()));
+                }
+            }
+            st.candidates_aborted_early = st.candidates_examined - st.candidates;
+        }
+        hits.sort_unstable_by(cmp_results);
         // A fold published between a tail view and its snapshot load puts
         // a point on both sides, with identical `(dist, id)`.
-        out.dedup_by(|a, b| a.id == b.id);
-        let mut it = out.into_iter();
-        match it.next() {
+        hits.dedup_by(|a, b| a.id == b.id);
+        match hits.split_first() {
             None => Err(QueryError::EmptyRadius),
-            Some(best) => Ok(QueryResponse {
-                best,
-                rest: it.collect(),
+            Some((best, rest)) => Ok(QueryResponse {
+                best: *best,
+                rest: rest.to_vec(),
                 stats: QueryStats::default(),
             }),
         }

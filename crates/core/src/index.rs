@@ -5,7 +5,7 @@ use crate::config::{BuildConfig, InputPolicy};
 use crate::engine::QueryEngine;
 use crate::metrics::{EngineMetrics, IndexMetrics};
 use nncell_geom::{DataSpace, Euclidean, Mbr, Metric, Point};
-use nncell_index::{IoStats, TreeConfig, TreeMetrics, XTree};
+use nncell_index::{BestFirstScratch, IoStats, Tree, TreeConfig, TreeMetrics, XTree};
 use nncell_obs::Registry;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
@@ -49,8 +49,9 @@ pub enum BuildError {
         /// Input position of the offending point.
         id: usize,
     },
-    /// A point is a bit-exact duplicate of an earlier point. Duplicates
-    /// share one Voronoi cell, making "the" nearest neighbor ambiguous and
+    /// A point equals an earlier point coordinate by coordinate (`==`, so
+    /// −0.0 and +0.0 are the same coordinate). Duplicates share one
+    /// Voronoi cell, making "the" nearest neighbor ambiguous and
     /// their bisector degenerate (zero normal).
     DuplicatePoint {
         /// Input position of the offending point.
@@ -376,7 +377,7 @@ impl<M: Metric> NnCellIndex<M> {
     /// # Errors
     /// Rejects invalid points with the matching [`BuildError`] variant —
     /// wrong dimensionality, NaN/∞ coordinates, outside the data space, or a
-    /// bit-exact duplicate of a live point (regardless of
+    /// duplicate of a live point (regardless of
     /// [`InputPolicy`]: an insert must return an id, so there is nothing to
     /// skip to).
     pub fn insert(&mut self, p: Point) -> Result<usize, BuildError> {
@@ -406,22 +407,25 @@ impl<M: Metric> NnCellIndex<M> {
         Ok(())
     }
 
-    /// The id of a live point bit-identical to `p`, if one exists. A
-    /// bit-identical point is at metric distance zero from its twin, so the
-    /// nearest live point suffices as the only candidate. Shared by
+    /// The id of a live point equal to `p` coordinate by coordinate (`==`,
+    /// so −0.0 equals +0.0), if one exists. The point tree holds only live
+    /// points, and only a page whose box contains `p` can hold its twin:
+    /// one best-first stream under bound 0 compares the rows of those
+    /// pages and stops at the first match. Shared by
     /// [`Self::validate_insert`] and the cross-shard duplicate check of
     /// [`crate::ShardedIndex`].
     pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
-        if self.live_count == 0 {
-            return None;
-        }
-        let nn = self
-            .point_tree
-            .knn_best_first(p, 1)
-            .into_iter()
-            .find(|n| self.alive[n.id as usize])?;
-        let of = nn.id as usize;
-        (self.flat_point(of) == p.as_slice()).then_some(of)
+        let (probe, mut twin) = (p.as_slice(), None);
+        let forest: [&Tree; 1] = [&self.point_tree];
+        let mut scratch = BestFirstScratch::new();
+        Tree::best_first_stream_with(&forest, probe, &mut scratch, |_, item, row| {
+            if row == probe {
+                twin = Some(item as usize);
+                return -1.0; // found: stop the walk
+            }
+            0.0
+        });
+        twin
     }
 
     /// Removes point `id`: marks it dead and deletes it from the point
@@ -473,7 +477,8 @@ fn point_tree_config(dim: usize, cfg: &BuildConfig) -> TreeConfig {
 }
 
 /// Input validation shared by the unsharded and sharded builds: NaN/∞,
-/// dimensionality, data-space membership, bit-exact duplicates. Under
+/// dimensionality, data-space membership, duplicates (by `==` on every
+/// coordinate, as [`NnCellIndex::insert`] checks them). Under
 /// [`InputPolicy::Skip`] offenders are dropped and counted; ids are assigned
 /// to the survivors in input order. Returns the survivors' coordinates as
 /// row-major rows of `dim` and the skipped count.
@@ -485,12 +490,18 @@ pub(crate) fn validate_build_inputs(
     let space = DataSpace::unit(dim);
     let mut rows: Vec<f64> = Vec::with_capacity(points.len() * dim);
     // Coordinate bits of every accepted point → its input id, so a
-    // duplicate names its first copy in O(1).
+    // duplicate names its first copy in O(1). −0.0 is keyed as +0.0, the
+    // one pair of distinct bit patterns that `==` equates (NaN is
+    // rejected before the lookup).
     let mut first: HashMap<Vec<u64>, usize> = HashMap::with_capacity(points.len());
     let mut skipped = 0usize;
     for (id, p) in points.into_iter().enumerate() {
         let verdict = validate_point(&p, id, dim, &space).and_then(|()| {
-            match first.entry(p.as_slice().iter().map(|c| c.to_bits()).collect()) {
+            let key = p
+                .as_slice()
+                .iter()
+                .map(|&c| if c == 0.0 { 0 } else { c.to_bits() });
+            match first.entry(key.collect()) {
                 Entry::Vacant(slot) => {
                     slot.insert(id);
                     Ok(())
@@ -717,6 +728,22 @@ mod tests {
         assert!(matches!(
             NnCellIndex::build(pts, cfg()),
             Err(BuildError::DuplicatePoint { id: 10, of: 3 })
+        ));
+        // −0.0 and +0.0 are one coordinate, for the build as for an insert.
+        let signed_zeros = || vec![Point::new(vec![0.0, 0.5]), Point::new(vec![-0.0, 0.5])];
+        assert!(matches!(
+            NnCellIndex::build(signed_zeros(), cfg()),
+            Err(BuildError::DuplicatePoint { id: 1, of: 0 })
+        ));
+        let skip = BuildConfig::builder()
+            .strategy(Strategy::Correct)
+            .input_policy(InputPolicy::Skip)
+            .build();
+        let mut zero = NnCellIndex::build(signed_zeros(), skip).unwrap();
+        assert_eq!((zero.len(), zero.build_stats().skipped_points), (1, 1));
+        assert!(matches!(
+            zero.insert(Point::new(vec![-0.0, 0.5])),
+            Err(BuildError::DuplicatePoint { of: 0, .. })
         ));
         // Dynamic insert rejects the same classes.
         let mut idx = NnCellIndex::build(uniform(10, 2, 43), cfg()).unwrap();

@@ -172,8 +172,9 @@ impl TailSnapshot {
             .is_ok()
     }
 
-    /// The slot of a live tail insert with exactly these coordinates
-    /// (bit-identical, mirroring the index's duplicate policy).
+    /// The slot of a live tail insert equal to `p` coordinate by
+    /// coordinate (`==`, so −0.0 equals +0.0), mirroring the index's
+    /// duplicate policy.
     pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
         self.inserts
             .iter()

@@ -170,11 +170,14 @@ pub struct QueryStats {
     /// Subtrees the MINDIST-ordered traversal pruned **before their node
     /// was ever read**: directory entries whose MINDIST exceeded the
     /// running best distance, plus queued pages discarded after the bound
-    /// shrank past them. 0 for scan fallbacks and plain sphere gathering.
+    /// shrank past them; for a radius query, the subtrees whose MBR
+    /// misses the query ball. 0 for scan fallbacks.
     pub nodes_pruned: u64,
     /// Live candidate points whose distance evaluation *started*: memtable
     /// tail inserts, then points streamed out of the traversal past the
-    /// index's liveness mask.
+    /// index's liveness mask. A radius query streams every entry of each
+    /// leaf page that meets its ball, so this counts those entries, inside
+    /// the ball or not.
     pub candidates_examined: usize,
     /// Evaluations whose exact distance lay **beyond** the running bound
     /// (see `candidates`), so the point was not offered: it provably

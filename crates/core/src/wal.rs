@@ -276,38 +276,7 @@ impl WalWriter {
     /// I/O (including injected fsync) failures. On error the writer
     /// poisons itself; see the type docs.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), PersistError> {
-        if self.poisoned {
-            return Err(PersistError::Corrupt(
-                "WAL writer poisoned by an earlier append failure; checkpoint to rotate".into(),
-            ));
-        }
-        // Covers frame + write + fsync; nests under the request span when
-        // the acking thread is inside a sampled trace.
-        let mut span = nncell_obs::trace::child("wal.append");
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        span.arg("bytes", frame.len() as u64);
-        let res = self
-            .file
-            .write_all(&frame)
-            .and_then(|()| self.file.sync());
-        match res {
-            Ok(()) => {
-                self.records += 1;
-                if let Some(m) = &self.metrics {
-                    m.appends.inc();
-                    m.fsyncs.inc();
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.poisoned = true;
-                Err(PersistError::Io(e))
-            }
-        }
+        self.journal("wal.append", std::slice::from_ref(rec))
     }
 
     /// Journals a batch of records with a **single** fsync covering all of
@@ -323,13 +292,20 @@ impl WalWriter {
         if recs.is_empty() {
             return Ok(());
         }
+        self.journal("wal.append_batch", recs)
+    }
+
+    /// Frames `recs`, writes the frames and fsyncs once, under a span
+    /// named `span` (it covers frame + write + fsync and nests under the
+    /// request span when the acking thread is inside a sampled trace).
+    /// A poisoned writer refuses; a failed write or fsync poisons it.
+    fn journal(&mut self, span: &'static str, recs: &[WalRecord]) -> Result<(), PersistError> {
         if self.poisoned {
             return Err(PersistError::Corrupt(
                 "WAL writer poisoned by an earlier append failure; checkpoint to rotate".into(),
             ));
         }
-        let mut span = nncell_obs::trace::child("wal.append_batch");
-        span.arg("records", recs.len() as u64);
+        let mut span = nncell_obs::trace::child(span);
         let mut frames = Vec::new();
         for rec in recs {
             let payload = rec.encode();
@@ -337,10 +313,9 @@ impl WalWriter {
             frames.extend_from_slice(&crc32(&payload).to_le_bytes());
             frames.extend_from_slice(&payload);
         }
-        let res = self
-            .file
-            .write_all(&frames)
-            .and_then(|()| self.file.sync());
+        span.arg("records", recs.len() as u64);
+        span.arg("bytes", frames.len() as u64);
+        let res = self.file.write_all(&frames).and_then(|()| self.file.sync());
         match res {
             Ok(()) => {
                 self.records += recs.len() as u64;

@@ -32,14 +32,16 @@ fn registry_counters_agree_with_engine_and_index() {
     // Attaching twice is a harmless no-op.
     index.attach_metrics(registry.clone());
 
-    // Mixed workload: in-space queries, a k-NN, an out-of-space fallback,
-    // and three malformed queries, the first on a cold scratch.
+    // Mixed workload: in-space queries, a k-NN, an out-of-space query
+    // (the traversal answers it; no fallback), a k ≥ len exact-scan
+    // fallback and three malformed queries, the first on a cold scratch.
     let queries = vec![
         Query::nn([f64::NAN, 0.5]),
         Query::nn([0.21, 0.34]),
         Query::nn([0.91, 0.13]),
         Query::knn(vec![0.4, 0.6], 5),
-        Query::nn([2.5, 2.5]), // out of space → exact-scan fallback
+        Query::nn([2.5, 2.5]),
+        Query::knn(vec![0.7, 0.2], 120), // k ≥ len → exact-scan fallback
         Query::nn([f64::NAN, 0.2]),
         Query::knn(vec![0.1, 0.2, 0.3], 2), // dim mismatch
     ];
@@ -53,6 +55,7 @@ fn registry_counters_agree_with_engine_and_index() {
     let ok: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
     let errors = results.iter().filter(|r| r.is_err()).count() as u64;
     let fallbacks = ok.iter().filter(|r| r.stats.fallback).count() as u64;
+    assert_eq!(fallbacks, 1, "only the k ≥ len query falls back");
     let total_candidates: u64 = ok.iter().map(|r| r.stats.candidates as u64).sum();
     let total_pages: u64 = ok.iter().map(|r| r.stats.pages).sum();
 

@@ -509,6 +509,37 @@ fn invalid_inserts_journal_nothing() {
     assert_eq!(sharded.insert(grid_point(3)).unwrap(), 3, "no id was consumed");
 }
 
+/// −0.0 and +0.0 are one coordinate for a sharded build, as for an
+/// insert: the build names the second copy a duplicate of the first,
+/// `Skip` keeps one copy, and inserting the other sign is rejected.
+#[test]
+fn a_signed_zero_twin_is_a_duplicate_for_the_sharded_build() {
+    use nncell_core::{BuildError, DurableError, InputPolicy};
+    let pts = || {
+        vec![
+            Point::new(vec![0.0, 0.5]),
+            Point::new(vec![0.25, 0.25]),
+            Point::new(vec![-0.0, 0.5]),
+        ]
+    };
+    let cfg = |policy| {
+        BuildConfig::builder()
+            .strategy(BuildStrategy::Sphere)
+            .input_policy(policy)
+            .build()
+    };
+    assert!(matches!(
+        ShardedIndex::build(pts(), 2, cfg(InputPolicy::Reject)),
+        Err(BuildError::DuplicatePoint { id: 2, of: 0 })
+    ));
+    let idx = ShardedIndex::build(pts(), 2, cfg(InputPolicy::Skip)).unwrap();
+    assert_eq!((idx.len(), idx.build_stats().skipped_points), (2, 1));
+    assert!(matches!(
+        idx.insert(Point::new(vec![-0.0, 0.5])),
+        Err(DurableError::Invalid(BuildError::DuplicatePoint { id: 2, of: 0 }))
+    ));
+}
+
 #[test]
 fn queries_run_concurrently_with_inserts() {
     use std::sync::atomic::{AtomicBool, Ordering};

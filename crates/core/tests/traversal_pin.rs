@@ -75,3 +75,31 @@ fn knn_traversal_counts_match_the_recorded_constants() {
         "one-forest (pages, nodes_pruned, candidates_examined) over 300 k=10 queries"
     );
 }
+
+/// The radius kernel reads exactly the pages whose MBR meets the query
+/// ball: the summed pages of 300 radius-0.5 queries on the sharded index
+/// must equal the constant recorded while the kernel gathered through a
+/// per-shard sphere query, and so must the number of points returned.
+#[test]
+fn radius_kernel_pages_match_the_recorded_constant() {
+    const DIM: usize = 8;
+    let points = UniformGenerator::new(DIM).generate(4000, 17);
+    let idx = ShardedIndex::build(points, 2, BuildConfig::default()).unwrap();
+    let queries = UniformGenerator::new(DIM).generate(300, 18);
+    let (mut pages, mut hits) = (0u64, 0usize);
+    for q in &queries {
+        match idx.query(&Query::radius(q.as_slice(), 0.5)) {
+            Ok(r) => {
+                let s = checked(r.stats);
+                pages += s.pages;
+                hits += r.len();
+            }
+            Err(e) => panic!("radius query at {q:?}: {e}"),
+        }
+    }
+    assert_eq!(
+        (pages, hits),
+        (21_840, 6230),
+        "(pages, points returned) over 300 radius-0.5 queries"
+    );
+}

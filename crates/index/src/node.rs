@@ -317,12 +317,6 @@ impl Node {
         self.payloads[i]
     }
 
-    /// Item ids of a leaf, in entry order.
-    pub(crate) fn items(&self) -> &[ItemId] {
-        debug_assert!(self.is_leaf(), "directory entries treated as leaf entries");
-        &self.payloads
-    }
-
     /// Child page of directory entry `i`.
     #[inline]
     pub(crate) fn child(&self, i: usize) -> PageId {
@@ -530,7 +524,7 @@ mod tests {
         assert_eq!(n.bounds().len(), 9);
         assert_eq!(n.rect(1).lo, n.rect(1).hi);
         n.swap_remove(0);
-        assert_eq!(n.items(), &[2, 1]);
+        assert_eq!((n.item(0), n.item(1)), (2, 1));
         assert_eq!(n.rect(0).lo, &[0.7, 0.8, 0.9]);
         assert_eq!(
             n.item_index(1, BoxRef::of(&Mbr::from_point(&[0.4, 0.5, 0.6]))),

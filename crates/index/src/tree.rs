@@ -15,18 +15,21 @@
 //! one row-major bounds array and one payload array per node, and a point
 //! leaf keeps each point's coordinates once, in leaf order.
 //!
-//! Cost accounting has two regimes. The paper's traversals (point, window,
-//! sphere and page queries, [`Tree::knn_best_first`],
-//! [`Tree::nn_branch_bound`], [`Tree::approx_knn`], the halfspace NN and
-//! [`Tree::point_query_with`]) bill every node touch to the `CostTracker`
-//! as it happens — a supernode costs its page span, and the optional LRU
-//! page cache turns re-touches into hits — and every distance/heap
-//! operation as a CPU op, so benches can report the same two cost axes as
-//! the paper's figures 9 / 12. The two serving traversals,
-//! [`Tree::best_first_stream_with`] and [`Tree::sphere_query_with`], count
-//! pages and CPU ops in locals and bill each tree's tracker once per
-//! traversal, without consulting the cache, so concurrent queries do not
-//! contend on the tracker's shared counters.
+//! Five walkers read a tree. One region walk answers every box query (the
+//! point, window, sphere and page queries and [`Tree::point_query_with`]);
+//! [`Tree::knn_best_first`] / [`Tree::approx_knn`], [`Tree::nn_branch_bound`]
+//! and the halfspace NN are the paper's NN searches; and
+//! [`Tree::best_first_stream_with`] is the one serving traversal, behind
+//! every k-NN, radius and duplicate probe of the serving index.
+//!
+//! Cost accounting has two regimes. The paper's walkers bill every node
+//! touch to the `CostTracker` as it happens — a supernode costs its page
+//! span, and the optional LRU page cache turns re-touches into hits — and
+//! every distance/heap operation as a CPU op, so benches can report the
+//! same two cost axes as the paper's figures 9 / 12. The serving
+//! traversal counts pages and CPU ops in locals and bills each tree's
+//! tracker once per traversal, without consulting the cache, so concurrent
+//! queries do not contend on the tracker's shared counters.
 
 use crate::config::{SplitPolicy, TreeConfig};
 use crate::cost::{CostTracker, IoStats};
@@ -240,9 +243,8 @@ impl Tree {
 
     /// Enables a simulated LRU page cache of `pages` pages (0 disables).
     /// The paper grants every structure "the same amount of cache"; benches
-    /// use this to level the I/O comparison. The serving traversals
-    /// ([`Self::best_first_stream_with`], [`Self::sphere_query_with`]) do
-    /// not consult it.
+    /// use this to level the I/O comparison. The serving traversal
+    /// ([`Self::best_first_stream_with`]) does not consult it.
     pub fn enable_cache(&self, pages: usize) {
         self.cost.set_cache(pages);
     }
@@ -811,23 +813,8 @@ impl Tree {
     /// All items whose MBR contains the query point.
     pub fn point_query(&self, q: &[f64]) -> Vec<ItemId> {
         let mut out = Vec::new();
-        self.point_query_rec(self.root, q, &mut out);
+        self.point_query_with(q, &mut Vec::new(), &mut out);
         out
-    }
-
-    fn point_query_rec(&self, id: PageId, q: &[f64], out: &mut Vec<ItemId>) {
-        self.touch(id);
-        let n = self.node(id);
-        self.cost.cpu(n.len() as u64);
-        for i in 0..n.len() {
-            if n.rect(i).contains_point(q) {
-                if n.is_leaf() {
-                    out.push(n.item(i));
-                } else {
-                    self.point_query_rec(n.child(i), q, out);
-                }
-            }
-        }
     }
 
     /// [`Self::point_query`] with caller-provided buffers: the traversal
@@ -835,14 +822,65 @@ impl Tree {
     /// caller pays **zero heap allocations** per query. Returns the number
     /// of simulated pages touched (supernodes count their span) — the
     /// per-query page cost, independent of the shared counters.
-    ///
-    /// Item order differs from [`Self::point_query`] (explicit stack vs.
-    /// recursion); callers that need a canonical order must sort.
     pub fn point_query_with(
         &self,
         q: &[f64],
         stack: &mut Vec<PageId>,
         out: &mut Vec<ItemId>,
+    ) -> u64 {
+        let contains = |b: BoxRef<'_>| b.contains_point(q);
+        self.region_walk(stack, out, contains, contains)
+    }
+
+    /// All items whose MBR intersects the query window.
+    pub fn window_query(&self, window: &Mbr) -> Vec<ItemId> {
+        let meets = |b: BoxRef<'_>| b.intersects(BoxRef::of(window));
+        self.region_items(meets, meets)
+    }
+
+    /// All items whose MBR intersects the sphere `(center, radius)`.
+    pub fn sphere_query(&self, center: &[f64], radius: f64) -> Vec<ItemId> {
+        let meets = |b: BoxRef<'_>| b.intersects_sphere(center, radius);
+        self.region_items(meets, meets)
+    }
+
+    /// All items stored in leaf *pages* whose region contains `q` — the
+    /// paper's **Point** candidate strategy ("all points of which the
+    /// rectangle in the index contains the point").
+    pub fn page_point_query(&self, q: &[f64]) -> Vec<ItemId> {
+        self.region_items(|b| b.contains_point(q), |_| true)
+    }
+
+    /// All items stored in leaf pages whose region intersects the sphere —
+    /// the paper's **Sphere** candidate strategy.
+    pub fn page_sphere_query(&self, center: &[f64], radius: f64) -> Vec<ItemId> {
+        self.region_items(|b| b.intersects_sphere(center, radius), |_| true)
+    }
+
+    /// [`Self::region_walk`] into fresh buffers.
+    fn region_items(
+        &self,
+        descend: impl Fn(BoxRef<'_>) -> bool,
+        keep: impl Fn(BoxRef<'_>) -> bool,
+    ) -> Vec<ItemId> {
+        let mut out = Vec::new();
+        self.region_walk(&mut Vec::new(), &mut out, descend, keep);
+        out
+    }
+
+    /// The one region walk behind every box query: a depth-first descent
+    /// into each child whose box passes `descend`, returning (in `out`,
+    /// cleared first) each leaf item whose box passes `keep`. Children are
+    /// pushed in reverse so they pop in entry order: nodes are visited,
+    /// billed (`touch`, one CPU op per entry) and their items returned in
+    /// exactly the order of a recursive preorder walk, which is what the
+    /// LRU cache's hit counts depend on. Returns the pages touched.
+    fn region_walk(
+        &self,
+        stack: &mut Vec<PageId>,
+        out: &mut Vec<ItemId>,
+        descend: impl Fn(BoxRef<'_>) -> bool,
+        keep: impl Fn(BoxRef<'_>) -> bool,
     ) -> u64 {
         stack.clear();
         out.clear();
@@ -853,131 +891,14 @@ impl Tree {
             let n = self.node(id);
             pages += n.span as u64;
             self.cost.cpu(n.len() as u64);
-            for i in 0..n.len() {
-                if n.rect(i).contains_point(q) {
-                    if n.is_leaf() {
-                        out.push(n.item(i));
-                    } else {
-                        stack.push(n.child(i));
-                    }
-                }
+            if n.is_leaf() {
+                out.extend((0..n.len()).filter(|&i| keep(n.rect(i))).map(|i| n.item(i)));
+            } else {
+                let children = (0..n.len()).rev().filter(|&i| descend(n.rect(i)));
+                stack.extend(children.map(|i| n.child(i)));
             }
         }
         pages
-    }
-
-    /// [`Self::sphere_query`] with caller-provided buffers; see
-    /// [`Self::point_query_with`] for the buffer contract. A serving
-    /// traversal: it counts pages and CPU ops in locals and bills the cost
-    /// tracker once at the end, without consulting the page cache.
-    pub fn sphere_query_with(
-        &self,
-        center: &[f64],
-        radius: f64,
-        stack: &mut Vec<PageId>,
-        out: &mut Vec<ItemId>,
-    ) -> u64 {
-        stack.clear();
-        out.clear();
-        stack.push(self.root);
-        let mut pages = 0u64;
-        let mut ops = 0u64;
-        while let Some(id) = stack.pop() {
-            let n = self.node(id);
-            pages += n.span as u64;
-            ops += n.len() as u64;
-            for i in 0..n.len() {
-                if n.rect(i).intersects_sphere(center, radius) {
-                    if n.is_leaf() {
-                        out.push(n.item(i));
-                    } else {
-                        stack.push(n.child(i));
-                    }
-                }
-            }
-        }
-        self.cost.read(pages);
-        self.cost.cpu(ops);
-        pages
-    }
-
-    /// All items whose MBR intersects the query window.
-    pub fn window_query(&self, window: &Mbr) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        self.window_query_rec(self.root, BoxRef::of(window), &mut out);
-        out
-    }
-
-    fn window_query_rec(&self, id: PageId, w: BoxRef<'_>, out: &mut Vec<ItemId>) {
-        self.touch(id);
-        let n = self.node(id);
-        self.cost.cpu(n.len() as u64);
-        for i in 0..n.len() {
-            if n.rect(i).intersects(w) {
-                if n.is_leaf() {
-                    out.push(n.item(i));
-                } else {
-                    self.window_query_rec(n.child(i), w, out);
-                }
-            }
-        }
-    }
-
-    /// All items whose MBR intersects the sphere `(center, radius)`.
-    pub fn sphere_query(&self, center: &[f64], radius: f64) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        self.sphere_query_rec(self.root, center, radius, &mut out);
-        out
-    }
-
-    fn sphere_query_rec(&self, id: PageId, c: &[f64], r: f64, out: &mut Vec<ItemId>) {
-        self.touch(id);
-        let n = self.node(id);
-        self.cost.cpu(n.len() as u64);
-        for i in 0..n.len() {
-            if n.rect(i).intersects_sphere(c, r) {
-                if n.is_leaf() {
-                    out.push(n.item(i));
-                } else {
-                    self.sphere_query_rec(n.child(i), c, r, out);
-                }
-            }
-        }
-    }
-
-    /// All items stored in leaf *pages* whose region contains `q` — the
-    /// paper's **Point** candidate strategy ("all points of which the
-    /// rectangle in the index contains the point").
-    pub fn page_point_query(&self, q: &[f64]) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        self.page_query_rec(self.root, &mut out, &|b: BoxRef<'_>| b.contains_point(q));
-        out
-    }
-
-    /// All items stored in leaf pages whose region intersects the sphere —
-    /// the paper's **Sphere** candidate strategy.
-    pub fn page_sphere_query(&self, center: &[f64], radius: f64) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        self.page_query_rec(self.root, &mut out, &|b: BoxRef<'_>| {
-            b.intersects_sphere(center, radius)
-        });
-        out
-    }
-
-    fn page_query_rec(&self, id: PageId, out: &mut Vec<ItemId>, pred: &dyn Fn(BoxRef<'_>) -> bool) {
-        self.touch(id);
-        let n = self.node(id);
-        self.cost.cpu(n.len() as u64);
-        if n.is_leaf() {
-            // The page region qualified; return everything stored in it.
-            out.extend_from_slice(n.items());
-            return;
-        }
-        for i in 0..n.len() {
-            if pred(n.rect(i)) {
-                self.page_query_rec(n.child(i), out, pred);
-            }
-        }
     }
 
     /// Nearest item restricted to the open axis halfspace
@@ -1048,10 +969,12 @@ impl Tree {
 
     /// MINDIST-ordered best-first traversal of a **forest** of trees that
     /// streams leaf items to the caller while the caller shrinks one
-    /// pruning bound shared by every tree — the candidate-gathering
-    /// replacement for [`Self::point_query_with`] /
-    /// [`Self::sphere_query_with`] on nearest-neighbor paths (see
-    /// `DESIGN.md` §17). A single tree is the forest of one
+    /// pruning bound shared by every tree — the serving index's one read
+    /// path (see `DESIGN.md` §17). A k-NN query shrinks the bound to its
+    /// running k-th best; a radius query holds it at its ball's squared
+    /// radius, which reads exactly the pages that meet the ball; a
+    /// duplicate probe holds it at 0, which reads only the pages whose box
+    /// contains the probe. A single tree is the forest of one
     /// (`Tree::best_first_stream_with(&[&tree], …)`); a sharded index
     /// passes every shard's tree, so each shard is pruned by the global
     /// running bound rather than by its own (`DESIGN.md` §12.1).
@@ -2011,7 +1934,6 @@ mod tests {
         // into a hit; the serving traversals must not consult it.
         t.enable_cache(t.total_pages() as usize + 8);
         let mut scratch = BestFirstScratch::new();
-        let (mut stack, mut out) = (Vec::new(), Vec::new());
         t.reset_stats();
         let mut pages = 0;
         for q in points(20, 4, 16) {
@@ -2021,7 +1943,8 @@ mod tests {
                 best
             })
             .pages;
-            pages += t.sphere_query_with(&q, 0.1, &mut stack, &mut out);
+            // A constant bound: the radius kernel's ball of radius 0.1.
+            pages += Tree::best_first_stream_with(&[&t], &q, &mut scratch, |_, _, _| 0.01).pages;
         }
         let s = t.stats();
         assert_eq!(s.page_reads, pages, "one read per page, billed once");

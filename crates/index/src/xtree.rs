@@ -191,13 +191,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "point query mismatch at {q:?}");
             assert!(pages >= 1, "at least the root is touched");
-
-            let mut a = t.sphere_query(&q, 0.2);
-            t.sphere_query_with(&q, 0.2, &mut stack, &mut out);
-            let mut b = out.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "sphere query mismatch at {q:?}");
         }
     }
 }
