@@ -189,6 +189,49 @@ else
     echo "candidate gate: no committed BENCH_query_engine.json baseline; skipping"
 fi
 
+echo "== high-dimension evaluation-count gate (d=16/32 mean_examined vs committed baseline) =="
+# BENCH_query_engine.json also measures the paper's regime: the same
+# points at d = 16 and d = 32 (its `high_d` rows, one per line, after the
+# main row, so the parsers above still read the main row's fields). The
+# tree prunes little there, so the points a query evaluates are the work:
+# for each high_d row of the fresh file, mean_examined may exceed the
+# committed row of the same d by at most 10%. The count does not depend
+# on the host. Skipped for a d the committed file has no row for.
+if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
+    extract_high_d() {
+        grep -o '"dim": *[0-9]*, *"seq_qps": *[0-9.]*, *"mean_examined": *[0-9.]*' |
+            sed -E 's/"dim": *([0-9]+), *"seq_qps": *[0-9.]+, *"mean_examined": *([0-9.]+)/\1,\2/'
+    }
+    # `|| true`: a file without high_d rows yields no match, not a failure.
+    old_rows=$(printf '%s' "$baseline_json" | extract_high_d || true)
+    cur_rows=$(extract_high_d < BENCH_query_engine.json || true)
+    if [ -z "$cur_rows" ]; then
+        echo "high-d count gate: could not parse the high_d rows of BENCH_query_engine.json" >&2
+        exit 1
+    fi
+    printf '%s\n' "$cur_rows" | awk -F, -v old="$old_rows" 'BEGIN {
+        n = split(old, rows, "\n");
+        for (i = 1; i <= n; i++) { if (split(rows[i], f, ",") == 2) base[f[1]] = f[2]; }
+    }
+    {
+        if (!($1 in base)) {
+            printf "high-d count gate: d=%d has no committed baseline; skipping it\n", $1;
+            next;
+        }
+        ceil = 1.10 * base[$1];
+        printf "high-d count gate: d=%d mean_examined %.2f vs baseline %.2f (ceiling %.2f)\n", $1, $2, base[$1], ceil;
+        if ($2 > ceil) { failed = 1; }
+    }
+    END {
+        if (failed) {
+            printf "high-d count gate: FAIL — evaluations per high-dimension query regressed more than 10%%\n";
+            exit 1;
+        }
+    }'
+else
+    echo "high-d count gate: no committed BENCH_query_engine.json baseline; skipping"
+fi
+
 echo "== sharded evaluation-count gate (S>1 mean_examined vs committed baseline) =="
 # The one-forest fan-out's claim is how few points a sharded query
 # evaluates: every shard is pruned by the global k-th distance. For each

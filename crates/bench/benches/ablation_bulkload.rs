@@ -8,7 +8,7 @@
 use nncell_bench::{as_queries, env_usize, print_table, secs, timed};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::Mbr;
-use nncell_index::{bulk_load, Tree, TreeConfig};
+use nncell_index::{bulk_load_rows, Tree, TreeConfig};
 
 fn main() {
     let d = 8;
@@ -24,10 +24,16 @@ fn main() {
         .map(|(i, p)| (Mbr::from_point(p), i as u64))
         .collect();
 
+    let flat: Vec<f64> = points
+        .iter()
+        .flat_map(|p| p.as_slice().iter().copied())
+        .collect();
+    let ids: Vec<u64> = (0..n as u64).collect();
+
     let cfg = TreeConfig::rstar(d).with_point_leaves(true);
     let mut rows = Vec::new();
 
-    let (bulk, t_bulk) = timed(|| bulk_load(cfg.clone(), items.clone(), 1.0));
+    let (bulk, t_bulk) = timed(|| bulk_load_rows(cfg.clone(), &flat, &ids, 1.0));
     let (incr, t_incr) = timed(|| {
         let mut t = Tree::new(cfg.clone());
         for (m, id) in items.clone() {

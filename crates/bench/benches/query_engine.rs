@@ -26,6 +26,14 @@
 //! per-record cost at tens of nanoseconds). The min of two runs discards
 //! such one-off stalls while leaving real regressions visible.
 //!
+//! Two more rows measure the paper's regime, high dimension: the same
+//! `N` uniform points at d = 16 and d = 32, answered sequentially for a
+//! fifth of the queries (k = 1), with their sequential q/s and their mean
+//! evaluations per query (`mean_examined`, the count ci.sh gates); the
+//! bench fails unless every answer matches a linear scan bit for bit.
+//! They sit in `high_d` after the main row's fields, one row per line, so
+//! the main row's `seq_qps` stays the first in the file.
+//!
 //! The overhead A/B itself is additionally **interleaved**: with the
 //! registry attached, the control arm (same engine, recording disabled
 //! via `without_metrics`) and the instrumented arm alternate for several
@@ -35,8 +43,49 @@
 //! reported overhead to 8%.
 
 use nncell_bench::{env_usize, provenance_json, timed};
-use nncell_core::{BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Registry, Strategy};
+use nncell_core::{
+    linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Registry, Strategy,
+};
 use nncell_data::{Generator, UniformGenerator};
+
+/// Dimensions of the high-dimension rows.
+const HIGH_DIMS: [usize; 2] = [16, 32];
+
+/// One high-dimension row: `n` uniform points at dimension `d`, `n_q`
+/// k = 1 queries answered sequentially (best of two passes) and asserted
+/// bit-identical to a linear scan. Returns the row as one JSON object on
+/// one line.
+fn high_d_row(n: usize, d: usize, n_q: usize) -> String {
+    let points = UniformGenerator::new(d).generate(n, 7);
+    let index = NnCellIndex::build(points.clone(), BuildConfig::default()).expect("build");
+    let queries: Vec<Query> = UniformGenerator::new(d)
+        .generate(n_q, 8)
+        .iter()
+        .map(|p| Query::nn(p.as_slice()))
+        .collect();
+    let engine = index.engine().with_threads(1);
+    engine.batch(&queries[..n_q.min(128)]);
+    let (answers, seq_s) = best_of_two(|| engine.batch(&queries));
+    for (r, q) in answers.iter().zip(&queries) {
+        let want = linear_scan_nn(&points, q.point()).expect("non-empty");
+        assert!(
+            r.as_ref()
+                .is_ok_and(|r| (r.best.id, r.best.dist.to_bits()) == (want.id, want.dist.to_bits())),
+            "d = {d}: an answer differs from the linear scan"
+        );
+    }
+    let examined: usize = answers
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|r| r.stats.candidates_examined)
+        .sum();
+    let seq_qps = n_q as f64 / seq_s;
+    let mean_examined = examined as f64 / n_q as f64;
+    println!(
+        "d = {d}: {seq_qps:.0} q/s sequential, {mean_examined:.1} of {n} points examined per query"
+    );
+    format!("{{\"dim\": {d}, \"seq_qps\": {seq_qps:.2}, \"mean_examined\": {mean_examined:.4}}}")
+}
 
 /// Runs `f` twice and keeps the faster elapsed time (the result is
 /// asserted identical across passes by the callers' determinism checks,
@@ -175,6 +224,13 @@ fn main() {
         metrics_overhead * 100.0
     );
 
+    let high_d_queries = (n_q / 5).max(1);
+    println!("# High dimension (N={n}, {high_d_queries} queries, k = 1, sequential)");
+    let high_d: Vec<String> = HIGH_DIMS
+        .iter()
+        .map(|&hd| high_d_row(n, hd, high_d_queries))
+        .collect();
+
     let json = format!(
         "{{\n  {},\n  \"n\": {n},\n  \"dim\": {d},\n  \"queries\": {n_q},\n  \
          \"threads\": {threads},\n  \"build_seconds\": {build_s:.4},\n  \
@@ -184,9 +240,11 @@ fn main() {
          \"speedup\": {:.4},\n  \"mean_candidates\": {mean_cands:.4},\n  \
          \"mean_examined\": {mean_examined:.4},\n  \"mean_aborted_early\": {mean_aborted:.4},\n  \
          \"mean_nodes_pruned\": {mean_pruned:.4},\n  \
-         \"fallbacks\": {fallbacks},\n  \"bit_identical\": true\n}}\n",
+         \"fallbacks\": {fallbacks},\n  \"bit_identical\": true,\n  \
+         \"high_d_queries\": {high_d_queries},\n  \"high_d\": [\n    {}\n  ]\n}}\n",
         provenance_json(),
-        par_qps / seq_qps
+        par_qps / seq_qps,
+        high_d.join(",\n    ")
     );
     std::fs::write(&out, json).expect("write bench json");
     println!("wrote {out}");

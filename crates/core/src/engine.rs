@@ -16,8 +16,9 @@
 //!   from a shared atomic cursor, so an expensive straggler query cannot
 //!   idle the rest of the pool.
 //! * Each worker carries one [`QueryScratch`] — the ranked buffer (a
-//!   k-NN query's k-best, a radius query's hits), the best-first queue
-//!   and the per-shard counters — reused across every query it executes.
+//!   k-NN query's k-best, a radius query's hits), the best-first queue,
+//!   the per-shard counters and the leaf kernel's distance buffer —
+//!   reused across every query it executes.
 //!   Once warm, the per-query path performs **zero heap allocations** for
 //!   `k = 1` (and exactly one — the `rest` vector of the response — for
 //!   `k > 1`); this is property-checked by a counting allocator in
@@ -26,19 +27,24 @@
 //! Nearest-neighbor kernels (see `DESIGN.md` §17): a **MINDIST-ordered
 //! best-first traversal** of the point X-tree — of every shard's point
 //! X-tree at once, through one queue, for a shard fan-out — streams
-//! candidates to this engine in roughly ascending distance; the engine
-//! evaluates each live candidate **once**, with the exact distance kernel,
-//! compares it once against its running k-th-best distance and hands the
-//! shrunk bound back to the traversal, which prunes every MBR whose
-//! MINDIST exceeds it before the node is ever read. The loop has no
-//! data-dependent branch inside the kernel: a mispredicted early-exit
-//! check costs more than the lanes it would skip at these dimensionalities
-//! (DESIGN.md §17.3). A radius query runs the same traversal under the
-//! constant bound of its ball, so it reads exactly the pages that meet
-//! the ball. The pruning work is reported per query in [`QueryStats`]
-//! (`nodes_pruned`, `candidates_examined`, and `candidates` /
-//! `candidates_aborted_early` for the evaluations within / beyond the
-//! bound).
+//! leaves to this engine in roughly ascending distance. The engine
+//! evaluates a leaf in one pass: one lane per point across the leaf's
+//! dimension-major block (`Metric::dist_sq_lanes`, bit-identical to the
+//! scalar kernel), then compares each live point once, in entry order,
+//! against its running k-th-best distance and hands the shrunk bound back
+//! to the traversal, which prunes every MBR whose MINDIST exceeds it
+//! before the node is ever read. The loop has no data-dependent branch
+//! inside the kernel: a mispredicted early-exit check costs more than the
+//! lanes it would skip at these dimensionalities (DESIGN.md §17.3). At
+//! d = 8 both kernels and the traversal's MINDIST are compiled for that
+//! constant dimension, chosen once per query (`execute_inner`): the lane
+//! loop runs fastest when `d` is a constant. Every other `d` runs them
+//! with the dimension read at run time. A radius query runs the same
+//! traversal under the constant bound of its ball, so it reads exactly
+//! the pages that meet the ball. The pruning work is reported per query
+//! in [`QueryStats`] (`nodes_pruned`, `candidates_examined`, and
+//! `candidates` / `candidates_aborted_early` for the evaluations within /
+//! beyond the bound).
 //!
 //! Results are **bit-identical** regardless of thread count and shard
 //! count, and identical to a linear scan: every distance evaluation uses
@@ -84,12 +90,34 @@ pub struct QueryScratch {
     bf: BestFirstScratch,
     /// The last query's counters, one entry per shard of the engine.
     per_shard: Vec<QueryStats>,
+    /// The leaf kernel's output: one squared distance per entry of the
+    /// leaf being evaluated.
+    d2: Vec<f64>,
 }
 
 impl QueryScratch {
     /// A fresh (cold) scratch; buffers are allocated lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bytes the buffers hold (their capacities), used or not.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ranked.capacity() * size_of::<QueryResult>()
+            + self.per_shard.capacity() * size_of::<QueryStats>()
+            + self.d2.capacity() * size_of::<f64>()
+            + self.bf.retained_bytes()
+    }
+
+    /// Frees every buffer when together they hold more than `keep`
+    /// bytes, so one outsized query (a radius covering most of the index,
+    /// a very large k) does not pin its high-water mark in a long-lived
+    /// scratch. A scratch within `keep` is left as it is.
+    pub(crate) fn trim(&mut self, keep: usize) {
+        if self.retained_bytes() > keep {
+            *self = Self::new();
+        }
     }
 }
 
@@ -415,10 +443,14 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         scratch
             .per_shard
             .resize(shards.len(), QueryStats::default());
-        let mut resp = match q.kind() {
-            QueryKind::Nearest { k } => self.run_knn(scratch, p, k, deadline),
-            QueryKind::Radius { radius } => self.run_radius(scratch, p, radius, deadline),
-        }?;
+        // The one dimension dispatch: the kernels compiled for d = 8, the
+        // dimension every benchmark workload measures, or for any (`D = 0`).
+        // A constant is added only with a measured end-to-end win at it.
+        let run = match self.dim {
+            8 => Self::run::<8>,
+            _ => Self::run::<0>,
+        };
+        let mut resp = run(self, scratch, p, q.kind(), deadline)?;
         for s in &scratch.per_shard {
             resp.stats.absorb(s);
         }
@@ -485,6 +517,21 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     // the two query kernels
     // ------------------------------------------------------------------
 
+    /// The kernel of `kind`, compiled for dimension `D` (`D = 0`: the
+    /// engine's dimension, read at run time).
+    fn run<const D: usize>(
+        &self,
+        scratch: &mut QueryScratch,
+        p: &[f64],
+        kind: QueryKind,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<QueryResponse, QueryError> {
+        match kind {
+            QueryKind::Nearest { k } => self.run_knn::<D>(scratch, p, k, deadline),
+            QueryKind::Radius { radius } => self.run_radius::<D>(scratch, p, radius, deadline),
+        }
+    }
+
     /// The metric (every shard shares it) and its smallest weight, which
     /// converts a weighted-metric bound into the trees' Euclidean
     /// geometry: `d²_w(q, x) ≥ w_min · ‖q − x‖²`.
@@ -503,12 +550,14 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     ///
     /// The traversal ([`nncell_index::Tree::best_first_stream_with`])
     /// expands directory pages of the whole forest in ascending MINDIST
-    /// order and streams leaf items, each with its tree and its
-    /// coordinates from the leaf's row, to the closure below, which
-    /// evaluates each live candidate exactly, offers it under its global
-    /// id to the one k-best unless it lies beyond the slopped k-th-best
-    /// bound, and hands the shrunk bound back for page pruning in every
-    /// tree. Exactness: a page is pruned only when its MINDIST
+    /// order and streams each leaf whole — its tree, its item ids and its
+    /// dimension-major block — to the closure below, which evaluates every
+    /// entry exactly in one lane-per-point pass, then, in entry order,
+    /// offers each live point under its global id to the one k-best unless
+    /// it lies beyond the slopped k-th-best bound, and hands the shrunk
+    /// bound back for page pruning in every tree. The k-best evolves as if
+    /// the points came one by one: a point's distance does not depend on
+    /// the bound, and the traversal reads the bound only between leaves. Exactness: a page is pruned only when its MINDIST
     /// **strictly** exceeds the slopped bound
     /// `(kth_dist)² · BOUND_SLOP / w_min` (see [`Self::metric`]), so every
     /// point of every shard that could tie or beat the k-th result is
@@ -527,10 +576,10 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// and `len` counts neither tail inserts nor tombstones.
     ///
     /// The configured budget (if any) is checked every 256 tail inserts
-    /// and every 128 streamed items; an expired budget aborts the query
-    /// and surfaces as [`QueryError::DeadlineExceeded`] instead of hogging
-    /// the worker.
-    fn run_knn(
+    /// and after each leaf that completes 128 streamed items since the
+    /// last check; an expired budget aborts the query and surfaces as
+    /// [`QueryError::DeadlineExceeded`] instead of hogging the worker.
+    fn run_knn<const D: usize>(
         &self,
         scratch: &mut QueryScratch,
         p: &[f64],
@@ -552,11 +601,11 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             ranked,
             bf,
             per_shard,
-            ..
+            d2,
         } = scratch;
         ranked.clear();
         let mut seeded = 0usize;
-        let mut visits = 0u32;
+        let mut visits = 0usize;
         let mut deadline_hit = false;
         // Squared-distance bounds: a candidate beyond `abort_bound` is not
         // offered, `tree_bound` (its Euclidean relaxation) prunes pages.
@@ -594,40 +643,39 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 }
             }
         }
-        // The per-item path updates no counter: a shard's evaluations are
+        // The per-point path updates no counter: a shard's evaluations are
         // its streamed items (counted by the traversal, added after the
-        // walk) minus its dead ones, which are subtracted as they come —
-        // transiently below zero, hence the wrapping arithmetic — and only
-        // candidates within the bound are counted one by one. Both are
-        // rare next to the evaluations beyond the bound.
-        Tree::best_first_stream_with(self.forest.trees(), p, bf, |t, item, coords| {
-            visits += 1;
-            if visits.is_multiple_of(128) && out_of_budget(deadline) {
-                deadline_hit = true;
-                return f64::NEG_INFINITY; // abort the whole traversal
+        // walk), and only candidates within the bound, rare next to the
+        // evaluations beyond it, are counted one by one. The point tree
+        // holds only live ids (`remove` deletes from it as it clears
+        // `alive`), so a streamed point needs no liveness check.
+        Tree::best_first_stream_with::<D, _>(self.forest.trees(), p, bf, |t, items, block| {
+            visits += items.len();
+            if visits >= 128 {
+                visits = 0;
+                if out_of_budget(deadline) {
+                    deadline_hit = true;
+                    return f64::NEG_INFINITY; // abort the whole traversal
+                }
             }
             let s = &shards[t];
+            let dists = leaf_dists::<D, M>(metric, p, block, d2, items.len());
             // Point-tree items carry raw local point ids (no piece
             // encoding).
-            let local = item as usize;
-            if !s.alive[local] {
-                let st = &mut per_shard[t];
-                st.candidates_examined = st.candidates_examined.wrapping_sub(1);
-                return tree_bound;
-            }
-            // `coords` is the point's row in its leaf, bit-identical to
-            // `flat_point(local)` and adjacent to its leaf neighbours'.
-            let d2 = metric.dist_sq(p, coords);
-            if d2 > abort_bound {
-                return tree_bound; // provably beyond the k-th best
-            }
-            per_shard[t].candidates += 1;
-            let r = QueryResult {
-                id: local * stride + s.number,
-                dist: d2.sqrt(),
-            };
-            if let Some(b) = offer(ranked, k, r, s.tombstones, local) {
-                (abort_bound, tree_bound) = bounds(b);
+            for (&item, &d2) in items.iter().zip(dists) {
+                let local = item as usize;
+                debug_assert!(s.alive[local], "point tree out of sync");
+                if d2 > abort_bound {
+                    continue; // provably beyond the k-th best
+                }
+                per_shard[t].candidates += 1;
+                let r = QueryResult {
+                    id: local * stride + s.number,
+                    dist: d2.sqrt(),
+                };
+                if let Some(b) = offer(ranked, k, r, s.tombstones, local) {
+                    (abort_bound, tree_bound) = bounds(b);
+                }
             }
             tree_bound
         });
@@ -637,7 +685,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         for (st, ts) in per_shard.iter_mut().zip(bf.per_tree()) {
             st.pages = ts.pages;
             st.nodes_pruned = ts.nodes_pruned;
-            st.candidates_examined = st.candidates_examined.wrapping_add(ts.items as usize);
+            st.candidates_examined += ts.items as usize;
             st.candidates_aborted_early = st.candidates_examined - st.candidates;
         }
         if ranked.is_empty() {
@@ -663,9 +711,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// tree under a constant bound, the squared radius of the Euclidean
     /// ball that holds the metric ball. That bound is the
     /// `intersects_sphere` test, so the traversal reads exactly the pages
-    /// that meet the ball. Every streamed live leaf row is evaluated with
-    /// the exact kernel in place and kept when `dist ≤ r` and its id is
-    /// not tombstoned. The shards' live tail inserts inside the ball join
+    /// that meet the ball. Every streamed leaf is evaluated with the exact
+    /// lane kernel in place, and each live point of it is kept when
+    /// `dist ≤ r` and its id is not tombstoned. The shards' live tail inserts inside the ball join
     /// the hits, and the union is sorted by `(distance, global id)` and
     /// deduplicated once. No truncation — a radius query returns
     /// everything the ball contains. Unlike k-NN this needs no scan
@@ -673,9 +721,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// traversal is exact for *any* center, including centers outside the
     /// data space.
     ///
-    /// The configured budget (if any) is checked every 128 streamed items
-    /// and every 256 tail inserts.
-    fn run_radius(
+    /// The configured budget (if any) is checked as for k-NN: after each
+    /// leaf that completes 128 streamed items, and every 256 tail inserts.
+    fn run_radius<const D: usize>(
         &self,
         scratch: &mut QueryScratch,
         p: &[f64],
@@ -697,11 +745,11 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             ranked: hits,
             bf,
             per_shard,
+            d2,
         } = scratch;
         hits.clear();
         // One evaluated point of shard `s`. A shard's examined count is its
-        // streamed items minus its dead ones (added after the walk) plus
-        // its tail inserts.
+        // streamed items (added after the walk) plus its tail inserts.
         let mut keep = |s: &Shard<'a, M>, st: &mut QueryStats, local: usize, d2: f64| {
             if d2 > abort_bound {
                 return; // provably outside the ball
@@ -713,20 +761,23 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 hits.push(QueryResult { id, dist });
             }
         };
-        let mut visits = 0u32;
+        let mut visits = 0usize;
         let mut deadline_hit = false;
-        Tree::best_first_stream_with(self.forest.trees(), p, bf, |t, item, coords| {
-            visits += 1;
-            if visits.is_multiple_of(128) && out_of_budget(deadline) {
-                deadline_hit = true;
-                return f64::NEG_INFINITY; // abort the whole traversal
+        Tree::best_first_stream_with::<D, _>(self.forest.trees(), p, bf, |t, items, block| {
+            visits += items.len();
+            if visits >= 128 {
+                visits = 0;
+                if out_of_budget(deadline) {
+                    deadline_hit = true;
+                    return f64::NEG_INFINITY; // abort the whole traversal
+                }
             }
             let (s, st) = (&shards[t], &mut per_shard[t]);
-            let local = item as usize;
-            if s.alive[local] {
-                keep(s, st, local, metric.dist_sq(p, coords));
-            } else {
-                st.candidates_examined = st.candidates_examined.wrapping_sub(1);
+            let dists = leaf_dists::<D, M>(metric, p, block, d2, items.len());
+            for (&item, &d2) in items.iter().zip(dists) {
+                let local = item as usize;
+                debug_assert!(s.alive[local], "point tree out of sync");
+                keep(s, st, local, d2);
             }
             tree_bound
         });
@@ -737,7 +788,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         for ((s, st), ts) in shards.iter().zip(per_shard.iter_mut()).zip(bf.per_tree()) {
             st.pages = ts.pages;
             st.nodes_pruned = ts.nodes_pruned;
-            st.candidates_examined = st.candidates_examined.wrapping_add(ts.items as usize);
+            st.candidates_examined += ts.items as usize;
             if let Some(t) = s.tail {
                 st.tail = t.inserts.len();
                 st.candidates_examined += t.inserts.len();
@@ -840,6 +891,25 @@ fn offer(
     }
     ranked.insert(pos, r);
     (ranked.len() == k).then(|| ranked[k - 1].dist)
+}
+
+/// The leaf kernel: the squared distance from `p` to each of the `m`
+/// points of a leaf's dimension-major `block`, computed into `buf` (grown
+/// to the largest leaf seen, then reused) and returned in entry order.
+#[inline(always)]
+fn leaf_dists<'b, const D: usize, M: Metric>(
+    metric: &M,
+    p: &[f64],
+    block: &[f64],
+    buf: &'b mut Vec<f64>,
+    m: usize,
+) -> &'b [f64] {
+    if buf.len() < m {
+        buf.resize(m, 0.0);
+    }
+    let out = &mut buf[..m];
+    metric.dist_sq_lanes::<D>(p, block, out);
+    out
 }
 
 /// The squared bound of a radius-`r` ball: a point beyond `r²` (plus slop,
@@ -977,5 +1047,26 @@ mod tests {
             engine.execute(&Query::knn([0.5, 0.5], 2)).unwrap_err(),
             QueryError::EmptyIndex
         );
+    }
+
+    #[test]
+    fn trim_frees_only_an_outsized_scratch() {
+        let idx = build(&lattice());
+        let engine = idx.engine();
+        let mut scratch = QueryScratch::new();
+        engine
+            .execute_with(&mut scratch, &Query::nn([0.5, 0.5]))
+            .unwrap();
+        let small = scratch.retained_bytes();
+        assert!(small > 0);
+        scratch.trim(small);
+        assert_eq!(scratch.retained_bytes(), small, "within the bound: kept");
+        let all = engine
+            .execute_with(&mut scratch, &Query::radius([0.5, 0.5], 2.0))
+            .unwrap();
+        assert_eq!(all.len(), 60);
+        assert!(scratch.retained_bytes() > small);
+        scratch.trim(small);
+        assert_eq!(scratch.retained_bytes(), 0, "outsized: freed");
     }
 }

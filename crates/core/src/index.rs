@@ -7,7 +7,6 @@ use crate::metrics::{EngineMetrics, IndexMetrics};
 use nncell_geom::{DataSpace, Euclidean, Mbr, Metric, Point};
 use nncell_index::{BestFirstScratch, IoStats, Tree, TreeConfig, TreeMetrics, XTree};
 use nncell_obs::Registry;
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,9 +98,10 @@ impl std::error::Error for BuildError {}
 pub struct NnCellIndex<M: Metric = Euclidean> {
     cfg: BuildConfig,
     /// Row-major coordinates of every slot (`n × d`), indexed by id and
-    /// kept in sync by every mutation. The radius kernel, the scan
-    /// fallbacks, the NN-cells and `save` read this layout; the k-NN kernel
-    /// reads each live point's copy in its point-tree leaf row.
+    /// kept in sync by every mutation. The `k ≥ len` scan fallback, the
+    /// NN-cells, `remove` and `save` read this layout; the k-NN and radius
+    /// kernels and the duplicate probe read each live point's copy in its
+    /// point-tree leaf's dimension-major block.
     points_flat: Vec<f64>,
     alive: Vec<bool>,
     live_count: usize,
@@ -181,7 +181,8 @@ impl<M: Metric> NnCellIndex<M> {
     /// The one constructor behind build, the sharded build and load:
     /// takes already-validated row-major coordinates (`rows`, one row of
     /// `dim` per slot of `alive`) and STR bulk-loads the live ids into the
-    /// point tree at [`STR_FILL`]. The bulk load is timed into
+    /// point tree at [`STR_FILL`], straight from the rows into the leaves'
+    /// blocks (no per-point box). The bulk load is timed into
     /// [`BuildStats::profile`] when there is a live point to load.
     pub(crate) fn from_rows(
         dim: usize,
@@ -193,16 +194,13 @@ impl<M: Metric> NnCellIndex<M> {
         debug_assert_eq!(rows.len(), alive.len() * dim);
         let mut idx = Self::new_with_metric(dim, cfg, metric);
         let load_start = Instant::now();
-        let items: Vec<(Mbr, u64)> = rows
-            .chunks_exact(dim)
-            .zip(&alive)
-            .enumerate()
-            .filter(|(_, (_, live))| **live)
-            .map(|(id, (row, _))| (Mbr::from_point(row), id as u64))
+        let ids: Vec<u64> = (0..alive.len() as u64)
+            .filter(|&id| alive[id as usize])
             .collect();
-        idx.live_count = items.len();
-        if !items.is_empty() {
-            idx.point_tree = XTree::bulk_load(point_tree_config(dim, &idx.cfg), items, STR_FILL);
+        idx.live_count = ids.len();
+        if !ids.is_empty() {
+            let cfg = point_tree_config(dim, &idx.cfg);
+            idx.point_tree = XTree::bulk_load_rows(cfg, &rows, &ids, STR_FILL);
             idx.build_stats
                 .profile
                 .bulk_load
@@ -410,20 +408,30 @@ impl<M: Metric> NnCellIndex<M> {
     /// The id of a live point equal to `p` coordinate by coordinate (`==`,
     /// so −0.0 equals +0.0), if one exists. The point tree holds only live
     /// points, and only a page whose box contains `p` can hold its twin:
-    /// one best-first stream under bound 0 compares the rows of those
-    /// pages and stops at the first match. Shared by
+    /// one best-first stream under bound 0 compares the points of those
+    /// pages' leaf blocks with `p` and stops at the first match. Shared by
     /// [`Self::validate_insert`] and the cross-shard duplicate check of
     /// [`crate::ShardedIndex`].
     pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
         let (probe, mut twin) = (p.as_slice(), None);
         let forest: [&Tree; 1] = [&self.point_tree];
         let mut scratch = BestFirstScratch::new();
-        Tree::best_first_stream_with(&forest, probe, &mut scratch, |_, item, row| {
-            if row == probe {
-                twin = Some(item as usize);
-                return -1.0; // found: stop the walk
+        Tree::best_first_stream_with::<0, _>(&forest, probe, &mut scratch, |_, items, block| {
+            let m = items.len();
+            // Entry i's coordinate j is `block[j·m + i]`.
+            let same = |i: usize| {
+                probe
+                    .iter()
+                    .enumerate()
+                    .all(|(j, &x)| block[j * m + i] == x)
+            };
+            match (0..m).find(|&i| same(i)) {
+                Some(i) => {
+                    twin = Some(items[i] as usize);
+                    -1.0 // found: stop the walk
+                }
+                None => 0.0,
             }
-            0.0
         });
         twin
     }
@@ -482,32 +490,49 @@ fn point_tree_config(dim: usize, cfg: &BuildConfig) -> TreeConfig {
 /// [`InputPolicy::Skip`] offenders are dropped and counted; ids are assigned
 /// to the survivors in input order. Returns the survivors' coordinates as
 /// row-major rows of `dim` and the skipped count.
+///
+/// Duplicates are found by sorting the valid points' ids by coordinates
+/// (ties by id), so equal points are adjacent and each run's first id is
+/// the first copy in input order, the one every later copy names. −0.0
+/// sorts as +0.0, the one pair of distinct values `==` equates (NaN is
+/// rejected before the sort). Nothing is allocated per point.
 pub(crate) fn validate_build_inputs(
     points: Vec<Point>,
     dim: usize,
     policy: InputPolicy,
 ) -> Result<(Vec<f64>, usize), BuildError> {
     let space = DataSpace::unit(dim);
-    let mut rows: Vec<f64> = Vec::with_capacity(points.len() * dim);
-    // Coordinate bits of every accepted point → its input id, so a
-    // duplicate names its first copy in O(1). −0.0 is keyed as +0.0, the
-    // one pair of distinct bit patterns that `==` equates (NaN is
-    // rejected before the lookup).
-    let mut first: HashMap<Vec<u64>, usize> = HashMap::with_capacity(points.len());
+    let verdicts: Vec<Result<(), BuildError>> = points
+        .iter()
+        .enumerate()
+        .map(|(id, p)| validate_point(p, id, dim, &space))
+        .collect();
+    let mut order: Vec<usize> = (0..points.len())
+        .filter(|&id| verdicts[id].is_ok())
+        .collect();
+    // `+ 0.0` maps −0.0 to +0.0 and leaves every other value as it is.
+    let coords = |id: usize| points[id].as_slice().iter().map(|&c| c + 0.0);
+    let cmp_points = |a: usize, b: usize| {
+        coords(a)
+            .zip(coords(b))
+            .map(|(x, y)| x.total_cmp(&y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    order.sort_unstable_by(|&a, &b| cmp_points(a, b).then(a.cmp(&b)));
+    // The first copy of each point that has one, by id (`usize::MAX`: none).
+    let mut first = vec![usize::MAX; points.len()];
+    for run in order.chunk_by(|&a, &b| cmp_points(a, b).is_eq()) {
+        for &dup in &run[1..] {
+            first[dup] = run[0];
+        }
+    }
+    let mut rows: Vec<f64> = Vec::with_capacity(order.len() * dim);
     let mut skipped = 0usize;
-    for (id, p) in points.into_iter().enumerate() {
-        let verdict = validate_point(&p, id, dim, &space).and_then(|()| {
-            let key = p
-                .as_slice()
-                .iter()
-                .map(|&c| if c == 0.0 { 0 } else { c.to_bits() });
-            match first.entry(key.collect()) {
-                Entry::Vacant(slot) => {
-                    slot.insert(id);
-                    Ok(())
-                }
-                Entry::Occupied(of) => Err(BuildError::DuplicatePoint { id, of: *of.get() }),
-            }
+    for (id, (p, verdict)) in points.iter().zip(verdicts).enumerate() {
+        let verdict = verdict.and_then(|()| match first[id] {
+            usize::MAX => Ok(()),
+            of => Err(BuildError::DuplicatePoint { id, of }),
         });
         match (verdict, policy) {
             (Ok(()), _) => rows.extend_from_slice(p.as_slice()),
@@ -898,9 +923,10 @@ mod tests {
         assert_eq!(idx.build_stats().lp.lp_calls, 0);
     }
 
-    /// The point tree's structure and its leaf rows, checked against the
+    /// The point tree's structure and its leaf blocks, checked against the
     /// index: `validate()` passes, and the traversal streams every live
-    /// point exactly once with a row bit-identical to `flat_point(id)`.
+    /// point exactly once with coordinates, gathered from its leaf's
+    /// columns, bit-identical to `flat_point(id)`.
     fn check_layout(idx: &NnCellIndex) -> Result<(), proptest::TestCaseError> {
         let tree = idx.point_tree();
         tree.validate();
@@ -909,20 +935,28 @@ mod tests {
         let q = vec![0.5; idx.dim()];
         let forest: [&nncell_index::Tree; 1] = [tree];
         let mut scratch = nncell_index::BestFirstScratch::new();
-        nncell_index::Tree::best_first_stream_with(&forest, &q, &mut scratch, |_, id, row| {
-            streamed += 1;
-            let flat = idx.flat_point(id as usize);
-            let same = row.len() == flat.len()
-                && row
-                    .iter()
-                    .zip(flat)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !same || !idx.is_live(id as usize) {
-                bad = bad.or(Some(id));
-            }
-            f64::INFINITY // visit every leaf
-        });
-        proptest::prop_assert_eq!(bad, None, "leaf row differs from flat_point");
+        nncell_index::Tree::best_first_stream_with::<0, _>(
+            &forest,
+            &q,
+            &mut scratch,
+            |_, ids, block| {
+                let m = ids.len();
+                for (i, &id) in ids.iter().enumerate() {
+                    streamed += 1;
+                    let flat = idx.flat_point(id as usize);
+                    let same = block.len() == m * flat.len()
+                        && flat
+                            .iter()
+                            .enumerate()
+                            .all(|(j, x)| block[j * m + i].to_bits() == x.to_bits());
+                    if !same || !idx.is_live(id as usize) {
+                        bad = bad.or(Some(id));
+                    }
+                }
+                f64::INFINITY // visit every leaf
+            },
+        );
+        proptest::prop_assert_eq!(bad, None, "leaf block differs from flat_point");
         proptest::prop_assert_eq!(streamed, idx.len(), "every live point streamed once");
         Ok(())
     }

@@ -61,7 +61,7 @@
 use crate::config::BuildConfig;
 use crate::durable::{DurableError, RecoveryReport, ShardLog};
 use crate::cells::BuildStats;
-use crate::engine::{available_threads, QueryEngine, Shard};
+use crate::engine::{available_threads, QueryEngine, QueryScratch, Shard};
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp, TailSnapshot};
 use crate::metrics::FoldMetrics;
@@ -72,10 +72,25 @@ use crate::vfs::{write_atomic, StdVfs, Vfs};
 use crate::wal::WalRecord;
 use nncell_geom::{DataSpace, Euclidean, Point};
 use nncell_obs::Registry;
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// The calling thread's query scratch, kept warm across
+    /// [`ShardedIndex::query`] calls so a read does not regrow its queue,
+    /// k-best and kernel buffer from empty.
+    static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
+}
+
+/// The most a thread's warm scratch keeps after a query. An ordinary
+/// read needs a few KiB (a k-best, a queue of pages, one leaf's
+/// distances); a query that outgrew this (a radius covering most of the
+/// index, a very large k) frees its buffers instead of pinning them for
+/// the thread's lifetime.
+const SCRATCH_KEEP_BYTES: usize = 64 << 10;
 
 /// File name of the plain (non-durable) sharded directory manifest.
 const PLAIN_MANIFEST: &str = "MANIFEST";
@@ -601,6 +616,8 @@ impl ShardedIndex {
     /// keyed by `(distance, global id)`. Exact, including tie ordering
     /// (see the module docs). Candidate and page counts are summed across
     /// shards; `fallback` is set when the answer came from the exact scan.
+    /// The query runs on the calling thread's warm scratch (one per
+    /// thread, reused by every later call on it).
     ///
     /// # Errors
     /// The [`QueryError`] contract of [`crate::QueryEngine::execute`].
@@ -627,7 +644,19 @@ impl ShardedIndex {
         // underneath it.
         let mut span = nncell_obs::trace::child("shard.query");
         span.arg("shards", views.len() as u64);
-        let result = self.engine(&views).with_deadline_opt(deadline).execute(q);
+        let engine = self.engine(&views).with_deadline_opt(deadline);
+        // The thread's warm scratch; a cold one if it is already in use
+        // on this thread or gone (thread teardown).
+        let warm = SCRATCH.try_with(|cell| {
+            let mut scratch = cell.try_borrow_mut().ok()?;
+            let result = engine.execute_with(&mut scratch, q);
+            scratch.trim(SCRATCH_KEEP_BYTES);
+            Some(result)
+        });
+        let result = match warm {
+            Ok(Some(result)) => result,
+            _ => engine.execute(q),
+        };
         self.count_fallback(&result);
         result
     }

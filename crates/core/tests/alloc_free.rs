@@ -10,19 +10,25 @@
 //! A second test pins the memtable tail's read cost: one
 //! `ShardedIndex::query` allocates the same number of times at tail depth
 //! 10 and at tail depth 1000 — a read shares the tail, never copies it.
+//! Another pins what a warm `ShardedIndex::query` allocates at S = 2: the
+//! per-read shard views and the response, never the query's scratch
+//! (the calling thread keeps it warm).
 //!
 //! A third pins the fold's copy count by bytes: folding a one-record
 //! batch allocates less than 1.5 clones of the shard's index, because
 //! the published snapshot is the shard's only copy. A fourth pins the
 //! clone itself by count: the coordinates are one flat buffer, so cloning
-//! a shard allocates per tree page, not per point.
+//! a shard allocates per tree page, not per point. The last pins build
+//! and load by count: both bulk-load the point tree straight from flat
+//! rows, so neither allocates per point.
 //!
 //! The counter is gated by a thread-local flag, so only the thread that
 //! opened the gate counts: the surrounding test harness, index
 //! construction and the other test in this binary do not pollute it.
 
 use nncell_core::{
-    BuildConfig, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex, Strategy,
+    BuildConfig, FaultSchedule, FaultVfs, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex,
+    Strategy,
 };
 use nncell_geom::Point;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -311,5 +317,83 @@ fn a_shard_clone_makes_no_per_point_allocation() {
     assert!(
         allocs < N / 4,
         "cloning a {N}-point shard made {allocs} allocations: a per-point copy is back"
+    );
+}
+
+/// Distinct points of `[0, 1]^8`: the first coordinate is the point's
+/// index over `n + 1`.
+fn distinct_points(n: usize) -> Vec<Point> {
+    (0..n)
+        .map(|i| {
+            Point::new(
+                (0..8)
+                    .map(|j| ((i * (2 * j + 1) * 7919 + j) % (n + 1)) as f64 / (n + 1) as f64)
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_warm_sharded_query_allocates_only_its_views_and_response() {
+    let idx = ShardedIndex::build(distinct_points(4000), 2, BuildConfig::default()).unwrap();
+    let queries: Vec<Vec<f64>> = distinct_points(64)
+        .iter()
+        .map(|p| p.as_slice().iter().map(|c| c * 0.9 + 0.05).collect())
+        .collect();
+    for k in [1usize, 10] {
+        let qs: Vec<Query> = queries.iter().map(|q| Query::knn(q.clone(), k)).collect();
+        // Warm-up: this thread's scratch grows to its high-water mark.
+        for q in &qs {
+            assert!(!idx.query(q).unwrap().stats.fallback);
+        }
+        let allocs = count_allocs(|| {
+            for q in &qs {
+                let r = idx.query(q).unwrap();
+                assert_eq!(r.len(), k);
+                std::hint::black_box(&r);
+            }
+        });
+        // Per read: the shard views, the fan-out's shards and its forest
+        // of trees; for k > 1 also the response's `rest`.
+        let per_query = 3 + u64::from(k > 1);
+        assert_eq!(
+            allocs,
+            per_query * qs.len() as u64,
+            "k = {k}: {allocs} allocations over {} warm reads",
+            qs.len()
+        );
+    }
+}
+
+#[test]
+fn build_and_load_make_no_per_point_allocation() {
+    const N: usize = 4000;
+    let cfg = BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(7)
+        .build();
+    let points = distinct_points(N);
+    let mut built = None;
+    let build_allocs = count_allocs(|| {
+        built = Some(NnCellIndex::build(points, cfg).unwrap());
+    });
+    let idx = built.unwrap();
+    assert_eq!(idx.len(), N);
+    assert!(
+        build_allocs < (N / 4) as u64,
+        "building {N} points made {build_allocs} allocations: a per-point copy is back"
+    );
+    let vfs = FaultVfs::new(FaultSchedule::none(1));
+    let path = std::path::Path::new("alloc.nncell");
+    idx.save_with_vfs(&vfs, path).unwrap();
+    let mut loaded = None;
+    let load_allocs = count_allocs(|| {
+        loaded = Some(NnCellIndex::load_with_vfs(&vfs, path).unwrap());
+    });
+    assert!(loaded.unwrap().rows().eq(idx.rows()));
+    assert!(
+        load_allocs < (N / 4) as u64,
+        "loading {N} points made {load_allocs} allocations: a per-point copy is back"
     );
 }

@@ -41,6 +41,86 @@ pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
 }
 
+/// Points one lane block of [`lanes_sq`] evaluates together.
+const LANES: usize = 8;
+
+/// The lane-per-point form of [`dist_sq`] (`weights` empty) and of
+/// [`weighted_dist_sq`] (`weights` of length `d`): writes the squared
+/// distance from `q` to each of the `m = out.len()` points of `block`,
+/// a dimension-major block whose column `j` (coordinate `j` of every
+/// point, in point order) is `block[j·m..(j+1)·m]`.
+///
+/// Every lane performs its scalar kernel's operations in its order —
+/// `q − point`, four accumulators over the chunks of 4 dimensions, a
+/// tail, then `((a0 + a1) + (a2 + a3)) + tail`; the weighted term is
+/// `(w·t)·t` — so each result is bit-identical to the scalar kernel's.
+/// Only the loop order changes: the lanes of a block advance through the
+/// dimensions together, which lets the compiler vectorize across points.
+///
+/// `D` is the dimension as a compile-time constant (every loop over the
+/// dimensions unrolls); `D = 0` reads it from `q.len()` at run time.
+#[inline(always)]
+fn lanes_sq<const D: usize>(weights: &[f64], q: &[f64], block: &[f64], out: &mut [f64]) {
+    let d = if D == 0 { q.len() } else { D };
+    let m = out.len();
+    debug_assert_eq!(q.len(), d);
+    debug_assert_eq!(block.len(), d * m);
+    debug_assert!(weights.is_empty() || weights.len() == d);
+    let q = &q[..d];
+    if m < LANES {
+        lane_block::<D>(weights, q, block, m, 0, m, out);
+        return;
+    }
+    let mut base = 0;
+    while base + LANES < m {
+        lane_block::<D>(weights, q, block, m, base, LANES, out);
+        base += LANES;
+    }
+    // The last full block ends at `m`; it may overlap the one before it,
+    // whose lanes it recomputes to the same bits.
+    lane_block::<D>(weights, q, block, m, m - LANES, LANES, out);
+}
+
+/// Lanes `base..base + width` (`width ≤ LANES`) of [`lanes_sq`].
+#[inline(always)]
+fn lane_block<const D: usize>(
+    weights: &[f64],
+    q: &[f64],
+    block: &[f64],
+    m: usize,
+    base: usize,
+    width: usize,
+    out: &mut [f64],
+) {
+    // Adds lane `l`'s term of dimension `j` to `acc[l]`, for every lane.
+    let add = |acc: &mut [f64; LANES], j: usize| {
+        let col = &block[j * m + base..j * m + base + width];
+        let (qj, wj) = (q[j], weights.get(j).copied());
+        for (a, &x) in acc.iter_mut().zip(col) {
+            let t = qj - x;
+            *a += match wj {
+                Some(w) => w * t * t,
+                None => t * t,
+            };
+        }
+    };
+    let d = q.len();
+    let (mut a0, mut a1, mut a2, mut a3) = ([0.0; LANES], [0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    let mut tail = [0.0; LANES];
+    for c in 0..d / 4 {
+        add(&mut a0, 4 * c);
+        add(&mut a1, 4 * c + 1);
+        add(&mut a2, 4 * c + 2);
+        add(&mut a3, 4 * c + 3);
+    }
+    for j in d / 4 * 4..d {
+        add(&mut tail, j);
+    }
+    for (l, o) in out[base..base + width].iter_mut().enumerate() {
+        *o = ((a0[l] + a1[l]) + (a2[l] + a3[l])) + tail[l];
+    }
+}
+
 /// Euclidean distance between two coordinate slices.
 #[inline]
 pub fn dist(a: &[f64], b: &[f64]) -> f64 {
@@ -56,6 +136,13 @@ pub fn dist(a: &[f64], b: &[f64]) -> f64 {
 pub trait Metric: Clone + Send + Sync + 'static {
     /// Squared distance. Implementations must be non-negative and symmetric.
     fn dist_sq(&self, a: &[f64], b: &[f64]) -> f64;
+
+    /// [`Self::dist_sq`]`(q, point)` for every point of a dimension-major
+    /// block, one lane per point: `out[i]` is bit-identical to
+    /// `self.dist_sq(q, p_i)`, where point `i`'s coordinate `j` is
+    /// `block[j·m + i]` and `m = out.len()`. `D` is the dimension as a
+    /// compile-time constant, or 0 to read it from `q.len()`.
+    fn dist_sq_lanes<const D: usize>(&self, q: &[f64], block: &[f64], out: &mut [f64]);
 
     /// Distance (defaults to `sqrt(dist_sq)`).
     fn dist(&self, a: &[f64], b: &[f64]) -> f64 {
@@ -78,6 +165,11 @@ impl Metric for Euclidean {
     #[inline]
     fn dist_sq(&self, a: &[f64], b: &[f64]) -> f64 {
         dist_sq(a, b)
+    }
+
+    #[inline]
+    fn dist_sq_lanes<const D: usize>(&self, q: &[f64], block: &[f64], out: &mut [f64]) {
+        lanes_sq::<D>(&[], q, block, out);
     }
 
     #[inline]
@@ -157,6 +249,11 @@ impl Metric for WeightedEuclidean {
     #[inline]
     fn dist_sq(&self, a: &[f64], b: &[f64]) -> f64 {
         weighted_dist_sq(&self.weights, a, b)
+    }
+
+    #[inline]
+    fn dist_sq_lanes<const D: usize>(&self, q: &[f64], block: &[f64], out: &mut [f64]) {
+        lanes_sq::<D>(&self.weights, q, block, out);
     }
 
     #[inline]

@@ -31,7 +31,7 @@ pub mod rstar;
 pub mod tree;
 pub mod xtree;
 
-pub use bulk::bulk_load;
+pub use bulk::{bulk_load, bulk_load_rows};
 pub use config::{SplitPolicy, TreeConfig};
 pub use cost::{IoStats, TreeMetrics};
 pub use linear::LinearScan;

@@ -3,17 +3,23 @@
 //! A [`Node`] keeps its entries in two parallel arrays and allocates nothing
 //! per entry:
 //!
-//! * one row-major `Vec<f64>` of bounds. A row is `lo ‖ hi` (stride `2·d`)
-//!   in directory nodes and in box leaves. A point leaf
-//!   (`TreeConfig::with_point_leaves(true)`) stores each point's `d`
-//!   coordinates once (stride `d`), so its `lo` and `hi` are the same slice;
+//! * one `Vec<f64>` of coordinates. Directory nodes and box leaves store
+//!   it row-major, one `lo ‖ hi` row (`2·d` values) per entry. A point
+//!   leaf (`TreeConfig::with_point_leaves(true)`) stores each point's `d`
+//!   coordinates once, **dimension-major**: in an `m`-entry leaf, column
+//!   `j` (coordinate `j` of every point, in entry order) is
+//!   `block[j·m..(j+1)·m]`. That block is the leaf's only copy of its
+//!   points. The serving traversal hands it whole to the engine, whose
+//!   kernel evaluates one lane per point across each column
+//!   (`Metric::dist_sq_lanes`); every other reader gathers a point from
+//!   its columns ([`Node::gather`], [`Node::entry_box`]);
 //! * one `Vec<u64>` of payloads: item ids in a leaf, child page ids in a
 //!   directory node (the node's level says which).
 //!
-//! [`BoxRef`] reads one row as a box. Its measures and predicates evaluate
-//! the same per-dimension formulas, in the same order, as their [`Mbr`]
-//! namesakes, so every MINDIST, enlargement and overlap the tree computes
-//! is bit-identical to the boxed layout's.
+//! [`BoxRef`] reads one entry as a box. Its measures and predicates
+//! evaluate the same per-dimension formulas, in the same order, as their
+//! [`Mbr`] namesakes, so every MINDIST, enlargement and overlap the tree
+//! computes is bit-identical to the boxed layout's.
 //!
 //! Owned [`Entry`] values (an [`Mbr`] plus a [`Payload`]) exist only as the
 //! transient currency of the overflow paths: a split, a forced
@@ -239,24 +245,26 @@ pub(crate) struct Node {
     pub(crate) split_history: u64,
     /// Dimensionality `d`.
     dim: usize,
-    /// Values per row: `d` for a point leaf, `2·d` otherwise.
-    stride: usize,
-    /// Row-major entry bounds, `len() × stride` values.
+    /// Whether this is a point leaf: `bounds` is then the dimension-major
+    /// block of the points.
+    points: bool,
+    /// Entry coordinates: `len() × 2·d` values row-major, or a point
+    /// leaf's `d × len()` dimension-major block.
     bounds: Vec<f64>,
-    /// Item ids (leaf) or child page ids (directory), one per row.
+    /// Item ids (leaf) or child page ids (directory), one per entry.
     payloads: Vec<u64>,
 }
 
 impl Node {
-    /// An empty node at `level`; `point_rows` selects the point-leaf layout.
-    pub(crate) fn new(level: u32, dim: usize, point_rows: bool) -> Self {
-        debug_assert!(!point_rows || level == 0, "only leaves store points");
+    /// An empty node at `level`; `points` selects the point-leaf layout.
+    pub(crate) fn new(level: u32, dim: usize, points: bool) -> Self {
+        debug_assert!(!points || level == 0, "only leaves store points");
         Self {
             level,
             span: 1,
             split_history: 0,
             dim,
-            stride: if point_rows { dim } else { 2 * dim },
+            points,
             bounds: Vec::new(),
             payloads: Vec::new(),
         }
@@ -280,33 +288,58 @@ impl Node {
         self.payloads.is_empty()
     }
 
-    /// Values per row (`d` for a point leaf, `2·d` otherwise).
-    pub(crate) fn stride(&self) -> usize {
-        self.stride
+    /// Whether this is a point leaf (dimension-major block).
+    #[inline]
+    pub(crate) fn stores_points(&self) -> bool {
+        self.points
     }
 
-    /// The raw row-major bounds array.
+    /// The raw coordinate array: row-major `lo ‖ hi` rows, or a point
+    /// leaf's dimension-major block.
+    #[inline]
     pub(crate) fn bounds(&self) -> &[f64] {
         &self.bounds
     }
 
-    /// `(row, payload)` for every entry, in entry order.
+    /// The payloads (item ids of a leaf), in entry order.
     #[inline]
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (&[f64], u64)> {
-        self.bounds
-            .chunks_exact(self.stride)
-            .zip(self.payloads.iter().copied())
+    pub(crate) fn payloads(&self) -> &[u64] {
+        &self.payloads
     }
 
-    /// Entry `i`'s bounds as a box.
+    /// Entry `i`'s bounds as a box (row-major nodes only; a point leaf
+    /// reads [`Self::entry_box`]).
     #[inline]
     pub(crate) fn rect(&self, i: usize) -> BoxRef<'_> {
-        let row = &self.bounds[i * self.stride..(i + 1) * self.stride];
-        if self.stride == self.dim {
-            BoxRef { lo: row, hi: row }
+        debug_assert!(!self.points, "a point leaf has no rows");
+        let s = 2 * self.dim;
+        let (lo, hi) = self.bounds[i * s..(i + 1) * s].split_at(self.dim);
+        BoxRef { lo, hi }
+    }
+
+    /// Coordinate `j` of point `i` of a point leaf.
+    #[inline]
+    pub(crate) fn coord(&self, i: usize, j: usize) -> f64 {
+        self.bounds[j * self.len() + i]
+    }
+
+    /// Writes point `i` of a point leaf into `out` (`d` values).
+    pub(crate) fn gather(&self, i: usize, out: &mut Vec<f64>) {
+        debug_assert!(self.points);
+        out.clear();
+        out.extend((0..self.dim).map(|j| self.coord(i, j)));
+    }
+
+    /// Entry `i` as a box: its row, or in a point leaf the point gathered
+    /// into `buf` (a box with `lo == hi`).
+    #[inline]
+    pub(crate) fn entry_box<'a>(&'a self, i: usize, buf: &'a mut Vec<f64>) -> BoxRef<'a> {
+        if self.points {
+            self.gather(i, buf);
+            let p: &'a [f64] = buf;
+            BoxRef { lo: p, hi: p }
         } else {
-            let (lo, hi) = row.split_at(self.dim);
-            BoxRef { lo, hi }
+            self.rect(i)
         }
     }
 
@@ -330,18 +363,37 @@ impl Node {
         self.payloads.iter().position(|&p| p == child.0 as u64)
     }
 
-    /// Index of the leaf entry holding item `id` with exactly the bounds `b`.
+    /// Index of the leaf entry holding item `id` with exactly the bounds
+    /// `b` (`==` per coordinate).
     pub(crate) fn item_index(&self, id: ItemId, b: BoxRef<'_>) -> Option<usize> {
+        if self.points {
+            return (0..self.len()).find(|&i| {
+                self.payloads[i] == id
+                    && (0..self.dim).all(|j| {
+                        let x = self.coord(i, j);
+                        x == b.lo[j] && x == b.hi[j]
+                    })
+            });
+        }
         (0..self.len()).find(|&i| self.payloads[i] == id && self.rect(i) == b)
     }
 
-    /// Appends an entry with bounds `b`. A point leaf keeps `b.lo` only.
+    /// Appends an entry with bounds `b`. A point leaf keeps `b.lo` only,
+    /// as one more value at the end of every column.
     pub(crate) fn push(&mut self, b: BoxRef<'_>, payload: u64) {
         debug_assert_eq!(b.lo.len(), self.dim);
-        self.bounds.extend_from_slice(b.lo);
-        if self.stride == self.dim {
+        if self.points {
             debug_assert_eq!(b.lo, b.hi, "a point leaf stores points, not boxes");
+            let (d, m) = (self.dim, self.len());
+            self.bounds.resize((m + 1) * d, 0.0);
+            // Last column first: column j moves right by j, never onto a
+            // column that has yet to move.
+            for j in (0..d).rev() {
+                self.bounds.copy_within(j * m..(j + 1) * m, j * (m + 1));
+                self.bounds[j * (m + 1) + m] = b.lo[j];
+            }
         } else {
+            self.bounds.extend_from_slice(b.lo);
             self.bounds.extend_from_slice(b.hi);
         }
         self.payloads.push(payload);
@@ -367,8 +419,8 @@ impl Node {
     /// child box after the child changed).
     pub(crate) fn set_rect(&mut self, i: usize, m: &Mbr) {
         debug_assert!(!self.is_leaf());
-        let row = &mut self.bounds[i * self.stride..(i + 1) * self.stride];
-        let (lo, hi) = row.split_at_mut(self.dim);
+        let s = 2 * self.dim;
+        let (lo, hi) = self.bounds[i * s..(i + 1) * s].split_at_mut(self.dim);
         lo.copy_from_slice(m.lo());
         hi.copy_from_slice(m.hi());
     }
@@ -376,20 +428,32 @@ impl Node {
     /// Removes entry `i`; the last entry takes its place.
     pub(crate) fn swap_remove(&mut self, i: usize) {
         let last = self.len() - 1;
-        if i != last {
-            let s = self.stride;
-            self.bounds.copy_within(last * s..(last + 1) * s, i * s);
+        if self.points {
+            // First column first: column j moves left by j, never onto a
+            // column that has yet to move.
+            let m = last + 1;
+            for j in 0..self.dim {
+                self.bounds[j * m + i] = self.bounds[j * m + last];
+                self.bounds.copy_within(j * m..j * m + last, j * last);
+            }
+            self.bounds.truncate(last * self.dim);
+        } else {
+            let s = 2 * self.dim;
+            if i != last {
+                self.bounds.copy_within(last * s..(last + 1) * s, i * s);
+            }
+            self.bounds.truncate(last * s);
         }
-        self.bounds.truncate(last * self.stride);
         self.payloads.swap_remove(i);
     }
 
     /// Takes every entry out as owned values, leaving the node empty.
     pub(crate) fn take_entries(&mut self) -> Vec<Entry> {
         let leaf = self.is_leaf();
+        let mut buf = Vec::new();
         let out = (0..self.len())
             .map(|i| Entry {
-                mbr: self.rect(i).to_mbr(),
+                mbr: self.entry_box(i, &mut buf).to_mbr(),
                 payload: if leaf {
                     Payload::Item(self.payloads[i])
                 } else {
@@ -404,12 +468,40 @@ impl Node {
 
     /// Replaces the node's entries with `entries`, in order.
     pub(crate) fn set_entries(&mut self, entries: Vec<Entry>) {
+        if self.points {
+            self.set_points(entries.iter().map(|e| {
+                debug_assert_eq!(e.mbr.lo(), e.mbr.hi(), "a point leaf stores points");
+                (e.mbr.lo(), e.payload.raw())
+            }));
+            return;
+        }
         self.bounds.clear();
         self.payloads.clear();
-        self.bounds.reserve(entries.len() * self.stride);
+        self.bounds.reserve(entries.len() * 2 * self.dim);
         self.payloads.reserve(entries.len());
         for e in &entries {
             self.push_entry(e);
+        }
+    }
+
+    /// Replaces a point leaf's entries with `points` (`(coordinates, item
+    /// id)`, in entry order), written straight into the columns.
+    pub(crate) fn set_points<'p>(
+        &mut self,
+        points: impl ExactSizeIterator<Item = (&'p [f64], u64)>,
+    ) {
+        debug_assert!(self.points);
+        let (d, m) = (self.dim, points.len());
+        self.bounds.clear();
+        self.bounds.resize(m * d, 0.0);
+        self.payloads.clear();
+        self.payloads.reserve(m);
+        for (i, (p, id)) in points.enumerate() {
+            debug_assert_eq!(p.len(), d);
+            for (j, &x) in p.iter().enumerate() {
+                self.bounds[j * m + i] = x;
+            }
+            self.payloads.push(id);
         }
     }
 
@@ -418,6 +510,20 @@ impl Node {
     pub(crate) fn mbr(&self) -> Option<Mbr> {
         if self.is_empty() {
             return None;
+        }
+        if self.points {
+            // Each column's first value, then strict `<` / `>` in entry
+            // order: the row rule below, one dimension at a time.
+            let (lo, hi) = self
+                .bounds
+                .chunks_exact(self.len())
+                .map(|col| {
+                    col[1..].iter().fold((col[0], col[0]), |(lo, hi), &x| {
+                        (if x < lo { x } else { lo }, if x > hi { x } else { hi })
+                    })
+                })
+                .unzip::<f64, f64, Vec<f64>, Vec<f64>>();
+            return Some(Mbr::new(lo, hi));
         }
         let first = self.rect(0);
         let mut lo = first.lo.to_vec();
@@ -499,7 +605,7 @@ mod tests {
         assert!(n.mbr().is_none());
         n.push_entry(&Entry::item(Mbr::new(vec![0.1, 0.2], vec![0.3, 0.4]), 1));
         n.push_entry(&Entry::item(Mbr::new(vec![0.5, 0.0], vec![0.9, 0.1]), 2));
-        assert_eq!(n.bounds().len(), 2 * n.stride());
+        assert_eq!(n.bounds().len(), 2 * 2 * 2);
         let m = n.mbr().unwrap();
         assert_eq!(m.lo(), &[0.1, 0.0]);
         assert_eq!(m.hi(), &[0.9, 0.4]);
@@ -512,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn point_rows_store_coordinates_once() {
+    fn point_leaves_store_one_dimension_major_block() {
         let mut n = Node::new(0, 3, true);
         for (i, p) in [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
             .iter()
@@ -520,16 +626,35 @@ mod tests {
         {
             n.push_entry(&Entry::item(Mbr::from_point(p), i as u64));
         }
-        assert_eq!(n.stride(), 3);
-        assert_eq!(n.bounds().len(), 9);
-        assert_eq!(n.rect(1).lo, n.rect(1).hi);
+        // Column j holds coordinate j of every point, in entry order.
+        assert_eq!(n.bounds(), &[0.1, 0.4, 0.7, 0.2, 0.5, 0.8, 0.3, 0.6, 0.9]);
+        let mut buf = Vec::new();
+        let b = n.entry_box(1, &mut buf);
+        assert_eq!((b.lo, b.hi), (&[0.4, 0.5, 0.6][..], &[0.4, 0.5, 0.6][..]));
+        let m = n.mbr().unwrap();
+        assert_eq!(
+            (m.lo(), m.hi()),
+            (&[0.1, 0.2, 0.3][..], &[0.7, 0.8, 0.9][..])
+        );
         n.swap_remove(0);
-        assert_eq!((n.item(0), n.item(1)), (2, 1));
-        assert_eq!(n.rect(0).lo, &[0.7, 0.8, 0.9]);
+        assert_eq!(n.payloads(), &[2, 1]);
+        assert_eq!(n.bounds(), &[0.7, 0.4, 0.8, 0.5, 0.9, 0.6]);
         assert_eq!(
             n.item_index(1, BoxRef::of(&Mbr::from_point(&[0.4, 0.5, 0.6]))),
             Some(1)
         );
+        assert_eq!(
+            n.item_index(1, BoxRef::of(&Mbr::from_point(&[0.4, 0.5, 0.7]))),
+            None
+        );
+        let taken = n.take_entries();
+        assert!(n.is_empty() && n.bounds().is_empty());
+        n.set_entries(taken);
+        assert_eq!(n.bounds(), &[0.7, 0.4, 0.8, 0.5, 0.9, 0.6]);
+        n.swap_remove(1);
+        assert_eq!((n.payloads(), n.bounds()), (&[2][..], &[0.7, 0.8, 0.9][..]));
+        n.swap_remove(0);
+        assert!(n.is_empty() && n.bounds().is_empty());
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //!   into a **supernode** spanning one more disk page \[BKK 96\].
 //!
 //! Nodes store their entries structure-of-arrays (see the `node` module):
-//! one row-major bounds array and one payload array per node, and a point
-//! leaf keeps each point's coordinates once, in leaf order.
+//! one coordinate array and one payload array per node. Directory nodes
+//! and box leaves keep row-major `lo ‖ hi` rows; a point leaf keeps each
+//! point's coordinates once, in a dimension-major block (column `j` of an
+//! `m`-entry leaf at `j·m..(j+1)·m`). The serving traversal hands that
+//! block to its caller whole; every other walker gathers a point from its
+//! columns and keeps its arithmetic and counts.
 //!
 //! Five walkers read a tree. One region walk answers every box query (the
 //! point, window, sphere and page queries and [`Tree::point_query_with`]);
@@ -819,7 +823,9 @@ impl Tree {
 
     /// [`Self::point_query`] with caller-provided buffers: the traversal
     /// stack and the output vector are cleared and reused, so a warmed-up
-    /// caller pays **zero heap allocations** per query. Returns the number
+    /// caller pays **zero heap allocations** per query on a box-leaf tree
+    /// (a point-leaf tree gathers its leaf entries into one buffer per
+    /// call). Returns the number
     /// of simulated pages touched (supernodes count their span) — the
     /// per-query page cost, independent of the shared counters.
     pub fn point_query_with(
@@ -885,6 +891,8 @@ impl Tree {
         stack.clear();
         out.clear();
         stack.push(self.root);
+        // A point leaf's entries are gathered here; box trees never grow it.
+        let mut buf = Vec::new();
         let mut pages = 0u64;
         while let Some(id) = stack.pop() {
             self.touch(id);
@@ -892,7 +900,11 @@ impl Tree {
             pages += n.span as u64;
             self.cost.cpu(n.len() as u64);
             if n.is_leaf() {
-                out.extend((0..n.len()).filter(|&i| keep(n.rect(i))).map(|i| n.item(i)));
+                for i in 0..n.len() {
+                    if keep(n.entry_box(i, &mut buf)) {
+                        out.push(n.item(i));
+                    }
+                }
             } else {
                 let children = (0..n.len()).rev().filter(|&i| descend(n.rect(i)));
                 stack.extend(children.map(|i| n.child(i)));
@@ -929,6 +941,7 @@ impl Tree {
             }
         }
         let mut heap: BinaryHeap<It> = BinaryHeap::new();
+        let mut buf = Vec::new();
         heap.push(It {
             key: 0.0,
             target: Ok(self.root),
@@ -947,7 +960,7 @@ impl Tree {
                     let n = self.node(page);
                     self.cost.cpu(n.len() as u64);
                     for i in 0..n.len() {
-                        let b = n.rect(i);
+                        let b = n.entry_box(i, &mut buf);
                         if !in_halfspace(b) {
                             continue;
                         }
@@ -981,21 +994,29 @@ impl Tree {
     ///
     /// Pages of every tree share one priority queue and are expanded in
     /// ascending `MINDIST(q, MBR)` order \[HS 95\]. When a leaf is
-    /// expanded, `visit(tree, item, row)` is called for **every** entry it
-    /// stores, where `tree` is the index of the leaf's tree in `forest`
-    /// and `row` is the entry's row of the leaf: the point's `d`
-    /// coordinates in a point-leaf tree (`lo ‖ hi`, `2·d` values, in a
-    /// box-leaf tree). The traversal computes no per-item distances; the
-    /// caller owns item evaluation (typically one exact distance
-    /// evaluation of `row`) and returns the current pruning bound as a
-    /// *squared* distance in the trees' Euclidean geometry:
+    /// expanded, `visit(tree, items, block)` is called once with the whole
+    /// leaf: `tree` is the index of the leaf's tree in `forest`, `items`
+    /// its item ids in entry order and `block` its coordinates — in a
+    /// point-leaf tree the dimension-major block, whose column `j`
+    /// (coordinate `j` of every point) is `block[j·m..(j+1)·m]` for
+    /// `m = items.len()`; in a box-leaf tree one `lo ‖ hi` row of `2·d`
+    /// values per item. The traversal computes no per-item distances; the
+    /// caller owns item evaluation (typically one exact distance per point,
+    /// one lane per point across the columns) and returns the pruning
+    /// bound after the leaf as a *squared* distance in the trees'
+    /// Euclidean geometry:
     ///
     /// * `f64::INFINITY` — no bound yet; nothing is pruned.
     /// * any non-negative value `b²` — directory entries and queued pages
     ///   with `MINDIST² > b²` are pruned (strict: equality is expanded, so
     ///   ties on the bound are never lost).
-    /// * any negative value — abort the whole traversal (deadline hit);
-    ///   remaining queued pages are counted as pruned and the walk stops.
+    /// * any negative value — abort the whole traversal (deadline hit, or
+    ///   the probe found what it was looking for); remaining queued pages
+    ///   are counted as pruned and the walk stops.
+    ///
+    /// `D` is the trees' dimension as a compile-time constant, which
+    /// unrolls the directory MINDIST; `D = 0` reads it at run time. Both
+    /// compute the same `min_dist_sq` bit for bit.
     ///
     /// Exactness: the bound may only *shrink* over the traversal (the
     /// caller's running best can only improve), every skipped subtree had
@@ -1008,22 +1029,24 @@ impl Tree {
     ///
     /// Returns the page count (supernodes bill their span), the number
     /// of subtrees pruned before their node was ever read and the number
-    /// of items streamed, summed over the forest;
+    /// of items streamed (every entry of every leaf handed to `visit`),
+    /// summed over the forest;
     /// [`BestFirstScratch::per_tree`] holds the same counts per tree.
     /// Each tree's pages and CPU ops are counted in locals and billed to
     /// that tree's own cost tracker once, at the end, without consulting
     /// the page cache. The heap lives in the caller's
     /// [`BestFirstScratch`]; a warmed-up scratch makes the traversal
     /// allocation-free.
-    pub fn best_first_stream_with<F>(
+    pub fn best_first_stream_with<const D: usize, F>(
         forest: &[&Tree],
         q: &[f64],
         scratch: &mut BestFirstScratch,
         mut visit: F,
     ) -> TraversalStats
     where
-        F: FnMut(usize, ItemId, &[f64]) -> f64,
+        F: FnMut(usize, &[ItemId], &[f64]) -> f64,
     {
+        debug_assert!(D == 0 || q.len() == D, "D is the query's dimension");
         let BestFirstScratch { heap, tally } = scratch;
         heap.clear();
         tally.clear();
@@ -1038,7 +1061,7 @@ impl Tree {
             }
         }
         let mut bound = f64::INFINITY;
-        'walk: while let Some(slot) = heap.pop() {
+        while let Some(slot) = heap.pop() {
             let t = slot.tree as usize;
             tally[t].ops += 1;
             if slot.key > bound {
@@ -1050,23 +1073,23 @@ impl Tree {
                 break;
             }
             let tree = forest[t];
-            let d = tree.cfg.dim;
             let n = tree.node(slot.page);
             let tt = &mut tally[t];
             tt.stats.pages += n.span as u64;
             tt.ops += n.len() as u64;
             if n.is_leaf() {
                 tt.stats.items += n.len() as u64;
-                for (i, (row, item)) in n.rows().enumerate() {
-                    bound = visit(t, item, row);
-                    if bound < 0.0 {
-                        tally[t].stats.items -= (n.len() - i - 1) as u64;
-                        prune_frontier(heap, tally);
-                        break 'walk;
-                    }
+                bound = visit(t, n.payloads(), n.bounds());
+                if bound < 0.0 {
+                    prune_frontier(heap, tally);
+                    break;
                 }
             } else {
-                for (row, child) in n.rows() {
+                // A constant `D` fixes every slice length below, so the
+                // MINDIST loop unrolls.
+                let d = if D == 0 { tree.cfg.dim } else { D };
+                let q = &q[..d];
+                for (row, &child) in n.bounds().chunks_exact(2 * d).zip(n.payloads()) {
                     let (lo, hi) = row.split_at(d);
                     let d2 = min_dist_sq(lo, hi, q);
                     if d2 > bound {
@@ -1141,6 +1164,7 @@ impl Tree {
             return (out, true);
         }
         let mut heap: BinaryHeap<Item> = BinaryHeap::new();
+        let mut buf = Vec::new();
         heap.push(Item {
             key: 0.0,
             target: Ok(self.root),
@@ -1181,7 +1205,7 @@ impl Tree {
                     let n = self.node(page);
                     self.cost.cpu(n.len() as u64);
                     for i in 0..n.len() {
-                        let d2 = n.rect(i).min_dist_sq(q);
+                        let d2 = n.entry_box(i, &mut buf).min_dist_sq(q);
                         if d2 > bound(&kth) {
                             continue;
                         }
@@ -1214,20 +1238,28 @@ impl Tree {
             return None;
         }
         let mut best: Option<(ItemId, f64)> = None;
-        self.nn_bb_rec(self.root, q, &mut best);
+        self.nn_bb_rec(self.root, q, &mut best, &mut Vec::new());
         best.map(|(id, d2)| Neighbor {
             id,
             dist: d2.sqrt(),
         })
     }
 
-    fn nn_bb_rec(&self, id: PageId, q: &[f64], best: &mut Option<(ItemId, f64)>) {
+    /// One node of [`Self::nn_branch_bound`]; `buf` holds a point leaf's
+    /// gathered entry.
+    fn nn_bb_rec(
+        &self,
+        id: PageId,
+        q: &[f64],
+        best: &mut Option<(ItemId, f64)>,
+        buf: &mut Vec<f64>,
+    ) {
         self.touch(id);
         let n = self.node(id);
         self.cost.cpu(n.len() as u64);
         if n.is_leaf() {
             for i in 0..n.len() {
-                let d2 = n.rect(i).min_dist_sq(q);
+                let d2 = n.entry_box(i, buf).min_dist_sq(q);
                 if best.is_none_or(|(_, b)| d2 < b) {
                     *best = Some((n.item(i), d2));
                 }
@@ -1255,7 +1287,7 @@ impl Tree {
                     continue;
                 }
             }
-            self.nn_bb_rec(child, q, best);
+            self.nn_bb_rec(child, q, best, buf);
         }
     }
 
@@ -1267,11 +1299,12 @@ impl Tree {
     pub fn items(&self) -> Vec<(ItemId, Mbr)> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
+        let mut buf = Vec::new();
         while let Some(id) = stack.pop() {
             let n = self.node(id);
             for i in 0..n.len() {
                 if n.is_leaf() {
-                    out.push((n.item(i), n.rect(i).to_mbr()));
+                    out.push((n.item(i), n.entry_box(i, &mut buf).to_mbr()));
                 } else {
                     stack.push(n.child(i));
                 }
@@ -1281,10 +1314,12 @@ impl Tree {
     }
 
     /// Structural invariant check for tests: levels descend by one, entry
-    /// counts fit page spans, every node's bounds array holds one row per
-    /// entry with the layout's stride (`d` in a point leaf, `2·d`
-    /// otherwise), directory rows contain their children's rows and are
-    /// their exact unions.
+    /// counts fit page spans, every node has its level's layout and its
+    /// coordinate array holds one `lo ‖ hi` row per entry (`2·d` values)
+    /// or, in a point leaf, one point per item (`d` values, dimension-major),
+    /// directory rows contain their children's entries and are their exact
+    /// unions, and a point leaf's parent entry is bit for bit the minimum
+    /// and maximum of each of its block's columns.
     ///
     /// # Panics
     /// Panics with a description of the violated invariant.
@@ -1306,16 +1341,17 @@ impl Tree {
             self.capacity(n)
         );
         let d = self.cfg.dim;
-        let stride = if n.is_leaf() && self.cfg.leaf_stores_points {
-            d
-        } else {
-            2 * d
-        };
-        assert_eq!(n.stride(), stride, "node {id:?} has the wrong row stride");
+        let points = n.is_leaf() && self.cfg.leaf_stores_points;
+        assert_eq!(
+            n.stores_points(),
+            points,
+            "node {id:?} has the wrong layout"
+        );
+        let width = if points { d } else { 2 * d };
         assert_eq!(
             n.bounds().len(),
-            n.len() * stride,
-            "node {id:?}: bounds array does not hold one row per entry"
+            n.len() * width,
+            "node {id:?}: coordinate array does not hold {width} values per entry"
         );
         if let Some(exp) = expected {
             let actual = n.mbr().expect("non-root node must be non-empty");
@@ -1326,12 +1362,26 @@ impl Tree {
                     "parent entry MBR not tight for node {id:?}"
                 );
             }
+            let mut buf = Vec::new();
             for j in 0..n.len() {
-                let r = n.rect(j);
+                let r = n.entry_box(j, &mut buf);
                 assert!(
                     (0..d).all(|i| exp.lo[i] <= r.lo[i] && r.hi[i] <= exp.hi[i]),
                     "parent entry of node {id:?} does not contain entry {j}"
                 );
+            }
+            if points {
+                for (i, col) in n.bounds().chunks_exact(n.len()).enumerate() {
+                    let lo = col.iter().copied().fold(f64::INFINITY, f64::min);
+                    let hi = col.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    assert!(
+                        lo == exp.lo[i] && hi == exp.hi[i],
+                        "point leaf {id:?}: column {i} spans [{lo}, {hi}], its parent \
+                         entry [{}, {}]",
+                        exp.lo[i],
+                        exp.hi[i]
+                    );
+                }
             }
         }
         if !n.is_leaf() {
@@ -1378,6 +1428,12 @@ impl BestFirstScratch {
     /// per tree of its forest (in forest order).
     pub fn per_tree(&self) -> impl ExactSizeIterator<Item = TraversalStats> + '_ {
         self.tally.iter().map(|t| t.stats)
+    }
+
+    /// Bytes the queue and the per-tree counters hold (their capacities).
+    pub fn retained_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<PageSlot>()
+            + self.tally.capacity() * std::mem::size_of::<TreeTally>()
     }
 }
 
@@ -1503,6 +1559,19 @@ mod tests {
             .collect()
     }
 
+    /// `(id, point)` for every entry of a streamed point leaf, gathered
+    /// from its dimension-major block.
+    fn leaf_points<'a>(
+        ids: &'a [ItemId],
+        block: &'a [f64],
+    ) -> impl Iterator<Item = (ItemId, Vec<f64>)> + 'a {
+        let m = ids.len();
+        let d = block.len() / m;
+        ids.iter()
+            .enumerate()
+            .map(move |(i, &id)| (id, (0..d).map(|j| block[j * m + i]).collect()))
+    }
+
     fn build(policy: SplitPolicy, pts: &[Vec<f64>]) -> Tree {
         let d = pts[0].len();
         let cfg = match policy {
@@ -1567,15 +1636,22 @@ mod tests {
                 // shrink the bound to the best squared distance seen.
                 let mut best: Option<(ItemId, f64)> = None;
                 let mut visited = 0usize;
-                let stats = Tree::best_first_stream_with(&[&t], q, &mut scratch, |_, id, row| {
-                    visited += 1;
-                    assert_eq!(row, &pts[id as usize][..], "leaf row is the point");
-                    let d2 = dist_sq(q, row);
-                    if best.is_none_or(|(_, b)| d2 < b) {
-                        best = Some((id, d2));
-                    }
-                    best.map(|(_, b)| b).unwrap_or(f64::INFINITY)
-                });
+                let stats = Tree::best_first_stream_with::<0, _>(
+                    &[&t],
+                    q,
+                    &mut scratch,
+                    |_, ids, block| {
+                        for (id, p) in leaf_points(ids, block) {
+                            visited += 1;
+                            assert_eq!(p, pts[id as usize], "the block holds the point");
+                            let d2 = dist_sq(q, &p);
+                            if best.is_none_or(|(_, b)| d2 < b) {
+                                best = Some((id, d2));
+                            }
+                        }
+                        best.map(|(_, b)| b).unwrap_or(f64::INFINITY)
+                    },
+                );
                 let scan = (0..pts.len())
                     .min_by(|&a, &b| {
                         dist_sq(q, &pts[a])
@@ -1600,13 +1676,16 @@ mod tests {
         let pts = points(300, 4, 13);
         let t = build(SplitPolicy::XTree, &pts);
         let mut scratch = BestFirstScratch::new();
-        let mut visited = 0usize;
-        let stats = Tree::best_first_stream_with(&[&t], &pts[0], &mut scratch, |_, _, _| {
-            visited += 1;
-            f64::NEG_INFINITY
-        });
-        // One leaf expanded, first item visited, then the walk stops.
-        assert_eq!(visited, 1);
+        let (mut leaves, mut streamed) = (0usize, 0usize);
+        let stats =
+            Tree::best_first_stream_with::<4, _>(&[&t], &pts[0], &mut scratch, |_, ids, _| {
+                leaves += 1;
+                streamed += ids.len();
+                f64::NEG_INFINITY
+            });
+        // One leaf expanded and handed over whole, then the walk stops.
+        assert_eq!(leaves, 1);
+        assert_eq!(stats.items as usize, streamed);
         assert!(stats.pages < t.total_pages());
     }
 
@@ -1633,16 +1712,19 @@ mod tests {
             }
             let mut best: Option<(usize, f64)> = None;
             let mut visited = 0usize;
-            let stats = Tree::best_first_stream_with(&forest, &q, &mut scratch, |t, id, row| {
-                visited += 1;
-                assert_eq!(row, &parts[t][id as usize][..], "row of tree {t}");
-                let global = id as usize * 2 + t;
-                let d2 = dist_sq(&q, row);
-                if best.is_none_or(|(g, b)| (d2, global) < (b, g)) {
-                    best = Some((global, d2));
-                }
-                best.map_or(f64::INFINITY, |(_, b)| b)
-            });
+            let stats =
+                Tree::best_first_stream_with::<5, _>(&forest, &q, &mut scratch, |t, ids, block| {
+                    for (id, p) in leaf_points(ids, block) {
+                        visited += 1;
+                        assert_eq!(p, parts[t][id as usize], "point of tree {t}");
+                        let global = id as usize * 2 + t;
+                        let d2 = dist_sq(&q, &p);
+                        if best.is_none_or(|(g, b)| (d2, global) < (b, g)) {
+                            best = Some((global, d2));
+                        }
+                    }
+                    best.map_or(f64::INFINITY, |(_, b)| b)
+                });
             let scan = (0..pts.len())
                 .min_by(|&a, &b| dist_sq(&q, &pts[a]).total_cmp(&dist_sq(&q, &pts[b])))
                 .unwrap();
@@ -1864,16 +1946,13 @@ mod tests {
         assert!(s.avg_fill > 0.2 && s.avg_fill <= 1.0, "fill {:?}", s);
         assert!((0.0..=1.0).contains(&s.avg_sibling_overlap));
         // STR-packed trees must show lower directory overlap.
-        let items: Vec<(Mbr, ItemId)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (Mbr::from_point(p), i as ItemId))
-            .collect();
-        let packed = crate::bulk::bulk_load(
+        let ids: Vec<ItemId> = (0..pts.len() as ItemId).collect();
+        let packed = crate::bulk::bulk_load_rows(
             TreeConfig::rstar(4)
                 .with_point_leaves(true)
                 .with_block_size(512),
-            items,
+            &pts.concat(),
+            &ids,
             1.0,
         );
         let sp = packed.structure_stats();
@@ -1938,13 +2017,17 @@ mod tests {
         let mut pages = 0;
         for q in points(20, 4, 16) {
             let mut best = f64::INFINITY;
-            pages += Tree::best_first_stream_with(&[&t], &q, &mut scratch, |_, _, row| {
-                best = best.min(dist_sq(&q, row));
-                best
-            })
-            .pages;
+            pages +=
+                Tree::best_first_stream_with::<0, _>(&[&t], &q, &mut scratch, |_, ids, block| {
+                    for (_, p) in leaf_points(ids, block) {
+                        best = best.min(dist_sq(&q, &p));
+                    }
+                    best
+                })
+                .pages;
             // A constant bound: the radius kernel's ball of radius 0.1.
-            pages += Tree::best_first_stream_with(&[&t], &q, &mut scratch, |_, _, _| 0.01).pages;
+            pages +=
+                Tree::best_first_stream_with::<4, _>(&[&t], &q, &mut scratch, |_, _, _| 0.01).pages;
         }
         let s = t.stats();
         assert_eq!(s.page_reads, pages, "one read per page, billed once");

@@ -54,7 +54,8 @@ impl XTree {
     /// # Panics
     /// Panics if the configuration's policy is not
     /// [`crate::SplitPolicy::XTree`], on an empty `items` slice, mismatched
-    /// dimensionality, or a `fill` outside `(0,1]`.
+    /// dimensionality, a point-leaf configuration (see
+    /// [`Self::bulk_load_rows`]), or a `fill` outside `(0,1]`.
     pub fn bulk_load(cfg: TreeConfig, items: Vec<(Mbr, ItemId)>, fill: f64) -> Self {
         assert_eq!(
             cfg.policy,
@@ -66,16 +67,21 @@ impl XTree {
         }
     }
 
-    /// An X-tree bulk-loaded from bare data points (point leaves).
+    /// An X-tree with point leaves bulk-loaded from row-major points (see
+    /// [`crate::bulk_load_rows`]): point `id` is `rows[id·d..(id+1)·d]`.
     ///
     /// # Panics
-    /// As [`Self::bulk_load`].
-    pub fn bulk_load_points(dim: usize, points: Vec<(Mbr, ItemId)>, fill: f64) -> Self {
-        Self::bulk_load(
-            TreeConfig::xtree(dim).with_point_leaves(true),
-            points,
-            fill,
-        )
+    /// As [`crate::bulk_load_rows`], and if the configuration's policy is
+    /// not [`crate::SplitPolicy::XTree`].
+    pub fn bulk_load_rows(cfg: TreeConfig, rows: &[f64], ids: &[ItemId], fill: f64) -> Self {
+        assert_eq!(
+            cfg.policy,
+            crate::SplitPolicy::XTree,
+            "XTree requires the XTree policy"
+        );
+        Self {
+            inner: crate::bulk::bulk_load_rows(cfg, rows, ids, fill),
+        }
     }
 
     /// Inserts an item.
@@ -153,12 +159,9 @@ mod tests {
                 vec![v, (v * 13.0).fract(), (v * 29.0).fract()]
             })
             .collect();
-        let items = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (Mbr::from_point(p), i as ItemId))
-            .collect();
-        let mut t = XTree::bulk_load_points(3, items, 0.9);
+        let ids: Vec<ItemId> = (0..400).collect();
+        let cfg = TreeConfig::xtree(3).with_point_leaves(true);
+        let mut t = XTree::bulk_load_rows(cfg, &pts.concat(), &ids, 0.9);
         assert_eq!(t.len(), 400);
         t.validate();
         for (i, p) in pts.iter().enumerate().step_by(37) {

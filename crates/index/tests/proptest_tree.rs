@@ -3,7 +3,7 @@
 //! hold, for both split policies.
 
 use nncell_geom::{dist_sq, Mbr};
-use nncell_index::{SplitPolicy, Tree, TreeConfig};
+use nncell_index::{bulk_load_rows, SplitPolicy, Tree, TreeConfig};
 use proptest::prelude::*;
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -131,5 +131,62 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
+    }
+
+    /// Random inserts and removes — on an insert-built tree and on an STR
+    /// bulk load — split leaves, reinsert entries (R*) and dissolve
+    /// underfull nodes; after every step `validate` checks each point
+    /// leaf's dimension-major block against its items and its parent
+    /// entry, and the tree holds exactly the live points.
+    #[test]
+    fn point_leaf_blocks_stay_valid_under_random_updates(
+        seed_pts in points(3, 40),
+        ops in prop::collection::vec((0u32..3, prop::collection::vec(coord(), 3)), 1..120),
+    ) {
+        for policy in [SplitPolicy::RStar, SplitPolicy::XTree] {
+            let cfg = match policy {
+                SplitPolicy::RStar => TreeConfig::rstar(3),
+                SplitPolicy::XTree => TreeConfig::xtree(3),
+            }
+            .with_point_leaves(true)
+            .with_block_size(256);
+            let rows: Vec<f64> = seed_pts.iter().flatten().copied().collect();
+            let ids: Vec<u64> = (0..seed_pts.len() as u64).collect();
+            for bulk in [false, true] {
+                let mut pts: Vec<Vec<f64>> = seed_pts.clone();
+                let mut live = vec![true; pts.len()];
+                let mut t = if bulk {
+                    bulk_load_rows(cfg.clone(), &rows, &ids, 0.9)
+                } else {
+                    build(policy, 3, &pts)
+                };
+                t.validate();
+                for (op, p) in &ops {
+                    if *op == 0 || !live.iter().any(|l| *l) {
+                        t.insert(Mbr::from_point(p), pts.len() as u64);
+                        pts.push(p.clone());
+                        live.push(true);
+                    } else {
+                        // Remove the live point after a position drawn from `p`.
+                        let from = (p[0] * 1000.0) as usize % pts.len();
+                        let id = (0..pts.len())
+                            .map(|i| (from + i) % pts.len())
+                            .find(|&i| live[i])
+                            .unwrap();
+                        prop_assert!(t.delete(&Mbr::from_point(&pts[id]), id as u64));
+                        live[id] = false;
+                    }
+                    t.validate();
+                }
+                let mut got: Vec<(u64, Vec<f64>)> =
+                    t.items().into_iter().map(|(id, m)| (id, m.lo().to_vec())).collect();
+                got.sort_by_key(|(id, _)| *id);
+                let want: Vec<(u64, Vec<f64>)> = (0..pts.len())
+                    .filter(|&i| live[i])
+                    .map(|i| (i as u64, pts[i].clone()))
+                    .collect();
+                prop_assert_eq!(got, want, "{:?}, bulk {}", policy, bulk);
+            }
+        }
     }
 }
