@@ -242,8 +242,8 @@ echo "== sharded evaluation-count gate (S>1 mean_examined vs committed baseline)
 # baseline.
 if baseline_json=$(git show HEAD:BENCH_sharded.json 2>/dev/null); then
     extract_examined() { grep -o '"shards": *[0-9]*, *"mean_examined": *[0-9.]*' | tr -dc '0-9.,\n'; }
-    old_rows=$(printf '%s' "$baseline_json" | extract_examined)
-    cur_rows=$(extract_examined < BENCH_sharded.json)
+    old_rows=$(printf '%s' "$baseline_json" | extract_examined || true)
+    cur_rows=$(extract_examined < BENCH_sharded.json || true)
     if [ -z "$cur_rows" ]; then
         echo "sharded count gate: could not parse mean_examined from BENCH_sharded.json" >&2
         exit 1

@@ -54,19 +54,19 @@
 //! accumulation and the kernel can never skip a true answer.
 //!
 //! The one exact-scan fallback (`k ≥` the live count) goes through one
-//! helper here, which both sets [`QueryStats::fallback`] on the response
-//! and bumps the index-wide [`NnCellIndex::fallback_queries`] counter of
-//! every index it scanned. A query with a non-empty memtable tail never
-//! falls back: its traversal is complete whenever fewer than k live points
+//! helper here, which sets [`QueryStats::fallback`] on the response (and
+//! `nncell_query_fallback_total` in the series of every shard with a
+//! registry attached). A query with a non-empty memtable tail never falls
+//! back: its traversal is complete whenever fewer than k live points
 //! exist.
 
 use crate::index::{NnCellIndex, QueryResult};
 use crate::memtable::TailSnapshot;
 use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
 use nncell_geom::{Euclidean, Metric};
-use nncell_index::{BestFirstScratch, Tree};
+use nncell_index::{BestFirstScratch, ItemId, Tree};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Relative slop applied to squared-distance pruning/abort bounds. It
 /// absorbs the rounding difference between an MBR's MINDIST accumulation
@@ -121,61 +121,85 @@ impl QueryScratch {
     }
 }
 
-/// One shard of the forest an engine reads.
-pub(crate) struct Shard<'a, M: Metric> {
-    index: &'a NnCellIndex<M>,
-    /// The unfolded memtable tail every answer covers, when non-empty.
-    tail: Option<&'a TailSnapshot>,
-    /// The shard's number `s` in the id mapping `global = local·S + s`.
-    number: usize,
-    /// The index's liveness mask, by local id.
-    alive: &'a [bool],
-    /// The tail's tombstoned local ids, ascending (empty without a tail).
-    tombstones: &'a [usize],
+/// One shard of a [`crate::ShardedIndex`]'s published read state: its
+/// index and the view of its unfolded memtable tail (empty once every
+/// write is folded). The two are published together, so every live point
+/// of the shard is in exactly one of them.
+#[derive(Clone)]
+pub(crate) struct Shard<M: Metric = Euclidean> {
+    pub(crate) index: Arc<NnCellIndex<M>>,
+    pub(crate) tail: Arc<TailSnapshot>,
 }
 
-impl<'a, M: Metric> Shard<'a, M> {
-    /// Shard `number` of a fan-out: its index and unfolded tail.
-    pub(crate) fn new(
-        number: usize,
-        index: &'a NnCellIndex<M>,
-        tail: Option<&'a TailSnapshot>,
-    ) -> Self {
-        let tail = tail.filter(|t| !t.is_empty());
-        Self {
-            index,
-            tail,
-            number,
-            alive: index.alive(),
-            tombstones: tail.map_or(&[], |t| &t.removed),
-        }
-    }
-
-    /// No live indexed point and no live tail insert.
-    fn is_empty(&self) -> bool {
-        self.index.is_empty() && self.tail.is_none_or(|t| t.inserts.is_empty())
+/// A shard is a member of the traversal's forest through its point tree.
+impl<M: Metric> AsRef<Tree> for Shard<M> {
+    fn as_ref(&self) -> &Tree {
+        self.index.point_tree()
     }
 }
 
-/// The shards an engine reads, with their point trees in the same order
-/// (the traversal's forest). One index needs no allocation.
+/// The shards an engine reads. Shard `s` maps local id `l` to the global
+/// id `l·S + s`, where `S` is the shard count.
 enum Forest<'a, M: Metric> {
-    One(Shard<'a, M>, [&'a Tree; 1]),
-    Many(Vec<Shard<'a, M>>, Vec<&'a Tree>),
+    /// One index, without a tail.
+    One(&'a NnCellIndex<M>),
+    /// A fan-out's shards, in shard order.
+    Many(&'a [Shard<M>]),
 }
 
 impl<'a, M: Metric> Forest<'a, M> {
-    fn shards(&self) -> &[Shard<'a, M>] {
+    fn len(&self) -> usize {
         match self {
-            Forest::One(shard, _) => std::slice::from_ref(shard),
-            Forest::Many(shards, _) => shards,
+            Forest::One(_) => 1,
+            Forest::Many(shards) => shards.len(),
         }
     }
 
-    fn trees(&self) -> &[&'a Tree] {
+    fn index(&self, s: usize) -> &'a NnCellIndex<M> {
         match self {
-            Forest::One(_, tree) => tree,
-            Forest::Many(_, trees) => trees,
+            Forest::One(index) => index,
+            Forest::Many(shards) => &shards[s].index,
+        }
+    }
+
+    /// Shard `s`'s unfolded tail, when non-empty.
+    fn tail(&self, s: usize) -> Option<&'a TailSnapshot> {
+        match self {
+            Forest::One(_) => None,
+            Forest::Many(shards) => Some(&*shards[s].tail).filter(|t| !t.is_empty()),
+        }
+    }
+
+    /// Shard `s`'s tombstoned local ids, ascending.
+    fn tombstones(&self, s: usize) -> &'a [usize] {
+        match self {
+            Forest::One(_) => &[],
+            Forest::Many(shards) => &shards[s].tail.removed,
+        }
+    }
+
+    /// No live indexed point and no live tail insert in any shard.
+    fn is_empty(&self) -> bool {
+        (0..self.len())
+            .all(|s| self.index(s).is_empty() && self.tail(s).is_none_or(|t| t.inserts.is_empty()))
+    }
+
+    /// One best-first traversal of every shard's point tree (see
+    /// [`Tree::best_first_stream_with`]).
+    fn stream<const D: usize>(
+        &self,
+        q: &[f64],
+        bf: &mut BestFirstScratch,
+        visit: impl FnMut(usize, &[ItemId], &[f64]) -> f64,
+    ) {
+        match self {
+            Forest::One(index) => {
+                let tree: &Tree = index.point_tree();
+                Tree::best_first_stream_with::<D, _>(&[tree], q, bf, visit);
+            }
+            Forest::Many(shards) => {
+                Tree::best_first_stream_with::<D, _>(shards, q, bf, visit);
+            }
         }
     }
 }
@@ -198,8 +222,6 @@ impl<'a, M: Metric> Forest<'a, M> {
 /// ```
 pub struct QueryEngine<'a, M: Metric = Euclidean> {
     forest: Forest<'a, M>,
-    /// The shard count `S` of the id mapping (1 for one index).
-    stride: usize,
     dim: usize,
     threads: usize,
     /// When false, this engine skips metric recording even if the index has
@@ -219,29 +241,21 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
 
     /// An engine that executes batches on the calling thread only.
     pub fn sequential(index: &'a NnCellIndex<M>) -> Self {
-        let tree: &Tree = index.point_tree();
-        Self::over(
-            Forest::One(Shard::new(0, index, None), [tree]),
-            1,
-            index.dim(),
-        )
+        Self::over(Forest::One(index), index.dim())
     }
 
-    /// The shard fan-out's engine: one traversal over every shard's point
-    /// tree, one k-best keyed by `(dist, global id)` with `global = local ·
-    /// stride + shard number`. `shards` may be empty (every query then
-    /// answers [`QueryError::EmptyIndex`] after validation). Batches run on
-    /// the calling thread; see [`Self::with_threads`].
-    pub(crate) fn fan_out(dim: usize, stride: usize, shards: Vec<Shard<'a, M>>) -> Self {
-        let trees = shards.iter().map(|s| &**s.index.point_tree()).collect();
-        Self::over(Forest::Many(shards, trees), stride, dim)
+    /// The shard fan-out's engine over a published read state: one
+    /// traversal over every shard's point tree, one k-best keyed by
+    /// `(dist, global id)` with `global = local · S + shard number`.
+    /// Batches run on the calling thread; see [`Self::with_threads`].
+    pub(crate) fn fan_out(dim: usize, shards: &'a [Shard<M>]) -> Self {
+        Self::over(Forest::Many(shards), dim)
     }
 
     /// A sequential engine over `forest`.
-    fn over(forest: Forest<'a, M>, stride: usize, dim: usize) -> Self {
+    fn over(forest: Forest<'a, M>, dim: usize) -> Self {
         Self {
             forest,
-            stride,
             dim,
             threads: 1,
             record_metrics: true,
@@ -281,23 +295,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         }
     }
 
-    /// Answers every query over the index *plus* an unindexed memtable
-    /// tail. For k-NN the tail seeds the one k-NN kernel: its live
-    /// inserts are scanned first (deadline-aware) into the
-    /// running k-best, and the traversal then starts from that bound,
-    /// skipping tombstoned ids and ids the seed already holds. Radius
-    /// queries filter tombstones from the indexed ball and add the tail
-    /// inserts inside it. Exactness is a covering-superset argument —
-    /// every live point is either in the index or in the tail — and the
-    /// tail's live inserts are counted in [`QueryStats::tail`]. With an
-    /// empty tail the plain (zero-allocation) path runs unchanged.
-    pub fn with_tail(mut self, tail: &'a crate::memtable::TailSnapshot) -> Self {
-        if let Forest::One(shard, _) = &mut self.forest {
-            *shard = Shard::new(0, shard.index, Some(tail));
-        }
-        self
-    }
-
     /// The configured batch worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -305,17 +302,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
 
     /// The index this engine reads.
     pub fn index(&self) -> &'a NnCellIndex<M> {
-        self.forest.shards()[0].index
-    }
-
-    /// Total scan-fallback queries recorded on the underlying index (all
-    /// fallback paths — NN and k-NN — are counted there by this engine).
-    pub fn fallback_queries(&self) -> u64 {
-        self.forest
-            .shards()
-            .iter()
-            .map(|s| s.index.fallback_queries())
-            .sum()
+        self.forest.index(0)
     }
 
     // ------------------------------------------------------------------
@@ -346,9 +333,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         // Inert (one thread-local read) unless this thread is inside a
         // sampled trace; the guard closes when the function returns.
         let mut span = nncell_obs::trace::child("engine.query");
-        let shards = self.forest.shards();
-        let recording =
-            self.record_metrics && shards.iter().any(|s| s.index.engine_metrics().is_some());
+        let shards = self.forest.len();
+        let recording = self.record_metrics
+            && (0..shards).any(|s| self.forest.index(s).engine_metrics().is_some());
         let start = recording.then(std::time::Instant::now);
         let result = self.execute_inner(scratch, q);
         if let Ok(resp) = &result {
@@ -362,8 +349,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return result;
         };
         let latency_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        for (i, shard) in shards.iter().enumerate() {
-            let Some(m) = shard.index.engine_metrics() else {
+        for i in 0..shards {
+            let Some(m) = self.forest.index(i).engine_metrics() else {
                 continue;
             };
             m.queries.inc();
@@ -432,8 +419,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             _ => {}
         }
         let deadline = self.effective_deadline(q);
-        let shards = self.forest.shards();
-        if shards.iter().all(Shard::is_empty) {
+        if self.forest.is_empty() {
             return Err(QueryError::EmptyIndex);
         }
         if out_of_budget(deadline) {
@@ -442,7 +428,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         scratch.per_shard.clear();
         scratch
             .per_shard
-            .resize(shards.len(), QueryStats::default());
+            .resize(self.forest.len(), QueryStats::default());
         // The one dimension dispatch: the kernels compiled for d = 8, the
         // dimension every benchmark workload measures, or for any (`D = 0`).
         // A constant is added only with a measured end-to-end win at it.
@@ -536,7 +522,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// converts a weighted-metric bound into the trees' Euclidean
     /// geometry: `d²_w(q, x) ≥ w_min · ‖q − x‖²`.
     fn metric(&self) -> (&'a M, f64) {
-        let metric = self.forest.shards()[0].index.metric();
+        let metric = self.forest.index(0).metric();
         let mut w_min = f64::INFINITY;
         for i in 0..self.dim {
             w_min = w_min.min(metric.weight(i));
@@ -567,11 +553,10 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// With tails, every shard's live inserts are scanned first into the
     /// same k-best (same kernel, same order, same slop), so the traversal
     /// runs from the bound they set instead of from ∞ (it adopts it at its
-    /// first streamed item). A shard's tombstoned ids are skipped, and so
-    /// is an id the seed already holds — a fold published between the
-    /// tail view and the snapshot load puts a point on both sides with
-    /// bit-identical distances. Both checks run only for a candidate that
-    /// would enter the k-best. The tail path never takes the `k ≥ len`
+    /// first streamed item). A shard's tombstoned ids are skipped; the
+    /// check runs only for a candidate that would enter the k-best. A
+    /// shard's index and tail are published together, so no point is on
+    /// both sides. The tail path never takes the `k ≥ len`
     /// scan fallback: the traversal is complete while the k-best is short,
     /// and `len` counts neither tail inserts nor tombstones.
     ///
@@ -586,9 +571,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         k: usize,
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
-        let shards = self.forest.shards();
-        let has_tail = shards.iter().any(|s| s.tail.is_some());
-        let indexed: usize = shards.iter().map(|s| s.index.len()).sum();
+        let forest = &self.forest;
+        let has_tail = (0..forest.len()).any(|s| forest.tail(s).is_some());
+        let indexed: usize = (0..forest.len()).map(|s| forest.index(s).len()).sum();
         if !has_tail && k >= indexed {
             // k ≥ len needs every live point anyway. A query outside the
             // data space needs no scan: MINDIST ordering over the point
@@ -596,7 +581,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return Ok(self.scan_knn(&mut scratch.per_shard, p, k));
         }
         let (metric, w_min) = self.metric();
-        let stride = self.stride;
+        let stride = forest.len();
         let QueryScratch {
             ranked,
             bf,
@@ -616,8 +601,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             let abort = (b * b) * BOUND_SLOP;
             (abort, abort / w_min)
         };
-        for (s, st) in shards.iter().zip(per_shard.iter_mut()) {
-            let Some(t) = s.tail else {
+        for (s, st) in per_shard.iter_mut().enumerate() {
+            let Some(t) = forest.tail(s) else {
                 continue;
             };
             let mut span = nncell_obs::trace::child("engine.tail_merge");
@@ -635,7 +620,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 }
                 st.candidates += 1;
                 let r = QueryResult {
-                    id: local * stride + s.number,
+                    id: local * stride + s,
                     dist: d2.sqrt(),
                 };
                 if let Some(b) = offer(ranked, k, r, &[], *local) {
@@ -649,7 +634,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         // evaluations beyond it, are counted one by one. The point tree
         // holds only live ids (`remove` deletes from it as it clears
         // `alive`), so a streamed point needs no liveness check.
-        Tree::best_first_stream_with::<D, _>(self.forest.trees(), p, bf, |t, items, block| {
+        forest.stream::<D>(p, bf, |t, items, block| {
             visits += items.len();
             if visits >= 128 {
                 visits = 0;
@@ -658,22 +643,22 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                     return f64::NEG_INFINITY; // abort the whole traversal
                 }
             }
-            let s = &shards[t];
+            let tombstones = forest.tombstones(t);
             let dists = leaf_dists::<D, M>(metric, p, block, d2, items.len());
             // Point-tree items carry raw local point ids (no piece
             // encoding).
             for (&item, &d2) in items.iter().zip(dists) {
                 let local = item as usize;
-                debug_assert!(s.alive[local], "point tree out of sync");
+                debug_assert!(forest.index(t).is_live(local), "point tree out of sync");
                 if d2 > abort_bound {
                     continue; // provably beyond the k-th best
                 }
                 per_shard[t].candidates += 1;
                 let r = QueryResult {
-                    id: local * stride + s.number,
+                    id: local * stride + t,
                     dist: d2.sqrt(),
                 };
-                if let Some(b) = offer(ranked, k, r, s.tombstones, local) {
+                if let Some(b) = offer(ranked, k, r, tombstones, local) {
                     (abort_bound, tree_bound) = bounds(b);
                 }
             }
@@ -713,9 +698,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// `intersects_sphere` test, so the traversal reads exactly the pages
     /// that meet the ball. Every streamed leaf is evaluated with the exact
     /// lane kernel in place, and each live point of it is kept when
-    /// `dist ≤ r` and its id is not tombstoned. The shards' live tail inserts inside the ball join
-    /// the hits, and the union is sorted by `(distance, global id)` and
-    /// deduplicated once. No truncation — a radius query returns
+    /// `dist ≤ r` and its id is not tombstoned. The shards' live tail
+    /// inserts inside the ball join the hits, and the union is sorted by
+    /// `(distance, global id)` once. No truncation — a radius query returns
     /// everything the ball contains. Unlike k-NN this needs no scan
     /// fallback: the point trees hold every indexed live point, and the
     /// traversal is exact for *any* center, including centers outside the
@@ -739,8 +724,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         let tree_r = (r / w_min.sqrt()) * (1.0 + 1e-9) + 1e-12;
         let tree_bound = tree_r * tree_r + nncell_geom::EPS;
         let abort_bound = radius_bound(r);
-        let shards = self.forest.shards();
-        let stride = self.stride;
+        let forest = &self.forest;
+        let stride = forest.len();
         let QueryScratch {
             ranked: hits,
             bf,
@@ -750,20 +735,20 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         hits.clear();
         // One evaluated point of shard `s`. A shard's examined count is its
         // streamed items (added after the walk) plus its tail inserts.
-        let mut keep = |s: &Shard<'a, M>, st: &mut QueryStats, local: usize, d2: f64| {
+        let mut keep = |s: usize, st: &mut QueryStats, local: usize, d2: f64| {
             if d2 > abort_bound {
                 return; // provably outside the ball
             }
             st.candidates += 1;
             let dist = d2.sqrt();
-            if dist <= r && s.tombstones.binary_search(&local).is_err() {
-                let id = local * stride + s.number;
+            if dist <= r && forest.tombstones(s).binary_search(&local).is_err() {
+                let id = local * stride + s;
                 hits.push(QueryResult { id, dist });
             }
         };
         let mut visits = 0usize;
         let mut deadline_hit = false;
-        Tree::best_first_stream_with::<D, _>(self.forest.trees(), p, bf, |t, items, block| {
+        forest.stream::<D>(p, bf, |t, items, block| {
             visits += items.len();
             if visits >= 128 {
                 visits = 0;
@@ -772,12 +757,12 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                     return f64::NEG_INFINITY; // abort the whole traversal
                 }
             }
-            let (s, st) = (&shards[t], &mut per_shard[t]);
+            let st = &mut per_shard[t];
             let dists = leaf_dists::<D, M>(metric, p, block, d2, items.len());
             for (&item, &d2) in items.iter().zip(dists) {
                 let local = item as usize;
-                debug_assert!(s.alive[local], "point tree out of sync");
-                keep(s, st, local, d2);
+                debug_assert!(forest.index(t).is_live(local), "point tree out of sync");
+                keep(t, st, local, d2);
             }
             tree_bound
         });
@@ -785,11 +770,11 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return Err(QueryError::DeadlineExceeded);
         }
         let mut seeded = 0usize;
-        for ((s, st), ts) in shards.iter().zip(per_shard.iter_mut()).zip(bf.per_tree()) {
+        for (s, (st, ts)) in per_shard.iter_mut().zip(bf.per_tree()).enumerate() {
             st.pages = ts.pages;
             st.nodes_pruned = ts.nodes_pruned;
             st.candidates_examined += ts.items as usize;
-            if let Some(t) = s.tail {
+            if let Some(t) = forest.tail(s) {
                 st.tail = t.inserts.len();
                 st.candidates_examined += t.inserts.len();
                 for (local, pt) in &t.inserts {
@@ -803,9 +788,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             st.candidates_aborted_early = st.candidates_examined - st.candidates;
         }
         hits.sort_unstable_by(cmp_results);
-        // A fold published between a tail view and its snapshot load puts
-        // a point on both sides, with identical `(dist, id)`.
-        hits.dedup_by(|a, b| a.id == b.id);
         match hits.split_first() {
             None => Err(QueryError::EmptyRadius),
             Some((best, rest)) => Ok(QueryResponse {
@@ -821,26 +803,26 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     // ------------------------------------------------------------------
 
     /// Exact k-NN by scanning every shard's flat point layout, ranked by
-    /// `(dist, global id)`. Counts the fallback on every index it scans
-    /// and resets `per_shard` to the scan's counters.
+    /// `(dist, global id)`. Resets `per_shard` to the scan's counters,
+    /// each marked as a fallback.
     fn scan_knn(&self, per_shard: &mut [QueryStats], p: &[f64], k: usize) -> QueryResponse {
         let _span = nncell_obs::trace::child("engine.scan_fallback");
         let (metric, _) = self.metric();
         let mut all: Vec<QueryResult> = Vec::new();
-        for (s, st) in self.forest.shards().iter().zip(per_shard.iter_mut()) {
-            let idx = s.index;
-            idx.count_fallback();
+        for (s, st) in per_shard.iter_mut().enumerate() {
+            let idx = self.forest.index(s);
             *st = QueryStats {
                 candidates: idx.len(),
                 fallback: true,
                 candidates_examined: idx.len(),
                 ..QueryStats::default()
             };
+            let alive = idx.alive();
             all.extend(
-                (0..s.alive.len())
-                    .filter(|&l| s.alive[l])
+                (0..alive.len())
+                    .filter(|&l| alive[l])
                     .map(|local| QueryResult {
-                        id: local * self.stride + s.number,
+                        id: local * self.forest.len() + s,
                         dist: metric.dist(p, idx.flat_point(local)),
                     }),
             );
@@ -864,10 +846,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
 /// Offers a completed candidate to the running k-best `ranked` (ascending
 /// `(dist, global id)`, at most `k` long). It enters when the list is
 /// short or it beats the k-th, unless its shard-local id `local` is in its
-/// shard's `tombstones` (sorted) or its global id is already in the list —
-/// the same point reached from the tail seed and the snapshot, whose
-/// identical `(dist, id)` sorts it exactly onto its twin. Returns the k-th
-/// distance when the candidate entered and the list is full.
+/// shard's `tombstones` (sorted). Returns the k-th distance when the
+/// candidate entered and the list is full.
 fn offer(
     ranked: &mut Vec<QueryResult>,
     k: usize,
@@ -883,9 +863,6 @@ fn offer(
         return None;
     }
     let pos = ranked.partition_point(|x| cmp_results(x, &r) == std::cmp::Ordering::Less);
-    if ranked.get(pos).is_some_and(|x| x.id == r.id) {
-        return None;
-    }
     if full {
         ranked.pop();
     }
@@ -942,7 +919,7 @@ fn cmp_results(a: &QueryResult, b: &QueryResult) -> std::cmp::Ordering {
 mod tests {
     use super::*;
     use crate::config::{BuildConfig, Strategy};
-    use crate::memtable::TailSnapshot;
+    use crate::ShardedIndex;
     use nncell_geom::{dist_sq, Point};
 
     /// 60 distinct points on a 2-d lattice, ids 0..60.
@@ -984,55 +961,41 @@ mod tests {
         r.iter().map(|x| (x.id, x.dist.to_bits())).collect()
     }
 
-    #[test]
-    fn an_id_live_in_the_index_and_in_the_tail_is_returned_once() {
-        let pts = lattice();
-        let index = build(&pts);
-        // A fold published between the tail view and the snapshot load:
-        // the same point, under the same id, on both sides.
-        let tail = TailSnapshot::new(vec![(17, pts[17].clone()), (18, pts[18].clone())], vec![]);
-        let engine = QueryEngine::sequential(&index).with_tail(&tail);
-        let live: Vec<(usize, &Point)> = pts.iter().enumerate().collect();
-        let q = pts[17].as_slice();
-        for k in [1, 2, 5, 60, 70] {
-            let r = engine.execute(&Query::knn(q, k)).unwrap();
-            assert_eq!(bits(&r), scan(&live, q, k), "k = {k}");
-            assert!(!r.stats.fallback, "the tail path takes no scan fallback");
-            assert_eq!(r.stats.tail, 2);
-            assert_eq!(
-                r.stats.candidates_examined,
-                r.stats.candidates + r.stats.candidates_aborted_early
-            );
+    /// A one-shard index over `pts` whose removes of `dead` stay unfolded
+    /// in its tail.
+    fn with_unfolded_removes(pts: &[Point], dead: &[usize]) -> ShardedIndex {
+        let cfg = BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(5)
+            .build();
+        let idx = ShardedIndex::build(pts.to_vec(), 1, cfg).unwrap();
+        for &id in dead {
+            assert!(idx.remove(id).unwrap());
         }
-        let r = engine.execute(&Query::radius(q, 0.2)).unwrap();
-        let mut ids: Vec<usize> = r.iter().map(|x| x.id).collect();
-        let n = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), n, "radius answers hold each id once");
+        assert_eq!(idx.tail_depth(), dead.len());
+        idx
     }
 
     #[test]
     fn a_tombstoned_neighbor_is_replaced_by_the_next_one() {
         let pts = lattice();
-        let index = build(&pts);
         let q = [0.3, 0.4];
         let all: Vec<(usize, &Point)> = pts.iter().enumerate().collect();
         let nearest: Vec<usize> = scan(&all, &q, 4).iter().map(|(id, _)| *id).collect();
         // Tombstone the best and the third-best of the true 4 nearest.
         let dead = [nearest[0], nearest[2]];
-        let tail = TailSnapshot::new(Vec::new(), dead.to_vec());
-        let engine = QueryEngine::sequential(&index).with_tail(&tail);
+        let idx = with_unfolded_removes(&pts, &dead);
         let live: Vec<(usize, &Point)> = all
             .iter()
             .copied()
             .filter(|(id, _)| !dead.contains(id))
             .collect();
         for k in [1, 3, 4, 58, 60] {
-            let r = engine.execute(&Query::knn(q, k)).unwrap();
+            let r = idx.query(&Query::knn(q, k)).unwrap();
             assert_eq!(bits(&r), scan(&live, &q, k), "k = {k}");
             assert!(r.iter().all(|x| !dead.contains(&x.id)));
         }
-        let r = engine.execute(&Query::radius(q, 0.3)).unwrap();
+        let r = idx.query(&Query::radius(q, 0.3)).unwrap();
         assert!(r.iter().all(|x| !dead.contains(&x.id)));
         assert_eq!(bits(&r), scan(&live, &q, r.len()));
     }
@@ -1040,11 +1003,9 @@ mod tests {
     #[test]
     fn a_fully_tombstoned_index_without_tail_inserts_is_empty() {
         let pts: Vec<Point> = lattice().into_iter().take(3).collect();
-        let index = build(&pts);
-        let tail = TailSnapshot::new(Vec::new(), vec![0, 1, 2]);
-        let engine = QueryEngine::sequential(&index).with_tail(&tail);
+        let idx = with_unfolded_removes(&pts, &[0, 1, 2]);
         assert_eq!(
-            engine.execute(&Query::knn([0.5, 0.5], 2)).unwrap_err(),
+            idx.query(&Query::knn([0.5, 0.5], 2)).unwrap_err(),
             QueryError::EmptyIndex
         );
     }

@@ -95,6 +95,12 @@ impl std::error::Error for BuildError {}
 /// insert and remove are point-tree updates; no LP runs. The paper's
 /// NN-cells are a separate, on-demand structure ([`crate::NnCells`]) built
 /// from an index.
+///
+/// A clone is a deep copy (the folder's copy-on-write of a shard): point
+/// storage and the tree arena are copied, and an attached metrics bundle
+/// keeps recording into the same registry series (every handle is an
+/// `Arc`; cloning never re-seeds a counter).
+#[derive(Clone)]
 pub struct NnCellIndex<M: Metric = Euclidean> {
     cfg: BuildConfig,
     /// Row-major coordinates of every slot (`n × d`), indexed by id and
@@ -109,7 +115,6 @@ pub struct NnCellIndex<M: Metric = Euclidean> {
     metric: M,
     space: DataSpace,
     build_stats: BuildStats,
-    fallback_queries: std::sync::atomic::AtomicU64,
     /// Registry bindings; `None` until [`Self::attach_metrics`] — every
     /// recording site is a no-op without them.
     metrics: Option<IndexMetrics>,
@@ -147,7 +152,6 @@ impl<M: Metric> NnCellIndex<M> {
             metric,
             space: DataSpace::unit(dim),
             build_stats: BuildStats::default(),
-            fallback_queries: std::sync::atomic::AtomicU64::new(0),
             metrics: None,
         }
     }
@@ -256,18 +260,6 @@ impl<M: Metric> NnCellIndex<M> {
     /// Cost counters of the point X-tree (what queries and updates pay).
     pub fn point_tree_stats(&self) -> IoStats {
         self.point_tree.stats()
-    }
-
-    /// Number of queries that fell back to a scan (`k ≥ len`; always
-    /// exact).
-    pub fn fallback_queries(&self) -> u64 {
-        self.fallback_queries
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    pub(crate) fn count_fallback(&self) {
-        self.fallback_queries
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Resets the point tree's cost counters.
@@ -449,31 +441,6 @@ impl<M: Metric> NnCellIndex<M> {
         debug_assert!(removed, "point tree out of sync");
         self.refresh_gauges();
         true
-    }
-}
-
-/// Deep copy used by the copy-on-write shard snapshots
-/// ([`crate::ShardedIndex`]): point storage and the tree arena are cloned,
-/// the fallback counter's value is carried over, and an attached metrics
-/// bundle keeps recording into the same registry series (every handle is
-/// an `Arc`; cloning never re-seeds a counter).
-impl<M: Metric> Clone for NnCellIndex<M> {
-    fn clone(&self) -> Self {
-        Self {
-            cfg: self.cfg.clone(),
-            points_flat: self.points_flat.clone(),
-            alive: self.alive.clone(),
-            live_count: self.live_count,
-            point_tree: self.point_tree.clone(),
-            metric: self.metric.clone(),
-            space: self.space.clone(),
-            build_stats: self.build_stats,
-            fallback_queries: std::sync::atomic::AtomicU64::new(
-                self.fallback_queries
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            ),
-            metrics: self.metrics.clone(),
-        }
     }
 }
 
@@ -699,11 +666,11 @@ mod tests {
         let pts = uniform(50, 2, 18);
         let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
         let q = [1.5, -0.2];
-        let got = nn(&idx, &q).unwrap();
+        let r = QueryEngine::sequential(&idx).execute(&Query::nn(q)).unwrap();
         let want = linear_scan_nn(&pts, &q).unwrap();
-        assert_eq!(got.id, want.id);
-        assert_eq!(got.dist.to_bits(), want.dist.to_bits());
-        assert_eq!(idx.fallback_queries(), 0, "the point tree is exact anywhere");
+        assert_eq!(r.best.id, want.id);
+        assert_eq!(r.best.dist.to_bits(), want.dist.to_bits());
+        assert!(!r.stats.fallback, "the point tree is exact anywhere");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use durable::{DurableError, RecoveryReport};
 pub use engine::{QueryEngine, QueryScratch};
 pub use error::Error;
 pub use index::{BuildError, NnCellIndex, QueryResult};
-pub use memtable::{FoldConfig, FoldError, FoldStatus, TailSnapshot};
+pub use memtable::{FoldConfig, FoldError, FoldStatus};
 pub use metrics::{EngineMetrics, IndexMetrics, SLOW_QUERY_CAPACITY};
 pub use nncell_obs::{Registry, SlowQueryEntry, SlowQueryLog, Snapshot};
 pub use query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};

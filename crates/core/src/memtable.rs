@@ -5,16 +5,18 @@
 //! in-memory tail of raw operations, and is acknowledged — no point-tree
 //! update, no snapshot clone on the ack path. A supervised background
 //! *folder* ([`crate::ShardedIndex::run_folder`]) later applies the tail
-//! to the shard's index off the write path and publishes the
-//! result through the copy-on-write [`crate::SnapshotCell`] swap.
+//! to the shard's index off the write path and publishes the folded
+//! index together with the tail view that is left.
 //!
 //! Exactness is preserved by construction (a covering-superset argument):
 //! a query's k-NN kernel first scans the tail's live inserts, then
 //! traverses the published index, skipping tombstoned ids. Every live
-//! point is either in the snapshot or in the tail and every tombstone is
+//! point is either in the index or in the tail and every tombstone is
 //! applied, so the answer equals a linear scan over the true live set.
-//! The memtable keeps that query-side view ([`TailSnapshot`]) current on
-//! every push and shares it by `Arc`, so a read never copies the tail.
+//! The operations (`Memtable`) live under the writer lock; readers see
+//! them through the query-side view (`TailSnapshot`) that every write
+//! and fold publishes in the index's one read state, shared by `Arc`, so
+//! a read never copies the tail.
 //!
 //! Durability never depends on the folder: folding performs **zero**
 //! syscalls (the WAL already holds every tail record, fsynced before the
@@ -39,18 +41,13 @@ pub(crate) enum TailOp {
 
 /// Per-shard memtable: operations in ack order, split into the batch a
 /// fold is (or was) working on (`frozen`) and everything acked since
-/// (`active`), plus the query-side `view` of both, kept current on every
-/// push. All access happens under the owning shard's tail mutex; holds
-/// are pushes, an `Arc` clone, or (once per fold) a view rebuild — never
-/// a tree update.
+/// (`active`). It lives under the writer lock; the query-side view of
+/// both is the shard's published `TailSnapshot`, which the writer
+/// changes with every push.
 #[derive(Debug, Default)]
 pub(crate) struct Memtable {
     frozen: Vec<TailOp>,
     active: Vec<TailOp>,
-    /// Live inserts and sorted tombstones of `frozen` + `active`. Shared
-    /// with readers by `Arc` clone; a push copies it only while a reader
-    /// still holds the previous version ([`Arc::make_mut`]).
-    view: Arc<TailSnapshot>,
 }
 
 impl Memtable {
@@ -58,27 +55,9 @@ impl Memtable {
         self.frozen.len() + self.active.len()
     }
 
-    pub(crate) fn push_insert(&mut self, local: usize, point: Point) {
-        Arc::make_mut(&mut self.view)
-            .inserts
-            .push((local, point.clone()));
-        self.active.push(TailOp::Insert { local, point });
-    }
-
-    pub(crate) fn push_remove(&mut self, local: usize) {
-        Arc::make_mut(&mut self.view).push_remove(local);
-        self.active.push(TailOp::Remove { local });
-    }
-
-    /// The current query-side view, for membership checks under the lock.
-    pub(crate) fn view(&self) -> &TailSnapshot {
-        &self.view
-    }
-
-    /// The current query-side view, shared: an `Arc` clone, O(1) in the
-    /// tail's size. Later pushes never change a view already handed out.
-    pub(crate) fn snapshot(&self) -> Arc<TailSnapshot> {
-        Arc::clone(&self.view)
+    /// Appends an acked operation.
+    pub(crate) fn push(&mut self, op: TailOp) {
+        self.active.push(op);
     }
 
     /// Moves the active ops into the frozen batch (merging with any
@@ -89,18 +68,16 @@ impl Memtable {
         self.frozen.clone()
     }
 
-    /// Discards the frozen batch after a successful fold published it and
-    /// rebuilds the view from the ops acked since the freeze.
-    pub(crate) fn clear_frozen(&mut self) {
+    /// Discards the frozen batch once a fold has indexed it and returns
+    /// the view of the ops acked since the freeze: the tail view to
+    /// publish with the folded index.
+    pub(crate) fn clear_frozen(&mut self) -> TailSnapshot {
         self.frozen.clear();
         let mut view = TailSnapshot::default();
         for op in &self.active {
-            match op {
-                TailOp::Insert { local, point } => view.inserts.push((*local, point.clone())),
-                TailOp::Remove { local } => view.push_remove(*local),
-            }
+            view.apply(op);
         }
-        self.view = Arc::new(view);
+        view
     }
 
     /// The unfolded tail as WAL records in ack order — exactly the suffix
@@ -118,13 +95,13 @@ impl Memtable {
     }
 }
 
-/// An immutable view of one shard's memtable tail, answered together with
-/// the shard's snapshot by [`crate::QueryEngine::with_tail`]. The memtable
-/// shares its current view by `Arc` (taking one is a refcount bump under
-/// the tail mutex) and keeps it current on every push, so a read never
-/// copies the tail and writers never wait on a query holding one.
+/// The query-side view of one shard's memtable tail, published with the
+/// shard's index in the sharded index's read state and answered together
+/// with it by the fan-out's engine. A read takes it by `Arc` (a refcount
+/// bump), so it never copies the tail; a write changes it in place unless
+/// a reader still holds it ([`Arc::make_mut`]).
 #[derive(Clone, Debug, Default)]
-pub struct TailSnapshot {
+pub(crate) struct TailSnapshot {
     /// Live unfolded inserts as `(local slot, point)`, ack order — which
     /// is ascending slot order, since a shard assigns slots in ack order.
     pub(crate) inserts: Vec<(usize, Point)>,
@@ -135,29 +112,18 @@ pub struct TailSnapshot {
 }
 
 impl TailSnapshot {
-    /// A tail view from raw parts (primarily for tests; production views
-    /// come from the memtable under its shard lock). `inserts` are taken
-    /// as live; `removed` may come in any order.
-    pub fn new(inserts: Vec<(usize, Point)>, removed: Vec<usize>) -> Self {
-        let mut removed = removed;
-        removed.sort_unstable();
-        removed.dedup();
-        Self { inserts, removed }
-    }
-
     /// No live inserts and no tombstones — merging this is a no-op.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.removed.is_empty()
     }
 
-    /// Live unfolded inserts.
-    pub fn live(&self) -> usize {
-        self.inserts.len()
-    }
-
-    /// Unfolded tombstones.
-    pub fn tombstones(&self) -> usize {
-        self.removed.len()
+    /// Applies one acked operation: an insert joins `inserts`, a remove
+    /// tombstones its slot.
+    pub(crate) fn apply(&mut self, op: &TailOp) {
+        match op {
+            TailOp::Insert { local, point } => self.inserts.push((*local, point.clone())),
+            TailOp::Remove { local } => self.push_remove(*local),
+        }
     }
 
     /// Whether an unfolded tombstone targets `local` (a binary search).
@@ -280,99 +246,75 @@ mod tests {
         Point::new(vec![x, 1.0 - x])
     }
 
+    fn ins(local: usize, x: f64) -> TailOp {
+        TailOp::Insert {
+            local,
+            point: pt(x),
+        }
+    }
+
+    /// A memtable and its view, kept in step as the writer keeps them.
+    #[derive(Default)]
+    struct Tail {
+        mem: Memtable,
+        view: TailSnapshot,
+    }
+
+    impl Tail {
+        fn push(&mut self, op: TailOp) {
+            self.view.apply(&op);
+            self.mem.push(op);
+        }
+    }
+
     #[test]
     fn pushes_freeze_and_clear_track_membership() {
-        let mut m = Memtable::default();
-        m.push_insert(0, pt(0.1));
-        m.push_insert(1, pt(0.2));
-        m.push_remove(0);
-        assert_eq!(m.len(), 3);
-        assert!(m.view().is_removed(0));
-        assert!(m.view().has_live_insert(1));
-        assert!(
-            !m.view().has_live_insert(0),
-            "tombstoned tail insert is dead"
-        );
-        assert_eq!(m.view().find_live_duplicate(&pt(0.2)), Some(1));
-        assert_eq!(m.view().find_live_duplicate(&pt(0.1)), None);
+        let mut t = Tail::default();
+        t.push(ins(0, 0.1));
+        t.push(ins(1, 0.2));
+        t.push(TailOp::Remove { local: 0 });
+        assert_eq!(t.mem.len(), 3);
+        assert!(t.view.is_removed(0));
+        assert!(t.view.has_live_insert(1));
+        assert!(!t.view.has_live_insert(0), "tombstoned tail insert is dead");
+        assert_eq!(t.view.find_live_duplicate(&pt(0.2)), Some(1));
+        assert_eq!(t.view.find_live_duplicate(&pt(0.1)), None);
 
-        let batch = m.freeze();
+        let batch = t.mem.freeze();
         assert_eq!(batch.len(), 3);
         // Ops acked mid-fold land in the next batch but stay visible.
-        m.push_remove(1);
-        assert!(m.view().is_removed(1));
-        let snap = m.snapshot();
-        assert_eq!(snap.live(), 0);
-        assert_eq!(snap.tombstones(), 2);
+        t.push(TailOp::Remove { local: 1 });
+        assert!(t.view.is_removed(1));
+        assert!(t.view.inserts.is_empty());
+        assert_eq!(t.view.removed, vec![0, 1]);
 
-        m.clear_frozen();
-        assert_eq!(m.len(), 1, "only the post-freeze remove is left");
-        assert!(!m.view().is_removed(0), "folded tombstone left the view");
-        assert!(m.view().is_removed(1), "unfolded tombstone stays");
+        let view = t.mem.clear_frozen();
+        assert_eq!(t.mem.len(), 1, "only the post-freeze remove is left");
+        assert!(!view.is_removed(0), "folded tombstone left the view");
+        assert!(view.is_removed(1), "unfolded tombstone stays");
     }
 
     #[test]
     fn tombstones_stay_sorted_for_binary_search() {
-        let mut m = Memtable::default();
+        let mut t = Tail::default();
         for local in [7, 2, 9, 4] {
-            m.push_remove(local);
+            t.push(TailOp::Remove { local });
         }
-        m.push_insert(10, pt(0.3));
-        m.push_remove(10);
-        assert_eq!(m.view().removed, vec![2, 4, 7, 9, 10]);
-        assert_eq!(m.view().live(), 0);
-        assert_eq!(
-            TailSnapshot::new(Vec::new(), vec![5, 1, 5, 3]).removed,
-            vec![1, 3, 5],
-            "raw parts are sorted and deduplicated"
-        );
-    }
-
-    #[test]
-    fn snapshots_share_the_view_until_the_next_write() {
-        let mut m = Memtable::default();
-        m.push_insert(0, pt(0.1));
-        let a = m.snapshot();
-        let b = m.snapshot();
-        assert!(Arc::ptr_eq(&a, &b), "no write between: one shared view");
-        drop(b);
-        m.push_insert(1, pt(0.2));
-        let c = m.snapshot();
-        assert!(!Arc::ptr_eq(&a, &c), "a write under a held view copies it");
-        drop(a);
-        drop(c);
-        // No reader holds the view: the push appends in place.
-        let before = Arc::as_ptr(&m.view);
-        m.push_remove(0);
-        assert_eq!(Arc::as_ptr(&m.view), before);
-    }
-
-    #[test]
-    fn a_held_view_is_unchanged_by_later_writes() {
-        let mut m = Memtable::default();
-        m.push_insert(0, pt(0.1));
-        m.push_remove(5);
-        let held = m.snapshot();
-        m.push_insert(1, pt(0.2));
-        m.push_remove(0);
-        m.freeze();
-        m.clear_frozen();
-        assert_eq!(held.inserts.len(), 1);
-        assert_eq!(held.inserts[0].0, 0);
-        assert_eq!(held.inserts[0].1.as_slice(), pt(0.1).as_slice());
-        assert_eq!(held.removed, vec![5]);
-        assert_eq!(m.view().live(), 0, "the live view moved on");
+        t.push(ins(10, 0.3));
+        t.push(TailOp::Remove { local: 10 });
+        assert_eq!(t.view.removed, vec![2, 4, 7, 9, 10]);
+        assert!(t.view.inserts.is_empty());
     }
 
     #[test]
     fn failed_fold_batches_merge_in_ack_order() {
         let mut m = Memtable::default();
-        m.push_insert(0, pt(0.1));
+        m.push(ins(0, 0.1));
         let first = m.freeze();
         assert_eq!(first.len(), 1);
         // The fold fails; more ops arrive; the refreeze must replay the
         // old batch before the new ops.
-        m.push_insert(1, pt(0.2));
+        m.push(ins(1, 0.2));
         let second = m.freeze();
         assert_eq!(second.len(), 2);
         assert!(matches!(&second[0], TailOp::Insert { local: 0, .. }));
@@ -382,8 +324,8 @@ mod tests {
     #[test]
     fn wal_records_mirror_the_unfolded_suffix() {
         let mut m = Memtable::default();
-        m.push_insert(3, pt(0.4));
-        m.push_remove(2);
+        m.push(ins(3, 0.4));
+        m.push(TailOp::Remove { local: 2 });
         let recs = m.wal_records();
         assert_eq!(recs.len(), 2);
         assert!(matches!(&recs[0], WalRecord::Insert(p) if p.as_slice() == pt(0.4).as_slice()));

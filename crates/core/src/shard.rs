@@ -12,30 +12,37 @@
 //! that prunes every shard is the global k-th distance, so no point that
 //! could tie or beat it is skipped in any shard, and ties break by global
 //! id exactly as in the unsharded ranking. Each shard's tail inserts seed
-//! the k-best, its tombstones and liveness mask filter its own points,
-//! and the duplicate check compares global ids. A radius query maps each
-//! shard's hits to global ids and sorts the union once. `DESIGN.md`
+//! the k-best and its tombstones filter its own points. A radius query
+//! maps each shard's hits to global ids and sorts the union once. `DESIGN.md`
 //! §12.1 has the exactness argument.
 //!
-//! # Concurrency: copy-on-write snapshots, journaled memtable
+//! # Concurrency: one published read state, journaled memtable
 //!
-//! Each shard is wrapped in a [`SnapshotCell`]: readers
-//! ([`ShardedIndex::query`] / [`ShardedIndex::batch`], `&self`) load the
-//! current immutable snapshot `Arc` plus the shard's shared view of its
-//! unfolded memtable tail (another `Arc`, kept current by every write)
-//! and run entirely on those. Writers
-//! ([`ShardedIndex::insert`] / [`ShardedIndex::remove`], also `&self`)
-//! serialize on one writer mutex, journal through the shard's WAL (in
-//! durable mode), push the operation onto the shard's memtable tail and
-//! acknowledge — O(1), no tree update, no snapshot clone. The folder
-//! ([`ShardedIndex::run_folder`], [`ShardedIndex::fold_once`],
-//! [`ShardedIndex::flush`]) clones the shard's snapshot off the write
-//! path, applies the tail to the clone and **publishes** it. The
-//! published snapshot is the only copy of a shard's index: the writer
-//! reads it (under its lock, where it cannot change) for duplicate and
-//! liveness checks, saves and checkpoints. Readers never block on a write
-//! and never observe a half-applied mutation; a query overlapping a
-//! publish simply answers from the version it loaded.
+//! The index publishes one read state in a [`SnapshotCell`]: for every
+//! shard, its index `Arc` and the view of its unfolded memtable tail
+//! (another `Arc`). Readers ([`ShardedIndex::query`] /
+//! [`ShardedIndex::batch`], `&self`) load it once — one lock, one `Arc`
+//! clone — and run entirely on it. Writers ([`ShardedIndex::insert`] /
+//! [`ShardedIndex::remove`], also `&self`) serialize on one writer mutex,
+//! journal through the shard's WAL (in durable mode), push the operation
+//! onto the shard's memtable and publish the new tail view, then
+//! acknowledge — O(1), no tree update, no index clone. The state changes
+//! in place unless a reader still holds it, so a tail is copied only
+//! under a concurrent read. The folder ([`ShardedIndex::run_folder`],
+//! [`ShardedIndex::fold_once`], [`ShardedIndex::flush`]) clones the
+//! shard's index off the write path, applies the tail to the clone and
+//! **publishes** it together with the tail view that is left, in one
+//! update: no read sees a point in both, or in neither. The published
+//! index is the only copy of a shard's index: the writer reads the state
+//! (under its lock, where it cannot change) for duplicate and liveness
+//! checks, saves and checkpoints. Readers never block on a write and
+//! never observe a half-applied mutation; a query overlapping a publish
+//! simply answers from the version it loaded.
+//!
+//! Lock order everywhere: `fold_lock` → writer mutex → state slot. A
+//! read takes only the slot, for an `Arc` clone; a write holds it for an
+//! O(1) push (O(tail) when a reader holds the state), and the folder's
+//! point-tree updates happen with **no** lock held.
 //!
 //! # On-disk layouts
 //!
@@ -63,7 +70,7 @@ use crate::durable::{DurableError, RecoveryReport, ShardLog};
 use crate::cells::BuildStats;
 use crate::engine::{available_threads, QueryEngine, QueryScratch, Shard};
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
-use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp, TailSnapshot};
+use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp};
 use crate::metrics::FoldMetrics;
 use crate::persist::PersistError;
 use crate::query::{Query, QueryError, QueryResponse};
@@ -105,29 +112,23 @@ const CURRENT: &str = "CURRENT";
 const DURABLE_MAGIC: &str = "sharded";
 
 /// Writer-side state, guarded by the single writer mutex. The shard
-/// indexes themselves live only in the published snapshots.
+/// indexes and tail views themselves live only in the published state.
 struct Writer {
     /// One log per shard when the index is durable, none otherwise.
     logs: Vec<ShardLog>,
     /// The next unassigned global id. Round-robin: acknowledged ids are
     /// exactly `0..next_global`.
     next_global: usize,
+    /// Each shard's unfolded operations in ack order.
+    tails: Vec<Memtable>,
 }
 
-/// Memtable state: per-shard unindexed tails plus folder supervision
-/// bookkeeping.
-///
-/// Lock order everywhere: `fold_lock` → writer mutex → tail mutexes.
-/// Queries take only tail mutexes (for an `Arc` clone of the tail view),
-/// writers take writer → tail with O(1)/O(tail) holds, and the folder's
-/// point-tree updates happen with **no** lock held — only its freeze and
-/// publish steps touch the mutexes, both O(tail) at worst.
+/// Memtable configuration plus folder supervision bookkeeping.
 struct TailState {
     cfg: FoldConfig,
-    tails: Vec<Mutex<Memtable>>,
-    /// Serializes folds, flushes, checkpoints, and metric attachment so a
-    /// snapshot publish can never interleave with a generation rotation
-    /// or another fold.
+    /// Serializes folds, flushes, checkpoints, and metric attachment so an
+    /// index publish can never interleave with a generation rotation or
+    /// another fold.
     fold_lock: Mutex<()>,
     /// Unfolded operations across all shards (the backpressure input).
     depth: AtomicUsize,
@@ -140,10 +141,9 @@ struct TailState {
 }
 
 impl TailState {
-    fn new(cfg: FoldConfig, shards: usize) -> Self {
+    fn new(cfg: FoldConfig) -> Self {
         Self {
             cfg,
-            tails: (0..shards).map(|_| Mutex::new(Memtable::default())).collect(),
             fold_lock: Mutex::new(()),
             depth: AtomicUsize::new(0),
             degraded: AtomicBool::new(false),
@@ -212,17 +212,6 @@ impl TailState {
     }
 }
 
-/// Poison-tolerant lock on a shard's memtable. Every critical section is
-/// a handful of `Vec` pushes, an `Arc` clone, or a bounded rebuild —
-/// state stays consistent even if a recording site panicked while
-/// holding the guard.
-fn lock_mem(m: &Mutex<Memtable>) -> MutexGuard<'_, Memtable> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
-
 /// Poison-tolerant lock on the (state-free) fold serialization mutex.
 fn lock_fold(m: &Mutex<()>) -> MutexGuard<'_, ()> {
     match m.lock() {
@@ -243,31 +232,28 @@ fn sleep_interruptible(stop: &AtomicBool, dur: Duration) {
     }
 }
 
-/// One shard a read consults: its published snapshot and, when
-/// non-empty, the shared view of its unfolded tail.
-type ShardView = (usize, Arc<NnCellIndex<Euclidean>>, Option<Arc<TailSnapshot>>);
-
 /// S independent point-index shards behind one exact, concurrently servable
-/// query API. See the module docs for the partitioning and snapshot
+/// query API. See the module docs for the partitioning and publication
 /// protocol. Built over the Euclidean metric (the durable layer's
 /// contract).
 ///
-/// All methods take `&self`: queries run on copy-on-write snapshots,
-/// updates serialize on an internal single-writer lock — share a
+/// All methods take `&self`: queries run on the copy-on-write published
+/// state, updates serialize on an internal single-writer lock — share a
 /// `ShardedIndex` (or an `Arc` of one) across threads freely.
 pub struct ShardedIndex {
     dim: usize,
     cfg: BuildConfig,
-    /// Published read snapshots, one cell per shard.
-    snaps: Vec<SnapshotCell<NnCellIndex<Euclidean>>>,
+    /// The shard count `S`.
+    shards: usize,
+    /// The published read state: every shard's index and tail view,
+    /// changed only under the writer lock.
+    state: SnapshotCell<Vec<Shard>>,
     writer: Mutex<Writer>,
     /// Wall-clock seconds of the initial sharded build (0 for loads).
     build_seconds: f64,
     /// Points dropped by the global input validation under
     /// [`crate::InputPolicy::Skip`].
     skipped_points: usize,
-    /// Queries answered by the exact scan fallback.
-    fallback_queries: AtomicU64,
     /// Per-shard recovery reports of durable shards (empty otherwise).
     recovery: Vec<RecoveryReport>,
     /// The journaled memtable every write lands in.
@@ -340,10 +326,11 @@ impl ShardedIndex {
         Self::assemble(dim, cfg, indexes, Vec::new(), 0, 0.0, 0)
     }
 
-    /// Publishes each shard index as its first snapshot (moved, not
-    /// copied). `logs` holds one log per shard for a durable index and is
-    /// empty otherwise; the recovery reports come from the logs. The
-    /// memtable starts empty with the default [`FoldConfig`].
+    /// Publishes each shard index, with an empty tail, as the first read
+    /// state (moved, not copied). `logs` holds one log per shard for a
+    /// durable index and is empty otherwise; the recovery reports come
+    /// from the logs. The memtable starts empty with the default
+    /// [`FoldConfig`].
     fn assemble(
         dim: usize,
         cfg: BuildConfig,
@@ -353,17 +340,28 @@ impl ShardedIndex {
         build_seconds: f64,
         skipped_points: usize,
     ) -> Self {
-        let tail = TailState::new(FoldConfig::default(), indexes.len());
+        let shards = indexes.len();
+        let state = indexes
+            .into_iter()
+            .map(|idx| Shard {
+                index: Arc::new(idx),
+                tail: Arc::default(),
+            })
+            .collect();
         Self {
             dim,
             cfg,
-            snaps: indexes.into_iter().map(SnapshotCell::new).collect(),
+            shards,
+            state: SnapshotCell::new(state),
             recovery: logs.iter().map(|l| l.recovery().clone()).collect(),
-            writer: Mutex::new(Writer { logs, next_global }),
+            writer: Mutex::new(Writer {
+                logs,
+                next_global,
+                tails: (0..shards).map(|_| Memtable::default()).collect(),
+            }),
             build_seconds,
             skipped_points,
-            fallback_queries: AtomicU64::new(0),
-            tail,
+            tail: TailState::new(FoldConfig::default()),
         }
     }
 
@@ -426,8 +424,8 @@ impl ShardedIndex {
     }
 
     /// The writer lock. A poisoned lock is taken over: it guards only the
-    /// id watermark and the shard logs, and every critical section leaves
-    /// them consistent before it can panic.
+    /// id watermark, the shard logs and the memtables' op lists, and every
+    /// critical section leaves them consistent before it can panic.
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
         match self.writer.lock() {
             Ok(g) => g,
@@ -441,7 +439,7 @@ impl ShardedIndex {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.snaps.len()
+        self.shards
     }
 
     /// Dimensionality.
@@ -454,24 +452,18 @@ impl ShardedIndex {
         &self.cfg
     }
 
-    /// Total live points across all shards, counted against the
-    /// snapshots plus the unfolded tails (under the writer lock, so acked
-    /// writes are always reflected even before they fold).
+    /// Total live points across all shards, counted against the published
+    /// indexes plus the unfolded tails (every acked write is in the
+    /// published state before it is acknowledged).
     pub fn len(&self) -> usize {
-        let _w = self.lock_writer();
-        let mut total = 0usize;
-        for (cell, mem) in self.snaps.iter().zip(&self.tail.tails) {
-            let snap = cell.load();
-            let m = lock_mem(mem);
-            let view = m.view();
-            let snap_dead = view
-                .removed
-                .iter()
-                .filter(|&&local| snap.is_live(local))
-                .count();
-            total += snap.len() + view.live() - snap_dead;
-        }
-        total
+        self.state
+            .load()
+            .iter()
+            .map(|s| {
+                let dead = s.tail.removed.iter().filter(|&&l| s.index.is_live(l));
+                s.index.len() + s.tail.inserts.len() - dead.count()
+            })
+            .sum()
     }
 
     /// Whether no shard holds a live point.
@@ -484,14 +476,14 @@ impl ShardedIndex {
         !self.recovery.is_empty()
     }
 
-    /// The current published snapshot of shard `i` (a stable read-only
+    /// The current published index of shard `i` (a stable read-only
     /// view; concurrent folds publish new versions without affecting it).
     /// Writes still in the memtable tail are not in it until they fold.
     ///
     /// # Panics
     /// Panics if `i >= num_shards()`.
     pub fn shard(&self, i: usize) -> Arc<NnCellIndex<Euclidean>> {
-        self.snaps[i].load()
+        Arc::clone(&self.state.load()[i].index)
     }
 
     /// Aggregated construction counters: `seconds` is the wall clock of the
@@ -505,27 +497,13 @@ impl ShardedIndex {
             skipped_points: self.skipped_points,
             ..BuildStats::default()
         };
-        for cell in &self.snaps {
-            let s = *cell.load().build_stats();
+        for shard in self.state.load().iter() {
+            let s = *shard.index.build_stats();
             agg.skipped_points += s.skipped_points;
             agg.profile.bulk_load.nanos += s.profile.bulk_load.nanos;
             agg.profile.bulk_load.calls += s.profile.bulk_load.calls;
         }
         agg
-    }
-
-    /// Queries (via [`Self::query`] / [`Self::batch`]) answered by the
-    /// exact scan fallback — exactly those the equivalent unsharded index
-    /// would answer by scan: no unfolded tail and `k ≥` the total live
-    /// count.
-    pub fn fallback_queries(&self) -> u64 {
-        self.fallback_queries.load(Ordering::Relaxed)
-    }
-
-    /// Per-shard scan-fallback counters summed across the current
-    /// snapshots (a fallback counts once in every shard it scans).
-    pub fn shard_fallback_queries(&self) -> u64 {
-        self.snaps.iter().map(|c| c.load().fallback_queries()).sum()
     }
 
     /// Per-shard recovery reports of durable shards; empty for in-memory
@@ -548,28 +526,40 @@ impl ShardedIndex {
     /// than one shard, unlabeled otherwise (the WAL family stays
     /// unlabeled, shared as whole-index totals — see
     /// [`NnCellIndex::attach_metrics_labeled`]), plus the `nncell_fold_*` /
-    /// `nncell_tail_*` memtable family. New snapshots are published so
+    /// `nncell_tail_*` memtable family. New indexes are published so
     /// concurrent readers start recording immediately. Idempotent per
     /// shard.
     pub fn attach_metrics(&self, registry: Arc<Registry>) {
         // Fold lock first (the global lock order): a fold publishing
-        // between our store and its own would otherwise clobber the
-        // metrics-attached snapshots with pre-attach clones.
+        // between our update and its own would otherwise clobber the
+        // metrics-attached indexes with pre-attach clones.
         let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
         let labeled = self.num_shards() > 1;
-        for (i, cell) in self.snaps.iter().enumerate() {
-            let tag = i.to_string();
-            let shard_label = [("shard", tag.as_str())];
-            let labels: &[(&str, &str)] = if labeled { &shard_label } else { &[] };
-            let snap = cell.load();
-            if snap.metrics().is_some() {
-                continue;
+        // Clone and attach off the state slot; publish in one update.
+        let attached: Vec<Option<Arc<NnCellIndex<Euclidean>>>> = self
+            .state
+            .load()
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                shard.index.metrics().is_none().then(|| {
+                    let tag = i.to_string();
+                    let shard_label = [("shard", tag.as_str())];
+                    let labels: &[(&str, &str)] = if labeled { &shard_label } else { &[] };
+                    let mut idx = (*shard.index).clone();
+                    idx.attach_metrics_labeled(Arc::clone(&registry), labels);
+                    Arc::new(idx)
+                })
+            })
+            .collect();
+        self.state.update(|state| {
+            for (shard, idx) in state.iter_mut().zip(attached) {
+                if let Some(idx) = idx {
+                    shard.index = idx;
+                }
             }
-            let mut idx = (*snap).clone();
-            idx.attach_metrics_labeled(Arc::clone(&registry), labels);
-            cell.store(Arc::new(idx));
-        }
+        });
         for log in &mut w.logs {
             log.attach_metrics(&registry);
         }
@@ -612,7 +602,7 @@ impl ShardedIndex {
     // ------------------------------------------------------------------
 
     /// Executes one typed query: one best-first traversal over every
-    /// non-empty shard's current snapshot, feeding one running k-best
+    /// shard of the published read state, feeding one running k-best
     /// keyed by `(distance, global id)`. Exact, including tie ordering
     /// (see the module docs). Candidate and page counts are summed across
     /// shards; `fallback` is set when the answer came from the exact scan.
@@ -639,12 +629,12 @@ impl ShardedIndex {
         q: &Query,
         deadline: Option<Instant>,
     ) -> Result<QueryResponse, QueryError> {
-        let views = self.read_views();
+        let state = self.state.load();
         // One span for the whole fan-out; the engine's own spans nest
         // underneath it.
         let mut span = nncell_obs::trace::child("shard.query");
-        span.arg("shards", views.len() as u64);
-        let engine = self.engine(&views).with_deadline_opt(deadline);
+        span.arg("shards", state.len() as u64);
+        let engine = QueryEngine::fan_out(self.dim, &state).with_deadline_opt(deadline);
         // The thread's warm scratch; a cold one if it is already in use
         // on this thread or gone (thread teardown).
         let warm = SCRATCH.try_with(|cell| {
@@ -653,59 +643,15 @@ impl ShardedIndex {
             scratch.trim(SCRATCH_KEEP_BYTES);
             Some(result)
         });
-        let result = match warm {
+        match warm {
             Ok(Some(result)) => result,
             _ => engine.execute(q),
-        };
-        self.count_fallback(&result);
-        result
-    }
-
-    /// The shards a read consults, each with its published snapshot and
-    /// the shared view of its unfolded tail (an `Arc` clone under the
-    /// shard's tail mutex, O(1) in the tail's size); shards with neither
-    /// points nor tail operations are skipped. Per shard the tail view is
-    /// taken first and the snapshot loaded second: an insert folded
-    /// between the two reads then appears on *both* sides and the k-NN
-    /// kernel skips its second copy by id; reading in the other order
-    /// could miss it on both. The combined view may straddle a
-    /// concurrent ack, which is fine — a query is only promised the
-    /// writes acked before it started.
-    fn read_views(&self) -> Vec<ShardView> {
-        self.tail
-            .tails
-            .iter()
-            .zip(&self.snaps)
-            .enumerate()
-            .filter_map(|(i, (mem, cell))| {
-                let tail = lock_mem(mem).snapshot();
-                let snap = cell.load();
-                let tail = (!tail.is_empty()).then_some(tail);
-                (!snap.is_empty() || tail.is_some()).then_some((i, snap, tail))
-            })
-            .collect()
-    }
-
-    /// The fan-out's engine over `views`: one forest of shard point trees
-    /// under the round-robin id mapping. Sequential; batches widen it.
-    fn engine<'v>(&self, views: &'v [ShardView]) -> QueryEngine<'v, Euclidean> {
-        let shards = views
-            .iter()
-            .map(|(i, snap, tail)| Shard::new(*i, snap, tail.as_deref()))
-            .collect();
-        QueryEngine::fan_out(self.dim, self.num_shards(), shards)
-    }
-
-    /// Counts an answer that came from the exact scan fallback.
-    fn count_fallback(&self, result: &Result<QueryResponse, QueryError>) {
-        if result.as_ref().is_ok_and(|r| r.stats.fallback) {
-            self.fallback_queries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Executes a batch of typed queries: every query runs the fan-out's
-    /// one-forest traversal of [`Self::query`] over the shards' current
-    /// snapshots, spread over the engine's worker pool (every hardware
+    /// one-forest traversal of [`Self::query`] over the published read
+    /// state, spread over the engine's worker pool (every hardware
     /// thread). Results come back in input order with the engine's
     /// per-query error contract.
     pub fn batch(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
@@ -722,16 +668,11 @@ impl ShardedIndex {
         queries: &[Query],
         deadline: Option<Instant>,
     ) -> Vec<Result<QueryResponse, QueryError>> {
-        let views = self.read_views();
-        let results = self
-            .engine(&views)
+        let state = self.state.load();
+        QueryEngine::fan_out(self.dim, &state)
             .with_threads(available_threads())
             .with_deadline_opt(deadline)
-            .batch(queries);
-        for r in &results {
-            self.count_fallback(r);
-        }
-        results
+            .batch(queries)
     }
 
     // ------------------------------------------------------------------
@@ -739,10 +680,10 @@ impl ShardedIndex {
     // ------------------------------------------------------------------
 
     /// Inserts a point: assign the next global id, validate (including a
-    /// cross-shard exact-duplicate check against snapshots *and* tails),
+    /// cross-shard exact-duplicate check against indexes *and* tails),
     /// check backpressure, journal (durable mode) and push onto the owning
     /// shard's memtable tail. Returns the global id. No point-tree update,
-    /// no snapshot clone — the writer-lock hold is O(log n) (the duplicate
+    /// no index clone — the writer-lock hold is O(log n) (the duplicate
     /// probe) plus an O(1) push, so ack latency is independent of index
     /// size. Queries see the point immediately through the tail view; the
     /// folder indexes it later.
@@ -758,15 +699,16 @@ impl ShardedIndex {
         let g = w.next_global;
         validate_point(&p, g, self.dim, &DataSpace::unit(self.dim))
             .map_err(DurableError::Invalid)?;
-        for (si, (cell, mem)) in self.snaps.iter().zip(&self.tail.tails).enumerate() {
-            let m = lock_mem(mem);
-            let view = m.view();
-            // A snapshot duplicate tombstoned in the tail is dead.
-            let dup = cell
-                .load()
+        // The state changes only under the writer lock, so this load is
+        // current; it is dropped before the push, which then changes the
+        // state in place unless a reader holds it.
+        for (si, s) in self.state.load().iter().enumerate() {
+            // An indexed duplicate tombstoned in the tail is dead.
+            let dup = s
+                .index
                 .find_live_duplicate(&p)
-                .filter(|&local| !view.is_removed(local))
-                .or_else(|| view.find_live_duplicate(&p));
+                .filter(|&local| !s.tail.is_removed(local))
+                .or_else(|| s.tail.find_live_duplicate(&p));
             if let Some(local) = dup {
                 return Err(DurableError::Invalid(BuildError::DuplicatePoint {
                     id: g,
@@ -781,8 +723,7 @@ impl ShardedIndex {
             // failure leaves the tail untouched.
             log.journal(&WalRecord::Insert(p.clone()))?;
         }
-        lock_mem(&self.tail.tails[shard]).push_insert(local, p);
-        self.tail.add_depth(1);
+        self.push(&mut w, shard, TailOp::Insert { local, point: p });
         w.next_global += 1;
         Ok(self.global_of(shard, local))
     }
@@ -803,10 +744,9 @@ impl ShardedIndex {
         }
         let (shard, local) = self.locate(global);
         let live = {
-            let m = lock_mem(&self.tail.tails[shard]);
-            let view = m.view();
-            (self.snaps[shard].load().is_live(local) && !view.is_removed(local))
-                || view.has_live_insert(local)
+            let state = self.state.load();
+            let s = &state[shard];
+            (s.index.is_live(local) && !s.tail.is_removed(local)) || s.tail.has_live_insert(local)
         };
         if !live {
             return Ok(false);
@@ -815,9 +755,18 @@ impl ShardedIndex {
         if let Some(log) = w.logs.get_mut(shard) {
             log.journal(&WalRecord::Remove(local as u64))?;
         }
-        lock_mem(&self.tail.tails[shard]).push_remove(local);
-        self.tail.add_depth(1);
+        self.push(&mut w, shard, TailOp::Remove { local });
         Ok(true)
+    }
+
+    /// Lands an acked operation in `shard`'s memtable and publishes the
+    /// shard's new tail view. No reader holding the state: the view
+    /// changes in place; otherwise the shard's tail is copied once.
+    fn push(&self, w: &mut Writer, shard: usize, op: TailOp) {
+        self.state
+            .update(|state| Arc::make_mut(&mut state[shard].tail).apply(&op));
+        w.tails[shard].push(op);
+        self.tail.add_depth(1);
     }
 
     // ------------------------------------------------------------------
@@ -828,7 +777,7 @@ impl ShardedIndex {
     /// point-tree insert or delete per operation) and publishes the
     /// results. Returns the number of operations folded (0 with empty
     /// tails). The tree updates run with no lock held; only the freeze
-    /// and publish steps touch the mutexes.
+    /// and publish steps take the writer lock.
     ///
     /// # Errors
     /// [`FoldError::Panicked`] when a shard's fold panicked (the batch
@@ -844,16 +793,17 @@ impl ShardedIndex {
     }
 
     /// Folds one shard's tail: freeze the batch, deep-clone the published
-    /// snapshot (the fold's only copy), re-apply the batch in ack order
+    /// index (the fold's only copy), re-apply the batch in ack order
     /// off-lock (under `catch_unwind` — a panicking fold, injected or
     /// organic, keeps the batch for retry and never corrupts the index),
-    /// then publish the result under the writer lock. Folding performs **zero**
+    /// then publish the result and the tail view left after it in one
+    /// update under the writer lock. Folding performs **zero**
     /// syscalls: the WAL already holds every record, so crash recovery
     /// never depends on fold progress and a fold can never double-apply
     /// into durable state. Callers hold the fold lock.
     fn fold_shard(&self, shard: usize) -> Result<usize, FoldError> {
         let ts = &self.tail;
-        let batch = lock_mem(&ts.tails[shard]).freeze();
+        let batch = self.lock_writer().tails[shard].freeze();
         if batch.is_empty() {
             return Ok(0);
         }
@@ -863,11 +813,11 @@ impl ShardedIndex {
         span.arg("shard", shard as u64);
         span.arg("records", batch.len() as u64);
         let start = Instant::now();
-        // The snapshot only changes under fold_lock, which we hold, so the
-        // clone below is of the state the frozen batch was acked against.
-        // Cloning off the writer lock keeps writes flowing during the
-        // expensive apply.
-        let base = self.snaps[shard].load();
+        // A shard's index only changes under fold_lock, which we hold, so
+        // the clone below is of the index the frozen batch was acked
+        // against. Cloning off the writer lock keeps writes flowing during
+        // the expensive apply.
+        let base = Arc::clone(&self.state.load()[shard].index);
         let chaos = ts.cfg.fault_fold_panic.clone();
         let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             assert!(
@@ -904,12 +854,14 @@ impl ShardedIndex {
         };
         let records = batch.len();
         {
-            // Publish and drop the frozen batch in one writer-lock critical
-            // section: the writer never sees the batch in both the
-            // snapshot and the tail, or in neither.
-            let _w = self.lock_writer();
-            self.snaps[shard].store(Arc::new(folded));
-            lock_mem(&ts.tails[shard]).clear_frozen();
+            // Publish the folded index and the tail view without the batch
+            // in one update: neither a reader nor the writer ever sees the
+            // batch in both, or in neither.
+            let mut w = self.lock_writer();
+            let tail = Arc::new(w.tails[shard].clear_frozen());
+            let index = Arc::new(folded);
+            self.state
+                .update(|state| state[shard] = Shard { index, tail });
             ts.sub_depth(records);
         }
         ts.record_success(records, start.elapsed());
@@ -961,7 +913,7 @@ impl ShardedIndex {
     // persistence
     // ------------------------------------------------------------------
 
-    /// Saves every shard snapshot plus a manifest into `dir`
+    /// Saves every shard index plus a manifest into `dir`
     /// (`MANIFEST` + `shard-<i>.nncell`, all through the atomic write
     /// path). Point-in-time consistent: the tail is folded in first and
     /// the writer lock is held across the save.
@@ -977,7 +929,7 @@ impl ShardedIndex {
     /// # Errors
     /// See [`Self::save`].
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, dir: &Path) -> Result<(), PersistError> {
-        // The snapshots trail the acked state by the tail; fold everything
+        // The indexes trail the acked state by the tail; fold everything
         // in first so the saved files hold every ack. Fold lock before
         // writer lock (the global order); the tail-empty check happens
         // *under* the writer lock, so no write can sneak in between the
@@ -987,7 +939,7 @@ impl ShardedIndex {
             let w = self.lock_writer();
             // Authoritative emptiness check under the writer lock (reads
             // the tails themselves, not the depth counter).
-            if self.tail.tails.iter().all(|m| lock_mem(m).len() == 0) {
+            if w.tails.iter().all(|m| m.len() == 0) {
                 break w;
             }
             drop(w);
@@ -998,8 +950,9 @@ impl ShardedIndex {
             }
         };
         vfs.create_dir_all(dir)?;
-        for (i, cell) in self.snaps.iter().enumerate() {
-            cell.load()
+        for (i, shard) in self.state.load().iter().enumerate() {
+            shard
+                .index
                 .save_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))?;
         }
         // Manifest last: a crash mid-save leaves either the old manifest
@@ -1129,10 +1082,10 @@ impl ShardedIndex {
     }
 
     /// Converts an in-memory sharded index into a crash-consistent one:
-    /// the tail is folded in, then each shard's published snapshot is
+    /// the tail is folded in, then each shard's published index is
     /// written as the generation-0 snapshot of its own durable directory
     /// (`dir/shard-<i>/`) and the top-level `CURRENT` records the shard
-    /// count. The published snapshots stay as they are, and build stats,
+    /// count. The published indexes stay as they are, and build stats,
     /// the memtable and its configuration carry over; subsequent updates
     /// journal through the per-shard WALs.
     ///
@@ -1164,10 +1117,11 @@ impl ShardedIndex {
         })?;
         vfs.create_dir_all(dir)?;
         let logs = self
-            .snaps
+            .state
+            .load()
             .iter()
             .enumerate()
-            .map(|(i, cell)| ShardLog::create(Arc::clone(&vfs), &shard_dir(dir, i), &cell.load()))
+            .map(|(i, shard)| ShardLog::create(Arc::clone(&vfs), &shard_dir(dir, i), &shard.index))
             .collect::<Result<Vec<_>, _>>()?;
         // Manifest last, as in save(): a crash mid-conversion leaves no
         // CURRENT, so the half-written directory fails typed on open.
@@ -1190,7 +1144,7 @@ impl ShardedIndex {
     ///
     /// The fresh WAL is seeded with the shard's unfolded tail (one
     /// batched fsync) before the `CURRENT` flip, preserving the invariant
-    /// *disk snapshot + disk WAL ≡ published snapshot + tail*: a checkpoint taken
+    /// *disk snapshot + disk WAL ≡ published index + tail*: a checkpoint taken
     /// while the folder is behind (or broken) still recovers every acked
     /// write, and because folding performs no syscalls, nothing can
     /// double-apply.
@@ -1204,9 +1158,10 @@ impl ShardedIndex {
         // while seeding the WAL without it either.
         let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
-        for (i, log) in w.logs.iter_mut().enumerate() {
-            let tail_recs = lock_mem(&self.tail.tails[i]).wal_records();
-            log.checkpoint_with_tail(&self.snaps[i].load(), &tail_recs)?;
+        let Writer { logs, tails, .. } = &mut *w;
+        let state = self.state.load();
+        for ((log, tail), shard) in logs.iter_mut().zip(tails.iter()).zip(state.iter()) {
+            log.checkpoint_with_tail(&shard.index, &tail.wal_records())?;
         }
         Ok(())
     }

@@ -2,26 +2,24 @@
 //!
 //! The sharded serving layer ([`crate::ShardedIndex`]) needs readers to
 //! proceed concurrently with writers without ever observing a
-//! half-mutated index. The protocol is copy-on-write publication: the
-//! folder clones the authoritative index, applies a batch of
-//! acknowledged writes, and *publishes* the new version by swapping an
-//! `Arc`; readers grab the
+//! half-mutated state. The protocol is copy-on-write publication: a
+//! writer changes the published version in place when no reader holds
+//! it and a copy otherwise ([`Arc::make_mut`]), and readers grab the
 //! current `Arc` once and run the whole query on that immutable version.
+//! The folder builds a new index off to the side and publishes it the
+//! same way, as one field of the new version.
 //!
-//! With no external dependencies available, the swap is built from a
-//! `Mutex<Arc<T>>` held only for the duration of an `Arc` clone or
-//! store — a handful of nanoseconds, never across a query or a build.
-//! Readers therefore never block on index mutation work, only on the
-//! pointer exchange itself (the same guarantee a lock-free `ArcSwap`
-//! gives, minus the last few nanoseconds of the load — irrelevant next
-//! to a microsecond-scale query).
+//! With no external dependencies available, the slot is a
+//! `Mutex<Arc<T>>` held only for the duration of an `Arc` clone or of a
+//! short publish — never across a query or a build. Readers therefore
+//! never block on index mutation work, only on the publish itself.
 
 use std::sync::{Arc, Mutex};
 
 /// A shared slot holding the current published version of a value.
 ///
 /// [`SnapshotCell::load`] returns the version current at the call
-/// instant; a concurrent [`SnapshotCell::store`] affects only later
+/// instant; a concurrent [`SnapshotCell::update`] affects only later
 /// loads. Loaded `Arc`s keep their version alive for as long as the
 /// reader holds them, so a publish never invalidates an in-flight read.
 #[derive(Debug)]
@@ -42,21 +40,25 @@ impl<T> SnapshotCell<T> {
     pub fn load(&self) -> Arc<T> {
         let guard = match self.slot.lock() {
             Ok(g) => g,
-            // A poisoned slot still holds a valid Arc (stores are a single
-            // assignment); serving reads beats propagating the panic.
+            // A poisoned slot still holds a valid Arc; serving reads beats
+            // propagating the panic.
             Err(p) => p.into_inner(),
         };
         Arc::clone(&guard)
     }
+}
 
-    /// Publishes `next` as the new current version. Readers holding a
-    /// previously loaded `Arc` are unaffected.
-    pub fn store(&self, next: Arc<T>) {
+impl<T: Clone> SnapshotCell<T> {
+    /// Publishes `f`'s change to the current version: in place when no
+    /// reader holds it, on a copy otherwise ([`Arc::make_mut`]), so
+    /// readers holding a previously loaded `Arc` are unaffected. The slot
+    /// stays locked while `f` runs; keep `f` to a few assignments.
+    pub fn update(&self, f: impl FnOnce(&mut T)) {
         let mut guard = match self.slot.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        *guard = next;
+        f(Arc::make_mut(&mut guard));
     }
 }
 
@@ -66,10 +68,10 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
-    fn load_returns_last_store() {
+    fn load_returns_last_update() {
         let cell = SnapshotCell::new(1u64);
         assert_eq!(*cell.load(), 1);
-        cell.store(Arc::new(2));
+        cell.update(|v| *v = 2);
         assert_eq!(*cell.load(), 2);
     }
 
@@ -77,19 +79,36 @@ mod tests {
     fn readers_keep_their_version_across_a_publish() {
         let cell = SnapshotCell::new(String::from("v0"));
         let held = cell.load();
-        cell.store(Arc::new(String::from("v1")));
+        cell.update(|v| v.replace_range(.., "v1"));
         assert_eq!(*held, "v0", "an in-flight read survives the publish");
         assert_eq!(*cell.load(), "v1");
     }
 
-    /// The one way the slot mutex can actually poison: `store` drops the
-    /// *previous* version while holding the guard, and a panicking `Drop`
-    /// unwinds through the lock. The cell must keep serving: the slot
-    /// still holds a valid `Arc` (the store's single assignment completed
-    /// or never started), so `load` and later `store`s take over the
-    /// poisoned lock instead of propagating the panic.
     #[test]
-    fn poisoned_cell_still_loads_and_stores() {
+    fn an_unshared_version_is_changed_in_place() {
+        let cell = SnapshotCell::new(vec![1u64]);
+        let before = Arc::as_ptr(&cell.load());
+        cell.update(|v| v.push(2));
+        assert_eq!(Arc::as_ptr(&cell.load()), before, "no reader: no copy");
+        let held = cell.load();
+        cell.update(|v| v.push(3));
+        assert_ne!(
+            Arc::as_ptr(&cell.load()),
+            before,
+            "a held version is copied"
+        );
+        assert_eq!(*held, [1, 2]);
+    }
+
+    /// The way the slot mutex can poison: `update` runs under the guard,
+    /// and here assigning the new value drops the *previous* one, whose
+    /// panicking `Drop` unwinds through the lock. The cell must keep
+    /// serving: the assignment still stores the new value, so `load` and
+    /// later updates take over the poisoned lock instead of propagating
+    /// the panic.
+    #[test]
+    fn poisoned_cell_still_loads_and_updates() {
+        #[derive(Clone)]
         struct Grenade {
             armed: bool,
             version: u64,
@@ -106,13 +125,15 @@ mod tests {
             armed: true,
             version: 0,
         });
-        // No reader holds v0, so publishing v1 drops v0 inside `store`,
+        // No reader holds v0, so publishing v1 drops v0 inside `update`,
         // panicking while the guard is held and poisoning the mutex.
         let publish = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cell.store(Arc::new(Grenade {
-                armed: false,
-                version: 1,
-            }));
+            cell.update(|g| {
+                *g = Grenade {
+                    armed: false,
+                    version: 1,
+                }
+            });
         }));
         assert!(publish.is_err(), "the displaced version's drop must panic");
 
@@ -122,10 +143,7 @@ mod tests {
 
         // The single writer also recovers: a later publish succeeds and
         // becomes visible, with the earlier reader unaffected.
-        cell.store(Arc::new(Grenade {
-            armed: false,
-            version: 2,
-        }));
+        cell.update(|g| g.version = 2);
         assert_eq!(cell.load().version, 2);
         assert_eq!(held.version, 1, "in-flight read survives the publish");
     }
@@ -150,7 +168,7 @@ mod tests {
                 });
             }
             for v in 1..=2_000u64 {
-                cell.store(Arc::new(v));
+                cell.update(|x| *x = v);
             }
             stop.store(true, Ordering::Relaxed);
         });

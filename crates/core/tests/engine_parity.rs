@@ -8,7 +8,7 @@
 //! * All scan-fallback paths are counted in one place.
 
 use nncell_core::{
-    linear_scan_knn, linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryError,
+    linear_scan_knn, linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryError, Registry,
     Strategy as BuildStrategy,
 };
 use nncell_geom::{dist_sq, Point};
@@ -176,27 +176,31 @@ fn batch_races_reset_stats() {
     });
 }
 
-/// Every scan fallback funnels through the engine and is counted — the old
-/// `knn` path for `k ≥ len` scanned without counting. Out-of-space queries
-/// need no fallback: the point-tree search is exact for any query point.
+/// Every scan fallback funnels through the engine, which flags it on the
+/// response and counts it in the registry — the old `knn` path for
+/// `k ≥ len` scanned without counting. Out-of-space queries need no
+/// fallback: the point-tree search is exact for any query point.
 #[test]
 fn all_fallback_paths_are_counted() {
     let pts: Vec<Point> = (0..20)
         .map(|i| Point::new(vec![(i as f64 + 0.5) / 20.0, ((i * 7 % 20) as f64 + 0.5) / 20.0]))
         .collect();
-    let index = NnCellIndex::build(
+    let mut index = NnCellIndex::build(
         pts.clone(),
         BuildConfig::builder().strategy(BuildStrategy::CorrectPruned).seed(3).build(),
     )
     .unwrap();
+    let registry = Registry::new();
+    index.attach_metrics(registry.clone());
+    let fallbacks = || registry.snapshot().counter("nncell_query_fallback_total");
     let engine = index.engine().with_threads(1);
-    assert_eq!(engine.fallback_queries(), 0);
+    assert_eq!(fallbacks(), Some(0));
 
     // k ≥ len: previously scanned silently.
     let r = engine.execute(&Query::knn([0.4, 0.6], 25)).unwrap();
     assert!(r.stats.fallback);
     assert_eq!(r.len(), 20);
-    assert_eq!(engine.fallback_queries(), 1);
+    assert_eq!(fallbacks(), Some(1));
 
     // Out-of-space NN and k-NN queries traverse the tree, exactly.
     for k in [1, 3] {
@@ -209,12 +213,12 @@ fn all_fallback_paths_are_counted() {
         let got: Vec<_> = r.iter().map(|g| (g.id, g.dist.to_bits())).collect();
         assert_eq!(got, want);
     }
-    assert_eq!(engine.fallback_queries(), 1);
+    assert_eq!(fallbacks(), Some(1));
 
     // In-space queries of a healthy index never fall back.
     let r = engine.execute(&Query::knn([0.4, 0.6], 5)).unwrap();
     assert!(!r.stats.fallback);
-    assert_eq!(engine.fallback_queries(), 1);
+    assert_eq!(fallbacks(), Some(1));
 }
 
 /// The typed error contract, end to end.

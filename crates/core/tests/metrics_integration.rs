@@ -66,7 +66,6 @@ fn registry_counters_agree_with_engine_and_index() {
     );
     assert_eq!(snap.counter("nncell_query_errors_total"), Some(errors));
     assert_eq!(snap.counter("nncell_query_fallback_total"), Some(fallbacks));
-    assert_eq!(snap.counter("nncell_query_fallback_total"), Some(engine.fallback_queries()));
     let latency = snap.histogram("nncell_query_latency_ns").unwrap();
     assert_eq!(latency.count(), ok.len() as u64);
     assert!(latency.sum > 0);

@@ -11,7 +11,7 @@
 
 use nncell_core::{
     linear_scan_knn, BuildConfig, NnCellIndex, Query, QueryEngine, QueryError, QueryResponse,
-    ShardedIndex, Strategy as BuildStrategy,
+    Registry, ShardedIndex, Strategy as BuildStrategy,
 };
 use nncell_geom::{dist, dist_sq, Point};
 use proptest::prelude::*;
@@ -279,8 +279,8 @@ fn a_one_shard_fan_out_reports_its_engines_counts() {
 fn fan_out_fallback_counts_match_unsharded() {
     // k ≥ live count forces the exact-scan fallback. The fan-out is one
     // search over every shard, so it falls back exactly when the
-    // unsharded index does, at any shard count; with S=1 the per-shard
-    // counter agrees too.
+    // unsharded index does, at any shard count, and the registry counts
+    // the fallback once in every shard's series (it scanned them all).
     let pts: Vec<Point> = (0..6)
         .map(|i| Point::new(vec![i as f64 / 8.0, (i * 3 % 7) as f64 / 8.0]))
         .collect();
@@ -296,27 +296,38 @@ fn fan_out_fallback_counts_match_unsharded() {
         Query::nn(vec![2.0, 2.0]),     // outside the unit space → no fallback either
     ];
     for shards in 1..=3 {
-        let whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
+        let mut whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
+        let whole_registry = Registry::new();
+        whole.attach_metrics(whole_registry.clone());
         let engine = QueryEngine::sequential(&whole);
         let sharded = ShardedIndex::build(pts.clone(), shards, cfg.clone()).unwrap();
+        let registry = Registry::new();
+        sharded.attach_metrics(registry.clone());
+        let mut fallbacks = 0u64;
         for q in &queries {
             let a = sharded.query(q).unwrap();
             let b = engine.execute(q).unwrap();
             assert_eq!(a.stats.fallback, b.stats.fallback, "S={shards} {q:?}");
             assert_eq!(answer_bits(&a), answer_bits(&b), "S={shards} {q:?}");
+            fallbacks += u64::from(a.stats.fallback);
         }
+        assert_eq!(fallbacks, 1, "test must exercise the fallback");
+        let counted = |registry: &Registry, series: &str| registry.snapshot().counter(series);
         assert_eq!(
-            whole.fallback_queries(),
-            1,
-            "test must exercise the fallback"
+            counted(&whole_registry, "nncell_query_fallback_total"),
+            Some(fallbacks)
         );
-        assert_eq!(
-            sharded.fallback_queries(),
-            whole.fallback_queries(),
-            "S={shards}"
-        );
-        if shards == 1 {
-            assert_eq!(sharded.shard_fallback_queries(), whole.fallback_queries());
+        for i in 0..shards {
+            let series = if shards == 1 {
+                "nncell_query_fallback_total".to_string()
+            } else {
+                format!("nncell_query_fallback_total{{shard=\"{i}\"}}")
+            };
+            assert_eq!(
+                counted(&registry, &series),
+                Some(fallbacks),
+                "S={shards} {series}"
+            );
         }
     }
 }
@@ -636,9 +647,14 @@ fn lcg_points(n: usize, seed: u64) -> Vec<Point> {
 ///   the worst returned result would have won, so none may exist outside
 ///   the response, and a short response (fewer than `k` results) must
 ///   contain every one of them.
+///
+/// Each reader also issues a radius query around its probe: a fold
+/// publishes a shard's index and tail together, so the ball holds every
+/// id once, in strict `(distance, id)` order, at scan-exact distances.
 fn assert_remove_during_query_parity(idx: &ShardedIndex, pts: &[Point], n_remove: usize) {
     use std::cmp::Ordering as Cmp;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const RADIUS: f64 = 0.25;
 
     let n = pts.len();
     let watermark = AtomicUsize::new(0);
@@ -719,6 +735,32 @@ fn assert_remove_during_query_parity(idx: &ShardedIndex, pts: &[Point], n_remove
                             worst.dist,
                             worst.id
                         );
+                    }
+
+                    // A radius read racing the same folds: each live point
+                    // in the ball once, in strict `(dist, id)` order, at
+                    // its linear-scan distance.
+                    let w0 = watermark.load(Ordering::Acquire);
+                    let ball = idx.query(&Query::radius(probe.clone(), RADIUS)).unwrap();
+                    let hits: Vec<_> = ball.iter().collect();
+                    for w in hits.windows(2) {
+                        assert!(
+                            strictly_closer(w[0].dist, w[0].id, w[1].dist, w[1].id),
+                            "radius answer not strictly ordered: {:?} vs {:?}",
+                            (w[0].dist, w[0].id),
+                            (w[1].dist, w[1].id)
+                        );
+                    }
+                    let mut ids: Vec<usize> = hits.iter().map(|r| r.id).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    assert_eq!(ids.len(), hits.len(), "radius answer repeats an id");
+                    for r in &hits {
+                        assert!(r.id < n, "id {} was never assigned", r.id);
+                        assert!(r.id >= w0, "id {} was removed before the radius read", r.id);
+                        let want = dist(&probe, pts[r.id].as_slice());
+                        assert_eq!(r.dist.to_bits(), want.to_bits(), "radius id {}", r.id);
+                        assert!(r.dist <= RADIUS, "id {} outside the ball", r.id);
                     }
                     if stop.load(Ordering::Acquire) {
                         break;

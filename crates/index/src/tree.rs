@@ -79,6 +79,14 @@ pub struct Tree {
     cost: CostTracker,
 }
 
+/// A tree is the forest member of itself, so a traversal takes `&[&Tree]`
+/// as readily as a slice of anything that holds a tree.
+impl AsRef<Tree> for Tree {
+    fn as_ref(&self) -> &Tree {
+        self
+    }
+}
+
 impl Tree {
     /// An empty tree.
     pub fn new(cfg: TreeConfig) -> Self {
@@ -989,8 +997,9 @@ impl Tree {
     /// duplicate probe holds it at 0, which reads only the pages whose box
     /// contains the probe. A single tree is the forest of one
     /// (`Tree::best_first_stream_with(&[&tree], …)`); a sharded index
-    /// passes every shard's tree, so each shard is pruned by the global
-    /// running bound rather than by its own (`DESIGN.md` §12.1).
+    /// passes every shard (each reads as its tree through `AsRef`), so
+    /// each shard is pruned by the global running bound rather than by
+    /// its own (`DESIGN.md` §12.1).
     ///
     /// Pages of every tree share one priority queue and are expanded in
     /// ascending `MINDIST(q, MBR)` order \[HS 95\]. When a leaf is
@@ -1038,7 +1047,7 @@ impl Tree {
     /// [`BestFirstScratch`]; a warmed-up scratch makes the traversal
     /// allocation-free.
     pub fn best_first_stream_with<const D: usize, F>(
-        forest: &[&Tree],
+        forest: &[impl AsRef<Tree>],
         q: &[f64],
         scratch: &mut BestFirstScratch,
         mut visit: F,
@@ -1051,7 +1060,7 @@ impl Tree {
         heap.clear();
         tally.clear();
         tally.resize(forest.len(), TreeTally::default());
-        for (t, tree) in forest.iter().enumerate() {
+        for (t, tree) in forest.iter().map(AsRef::as_ref).enumerate() {
             if tree.len > 0 {
                 heap.push(PageSlot {
                     key: 0.0,
@@ -1072,7 +1081,7 @@ impl Tree {
                 prune_frontier(heap, tally);
                 break;
             }
-            let tree = forest[t];
+            let tree = forest[t].as_ref();
             let n = tree.node(slot.page);
             let tt = &mut tally[t];
             tt.stats.pages += n.span as u64;
@@ -1105,7 +1114,7 @@ impl Tree {
             }
         }
         let mut total = TraversalStats::default();
-        for (tree, tt) in forest.iter().zip(tally.iter()) {
+        for (tree, tt) in forest.iter().map(AsRef::as_ref).zip(tally.iter()) {
             if tt.ops > 0 {
                 tree.cost.read(tt.stats.pages);
                 tree.cost.cpu(tt.ops);
