@@ -138,30 +138,45 @@ echo "== public API surface gate =="
 #   NNCELL_BLESS=1 cargo test --test api_surface
 cargo test -q --test api_surface
 
+# baseline_gate LABEL FILE FIELD floor|ceiling FACTOR REASON
+# Compares the first FIELD value of the fresh FILE with the one in the
+# last committed FILE: a floor gate fails when the fresh value is under
+# FACTOR x baseline, a ceiling gate when it is over it, and REASON names
+# the regression. Skipped when there is no committed baseline; a value
+# missing from either file fails the gate.
+baseline_gate() {
+    local label=$1 file=$2 field=$3 kind=$4 factor=$5 reason=$6
+    local baseline_json old cur
+    if ! baseline_json=$(git show "HEAD:$file" 2>/dev/null); then
+        echo "$label: no committed $file baseline; skipping"
+        return 0
+    fi
+    # `|| true`: a file without the field yields no match, which the
+    # parse check below reports.
+    old=$(printf '%s' "$baseline_json" | grep -o "\"$field\": *[0-9.]*" | tr -dc '0-9.\n' | head -n1 || true)
+    cur=$(grep -o "\"$field\": *[0-9.]*" "$file" | tr -dc '0-9.\n' | head -n1 || true)
+    if [ -z "$old" ] || [ -z "$cur" ]; then
+        echo "$label: could not parse $field (old='$old' cur='$cur')" >&2
+        exit 1
+    fi
+    awk -v old="$old" -v cur="$cur" -v factor="$factor" -v kind="$kind" \
+        -v label="$label" -v field="$field" -v reason="$reason" 'BEGIN {
+        bound = factor * old;
+        printf "%s: %s %.2f vs baseline %.2f (%s %.2f)\n", label, field, cur, old, kind, bound;
+        if ((kind == "floor" && cur < bound) || (kind == "ceiling" && cur > bound)) {
+            printf "%s: FAIL — %s\n", label, reason;
+            exit 1;
+        }
+    }'
+}
+
 echo "== bench regression gate (sequential QPS vs committed baseline) =="
 # Compare the fresh run against the last committed BENCH_query_engine.json.
 # A drop of more than 25% in sequential QPS fails the gate; smaller swings
 # are treated as machine noise. Skipped when there is no committed baseline
 # (first run on a new checkout or the file was never committed).
-if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
-    extract_qps() { grep -o '"seq_qps": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
-    old_qps=$(printf '%s' "$baseline_json" | extract_qps)
-    cur_qps=$(extract_qps < BENCH_query_engine.json)
-    if [ -z "$old_qps" ] || [ -z "$cur_qps" ]; then
-        echo "bench gate: could not parse seq_qps (old='$old_qps' cur='$cur_qps')" >&2
-        exit 1
-    fi
-    awk -v old="$old_qps" -v cur="$cur_qps" 'BEGIN {
-        floor = 0.75 * old;
-        printf "bench gate: seq_qps %.2f vs baseline %.2f (floor %.2f)\n", cur, old, floor;
-        if (cur < floor) {
-            printf "bench gate: FAIL — sequential QPS dropped more than 25%%\n";
-            exit 1;
-        }
-    }'
-else
-    echo "bench gate: no committed BENCH_query_engine.json baseline; skipping"
-fi
+baseline_gate "bench gate" BENCH_query_engine.json seq_qps floor 0.75 \
+    "sequential QPS dropped more than 25%"
 
 echo "== candidate-count gate (mean_candidates vs committed baseline) =="
 # The MINDIST traversal's headline claim is how few streamed points lie
@@ -169,25 +184,8 @@ echo "== candidate-count gate (mean_candidates vs committed baseline) =="
 # run's mean_candidates may exceed the committed baseline by at most 10%;
 # a bigger jump means the pruning bounds or the traversal order regressed
 # even if QPS happens to hide it. Skipped without a committed baseline.
-if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
-    extract_cands() { grep -o '"mean_candidates": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
-    old_cands=$(printf '%s' "$baseline_json" | extract_cands)
-    cur_cands=$(extract_cands < BENCH_query_engine.json)
-    if [ -z "$old_cands" ] || [ -z "$cur_cands" ]; then
-        echo "candidate gate: could not parse mean_candidates (old='$old_cands' cur='$cur_cands')" >&2
-        exit 1
-    fi
-    awk -v old="$old_cands" -v cur="$cur_cands" 'BEGIN {
-        ceil = 1.10 * old;
-        printf "candidate gate: mean_candidates %.2f vs baseline %.2f (ceiling %.2f)\n", cur, old, ceil;
-        if (cur > ceil) {
-            printf "candidate gate: FAIL — candidate count regressed more than 10%%\n";
-            exit 1;
-        }
-    }'
-else
-    echo "candidate gate: no committed BENCH_query_engine.json baseline; skipping"
-fi
+baseline_gate "candidate gate" BENCH_query_engine.json mean_candidates ceiling 1.10 \
+    "candidate count regressed more than 10%"
 
 echo "== high-dimension evaluation-count gate (d=16/32 mean_examined vs committed baseline) =="
 # BENCH_query_engine.json also measures the paper's regime: the same
@@ -283,25 +281,8 @@ echo "== tracing-overhead gate (sampling-off QPS within 2% of committed baseline
 # committed BENCH_query_engine.json was blessed with the instrumentation
 # in place, so a failure here means someone made the *disabled* path
 # expensive (an allocation, a lock, a syscall), not that tracing exists.
-if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
-    extract_qps() { grep -o '"seq_qps": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
-    old_qps=$(printf '%s' "$baseline_json" | extract_qps)
-    cur_qps=$(extract_qps < BENCH_query_engine.json)
-    if [ -z "$old_qps" ] || [ -z "$cur_qps" ]; then
-        echo "tracing gate: could not parse seq_qps (old='$old_qps' cur='$cur_qps')" >&2
-        exit 1
-    fi
-    awk -v old="$old_qps" -v cur="$cur_qps" 'BEGIN {
-        floor = 0.98 * old;
-        printf "tracing gate: seq_qps %.2f vs baseline %.2f (floor %.2f)\n", cur, old, floor;
-        if (cur < floor) {
-            printf "tracing gate: FAIL — sampling-off QPS more than 2%% under baseline\n";
-            exit 1;
-        }
-    }'
-else
-    echo "tracing gate: no committed BENCH_query_engine.json baseline; skipping"
-fi
+baseline_gate "tracing gate" BENCH_query_engine.json seq_qps floor 0.98 \
+    "sampling-off QPS more than 2% under baseline"
 
 echo "== cell-construction gate (cell_build_seconds vs committed baseline) =="
 # The pooled NN-cell construction path (NnCells::build) builds the
@@ -313,48 +294,14 @@ echo "== cell-construction gate (cell_build_seconds vs committed baseline) =="
 # times on the same points and configuration. The fresh smoke run may
 # exceed the committed baseline by at most 25%. Skipped when there is no
 # committed baseline.
-if baseline_json=$(git show HEAD:BENCH_query_engine.json 2>/dev/null); then
-    extract_build_s() { grep -o '"cell_build_seconds": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
-    old_build=$(printf '%s' "$baseline_json" | extract_build_s)
-    cur_build=$(extract_build_s < BENCH_query_engine.json)
-    if [ -z "$old_build" ] || [ -z "$cur_build" ]; then
-        echo "build gate: could not parse cell_build_seconds (old='$old_build' cur='$cur_build')" >&2
-        exit 1
-    fi
-    awk -v old="$old_build" -v cur="$cur_build" 'BEGIN {
-        ceil = 1.25 * old;
-        printf "build gate: cell_build_seconds %.2f vs baseline %.2f (ceiling %.2f)\n", cur, old, ceil;
-        if (cur > ceil) {
-            printf "build gate: FAIL — cell construction time regressed more than 25%%\n";
-            exit 1;
-        }
-    }'
-else
-    echo "build gate: no committed BENCH_query_engine.json baseline; skipping"
-fi
+baseline_gate "build gate" BENCH_query_engine.json cell_build_seconds ceiling 1.25 \
+    "cell construction time regressed more than 25%"
 
 echo "== server bench gate (HTTP QPS vs committed baseline) =="
 # Same idea as above for the serving layer, with a looser 50% floor: the
 # end-to-end number includes connection setup, JSON parsing, and thread
 # scheduling, so it is noisier than the in-process QPS gate.
-if baseline_json=$(git show HEAD:BENCH_server.json 2>/dev/null); then
-    extract_http_qps() { grep -o '"qps": *[0-9.]*' | tr -dc '0-9.\n' | head -n1; }
-    old_qps=$(printf '%s' "$baseline_json" | extract_http_qps)
-    cur_qps=$(extract_http_qps < BENCH_server.json)
-    if [ -z "$old_qps" ] || [ -z "$cur_qps" ]; then
-        echo "server bench gate: could not parse qps (old='$old_qps' cur='$cur_qps')" >&2
-        exit 1
-    fi
-    awk -v old="$old_qps" -v cur="$cur_qps" 'BEGIN {
-        floor = 0.50 * old;
-        printf "server bench gate: qps %.2f vs baseline %.2f (floor %.2f)\n", cur, old, floor;
-        if (cur < floor) {
-            printf "server bench gate: FAIL — HTTP QPS dropped more than 50%%\n";
-            exit 1;
-        }
-    }'
-else
-    echo "server bench gate: no committed BENCH_server.json baseline; skipping"
-fi
+baseline_gate "server bench gate" BENCH_server.json qps floor 0.50 \
+    "HTTP QPS dropped more than 50%"
 
 echo "ci: all green"

@@ -715,19 +715,11 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     let slow_threshold_us: u64 = p
         .get_or("slow-threshold-us", 0)
         .map_err(|e| e.to_string())?;
-    // Slow-query rings, one per shard.
-    let slow_logs: Vec<_> = (0..index.num_shards())
-        .filter_map(|i| {
-            let shard = index.shard(i);
-            shard
-                .metrics()
-                .map(|m| std::sync::Arc::clone(m.engine().slow_log()))
-        })
-        .collect();
+    let slow = index
+        .slow_log()
+        .ok_or("stats: no registry attached to the index")?;
     if p.get("slow").is_some() {
-        for log in &slow_logs {
-            log.set_threshold_ns(slow_threshold_us.saturating_mul(1_000));
-        }
+        slow.set_threshold_ns(slow_threshold_us.saturating_mul(1_000));
     }
     if n_q > 0 {
         let queries: Vec<Query> = UniformGenerator::new(index.dim())
@@ -747,48 +739,41 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         return Ok(());
     }
     if p.get("slow").is_some() {
-        let sharded = slow_logs.len() > 1;
-        for (i, slow) in slow_logs.iter().enumerate() {
-            let entries = slow.drain();
-            let scope = if sharded {
-                format!("shard {i}: ")
+        let entries = slow.drain();
+        println!(
+            "slow queries (threshold {slow_threshold_us} µs): {} captured, {} total seen",
+            entries.len(),
+            slow.total_seen()
+        );
+        for e in entries {
+            // A nonzero trace id is an exemplar: the same id keys the
+            // span timeline in the flight recorder (/debug/trace).
+            let trace = if e.trace_id != 0 {
+                format!(" trace={:032x}", e.trace_id)
             } else {
                 String::new()
             };
             println!(
-                "{scope}slow queries (threshold {slow_threshold_us} µs): {} captured, {} total seen",
-                entries.len(),
-                slow.total_seen()
+                "  #{:<4} {:>10.1} µs  k={} candidates={} pages={}{}{trace}  [{}]",
+                e.seq,
+                e.latency_ns as f64 / 1_000.0,
+                e.k,
+                e.candidates,
+                e.pages,
+                if e.fallback { " fallback" } else { "" },
+                e.point
+                    .iter()
+                    .map(|c| format!("{c:.4}"))
+                    .collect::<Vec<_>>()
+                    .join(","),
             );
-            for e in entries {
-                // A nonzero trace id is an exemplar: the same id keys the
-                // span timeline in the flight recorder (/debug/trace).
-                let trace = if e.trace_id != 0 {
-                    format!(" trace={:032x}", e.trace_id)
-                } else {
-                    String::new()
-                };
-                println!(
-                    "  #{:<4} {:>10.1} µs  k={} candidates={} pages={}{}{trace}  [{}]",
-                    e.seq,
-                    e.latency_ns as f64 / 1_000.0,
-                    e.k,
-                    e.candidates,
-                    e.pages,
-                    if e.fallback { " fallback" } else { "" },
-                    e.point
-                        .iter()
-                        .map(|c| format!("{c:.4}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                );
-            }
         }
         return Ok(());
     }
-    // Human-readable summary. Sharded indexes register per-shard labeled
-    // series (`name{shard="i"}`); sum_counters/sum_gauges fold a whole
-    // work family into one number either way.
+    // Human-readable summary. The query series count each query once;
+    // a sharded index labels only its per-shard tree and live-point
+    // series (`name{shard="i"}`), which sum_counters folds into one
+    // number.
     let shards = index.num_shards();
     println!(
         "workload       : {n_q} queries (k={k}, threads={threads}, seed={seed}){}",
@@ -799,75 +784,35 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         }
     );
     let get = |name: &str| snap.sum_counters(name).unwrap_or(0);
-    // Every shard records each fan-out query once, so the per-query
-    // counters are read from one shard's series, not summed.
-    let per_query = |name: &str| {
-        let series = if shards > 1 {
-            format!("{name}{{shard=\"0\"}}")
-        } else {
-            name.to_string()
-        };
-        snap.counter(&series).unwrap_or(0)
-    };
     println!(
         "queries        : {} ok, {} error(s), {} scan fallback(s)",
-        per_query("nncell_queries_total") - per_query("nncell_query_errors_total"),
-        per_query("nncell_query_errors_total"),
-        per_query("nncell_query_fallback_total"),
+        get("nncell_queries_total") - get("nncell_query_errors_total"),
+        get("nncell_query_errors_total"),
+        get("nncell_query_fallback_total"),
     );
-    // Latency histograms stay per shard: there is one series per engine,
-    // labeled when sharded.
-    let latency_series: Vec<(String, &str)> = if shards > 1 {
-        (0..shards)
-            .map(|i| {
-                (
-                    format!("nncell_query_latency_ns{{shard=\"{i}\"}}"),
-                    "latency",
-                )
-            })
-            .collect()
-    } else {
-        vec![("nncell_query_latency_ns".to_string(), "latency")]
-    };
-    for (i, (name, _)) in latency_series.iter().enumerate() {
-        if let Some(h) = snap.histogram(name) {
-            let label = if shards > 1 {
-                format!("latency (s{i})  ")
-            } else {
-                "latency        ".to_string()
-            };
-            println!(
-                "{label}: p50 ≤ {:.1} µs, p90 ≤ {:.1} µs, p99 ≤ {:.1} µs, max {:.1} µs",
-                h.percentile(0.50) as f64 / 1_000.0,
-                h.percentile(0.90) as f64 / 1_000.0,
-                h.percentile(0.99) as f64 / 1_000.0,
-                h.max as f64 / 1_000.0,
-            );
-        }
-    }
-    let hist = |name: &str| {
-        if shards > 1 {
-            snap.histogram(&format!("{name}{{shard=\"0\"}}"))
-        } else {
-            snap.histogram(name)
-        }
-    };
-    if let Some(h) = hist("nncell_query_candidates") {
+    if let Some(h) = snap.histogram("nncell_query_latency_ns") {
         println!(
-            "candidates     : mean {:.1}, p99 ≤ {}, max {}{}",
-            h.mean(),
-            h.percentile(0.99),
-            h.max,
-            if shards > 1 { " (shard 0)" } else { "" }
+            "latency        : p50 ≤ {:.1} µs, p90 ≤ {:.1} µs, p99 ≤ {:.1} µs, max {:.1} µs",
+            h.percentile(0.50) as f64 / 1_000.0,
+            h.percentile(0.90) as f64 / 1_000.0,
+            h.percentile(0.99) as f64 / 1_000.0,
+            h.max as f64 / 1_000.0,
         );
     }
-    if let Some(h) = hist("nncell_query_pages") {
+    if let Some(h) = snap.histogram("nncell_query_candidates") {
         println!(
-            "pages/query    : mean {:.1}, p99 ≤ {}, max {}{}",
+            "candidates     : mean {:.1}, p99 ≤ {}, max {}",
             h.mean(),
             h.percentile(0.99),
             h.max,
-            if shards > 1 { " (shard 0)" } else { "" }
+        );
+    }
+    if let Some(h) = snap.histogram("nncell_query_pages") {
+        println!(
+            "pages/query    : mean {:.1}, p99 ≤ {}, max {}",
+            h.mean(),
+            h.percentile(0.99),
+            h.max,
         );
     }
     println!(
@@ -929,8 +874,9 @@ bulk-loads them in parallel. --out writes one index file (S = 1) or a
 sharded directory (S > 1); --wal initializes a durable directory of S
 shards. Every command opens any layout — PATH is an index file, a saved
 directory, or a durable directory, told apart by its manifest; sharded
-answers are bit-identical to unsharded ones, and with S > 1 metrics
-register per-shard `shard=\"i\"` series.
+answers are bit-identical to unsharded ones. A sharded query is counted
+once; with S > 1 only the point-tree and live-point metrics carry a
+per-shard `shard=\"i\"` label.
 
 `stats` attaches a metrics registry, replays a generated workload, and
 reports query-latency percentiles, candidate/page histograms, point-tree

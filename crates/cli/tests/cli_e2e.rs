@@ -243,8 +243,8 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("durability"), "{text}");
 
-    // A sharded index: every shard records each fan-out query once, and
-    // the summary counts the workload once, not once per shard.
+    // A sharded index: each query is recorded once, in one unlabeled
+    // query series and one slow-query ring.
     let sharded = tmp("stats_sharded");
     std::fs::remove_dir_all(&sharded).ok();
     let out = bin()
@@ -260,6 +260,26 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("queries        : 40 ok, 0 error(s)"), "{text}");
+    let out = bin()
+        .args(["stats", "--index", sharded.to_str().unwrap()])
+        .args(["--queries", "40", "--json"])
+        .output()
+        .expect("spawn stats --json on a sharded index");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        json.contains("\"nncell_queries_total\": {\"type\": \"counter\", \"value\": 40}"),
+        "{json}"
+    );
+    let out = bin()
+        .args(["stats", "--index", sharded.to_str().unwrap()])
+        .args(["--queries", "12", "--slow", "--slow-threshold-us", "0"])
+        .output()
+        .expect("spawn stats --slow on a sharded index");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert_eq!(text.matches("slow queries (threshold").count(), 1, "{text}");
+    assert!(text.contains("12 total seen"), "{text}");
 
     std::fs::remove_file(&pts).ok();
     std::fs::remove_file(&idx).ok();

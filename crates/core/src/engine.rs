@@ -16,9 +16,9 @@
 //!   from a shared atomic cursor, so an expensive straggler query cannot
 //!   idle the rest of the pool.
 //! * Each worker carries one [`QueryScratch`] — the ranked buffer (a
-//!   k-NN query's k-best, a radius query's hits), the best-first queue,
-//!   the per-shard counters and the leaf kernel's distance buffer —
-//!   reused across every query it executes.
+//!   k-NN query's k-best, a radius query's hits), the best-first queue
+//!   and the leaf kernel's distance buffer — reused across every query
+//!   it executes.
 //!   Once warm, the per-query path performs **zero heap allocations** for
 //!   `k = 1` (and exactly one — the `rest` vector of the response — for
 //!   `k > 1`); this is property-checked by a counting allocator in
@@ -55,16 +55,16 @@
 //!
 //! The one exact-scan fallback (`k ≥` the live count) goes through one
 //! helper here, which sets [`QueryStats::fallback`] on the response (and
-//! `nncell_query_fallback_total` in the series of every shard with a
-//! registry attached). A query with a non-empty memtable tail never falls
-//! back: its traversal is complete whenever fewer than k live points
-//! exist.
+//! `nncell_query_fallback_total` when the engine records metrics). A
+//! query with a non-empty memtable tail never falls back: its traversal
+//! is complete whenever fewer than k live points exist.
 
 use crate::index::{NnCellIndex, QueryResult};
 use crate::memtable::TailSnapshot;
+use crate::metrics::EngineMetrics;
 use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
 use nncell_geom::{Euclidean, Metric};
-use nncell_index::{BestFirstScratch, ItemId, Tree};
+use nncell_index::{BestFirstScratch, ItemId, TraversalStats, Tree};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -88,8 +88,6 @@ pub struct QueryScratch {
     ranked: Vec<QueryResult>,
     /// Priority-queue scratch of the MINDIST-ordered best-first traversal.
     bf: BestFirstScratch,
-    /// The last query's counters, one entry per shard of the engine.
-    per_shard: Vec<QueryStats>,
     /// The leaf kernel's output: one squared distance per entry of the
     /// leaf being evaluated.
     d2: Vec<f64>,
@@ -105,7 +103,6 @@ impl QueryScratch {
     pub(crate) fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ranked.capacity() * size_of::<QueryResult>()
-            + self.per_shard.capacity() * size_of::<QueryStats>()
             + self.d2.capacity() * size_of::<f64>()
             + self.bf.retained_bytes()
     }
@@ -185,21 +182,19 @@ impl<'a, M: Metric> Forest<'a, M> {
     }
 
     /// One best-first traversal of every shard's point tree (see
-    /// [`Tree::best_first_stream_with`]).
+    /// [`Tree::best_first_stream_with`]); returns its forest totals.
     fn stream<const D: usize>(
         &self,
         q: &[f64],
         bf: &mut BestFirstScratch,
         visit: impl FnMut(usize, &[ItemId], &[f64]) -> f64,
-    ) {
+    ) -> TraversalStats {
         match self {
             Forest::One(index) => {
                 let tree: &Tree = index.point_tree();
-                Tree::best_first_stream_with::<D, _>(&[tree], q, bf, visit);
+                Tree::best_first_stream_with::<D, _>(&[tree], q, bf, visit)
             }
-            Forest::Many(shards) => {
-                Tree::best_first_stream_with::<D, _>(shards, q, bf, visit);
-            }
+            Forest::Many(shards) => Tree::best_first_stream_with::<D, _>(shards, q, bf, visit),
         }
     }
 }
@@ -224,9 +219,10 @@ pub struct QueryEngine<'a, M: Metric = Euclidean> {
     forest: Forest<'a, M>,
     dim: usize,
     threads: usize,
-    /// When false, this engine skips metric recording even if the index has
-    /// a registry attached (overhead A/B runs; see the bench).
-    record_metrics: bool,
+    /// Where every query is recorded, once: the index's bundle, the
+    /// sharded index's for a fan-out; `None` without a registry or after
+    /// [`Self::without_metrics`].
+    metrics: Option<&'a EngineMetrics>,
     /// Optional budget applied to every query this engine executes, set
     /// only by the shard fan-out; per-request budgets ride on
     /// [`Query::with_deadline`].
@@ -241,24 +237,29 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
 
     /// An engine that executes batches on the calling thread only.
     pub fn sequential(index: &'a NnCellIndex<M>) -> Self {
-        Self::over(Forest::One(index), index.dim())
+        Self::over(Forest::One(index), index.dim(), index.engine_metrics())
     }
 
     /// The shard fan-out's engine over a published read state: one
     /// traversal over every shard's point tree, one k-best keyed by
-    /// `(dist, global id)` with `global = local · S + shard number`.
-    /// Batches run on the calling thread; see [`Self::with_threads`].
-    pub(crate) fn fan_out(dim: usize, shards: &'a [Shard<M>]) -> Self {
-        Self::over(Forest::Many(shards), dim)
+    /// `(dist, global id)` with `global = local · S + shard number`,
+    /// recorded in the sharded index's `metrics`. Batches run on the
+    /// calling thread; see [`Self::with_threads`].
+    pub(crate) fn fan_out(
+        dim: usize,
+        shards: &'a [Shard<M>],
+        metrics: Option<&'a EngineMetrics>,
+    ) -> Self {
+        Self::over(Forest::Many(shards), dim, metrics)
     }
 
     /// A sequential engine over `forest`.
-    fn over(forest: Forest<'a, M>, dim: usize) -> Self {
+    fn over(forest: Forest<'a, M>, dim: usize, metrics: Option<&'a EngineMetrics>) -> Self {
         Self {
             forest,
             dim,
             threads: 1,
-            record_metrics: true,
+            metrics,
             deadline: None,
         }
     }
@@ -273,7 +274,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// Disables metric recording for this engine even when the index has a
     /// registry attached — the control arm of overhead measurements.
     pub fn without_metrics(mut self) -> Self {
-        self.record_metrics = false;
+        self.metrics = None;
         self
     }
 
@@ -322,9 +323,11 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// of relaxed atomics; the slow-query ring copies into preallocated
     /// slots).
     ///
-    /// Each shard with a registry attached records the query in its own
-    /// (labelled) series: one query, the whole query's latency, and that
-    /// shard's share of the pages, pruned subtrees and evaluations.
+    /// With metrics, the query is recorded once, in the engine's one
+    /// bundle (the index's, or the sharded index's for a fan-out): one
+    /// query, its latency and the whole forest's pages, pruned subtrees
+    /// and evaluations, exactly as the response's [`QueryStats`] reports
+    /// them.
     pub fn execute_with(
         &self,
         scratch: &mut QueryScratch,
@@ -333,10 +336,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         // Inert (one thread-local read) unless this thread is inside a
         // sampled trace; the guard closes when the function returns.
         let mut span = nncell_obs::trace::child("engine.query");
-        let shards = self.forest.len();
-        let recording = self.record_metrics
-            && (0..shards).any(|s| self.forest.index(s).engine_metrics().is_some());
-        let start = recording.then(std::time::Instant::now);
+        let start = self.metrics.is_some().then(std::time::Instant::now);
         let result = self.execute_inner(scratch, q);
         if let Ok(resp) = &result {
             span.arg("candidates", resp.stats.candidates as u64);
@@ -345,57 +345,51 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             span.arg("examined", resp.stats.candidates_examined as u64);
             span.arg("aborted_early", resp.stats.candidates_aborted_early as u64);
         }
-        let Some(start) = start else {
+        let (Some(m), Some(start)) = (self.metrics, start) else {
             return result;
         };
         let latency_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        for i in 0..shards {
-            let Some(m) = self.forest.index(i).engine_metrics() else {
-                continue;
-            };
-            m.queries.inc();
-            if result.is_err() {
-                m.query_errors.inc();
-                continue;
-            }
-            let stats = &scratch.per_shard[i];
-            m.latency_ns.record(latency_ns);
-            m.candidates.record(stats.candidates as u64);
-            m.pages.record(stats.pages);
-            m.nodes_pruned.record(stats.nodes_pruned);
-            m.candidates_examined
-                .record(stats.candidates_examined as u64);
-            m.aborted_early
-                .record(stats.candidates_aborted_early as u64);
-            if stats.fallback {
-                m.fallbacks.inc();
-            }
-            // The slow log's `k` column is the requested neighbor
-            // count; a radius query has none, so it records 0 rather
-            // than the sentinel `usize::MAX` that `Query::k` returns.
-            let logged_k = match q.kind() {
-                QueryKind::Nearest { k } => k,
-                QueryKind::Radius { .. } => 0,
-            };
-            // Slow-query exemplar: stamp the active trace id (0 when
-            // untraced) so a tripped slow-log entry links to its span
-            // timeline in the flight recorder.
-            m.slow.record(
-                latency_ns,
-                q.point(),
-                logged_k,
-                stats.candidates,
-                stats.pages as usize,
-                stats.fallback,
-                nncell_obs::trace::current_trace_id(),
-            );
+        m.queries.inc();
+        let Ok(resp) = &result else {
+            m.query_errors.inc();
+            return result;
+        };
+        let stats = &resp.stats;
+        m.latency_ns.record(latency_ns);
+        m.candidates.record(stats.candidates as u64);
+        m.pages.record(stats.pages);
+        m.nodes_pruned.record(stats.nodes_pruned);
+        m.candidates_examined
+            .record(stats.candidates_examined as u64);
+        m.aborted_early
+            .record(stats.candidates_aborted_early as u64);
+        if stats.fallback {
+            m.fallbacks.inc();
         }
+        // The slow log's `k` column is the requested neighbor count; a
+        // radius query has none, so it records 0 rather than the sentinel
+        // `usize::MAX` that `Query::k` returns.
+        let logged_k = match q.kind() {
+            QueryKind::Nearest { k } => k,
+            QueryKind::Radius { .. } => 0,
+        };
+        // Slow-query exemplar: stamp the active trace id (0 when
+        // untraced) so a tripped slow-log entry links to its span
+        // timeline in the flight recorder.
+        m.slow.record(
+            latency_ns,
+            q.point(),
+            logged_k,
+            stats.candidates,
+            stats.pages as usize,
+            stats.fallback,
+            nncell_obs::trace::current_trace_id(),
+        );
         result
     }
 
-    /// The uninstrumented execution path shared by both arms. Every
-    /// successful path leaves one [`QueryStats`] per shard in
-    /// `scratch.per_shard`; the response carries their sum.
+    /// The uninstrumented execution path shared by both arms; every
+    /// successful path returns the query's counters in the response.
     fn execute_inner(
         &self,
         scratch: &mut QueryScratch,
@@ -425,10 +419,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         if out_of_budget(deadline) {
             return Err(QueryError::DeadlineExceeded);
         }
-        scratch.per_shard.clear();
-        scratch
-            .per_shard
-            .resize(self.forest.len(), QueryStats::default());
         // The one dimension dispatch: the kernels compiled for d = 8, the
         // dimension every benchmark workload measures, or for any (`D = 0`).
         // A constant is added only with a measured end-to-end win at it.
@@ -436,11 +426,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             8 => Self::run::<8>,
             _ => Self::run::<0>,
         };
-        let mut resp = run(self, scratch, p, q.kind(), deadline)?;
-        for s in &scratch.per_shard {
-            resp.stats.absorb(s);
-        }
-        Ok(resp)
+        run(self, scratch, p, q.kind(), deadline)
     }
 
     /// Executes a query slice across the configured thread pool, returning
@@ -578,17 +564,13 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             // k ≥ len needs every live point anyway. A query outside the
             // data space needs no scan: MINDIST ordering over the point
             // tree is exact for any query point.
-            return Ok(self.scan_knn(&mut scratch.per_shard, p, k));
+            return Ok(self.scan_knn(p, k));
         }
         let (metric, w_min) = self.metric();
         let stride = forest.len();
-        let QueryScratch {
-            ranked,
-            bf,
-            per_shard,
-            d2,
-        } = scratch;
+        let QueryScratch { ranked, bf, d2 } = scratch;
         ranked.clear();
+        let mut stats = QueryStats::default();
         let mut seeded = 0usize;
         let mut visits = 0usize;
         let mut deadline_hit = false;
@@ -601,14 +583,13 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             let abort = (b * b) * BOUND_SLOP;
             (abort, abort / w_min)
         };
-        for (s, st) in per_shard.iter_mut().enumerate() {
+        for s in 0..stride {
             let Some(t) = forest.tail(s) else {
                 continue;
             };
             let mut span = nncell_obs::trace::child("engine.tail_merge");
             span.arg("tail", t.inserts.len() as u64);
-            st.tail = t.inserts.len();
-            st.candidates_examined = t.inserts.len();
+            stats.tail += t.inserts.len();
             for (local, pt) in &t.inserts {
                 if seeded % 256 == 255 && out_of_budget(deadline) {
                     return Err(QueryError::DeadlineExceeded);
@@ -618,7 +599,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 if d2 > abort_bound {
                     continue;
                 }
-                st.candidates += 1;
+                stats.candidates += 1;
                 let r = QueryResult {
                     id: local * stride + s,
                     dist: d2.sqrt(),
@@ -628,13 +609,13 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 }
             }
         }
-        // The per-point path updates no counter: a shard's evaluations are
-        // its streamed items (counted by the traversal, added after the
-        // walk), and only candidates within the bound, rare next to the
+        // The per-point path updates no counter: the evaluations are the
+        // streamed items (counted by the traversal, added after the walk),
+        // and only candidates within the bound, rare next to the
         // evaluations beyond it, are counted one by one. The point tree
         // holds only live ids (`remove` deletes from it as it clears
         // `alive`), so a streamed point needs no liveness check.
-        forest.stream::<D>(p, bf, |t, items, block| {
+        let walk = forest.stream::<D>(p, bf, |t, items, block| {
             visits += items.len();
             if visits >= 128 {
                 visits = 0;
@@ -653,7 +634,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 if d2 > abort_bound {
                     continue; // provably beyond the k-th best
                 }
-                per_shard[t].candidates += 1;
+                stats.candidates += 1;
                 let r = QueryResult {
                     id: local * stride + t,
                     dist: d2.sqrt(),
@@ -667,12 +648,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         if deadline_hit {
             return Err(QueryError::DeadlineExceeded);
         }
-        for (st, ts) in per_shard.iter_mut().zip(bf.per_tree()) {
-            st.pages = ts.pages;
-            st.nodes_pruned = ts.nodes_pruned;
-            st.candidates_examined += ts.items as usize;
-            st.candidates_aborted_early = st.candidates_examined - st.candidates;
-        }
         if ranked.is_empty() {
             // With a tail: every indexed point is tombstoned and no tail
             // holds an insert, so the live set is genuinely empty.
@@ -682,13 +657,14 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return if has_tail {
                 Err(QueryError::EmptyIndex)
             } else {
-                Ok(self.scan_knn(per_shard, p, k))
+                Ok(self.scan_knn(p, k))
             };
         }
+        add_walk(&mut stats, walk);
         Ok(QueryResponse {
             best: ranked[0],
             rest: ranked[1..].to_vec(),
-            stats: QueryStats::default(),
+            stats,
         })
     }
 
@@ -729,17 +705,17 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         let QueryScratch {
             ranked: hits,
             bf,
-            per_shard,
             d2,
         } = scratch;
         hits.clear();
-        // One evaluated point of shard `s`. A shard's examined count is its
-        // streamed items (added after the walk) plus its tail inserts.
-        let mut keep = |s: usize, st: &mut QueryStats, local: usize, d2: f64| {
+        let mut stats = QueryStats::default();
+        // One evaluated point of shard `s`. The examined count is the
+        // streamed items (added after the walk) plus the tail inserts.
+        let mut keep = |s: usize, local: usize, d2: f64| {
             if d2 > abort_bound {
                 return; // provably outside the ball
             }
-            st.candidates += 1;
+            stats.candidates += 1;
             let dist = d2.sqrt();
             if dist <= r && forest.tombstones(s).binary_search(&local).is_err() {
                 let id = local * stride + s;
@@ -748,7 +724,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         };
         let mut visits = 0usize;
         let mut deadline_hit = false;
-        forest.stream::<D>(p, bf, |t, items, block| {
+        let walk = forest.stream::<D>(p, bf, |t, items, block| {
             visits += items.len();
             if visits >= 128 {
                 visits = 0;
@@ -757,12 +733,11 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                     return f64::NEG_INFINITY; // abort the whole traversal
                 }
             }
-            let st = &mut per_shard[t];
             let dists = leaf_dists::<D, M>(metric, p, block, d2, items.len());
             for (&item, &d2) in items.iter().zip(dists) {
                 let local = item as usize;
                 debug_assert!(forest.index(t).is_live(local), "point tree out of sync");
-                keep(t, st, local, d2);
+                keep(t, local, d2);
             }
             tree_bound
         });
@@ -770,30 +745,27 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return Err(QueryError::DeadlineExceeded);
         }
         let mut seeded = 0usize;
-        for (s, (st, ts)) in per_shard.iter_mut().zip(bf.per_tree()).enumerate() {
-            st.pages = ts.pages;
-            st.nodes_pruned = ts.nodes_pruned;
-            st.candidates_examined += ts.items as usize;
-            if let Some(t) = forest.tail(s) {
-                st.tail = t.inserts.len();
-                st.candidates_examined += t.inserts.len();
-                for (local, pt) in &t.inserts {
-                    if seeded % 256 == 255 && out_of_budget(deadline) {
-                        return Err(QueryError::DeadlineExceeded);
-                    }
-                    seeded += 1;
-                    keep(s, st, *local, metric.dist_sq(p, pt.as_slice()));
+        for s in 0..stride {
+            let Some(t) = forest.tail(s) else {
+                continue;
+            };
+            stats.tail += t.inserts.len();
+            for (local, pt) in &t.inserts {
+                if seeded % 256 == 255 && out_of_budget(deadline) {
+                    return Err(QueryError::DeadlineExceeded);
                 }
+                seeded += 1;
+                keep(s, *local, metric.dist_sq(p, pt.as_slice()));
             }
-            st.candidates_aborted_early = st.candidates_examined - st.candidates;
         }
+        add_walk(&mut stats, walk);
         hits.sort_unstable_by(cmp_results);
         match hits.split_first() {
             None => Err(QueryError::EmptyRadius),
             Some((best, rest)) => Ok(QueryResponse {
                 best: *best,
                 rest: rest.to_vec(),
-                stats: QueryStats::default(),
+                stats,
             }),
         }
     }
@@ -803,30 +775,30 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     // ------------------------------------------------------------------
 
     /// Exact k-NN by scanning every shard's flat point layout, ranked by
-    /// `(dist, global id)`. Resets `per_shard` to the scan's counters,
-    /// each marked as a fallback.
-    fn scan_knn(&self, per_shard: &mut [QueryStats], p: &[f64], k: usize) -> QueryResponse {
+    /// `(dist, global id)`, with the scan's counters marked as a fallback.
+    fn scan_knn(&self, p: &[f64], k: usize) -> QueryResponse {
         let _span = nncell_obs::trace::child("engine.scan_fallback");
         let (metric, _) = self.metric();
+        let stride = self.forest.len();
         let mut all: Vec<QueryResult> = Vec::new();
-        for (s, st) in per_shard.iter_mut().enumerate() {
+        for s in 0..stride {
             let idx = self.forest.index(s);
-            *st = QueryStats {
-                candidates: idx.len(),
-                fallback: true,
-                candidates_examined: idx.len(),
-                ..QueryStats::default()
-            };
             let alive = idx.alive();
             all.extend(
                 (0..alive.len())
                     .filter(|&l| alive[l])
                     .map(|local| QueryResult {
-                        id: local * self.forest.len() + s,
+                        id: local * stride + s,
                         dist: metric.dist(p, idx.flat_point(local)),
                     }),
             );
         }
+        let stats = QueryStats {
+            candidates: all.len(),
+            fallback: true,
+            candidates_examined: all.len(),
+            ..QueryStats::default()
+        };
         all.sort_unstable_by(cmp_results);
         all.truncate(k);
         // `execute_with` rejected empty indexes, so `all` is never empty;
@@ -838,7 +810,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         QueryResponse {
             best,
             rest: all.get(1..).map_or_else(Vec::new, <[QueryResult]>::to_vec),
-            stats: QueryStats::default(),
+            stats,
         }
     }
 }
@@ -868,6 +840,17 @@ fn offer(
     }
     ranked.insert(pos, r);
     (ranked.len() == k).then(|| ranked[k - 1].dist)
+}
+
+/// Completes a kernel's counters with its traversal's totals: pages and
+/// pruned subtrees, and every streamed item as one evaluation next to the
+/// tail inserts; an evaluation that was not a candidate lay beyond the
+/// bound.
+fn add_walk(stats: &mut QueryStats, walk: TraversalStats) {
+    stats.pages = walk.pages;
+    stats.nodes_pruned = walk.nodes_pruned;
+    stats.candidates_examined = stats.tail + walk.items as usize;
+    stats.candidates_aborted_early = stats.candidates_examined - stats.candidates;
 }
 
 /// The leaf kernel: the squared distance from `p` to each of the `m`

@@ -278,19 +278,12 @@ impl<M: Metric> NnCellIndex<M> {
     /// The tree counters are seeded with their lifetime totals inside
     /// `nncell_index::CostTracker`.
     pub fn attach_metrics(&mut self, registry: Arc<Registry>) {
-        self.attach_metrics_labeled(registry, &[]);
-    }
-
-    /// Like [`Self::attach_metrics`] but every series carries the given
-    /// label set (e.g. `shard="2"` — see [`nncell_obs::format_labels`]).
-    pub fn attach_metrics_labeled(&mut self, registry: Arc<Registry>, labels: &[(&str, &str)]) {
         if self.metrics.is_some() {
             return;
         }
-        let m = IndexMetrics::register_labeled(registry.clone(), self.dim(), labels);
         self.point_tree
-            .bind_metrics(TreeMetrics::register_labeled(&registry, "point_tree", labels));
-        self.metrics = Some(m);
+            .bind_metrics(TreeMetrics::register(&registry, "point_tree"));
+        self.metrics = Some(IndexMetrics::register(registry, self.dim()));
         self.refresh_gauges();
     }
 
@@ -391,7 +384,7 @@ impl<M: Metric> NnCellIndex<M> {
     pub fn validate_insert(&self, p: &Point) -> Result<(), BuildError> {
         let id = self.alive.len();
         validate_point(p, id, self.dim(), &self.space)?;
-        if let Some(of) = self.find_live_duplicate(p) {
+        if let Some(of) = self.find_live_duplicate(p, &mut BestFirstScratch::new()) {
             return Err(BuildError::DuplicatePoint { id, of });
         }
         Ok(())
@@ -401,14 +394,18 @@ impl<M: Metric> NnCellIndex<M> {
     /// so −0.0 equals +0.0), if one exists. The point tree holds only live
     /// points, and only a page whose box contains `p` can hold its twin:
     /// one best-first stream under bound 0 compares the points of those
-    /// pages' leaf blocks with `p` and stops at the first match. Shared by
-    /// [`Self::validate_insert`] and the cross-shard duplicate check of
-    /// [`crate::ShardedIndex`].
-    pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
+    /// pages' leaf blocks with `p` and stops at the first match, walking
+    /// with the caller's `scratch`. Shared by [`Self::validate_insert`]
+    /// and the cross-shard duplicate check of [`crate::ShardedIndex`],
+    /// which reuses one scratch for every insert.
+    pub(crate) fn find_live_duplicate(
+        &self,
+        p: &Point,
+        scratch: &mut BestFirstScratch,
+    ) -> Option<usize> {
         let (probe, mut twin) = (p.as_slice(), None);
         let forest: [&Tree; 1] = [&self.point_tree];
-        let mut scratch = BestFirstScratch::new();
-        Tree::best_first_stream_with::<0, _>(&forest, probe, &mut scratch, |_, items, block| {
+        Tree::best_first_stream_with::<0, _>(&forest, probe, scratch, |_, items, block| {
             let m = items.len();
             // Entry i's coordinate j is `block[j·m + i]`.
             let same = |i: usize| {

@@ -47,25 +47,16 @@ impl EngineMetrics {
     /// Resolves (or creates) the query metrics in `registry`. `dim` sizes
     /// the slow-ring point slots so recording a slow query never allocates.
     pub fn register(registry: &Registry, dim: usize) -> Self {
-        Self::register_labeled(registry, dim, &[])
-    }
-
-    /// Like [`EngineMetrics::register`] but every series carries the given
-    /// label set (rendered via [`nncell_obs::format_labels`]); a sharded
-    /// index registers one bundle per shard under `shard="<i>"`.
-    pub fn register_labeled(registry: &Registry, dim: usize, labels: &[(&str, &str)]) -> Self {
-        let l = nncell_obs::format_labels(labels);
         Self {
-            queries: registry.counter(&format!("nncell_queries_total{l}")),
-            query_errors: registry.counter(&format!("nncell_query_errors_total{l}")),
-            fallbacks: registry.counter(&format!("nncell_query_fallback_total{l}")),
-            latency_ns: registry.histogram(&format!("nncell_query_latency_ns{l}")),
-            candidates: registry.histogram(&format!("nncell_query_candidates{l}")),
-            pages: registry.histogram(&format!("nncell_query_pages{l}")),
-            nodes_pruned: registry.histogram(&format!("nncell_query_nodes_pruned{l}")),
-            candidates_examined: registry
-                .histogram(&format!("nncell_query_candidates_examined{l}")),
-            aborted_early: registry.histogram(&format!("nncell_query_candidates_aborted{l}")),
+            queries: registry.counter("nncell_queries_total"),
+            query_errors: registry.counter("nncell_query_errors_total"),
+            fallbacks: registry.counter("nncell_query_fallback_total"),
+            latency_ns: registry.histogram("nncell_query_latency_ns"),
+            candidates: registry.histogram("nncell_query_candidates"),
+            pages: registry.histogram("nncell_query_pages"),
+            nodes_pruned: registry.histogram("nncell_query_nodes_pruned"),
+            candidates_examined: registry.histogram("nncell_query_candidates_examined"),
+            aborted_early: registry.histogram("nncell_query_candidates_aborted"),
             slow: Arc::new(SlowQueryLog::new(SLOW_QUERY_CAPACITY, dim)),
         }
     }
@@ -76,12 +67,11 @@ impl EngineMetrics {
     }
 }
 
-/// Index-wide metric handles: the engine bundle plus the structural gauge.
+/// Index-wide metric handles of an [`crate::NnCellIndex`]: the engine
+/// bundle plus the structural gauge.
 ///
-/// Cloning shares every handle (all are `Arc`s into the registry); the
-/// copy-on-write shard snapshots rely on this so a published snapshot
-/// keeps recording into the same series as the version it was cloned
-/// from.
+/// Cloning shares every handle (all are `Arc`s into the registry), so a
+/// clone of an index keeps recording into the same series.
 #[derive(Clone)]
 pub struct IndexMetrics {
     registry: Arc<Registry>,
@@ -95,7 +85,6 @@ pub struct IndexMetrics {
 /// a registry. One unlabeled family per
 /// index: the folder is a single supervised loop over all shards, so
 /// per-shard labels would only split its health signal.
-#[derive(Clone)]
 pub(crate) struct FoldMetrics {
     /// `nncell_tail_depth` — journaled-but-unfolded operations.
     pub(crate) tail_depth: Arc<Gauge>,
@@ -159,21 +148,9 @@ impl FoldMetrics {
 impl IndexMetrics {
     /// Resolves (or creates) the index metrics in `registry`.
     pub fn register(registry: Arc<Registry>, dim: usize) -> Self {
-        Self::register_labeled(registry, dim, &[])
-    }
-
-    /// Like [`IndexMetrics::register`] but every series carries the given
-    /// label set (e.g. `shard="<i>"`).
-    pub fn register_labeled(
-        registry: Arc<Registry>,
-        dim: usize,
-        labels: &[(&str, &str)],
-    ) -> Self {
-        let engine = EngineMetrics::register_labeled(&registry, dim, labels);
-        let l = nncell_obs::format_labels(labels);
         Self {
-            engine,
-            live_points: registry.gauge(&format!("nncell_live_points{l}")),
+            engine: EngineMetrics::register(&registry, dim),
+            live_points: registry.gauge("nncell_live_points"),
             registry,
         }
     }
@@ -187,4 +164,17 @@ impl IndexMetrics {
     pub fn engine(&self) -> &EngineMetrics {
         &self.engine
     }
+}
+
+/// A [`crate::ShardedIndex`]'s registry handles, resolved once when a
+/// registry is attached. A sharded query is one unit of work, so the
+/// query series are one unlabeled engine bundle recording each query
+/// once; only what differs per shard is labelled `shard="<i>"` (at
+/// S > 1): the live-point gauges here and the point trees' cost counters.
+pub(crate) struct ShardedMetrics {
+    pub(crate) engine: EngineMetrics,
+    pub(crate) fold: FoldMetrics,
+    /// `nncell_live_points`, one gauge per shard: the shard index's live
+    /// points, set at attach and whenever a fold publishes the shard.
+    pub(crate) live_points: Vec<Arc<Gauge>>,
 }

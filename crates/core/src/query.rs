@@ -186,19 +186,6 @@ pub struct QueryStats {
     pub candidates_aborted_early: usize,
 }
 
-impl QueryStats {
-    /// Adds one shard's counters into a fan-out's totals.
-    pub(crate) fn absorb(&mut self, s: &QueryStats) {
-        self.candidates += s.candidates;
-        self.pages += s.pages;
-        self.fallback |= s.fallback;
-        self.tail += s.tail;
-        self.nodes_pruned += s.nodes_pruned;
-        self.candidates_examined += s.candidates_examined;
-        self.candidates_aborted_early += s.candidates_aborted_early;
-    }
-}
-
 /// An exact answer: the nearest neighbor, any further requested neighbors,
 /// and the per-query statistics.
 #[derive(Clone, Debug, PartialEq)]

@@ -71,18 +71,19 @@ use crate::cells::BuildStats;
 use crate::engine::{available_threads, QueryEngine, QueryScratch, Shard};
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp};
-use crate::metrics::FoldMetrics;
+use crate::metrics::{EngineMetrics, FoldMetrics, ShardedMetrics};
 use crate::persist::PersistError;
 use crate::query::{Query, QueryError, QueryResponse};
 use crate::snapshot::SnapshotCell;
 use crate::vfs::{write_atomic, StdVfs, Vfs};
 use crate::wal::WalRecord;
-use nncell_geom::{DataSpace, Euclidean, Point};
-use nncell_obs::Registry;
+use nncell_geom::{Euclidean, Point};
+use nncell_index::{BestFirstScratch, TreeMetrics};
+use nncell_obs::{Registry, SlowQueryLog};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 thread_local! {
@@ -121,14 +122,17 @@ struct Writer {
     next_global: usize,
     /// Each shard's unfolded operations in ack order.
     tails: Vec<Memtable>,
+    /// The insert duplicate probe's traversal scratch, kept warm across
+    /// inserts.
+    probe: BestFirstScratch,
 }
 
 /// Memtable configuration plus folder supervision bookkeeping.
 struct TailState {
     cfg: FoldConfig,
     /// Serializes folds, flushes, checkpoints, and metric attachment so an
-    /// index publish can never interleave with a generation rotation or
-    /// another fold.
+    /// index publish can never interleave with a generation rotation,
+    /// another fold or the binding of the shards' tree metrics.
     fold_lock: Mutex<()>,
     /// Unfolded operations across all shards (the backpressure input).
     depth: AtomicUsize,
@@ -137,7 +141,6 @@ struct TailState {
     folds: AtomicU64,
     folded_records: AtomicU64,
     failures: AtomicU64,
-    metrics: Mutex<Option<FoldMetrics>>,
 }
 
 impl TailState {
@@ -151,35 +154,35 @@ impl TailState {
             folds: AtomicU64::new(0),
             folded_records: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            metrics: Mutex::new(None),
         }
     }
 
-    fn with_metrics(&self, f: impl FnOnce(&FoldMetrics)) {
-        let guard = match self.metrics.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        if let Some(m) = guard.as_ref() {
-            f(m);
-        }
-    }
+    // Each recording method takes the fold family, `None` until a
+    // registry is attached. Every call runs under the writer lock or the
+    // fold lock, which `ShardedIndex::attach_metrics` holds while it
+    // seeds the family, so no update falls between seeding and binding.
 
-    fn add_depth(&self, n: usize) {
+    fn add_depth(&self, n: usize, fm: Option<&FoldMetrics>) {
         let now = self.depth.fetch_add(n, Ordering::AcqRel) + n;
-        self.with_metrics(|m| m.tail_depth.set(now as i64));
+        if let Some(m) = fm {
+            m.tail_depth.set(now as i64);
+        }
     }
 
-    fn sub_depth(&self, n: usize) {
+    fn sub_depth(&self, n: usize, fm: Option<&FoldMetrics>) {
         let now = self.depth.fetch_sub(n, Ordering::AcqRel).saturating_sub(n);
-        self.with_metrics(|m| m.tail_depth.set(now as i64));
+        if let Some(m) = fm {
+            m.tail_depth.set(now as i64);
+        }
     }
 
     /// Refuses a write while the tail is at its high-watermark.
-    fn admit(&self) -> Result<(), DurableError> {
+    fn admit(&self, fm: Option<&FoldMetrics>) -> Result<(), DurableError> {
         let depth = self.depth.load(Ordering::Acquire);
         if depth >= self.cfg.tail_max {
-            self.with_metrics(|m| m.backpressure.inc());
+            if let Some(m) = fm {
+                m.backpressure.inc();
+            }
             return Err(DurableError::Backpressure {
                 tail: depth,
                 max: self.cfg.tail_max,
@@ -188,27 +191,32 @@ impl TailState {
         Ok(())
     }
 
-    fn record_failure(&self) {
+    fn record_failure(&self, fm: Option<&FoldMetrics>) {
         self.failures.fetch_add(1, Ordering::AcqRel);
         let streak = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
-        self.with_metrics(|m| m.failures.inc());
-        if streak >= self.cfg.degrade_after && !self.degraded.swap(true, Ordering::AcqRel) {
-            self.with_metrics(|m| m.degraded.set(1));
+        let degrades =
+            streak >= self.cfg.degrade_after && !self.degraded.swap(true, Ordering::AcqRel);
+        if let Some(m) = fm {
+            m.failures.inc();
+            if degrades {
+                m.degraded.set(1);
+            }
         }
     }
 
-    fn record_success(&self, records: usize, elapsed: Duration) {
+    fn record_success(&self, records: usize, elapsed: Duration, fm: Option<&FoldMetrics>) {
         self.consecutive_failures.store(0, Ordering::Release);
-        if self.degraded.swap(false, Ordering::AcqRel) {
-            self.with_metrics(|m| m.degraded.set(0));
-        }
+        let recovers = self.degraded.swap(false, Ordering::AcqRel);
         self.folds.fetch_add(1, Ordering::AcqRel);
         self.folded_records.fetch_add(records as u64, Ordering::AcqRel);
-        self.with_metrics(|m| {
+        if let Some(m) = fm {
+            if recovers {
+                m.degraded.set(0);
+            }
             m.folds.inc();
             m.folded_records.add(records as u64);
             m.latency_ns.record_duration(elapsed);
-        });
+        }
     }
 }
 
@@ -258,6 +266,8 @@ pub struct ShardedIndex {
     recovery: Vec<RecoveryReport>,
     /// The journaled memtable every write lands in.
     tail: TailState,
+    /// Registry handles, set once by [`Self::attach_metrics`].
+    metrics: OnceLock<ShardedMetrics>,
 }
 
 impl ShardedIndex {
@@ -358,10 +368,12 @@ impl ShardedIndex {
                 logs,
                 next_global,
                 tails: (0..shards).map(|_| Memtable::default()).collect(),
+                probe: BestFirstScratch::new(),
             }),
             build_seconds,
             skipped_points,
             tail: TailState::new(FoldConfig::default()),
+            metrics: OnceLock::new(),
         }
     }
 
@@ -521,65 +533,77 @@ impl ShardedIndex {
             .sum()
     }
 
-    /// Attaches a metrics registry: every shard's engine, gauge, and tree
-    /// series is registered under a `shard="<i>"` label when there is more
-    /// than one shard, unlabeled otherwise (the WAL family stays
-    /// unlabeled, shared as whole-index totals — see
-    /// [`NnCellIndex::attach_metrics_labeled`]), plus the `nncell_fold_*` /
-    /// `nncell_tail_*` memtable family. New indexes are published so
-    /// concurrent readers start recording immediately. Idempotent per
-    /// shard.
+    /// Attaches a metrics registry. A query is one unit of work, so it is
+    /// recorded once, in one unlabeled query bundle (`nncell_queries_total`,
+    /// the latency and work histograms, the slow-query ring — see
+    /// [`Self::slow_log`]). What differs per shard — its point tree's cost
+    /// counters and its `nncell_live_points` gauge — is registered under
+    /// a `shard="<i>"` label when there is more than one shard, unlabeled
+    /// otherwise. The WAL family and the `nncell_fold_*` / `nncell_tail_*`
+    /// memtable family are unlabeled whole-index totals. Each shard's
+    /// point tree is bound through the published index, so nothing is
+    /// cloned or republished; its live-point gauge is set here and
+    /// whenever a fold publishes the shard. The first registry wins; a
+    /// later call is a no-op.
     pub fn attach_metrics(&self, registry: Arc<Registry>) {
-        // Fold lock first (the global lock order): a fold publishing
-        // between our update and its own would otherwise clobber the
-        // metrics-attached indexes with pre-attach clones.
+        // Fold lock, then writer lock (the global lock order): every fold
+        // family update and every shard publish runs under one of them,
+        // so none falls between the seeding below and the handles being
+        // set, and no fold clones a shard whose tree is not yet bound.
         let _fold = lock_fold(&self.tail.fold_lock);
         let mut w = self.lock_writer();
+        if self.metrics.get().is_some() {
+            return;
+        }
         let labeled = self.num_shards() > 1;
-        // Clone and attach off the state slot; publish in one update.
-        let attached: Vec<Option<Arc<NnCellIndex<Euclidean>>>> = self
-            .state
-            .load()
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                shard.index.metrics().is_none().then(|| {
-                    let tag = i.to_string();
-                    let shard_label = [("shard", tag.as_str())];
-                    let labels: &[(&str, &str)] = if labeled { &shard_label } else { &[] };
-                    let mut idx = (*shard.index).clone();
-                    idx.attach_metrics_labeled(Arc::clone(&registry), labels);
-                    Arc::new(idx)
-                })
-            })
-            .collect();
-        self.state.update(|state| {
-            for (shard, idx) in state.iter_mut().zip(attached) {
-                if let Some(idx) = idx {
-                    shard.index = idx;
-                }
-            }
-        });
+        let mut live_points = Vec::with_capacity(self.num_shards());
+        for (i, shard) in self.state.load().iter().enumerate() {
+            let tag = i.to_string();
+            let shard_label = [("shard", tag.as_str())];
+            let labels: &[(&str, &str)] = if labeled { &shard_label } else { &[] };
+            let tree = TreeMetrics::register_labeled(&registry, "point_tree", labels);
+            shard.index.point_tree().bind_metrics(tree);
+            let l = nncell_obs::format_labels(labels);
+            let gauge = registry.gauge(&format!("nncell_live_points{l}"));
+            gauge.set(shard.index.len() as i64);
+            live_points.push(gauge);
+        }
         for log in &mut w.logs {
             log.attach_metrics(&registry);
         }
         let ts = &self.tail;
-        let mut slot = match ts.metrics.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        if slot.is_none() {
-            let fm = FoldMetrics::register(&registry);
-            // Seed with the pre-attach totals so registry values are
-            // correct even when the registry arrives late.
-            fm.tail_depth.set(ts.depth.load(Ordering::Acquire) as i64);
-            fm.degraded
-                .set(i64::from(ts.degraded.load(Ordering::Acquire)));
-            fm.folds.add(ts.folds.load(Ordering::Acquire));
-            fm.folded_records.add(ts.folded_records.load(Ordering::Acquire));
-            fm.failures.add(ts.failures.load(Ordering::Acquire));
-            *slot = Some(fm);
-        }
+        let fold = FoldMetrics::register(&registry);
+        // Seed with the pre-attach totals so registry values are correct
+        // even when the registry arrives late.
+        fold.tail_depth.set(ts.depth.load(Ordering::Acquire) as i64);
+        fold.degraded
+            .set(i64::from(ts.degraded.load(Ordering::Acquire)));
+        fold.folds.add(ts.folds.load(Ordering::Acquire));
+        fold.folded_records
+            .add(ts.folded_records.load(Ordering::Acquire));
+        fold.failures.add(ts.failures.load(Ordering::Acquire));
+        let _ = self.metrics.set(ShardedMetrics {
+            engine: EngineMetrics::register(&registry, self.dim),
+            fold,
+            live_points,
+        });
+    }
+
+    /// The slow-query ring of the query series, once a registry is
+    /// attached: one ring for the whole index.
+    pub fn slow_log(&self) -> Option<&Arc<SlowQueryLog>> {
+        self.engine_metrics().map(EngineMetrics::slow_log)
+    }
+
+    /// The query bundle every fan-out records into (`None` without a
+    /// registry).
+    fn engine_metrics(&self) -> Option<&EngineMetrics> {
+        self.metrics.get().map(|m| &m.engine)
+    }
+
+    /// The fold family (`None` without a registry).
+    fn fold_metrics(&self) -> Option<&FoldMetrics> {
+        self.metrics.get().map(|m| &m.fold)
     }
 
     // ------------------------------------------------------------------
@@ -634,7 +658,8 @@ impl ShardedIndex {
         // underneath it.
         let mut span = nncell_obs::trace::child("shard.query");
         span.arg("shards", state.len() as u64);
-        let engine = QueryEngine::fan_out(self.dim, &state).with_deadline_opt(deadline);
+        let engine = QueryEngine::fan_out(self.dim, &state, self.engine_metrics())
+            .with_deadline_opt(deadline);
         // The thread's warm scratch; a cold one if it is already in use
         // on this thread or gone (thread teardown).
         let warm = SCRATCH.try_with(|cell| {
@@ -669,7 +694,7 @@ impl ShardedIndex {
         deadline: Option<Instant>,
     ) -> Vec<Result<QueryResponse, QueryError>> {
         let state = self.state.load();
-        QueryEngine::fan_out(self.dim, &state)
+        QueryEngine::fan_out(self.dim, &state, self.engine_metrics())
             .with_threads(available_threads())
             .with_deadline_opt(deadline)
             .batch(queries)
@@ -697,26 +722,29 @@ impl ShardedIndex {
     pub fn insert(&self, p: Point) -> Result<usize, DurableError> {
         let mut w = self.lock_writer();
         let g = w.next_global;
-        validate_point(&p, g, self.dim, &DataSpace::unit(self.dim))
-            .map_err(DurableError::Invalid)?;
-        // The state changes only under the writer lock, so this load is
-        // current; it is dropped before the push, which then changes the
-        // state in place unless a reader holds it.
-        for (si, s) in self.state.load().iter().enumerate() {
-            // An indexed duplicate tombstoned in the tail is dead.
-            let dup = s
-                .index
-                .find_live_duplicate(&p)
-                .filter(|&local| !s.tail.is_removed(local))
-                .or_else(|| s.tail.find_live_duplicate(&p));
-            if let Some(local) = dup {
-                return Err(DurableError::Invalid(BuildError::DuplicatePoint {
-                    id: g,
-                    of: self.global_of(si, local),
-                }));
+        {
+            // The state changes only under the writer lock, so this load
+            // is current; it is dropped before the push, which then
+            // changes the state in place unless a reader holds it.
+            let state = self.state.load();
+            validate_point(&p, g, self.dim, state[0].index.space())
+                .map_err(DurableError::Invalid)?;
+            for (si, s) in state.iter().enumerate() {
+                // An indexed duplicate tombstoned in the tail is dead.
+                let dup = s
+                    .index
+                    .find_live_duplicate(&p, &mut w.probe)
+                    .filter(|&local| !s.tail.is_removed(local))
+                    .or_else(|| s.tail.find_live_duplicate(&p));
+                if let Some(local) = dup {
+                    return Err(DurableError::Invalid(BuildError::DuplicatePoint {
+                        id: g,
+                        of: self.global_of(si, local),
+                    }));
+                }
             }
         }
-        self.tail.admit()?;
+        self.tail.admit(self.fold_metrics())?;
         let (shard, local) = self.locate(g);
         if let Some(log) = w.logs.get_mut(shard) {
             // Journal-first: the fsync happens here, before the ack. A
@@ -751,7 +779,7 @@ impl ShardedIndex {
         if !live {
             return Ok(false);
         }
-        self.tail.admit()?;
+        self.tail.admit(self.fold_metrics())?;
         if let Some(log) = w.logs.get_mut(shard) {
             log.journal(&WalRecord::Remove(local as u64))?;
         }
@@ -766,7 +794,7 @@ impl ShardedIndex {
         self.state
             .update(|state| Arc::make_mut(&mut state[shard].tail).apply(&op));
         w.tails[shard].push(op);
-        self.tail.add_depth(1);
+        self.tail.add_depth(1, self.fold_metrics());
     }
 
     // ------------------------------------------------------------------
@@ -848,7 +876,7 @@ impl ShardedIndex {
         let folded = match folded {
             Ok(idx) => idx,
             Err(_) => {
-                ts.record_failure();
+                ts.record_failure(self.fold_metrics());
                 return Err(FoldError::Panicked { shard });
             }
         };
@@ -859,12 +887,15 @@ impl ShardedIndex {
             // batch in both, or in neither.
             let mut w = self.lock_writer();
             let tail = Arc::new(w.tails[shard].clear_frozen());
+            if let Some(m) = self.metrics.get() {
+                m.live_points[shard].set(folded.len() as i64);
+            }
             let index = Arc::new(folded);
             self.state
                 .update(|state| state[shard] = Shard { index, tail });
-            ts.sub_depth(records);
+            ts.sub_depth(records, self.fold_metrics());
         }
-        ts.record_success(records, start.elapsed());
+        ts.record_success(records, start.elapsed(), self.fold_metrics());
         Ok(records)
     }
 

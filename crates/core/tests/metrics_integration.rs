@@ -4,7 +4,8 @@
 //! recovery report) — the registry is a mirror, never a second opinion.
 
 use nncell_core::{
-    BuildConfig, NnCellIndex, NnCells, Query, QueryScratch, Registry, ShardedIndex, Strategy,
+    BuildConfig, NnCellIndex, NnCells, Query, QueryScratch, QueryStats, Registry, ShardedIndex,
+    Strategy,
 };
 use nncell_geom::Point;
 use std::sync::Arc;
@@ -112,20 +113,28 @@ fn registry_counters_agree_with_engine_and_index() {
     }
 }
 
-/// A sharded query is one fan-out, attributed per shard: every shard's
-/// labelled series records the query once (query, error and fallback
-/// counters, latency), so each shard reads the fan-out count and a sum
-/// over labels reads S times it; the work histograms hold each shard's
-/// own share, so their sum over labels is the query's total.
+/// A sharded query is one unit of work, recorded once: the unlabeled
+/// query series count the workload, the work histograms sum to the
+/// responses' totals, and only what differs per shard — its point tree's
+/// page reads and its live points — carries a `shard` label. Attaching
+/// binds the published shards in place, copying none.
 #[test]
-fn sharded_series_count_each_fan_out_once_per_shard() {
+fn a_sharded_query_is_counted_once() {
     const S: usize = 3;
     let index = ShardedIndex::build(grid(90), S, cfg()).unwrap();
+    let before: Vec<_> = (0..S).map(|i| index.shard(i)).collect();
     let registry = Registry::new();
     index.attach_metrics(registry.clone());
-    let queries = vec![
+    for (i, shard) in before.iter().enumerate() {
+        assert!(
+            Arc::ptr_eq(shard, &index.shard(i)),
+            "attaching copied shard {i}"
+        );
+    }
+    let queries = [
         Query::nn([0.21, 0.34]),
         Query::knn(vec![0.4, 0.6], 5),
+        Query::radius([0.5, 0.5], 0.2),
         Query::knn(vec![0.7, 0.2], 90), // k ≥ len → exact-scan fallback
         Query::nn([f64::NAN, 0.2]),
         Query::knn(vec![0.1, 0.2, 0.3], 2), // dim mismatch
@@ -137,33 +146,79 @@ fn sharded_series_count_each_fan_out_once_per_shard() {
     assert_eq!((errors, fallbacks), (2, 1));
 
     let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("nncell_queries_total"),
+        Some(queries.len() as u64)
+    );
+    assert_eq!(snap.counter("nncell_query_errors_total"), Some(errors));
+    assert_eq!(snap.counter("nncell_query_fallback_total"), Some(fallbacks));
+    let latency = snap.histogram("nncell_query_latency_ns").unwrap();
+    assert_eq!(latency.count(), ok.len() as u64);
+    assert_eq!(
+        snap.sum_counters("nncell_queries_total"),
+        Some(queries.len() as u64)
+    );
     for i in 0..S {
-        let series = |name: &str| format!("{name}{{shard=\"{i}\"}}");
         assert_eq!(
-            snap.counter(&series("nncell_queries_total")),
-            Some(queries.len() as u64),
-            "shard {i}"
+            snap.counter(&format!("nncell_queries_total{{shard=\"{i}\"}}")),
+            None
         );
-        assert_eq!(snap.counter(&series("nncell_query_errors_total")), Some(errors));
-        assert_eq!(snap.counter(&series("nncell_query_fallback_total")), Some(fallbacks));
-        let latency = snap.histogram(&series("nncell_query_latency_ns")).unwrap();
-        assert_eq!(latency.count(), ok.len() as u64, "shard {i}");
     }
-    let total = S as u64 * queries.len() as u64;
-    assert_eq!(snap.sum_counters("nncell_queries_total"), Some(total));
-    assert_eq!(snap.sum_counters("nncell_query_errors_total"), Some(S as u64 * errors));
 
-    let family_sum = |name: &str| -> u64 {
-        (0..S)
-            .map(|i| snap.histogram(&format!("{name}{{shard=\"{i}\"}}")).unwrap().sum)
-            .sum()
+    let total = |f: fn(&QueryStats) -> u64| ok.iter().map(|r| f(&r.stats)).sum::<u64>();
+    let pages = total(|s| s.pages);
+    for (name, want) in [
+        ("nncell_query_candidates", total(|s| s.candidates as u64)),
+        ("nncell_query_pages", pages),
+        ("nncell_query_nodes_pruned", total(|s| s.nodes_pruned)),
+        (
+            "nncell_query_candidates_examined",
+            total(|s| s.candidates_examined as u64),
+        ),
+        (
+            "nncell_query_candidates_aborted",
+            total(|s| s.candidates_aborted_early as u64),
+        ),
+    ] {
+        assert_eq!(snap.histogram(name).unwrap().sum, want, "{name}");
+    }
+    // Each tree bills its own pages; the build read none.
+    let page_reads: u64 = (0..S)
+        .map(|i| {
+            snap.counter(&format!(
+                "nncell_point_tree_page_reads_total{{shard=\"{i}\"}}"
+            ))
+            .unwrap()
+        })
+        .sum();
+    assert_eq!(page_reads, pages);
+
+    // Each shard's gauge reads its published index, before and after a
+    // fold publishes the writes.
+    let gauges_match_shards = || {
+        let snap = registry.snapshot();
+        for i in 0..S {
+            assert_eq!(
+                snap.gauge(&format!("nncell_live_points{{shard=\"{i}\"}}")),
+                Some(index.shard(i).len() as i64),
+                "shard {i}"
+            );
+        }
     };
-    let pages: u64 = ok.iter().map(|r| r.stats.pages).sum();
-    let pruned: u64 = ok.iter().map(|r| r.stats.nodes_pruned).sum();
-    let examined: u64 = ok.iter().map(|r| r.stats.candidates_examined as u64).sum();
-    assert_eq!(family_sum("nncell_query_pages"), pages);
-    assert_eq!(family_sum("nncell_query_nodes_pruned"), pruned);
-    assert_eq!(family_sum("nncell_query_candidates_examined"), examined);
+    gauges_match_shards();
+    for p in [[0.1234, 0.5678], [0.8765, 0.4321], [0.2468, 0.1357]] {
+        index.insert(Point::new(p.to_vec())).unwrap();
+    }
+    assert!(index.remove(4).unwrap());
+    gauges_match_shards();
+    index.flush().unwrap();
+    gauges_match_shards();
+    assert_eq!(
+        index.shard(1).len(),
+        30,
+        "shard 1 took an insert and a remove"
+    );
+    assert_eq!(index.shard(0).len(), 31);
 }
 
 #[test]

@@ -280,7 +280,7 @@ fn fan_out_fallback_counts_match_unsharded() {
     // k ≥ live count forces the exact-scan fallback. The fan-out is one
     // search over every shard, so it falls back exactly when the
     // unsharded index does, at any shard count, and the registry counts
-    // the fallback once in every shard's series (it scanned them all).
+    // the fallback once.
     let pts: Vec<Point> = (0..6)
         .map(|i| Point::new(vec![i as f64 / 8.0, (i * 3 % 7) as f64 / 8.0]))
         .collect();
@@ -317,18 +317,11 @@ fn fan_out_fallback_counts_match_unsharded() {
             counted(&whole_registry, "nncell_query_fallback_total"),
             Some(fallbacks)
         );
-        for i in 0..shards {
-            let series = if shards == 1 {
-                "nncell_query_fallback_total".to_string()
-            } else {
-                format!("nncell_query_fallback_total{{shard=\"{i}\"}}")
-            };
-            assert_eq!(
-                counted(&registry, &series),
-                Some(fallbacks),
-                "S={shards} {series}"
-            );
-        }
+        assert_eq!(
+            counted(&registry, "nncell_query_fallback_total"),
+            Some(fallbacks),
+            "S={shards}"
+        );
     }
 }
 

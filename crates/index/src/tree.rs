@@ -1039,11 +1039,9 @@ impl Tree {
     /// Returns the page count (supernodes bill their span), the number
     /// of subtrees pruned before their node was ever read and the number
     /// of items streamed (every entry of every leaf handed to `visit`),
-    /// summed over the forest;
-    /// [`BestFirstScratch::per_tree`] holds the same counts per tree.
-    /// Each tree's pages and CPU ops are counted in locals and billed to
-    /// that tree's own cost tracker once, at the end, without consulting
-    /// the page cache. The heap lives in the caller's
+    /// summed over the forest. Only pages and CPU ops are kept per tree:
+    /// each tree's are billed to its own cost tracker once, at the end,
+    /// without consulting the page cache. The heap lives in the caller's
     /// [`BestFirstScratch`]; a warmed-up scratch makes the traversal
     /// allocation-free.
     pub fn best_first_stream_with<const D: usize, F>(
@@ -1069,6 +1067,7 @@ impl Tree {
                 });
             }
         }
+        let mut total = TraversalStats::default();
         let mut bound = f64::INFINITY;
         while let Some(slot) = heap.pop() {
             let t = slot.tree as usize;
@@ -1077,20 +1076,19 @@ impl Tree {
                 // Min-heap: every page still queued, in any tree, is at
                 // least this far out, so the whole frontier is pruned in
                 // one step.
-                tally[t].stats.nodes_pruned += 1;
-                prune_frontier(heap, tally);
+                total.nodes_pruned += 1 + heap.len() as u64;
                 break;
             }
             let tree = forest[t].as_ref();
             let n = tree.node(slot.page);
             let tt = &mut tally[t];
-            tt.stats.pages += n.span as u64;
+            tt.pages += n.span as u64;
             tt.ops += n.len() as u64;
             if n.is_leaf() {
-                tt.stats.items += n.len() as u64;
+                total.items += n.len() as u64;
                 bound = visit(t, n.payloads(), n.bounds());
                 if bound < 0.0 {
-                    prune_frontier(heap, tally);
+                    total.nodes_pruned += heap.len() as u64;
                     break;
                 }
             } else {
@@ -1102,7 +1100,7 @@ impl Tree {
                     let (lo, hi) = row.split_at(d);
                     let d2 = min_dist_sq(lo, hi, q);
                     if d2 > bound {
-                        tt.stats.nodes_pruned += 1;
+                        total.nodes_pruned += 1;
                         continue;
                     }
                     heap.push(PageSlot {
@@ -1113,15 +1111,12 @@ impl Tree {
                 }
             }
         }
-        let mut total = TraversalStats::default();
         for (tree, tt) in forest.iter().map(AsRef::as_ref).zip(tally.iter()) {
             if tt.ops > 0 {
-                tree.cost.read(tt.stats.pages);
+                tree.cost.read(tt.pages);
                 tree.cost.cpu(tt.ops);
             }
-            total.pages += tt.stats.pages;
-            total.nodes_pruned += tt.stats.nodes_pruned;
-            total.items += tt.stats.items;
+            total.pages += tt.pages;
         }
         total
     }
@@ -1403,8 +1398,8 @@ impl Tree {
     }
 }
 
-/// Counters of one [`Tree::best_first_stream_with`] traversal, of the
-/// whole forest or (see [`BestFirstScratch::per_tree`]) of one tree.
+/// Counters of one [`Tree::best_first_stream_with`] traversal, summed
+/// over its forest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraversalStats {
     /// Simulated pages read (supernodes bill their span).
@@ -1418,9 +1413,9 @@ pub struct TraversalStats {
 }
 
 /// Reusable priority-queue scratch for [`Tree::best_first_stream_with`].
-/// The heap and the per-tree counters grow to a high-water mark and are
-/// then reused allocation-free; one scratch must not be shared between
-/// threads.
+/// The heap and the per-tree cost tallies grow to a high-water mark and
+/// are then reused allocation-free; one scratch must not be shared
+/// between threads.
 #[derive(Default)]
 pub struct BestFirstScratch {
     heap: BinaryHeap<PageSlot>,
@@ -1433,36 +1428,18 @@ impl BestFirstScratch {
         Self::default()
     }
 
-    /// Pages, pruned subtrees and streamed items of the last traversal,
-    /// per tree of its forest (in forest order).
-    pub fn per_tree(&self) -> impl ExactSizeIterator<Item = TraversalStats> + '_ {
-        self.tally.iter().map(|t| t.stats)
-    }
-
-    /// Bytes the queue and the per-tree counters hold (their capacities).
+    /// Bytes the queue and the per-tree tallies hold (their capacities).
     pub fn retained_bytes(&self) -> usize {
         self.heap.capacity() * std::mem::size_of::<PageSlot>()
             + self.tally.capacity() * std::mem::size_of::<TreeTally>()
     }
 }
 
-/// Counts every page still queued as pruned, against its own tree (one
-/// step for a one-tree forest).
-fn prune_frontier(heap: &BinaryHeap<PageSlot>, tally: &mut [TreeTally]) {
-    if let [only] = tally {
-        only.stats.nodes_pruned += heap.len() as u64;
-        return;
-    }
-    for s in heap.iter() {
-        tally[s.tree as usize].stats.nodes_pruned += 1;
-    }
-}
-
-/// One tree's counters during a forest traversal: what it reports and
-/// the CPU ops billed to its cost tracker.
+/// One tree's cost during a forest traversal, billed to its cost tracker
+/// at the end.
 #[derive(Clone, Copy, Default)]
 struct TreeTally {
-    stats: TraversalStats,
+    pages: u64,
     ops: u64,
 }
 
@@ -1739,29 +1716,21 @@ mod tests {
                 .unwrap();
             assert_eq!(best.unwrap().0, scan);
             assert!(visited < pts.len(), "one bound prunes the whole forest");
-            let per: Vec<TraversalStats> = scratch.per_tree().collect();
-            assert_eq!(per.len(), 3);
             assert_eq!(
-                per[2],
-                TraversalStats::default(),
+                trees[2].stats().page_reads,
+                0,
                 "an empty tree is never read"
             );
             assert_eq!(
                 stats.items as usize, visited,
                 "every streamed item is counted"
             );
-            assert_eq!(per.iter().map(|s| s.pages).sum::<u64>(), stats.pages);
             assert_eq!(
-                per.iter().map(|s| s.nodes_pruned).sum::<u64>(),
-                stats.nodes_pruned
+                trees.iter().map(|t| t.stats().page_reads).sum::<u64>(),
+                stats.pages,
+                "each tree bills its own pages"
             );
-            for (t, s) in trees.iter().zip(&per) {
-                assert_eq!(
-                    t.stats().page_reads,
-                    s.pages,
-                    "each tree bills its own pages"
-                );
-            }
+            assert!(trees[..2].iter().all(|t| t.stats().page_reads > 0));
         }
     }
 
