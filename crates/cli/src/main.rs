@@ -231,10 +231,10 @@ fn cmd_insert(p: &Parsed) -> Result<(), String> {
     let id = index
         .insert(Point::new(coords))
         .map_err(|e| e.to_string())?;
+    let (shard, _) = index.locate(id).ok_or("inserted id not placed")?;
     println!(
-        "inserted point #{id} into shard {} — journaled and fsynced \
+        "inserted point #{id} into shard {shard} — journaled and fsynced \
          ({} record(s) across {} shard journal(s))",
-        id % index.num_shards(),
         index.wal_records(),
         index.num_shards()
     );
@@ -250,11 +250,12 @@ fn cmd_remove(p: &Parsed) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --id (expected a point id)".to_string())?;
     let index = open_durable_index(p)?;
+    let shard = index.locate(id).map(|(shard, _)| shard);
     if index.remove(id).map_err(|e| e.to_string())? {
         println!(
             "removed point #{id} from shard {} — journaled and fsynced \
              ({} record(s) across {} shard journal(s))",
-            id % index.num_shards(),
+            shard.unwrap_or_default(),
             index.wal_records(),
             index.num_shards()
         );
@@ -869,8 +870,11 @@ COMMANDS
 best-first search over it. `query --radius R` returns every point within
 distance R, sorted by distance.
 
-`build --shards S` partitions points round-robin into S shards and
-bulk-loads them in parallel. --out writes one index file (S = 1) or a
+`build --shards S` splits the points into S regions of space (median
+planes on the widest dimension) and bulk-loads them in parallel; an
+insert goes to the shard whose tree lies nearest. Skewed inserts can
+unbalance the shards (see the per-shard `nncell_live_points` gauge); a
+rebuild re-splits. --out writes one index file (S = 1) or a
 sharded directory (S > 1); --wal initializes a durable directory of S
 shards. Every command opens any layout — PATH is an index file, a saved
 directory, or a durable directory, told apart by its manifest; sharded

@@ -290,8 +290,8 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
     let recovered = ShardedIndex::open_durable(&wal, DIM, SHARDS, cfg())
         .expect("recovery after SIGKILL");
     for (id, coords) in &acked {
-        let shard = recovered.shard(id % SHARDS);
-        let local = id / SHARDS;
+        let (shard, local) = recovered.locate(*id).expect("acked insert id placed");
+        let shard = recovered.shard(shard);
         assert!(
             shard.is_live(local),
             "acked insert id {id} lost by SIGKILL recovery"
@@ -311,8 +311,10 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
         .map(|i| recovered.shard(i).rows().len())
         .sum();
     for g in 0..total {
-        let shard = recovered.shard(g % SHARDS);
-        let local = g / SHARDS;
+        let (shard, local) = recovered
+            .locate(g)
+            .expect("ids below the slot total are placed");
+        let shard = recovered.shard(shard);
         // Replay inserts in global id order; re-remove is impossible
         // here (the storm never removes), so every slot is live.
         assert!(shard.is_live(local), "insert-only storm left a dead slot");
@@ -399,8 +401,8 @@ fn sigterm_drains_checkpoints_and_leaves_zero_replay_debt() {
     }
     assert_eq!(reopened.len(), expect.len());
     for (id, coords) in &expect {
-        let shard = reopened.shard(id % SHARDS);
-        assert_eq!(shard.rows().nth(id / SHARDS), Some(&coords[..]));
+        let (shard, local) = reopened.locate(*id).expect("acked insert id placed");
+        assert_eq!(reopened.shard(shard).rows().nth(local), Some(&coords[..]));
     }
     // And the points actually serve.
     let hit = reopened

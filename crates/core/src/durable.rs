@@ -6,13 +6,13 @@
 //!
 //! ```text
 //! dir/CURRENT            — ASCII generation number G; the commit pointer
-//! dir/snapshot.G.nncell  — checksummed NNCELL02 snapshot of generation G
+//! dir/snapshot.G.nncell  — checksummed NNCELL03 snapshot of generation G
 //! dir/wal.G.log          — WAL of updates acknowledged on top of snapshot G
 //! ```
 //!
 //! The log holds no index. [`crate::ShardedIndex`] owns each shard's
-//! index as its published snapshot and hands it to the log whenever a
-//! generation is written.
+//! index and its id column (the global id of every slot) as its published
+//! snapshot and hands both to the log whenever a generation is written.
 //!
 //! **Update protocol** ([`crate::ShardedIndex::insert`] / `remove`):
 //! validate → journal the record to `wal.G.log` and fsync → push it onto
@@ -45,7 +45,7 @@
 
 use crate::config::BuildConfig;
 use crate::index::{BuildError, NnCellIndex};
-use crate::persist::PersistError;
+use crate::persist::{PersistError, RoundRobin};
 use crate::vfs::{write_atomic, Vfs};
 use crate::wal::{read_wal, WalRecord, WalTail, WalWriter};
 use nncell_geom::Euclidean;
@@ -167,9 +167,10 @@ fn file_generation(name: &str) -> Option<u64> {
     None
 }
 
-/// Writes the complete on-disk state of `generation` and commits it by
-/// atomically rewriting `CURRENT`. Returns the open WAL writer. `tail`
-/// holds journaled records not yet in `index`; they are re-journaled (one
+/// Writes the complete on-disk state of `generation` (`index` and its id
+/// column `ids`) and commits it by atomically rewriting `CURRENT`.
+/// Returns the open WAL writer. `tail` holds journaled records not yet in
+/// `index`; they are re-journaled (one
 /// batched fsync) into the fresh WAL *before* the `CURRENT` flip, so
 /// replay of the committed generation reconstructs index + tail. The
 /// `CURRENT` rewrite is the commit point; a crash anywhere earlier leaves
@@ -178,10 +179,11 @@ fn commit_generation(
     vfs: &Arc<dyn Vfs>,
     dir: &Path,
     index: &NnCellIndex<Euclidean>,
+    ids: &[usize],
     generation: u64,
     tail: &[WalRecord],
 ) -> Result<WalWriter, PersistError> {
-    index.save_with_vfs(vfs.as_ref(), &snapshot_path(dir, generation))?;
+    index.save_shard(ids, vfs.as_ref(), &snapshot_path(dir, generation))?;
     let mut wal = WalWriter::create(vfs.as_ref(), &wal_path(dir, generation))?;
     wal.append_batch(tail)?;
     vfs.sync_dir(dir)?;
@@ -214,8 +216,9 @@ fn sweep_stale(vfs: &Arc<dyn Vfs>, dir: &Path, keep: u64) {
 impl ShardLog {
     /// Opens the shard directory `dir`, or initializes it with an empty
     /// index of dimensionality `dim` configured by `cfg` when it holds no
-    /// committed generation. Returns the log and the recovered index; an
-    /// existing directory must be `dim`-dimensional.
+    /// committed generation. Returns the log, the recovered index and its
+    /// id column (see [`Self::open`] for `rule`); an existing directory
+    /// must be `dim`-dimensional.
     ///
     /// # Errors
     /// I/O failures, a corrupt snapshot or `CURRENT`, or a dimensionality
@@ -225,24 +228,26 @@ impl ShardLog {
         dir: &Path,
         dim: usize,
         cfg: BuildConfig,
-    ) -> Result<(Self, NnCellIndex<Euclidean>), PersistError> {
+        rule: RoundRobin,
+    ) -> Result<(Self, NnCellIndex<Euclidean>, Vec<usize>), PersistError> {
         vfs.create_dir_all(dir)?;
         if !vfs.exists(&current_path(dir)) {
             let index = NnCellIndex::new(dim, cfg);
-            return Ok((Self::create(vfs, dir, &index)?, index));
+            return Ok((Self::create(vfs, dir, &index, &[])?, index, Vec::new()));
         }
-        let (log, index) = Self::open(vfs, dir)?;
+        let (log, index, ids) = Self::open(vfs, dir, rule)?;
         if index.dim() != dim {
             return Err(PersistError::Corrupt(format!(
                 "durable shard at {dir:?} is {}-dimensional, caller expected {dim}",
                 index.dim()
             )));
         }
-        Ok((log, index))
+        Ok((log, index, ids))
     }
 
-    /// Initializes `dir` with `index` as the generation-0 snapshot (empty
-    /// WAL). Fails if the directory already holds a committed generation.
+    /// Initializes `dir` with `index` and its id column `ids` as the
+    /// generation-0 snapshot (empty WAL). Fails if the directory already
+    /// holds a committed generation.
     ///
     /// # Errors
     /// I/O failures, or an already-initialized directory.
@@ -250,6 +255,7 @@ impl ShardLog {
         vfs: Arc<dyn Vfs>,
         dir: &Path,
         index: &NnCellIndex<Euclidean>,
+        ids: &[usize],
     ) -> Result<Self, PersistError> {
         vfs.create_dir_all(dir)?;
         if vfs.exists(&current_path(dir)) {
@@ -258,7 +264,7 @@ impl ShardLog {
             )));
         }
         let generation = 0;
-        let wal = commit_generation(&vfs, dir, index, generation, &[])?;
+        let wal = commit_generation(&vfs, dir, index, ids, generation, &[])?;
         sweep_stale(&vfs, dir, generation);
         Ok(ShardLog {
             vfs,
@@ -280,14 +286,17 @@ impl ShardLog {
     /// Recovers an existing shard directory (the committed generation is
     /// the sole authority on dimensionality and configuration): loads the
     /// snapshot `CURRENT` names and replays its WAL into it. Returns the
-    /// log and the recovered index.
+    /// log, the recovered index and its id column. A snapshot without an
+    /// id column and an `Insert` record without an id (both written by
+    /// older releases) take their global ids from `rule`.
     ///
     /// # Errors
     /// I/O failures, no committed generation, or a corrupt snapshot.
     pub(crate) fn open(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
-    ) -> Result<(Self, NnCellIndex<Euclidean>), PersistError> {
+        rule: RoundRobin,
+    ) -> Result<(Self, NnCellIndex<Euclidean>, Vec<usize>), PersistError> {
         let bytes = vfs.read(&current_path(dir))?;
         let text = std::str::from_utf8(&bytes)
             .map_err(|_| PersistError::Corrupt("CURRENT is not UTF-8".into()))?;
@@ -296,14 +305,20 @@ impl ShardLog {
             .parse()
             .map_err(|_| PersistError::Corrupt(format!("CURRENT holds {text:?}, not a generation")))?;
 
-        let mut index =
-            NnCellIndex::load_with_vfs(vfs.as_ref(), &snapshot_path(dir, generation))?;
+        let (mut index, mut ids) =
+            NnCellIndex::load_shard(vfs.as_ref(), &snapshot_path(dir, generation), rule)?;
         let replay = read_wal(vfs.as_ref(), &wal_path(dir, generation))?;
         let mut replayed = 0usize;
         let mut skipped = 0usize;
         for rec in &replay.records {
+            let mut insert = |p: &nncell_geom::Point, global: Option<u64>| {
+                let slot = index.insert(p.clone()).ok()?;
+                ids.push(global.map_or_else(|| rule.global(slot), |g| g as usize));
+                Some(())
+            };
             let applied = match rec {
-                WalRecord::Insert(p) => index.insert(p.clone()).is_ok(),
+                WalRecord::Insert(p) => insert(p, None).is_some(),
+                WalRecord::InsertAt { id, point } => insert(point, Some(*id)).is_some(),
                 WalRecord::Remove(id) => index.remove(*id as usize),
             };
             if applied {
@@ -326,7 +341,7 @@ impl ShardLog {
             // Damaged tail: never append after it. Rotate to a fresh
             // generation built from the recovered in-memory state.
             let next = generation + 1;
-            let wal = commit_generation(&vfs, dir, &index, next, &[])?;
+            let wal = commit_generation(&vfs, dir, &index, &ids, next, &[])?;
             (wal, next, true)
         };
         sweep_stale(&vfs, dir, active_generation);
@@ -345,7 +360,7 @@ impl ShardLog {
             },
             metrics: None,
         };
-        Ok((log, index))
+        Ok((log, index, ids))
     }
 
     /// Attaches a metrics registry: WAL append/fsync counters, replay
@@ -396,8 +411,15 @@ impl ShardLog {
         self.wal.append(rec)
     }
 
-    /// Rotates to a fresh generation: `index` becomes its snapshot, `tail`
-    /// (the journaled records not yet folded into `index`) is re-journaled
+    /// `Ok` while this log accepts appends; the poisoned-writer error once
+    /// an append failed and until a checkpoint rotates the log.
+    pub(crate) fn check_writable(&self) -> Result<(), PersistError> {
+        self.wal.check_writable()
+    }
+
+    /// Rotates to a fresh generation: `index` and its id column `ids`
+    /// become its snapshot, `tail` (the journaled records not yet folded
+    /// into `index`) is re-journaled
     /// into its WAL before the commit flip, and the old files are swept.
     /// Replay debt after the rotation is exactly `tail.len()` records;
     /// also the only way out of a poisoned WAL.
@@ -408,10 +430,11 @@ impl ShardLog {
     pub(crate) fn checkpoint_with_tail(
         &mut self,
         index: &NnCellIndex<Euclidean>,
+        ids: &[usize],
         tail: &[WalRecord],
     ) -> Result<(), PersistError> {
         let next = self.generation + 1;
-        self.wal = commit_generation(&self.vfs, &self.dir, index, next, tail)?;
+        self.wal = commit_generation(&self.vfs, &self.dir, index, ids, next, tail)?;
         if let Some(m) = &self.metrics {
             self.wal.set_metrics(m.wal.clone());
             m.snapshot_rotations.inc();
@@ -430,6 +453,9 @@ mod tests {
     use crate::vfs::{FaultSchedule, FaultVfs, StdVfs};
     use nncell_geom::Point;
 
+    /// Every shard directory here is a lone shard: slot `l` is global `l`.
+    const ONE: RoundRobin = RoundRobin::ONE;
+
     fn cfg() -> BuildConfig {
         BuildConfig::builder().strategy(Strategy::Sphere).seed(3).build()
     }
@@ -447,14 +473,29 @@ mod tests {
         (Arc::new(fault), PathBuf::from("/db"))
     }
 
-    /// Journals `rec` and applies it to `idx` — a write followed by the
-    /// fold that applies it.
-    fn write(log: &mut ShardLog, idx: &mut NnCellIndex<Euclidean>, rec: WalRecord) {
+    /// The insert of grid point `i` under global id `i`.
+    fn ins(i: usize) -> WalRecord {
+        WalRecord::InsertAt {
+            id: i as u64,
+            point: grid_point(i),
+        }
+    }
+
+    /// Journals `rec` and applies it to `idx` and its id column `ids` — a
+    /// write followed by the fold that applies it.
+    fn write(
+        log: &mut ShardLog,
+        idx: &mut NnCellIndex<Euclidean>,
+        ids: &mut Vec<usize>,
+        rec: WalRecord,
+    ) {
         log.journal(&rec).unwrap();
         match rec {
-            WalRecord::Insert(p) => {
-                idx.insert(p).unwrap();
+            WalRecord::InsertAt { id, point } => {
+                idx.insert(point).unwrap();
+                ids.push(id as usize);
             }
+            WalRecord::Insert(p) => ids.push(idx.insert(p).unwrap()),
             WalRecord::Remove(id) => assert!(idx.remove(id as usize)),
         }
     }
@@ -486,24 +527,30 @@ mod tests {
     #[test]
     fn drop_without_checkpoint_recovers_every_journaled_record() {
         let (vfs, dir) = mem_vfs();
-        let (mut log, mut idx) =
-            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg()).unwrap();
+        let (mut log, mut idx, mut ids) =
+            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg(), ONE).unwrap();
         assert!(log.recovery().initialized);
         for i in 0..20 {
-            write(&mut log, &mut idx, WalRecord::Insert(grid_point(i)));
+            write(&mut log, &mut idx, &mut ids, ins(i));
         }
-        write(&mut log, &mut idx, WalRecord::Remove(3));
-        write(&mut log, &mut idx, WalRecord::Remove(11));
+        write(&mut log, &mut idx, &mut ids, WalRecord::Remove(3));
+        write(&mut log, &mut idx, &mut ids, WalRecord::Remove(11));
         assert_eq!(log.wal_records(), 22);
         drop(log); // crash: no checkpoint
 
-        let (log, idx) = ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg()).unwrap();
+        let (log, idx, ids) =
+            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg(), ONE).unwrap();
         let rec = log.recovery();
         assert!(!rec.initialized);
         assert_eq!(rec.replayed, 22);
         assert_eq!(rec.skipped, 0);
         assert_eq!(rec.wal_tail, WalTail::Clean);
         assert_eq!(idx.len(), 18);
+        assert_eq!(
+            ids,
+            (0..20).collect::<Vec<_>>(),
+            "replay rebuilds the id column"
+        );
         assert!(!idx.is_live(3) && !idx.is_live(11));
         assert_self_consistent(&idx);
     }
@@ -511,12 +558,12 @@ mod tests {
     #[test]
     fn checkpoint_rotates_generation_and_sweeps_old_files() {
         let (vfs, dir) = mem_vfs();
-        let (mut log, mut idx) =
-            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg()).unwrap();
+        let (mut log, mut idx, mut ids) =
+            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg(), ONE).unwrap();
         for i in 0..10 {
-            write(&mut log, &mut idx, WalRecord::Insert(grid_point(i)));
+            write(&mut log, &mut idx, &mut ids, ins(i));
         }
-        log.checkpoint_with_tail(&idx, &[]).unwrap();
+        log.checkpoint_with_tail(&idx, &ids, &[]).unwrap();
         assert_eq!(log.generation, 1);
         assert_eq!(log.wal_records(), 0);
         // Generation-0 files were swept; generation-1 files exist.
@@ -524,9 +571,9 @@ mod tests {
         assert!(!vfs.exists(&wal_path(&dir, 0)));
         assert!(vfs.exists(&snapshot_path(&dir, 1)));
 
-        write(&mut log, &mut idx, WalRecord::Insert(grid_point(10)));
+        write(&mut log, &mut idx, &mut ids, ins(10));
         drop(log);
-        let (mut log, idx) = ShardLog::open(Arc::clone(&vfs), &dir).unwrap();
+        let (mut log, idx, ids) = ShardLog::open(Arc::clone(&vfs), &dir, ONE).unwrap();
         assert_eq!(log.recovery().generation, 1);
         assert_eq!(
             log.recovery().replayed,
@@ -538,12 +585,12 @@ mod tests {
 
         // A checkpoint carrying an unfolded tail re-journals it: the
         // snapshot is the index as given, replay adds the tail.
-        let tail = [WalRecord::Insert(grid_point(11)), WalRecord::Remove(0)];
-        log.checkpoint_with_tail(&idx, &tail).unwrap();
+        let tail = [ins(11), WalRecord::Remove(0)];
+        log.checkpoint_with_tail(&idx, &ids, &tail).unwrap();
         assert_eq!(log.generation, 2);
         assert_eq!(log.wal_records(), 2);
         drop(log);
-        let (log, idx) = ShardLog::open(Arc::clone(&vfs), &dir).unwrap();
+        let (log, idx, _) = ShardLog::open(Arc::clone(&vfs), &dir, ONE).unwrap();
         assert_eq!(log.recovery().generation, 2);
         assert_eq!(log.recovery().replayed, 2);
         assert_eq!(idx.len(), 11);
@@ -554,10 +601,10 @@ mod tests {
     #[test]
     fn damaged_wal_tail_is_dropped_and_generation_rotated() {
         let (vfs, dir) = mem_vfs();
-        let (mut log, mut idx) =
-            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg()).unwrap();
+        let (mut log, mut idx, mut ids) =
+            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg(), ONE).unwrap();
         for i in 0..6 {
-            write(&mut log, &mut idx, WalRecord::Insert(grid_point(i)));
+            write(&mut log, &mut idx, &mut ids, ins(i));
         }
         let generation = log.generation;
         drop(log);
@@ -569,7 +616,7 @@ mod tests {
         f.sync().unwrap();
         drop(f);
 
-        let (log, idx) = ShardLog::open(Arc::clone(&vfs), &dir).unwrap();
+        let (log, idx, _) = ShardLog::open(Arc::clone(&vfs), &dir, ONE).unwrap();
         assert_eq!(log.recovery().replayed, 6);
         assert!(matches!(log.recovery().wal_tail, WalTail::Truncated { .. }));
         assert!(log.recovery().rotated);
@@ -577,7 +624,7 @@ mod tests {
         assert_eq!(idx.len(), 6);
         // The rotated state is clean: reopening replays nothing.
         drop(log);
-        let (log, idx) = ShardLog::open(Arc::clone(&vfs), &dir).unwrap();
+        let (log, idx, _) = ShardLog::open(Arc::clone(&vfs), &dir, ONE).unwrap();
         assert_eq!(log.recovery().wal_tail, WalTail::Clean);
         assert_eq!(log.recovery().replayed, 0);
         assert_eq!(idx.len(), 6);
@@ -588,14 +635,15 @@ mod tests {
         let (vfs, dir) = mem_vfs();
         let pts: Vec<Point> = (0..25).map(grid_point).collect();
         let built = NnCellIndex::build(pts, cfg()).unwrap();
-        drop(ShardLog::create(Arc::clone(&vfs), &dir, &built).unwrap());
+        let ids: Vec<usize> = (0..25).collect();
+        drop(ShardLog::create(Arc::clone(&vfs), &dir, &built, &ids).unwrap());
         // A second create on the same directory must refuse.
         let again = NnCellIndex::build(vec![grid_point(0)], cfg()).unwrap();
         assert!(matches!(
-            ShardLog::create(Arc::clone(&vfs), &dir, &again),
+            ShardLog::create(Arc::clone(&vfs), &dir, &again, &[0]),
             Err(PersistError::Corrupt(_))
         ));
-        let (_log, idx) = ShardLog::open(Arc::clone(&vfs), &dir).unwrap();
+        let (_log, idx, _) = ShardLog::open(Arc::clone(&vfs), &dir, ONE).unwrap();
         assert_eq!(idx.len(), 25);
         assert_self_consistent(&idx);
     }
@@ -603,9 +651,9 @@ mod tests {
     #[test]
     fn dimension_mismatch_on_open_is_typed() {
         let (vfs, dir) = mem_vfs();
-        drop(ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg()).unwrap());
+        drop(ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg(), ONE).unwrap());
         assert!(matches!(
-            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 3, cfg()),
+            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 3, cfg(), ONE),
             Err(PersistError::Corrupt(_))
         ));
     }
@@ -615,24 +663,25 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nncell_durable_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let vfs: Arc<dyn Vfs> = Arc::new(StdVfs);
-        let (mut log, mut idx) =
-            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg()).unwrap();
+        let (mut log, mut idx, mut ids) =
+            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg(), ONE).unwrap();
         for i in 0..12 {
-            write(&mut log, &mut idx, WalRecord::Insert(grid_point(i)));
+            write(&mut log, &mut idx, &mut ids, ins(i));
         }
-        write(&mut log, &mut idx, WalRecord::Remove(5));
-        log.checkpoint_with_tail(&idx, &[]).unwrap();
-        write(&mut log, &mut idx, WalRecord::Insert(grid_point(12)));
+        write(&mut log, &mut idx, &mut ids, WalRecord::Remove(5));
+        log.checkpoint_with_tail(&idx, &ids, &[]).unwrap();
+        write(&mut log, &mut idx, &mut ids, ins(12));
         drop(log); // crash after one post-checkpoint insert
 
-        let (mut log, idx) = ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg()).unwrap();
+        let (mut log, idx, ids) =
+            ShardLog::open_or_create(Arc::clone(&vfs), &dir, 2, cfg(), ONE).unwrap();
         assert_eq!(idx.len(), 12);
         assert!(!idx.is_live(5));
         assert_eq!(log.recovery().replayed, 1);
         assert_self_consistent(&idx);
-        log.checkpoint_with_tail(&idx, &[]).unwrap();
+        log.checkpoint_with_tail(&idx, &ids, &[]).unwrap();
         drop(log);
-        let (log, idx) = ShardLog::open(vfs, &dir).unwrap();
+        let (log, idx, _) = ShardLog::open(vfs, &dir, ONE).unwrap();
         assert_eq!(
             log.recovery().replayed,
             0,

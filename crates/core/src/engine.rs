@@ -119,12 +119,16 @@ impl QueryScratch {
 }
 
 /// One shard of a [`crate::ShardedIndex`]'s published read state: its
-/// index and the view of its unfolded memtable tail (empty once every
-/// write is folded). The two are published together, so every live point
-/// of the shard is in exactly one of them.
+/// index, the global id of each of the index's slots, and the view of its
+/// unfolded memtable tail (empty once every write is folded). They are
+/// published together, so every live point of the shard is in exactly
+/// one of the index and the tail, and every slot has its id.
 #[derive(Clone)]
 pub(crate) struct Shard<M: Metric = Euclidean> {
     pub(crate) index: Arc<NnCellIndex<M>>,
+    /// `ids[l]` is the global id of slot `l`; strictly ascending, since a
+    /// shard takes its slots in global-id order.
+    pub(crate) ids: Arc<Vec<usize>>,
     pub(crate) tail: Arc<TailSnapshot>,
 }
 
@@ -136,7 +140,7 @@ impl<M: Metric> AsRef<Tree> for Shard<M> {
 }
 
 /// The shards an engine reads. Shard `s` maps local id `l` to the global
-/// id `l·S + s`, where `S` is the shard count.
+/// id in slot `l` of its id column; a lone index's ids are its slots.
 enum Forest<'a, M: Metric> {
     /// One index, without a tail.
     One(&'a NnCellIndex<M>),
@@ -156,6 +160,16 @@ impl<'a, M: Metric> Forest<'a, M> {
         match self {
             Forest::One(index) => index,
             Forest::Many(shards) => &shards[s].index,
+        }
+    }
+
+    /// The global id of shard `s`'s slot `local`. Read only for a
+    /// candidate within the bound, never per streamed point.
+    #[inline]
+    fn global(&self, s: usize, local: usize) -> usize {
+        match self {
+            Forest::One(_) => local,
+            Forest::Many(shards) => shards[s].ids[local],
         }
     }
 
@@ -242,9 +256,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
 
     /// The shard fan-out's engine over a published read state: one
     /// traversal over every shard's point tree, one k-best keyed by
-    /// `(dist, global id)` with `global = local · S + shard number`,
-    /// recorded in the sharded index's `metrics`. Batches run on the
-    /// calling thread; see [`Self::with_threads`].
+    /// `(dist, global id)`, each shard's slot mapped to its global id by
+    /// the shard's id column, recorded in the sharded index's `metrics`.
+    /// Batches run on the calling thread; see [`Self::with_threads`].
     pub(crate) fn fan_out(
         dim: usize,
         shards: &'a [Shard<M>],
@@ -567,7 +581,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return Ok(self.scan_knn(p, k));
         }
         let (metric, w_min) = self.metric();
-        let stride = forest.len();
         let QueryScratch { ranked, bf, d2 } = scratch;
         ranked.clear();
         let mut stats = QueryStats::default();
@@ -583,28 +596,29 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             let abort = (b * b) * BOUND_SLOP;
             (abort, abort / w_min)
         };
-        for s in 0..stride {
+        for s in 0..forest.len() {
             let Some(t) = forest.tail(s) else {
                 continue;
             };
             let mut span = nncell_obs::trace::child("engine.tail_merge");
             span.arg("tail", t.inserts.len() as u64);
             stats.tail += t.inserts.len();
-            for (local, pt) in &t.inserts {
+            for (i, row) in t.inserts.rows.chunks_exact(self.dim).enumerate() {
                 if seeded % 256 == 255 && out_of_budget(deadline) {
                     return Err(QueryError::DeadlineExceeded);
                 }
                 seeded += 1;
-                let d2 = metric.dist_sq(p, pt.as_slice());
+                let d2 = metric.dist_sq(p, row);
                 if d2 > abort_bound {
                     continue;
                 }
                 stats.candidates += 1;
                 let r = QueryResult {
-                    id: local * stride + s,
+                    id: t.inserts.globals[i],
                     dist: d2.sqrt(),
                 };
-                if let Some(b) = offer(ranked, k, r, &[], *local) {
+                // A tail insert is never tombstoned: a remove drops it.
+                if let Some(b) = offer(ranked, k, r, &[], 0) {
                     (abort_bound, tree_bound) = bounds(b);
                 }
             }
@@ -636,7 +650,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 }
                 stats.candidates += 1;
                 let r = QueryResult {
-                    id: local * stride + t,
+                    id: forest.global(t, local),
                     dist: d2.sqrt(),
                 };
                 if let Some(b) = offer(ranked, k, r, tombstones, local) {
@@ -701,7 +715,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         let tree_bound = tree_r * tree_r + nncell_geom::EPS;
         let abort_bound = radius_bound(r);
         let forest = &self.forest;
-        let stride = forest.len();
         let QueryScratch {
             ranked: hits,
             bf,
@@ -709,18 +722,16 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         } = scratch;
         hits.clear();
         let mut stats = QueryStats::default();
-        // One evaluated point of shard `s`. The examined count is the
+        // One evaluated point in slot `local` of a shard with `tombstones`:
+        // its distance when it is a hit. The examined count is the
         // streamed items (added after the walk) plus the tail inserts.
-        let mut keep = |s: usize, local: usize, d2: f64| {
+        let mut keep = |tombstones: &[usize], local: usize, d2: f64| {
             if d2 > abort_bound {
-                return; // provably outside the ball
+                return None; // provably outside the ball
             }
             stats.candidates += 1;
             let dist = d2.sqrt();
-            if dist <= r && forest.tombstones(s).binary_search(&local).is_err() {
-                let id = local * stride + s;
-                hits.push(QueryResult { id, dist });
-            }
+            (dist <= r && tombstones.binary_search(&local).is_err()).then_some(dist)
         };
         let mut visits = 0usize;
         let mut deadline_hit = false;
@@ -737,7 +748,10 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             for (&item, &d2) in items.iter().zip(dists) {
                 let local = item as usize;
                 debug_assert!(forest.index(t).is_live(local), "point tree out of sync");
-                keep(t, local, d2);
+                if let Some(dist) = keep(forest.tombstones(t), local, d2) {
+                    let id = forest.global(t, local);
+                    hits.push(QueryResult { id, dist });
+                }
             }
             tree_bound
         });
@@ -745,17 +759,21 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return Err(QueryError::DeadlineExceeded);
         }
         let mut seeded = 0usize;
-        for s in 0..stride {
+        for s in 0..forest.len() {
             let Some(t) = forest.tail(s) else {
                 continue;
             };
             stats.tail += t.inserts.len();
-            for (local, pt) in &t.inserts {
+            for (i, row) in t.inserts.rows.chunks_exact(self.dim).enumerate() {
                 if seeded % 256 == 255 && out_of_budget(deadline) {
                     return Err(QueryError::DeadlineExceeded);
                 }
                 seeded += 1;
-                keep(s, *local, metric.dist_sq(p, pt.as_slice()));
+                // A tail insert is never tombstoned: a remove drops it.
+                if let Some(dist) = keep(&[], 0, metric.dist_sq(p, row)) {
+                    let id = t.inserts.globals[i];
+                    hits.push(QueryResult { id, dist });
+                }
             }
         }
         add_walk(&mut stats, walk);
@@ -779,16 +797,15 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     fn scan_knn(&self, p: &[f64], k: usize) -> QueryResponse {
         let _span = nncell_obs::trace::child("engine.scan_fallback");
         let (metric, _) = self.metric();
-        let stride = self.forest.len();
         let mut all: Vec<QueryResult> = Vec::new();
-        for s in 0..stride {
+        for s in 0..self.forest.len() {
             let idx = self.forest.index(s);
             let alive = idx.alive();
             all.extend(
                 (0..alive.len())
                     .filter(|&l| alive[l])
                     .map(|local| QueryResult {
-                        id: local * stride + s,
+                        id: self.forest.global(s, local),
                         dist: metric.dist(p, idx.flat_point(local)),
                     }),
             );

@@ -283,7 +283,7 @@ impl<M: Metric> NnCellIndex<M> {
         }
         self.point_tree
             .bind_metrics(TreeMetrics::register(&registry, "point_tree"));
-        self.metrics = Some(IndexMetrics::register(registry, self.dim()));
+        self.metrics = Some(IndexMetrics::register(&registry, self.dim()));
         self.refresh_gauges();
     }
 
@@ -365,13 +365,29 @@ impl<M: Metric> NnCellIndex<M> {
     /// skip to).
     pub fn insert(&mut self, p: Point) -> Result<usize, BuildError> {
         self.validate_insert(&p)?;
+        Ok(self.insert_validated(p.as_slice()))
+    }
+
+    /// Makes room for `additional` more slots, exactly: a fold reserves
+    /// its batch's inserts in the fresh clone, whose buffers hold no spare
+    /// capacity, instead of letting the first insert double them.
+    pub(crate) fn reserve_slots(&mut self, additional: usize) {
+        self.points_flat.reserve_exact(additional * self.dim());
+        self.alive.reserve_exact(additional);
+    }
+
+    /// [`Self::insert`] of a point the caller has already validated
+    /// against this index (the fold re-applies acked inserts, each checked
+    /// at ack time against the state it now lands on), so no duplicate
+    /// probe runs. Returns the new point's id.
+    pub(crate) fn insert_validated(&mut self, p: &[f64]) -> usize {
         let id = self.alive.len();
-        self.point_tree.insert_point(&p, id as u64);
-        self.points_flat.extend_from_slice(p.as_slice());
+        self.point_tree.insert_point(p, id as u64);
+        self.points_flat.extend_from_slice(p);
         self.alive.push(true);
         self.live_count += 1;
         self.refresh_gauges();
-        Ok(id)
+        id
     }
 
     /// The checks [`Self::insert`] would apply to `p`, without mutating

@@ -32,11 +32,17 @@ use std::time::Duration;
 /// One journaled-but-unfolded operation. `local` is the shard-local slot
 /// the operation targets; for inserts it is the slot the point will
 /// occupy once folded — fixed at ack time so folding in ack order is
-/// bit-identical to WAL replay.
+/// bit-identical to WAL replay — and `global` the id it was acked under.
 #[derive(Clone, Debug)]
 pub(crate) enum TailOp {
-    Insert { local: usize, point: Point },
-    Remove { local: usize },
+    Insert {
+        local: usize,
+        global: usize,
+        point: Point,
+    },
+    Remove {
+        local: usize,
+    },
 }
 
 /// Per-shard memtable: operations in ack order, split into the batch a
@@ -88,7 +94,10 @@ impl Memtable {
             .iter()
             .chain(&self.active)
             .map(|op| match op {
-                TailOp::Insert { point, .. } => WalRecord::Insert(point.clone()),
+                TailOp::Insert { global, point, .. } => WalRecord::InsertAt {
+                    id: *global as u64,
+                    point: point.clone(),
+                },
                 TailOp::Remove { local } => WalRecord::Remove(*local as u64),
             })
             .collect()
@@ -102,13 +111,51 @@ impl Memtable {
 /// a reader still holds it ([`Arc::make_mut`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TailSnapshot {
-    /// Live unfolded inserts as `(local slot, point)`, ack order — which
-    /// is ascending slot order, since a shard assigns slots in ack order.
-    pub(crate) inserts: Vec<(usize, Point)>,
+    /// Live unfolded inserts in ack order — which is ascending slot
+    /// order and ascending global-id order, since a shard assigns slots
+    /// and the index assigns global ids in ack order.
+    pub(crate) inserts: TailInserts,
     /// Slots tombstoned by unfolded removes, ascending and distinct
     /// (targets may live in the published snapshot *or* have been tail
     /// inserts, which a tombstone drops from `inserts`).
     pub(crate) removed: Vec<usize>,
+}
+
+/// The live unfolded inserts of a tail view as three parallel columns:
+/// a query's scan reads the coordinates contiguously and touches an id
+/// only for a candidate within its bound, and a write copies no point.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TailInserts {
+    /// Row-major coordinates, one row per insert.
+    pub(crate) rows: Vec<f64>,
+    /// The slot each insert will occupy once folded.
+    locals: Vec<usize>,
+    /// The global id each insert was acked under.
+    pub(crate) globals: Vec<usize>,
+}
+
+impl TailInserts {
+    pub(crate) fn len(&self) -> usize {
+        self.locals.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.locals.is_empty()
+    }
+
+    fn push(&mut self, local: usize, global: usize, point: &[f64]) {
+        self.rows.extend_from_slice(point);
+        self.locals.push(local);
+        self.globals.push(global);
+    }
+
+    /// Drops insert `at`.
+    fn remove(&mut self, at: usize) {
+        let d = self.rows.len() / self.len();
+        self.rows.drain(at * d..(at + 1) * d);
+        self.locals.remove(at);
+        self.globals.remove(at);
+    }
 }
 
 impl TailSnapshot {
@@ -121,7 +168,11 @@ impl TailSnapshot {
     /// tombstones its slot.
     pub(crate) fn apply(&mut self, op: &TailOp) {
         match op {
-            TailOp::Insert { local, point } => self.inserts.push((*local, point.clone())),
+            TailOp::Insert {
+                local,
+                global,
+                point,
+            } => self.inserts.push(*local, *global, point.as_slice()),
             TailOp::Remove { local } => self.push_remove(*local),
         }
     }
@@ -133,25 +184,32 @@ impl TailSnapshot {
 
     /// Whether the tail holds a live insert for `local` (a binary search).
     pub(crate) fn has_live_insert(&self, local: usize) -> bool {
-        self.inserts
-            .binary_search_by_key(&local, |(l, _)| *l)
-            .is_ok()
+        self.inserts.locals.binary_search(&local).is_ok()
     }
 
-    /// The slot of a live tail insert equal to `p` coordinate by
+    /// The slot of the live tail insert acked under global id `global`
+    /// (a binary search).
+    pub(crate) fn slot_of(&self, global: usize) -> Option<usize> {
+        let at = self.inserts.globals.binary_search(&global).ok()?;
+        Some(self.inserts.locals[at])
+    }
+
+    /// The global id of a live tail insert equal to `p` coordinate by
     /// coordinate (`==`, so −0.0 equals +0.0), mirroring the index's
     /// duplicate policy.
     pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
-        self.inserts
-            .iter()
-            .find(|(_, point)| point.as_slice() == p.as_slice())
-            .map(|(local, _)| *local)
+        let at = self
+            .inserts
+            .rows
+            .chunks_exact(p.dim())
+            .position(|row| row == p.as_slice())?;
+        Some(self.inserts.globals[at])
     }
 
     /// Tombstones `local`: a live tail insert for it leaves `inserts`,
     /// and the slot joins the sorted tombstone list.
     fn push_remove(&mut self, local: usize) {
-        if let Ok(at) = self.inserts.binary_search_by_key(&local, |(l, _)| *l) {
+        if let Ok(at) = self.inserts.locals.binary_search(&local) {
             self.inserts.remove(at);
         }
         if let Err(at) = self.removed.binary_search(&local) {
@@ -246,9 +304,11 @@ mod tests {
         Point::new(vec![x, 1.0 - x])
     }
 
+    /// An insert into slot `local` under global id `10 + local`.
     fn ins(local: usize, x: f64) -> TailOp {
         TailOp::Insert {
             local,
+            global: 10 + local,
             point: pt(x),
         }
     }
@@ -277,7 +337,8 @@ mod tests {
         assert!(t.view.is_removed(0));
         assert!(t.view.has_live_insert(1));
         assert!(!t.view.has_live_insert(0), "tombstoned tail insert is dead");
-        assert_eq!(t.view.find_live_duplicate(&pt(0.2)), Some(1));
+        assert_eq!(t.view.find_live_duplicate(&pt(0.2)), Some(11));
+        assert_eq!((t.view.slot_of(11), t.view.slot_of(10)), (Some(1), None));
         assert_eq!(t.view.find_live_duplicate(&pt(0.1)), None);
 
         let batch = t.mem.freeze();
@@ -328,7 +389,10 @@ mod tests {
         m.push(TailOp::Remove { local: 2 });
         let recs = m.wal_records();
         assert_eq!(recs.len(), 2);
-        assert!(matches!(&recs[0], WalRecord::Insert(p) if p.as_slice() == pt(0.4).as_slice()));
+        assert!(matches!(
+            &recs[0],
+            WalRecord::InsertAt { id: 13, point } if point.as_slice() == pt(0.4).as_slice()
+        ));
         assert!(matches!(recs[1], WalRecord::Remove(2)));
     }
 }

@@ -74,7 +74,6 @@ impl EngineMetrics {
 /// clone of an index keeps recording into the same series.
 #[derive(Clone)]
 pub struct IndexMetrics {
-    registry: Arc<Registry>,
     pub(crate) engine: EngineMetrics,
     /// `nncell_live_points` — live points currently indexed.
     pub(crate) live_points: Arc<Gauge>,
@@ -147,17 +146,11 @@ impl FoldMetrics {
 
 impl IndexMetrics {
     /// Resolves (or creates) the index metrics in `registry`.
-    pub fn register(registry: Arc<Registry>, dim: usize) -> Self {
+    pub fn register(registry: &Registry, dim: usize) -> Self {
         Self {
-            engine: EngineMetrics::register(&registry, dim),
+            engine: EngineMetrics::register(registry, dim),
             live_points: registry.gauge("nncell_live_points"),
-            registry,
         }
-    }
-
-    /// The registry this bundle records into.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 
     /// The query-path handles.

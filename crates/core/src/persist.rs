@@ -6,17 +6,23 @@
 //! build does — so a freshly built index and its saved copy read the same
 //! pages.
 //!
-//! **Format `NNCELL02`** (current): an 8-byte magic, the payload, and a
-//! CRC32 (IEEE) trailer over everything before it. [`NnCellIndex::load`]
-//! verifies the checksum before parsing, so a bit flip anywhere in the file
-//! is a typed [`PersistError::Corrupt`] — never a panic, and never a
-//! silently wrong index. **Format `NNCELL01`** (legacy, no checksum) is
-//! still readable; structural validation alone guards those files.
+//! **Format `NNCELL02`** ([`NnCellIndex::save`]): an 8-byte magic, the
+//! payload, and a CRC32 (IEEE) trailer over everything before it.
+//! [`NnCellIndex::load`] verifies the checksum before parsing, so a bit
+//! flip anywhere in the file is a typed [`PersistError::Corrupt`] — never
+//! a panic, and never a silently wrong index. **Format `NNCELL01`**
+//! (legacy, no checksum) is still readable; structural validation alone
+//! guards those files. Both end with one NN-cell piece list per point.
+//! `save` writes every list empty; `load` still reads and bounds-checks
+//! the lists of files that carry pieces, then drops them — nothing on the
+//! serving path reads cells, and [`crate::NnCells::build`] recomputes
+//! them on demand.
 //!
-//! Both formats end with one NN-cell piece list per point. `save` writes
-//! every list empty; `load` still reads and bounds-checks the lists of
-//! files that carry pieces, then drops them — nothing on the serving path
-//! reads cells, and [`crate::NnCells::build`] recomputes them on demand.
+//! **Format `NNCELL03`** (a shard of a [`crate::ShardedIndex`]): the same
+//! checksummed header and points, then one global id per slot (`u64`) in
+//! place of the piece lists. A shard file of the
+//! two older formats carries no ids; its slots are numbered by the
+//! round-robin rule of the layouts that wrote them ([`RoundRobin`]).
 //!
 //! Every size field read from disk is validated against the actual number
 //! of bytes present *before* any allocation, so a corrupted count cannot
@@ -32,8 +38,32 @@ use nncell_geom::Euclidean;
 use std::io;
 use std::path::Path;
 
+const MAGIC_V3: &[u8; 8] = b"NNCELL03";
 const MAGIC_V2: &[u8; 8] = b"NNCELL02";
 const MAGIC_V1: &[u8; 8] = b"NNCELL01";
+
+/// The global ids of a shard written before shard files carried an id
+/// column: sharded layouts then dealt global id `g` to shard `g % S` at
+/// slot `g / S`, so slot `l` of shard `shard` is global `l·shards +
+/// shard` (the identity for one shard).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RoundRobin {
+    pub(crate) shard: usize,
+    pub(crate) shards: usize,
+}
+
+impl RoundRobin {
+    /// The rule of a lone shard: slot `l` is global `l`.
+    pub(crate) const ONE: RoundRobin = RoundRobin {
+        shard: 0,
+        shards: 1,
+    };
+
+    /// The global id of slot `local`.
+    pub(crate) fn global(self, local: usize) -> usize {
+        local * self.shards + self.shard
+    }
+}
 
 /// Failures of [`NnCellIndex::save`] / [`NnCellIndex::load`].
 #[derive(Debug)]
@@ -171,18 +201,52 @@ impl NnCellIndex<Euclidean> {
     /// # Errors
     /// I/O failures only.
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), PersistError> {
-        let mut bytes = Vec::with_capacity(64 + self.rows().len() * (self.dim() * 8 + 8));
-        bytes.extend_from_slice(MAGIC_V2);
-        self.write_payload(&mut bytes);
+        self.write_file(vfs, path, MAGIC_V2, |out| {
+            for _ in 0..self.rows().len() {
+                put_u32(out, 0);
+            }
+        })
+    }
+
+    /// Writes a shard's index and its id column (`ids[l]` is the global
+    /// id of slot `l`) to `path` in the `NNCELL03` format, through the
+    /// same crash-safe atomic write as [`Self::save`].
+    pub(crate) fn save_shard(
+        &self,
+        ids: &[usize],
+        vfs: &dyn Vfs,
+        path: &Path,
+    ) -> Result<(), PersistError> {
+        debug_assert_eq!(ids.len(), self.rows().len(), "one id per slot");
+        self.write_file(vfs, path, MAGIC_V3, |out| {
+            for &g in ids {
+                put_u64(out, g as u64);
+            }
+        })
+    }
+
+    /// Writes `magic`, the header and points, the per-slot section
+    /// `slots` appends, and the checksum trailer.
+    fn write_file(
+        &self,
+        vfs: &dyn Vfs,
+        path: &Path,
+        magic: &[u8; 8],
+        slots: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), PersistError> {
+        let mut bytes = Vec::with_capacity(64 + self.rows().len() * (self.dim() * 8 + 9));
+        bytes.extend_from_slice(magic);
+        self.write_points(&mut bytes);
+        slots(&mut bytes);
         let crc = crc32(&bytes[..]);
         bytes.extend_from_slice(&crc.to_le_bytes());
         write_atomic(vfs, path, &bytes)?;
         Ok(())
     }
 
-    /// Serializes everything after the magic into `out` (infallible: the
-    /// sink is a `Vec`).
-    fn write_payload(&self, out: &mut Vec<u8>) {
+    /// Serializes the header and the points with their liveness into
+    /// `out` (infallible: the sink is a `Vec`).
+    fn write_points(&self, out: &mut Vec<u8>) {
         let cfg = self.config();
         put_u32(out, self.dim() as u32);
         out.push(strategy_tag(cfg.strategy));
@@ -202,15 +266,14 @@ impl NnCellIndex<Euclidean> {
                 put_f64(out, c);
             }
         }
-        for _ in 0..slots {
-            put_u32(out, 0);
-        }
     }
 
     /// Reads an index previously written by [`Self::save`] (`NNCELL02`,
-    /// checksum-verified) or by older releases (`NNCELL01`, structural
-    /// validation only). Stored cell pieces are validated and dropped; the
-    /// live points are STR bulk-loaded into a fresh point tree, as in
+    /// checksum-verified), by older releases (`NNCELL01`, structural
+    /// validation only) or as a shard of a sharded index (`NNCELL03`,
+    /// whose id column is validated and dropped: the slots are the ids).
+    /// Stored cell pieces are validated and dropped; the live points are
+    /// STR bulk-loaded into a fresh point tree, as in
     /// [`NnCellIndex::build`].
     ///
     /// # Errors
@@ -225,52 +288,88 @@ impl NnCellIndex<Euclidean> {
     /// # Errors
     /// See [`Self::load`].
     pub fn load_with_vfs(vfs: &dyn Vfs, path: &Path) -> Result<Self, PersistError> {
-        let bytes = vfs.read(path)?;
-        if bytes.len() < 8 {
-            return Err(corrupt("file too short for header"));
-        }
-        let magic = &bytes[..8];
-        let payload = if magic == MAGIC_V2 {
-            if bytes.len() < 12 {
-                return Err(corrupt("file too short for checksum trailer"));
-            }
-            let body = &bytes[..bytes.len() - 4];
-            let stored = u32::from_le_bytes([
-                bytes[bytes.len() - 4],
-                bytes[bytes.len() - 3],
-                bytes[bytes.len() - 2],
-                bytes[bytes.len() - 1],
-            ]);
-            let actual = crc32(body);
-            if stored != actual {
-                return Err(corrupt(format!(
-                    "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                )));
-            }
-            &body[8..]
-        } else if magic == MAGIC_V1 {
-            &bytes[8..]
-        } else {
-            return Err(corrupt(format!(
-                "bad magic {magic:?} (expected {MAGIC_V2:?} or {MAGIC_V1:?})"
-            )));
-        };
-        let mut r = SliceReader::new(payload);
-        let idx = parse_payload(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(corrupt("trailing bytes after index payload"));
-        }
-        Ok(idx)
+        Ok(read_file(vfs, path)?.0)
+    }
+
+    /// Reads a shard written by [`Self::save_shard`], or any file
+    /// [`Self::load`] reads, with its id column: the stored one, or
+    /// `rule`'s numbering for a file without one.
+    ///
+    /// # Errors
+    /// See [`Self::load`].
+    pub(crate) fn load_shard(
+        vfs: &dyn Vfs,
+        path: &Path,
+        rule: RoundRobin,
+    ) -> Result<(Self, Vec<usize>), PersistError> {
+        let (index, ids) = read_file(vfs, path)?;
+        let ids = ids.unwrap_or_else(|| (0..index.rows().len()).map(|l| rule.global(l)).collect());
+        Ok((index, ids))
     }
 }
 
-/// Parses the version-independent payload with full structural validation:
+/// Reads and checks a file of any format: the index, and the id column
+/// of an `NNCELL03` file.
+fn read_file(
+    vfs: &dyn Vfs,
+    path: &Path,
+) -> Result<(NnCellIndex<Euclidean>, Option<Vec<usize>>), PersistError> {
+    let bytes = vfs.read(path)?;
+    if bytes.len() < 8 {
+        return Err(corrupt("file too short for header"));
+    }
+    let magic = &bytes[..8];
+    let payload = if magic == MAGIC_V2 || magic == MAGIC_V3 {
+        if bytes.len() < 12 {
+            return Err(corrupt("file too short for checksum trailer"));
+        }
+        let body = &bytes[..bytes.len() - 4];
+        let stored = u32::from_le_bytes([
+            bytes[bytes.len() - 4],
+            bytes[bytes.len() - 3],
+            bytes[bytes.len() - 2],
+            bytes[bytes.len() - 1],
+        ]);
+        let actual = crc32(body);
+        if stored != actual {
+            return Err(corrupt(format!(
+                "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
+            )));
+        }
+        &body[8..]
+    } else if magic == MAGIC_V1 {
+        &bytes[8..]
+    } else {
+        return Err(corrupt(format!(
+            "bad magic {magic:?} (expected {MAGIC_V3:?}, {MAGIC_V2:?} or {MAGIC_V1:?})"
+        )));
+    };
+    let mut r = SliceReader::new(payload);
+    let (dim, cfg, rows, alive) = parse_points(&mut r)?;
+    let ids = if magic == MAGIC_V3 {
+        Some(parse_ids(&mut r, alive.len())?)
+    } else {
+        skip_pieces(&mut r, alive.len(), dim)?;
+        None
+    };
+    if r.remaining() != 0 {
+        return Err(corrupt("trailing bytes after index payload"));
+    }
+    Ok((
+        NnCellIndex::from_rows(dim, cfg, Euclidean, rows, alive),
+        ids,
+    ))
+}
+
+/// The header and points of every format: dimensionality, configuration,
+/// row-major coordinates and liveness.
+type Points = (usize, BuildConfig, Vec<f64>, Vec<bool>);
+
+/// Parses the header and the points with full structural validation:
 /// every count is checked against the bytes actually present before any
 /// allocation, every float invariant is checked before any constructor that
 /// would assert.
-fn parse_payload(
-    r: &mut SliceReader<'_>,
-) -> Result<NnCellIndex<Euclidean>, PersistError> {
+fn parse_points(r: &mut SliceReader<'_>) -> Result<Points, PersistError> {
     let dim = r.u32()? as usize;
     if dim == 0 || dim > 1 << 16 {
         return Err(corrupt(format!("implausible dimensionality {dim}")));
@@ -330,8 +429,12 @@ fn parse_payload(
             rows.push(c);
         }
     }
-    // Piece lists of files that carry them: bounds-checked like every
-    // other field, then dropped.
+    Ok((dim, cfg, rows, alive))
+}
+
+/// Reads past the `n` piece lists of an `NNCELL01`/`02` file,
+/// bounds-checked like every other field, and drops them.
+fn skip_pieces(r: &mut SliceReader<'_>, n: usize, dim: usize) -> Result<(), PersistError> {
     for id in 0..n {
         let k = r.u32()? as usize;
         if k > MAX_PIECES {
@@ -350,8 +453,20 @@ fn parse_payload(
             }
         }
     }
+    Ok(())
+}
 
-    Ok(NnCellIndex::from_rows(dim, cfg, Euclidean, rows, alive))
+/// Reads the `n` global ids of an `NNCELL03` file. Whether they are the
+/// ids a shard may hold is checked with its sibling shards', on open.
+fn parse_ids(r: &mut SliceReader<'_>, n: usize) -> Result<Vec<usize>, PersistError> {
+    if n > r.remaining() / 8 {
+        return Err(corrupt(format!(
+            "id column of {n} slots exceeds the bytes present"
+        )));
+    }
+    (0..n)
+        .map(|_| usize::try_from(r.u64()?).map_err(|_| corrupt("global id out of range")))
+        .collect()
 }
 
 fn strategy_tag(s: Strategy) -> u8 {
@@ -622,6 +737,40 @@ mod tests {
             Err(PersistError::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn shard_files_carry_their_ids_and_older_files_take_the_round_robin_rule() {
+        let mut idx = NnCellIndex::build(uniform(30, 2, 13), BuildConfig::default()).unwrap();
+        assert!(idx.remove(4));
+        let ids: Vec<usize> = (0..30).map(|l| 3 * l + 7).collect();
+        let vfs = crate::vfs::FaultVfs::new(crate::vfs::FaultSchedule::none(1));
+        let (v3, v2) = (Path::new("shard.nncell"), Path::new("index.nncell"));
+        idx.save_shard(&ids, &vfs, v3).unwrap();
+        idx.save_with_vfs(&vfs, v2).unwrap();
+        let rule = RoundRobin {
+            shard: 1,
+            shards: 4,
+        };
+        let (loaded, got) = NnCellIndex::load_shard(&vfs, v3, rule).unwrap();
+        assert_eq!(got, ids, "the stored column wins over the rule");
+        assert!(loaded.rows().eq(idx.rows()));
+        assert!(!loaded.is_live(4));
+        let (_, got) = NnCellIndex::load_shard(&vfs, v2, rule).unwrap();
+        assert_eq!(got, (0..30).map(|l| 4 * l + 1).collect::<Vec<_>>());
+        // A plain load reads a shard file as an index of its slots.
+        let plain = NnCellIndex::load_with_vfs(&vfs, v3).unwrap();
+        assert!(plain.rows().eq(idx.rows()));
+        // The id column is checksummed like every other byte.
+        let bytes = vfs.read(v3).unwrap();
+        assert_eq!(bytes.len(), 8 + 32 + 8 + 30 * (1 + 8 * 2) + 30 * 8 + 4);
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() - 20] ^= 1;
+        write_atomic(&vfs, v3, &flipped).unwrap();
+        assert!(matches!(
+            NnCellIndex::load_shard(&vfs, v3, rule),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

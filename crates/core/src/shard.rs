@@ -3,24 +3,44 @@
 //!
 //! # Partitioning and exactness
 //!
-//! Points are partitioned **round-robin** by global id: global id `g`
-//! lives in shard `g % S` at local id `g / S` (so `global = local·S +
-//! shard`, a bijection). A k-NN query is **one** search over the whole
-//! index: a [`QueryEngine`] over the forest of every shard's point tree
-//! runs one MINDIST-ordered best-first traversal through one queue and
-//! feeds one running k-best keyed by `(distance, global id)`. The bound
-//! that prunes every shard is the global k-th distance, so no point that
-//! could tie or beat it is skipped in any shard, and ties break by global
-//! id exactly as in the unsharded ranking. Each shard's tail inserts seed
+//! Each shard owns a region of space. The build splits the validated
+//! points by S − 1 recursive median planes, each on the widest dimension
+//! of the points it splits (a kd split; ties on the plane break by global
+//! id), so the shards' trees barely overlap and the forest reads like one
+//! tree with a kd top level. Global ids stay input positions and then ack
+//! order: a shard keeps the global id of each of its slots in an id
+//! column, published with its index, and takes its slots in ascending
+//! global-id order. An insert goes to the shard whose published point
+//! tree has the root entry nearest to the point by MINDIST (0 when the
+//! point lies inside one; a leaf root counts as the box of its points),
+//! ties to the shard with the fewest live points, then the lowest index.
+//! The rule stores no planes, so it works the same on empty shards and on
+//! the round-robin layouts older releases wrote (global id `g` in shard
+//! `g % S` at slot `g / S`), which still open as they are.
+//!
+//! A k-NN query is **one** search over the whole index: a [`QueryEngine`]
+//! over the forest of every shard's point tree runs one MINDIST-ordered
+//! best-first traversal through one queue and feeds one running k-best
+//! keyed by `(distance, global id)`. The bound that prunes every shard is
+//! the global k-th distance, so no point that could tie or beat it is
+//! skipped in any shard, wherever it lives, and ties break by global id
+//! exactly as in the unsharded ranking. Each shard's tail inserts seed
 //! the k-best and its tombstones filter its own points. A radius query
-//! maps each shard's hits to global ids and sorts the union once. `DESIGN.md`
-//! §12.1 has the exactness argument.
+//! maps each shard's hits to global ids and sorts the union once.
+//! `DESIGN.md` §12.1 has the exactness argument.
+//!
+//! The routing rule cannot rebalance: skewed inserts grow one shard (the
+//! per-shard `nncell_live_points` gauge shows it). Nor does it make
+//! regions: an index grown from empty has empty trees until a fold and
+//! then root boxes that each cover the whole space, so every shard ties
+//! and its inserts are dealt round the shards. Only a build splits by
+//! space.
 //!
 //! # Concurrency: one published read state, journaled memtable
 //!
 //! The index publishes one read state in a [`SnapshotCell`]: for every
-//! shard, its index `Arc` and the view of its unfolded memtable tail
-//! (another `Arc`). Readers ([`ShardedIndex::query`] /
+//! shard, its index `Arc`, its id column and the view of its unfolded
+//! memtable tail (another `Arc`). Readers ([`ShardedIndex::query`] /
 //! [`ShardedIndex::batch`], `&self`) load it once — one lock, one `Arc`
 //! clone — and run entirely on it. Writers ([`ShardedIndex::insert`] /
 //! [`ShardedIndex::remove`], also `&self`) serialize on one writer mutex,
@@ -61,9 +81,13 @@
 //! `write_atomic` tmp+fsync+rename path); each shard directory keeps its
 //! own generation machinery (see [`crate::durable`]), so crash recovery is
 //! per-shard WAL replay.
-//! Round-robin assignment makes the global id watermark recoverable:
-//! acknowledged inserts are a prefix of the global id sequence, so
-//! `next_global` is the sum of per-shard slot counts.
+//!
+//! Every shard file carries its id column (`NNCELL03`) and every insert
+//! record its global id, so recovery rebuilds each shard's ids as it
+//! rebuilds its points. A file or record of an older release has none and
+//! takes the round-robin rule. Every assigned id occupies one slot, so the
+//! slots of all shards carry exactly the ids `0..n` (checked on open) and
+//! the next insert gets `n`.
 
 use crate::config::BuildConfig;
 use crate::durable::{DurableError, RecoveryReport, ShardLog};
@@ -72,7 +96,7 @@ use crate::engine::{available_threads, QueryEngine, QueryScratch, Shard};
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp};
 use crate::metrics::{EngineMetrics, FoldMetrics, ShardedMetrics};
-use crate::persist::PersistError;
+use crate::persist::{PersistError, RoundRobin};
 use crate::query::{Query, QueryError, QueryResponse};
 use crate::snapshot::SnapshotCell;
 use crate::vfs::{write_atomic, StdVfs, Vfs};
@@ -117,9 +141,12 @@ const DURABLE_MAGIC: &str = "sharded";
 struct Writer {
     /// One log per shard when the index is durable, none otherwise.
     logs: Vec<ShardLog>,
-    /// The next unassigned global id. Round-robin: acknowledged ids are
-    /// exactly `0..next_global`.
+    /// The next unassigned global id: acknowledged ids are exactly
+    /// `0..next_global`, each in one slot of one shard.
     next_global: usize,
+    /// Each shard's slot count, unfolded inserts included: the slot its
+    /// next insert takes.
+    slots: Vec<usize>,
     /// Each shard's unfolded operations in ack order.
     tails: Vec<Memtable>,
     /// The insert duplicate probe's traversal scratch, kept warm across
@@ -277,9 +304,9 @@ impl ShardedIndex {
 
     /// Builds a sharded index over `points`: one global input validation
     /// (identical to [`NnCellIndex::build`], including
-    /// [`crate::InputPolicy`] handling and error ids), round-robin
-    /// partitioning of the validated rows, then one STR bulk load per
-    /// shard — each running in its own thread.
+    /// [`crate::InputPolicy`] handling and error ids), a kd split of the
+    /// validated rows into one region per shard (see the module docs),
+    /// then one STR bulk load per shard — each running in its own thread.
     ///
     /// # Errors
     /// The same [`BuildError`] contract as the unsharded build, with ids
@@ -293,20 +320,19 @@ impl ShardedIndex {
         let start = Instant::now();
         let (rows, skipped) = validate_build_inputs(points, dim, cfg.input_policy)?;
         let next_global = rows.len() / dim;
-        let mut parts: Vec<Vec<f64>> = (0..shards)
-            .map(|_| Vec::with_capacity((next_global / shards + 1) * dim))
-            .collect();
-        for (g, row) in rows.chunks_exact(dim).enumerate() {
-            parts[g % shards].extend_from_slice(row);
-        }
-        let indexes: Vec<NnCellIndex<Euclidean>> = std::thread::scope(|s| {
+        let parts = kd_split(&rows, dim, shards);
+        drop(rows);
+        let built: Vec<(NnCellIndex<Euclidean>, Vec<usize>)> = std::thread::scope(|s| {
             let handles: Vec<_> = parts
                 .into_iter()
-                .map(|part| {
+                .map(|(part, ids)| {
                     let cfg = cfg.clone();
                     s.spawn(move || {
-                        let alive = vec![true; part.len() / dim];
-                        NnCellIndex::from_rows(dim, cfg, Euclidean, part, alive)
+                        let alive = vec![true; ids.len()];
+                        (
+                            NnCellIndex::from_rows(dim, cfg, Euclidean, part, alive),
+                            ids,
+                        )
                     })
                 })
                 .collect();
@@ -318,7 +344,7 @@ impl ShardedIndex {
         Ok(Self::assemble(
             dim,
             cfg,
-            indexes,
+            built,
             Vec::new(),
             next_global,
             start.elapsed().as_secs_f64(),
@@ -330,34 +356,36 @@ impl ShardedIndex {
     /// [`Self::insert`].
     pub fn new(dim: usize, shards: usize, cfg: BuildConfig) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        let indexes = (0..shards)
-            .map(|_| NnCellIndex::new(dim, cfg.clone()))
+        let empty = (0..shards)
+            .map(|_| (NnCellIndex::new(dim, cfg.clone()), Vec::new()))
             .collect();
-        Self::assemble(dim, cfg, indexes, Vec::new(), 0, 0.0, 0)
+        Self::assemble(dim, cfg, empty, Vec::new(), 0, 0.0, 0)
     }
 
-    /// Publishes each shard index, with an empty tail, as the first read
-    /// state (moved, not copied). `logs` holds one log per shard for a
-    /// durable index and is empty otherwise; the recovery reports come
-    /// from the logs. The memtable starts empty with the default
-    /// [`FoldConfig`].
+    /// Publishes each shard index and its id column, with an empty tail,
+    /// as the first read state (moved, not copied). `logs` holds one log
+    /// per shard for a durable index and is empty otherwise; the recovery
+    /// reports come from the logs. The memtable starts empty with the
+    /// default [`FoldConfig`].
     fn assemble(
         dim: usize,
         cfg: BuildConfig,
-        indexes: Vec<NnCellIndex<Euclidean>>,
+        shards: Vec<(NnCellIndex<Euclidean>, Vec<usize>)>,
         logs: Vec<ShardLog>,
         next_global: usize,
         build_seconds: f64,
         skipped_points: usize,
     ) -> Self {
-        let shards = indexes.len();
-        let state = indexes
+        let slots = shards.iter().map(|(_, ids)| ids.len()).collect();
+        let state: Vec<Shard> = shards
             .into_iter()
-            .map(|idx| Shard {
+            .map(|(idx, ids)| Shard {
                 index: Arc::new(idx),
+                ids: Arc::new(ids),
                 tail: Arc::default(),
             })
             .collect();
+        let shards = state.len();
         Self {
             dim,
             cfg,
@@ -367,6 +395,7 @@ impl ShardedIndex {
             writer: Mutex::new(Writer {
                 logs,
                 next_global,
+                slots,
                 tails: (0..shards).map(|_| Memtable::default()).collect(),
                 probe: BestFirstScratch::new(),
             }),
@@ -377,15 +406,17 @@ impl ShardedIndex {
         }
     }
 
-    /// Wraps shards opened from disk: they must agree on dimensionality,
-    /// and the global id watermark is the sum of their slot counts.
+    /// Wraps shards opened from disk, each with its id column: they must
+    /// agree on dimensionality, and their slots must carry the global ids
+    /// `0..n` once each, ascending within a shard; the next insert then
+    /// gets `n`.
     fn from_shards(
-        indexes: Vec<NnCellIndex<Euclidean>>,
+        shards: Vec<(NnCellIndex<Euclidean>, Vec<usize>)>,
         logs: Vec<ShardLog>,
     ) -> Result<Self, PersistError> {
-        let (dim, cfg) = check_shard_agreement(&indexes)?;
-        let next_global = indexes.iter().map(|idx| idx.rows().len()).sum();
-        Ok(Self::assemble(dim, cfg, indexes, logs, next_global, 0.0, 0))
+        let (dim, cfg) = check_shard_agreement(&shards)?;
+        let next_global = check_ids(&shards)?;
+        Ok(Self::assemble(dim, cfg, shards, logs, next_global, 0.0, 0))
     }
 
     /// Replaces the memtable's [`FoldConfig`] (high-watermark, folder
@@ -468,14 +499,7 @@ impl ShardedIndex {
     /// indexes plus the unfolded tails (every acked write is in the
     /// published state before it is acknowledged).
     pub fn len(&self) -> usize {
-        self.state
-            .load()
-            .iter()
-            .map(|s| {
-                let dead = s.tail.removed.iter().filter(|&&l| s.index.is_live(l));
-                s.index.len() + s.tail.inserts.len() - dead.count()
-            })
-            .sum()
+        self.state.load().iter().map(live_points).sum()
     }
 
     /// Whether no shard holds a live point.
@@ -491,11 +515,21 @@ impl ShardedIndex {
     /// The current published index of shard `i` (a stable read-only
     /// view; concurrent folds publish new versions without affecting it).
     /// Writes still in the memtable tail are not in it until they fold.
+    /// Its slots are local ids; [`Self::locate`] maps a global id to one.
     ///
     /// # Panics
     /// Panics if `i >= num_shards()`.
     pub fn shard(&self, i: usize) -> Arc<NnCellIndex<Euclidean>> {
         Arc::clone(&self.state.load()[i].index)
+    }
+
+    /// Where global id `global` lives: its shard and the local slot it
+    /// holds there, as of the current published state. `Some` for an id
+    /// in a shard's published index, live or removed, and for a live
+    /// insert still in a memtable tail (its slot once folded); `None`
+    /// for an id never assigned or inserted and removed before a fold.
+    pub fn locate(&self, global: usize) -> Option<(usize, usize)> {
+        locate_in(&self.state.load(), global)
     }
 
     /// Aggregated construction counters: `seconds` is the wall clock of the
@@ -607,21 +641,6 @@ impl ShardedIndex {
     }
 
     // ------------------------------------------------------------------
-    // id mapping
-    // ------------------------------------------------------------------
-
-    /// `(shard, local id)` of a global id.
-    fn locate(&self, global: usize) -> (usize, usize) {
-        let s = self.num_shards();
-        (global % s, global / s)
-    }
-
-    /// Global id of `(shard, local id)`.
-    fn global_of(&self, shard: usize, local: usize) -> usize {
-        local * self.num_shards() + shard
-    }
-
-    // ------------------------------------------------------------------
     // queries
     // ------------------------------------------------------------------
 
@@ -706,7 +725,8 @@ impl ShardedIndex {
 
     /// Inserts a point: assign the next global id, validate (including a
     /// cross-shard exact-duplicate check against indexes *and* tails),
-    /// check backpressure, journal (durable mode) and push onto the owning
+    /// route it to a shard (the nearest root entry; see the module docs),
+    /// check backpressure, journal (durable mode) and push onto that
     /// shard's memtable tail. Returns the global id. No point-tree update,
     /// no index clone — the writer-lock hold is O(log n) (the duplicate
     /// probe) plus an O(1) push, so ack latency is independent of index
@@ -717,43 +737,63 @@ impl ShardedIndex {
     /// [`DurableError::Invalid`] with the same [`BuildError`] variants an
     /// unsharded insert rejects (ids are global);
     /// [`DurableError::Persist`] when a durable shard's journal write
-    /// fails; [`DurableError::Backpressure`] when the memtable tail is at
-    /// its high-watermark — nothing is journaled or acked in any case.
+    /// fails, and for every insert after that until [`Self::checkpoint`]
+    /// rotates the failed journal; [`DurableError::Backpressure`] when the
+    /// memtable tail is at its high-watermark — nothing is journaled or
+    /// acked in any case.
     pub fn insert(&self, p: Point) -> Result<usize, DurableError> {
         let mut w = self.lock_writer();
         let g = w.next_global;
-        {
+        let shard = {
             // The state changes only under the writer lock, so this load
             // is current; it is dropped before the push, which then
             // changes the state in place unless a reader holds it.
             let state = self.state.load();
             validate_point(&p, g, self.dim, state[0].index.space())
                 .map_err(DurableError::Invalid)?;
-            for (si, s) in state.iter().enumerate() {
+            for s in state.iter() {
                 // An indexed duplicate tombstoned in the tail is dead.
                 let dup = s
                     .index
                     .find_live_duplicate(&p, &mut w.probe)
                     .filter(|&local| !s.tail.is_removed(local))
+                    .map(|local| s.ids[local])
                     .or_else(|| s.tail.find_live_duplicate(&p));
-                if let Some(local) = dup {
+                if let Some(of) = dup {
                     return Err(DurableError::Invalid(BuildError::DuplicatePoint {
                         id: g,
-                        of: self.global_of(si, local),
+                        of,
                     }));
                 }
             }
-        }
+            route(&state, p.as_slice())
+        };
         self.tail.admit(self.fold_metrics())?;
-        let (shard, local) = self.locate(g);
+        // A failed append may leave its record, id `g` included, in that
+        // shard's journal, where a restart replays it. Until a checkpoint
+        // rotates the record out, `g` must not be acked in another shard,
+        // so every insert waits for every shard's log.
+        for log in &w.logs {
+            log.check_writable()?;
+        }
         if let Some(log) = w.logs.get_mut(shard) {
             // Journal-first: the fsync happens here, before the ack. A
             // failure leaves the tail untouched.
-            log.journal(&WalRecord::Insert(p.clone()))?;
+            log.journal(&WalRecord::InsertAt {
+                id: g as u64,
+                point: p.clone(),
+            })?;
         }
-        self.push(&mut w, shard, TailOp::Insert { local, point: p });
+        let local = w.slots[shard];
+        let op = TailOp::Insert {
+            local,
+            global: g,
+            point: p,
+        };
+        self.push(&mut w, shard, op);
+        w.slots[shard] += 1;
         w.next_global += 1;
-        Ok(self.global_of(shard, local))
+        Ok(g)
     }
 
     /// Removes the point with global id `global`. Returns `false` when no
@@ -767,14 +807,15 @@ impl ShardedIndex {
     /// nothing applied on error.
     pub fn remove(&self, global: usize) -> Result<bool, DurableError> {
         let mut w = self.lock_writer();
-        if global >= w.next_global {
-            return Ok(false);
-        }
-        let (shard, local) = self.locate(global);
-        let live = {
+        let (shard, local, live) = {
             let state = self.state.load();
+            let Some((shard, local)) = locate_in(&state, global) else {
+                return Ok(false);
+            };
             let s = &state[shard];
-            (s.index.is_live(local) && !s.tail.is_removed(local)) || s.tail.has_live_insert(local)
+            let live = (s.index.is_live(local) && !s.tail.is_removed(local))
+                || s.tail.has_live_insert(local);
+            (shard, local, live)
         };
         if !live {
             return Ok(false);
@@ -821,11 +862,11 @@ impl ShardedIndex {
     }
 
     /// Folds one shard's tail: freeze the batch, deep-clone the published
-    /// index (the fold's only copy), re-apply the batch in ack order
-    /// off-lock (under `catch_unwind` — a panicking fold, injected or
-    /// organic, keeps the batch for retry and never corrupts the index),
-    /// then publish the result and the tail view left after it in one
-    /// update under the writer lock. Folding performs **zero**
+    /// index (the fold's only copy) and its id column, re-apply the batch
+    /// in ack order off-lock (under `catch_unwind` — a panicking fold,
+    /// injected or organic, keeps the batch for retry and never corrupts
+    /// the index), then publish the result and the tail view left after
+    /// it in one update under the writer lock. Folding performs **zero**
     /// syscalls: the WAL already holds every record, so crash recovery
     /// never depends on fold progress and a fold can never double-apply
     /// into durable state. Callers hold the fold lock.
@@ -845,36 +886,47 @@ impl ShardedIndex {
         // the clone below is of the index the frozen batch was acked
         // against. Cloning off the writer lock keeps writes flowing during
         // the expensive apply.
-        let base = Arc::clone(&self.state.load()[shard].index);
+        let base = self.state.load()[shard].clone();
         let chaos = ts.cfg.fault_fold_panic.clone();
         let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             assert!(
                 !chaos.as_ref().is_some_and(|f| f.load(Ordering::Acquire)),
                 "injected fold fault"
             );
-            let mut idx = (*base).clone();
+            let inserts = batch
+                .iter()
+                .filter(|op| matches!(op, TailOp::Insert { .. }))
+                .count();
+            let mut idx = (*base.index).clone();
+            idx.reserve_slots(inserts);
+            let mut ids = Vec::with_capacity(base.ids.len() + inserts);
+            ids.extend_from_slice(&base.ids);
             for op in &batch {
                 match op {
-                    TailOp::Insert { local, point } => {
-                        // Re-applying a journaled op in ack order against
-                        // exactly the state it was validated on must
-                        // succeed; a failure here is a logic bug, and
+                    TailOp::Insert {
+                        local,
+                        global,
+                        point,
+                    } => {
+                        // The ack validated the insert against exactly the
+                        // state it is re-applied to here, in ack order, so
+                        // it runs no second duplicate probe. A slot that
+                        // differs from the ack-time one is a logic bug;
                         // surfacing it as a caught panic degrades service
                         // instead of corrupting the index.
-                        let got = idx.insert(point.clone()).unwrap_or_else(|e| {
-                            panic!("fold re-apply of acked insert failed: {e}")
-                        });
+                        let got = idx.insert_validated(point.as_slice());
                         assert_eq!(got, *local, "fold slot diverged from ack-time slot");
+                        ids.push(*global);
                     }
                     TailOp::Remove { local } => {
                         idx.remove(*local);
                     }
                 }
             }
-            idx
+            (idx, ids)
         }));
-        let folded = match folded {
-            Ok(idx) => idx,
+        let (folded, ids) = match folded {
+            Ok(done) => done,
             Err(_) => {
                 ts.record_failure(self.fold_metrics());
                 return Err(FoldError::Panicked { shard });
@@ -890,9 +942,9 @@ impl ShardedIndex {
             if let Some(m) = self.metrics.get() {
                 m.live_points[shard].set(folded.len() as i64);
             }
-            let index = Arc::new(folded);
+            let (index, ids) = (Arc::new(folded), Arc::new(ids));
             self.state
-                .update(|state| state[shard] = Shard { index, tail });
+                .update(|state| state[shard] = Shard { index, ids, tail });
             ts.sub_depth(records, self.fold_metrics());
         }
         ts.record_success(records, start.elapsed(), self.fold_metrics());
@@ -984,7 +1036,7 @@ impl ShardedIndex {
         for (i, shard) in self.state.load().iter().enumerate() {
             shard
                 .index
-                .save_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell")))?;
+                .save_shard(&shard.ids, vfs, &dir.join(format!("shard-{i}.nncell")))?;
         }
         // Manifest last: a crash mid-save leaves either the old manifest
         // (old index intact) or no manifest (load fails typed), never a
@@ -1012,10 +1064,13 @@ impl ShardedIndex {
     /// See [`Self::load`].
     pub fn load_with_vfs(vfs: &dyn Vfs, dir: &Path) -> Result<Self, PersistError> {
         let shards = read_manifest(vfs, &dir.join(PLAIN_MANIFEST), PLAIN_MAGIC)?;
-        let indexes = (0..shards)
-            .map(|i| NnCellIndex::load_with_vfs(vfs, &dir.join(format!("shard-{i}.nncell"))))
+        let loaded = (0..shards)
+            .map(|shard| {
+                let path = dir.join(format!("shard-{shard}.nncell"));
+                NnCellIndex::load_shard(vfs, &path, RoundRobin { shard, shards })
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        Self::from_shards(indexes, Vec::new())
+        Self::from_shards(loaded, Vec::new())
     }
 
     /// Opens any on-disk layout (see the module docs): a single index
@@ -1037,21 +1092,27 @@ impl ShardedIndex {
         }
         let current = path.join(CURRENT);
         if !vfs.exists(&current) {
-            let idx = NnCellIndex::load_with_vfs(vfs.as_ref(), path)?;
-            return Self::from_shards(vec![idx], Vec::new());
+            let one = NnCellIndex::load_shard(vfs.as_ref(), path, RoundRobin::ONE)?;
+            return Self::from_shards(vec![one], Vec::new());
         }
         let text = manifest_text(vfs.read(&current)?)?;
         let dirs: Vec<PathBuf> = match parse_manifest(&text, DURABLE_MAGIC) {
             Some(shards) => (0..shards).map(|i| shard_dir(path, i)).collect(),
             None => vec![path.to_path_buf()],
         };
-        let (logs, indexes) = dirs
+        let shards = dirs.len();
+        let (logs, loaded) = dirs
             .iter()
-            .map(|d| ShardLog::open(Arc::clone(&vfs), d))
-            .collect::<Result<Vec<_>, _>>()?
+            .enumerate()
+            .map(|(shard, d)| {
+                let (log, index, ids) =
+                    ShardLog::open(Arc::clone(&vfs), d, RoundRobin { shard, shards })?;
+                Ok((log, (index, ids)))
+            })
+            .collect::<Result<Vec<_>, PersistError>>()?
             .into_iter()
             .unzip();
-        Self::from_shards(indexes, logs)
+        Self::from_shards(loaded, logs)
     }
 
     /// Opens (or initializes) a crash-consistent sharded index: a
@@ -1102,14 +1163,18 @@ impl ShardedIndex {
                 format!("{DURABLE_MAGIC} {shards}\n").as_bytes(),
             )?;
         }
-        let (logs, indexes) = (0..shards)
-            .map(|i| {
-                ShardLog::open_or_create(Arc::clone(&vfs), &shard_dir(dir, i), dim, cfg.clone())
+        let (logs, loaded) = (0..shards)
+            .map(|shard| {
+                let rule = RoundRobin { shard, shards };
+                let d = shard_dir(dir, shard);
+                let (log, index, ids) =
+                    ShardLog::open_or_create(Arc::clone(&vfs), &d, dim, cfg.clone(), rule)?;
+                Ok((log, (index, ids)))
             })
-            .collect::<Result<Vec<_>, _>>()?
+            .collect::<Result<Vec<_>, PersistError>>()?
             .into_iter()
             .unzip();
-        Self::from_shards(indexes, logs)
+        Self::from_shards(loaded, logs)
     }
 
     /// Converts an in-memory sharded index into a crash-consistent one:
@@ -1152,7 +1217,14 @@ impl ShardedIndex {
             .load()
             .iter()
             .enumerate()
-            .map(|(i, shard)| ShardLog::create(Arc::clone(&vfs), &shard_dir(dir, i), &shard.index))
+            .map(|(i, shard)| {
+                ShardLog::create(
+                    Arc::clone(&vfs),
+                    &shard_dir(dir, i),
+                    &shard.index,
+                    &shard.ids,
+                )
+            })
             .collect::<Result<Vec<_>, _>>()?;
         // Manifest last, as in save(): a crash mid-conversion leaves no
         // CURRENT, so the half-written directory fails typed on open.
@@ -1192,7 +1264,7 @@ impl ShardedIndex {
         let Writer { logs, tails, .. } = &mut *w;
         let state = self.state.load();
         for ((log, tail), shard) in logs.iter_mut().zip(tails.iter()).zip(state.iter()) {
-            log.checkpoint_with_tail(&shard.index, &tail.wal_records())?;
+            log.checkpoint_with_tail(&shard.index, &shard.ids, &tail.wal_records())?;
         }
         Ok(())
     }
@@ -1243,13 +1315,13 @@ fn read_manifest(vfs: &dyn Vfs, path: &Path, magic: &str) -> Result<usize, Persi
 /// Every shard must agree on dimensionality and configuration; returns
 /// the common `(dim, cfg)`.
 fn check_shard_agreement(
-    indexes: &[NnCellIndex<Euclidean>],
+    shards: &[(NnCellIndex<Euclidean>, Vec<usize>)],
 ) -> Result<(usize, BuildConfig), PersistError> {
-    let first = indexes
+    let (first, _) = shards
         .first()
         .ok_or_else(|| PersistError::Corrupt("sharded manifest names zero shards".into()))?;
     let dim = first.dim();
-    for (i, idx) in indexes.iter().enumerate().skip(1) {
+    for (i, (idx, _)) in shards.iter().enumerate().skip(1) {
         if idx.dim() != dim {
             return Err(PersistError::Corrupt(format!(
                 "shard {i} is {}-dimensional, shard 0 is {dim}-dimensional",
@@ -1258,4 +1330,187 @@ fn check_shard_agreement(
         }
     }
     Ok((dim, first.config().clone()))
+}
+
+/// The shards' slots must carry the global ids `0..n` once each,
+/// ascending within a shard (the order `locate` searches and slots are
+/// assigned in); returns `n`, the next id to assign.
+fn check_ids(shards: &[(NnCellIndex<Euclidean>, Vec<usize>)]) -> Result<usize, PersistError> {
+    let n: usize = shards.iter().map(|(_, ids)| ids.len()).sum();
+    let mut seen = vec![false; n];
+    for (i, (_, ids)) in shards.iter().enumerate() {
+        for (l, &g) in ids.iter().enumerate() {
+            let ascending = l == 0 || ids[l - 1] < g;
+            if !ascending || g >= n || std::mem::replace(&mut seen[g], true) {
+                return Err(PersistError::Corrupt(format!(
+                    "shard {i} slot {l} holds global id {g}: the {n} slots of all shards must \
+                     carry the ids 0..{n} once each, ascending within a shard"
+                )));
+            }
+        }
+    }
+    Ok(n)
+}
+
+/// Live points of one shard: its index's, plus its tail's live inserts,
+/// minus the indexed points its tail tombstones.
+fn live_points(s: &Shard) -> usize {
+    let dead = s.tail.removed.iter().filter(|&&l| s.index.is_live(l));
+    s.index.len() + s.tail.inserts.len() - dead.count()
+}
+
+/// `(shard, local slot)` of global id `global` in a published state: a
+/// binary search of each shard's id column, then of its tail's live
+/// inserts (both ascend by global id).
+fn locate_in(state: &[Shard], global: usize) -> Option<(usize, usize)> {
+    state.iter().enumerate().find_map(|(i, s)| {
+        let local = s.ids.binary_search(&global).ok();
+        Some((i, local.or_else(|| s.tail.slot_of(global))?))
+    })
+}
+
+/// The shard an insert of `p` goes to: the one whose published point tree
+/// has the root entry nearest to `p` by MINDIST (0 when `p` lies inside
+/// one, ∞ for an empty tree), ties to the fewest live points, then the
+/// lowest index. It reads the published trees only, allocates nothing and
+/// never affects an answer: the forest traversal prunes every shard by
+/// the same global bound.
+fn route(state: &[Shard], p: &[f64]) -> usize {
+    if state.len() == 1 {
+        return 0;
+    }
+    let dist = |s: &Shard| s.index.point_tree().root_min_dist_sq(p);
+    let mut best = (0, dist(&state[0]));
+    for (i, s) in state.iter().enumerate().skip(1) {
+        let d = dist(s);
+        if d < best.1 || (d == best.1 && live_points(s) < live_points(&state[best.0])) {
+            best = (i, d);
+        }
+    }
+    best.0
+}
+
+/// Deals the validated rows (row `g` is global id `g`) to `shards` shards
+/// by a kd split: S − 1 recursive median planes, each on the widest
+/// dimension of the rows it splits. Returns each shard's rows and their
+/// global ids, ascending.
+fn kd_split(rows: &[f64], dim: usize, shards: usize) -> Vec<(Vec<f64>, Vec<usize>)> {
+    let n = rows.len() / dim;
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut owner = vec![0usize; n];
+    split(rows, dim, &mut order, 0, shards, &mut owner);
+    let mut parts: Vec<(Vec<f64>, Vec<usize>)> = (0..shards)
+        .map(|_| {
+            (
+                Vec::with_capacity((n / shards + 1) * dim),
+                Vec::with_capacity(n / shards + 1),
+            )
+        })
+        .collect();
+    for (g, row) in rows.chunks_exact(dim).enumerate() {
+        let (part, ids) = &mut parts[owner[g]];
+        part.extend_from_slice(row);
+        ids.push(g);
+    }
+    parts
+}
+
+/// Assigns the rows `ids` to the `shards` shards numbered from `first`:
+/// the plane at rank `len · ⌊S/2⌋ / S` on the widest dimension sends the
+/// lower rows (by coordinate, ties by global id) to the first `⌊S/2⌋`
+/// shards and the rest to the others. A selection, not a sort: O(n·d)
+/// per level.
+fn split(
+    rows: &[f64],
+    dim: usize,
+    ids: &mut [usize],
+    first: usize,
+    shards: usize,
+    owner: &mut [usize],
+) {
+    if shards == 1 {
+        for &g in ids.iter() {
+            owner[g] = first;
+        }
+        return;
+    }
+    let left = shards / 2;
+    let at = ids.len() * left / shards;
+    if at > 0 {
+        let axis = widest_axis(rows, dim, ids);
+        let key = |g: usize| rows[g * dim + axis];
+        ids.select_nth_unstable_by(at, |&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
+    }
+    let (lo, hi) = ids.split_at_mut(at);
+    split(rows, dim, lo, first, left, owner);
+    split(rows, dim, hi, first + left, shards - left, owner);
+}
+
+/// The dimension along which the rows `ids` spread widest (the lowest
+/// such dimension on a tie).
+fn widest_axis(rows: &[f64], dim: usize, ids: &[usize]) -> usize {
+    let mut lo = vec![f64::INFINITY; dim];
+    let mut hi = vec![f64::NEG_INFINITY; dim];
+    for &g in ids {
+        for (j, &c) in rows[g * dim..(g + 1) * dim].iter().enumerate() {
+            lo[j] = lo[j].min(c);
+            hi[j] = hi[j].max(c);
+        }
+    }
+    let mut best = 0;
+    for j in 1..dim {
+        if hi[j] - lo[j] > hi[best] - lo[best] {
+            best = j;
+        }
+    }
+    best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Inserts into a built index keep its kd regions: a point goes to the
+    /// shard whose rows' bounding box holds it. Dealing inserts by live
+    /// count would send three in four of them elsewhere at S = 4.
+    #[test]
+    fn inserts_route_to_the_shard_whose_region_holds_them() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut pt = move || Point::new(vec![rng.gen::<f64>(), rng.gen::<f64>()]);
+        let idx = ShardedIndex::build((0..2000).map(|_| pt()).collect(), 4, BuildConfig::default())
+            .unwrap();
+        let boxes: Vec<Vec<(f64, f64)>> = (0..4)
+            .map(|i| {
+                let h = idx.shard(i);
+                (0..2)
+                    .map(|j| {
+                        h.rows().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
+                            (lo.min(r[j]), hi.max(r[j]))
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let (mut held, mut kept) = (0, 0);
+        for i in 0..600 {
+            let p = pt();
+            let holders: Vec<usize> = (0..4)
+                .filter(|&s| {
+                    (boxes[s].iter().zip(p.as_slice())).all(|(&(lo, hi), &x)| lo <= x && x <= hi)
+                })
+                .collect();
+            let g = idx.insert(p).unwrap();
+            if let [only] = holders[..] {
+                held += 1;
+                kept += usize::from(idx.locate(g).unwrap().0 == only);
+            }
+            if i % 100 == 99 {
+                idx.flush().unwrap();
+            }
+        }
+        assert!(held > 500, "{held} of 600 points lie in exactly one region");
+        assert!(kept * 100 >= held * 95, "{kept} of {held} points kept their region");
+    }
 }

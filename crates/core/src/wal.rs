@@ -13,8 +13,12 @@
 //! ```
 //!
 //! where `crc` is CRC32 (IEEE) over the payload. Payloads are typed by
-//! their first byte: `1` = insert (`dim: u32`, then `dim` little-endian
-//! `f64` coordinates), `2` = remove (`id: u64`).
+//! their first byte: `3` = insert under a global id (`id: u64`, `dim:
+//! u32`, then `dim` little-endian `f64` coordinates), `2` = remove (the
+//! shard-local slot, `id: u64`). Type `1` is the insert older releases
+//! wrote (`dim: u32` and the coordinates, no id; the global id follows
+//! from the round-robin rule of their layouts): it is still replayed,
+//! never written.
 //!
 //! **Recovery** ([`read_wal`]) is *prefix replay*: records are decoded in
 //! order until the first frame that is truncated (a torn final append) or
@@ -45,26 +49,48 @@ const MAX_RECORD_LEN: usize = 1 + 4 + 8 * (1 << 16) + 64;
 /// One journaled update.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
-    /// A point insertion (the id is implied by replay order).
+    /// A point insertion as older releases journaled it: its slot is
+    /// implied by replay order and its global id by the round-robin rule
+    /// of their layouts. Recovery replays it; the index journals
+    /// [`WalRecord::InsertAt`] instead.
     Insert(Point),
-    /// A removal of the point with this id.
+    /// A point insertion under its global id (its slot is implied by
+    /// replay order).
+    InsertAt {
+        /// The point's global id.
+        id: u64,
+        /// The point.
+        point: Point,
+    },
+    /// A removal of the point in this shard-local slot.
     Remove(u64),
 }
 
 const OP_INSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
+const OP_INSERT_AT: u8 = 3;
 
 impl WalRecord {
     /// Serializes the payload (without the frame).
     fn encode(&self) -> Vec<u8> {
+        let put_point = |out: &mut Vec<u8>, p: &Point| {
+            out.extend_from_slice(&(p.dim() as u32).to_le_bytes());
+            for &c in p.as_slice() {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+        };
         match self {
             WalRecord::Insert(p) => {
                 let mut out = Vec::with_capacity(5 + 8 * p.dim());
                 out.push(OP_INSERT);
-                out.extend_from_slice(&(p.dim() as u32).to_le_bytes());
-                for &c in p.as_slice() {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
+                put_point(&mut out, p);
+                out
+            }
+            WalRecord::InsertAt { id, point } => {
+                let mut out = Vec::with_capacity(13 + 8 * point.dim());
+                out.push(OP_INSERT_AT);
+                out.extend_from_slice(&id.to_le_bytes());
+                put_point(&mut out, point);
                 out
             }
             WalRecord::Remove(id) => {
@@ -83,31 +109,40 @@ impl WalRecord {
         let (&op, rest) = payload
             .split_first()
             .ok_or_else(|| corrupt("empty payload"))?;
+        let u64_at =
+            |b: &[u8]| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        // `dim: u32` and the coordinates.
+        let point = |rest: &[u8]| {
+            if rest.len() < 4 {
+                return Err(corrupt("insert record too short for dimensionality"));
+            }
+            let dim = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+            let coords = &rest[4..];
+            if dim == 0 || dim > 1 << 16 || coords.len() != 8 * dim {
+                return Err(corrupt("insert record size disagrees with dimensionality"));
+            }
+            let coords: Vec<f64> = coords
+                .chunks_exact(8)
+                .map(|c| f64::from_bits(u64_at(c)))
+                .collect();
+            Ok(Point::new(coords))
+        };
         match op {
-            OP_INSERT => {
-                if rest.len() < 4 {
-                    return Err(corrupt("insert record too short for dimensionality"));
+            OP_INSERT => Ok(WalRecord::Insert(point(rest)?)),
+            OP_INSERT_AT => {
+                if rest.len() < 8 {
+                    return Err(corrupt("insert record too short for its id"));
                 }
-                let dim = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-                let coords = &rest[4..];
-                if dim == 0 || dim > 1 << 16 || coords.len() != 8 * dim {
-                    return Err(corrupt("insert record size disagrees with dimensionality"));
-                }
-                let coords: Vec<f64> = coords
-                    .chunks_exact(8)
-                    .map(|c| {
-                        f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-                    })
-                    .collect();
-                Ok(WalRecord::Insert(Point::new(coords)))
+                Ok(WalRecord::InsertAt {
+                    id: u64_at(rest),
+                    point: point(&rest[8..])?,
+                })
             }
             OP_REMOVE => {
                 if rest.len() != 8 {
                     return Err(corrupt("remove record has wrong size"));
                 }
-                Ok(WalRecord::Remove(u64::from_le_bytes([
-                    rest[0], rest[1], rest[2], rest[3], rest[4], rest[5], rest[6], rest[7],
-                ])))
+                Ok(WalRecord::Remove(u64_at(rest)))
             }
             other => Err(corrupt(&format!("unknown record type {other}"))),
         }
@@ -300,11 +335,7 @@ impl WalWriter {
     /// request span when the acking thread is inside a sampled trace).
     /// A poisoned writer refuses; a failed write or fsync poisons it.
     fn journal(&mut self, span: &'static str, recs: &[WalRecord]) -> Result<(), PersistError> {
-        if self.poisoned {
-            return Err(PersistError::Corrupt(
-                "WAL writer poisoned by an earlier append failure; checkpoint to rotate".into(),
-            ));
-        }
+        self.check_writable()?;
         let mut span = nncell_obs::trace::child(span);
         let mut frames = Vec::new();
         for rec in recs {
@@ -342,6 +373,17 @@ impl WalWriter {
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
+
+    /// The error a poisoned writer refuses every append with; `Ok` while
+    /// the writer is usable.
+    pub(crate) fn check_writable(&self) -> Result<(), PersistError> {
+        if self.poisoned {
+            return Err(PersistError::Corrupt(
+                "WAL writer poisoned by an earlier append failure; checkpoint to rotate".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -358,7 +400,10 @@ mod tests {
         vec![
             WalRecord::Insert(Point::new(vec![0.25, 0.75])),
             WalRecord::Remove(0),
-            WalRecord::Insert(Point::new(vec![0.5, 0.125])),
+            WalRecord::InsertAt {
+                id: 7,
+                point: Point::new(vec![0.5, 0.125]),
+            },
             WalRecord::Insert(Point::new(vec![0.875, 0.625])),
             WalRecord::Remove(2),
         ]

@@ -20,7 +20,9 @@
 //!
 //! A third pins the fold's copy count by bytes: folding a one-record
 //! batch allocates less than 1.5 clones of the shard's index, because
-//! the published snapshot is the shard's only copy. A fourth pins the
+//! the published snapshot is the shard's only copy. Its twin pins a
+//! 64-record fold by count: the fold re-applies acked inserts without a
+//! second duplicate probe. A fourth pins the
 //! clone itself by count: the coordinates are one flat buffer, so cloning
 //! a shard allocates per tree page, not per point. The last pins build
 //! and load by count: both bulk-load the point tree straight from flat
@@ -338,6 +340,41 @@ fn a_fold_clones_the_shard_once() {
     );
 }
 
+#[test]
+fn a_fold_runs_no_duplicate_probe() {
+    // The shard of `a_fold_clones_the_shard_once`: n = 4000, d = 8.
+    let point = |i: usize| {
+        Point::new(
+            (0..8)
+                .map(|j| ((i * (2 * j + 1) * 7919 + j) % 4001) as f64 / 4001.0)
+                .collect::<Vec<_>>(),
+        )
+    };
+    let idx = ShardedIndex::build(
+        (0..4000).map(point).collect(),
+        1,
+        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+    )
+    .unwrap();
+    // Warm-up fold, as above.
+    idx.insert(Point::new(vec![0.5; 8])).unwrap();
+    assert_eq!(idx.fold_once().unwrap(), 1);
+    for i in 0..64 {
+        let p = Point::new(vec![(i as f64 + 0.5) / 64.0; 8]);
+        idx.insert(p).unwrap();
+    }
+    // The clone allocates per tree page and the 64 inserts per split
+    // page: 1028 allocations. Each insert was validated when it was
+    // acked, so the fold runs no duplicate probe; re-running the probe
+    // costs about 5 allocations per record (1426 in all).
+    let allocs = count_allocs(|| {
+        assert_eq!(idx.fold_once().unwrap(), 64);
+    });
+    assert!(
+        allocs <= 1100,
+        "a 64-record fold made {allocs} allocations: is the fold probing for duplicates again?"
+    );
+}
 
 #[test]
 fn a_shard_clone_makes_no_per_point_allocation() {

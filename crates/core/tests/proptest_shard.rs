@@ -115,7 +115,7 @@ proptest! {
             let got = sharded.query(&Query::nn(p.as_slice())).unwrap();
             prop_assert!(got.best.id < g, "pre-insert winner must be an older point");
             let assigned = sharded.insert(p.clone()).unwrap();
-            prop_assert_eq!(assigned, g, "round-robin ids track input positions");
+            prop_assert_eq!(assigned, g, "global ids track input positions");
         }
         assert_no_lp(&sharded);
         let whole = NnCellIndex::build(pts.clone(), cfg).unwrap();
@@ -352,6 +352,31 @@ fn save_load_round_trips_through_a_manifest() {
     // Inserts keep numbering where the save left off.
     assert_eq!(loaded.insert(grid_point(17)).unwrap(), 17);
 
+    // A spatial S = 3 index with an unfolded tail: the save folds it, the
+    // reload keeps every global id in its slot, and the next insert gets
+    // `len`.
+    let tailed = ShardedIndex::build(pts.clone(), 3, cfg.clone()).unwrap();
+    for g in 17..21 {
+        assert_eq!(tailed.insert(grid_point(g)).unwrap(), g);
+    }
+    assert_eq!(tailed.tail_depth(), 4);
+    let placed: Vec<_> = (0..21).map(|g| tailed.locate(g)).collect();
+    assert!(
+        (0..17).any(|g| placed[g].map(|(s, _)| s) != Some(g % 3)),
+        "the build splits by space, not by id"
+    );
+    tailed.save(root.join("tailed")).unwrap();
+    let reloaded = ShardedIndex::load(root.join("tailed")).unwrap();
+    for (g, at) in placed.iter().enumerate() {
+        assert_eq!(reloaded.locate(g), *at, "id {g} keeps its slot");
+        let r = reloaded
+            .query(&Query::nn(grid_point(g).as_slice()))
+            .unwrap();
+        assert_eq!(r.best.id, g, "global id {g} survives the round trip");
+    }
+    let len = reloaded.len();
+    assert_eq!(reloaded.insert(grid_point(21)).unwrap(), len);
+
     // `open` detects all four layouts, each written by its own writer,
     // and every one answers bit-identically to the index that wrote it.
     let whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
@@ -463,6 +488,31 @@ fn durable_shards_recover_acknowledged_updates() {
     // Numbering resumes after the recovered watermark.
     assert_eq!(recovered.insert(grid_point(11)).unwrap(), 11);
     recovered.close().unwrap();
+
+    // A spatial S = 3 build made durable, with inserts left unfolded:
+    // recovery keeps every global id in its slot, and the next insert
+    // gets `len`.
+    let spatial_dir = PathBuf::from("/spatial");
+    let spatial = ShardedIndex::build((0..30).map(grid_point).collect(), 3, cfg())
+        .unwrap()
+        .into_durable_with_vfs(Arc::clone(&vfs), &spatial_dir)
+        .unwrap();
+    for g in 30..36 {
+        assert_eq!(spatial.insert(grid_point(g + 100)).unwrap(), g);
+    }
+    assert_eq!(spatial.tail_depth(), 6);
+    let placed: Vec<_> = (0..36).map(|g| spatial.locate(g)).collect();
+    drop(spatial); // crash: the inserts live only in the shards' WALs
+    let recovered =
+        ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), &spatial_dir, 2, 3, cfg()).unwrap();
+    for (g, at) in placed.iter().enumerate() {
+        assert_eq!(recovered.locate(g), *at, "id {g} keeps its slot");
+        let p = grid_point(if g < 30 { g } else { g + 100 });
+        let r = recovered.query(&Query::nn(p.as_slice())).unwrap();
+        assert_eq!(r.best.id, g, "global id {g} survives recovery");
+    }
+    let len = recovered.len();
+    assert_eq!(recovered.insert(grid_point(200)).unwrap(), len);
 
     // A shard-count mismatch is a typed corruption, not silent resharding.
     match ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), &dir, 2, 4, cfg()) {

@@ -143,6 +143,34 @@ impl Tree {
             .unwrap_or(1)
     }
 
+    /// MINDIST² from `q` to the nearest box of the root node, 0 when `q`
+    /// lies inside one: the root's entry boxes when it is internal, the
+    /// bounding box of its points when it is a point leaf, so trees of
+    /// every height are measured alike. `∞` for an empty tree. Reads only
+    /// the root, allocates nothing and bills no page.
+    pub fn root_min_dist_sq(&self, q: &[f64]) -> f64 {
+        let n = self.node(self.root);
+        if n.is_empty() {
+            return f64::INFINITY;
+        }
+        if !n.stores_points() {
+            return (0..n.len())
+                .map(|i| n.rect(i).min_dist_sq(q))
+                .fold(f64::INFINITY, f64::min);
+        }
+        let mut sum = 0.0;
+        for (j, &x) in q.iter().enumerate() {
+            let (lo, hi) = (0..n.len())
+                .map(|i| n.coord(i, j))
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), c| {
+                    (lo.min(c), hi.max(c))
+                });
+            let gap = (lo - x).max(x - hi).max(0.0);
+            sum += gap * gap;
+        }
+        sum
+    }
+
     /// Accumulated cost counters.
     pub fn stats(&self) -> IoStats {
         self.cost.stats()
@@ -1581,6 +1609,27 @@ mod tests {
         assert!(t.nn_best_first(&[0.5, 0.5]).is_none());
         assert!(t.nn_branch_bound(&[0.5, 0.5]).is_none());
         assert!(t.knn_best_first(&[0.5, 0.5], 3).is_empty());
+    }
+
+    /// A leaf root and an internal root are both measured by box MINDIST:
+    /// 0 anywhere inside the box, not only at a point.
+    #[test]
+    fn root_min_dist_is_box_mindist_at_any_height() {
+        let empty = Tree::new(TreeConfig::xtree(2).with_point_leaves(true));
+        assert_eq!(empty.root_min_dist_sq(&[0.5, 0.5]), f64::INFINITY);
+
+        let leaf = build(SplitPolicy::XTree, &[vec![0.2, 0.2], vec![0.4, 0.6]]);
+        assert_eq!(leaf.height(), 1);
+        assert_eq!(leaf.root_min_dist_sq(&[0.3, 0.4]), 0.0, "between the points");
+        let d = leaf.root_min_dist_sq(&[0.5, 0.1]);
+        assert!((d - (0.1f64.powi(2) + 0.1f64.powi(2))).abs() < 1e-15, "{d}");
+
+        let pts = points(600, 2, 3);
+        let deep = build(SplitPolicy::XTree, &pts);
+        assert!(deep.height() > 1);
+        assert_eq!(deep.root_min_dist_sq(&pts[7]), 0.0);
+        let d = deep.root_min_dist_sq(&[2.0, 0.5]);
+        assert!((1.0..1.21).contains(&d), "{d}");
     }
 
     #[test]

@@ -148,18 +148,20 @@ fn run_sharded_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op], shards: usize
     acked
 }
 
-/// Global live slots of a sharded index. Inserts are strictly
-/// round-robin (global id `g` lives in shard `g % S` at local slot
-/// `g / S`), so the global view reassembles from the per-shard arrays.
+/// Global live slots of a sharded index: slot `g` holds the point with
+/// global id `g`, found in its shard by [`ShardedIndex::locate`]. Every
+/// id below the shards' total slot count must be placed, so the view
+/// also checks that recovery kept the ids dense.
 fn sharded_live_slots(idx: &ShardedIndex) -> Vec<Option<Point>> {
-    let shards = idx.num_shards();
-    let handles: Vec<_> = (0..shards).map(|i| idx.shard(i)).collect();
+    let handles: Vec<_> = (0..idx.num_shards()).map(|i| idx.shard(i)).collect();
     let total: usize = handles.iter().map(|h| h.rows().len()).sum();
     (0..total)
         .map(|g| {
-            let h = &handles[g % shards];
-            let local = g / shards;
-            let row = h.rows().nth(local).expect("slot below the total");
+            let (shard, local) = idx
+                .locate(g)
+                .expect("every id below the slot total is placed");
+            let h = &handles[shard];
+            let row = h.rows().nth(local).expect("a located slot exists");
             h.is_live(local).then(|| Point::new(row.to_vec()))
         })
         .collect()
@@ -399,6 +401,85 @@ fn every_crash_point_recovers_the_memtable_write_path() {
         );
         assert_sharded_queries_exact(&recovered, &format!("memtable crash point {k}"));
     }
+}
+
+/// A failed journal fsync leaves the record, and the global id it carries,
+/// in that shard's WAL, where a restart that keeps the page cache replays
+/// it. Until a checkpoint rotates the record out, no insert may be acked,
+/// not even one routed to the other shard: it would carry the same id, and
+/// the restarted directory would hold that id twice and refuse to open.
+#[test]
+fn a_failed_journal_fsync_holds_every_insert_until_a_checkpoint() {
+    let seed = fault_seed().wrapping_mul(5);
+    let dir = Path::new("/db-poisoned");
+    // Two clusters far apart on axis 0: the median plane puts one in each
+    // shard, and `pa`, `pb` land one in each.
+    let pts: Vec<Point> = (0..40)
+        .map(|i| {
+            let x = if i % 2 == 0 { 0.1 } else { 0.7 } + i as f64 * 0.004;
+            Point::new(vec![x, 0.3 + (i % 7) as f64 * 0.05])
+        })
+        .collect();
+    let n = pts.len();
+    let (pa, pb) = (
+        Point::new(vec![0.1234, 0.4321]),
+        Point::new(vec![0.7654, 0.4567]),
+    );
+    let durable = |vfs: &FaultVfs| {
+        ShardedIndex::build(pts.clone(), 2, cfg())
+            .expect("distinct points build")
+            .into_durable_with_vfs(Arc::new(vfs.clone()), dir)
+            .expect("a fresh directory")
+    };
+    let reopen = |vfs: &FaultVfs| {
+        ShardedIndex::open_durable_with_vfs(Arc::new(vfs.clone()), dir, DIM, 2, cfg())
+            .expect("the directory reopens")
+    };
+
+    // Fault-free: find the op index of `pa`'s journal fsync (an append is
+    // a write and an fsync) and check that the two points part.
+    let clean = FaultVfs::new(FaultSchedule::none(seed));
+    let idx = durable(&clean);
+    let before = clean.ops();
+    let (ga, gb) = (idx.insert(pa.clone()).unwrap(), idx.insert(pb.clone()).unwrap());
+    assert_eq!(clean.ops() - before, 4, "two appends of one write and one fsync each");
+    let (sa, sb) = (idx.locate(ga).unwrap().0, idx.locate(gb).unwrap().0);
+    assert_ne!(sa, sb, "the two points route to different shards");
+    let schedule = FaultSchedule {
+        seed,
+        fail_sync_ops: vec![before + 1],
+        ..FaultSchedule::default()
+    };
+
+    // Restart without a checkpoint: `pa`'s unacked record is replayed as
+    // id n, and nothing else took that id.
+    let fault = FaultVfs::new(schedule.clone());
+    let idx = durable(&fault);
+    assert_eq!(fault.ops(), before, "the build replays op for op");
+    assert!(matches!(idx.insert(pa.clone()), Err(DurableError::Persist(_))));
+    assert!(
+        matches!(idx.insert(pb.clone()), Err(DurableError::Persist(_))),
+        "an insert routed to a healthy shard is refused while another's journal is poisoned"
+    );
+    drop(idx);
+    let back = reopen(&fault);
+    assert_eq!(back.len(), n + 1, "the in-flight record replays");
+    assert_eq!(back.locate(n).map(|(s, _)| s), Some(sa));
+    assert_sharded_queries_exact(&back, "restart after a failed fsync");
+
+    // A checkpoint rotates the failed record out; inserts resume at id n.
+    let fault = FaultVfs::new(schedule);
+    let idx = durable(&fault);
+    assert!(idx.insert(pa.clone()).is_err());
+    idx.checkpoint().expect("a checkpoint rotates the poisoned journal");
+    assert_eq!(idx.insert(pb.clone()).unwrap(), n);
+    drop(idx);
+    let back = reopen(&fault);
+    assert_eq!(back.len(), n + 1);
+    assert_eq!(back.locate(n).map(|(s, _)| s), Some(sb));
+    let nearest = back.query(&Query::nn(pa.into_vec())).unwrap().best;
+    assert!(nearest.dist > 0.0, "the failed insert is gone");
+    assert_sharded_queries_exact(&back, "restart after a checkpoint");
 }
 
 /// Snapshot saves are atomic under crashes too: killing `save_with_vfs` at
