@@ -19,7 +19,7 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== tests =="
-cargo test -q
+cargo test -q --workspace
 
 echo "== crash injection (kill-at-every-syscall, seed ${NNCELL_FAULT_SEED:=424242}) =="
 NNCELL_FAULT_SEED="$NNCELL_FAULT_SEED" cargo test -q --test crash_recovery
@@ -28,8 +28,8 @@ echo "== server robustness E2E (storm/shed, kill -9 recovery, SIGTERM drain) =="
 # Subprocess tests against the real binary: admission control sheds a
 # 2x-capacity storm with 429s, SIGKILL mid-write-storm recovers every
 # acked insert bit-identically, SIGTERM drains and checkpoints leaving
-# zero WAL replay debt. (Also run by `cargo test -q` above; repeated
-# here so a red run names the failing robustness claim directly.)
+# zero WAL replay debt. (Also run by `cargo test -q --workspace` above;
+# repeated here so a red run names the failing robustness claim directly.)
 cargo test -q -p nncell-cli --test server_e2e
 cargo test -q -p nncell-server
 

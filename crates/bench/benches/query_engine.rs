@@ -198,7 +198,6 @@ fn main() {
     let examined: usize = stats().map(|s| s.candidates_examined).sum();
     let aborted: usize = stats().map(|s| s.candidates_aborted_early).sum();
     let pruned: u64 = stats().map(|s| s.nodes_pruned).sum();
-    let fallbacks = stats().filter(|s| s.fallback).count();
     let seq_qps = n_q as f64 / seq_s;
     let par_qps = n_q as f64 / par_s;
     let obs_qps = n_q as f64 / obs_s;
@@ -215,8 +214,7 @@ fn main() {
         "sequential: {seq_qps:.0} q/s — parallel ({threads} threads): {par_qps:.0} q/s \
          ({:.2}x) — {mean_cands:.1} candidates/query within the bound \
          ({mean_examined:.1} examined, {mean_aborted:.1} beyond the bound, \
-         {mean_pruned:.1} subtrees pruned), \
-         {fallbacks} fallback(s)",
+         {mean_pruned:.1} subtrees pruned)",
         par_qps / seq_qps
     );
     println!(
@@ -240,7 +238,7 @@ fn main() {
          \"speedup\": {:.4},\n  \"mean_candidates\": {mean_cands:.4},\n  \
          \"mean_examined\": {mean_examined:.4},\n  \"mean_aborted_early\": {mean_aborted:.4},\n  \
          \"mean_nodes_pruned\": {mean_pruned:.4},\n  \
-         \"fallbacks\": {fallbacks},\n  \"bit_identical\": true,\n  \
+         \"bit_identical\": true,\n  \
          \"high_d_queries\": {high_d_queries},\n  \"high_d\": [\n    {}\n  ]\n}}\n",
         provenance_json(),
         par_qps / seq_qps,

@@ -210,14 +210,8 @@ fn cmd_query(p: &Parsed) -> Result<(), String> {
     }
     let st = resp.stats;
     println!(
-        "stats: {} candidate(s), {} page(s){}",
-        st.candidates,
-        st.pages,
-        if st.fallback {
-            " — answered by exact scan fallback"
-        } else {
-            ""
-        }
+        "stats: {} candidate(s), {} page(s)",
+        st.candidates, st.pages
     );
     Ok(())
 }
@@ -427,11 +421,6 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
         .filter_map(|r| r.as_ref().ok())
         .map(|r| r.stats.pages)
         .sum();
-    let fallbacks = seq
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .filter(|r| r.stats.fallback)
-        .count();
     let pruned: u64 = seq
         .iter()
         .filter_map(|r| r.as_ref().ok())
@@ -451,8 +440,7 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
     );
     println!(
         "per query: {:.1} candidates within the bound, {:.1} beyond it, {:.1} pages, \
-         {:.1} subtrees pruned; {fallbacks} scan fallback(s); \
-         parallel results bit-identical to sequential",
+         {:.1} subtrees pruned; parallel results bit-identical to sequential",
         cands as f64 / n_q as f64,
         aborted as f64 / n_q as f64,
         pages as f64 / n_q as f64,
@@ -463,7 +451,7 @@ fn cmd_bench(p: &Parsed) -> Result<(), String> {
             "{{\n  \"queries\": {n_q},\n  \"k\": {k},\n  \"threads\": {threads},\n  \
              \"seq_qps\": {seq_qps:.2},\n  \"par_qps\": {par_qps:.2},\n  \
              \"speedup\": {:.4},\n  \"mean_candidates\": {:.4},\n  \
-             \"mean_pages\": {:.4},\n  \"fallbacks\": {fallbacks}\n}}\n",
+             \"mean_pages\": {:.4}\n}}\n",
             par_qps / seq_qps,
             cands as f64 / n_q as f64,
             pages as f64 / n_q as f64,
@@ -755,13 +743,12 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
                 String::new()
             };
             println!(
-                "  #{:<4} {:>10.1} µs  k={} candidates={} pages={}{}{trace}  [{}]",
+                "  #{:<4} {:>10.1} µs  k={} candidates={} pages={}{trace}  [{}]",
                 e.seq,
                 e.latency_ns as f64 / 1_000.0,
                 e.k,
                 e.candidates,
                 e.pages,
-                if e.fallback { " fallback" } else { "" },
                 e.point
                     .iter()
                     .map(|c| format!("{c:.4}"))
@@ -786,10 +773,9 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
     );
     let get = |name: &str| snap.sum_counters(name).unwrap_or(0);
     println!(
-        "queries        : {} ok, {} error(s), {} scan fallback(s)",
+        "queries        : {} ok, {} error(s)",
         get("nncell_queries_total") - get("nncell_query_errors_total"),
         get("nncell_query_errors_total"),
-        get("nncell_query_fallback_total"),
     );
     if let Some(h) = snap.histogram("nncell_query_latency_ns") {
         println!(

@@ -53,11 +53,12 @@
 //! relative slop so floating-point differences between MBR MINDIST
 //! accumulation and the kernel can never skip a true answer.
 //!
-//! The one exact-scan fallback (`k ≥` the live count) goes through one
-//! helper here, which sets [`QueryStats::fallback`] on the response (and
-//! `nncell_query_fallback_total` when the engine records metrics). A
-//! query with a non-empty memtable tail never falls back: its traversal
-//! is complete whenever fewer than k live points exist.
+//! Every k-NN query, `k ≥` the live count included, takes the one
+//! traversal: while the k-best is short its bound is ∞, so the traversal
+//! prunes nothing and streams every live point. The k-best fills
+//! unsorted and sorts once, when it reaches k or when the traversal ends
+//! short of k, so a query for every point costs one sort, not one sorted
+//! insert per point.
 
 use crate::index::{NnCellIndex, QueryResult};
 use crate::memtable::TailSnapshot;
@@ -83,8 +84,9 @@ type BatchPart = (usize, Vec<Result<QueryResponse, QueryError>>);
 /// between threads (each [`QueryEngine::batch`] worker owns its own).
 #[derive(Default)]
 pub struct QueryScratch {
-    /// `(global id, dist)` buffer: the running k-best of a k-NN query,
-    /// ascending by `(dist, id)`, or the hits of a radius query.
+    /// `(global id, dist)` buffer: the running k-best of a k-NN query
+    /// (unsorted until it holds k, then ascending by `(dist, id)`), or the
+    /// hits of a radius query.
     ranked: Vec<QueryResult>,
     /// Priority-queue scratch of the MINDIST-ordered best-first traversal.
     bf: BestFirstScratch,
@@ -310,16 +312,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         }
     }
 
-    /// The configured batch worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The index this engine reads.
-    pub fn index(&self) -> &'a NnCellIndex<M> {
-        self.forest.index(0)
-    }
-
     // ------------------------------------------------------------------
     // execution
     // ------------------------------------------------------------------
@@ -377,9 +369,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             .record(stats.candidates_examined as u64);
         m.aborted_early
             .record(stats.candidates_aborted_early as u64);
-        if stats.fallback {
-            m.fallbacks.inc();
-        }
         // The slow log's `k` column is the requested neighbor count; a
         // radius query has none, so it records 0 rather than the sentinel
         // `usize::MAX` that `Query::k` returns.
@@ -396,7 +385,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             logged_k,
             stats.candidates,
             stats.pages as usize,
-            stats.fallback,
             nncell_obs::trace::current_trace_id(),
         );
         result
@@ -556,9 +544,12 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// first streamed item). A shard's tombstoned ids are skipped; the
     /// check runs only for a candidate that would enter the k-best. A
     /// shard's index and tail are published together, so no point is on
-    /// both sides. The tail path never takes the `k ≥ len`
-    /// scan fallback: the traversal is complete while the k-best is short,
-    /// and `len` counts neither tail inserts nor tombstones.
+    /// both sides.
+    ///
+    /// A query for at least as many neighbors as there are live points
+    /// takes the same path: the bound stays ∞ while the k-best is short,
+    /// so nothing is pruned and every live point is streamed, and the
+    /// k-best, filled unsorted (see [`offer`]), is sorted once at the end.
     ///
     /// The configured budget (if any) is checked every 256 tail inserts
     /// and after each leaf that completes 128 streamed items since the
@@ -572,14 +563,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
         let forest = &self.forest;
-        let has_tail = (0..forest.len()).any(|s| forest.tail(s).is_some());
-        let indexed: usize = (0..forest.len()).map(|s| forest.index(s).len()).sum();
-        if !has_tail && k >= indexed {
-            // k ≥ len needs every live point anyway. A query outside the
-            // data space needs no scan: MINDIST ordering over the point
-            // tree is exact for any query point.
-            return Ok(self.scan_knn(p, k));
-        }
         let (metric, w_min) = self.metric();
         let QueryScratch { ranked, bf, d2 } = scratch;
         ranked.clear();
@@ -663,16 +646,13 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             return Err(QueryError::DeadlineExceeded);
         }
         if ranked.is_empty() {
-            // With a tail: every indexed point is tombstoned and no tail
-            // holds an insert, so the live set is genuinely empty.
-            // Without one this is unreachable while the trees and
-            // alive-masks agree (k < len guarantees live points exist),
-            // but the library contract is degrade-not-panic.
-            return if has_tail {
-                Err(QueryError::EmptyIndex)
-            } else {
-                Ok(self.scan_knn(p, k))
-            };
+            // Every indexed point is tombstoned and no tail holds an
+            // insert: the live set is empty.
+            return Err(QueryError::EmptyIndex);
+        }
+        if ranked.len() < k {
+            // The k-best never filled, so it was never sorted.
+            ranked.sort_unstable_by_key(rank_key);
         }
         add_walk(&mut stats, walk);
         Ok(QueryResponse {
@@ -691,10 +671,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// `dist ≤ r` and its id is not tombstoned. The shards' live tail
     /// inserts inside the ball join the hits, and the union is sorted by
     /// `(distance, global id)` once. No truncation — a radius query returns
-    /// everything the ball contains. Unlike k-NN this needs no scan
-    /// fallback: the point trees hold every indexed live point, and the
-    /// traversal is exact for *any* center, including centers outside the
-    /// data space.
+    /// everything the ball contains. The point trees hold every indexed
+    /// live point, and the traversal is exact for *any* center, including
+    /// centers outside the data space.
     ///
     /// The configured budget (if any) is checked as for k-NN: after each
     /// leaf that completes 128 streamed items, and every 256 tail inserts.
@@ -777,7 +756,7 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             }
         }
         add_walk(&mut stats, walk);
-        hits.sort_unstable_by(cmp_results);
+        hits.sort_unstable_by_key(rank_key);
         match hits.split_first() {
             None => Err(QueryError::EmptyRadius),
             Some((best, rest)) => Ok(QueryResponse {
@@ -787,56 +766,20 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             }),
         }
     }
-
-    // ------------------------------------------------------------------
-    // the one place every scan fallback goes through
-    // ------------------------------------------------------------------
-
-    /// Exact k-NN by scanning every shard's flat point layout, ranked by
-    /// `(dist, global id)`, with the scan's counters marked as a fallback.
-    fn scan_knn(&self, p: &[f64], k: usize) -> QueryResponse {
-        let _span = nncell_obs::trace::child("engine.scan_fallback");
-        let (metric, _) = self.metric();
-        let mut all: Vec<QueryResult> = Vec::new();
-        for s in 0..self.forest.len() {
-            let idx = self.forest.index(s);
-            let alive = idx.alive();
-            all.extend(
-                (0..alive.len())
-                    .filter(|&l| alive[l])
-                    .map(|local| QueryResult {
-                        id: self.forest.global(s, local),
-                        dist: metric.dist(p, idx.flat_point(local)),
-                    }),
-            );
-        }
-        let stats = QueryStats {
-            candidates: all.len(),
-            fallback: true,
-            candidates_examined: all.len(),
-            ..QueryStats::default()
-        };
-        all.sort_unstable_by(cmp_results);
-        all.truncate(k);
-        // `execute_with` rejected empty indexes, so `all` is never empty;
-        // the guard keeps this helper total anyway.
-        let best = all.first().copied().unwrap_or(QueryResult {
-            id: 0,
-            dist: f64::INFINITY,
-        });
-        QueryResponse {
-            best,
-            rest: all.get(1..).map_or_else(Vec::new, <[QueryResult]>::to_vec),
-            stats,
-        }
-    }
 }
 
-/// Offers a completed candidate to the running k-best `ranked` (ascending
-/// `(dist, global id)`, at most `k` long). It enters when the list is
-/// short or it beats the k-th, unless its shard-local id `local` is in its
-/// shard's `tombstones` (sorted). Returns the k-th distance when the
-/// candidate entered and the list is full.
+/// Offers a completed candidate to the running k-best `ranked` (at most
+/// `k` long). It enters when the list is short or it beats the k-th,
+/// unless its shard-local id `local` is in its shard's `tombstones`
+/// (sorted). Returns the k-th distance when the candidate entered and the
+/// list is full.
+///
+/// A short list is unsorted: a candidate is pushed, and the list is
+/// sorted by `(dist, global id)` once, when it reaches k. From then on it
+/// stays sorted and a candidate is inserted in place. Filling by sorted
+/// insert would cost O(k²) moves, which a query with `k ≥` the live count
+/// pays in full; the bound is ∞ until the list is full, so no bound is
+/// read from the unsorted list. A caller whose list ends short sorts it.
 fn offer(
     ranked: &mut Vec<QueryResult>,
     k: usize,
@@ -844,19 +787,26 @@ fn offer(
     tombstones: &[usize],
     local: usize,
 ) -> Option<f64> {
+    let key = rank_key(&r);
     let full = ranked.len() == k;
-    if full && cmp_results(&r, &ranked[k - 1]) != std::cmp::Ordering::Less {
+    if full && key >= rank_key(&ranked[k - 1]) {
         return None;
     }
     if !tombstones.is_empty() && tombstones.binary_search(&local).is_ok() {
         return None;
     }
-    let pos = ranked.partition_point(|x| cmp_results(x, &r) == std::cmp::Ordering::Less);
     if full {
+        let pos = ranked.partition_point(|x| rank_key(x) < key);
         ranked.pop();
+        ranked.insert(pos, r);
+    } else {
+        ranked.push(r);
+        if ranked.len() < k {
+            return None;
+        }
+        ranked.sort_unstable_by_key(rank_key);
     }
-    ranked.insert(pos, r);
-    (ranked.len() == k).then(|| ranked[k - 1].dist)
+    Some(ranked[k - 1].dist)
 }
 
 /// Completes a kernel's counters with its traversal's totals: pages and
@@ -907,12 +857,16 @@ fn out_of_budget(deadline: Option<std::time::Instant>) -> bool {
     deadline.is_some_and(|d| std::time::Instant::now() >= d)
 }
 
-/// The one result ordering every exact path uses: ascending `(dist, id)`
-/// with [`f64::total_cmp`] — the exact ordering of
+/// The one result ordering every exact path uses, as one integer key:
+/// ascending `(dist, id)` with [`f64::total_cmp`] — the exact ordering of
 /// [`crate::scan::linear_scan_knn`], which makes results bit-identical to
-/// the linear scan and independent of candidate arrival order.
-fn cmp_results(a: &QueryResult, b: &QueryResult) -> std::cmp::Ordering {
-    a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+/// the linear scan and independent of candidate arrival order. A distance
+/// is a square root, never negative, and the bits of a non-negative `f64`
+/// order as `total_cmp` orders it. One integer compare makes the sort that
+/// ranks a `k ≥ len` answer about a third cheaper.
+#[inline]
+fn rank_key(r: &QueryResult) -> u128 {
+    (u128::from(r.dist.to_bits()) << 64) | r.id as u128
 }
 
 #[cfg(test)]
@@ -950,7 +904,7 @@ mod tests {
                 dist: dist_sq(q, p).sqrt(),
             })
             .collect();
-        all.sort_by(cmp_results);
+        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
         all.iter()
             .take(k)
             .map(|r| (r.id, r.dist.to_bits()))

@@ -104,10 +104,10 @@ impl std::error::Error for BuildError {}
 pub struct NnCellIndex<M: Metric = Euclidean> {
     cfg: BuildConfig,
     /// Row-major coordinates of every slot (`n × d`), indexed by id and
-    /// kept in sync by every mutation. The `k ≥ len` scan fallback, the
-    /// NN-cells, `remove` and `save` read this layout; the k-NN and radius
-    /// kernels and the duplicate probe read each live point's copy in its
-    /// point-tree leaf's dimension-major block.
+    /// kept in sync by every mutation. The NN-cells, `remove` and `save`
+    /// read this layout; the k-NN and radius kernels and the duplicate
+    /// probe read each live point's copy in its point-tree leaf's
+    /// dimension-major block.
     points_flat: Vec<f64>,
     alive: Vec<bool>,
     live_count: usize,
@@ -675,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_space_queries_stay_exact_without_fallback() {
+    fn out_of_space_queries_stay_exact() {
         let pts = uniform(50, 2, 18);
         let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
         let q = [1.5, -0.2];
@@ -683,7 +683,6 @@ mod tests {
         let want = linear_scan_nn(&pts, &q).unwrap();
         assert_eq!(r.best.id, want.id);
         assert_eq!(r.best.dist.to_bits(), want.dist.to_bits());
-        assert!(!r.stats.fallback, "the point tree is exact anywhere");
     }
 
     #[test]

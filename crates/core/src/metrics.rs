@@ -23,9 +23,6 @@ pub struct EngineMetrics {
     pub(crate) queries: Arc<Counter>,
     /// `nncell_query_errors_total` — queries rejected with a typed error.
     pub(crate) query_errors: Arc<Counter>,
-    /// `nncell_query_fallback_total` — queries answered by the exact
-    /// linear-scan fallback.
-    pub(crate) fallbacks: Arc<Counter>,
     /// `nncell_query_latency_ns` — end-to-end latency histogram.
     pub(crate) latency_ns: Arc<Histogram>,
     /// `nncell_query_candidates` — candidate set size histogram.
@@ -50,7 +47,6 @@ impl EngineMetrics {
         Self {
             queries: registry.counter("nncell_queries_total"),
             query_errors: registry.counter("nncell_query_errors_total"),
-            fallbacks: registry.counter("nncell_query_fallback_total"),
             latency_ns: registry.histogram("nncell_query_latency_ns"),
             candidates: registry.histogram("nncell_query_candidates"),
             pages: registry.histogram("nncell_query_pages"),

@@ -68,7 +68,7 @@ impl Query {
     }
 
     /// A k-nearest-neighbors query. `k` larger than the index is allowed
-    /// (the response simply holds every live point, by scan fallback).
+    /// (the response simply holds every live point).
     pub fn knn(point: impl Into<Vec<f64>>, k: usize) -> Self {
         Self {
             point: point.into(),
@@ -133,8 +133,7 @@ impl Query {
 ///
 /// Subsumes the old `nearest_neighbor_with_candidates` side channel: the
 /// candidate count now rides along on every answer, together with the page
-/// cost, the pruning telemetry of the MINDIST-ordered traversal, and
-/// whether the query was answered by the exact scan fallback.
+/// cost and the pruning telemetry of the MINDIST-ordered traversal.
 ///
 /// Counter consistency (pinned by a unit test and the parity proptests):
 /// for every response,
@@ -152,15 +151,13 @@ pub struct QueryStats {
     /// they were made — the slopped k-th-best distance for k-NN (∞ while
     /// the k-best is short), the radius for a radius query — and so were
     /// offered to the answer. This is
-    /// `candidates_examined − candidates_aborted_early`; for a scan
-    /// fallback it is the number of live points.
+    /// `candidates_examined − candidates_aborted_early`; for a k-NN query
+    /// with `k ≥` the live count, whose bound stays ∞, it is every
+    /// evaluation.
     pub candidates: usize,
     /// Simulated index pages touched while gathering candidates (before
-    /// any LRU cache; 0 for a scan fallback, which reads no index pages).
+    /// any LRU cache).
     pub pages: u64,
-    /// Whether the answer came from the exact linear-scan fallback
-    /// (`k ≥` the live count).
-    pub fallback: bool,
     /// Live unindexed memtable-tail points this answer scanned (0 whenever
     /// the tail was empty). Tail points are also counted in
     /// `candidates_examined` (and in `candidates` or
@@ -171,7 +168,7 @@ pub struct QueryStats {
     /// was ever read**: directory entries whose MINDIST exceeded the
     /// running best distance, plus queued pages discarded after the bound
     /// shrank past them; for a radius query, the subtrees whose MBR
-    /// misses the query ball. 0 for scan fallbacks.
+    /// misses the query ball.
     pub nodes_pruned: u64,
     /// Live candidate points whose distance evaluation *started*: memtable
     /// tail inserts, then points streamed out of the traversal past the

@@ -648,7 +648,7 @@ impl ShardedIndex {
     /// shard of the published read state, feeding one running k-best
     /// keyed by `(distance, global id)`. Exact, including tie ordering
     /// (see the module docs). Candidate and page counts are summed across
-    /// shards; `fallback` is set when the answer came from the exact scan.
+    /// shards.
     /// The query runs on the calling thread's warm scratch (one per
     /// thread, reused by every later call on it).
     ///

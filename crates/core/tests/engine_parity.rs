@@ -5,10 +5,9 @@
 //!   duplicate-distance tie-breaking (ascending point id).
 //! * Concurrent readers are safe: batches racing `reset_stats` from
 //!   another thread still return exact answers.
-//! * All scan-fallback paths are counted in one place.
 
 use nncell_core::{
-    linear_scan_knn, linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryError, Registry,
+    linear_scan_knn, linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryError,
     Strategy as BuildStrategy,
 };
 use nncell_geom::{dist_sq, Point};
@@ -162,7 +161,6 @@ fn batch_races_reset_stats() {
                             // answers and per-query page counts must not.
                             assert_eq!(g.best, e.best);
                             assert_eq!(g.rest, e.rest);
-                            assert_eq!(g.stats.fallback, e.stats.fallback);
                             assert_eq!(g.stats.pages, e.stats.pages);
                         }
                     }
@@ -174,51 +172,6 @@ fn batch_races_reset_stats() {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     });
-}
-
-/// Every scan fallback funnels through the engine, which flags it on the
-/// response and counts it in the registry — the old `knn` path for
-/// `k ≥ len` scanned without counting. Out-of-space queries need no
-/// fallback: the point-tree search is exact for any query point.
-#[test]
-fn all_fallback_paths_are_counted() {
-    let pts: Vec<Point> = (0..20)
-        .map(|i| Point::new(vec![(i as f64 + 0.5) / 20.0, ((i * 7 % 20) as f64 + 0.5) / 20.0]))
-        .collect();
-    let mut index = NnCellIndex::build(
-        pts.clone(),
-        BuildConfig::builder().strategy(BuildStrategy::CorrectPruned).seed(3).build(),
-    )
-    .unwrap();
-    let registry = Registry::new();
-    index.attach_metrics(registry.clone());
-    let fallbacks = || registry.snapshot().counter("nncell_query_fallback_total");
-    let engine = index.engine().with_threads(1);
-    assert_eq!(fallbacks(), Some(0));
-
-    // k ≥ len: previously scanned silently.
-    let r = engine.execute(&Query::knn([0.4, 0.6], 25)).unwrap();
-    assert!(r.stats.fallback);
-    assert_eq!(r.len(), 20);
-    assert_eq!(fallbacks(), Some(1));
-
-    // Out-of-space NN and k-NN queries traverse the tree, exactly.
-    for k in [1, 3] {
-        let r = engine.execute(&Query::knn([1.7, -0.3], k)).unwrap();
-        assert!(!r.stats.fallback);
-        let want: Vec<_> = linear_scan_knn(&pts, &[1.7, -0.3], k)
-            .iter()
-            .map(|w| (w.id, w.dist.to_bits()))
-            .collect();
-        let got: Vec<_> = r.iter().map(|g| (g.id, g.dist.to_bits())).collect();
-        assert_eq!(got, want);
-    }
-    assert_eq!(fallbacks(), Some(1));
-
-    // In-space queries of a healthy index never fall back.
-    let r = engine.execute(&Query::knn([0.4, 0.6], 5)).unwrap();
-    assert!(!r.stats.fallback);
-    assert_eq!(fallbacks(), Some(1));
 }
 
 /// The typed error contract, end to end.
@@ -290,10 +243,9 @@ fn radius_query_contract() {
         .unwrap();
     let ids: Vec<usize> = resp.iter().map(|r| r.id).collect();
     assert_eq!(ids, vec![0, 1], "dist == r is inside the closed ball");
-    // Out-of-space centers need no scan fallback on the point tree.
+    // Out-of-space centers traverse the point tree like any other.
     let resp = engine.execute(&Query::radius([-0.4, 0.5], 0.5)).unwrap();
     assert_eq!(resp.best.id, 0);
-    assert!(!resp.stats.fallback);
     // Typed failures.
     assert_eq!(
         engine

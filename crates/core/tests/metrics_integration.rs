@@ -33,16 +33,16 @@ fn registry_counters_agree_with_engine_and_index() {
     // Attaching twice is a harmless no-op.
     index.attach_metrics(registry.clone());
 
-    // Mixed workload: in-space queries, a k-NN, an out-of-space query
-    // (the traversal answers it; no fallback), a k ≥ len exact-scan
-    // fallback and three malformed queries, the first on a cold scratch.
+    // Mixed workload: in-space queries, a k-NN, an out-of-space query, a
+    // k ≥ len query (the traversal answers both) and three malformed
+    // queries, the first on a cold scratch.
     let queries = vec![
         Query::nn([f64::NAN, 0.5]),
         Query::nn([0.21, 0.34]),
         Query::nn([0.91, 0.13]),
         Query::knn(vec![0.4, 0.6], 5),
         Query::nn([2.5, 2.5]),
-        Query::knn(vec![0.7, 0.2], 120), // k ≥ len → exact-scan fallback
+        Query::knn(vec![0.7, 0.2], 120), // k ≥ len
         Query::nn([f64::NAN, 0.2]),
         Query::knn(vec![0.1, 0.2, 0.3], 2), // dim mismatch
     ];
@@ -55,8 +55,6 @@ fn registry_counters_agree_with_engine_and_index() {
 
     let ok: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
     let errors = results.iter().filter(|r| r.is_err()).count() as u64;
-    let fallbacks = ok.iter().filter(|r| r.stats.fallback).count() as u64;
-    assert_eq!(fallbacks, 1, "only the k ≥ len query falls back");
     let total_candidates: u64 = ok.iter().map(|r| r.stats.candidates as u64).sum();
     let total_pages: u64 = ok.iter().map(|r| r.stats.pages).sum();
 
@@ -66,7 +64,6 @@ fn registry_counters_agree_with_engine_and_index() {
         Some(queries.len() as u64)
     );
     assert_eq!(snap.counter("nncell_query_errors_total"), Some(errors));
-    assert_eq!(snap.counter("nncell_query_fallback_total"), Some(fallbacks));
     let latency = snap.histogram("nncell_query_latency_ns").unwrap();
     assert_eq!(latency.count(), ok.len() as u64);
     assert!(latency.sum > 0);
@@ -135,15 +132,14 @@ fn a_sharded_query_is_counted_once() {
         Query::nn([0.21, 0.34]),
         Query::knn(vec![0.4, 0.6], 5),
         Query::radius([0.5, 0.5], 0.2),
-        Query::knn(vec![0.7, 0.2], 90), // k ≥ len → exact-scan fallback
+        Query::knn(vec![0.7, 0.2], 90), // k ≥ len
         Query::nn([f64::NAN, 0.2]),
         Query::knn(vec![0.1, 0.2, 0.3], 2), // dim mismatch
     ];
     let results: Vec<_> = queries.iter().map(|q| index.query(q)).collect();
     let ok: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
     let errors = results.iter().filter(|r| r.is_err()).count() as u64;
-    let fallbacks = ok.iter().filter(|r| r.stats.fallback).count() as u64;
-    assert_eq!((errors, fallbacks), (2, 1));
+    assert_eq!(errors, 2);
 
     let snap = registry.snapshot();
     assert_eq!(
@@ -151,7 +147,6 @@ fn a_sharded_query_is_counted_once() {
         Some(queries.len() as u64)
     );
     assert_eq!(snap.counter("nncell_query_errors_total"), Some(errors));
-    assert_eq!(snap.counter("nncell_query_fallback_total"), Some(fallbacks));
     let latency = snap.histogram("nncell_query_latency_ns").unwrap();
     assert_eq!(latency.count(), ok.len() as u64);
     assert_eq!(

@@ -11,7 +11,7 @@
 
 use nncell_core::{
     linear_scan_knn, BuildConfig, NnCellIndex, Query, QueryEngine, QueryError, QueryResponse,
-    Registry, ShardedIndex, Strategy as BuildStrategy,
+    ShardedIndex, Strategy as BuildStrategy,
 };
 use nncell_geom::{dist, dist_sq, Point};
 use proptest::prelude::*;
@@ -189,7 +189,6 @@ proptest! {
             pts.iter().enumerate().filter(|(g, _)| !dead[*g]).collect();
         prop_assert_eq!(idx.len(), live.len());
         for pass in ["tails", "flushed"] {
-            let tails = idx.tail_depth() > 0;
             for q in &queries {
                 let ctx = format!("S={shards} {pass} q={q:?} live={}", live.len());
                 let want_all = scan(&live, q, f64::INFINITY);
@@ -198,11 +197,6 @@ proptest! {
                         Ok(r) => {
                             let want: Vec<_> = want_all.iter().copied().take(k).collect();
                             prop_assert_eq!(answer_bits(&r), want, "k={} {}", k, &ctx);
-                            prop_assert_eq!(
-                                r.stats.fallback,
-                                !tails && k >= live.len(),
-                                "k={} {}", k, &ctx
-                            );
                         }
                         Err(e) => {
                             prop_assert!(live.is_empty(), "k={} {}: {:?}", k, &ctx, e);
@@ -275,53 +269,53 @@ fn a_one_shard_fan_out_reports_its_engines_counts() {
     );
 }
 
+/// A k-NN query for at least as many neighbors as there are live points
+/// takes the one traversal like any other, at any shard count, with or
+/// without an unfolded tail: it examines every live point once, answers
+/// with every live point ranked as the linear scan and the lone engine
+/// rank them, and its counters add up.
 #[test]
-fn fan_out_fallback_counts_match_unsharded() {
-    // k ≥ live count forces the exact-scan fallback. The fan-out is one
-    // search over every shard, so it falls back exactly when the
-    // unsharded index does, at any shard count, and the registry counts
-    // the fallback once.
-    let pts: Vec<Point> = (0..6)
-        .map(|i| Point::new(vec![i as f64 / 8.0, (i * 3 % 7) as f64 / 8.0]))
-        .collect();
+fn k_at_or_above_the_live_count_takes_the_one_traversal() {
+    let pts: Vec<Point> = (0..60).map(grid_point).collect();
     let cfg = BuildConfig::builder()
         .strategy(BuildStrategy::Sphere)
         .seed(5)
         .build();
-    let queries = [
-        Query::knn(vec![0.5, 0.5], pts.len()), // k == n → fallback
-        Query::nn(vec![0.1, 0.9]),             // in-space NN → no fallback
-        Query::knn(vec![0.3, 0.3], 2),
-        Query::knn(vec![0.3, 0.3], 4), // k > any shard's len at S ≥ 2 → no fallback
-        Query::nn(vec![2.0, 2.0]),     // outside the unit space → no fallback either
-    ];
+    let extra = grid_point(pts.len());
+    let queries = [vec![0.5, 0.5], vec![0.1, 0.9], vec![2.0, 2.0]];
     for shards in 1..=3 {
-        let mut whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
-        let whole_registry = Registry::new();
-        whole.attach_metrics(whole_registry.clone());
-        let engine = QueryEngine::sequential(&whole);
-        let sharded = ShardedIndex::build(pts.clone(), shards, cfg.clone()).unwrap();
-        let registry = Registry::new();
-        sharded.attach_metrics(registry.clone());
-        let mut fallbacks = 0u64;
-        for q in &queries {
-            let a = sharded.query(q).unwrap();
-            let b = engine.execute(q).unwrap();
-            assert_eq!(a.stats.fallback, b.stats.fallback, "S={shards} {q:?}");
-            assert_eq!(answer_bits(&a), answer_bits(&b), "S={shards} {q:?}");
-            fallbacks += u64::from(a.stats.fallback);
+        for tail in [false, true] {
+            let mut whole = NnCellIndex::build(pts.clone(), cfg.clone()).unwrap();
+            let sharded = ShardedIndex::build(pts.clone(), shards, cfg.clone()).unwrap();
+            let mut live: Vec<(usize, &Point)> = pts.iter().enumerate().collect();
+            if tail {
+                assert_eq!(whole.insert(extra.clone()).unwrap(), pts.len());
+                assert_eq!(sharded.insert(extra.clone()).unwrap(), pts.len());
+                assert_eq!(sharded.tail_depth(), 1, "the insert stays unfolded");
+                live.push((pts.len(), &extra));
+            }
+            let engine = QueryEngine::sequential(&whole);
+            for q in &queries {
+                let want = scan(&live, q, f64::INFINITY);
+                for k in [live.len(), live.len() + 3] {
+                    let ctx = format!("S={shards} tail={tail} q={q:?} k={k}");
+                    let query = Query::knn(q.clone(), k);
+                    let a = sharded.query(&query).unwrap();
+                    let b = engine.execute(&query).unwrap();
+                    assert_eq!(answer_bits(&a), want, "{ctx}");
+                    assert_eq!(answer_bits(&b), want, "lone engine: {ctx}");
+                    for s in [a.stats, b.stats] {
+                        assert_eq!(s.candidates_examined, live.len(), "{ctx}");
+                        assert!(s.pages >= 1, "{ctx}");
+                        assert_eq!(
+                            s.candidates + s.candidates_aborted_early,
+                            s.candidates_examined,
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
         }
-        assert_eq!(fallbacks, 1, "test must exercise the fallback");
-        let counted = |registry: &Registry, series: &str| registry.snapshot().counter(series);
-        assert_eq!(
-            counted(&whole_registry, "nncell_query_fallback_total"),
-            Some(fallbacks)
-        );
-        assert_eq!(
-            counted(&registry, "nncell_query_fallback_total"),
-            Some(fallbacks),
-            "S={shards}"
-        );
     }
 }
 

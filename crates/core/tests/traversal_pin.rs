@@ -21,7 +21,6 @@ use nncell_core::{BuildConfig, Query, QueryEngine, QueryStats, ShardedIndex};
 use nncell_data::{Generator, UniformGenerator};
 
 fn checked(s: QueryStats) -> QueryStats {
-    assert!(!s.fallback);
     assert_eq!(
         s.candidates_examined,
         s.candidates + s.candidates_aborted_early

@@ -699,7 +699,6 @@ fn respond(
         reply.slow_k,
         0,
         0,
-        false,
         reply.trace.map_or(0, |c| c.trace),
     );
     written
@@ -829,11 +828,10 @@ fn render_response_into(out: &mut String, resp: &QueryResponse) {
     }
     let _ = write!(
         out,
-        "],\"stats\":{{\"candidates\":{},\"pages\":{},\"fallback\":{},\
+        "],\"stats\":{{\"candidates\":{},\"pages\":{},\
          \"nodes_pruned\":{},\"examined\":{},\"aborted_early\":{}}}}}",
         resp.stats.candidates,
         resp.stats.pages,
-        resp.stats.fallback,
         resp.stats.nodes_pruned,
         resp.stats.candidates_examined,
         resp.stats.candidates_aborted_early
@@ -1033,11 +1031,10 @@ mod tests {
             out.push_str(&format!("{{\"id\":{},\"dist\":{}}}", r.id, num(r.dist)));
         }
         out.push_str(&format!(
-            "],\"stats\":{{\"candidates\":{},\"pages\":{},\"fallback\":{},\
+            "],\"stats\":{{\"candidates\":{},\"pages\":{},\
              \"nodes_pruned\":{},\"examined\":{},\"aborted_early\":{}}}}}",
             resp.stats.candidates,
             resp.stats.pages,
-            resp.stats.fallback,
             resp.stats.nodes_pruned,
             resp.stats.candidates_examined,
             resp.stats.candidates_aborted_early
@@ -1071,7 +1068,7 @@ mod tests {
             "{\"results\":[{\"id\":3,\"dist\":0.5},{\"id\":17,\"dist\":0.3333333333333333},\
              {\"id\":8,\"dist\":2},{\"id\":4,\"dist\":0.0001},{\"id\":9,\"dist\":null},\
              {\"id\":11,\"dist\":null}],\"stats\":{\"candidates\":12,\"pages\":7,\
-             \"fallback\":false,\"nodes_pruned\":5,\"examined\":20,\"aborted_early\":8}}"
+             \"nodes_pruned\":5,\"examined\":20,\"aborted_early\":8}}"
         );
         assert_eq!(body, reference_render(&resp));
         let single = QueryResponse {

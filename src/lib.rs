@@ -11,9 +11,10 @@
 //! ([`core::NnCells`]).
 //!
 //! Serving keeps only what queries read: [`core::NnCellIndex`] stores the
-//! points and a point X-tree, runs no LP, and answers every query by an
-//! exact best-first search, bit-identical to a linear scan. The cells are
-//! built on demand from an index, for the paper's experiments.
+//! points and a point X-tree, runs no LP, and answers every query — a
+//! k-NN query for any k, a radius query — by one exact best-first search,
+//! bit-identical to a linear scan. The cells are built on demand from an
+//! index, for the paper's experiments.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!

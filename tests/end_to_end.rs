@@ -2,7 +2,7 @@
 
 use nncell::core::{
     average_overlap, linear_scan_nn, BuildConfig, NnCellIndex, NnCells, Query, QueryEngine,
-    Strategy,
+    QueryScratch, Strategy,
 };
 use nncell::data::{
     ClusteredGenerator, FourierGenerator, Generator, GridGenerator, SparseGenerator,
@@ -10,6 +10,7 @@ use nncell::data::{
 };
 use nncell::geom::Point;
 use nncell::index::{LinearScan, RStarTree, XTree};
+use std::time::{Duration, Instant};
 
 /// NN through the typed engine, with the removed shim's `Option` shape.
 fn nn(idx: &NnCellIndex, q: &[f64]) -> Option<nncell::core::QueryResult> {
@@ -129,14 +130,17 @@ fn all_engines_agree_on_fourier_workload() {
 
 #[test]
 fn nncell_beats_tree_nn_on_search_time_high_dim() {
-    // The paper's headline (figure 7): the NN-cell *total search time* beats
-    // the classic R*-tree NN search as dimensionality grows, because the
-    // point query does none of the priority-queue / MINDIST sorting work.
-    // (The page-access standing depends on database scale — the paper ran
-    // 100k points; see EXPERIMENTS.md — so this test asserts the wall-clock
-    // claim plus the selectivity that drives it.)
+    // The index's query engine — a MINDIST-ordered best-first traversal of
+    // its point X-tree that evaluates each streamed leaf in one pass —
+    // beats the R*-tree's NN search in total search time at d = 12, and
+    // stays selective. (The page-access standing depends on database
+    // scale — the paper ran 100k points; see EXPERIMENTS.md.) Both arms are
+    // timed alike: the queries are built once, the engine reuses one warm
+    // scratch, and each arm's best of 5 rounds is compared, the arm that
+    // goes first alternating, so one stalled round decides nothing.
     let dim = 12;
     let n = 2_000;
+    let rounds = 5;
     let gen = UniformGenerator::new(dim);
     let points = gen.generate(n, 500);
     let qs = queries(&gen, 200, 501);
@@ -148,36 +152,57 @@ fn nncell_beats_tree_nn_on_search_time_high_dim() {
         rstar.insert_point(p, i as u64);
     }
 
-    // Selectivity: the point query inspects a fraction of the database.
-    let mut total_candidates = 0usize;
-    let t0 = std::time::Instant::now();
-    let ids_n: Vec<usize> = qs
-        .iter()
-        .map(|q| {
-            let r = QueryEngine::sequential(&nncell)
-                .execute(&Query::nn(q.clone()))
-                .unwrap();
-            total_candidates += r.stats.candidates;
-            r.best.id
-        })
-        .collect();
-    let t_nncell = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let ids_r: Vec<usize> = qs
-        .iter()
-        .map(|q| rstar.nearest_neighbor(q).unwrap().id as usize)
-        .collect();
-    let t_rstar = t0.elapsed();
+    let engine = QueryEngine::sequential(&nncell);
+    let nn_queries: Vec<Query> = qs.iter().map(|q| Query::nn(q.clone())).collect();
+    let mut scratch = QueryScratch::new();
+    // One round of the engine: its time, answers and summed candidates.
+    let mut engine_round = || {
+        let mut candidates = 0usize;
+        let t0 = Instant::now();
+        let ids: Vec<usize> = nn_queries
+            .iter()
+            .map(|q| {
+                let r = engine.execute_with(&mut scratch, q).unwrap();
+                candidates += r.stats.candidates;
+                r.best.id
+            })
+            .collect();
+        (t0.elapsed(), ids, candidates)
+    };
+    let rstar_round = || {
+        let t0 = Instant::now();
+        let ids: Vec<usize> = qs
+            .iter()
+            .map(|q| rstar.nearest_neighbor(q).unwrap().id as usize)
+            .collect();
+        (t0.elapsed(), ids)
+    };
+    let (mut t_engine, mut t_rstar) = (Duration::MAX, Duration::MAX);
+    let mut total_candidates = 0;
+    for round in 0..rounds {
+        let (e, r) = if round % 2 == 0 {
+            let e = engine_round();
+            (e, rstar_round())
+        } else {
+            let r = rstar_round();
+            (engine_round(), r)
+        };
+        assert_eq!(e.1, r.1, "both engines are exact");
+        t_engine = t_engine.min(e.0);
+        t_rstar = t_rstar.min(r.0);
+        total_candidates = e.2;
+    }
 
-    assert_eq!(ids_n, ids_r, "both engines are exact");
+    // Selectivity: the point query inspects a fraction of the database.
     assert!(
         total_candidates < qs.len() * n / 2,
         "point query must stay selective: {} candidates/query at N={n}",
         total_candidates / qs.len()
     );
     assert!(
-        t_nncell < t_rstar,
-        "NN-cell total search time ({t_nncell:?}) should beat the R*-tree ({t_rstar:?}) at d={dim}"
+        t_engine < t_rstar,
+        "the point X-tree's best-first search ({t_engine:?}) should beat the R*-tree's \
+         NN search ({t_rstar:?}) at d={dim}, best of {rounds} rounds each"
     );
 }
 
