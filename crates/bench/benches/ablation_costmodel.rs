@@ -32,7 +32,10 @@ fn main() {
         }
         let nncell = NnCellIndex::build(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(5).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::CorrectPruned)
+                .seed(5)
+                .build(),
         )
         .expect("build");
         let cells = NnCells::build(&nncell);

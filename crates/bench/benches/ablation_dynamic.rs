@@ -32,9 +32,11 @@ fn main() {
     for (label, refine) in [("refine ON", true), ("refine OFF", false)] {
         let mut index = NnCellIndex::build(
             base.clone(),
-            BuildConfig::builder().strategy(Strategy::Sphere)
+            BuildConfig::builder()
+                .strategy(Strategy::Sphere)
                 .refine_on_insert(refine)
-                .seed(7).build(),
+                .seed(7)
+                .build(),
         )
         .expect("build");
         let mut cells = NnCells::build(&index);

@@ -26,9 +26,11 @@ fn main() {
     for block in [1024usize, 4096, 16384] {
         let index = NnCellIndex::build(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::NnDirection)
+            BuildConfig::builder()
+                .strategy(Strategy::NnDirection)
                 .block_size(block)
-                .seed(9).build(),
+                .seed(9)
+                .build(),
         )
         .expect("build");
         let st = cell_nn_run(&index, &NnCells::build(&index), &queries).io;
@@ -49,7 +51,10 @@ fn main() {
     // queries.
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::NnDirection).seed(9).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::NnDirection)
+            .seed(9)
+            .build(),
     )
     .expect("build");
     let nn_cells = NnCells::build(&index);

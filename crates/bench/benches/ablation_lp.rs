@@ -38,7 +38,11 @@ fn main() {
     ] {
         let index = NnCellIndex::build(
             points.clone(),
-            BuildConfig::builder().strategy(strategy).solver(solver).seed(8).build(),
+            BuildConfig::builder()
+                .strategy(strategy)
+                .solver(solver)
+                .seed(8)
+                .build(),
         )
         .expect("build");
         let (cells, t) = timed(|| NnCells::build(&index));

@@ -23,7 +23,10 @@ fn main() {
 
     let nncell = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(11).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::CorrectPruned)
+            .seed(11)
+            .build(),
     )
     .expect("build");
     let cells = NnCells::build(&nncell);

@@ -109,7 +109,11 @@ fn main() {
     let exhaustive_cap = env_usize("NNCELL_EXHAUSTIVE_CAP", 32_000);
     let allpairs_sizes = env_usize_list("NNCELL_ALLPAIRS_NS", &[1_000, 2_000, 4_000]);
     let out = std::env::var("NNCELL_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_build_scaling.json").to_string()
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_build_scaling.json"
+        )
+        .to_string()
     });
     let k = ConstraintPool::recommended_k(d);
     println!("# Build scaling (d={d}, pool k={k}, {threads} thread(s))");

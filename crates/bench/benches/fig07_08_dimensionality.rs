@@ -29,7 +29,10 @@ fn main() {
 
         let nncell = NnCellIndex::build(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(2).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::CorrectPruned)
+                .seed(2)
+                .build(),
         )
         .expect("build");
         let cells = NnCells::build(&nncell);

@@ -28,7 +28,10 @@ fn main() {
 
         let nncell = NnCellIndex::build(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(3).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::CorrectPruned)
+                .seed(3)
+                .build(),
         )
         .expect("build");
         let cells = NnCells::build(&nncell);

@@ -25,7 +25,10 @@ fn main() {
 
         let nncell = NnCellIndex::build(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(4).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::CorrectPruned)
+                .seed(4)
+                .build(),
         )
         .expect("build");
         let cells = NnCells::build(&nncell);

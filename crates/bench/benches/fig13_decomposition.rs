@@ -28,7 +28,9 @@ fn main() {
             let cells = |cfg: BuildConfig| {
                 NnCells::build(&NnCellIndex::build(points.clone(), cfg).expect("build"))
             };
-            let cfg = BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(6);
+            let cfg = BuildConfig::builder()
+                .strategy(Strategy::CorrectPruned)
+                .seed(6);
             let exact = cells(cfg.clone().build());
             let decomposed = cells(cfg.decompose_pieces(pieces).build());
             let o_exact = average_overlap(exact.cells());

@@ -91,7 +91,10 @@ fn bench_nncell_query() {
     let queries = UniformGenerator::new(d).generate(64, 6);
     let index = NnCellIndex::build(
         points,
-        BuildConfig::builder().strategy(Strategy::NnDirection).seed(10).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::NnDirection)
+            .seed(10)
+            .build(),
     )
     .expect("build");
     let cells = NnCells::build(&index);
@@ -107,10 +110,14 @@ fn bench_cell_build() {
     let d = 8;
     let points = UniformGenerator::new(d).generate(300, 7);
     for strategy in [Strategy::Sphere, Strategy::NnDirection] {
-        bench(&format!("cell_index_build_d8_n300/{}", strategy.name()), 1, || {
-            let cfg = BuildConfig::builder().strategy(strategy).seed(11).build();
-            NnCells::build(&NnCellIndex::build(points.clone(), cfg).unwrap())
-        });
+        bench(
+            &format!("cell_index_build_d8_n300/{}", strategy.name()),
+            1,
+            || {
+                let cfg = BuildConfig::builder().strategy(strategy).seed(11).build();
+                NnCells::build(&NnCellIndex::build(points.clone(), cfg).unwrap())
+            },
+        );
     }
 }
 

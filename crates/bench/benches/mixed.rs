@@ -101,9 +101,11 @@ fn main() {
         // (coordinates are continuous uniform; duplicate rejection is a
         // non-issue at these scales).
         let fresh = UniformGenerator::new(d).generate(ops, 8 + n as u64);
-        let cfg = BuildConfig::builder().strategy(Strategy::Sphere)
+        let cfg = BuildConfig::builder()
+            .strategy(Strategy::Sphere)
             .seed(7)
-            .threads(threads).build();
+            .threads(threads)
+            .build();
         let (idx, build_s) = timed(|| {
             ShardedIndex::build(seed_pts, SHARDS, cfg)
                 .expect("seed build")

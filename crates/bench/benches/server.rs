@@ -26,7 +26,7 @@
 use nncell_bench::{env_usize, provenance_json, timed};
 use nncell_core::{BuildConfig, Registry, ShardedIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
-use nncell_server::{Client, Server, ServerConfig, ServeIndex};
+use nncell_server::{Client, ServeIndex, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -88,7 +88,10 @@ fn main() {
         .iter()
         .map(|p| query_body(p.as_slice()))
         .collect();
-    let cfg = BuildConfig::builder().strategy(Strategy::NnDirection).seed(7).build();
+    let cfg = BuildConfig::builder()
+        .strategy(Strategy::NnDirection)
+        .seed(7)
+        .build();
     let index = ShardedIndex::build(points, 2, cfg.clone()).expect("build index");
 
     // ----- pass 1: capacity (client threads == worker threads) -------
@@ -146,9 +149,7 @@ fn main() {
     let queue_depth = threads.max(1);
     let capacity = threads + queue_depth;
     let offered_clients = 2 * capacity;
-    let window = Duration::from_millis(
-        env_usize("NNCELL_SERVER_OVERLOAD_MS", 2_000) as u64,
-    );
+    let window = Duration::from_millis(env_usize("NNCELL_SERVER_OVERLOAD_MS", 2_000) as u64);
     let points = UniformGenerator::new(d).generate(n, 7);
     let index = ShardedIndex::build(points, 2, cfg).expect("rebuild index");
     let (addr, handle, join) = start(index, threads, queue_depth);

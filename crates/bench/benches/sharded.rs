@@ -35,10 +35,17 @@ fn shard_counts() -> Vec<usize> {
     }
 }
 
-fn assert_bit_identical(a: &[Result<QueryResponse, nncell_core::QueryError>], b: &[Result<QueryResponse, nncell_core::QueryError>], s: usize) {
+fn assert_bit_identical(
+    a: &[Result<QueryResponse, nncell_core::QueryError>],
+    b: &[Result<QueryResponse, nncell_core::QueryError>],
+    s: usize,
+) {
     assert_eq!(a.len(), b.len());
     for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-        let (ra, rb) = (ra.as_ref().expect("query ok"), rb.as_ref().expect("query ok"));
+        let (ra, rb) = (
+            ra.as_ref().expect("query ok"),
+            rb.as_ref().expect("query ok"),
+        );
         let va: Vec<_> = ra.iter().collect();
         let vb: Vec<_> = rb.iter().collect();
         assert_eq!(va.len(), vb.len(), "S={s} query {i}");
@@ -71,10 +78,12 @@ fn main() {
     let mut baseline: Option<Vec<Result<QueryResponse, nncell_core::QueryError>>> = None;
     let mut rows = Vec::new();
     for &s in &counts {
-        let cfg = BuildConfig::builder().strategy(Strategy::NnDirection).seed(7).build();
-        let (index, build_s) = timed(|| {
-            ShardedIndex::build(points.clone(), s, cfg).expect("sharded build")
-        });
+        let cfg = BuildConfig::builder()
+            .strategy(Strategy::NnDirection)
+            .seed(7)
+            .build();
+        let (index, build_s) =
+            timed(|| ShardedIndex::build(points.clone(), s, cfg).expect("sharded build"));
         index.batch(&queries[..n_q.min(256)]); // warm-up
         let mut qps = Vec::with_capacity(PASSES);
         let mut results = Vec::new();

@@ -34,11 +34,11 @@ use nncell_core::wal::WalTail;
 use nncell_core::{
     BuildConfig, FoldConfig, InputPolicy, Query, QueryError, QueryResponse, Registry, ShardedIndex,
 };
-use nncell_geom::Point;
 use nncell_data::{
     ClusteredGenerator, FourierGenerator, Generator, GridGenerator, SparseGenerator,
     UniformGenerator,
 };
+use nncell_geom::Point;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -116,7 +116,10 @@ fn cmd_build(p: &Parsed) -> Result<(), String> {
     let out = p.get("out");
     let wal = p.get("wal");
     if out.is_none() && wal.is_none() {
-        return Err("build needs --out FILE (plain snapshot), --wal DIR (durable directory), or both".into());
+        return Err(
+            "build needs --out FILE (plain snapshot), --wal DIR (durable directory), or both"
+                .into(),
+        );
     }
     let shards: usize = p.get_or("shards", 1).map_err(|e| e.to_string())?;
     if shards == 0 {
@@ -267,12 +270,12 @@ fn print_recovery(rec: &nncell_core::RecoveryReport) {
     }
     match rec.wal_tail {
         WalTail::Clean => println!("journal tail   : clean"),
-        WalTail::Truncated { offset } => println!(
-            "journal tail   : torn record at byte {offset} (unacknowledged write dropped)"
-        ),
-        WalTail::Corrupt { offset } => println!(
-            "journal tail   : corrupt record at byte {offset} (damaged suffix dropped)"
-        ),
+        WalTail::Truncated { offset } => {
+            println!("journal tail   : torn record at byte {offset} (unacknowledged write dropped)")
+        }
+        WalTail::Corrupt { offset } => {
+            println!("journal tail   : corrupt record at byte {offset} (damaged suffix dropped)")
+        }
     }
     if rec.rotated {
         println!(
@@ -592,7 +595,10 @@ fn cmd_stats_server(addr: &str) -> Result<(), String> {
             .sum::<f64>() as u64
     };
     let ready = matches!(client.get("/readyz"), Ok(r) if r.status == 200);
-    println!("server         : {addr} ({})", if ready { "ready" } else { "draining/not ready" });
+    println!(
+        "server         : {addr} ({})",
+        if ready { "ready" } else { "draining/not ready" }
+    );
     println!(
         "admission      : queue depth {}, {} in flight, {} shed (429) total",
         value("nncell_http_queue_depth"),

@@ -21,14 +21,22 @@ fn generate_build_query_info_bench_pipeline() {
         .args(["--seed", "5", "--out", pts.to_str().unwrap()])
         .output()
         .expect("spawn generate");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let out = bin()
         .args(["build", "--points", pts.to_str().unwrap()])
         .args(["--out", idx.to_str().unwrap()])
         .output()
         .expect("spawn build");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("built 200 points"));
 
     let out = bin()
@@ -36,7 +44,11 @@ fn generate_build_query_info_bench_pipeline() {
         .args(["--point", "0.5,0.5,0.5,0.5", "--k", "3"])
         .output()
         .expect("spawn query");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.lines().count() >= 3, "three kNN lines: {text}");
 
@@ -82,18 +94,38 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
         .args(["--wal", db.to_str().unwrap()])
         .output()
         .expect("spawn build --wal");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("durable directory initialized"));
 
     // Journal two inserts and a remove (each acknowledged once fsynced).
     let out = bin()
-        .args(["insert", "--wal", db.to_str().unwrap(), "--point", "0.91,0.92,0.93"])
+        .args([
+            "insert",
+            "--wal",
+            db.to_str().unwrap(),
+            "--point",
+            "0.91,0.92,0.93",
+        ])
         .output()
         .expect("spawn insert");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("inserted point #80"));
     let out = bin()
-        .args(["insert", "--wal", db.to_str().unwrap(), "--point", "0.11,0.12,0.13"])
+        .args([
+            "insert",
+            "--wal",
+            db.to_str().unwrap(),
+            "--point",
+            "0.11,0.12,0.13",
+        ])
         .output()
         .unwrap();
     assert!(out.status.success());
@@ -101,7 +133,11 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
         .args(["remove", "--wal", db.to_str().unwrap(), "--id", "80"])
         .output()
         .expect("spawn remove");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("removed point #80"));
 
     // Removing a dead id journals nothing but still succeeds.
@@ -130,7 +166,11 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
         .args(["recover", "--wal", db.to_str().unwrap(), "--checkpoint"])
         .output()
         .expect("spawn recover");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("records replayed: 3"), "{text}");
     assert!(text.contains("torn record"), "{text}");
@@ -140,10 +180,20 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
     // Queries work straight off the durable directory; the surviving
     // insert near (0.11, 0.12, 0.13) is found, the removed one is gone.
     let out = bin()
-        .args(["query", "--wal", db.to_str().unwrap(), "--point", "0.11,0.12,0.13"])
+        .args([
+            "query",
+            "--wal",
+            db.to_str().unwrap(),
+            "--point",
+            "0.11,0.12,0.13",
+        ])
         .output()
         .expect("spawn query --wal");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("#81 at distance 0.000000"), "{text}");
 
@@ -165,14 +215,22 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .args(["--out", idx.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Human-readable summary: percentiles, counters, and the point tree.
     let out = bin()
         .args(["stats", "--index", idx.to_str().unwrap(), "--queries", "40"])
         .output()
         .expect("spawn stats");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("latency        : p50"), "{text}");
     assert!(text.contains("40 queries"), "{text}");
@@ -185,7 +243,11 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .args(["--queries", "40", "--k", "3", "--json"])
         .output()
         .expect("spawn stats --json");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let json = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(
         json.contains("\"nncell_queries_total\": {\"type\": \"counter\", \"value\": 40}"),
@@ -203,7 +265,10 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         json.contains("\"nncell_query_latency_ns\": {\"type\": \"histogram\", \"count\": 40,"),
         "{json}"
     );
-    assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'), "{json}");
+    assert!(
+        json.trim_start().starts_with('{') && json.trim_end().ends_with('}'),
+        "{json}"
+    );
 
     // --prom renders Prometheus exposition text.
     let out = bin()
@@ -213,7 +278,10 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .expect("spawn stats --prom");
     assert!(out.status.success());
     let prom = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(prom.contains("# TYPE nncell_query_latency_ns histogram"), "{prom}");
+    assert!(
+        prom.contains("# TYPE nncell_query_latency_ns histogram"),
+        "{prom}"
+    );
     assert!(prom.contains("nncell_queries_total 10"), "{prom}");
 
     // --slow with threshold 0 captures every query in the ring.
@@ -222,7 +290,11 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .args(["--queries", "12", "--slow", "--slow-threshold-us", "0"])
         .output()
         .expect("spawn stats --slow");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("12 total seen"), "{text}");
     assert!(text.contains("candidates="), "{text}");
@@ -239,7 +311,11 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .args(["stats", "--wal", db.to_str().unwrap(), "--queries", "5"])
         .output()
         .expect("spawn stats --wal");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("durability"), "{text}");
 
@@ -252,20 +328,41 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .args(["--out", sharded.to_str().unwrap(), "--shards", "2"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let out = bin()
-        .args(["stats", "--index", sharded.to_str().unwrap(), "--queries", "40"])
+        .args([
+            "stats",
+            "--index",
+            sharded.to_str().unwrap(),
+            "--queries",
+            "40",
+        ])
         .output()
         .expect("spawn stats on a sharded index");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("queries        : 40 ok, 0 error(s)"), "{text}");
+    assert!(
+        text.contains("queries        : 40 ok, 0 error(s)"),
+        "{text}"
+    );
     let out = bin()
         .args(["stats", "--index", sharded.to_str().unwrap()])
         .args(["--queries", "40", "--json"])
         .output()
         .expect("spawn stats --json on a sharded index");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let json = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(
         json.contains("\"nncell_queries_total\": {\"type\": \"counter\", \"value\": 40}"),
@@ -276,7 +373,11 @@ fn stats_reports_metrics_snapshot_and_slow_queries() {
         .args(["--queries", "12", "--slow", "--slow-threshold-us", "0"])
         .output()
         .expect("spawn stats --slow on a sharded index");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert_eq!(text.matches("slow queries (threshold").count(), 1, "{text}");
     assert!(text.contains("12 total seen"), "{text}");
@@ -313,15 +414,35 @@ fn bad_usage_fails_cleanly() {
     let pts = tmp("dim.csv");
     let idx = tmp("dim.nncell");
     bin()
-        .args(["generate", "--n", "50", "--dim", "3", "--out", pts.to_str().unwrap()])
+        .args([
+            "generate",
+            "--n",
+            "50",
+            "--dim",
+            "3",
+            "--out",
+            pts.to_str().unwrap(),
+        ])
         .output()
         .unwrap();
     bin()
-        .args(["build", "--points", pts.to_str().unwrap(), "--out", idx.to_str().unwrap()])
+        .args([
+            "build",
+            "--points",
+            pts.to_str().unwrap(),
+            "--out",
+            idx.to_str().unwrap(),
+        ])
         .output()
         .unwrap();
     let out = bin()
-        .args(["query", "--index", idx.to_str().unwrap(), "--point", "0.5,0.5"])
+        .args([
+            "query",
+            "--index",
+            idx.to_str().unwrap(),
+            "--point",
+            "0.5,0.5",
+        ])
         .output()
         .unwrap();
     assert!(!out.status.success());

@@ -28,17 +28,16 @@ const DIM: usize = 2;
 const SHARDS: usize = 2;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "nncell_server_e2e_{name}_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("nncell_server_e2e_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 fn cfg() -> BuildConfig {
     // Must match what `serve` uses for a fresh `--wal` directory.
-    BuildConfig::builder().strategy(Strategy::CorrectPruned).build()
+    BuildConfig::builder()
+        .strategy(Strategy::CorrectPruned)
+        .build()
 }
 
 /// A running `nncell serve` subprocess: the parsed listen address plus
@@ -161,7 +160,9 @@ fn storm_past_capacity_sheds_429_and_recovers() {
     // Seed a point so reads have something to hit.
     let c = srv.client();
     assert_eq!(
-        c.post("/insert", &insert_body(&point_for(0))).unwrap().status,
+        c.post("/insert", &insert_body(&point_for(0)))
+            .unwrap()
+            .status,
         200
     );
 
@@ -180,8 +181,7 @@ fn storm_past_capacity_sheds_429_and_recovers() {
                     };
                     match r {
                         Ok(resp) => {
-                            let retry_after =
-                                resp.header("retry-after").is_some();
+                            let retry_after = resp.header("retry-after").is_some();
                             (resp.status, retry_after)
                         }
                         Err(_) => (0, false),
@@ -287,8 +287,8 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
     // Recover in-process. Every acked id must be live with identical
     // bits; ids beyond the acked set are allowed (in-flight at SIGKILL,
     // acked to no one) but must be contiguous assignments, not garbage.
-    let recovered = ShardedIndex::open_durable(&wal, DIM, SHARDS, cfg())
-        .expect("recovery after SIGKILL");
+    let recovered =
+        ShardedIndex::open_durable(&wal, DIM, SHARDS, cfg()).expect("recovery after SIGKILL");
     for (id, coords) in &acked {
         let (shard, local) = recovered.locate(*id).expect("acked insert id placed");
         let shard = recovered.shard(shard);
@@ -298,7 +298,8 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
         );
         let got = shard.rows().nth(local).expect("acked slot");
         assert_eq!(
-            got, &coords[..],
+            got,
+            &coords[..],
             "acked insert id {id} recovered with different bits"
         );
     }
@@ -307,9 +308,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
     // in-process engine (same shard count, same build config) and
     // compare answers bit-for-bit across a probe grid.
     let replay = ShardedIndex::new(DIM, SHARDS, cfg());
-    let total: usize = (0..SHARDS)
-        .map(|i| recovered.shard(i).rows().len())
-        .sum();
+    let total: usize = (0..SHARDS).map(|i| recovered.shard(i).rows().len()).sum();
     for g in 0..total {
         let (shard, local) = recovered
             .locate(g)
@@ -478,7 +477,10 @@ fn traceparent_round_trips_and_debug_trace_exports_the_tree() {
             .header("traceparent")
             .expect("server echoes traceparent on traced requests");
         let ctx = SpanContext::parse_traceparent(echoed).expect("well-formed traceparent");
-        assert_eq!(ctx.trace, TRACE, "trace id unchanged through the round trip");
+        assert_eq!(
+            ctx.trace, TRACE,
+            "trace id unchanged through the round trip"
+        );
         assert!(ctx.sampled);
     }
 
@@ -514,7 +516,9 @@ fn traceparent_round_trips_and_debug_trace_exports_the_tree() {
         "wal.append",
     ] {
         assert!(
-            events.iter().any(|l| l.contains(&format!("\"name\":\"{name}\""))),
+            events
+                .iter()
+                .any(|l| l.contains(&format!("\"name\":\"{name}\""))),
             "span {name} missing from export:\n{body}"
         );
     }
@@ -551,7 +555,10 @@ fn traceparent_round_trips_and_debug_trace_exports_the_tree() {
         );
     }
     let shard_spans = span_of("shard.query");
-    for ev in events.iter().filter(|l| l.contains("\"name\":\"engine.query\"")) {
+    for ev in events
+        .iter()
+        .filter(|l| l.contains("\"name\":\"engine.query\""))
+    {
         assert!(
             shard_spans.contains(&field(ev, "parent")),
             "engine span not parented by a shard span:\n{body}"

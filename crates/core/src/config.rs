@@ -76,7 +76,6 @@ pub enum ConstraintPool {
     },
 }
 
-
 impl ConstraintPool {
     /// The recommended pool size for `d`-dimensional data: `4·d`, matching
     /// the constraint count of the paper's NN-Direction strategy (whose

@@ -300,10 +300,9 @@ impl ShardLog {
         let bytes = vfs.read(&current_path(dir))?;
         let text = std::str::from_utf8(&bytes)
             .map_err(|_| PersistError::Corrupt("CURRENT is not UTF-8".into()))?;
-        let generation: u64 = text
-            .trim()
-            .parse()
-            .map_err(|_| PersistError::Corrupt(format!("CURRENT holds {text:?}, not a generation")))?;
+        let generation: u64 = text.trim().parse().map_err(|_| {
+            PersistError::Corrupt(format!("CURRENT holds {text:?}, not a generation"))
+        })?;
 
         let (mut index, mut ids) =
             NnCellIndex::load_shard(vfs.as_ref(), &snapshot_path(dir, generation), rule)?;
@@ -377,8 +376,8 @@ impl ShardLog {
         registry
             .counter("nncell_wal_replayed_total")
             .add(self.recovery.replayed as u64);
-        let dropped = self.recovery.skipped as u64
-            + u64::from(self.recovery.wal_tail != WalTail::Clean);
+        let dropped =
+            self.recovery.skipped as u64 + u64::from(self.recovery.wal_tail != WalTail::Clean);
         registry
             .counter("nncell_wal_replay_dropped_total")
             .add(dropped);
@@ -457,7 +456,10 @@ mod tests {
     const ONE: RoundRobin = RoundRobin::ONE;
 
     fn cfg() -> BuildConfig {
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(3).build()
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(3)
+            .build()
     }
 
     fn grid_point(i: usize) -> Point {

@@ -625,7 +625,9 @@ mod tests {
     #[test]
     fn removals_stay_exact() {
         let pts = uniform(80, 2, 13);
-        let cfg = BuildConfig::builder().strategy(Strategy::CorrectPruned).build();
+        let cfg = BuildConfig::builder()
+            .strategy(Strategy::CorrectPruned)
+            .build();
         let mut idx = NnCellIndex::build(pts.clone(), cfg).unwrap();
         let mut live: Vec<Point> = pts.clone();
         let mut removed = std::collections::HashSet::new();
@@ -666,7 +668,11 @@ mod tests {
     #[test]
     fn remove_everything() {
         let pts = uniform(20, 2, 17);
-        let mut idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Correct).build()).unwrap();
+        let mut idx = NnCellIndex::build(
+            pts,
+            BuildConfig::builder().strategy(Strategy::Correct).build(),
+        )
+        .unwrap();
         for id in 0..20 {
             assert!(idx.remove(id));
         }
@@ -677,9 +683,15 @@ mod tests {
     #[test]
     fn out_of_space_queries_stay_exact() {
         let pts = uniform(50, 2, 18);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+        let idx = NnCellIndex::build(
+            pts.clone(),
+            BuildConfig::builder().strategy(Strategy::Sphere).build(),
+        )
+        .unwrap();
         let q = [1.5, -0.2];
-        let r = QueryEngine::sequential(&idx).execute(&Query::nn(q)).unwrap();
+        let r = QueryEngine::sequential(&idx)
+            .execute(&Query::nn(q))
+            .unwrap();
         let want = linear_scan_nn(&pts, &q).unwrap();
         assert_eq!(r.best.id, want.id);
         assert_eq!(r.best.dist.to_bits(), want.dist.to_bits());
@@ -688,18 +700,27 @@ mod tests {
     #[test]
     fn build_errors() {
         assert!(matches!(
-            NnCellIndex::build(vec![], BuildConfig::builder().strategy(Strategy::Correct).build()),
+            NnCellIndex::build(
+                vec![],
+                BuildConfig::builder().strategy(Strategy::Correct).build()
+            ),
             Err(BuildError::EmptyDatabase)
         ));
         let ragged = vec![Point::new(vec![0.1, 0.2]), Point::new(vec![0.1, 0.2, 0.3])];
         assert!(matches!(
-            NnCellIndex::build(ragged, BuildConfig::builder().strategy(Strategy::Correct).build()),
+            NnCellIndex::build(
+                ragged,
+                BuildConfig::builder().strategy(Strategy::Correct).build()
+            ),
             Err(BuildError::DimensionMismatch {
                 expected: 2,
                 got: 3
             })
         ));
-        let mut idx = NnCellIndex::new(2, BuildConfig::builder().strategy(Strategy::Correct).build());
+        let mut idx = NnCellIndex::new(
+            2,
+            BuildConfig::builder().strategy(Strategy::Correct).build(),
+        );
         assert!(matches!(
             idx.insert(Point::new(vec![0.1; 5])),
             Err(BuildError::DimensionMismatch {
@@ -776,7 +797,10 @@ mod tests {
         pts.push(Point::new(vec![2.0, 2.0]));
         let idx = NnCellIndex::build(
             pts.clone(),
-            BuildConfig::builder().strategy(Strategy::Sphere).input_policy(InputPolicy::Skip).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::Sphere)
+                .input_policy(InputPolicy::Skip)
+                .build(),
         )
         .unwrap();
         assert_eq!(idx.len(), 40);
@@ -825,7 +849,11 @@ mod tests {
     #[test]
     fn malformed_queries_return_empty_not_panic() {
         let pts = uniform(30, 2, 46);
-        let idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+        let idx = NnCellIndex::build(
+            pts,
+            BuildConfig::builder().strategy(Strategy::Sphere).build(),
+        )
+        .unwrap();
         assert!(nn(&idx, &[0.5]).is_none(), "wrong dimension");
         assert!(nn(&idx, &[0.5, 0.5, 0.5]).is_none());
         assert!(nn(&idx, &[f64::NAN, 0.5]).is_none());
@@ -839,7 +867,11 @@ mod tests {
     #[test]
     fn knn_exact_against_scan() {
         let pts = uniform(100, 3, 19);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+        let idx = NnCellIndex::build(
+            pts.clone(),
+            BuildConfig::builder().strategy(Strategy::Sphere).build(),
+        )
+        .unwrap();
         let q = [0.3, 0.7, 0.5];
         let top5 = knn(&idx, &q, 5);
         assert_eq!(top5.len(), 5);
@@ -868,7 +900,9 @@ mod tests {
         let metric = WeightedEuclidean::new(vec![4.0, 1.0, 0.25]);
         let idx = NnCellIndex::build_with_metric(
             pts.clone(),
-            BuildConfig::builder().strategy(Strategy::CorrectPruned).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::CorrectPruned)
+                .build(),
             metric.clone(),
         )
         .unwrap();
@@ -892,7 +926,11 @@ mod tests {
     #[test]
     fn build_is_a_bulk_load_without_lps() {
         let pts = uniform(40, 2, 22);
-        let mut idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Correct).build()).unwrap();
+        let mut idx = NnCellIndex::build(
+            pts,
+            BuildConfig::builder().strategy(Strategy::Correct).build(),
+        )
+        .unwrap();
         let st = *idx.build_stats();
         assert_eq!(st.lp.lp_calls, 0, "the point index runs no LP");
         assert_eq!(st.profile.bulk_load.calls, 1);

@@ -47,8 +47,8 @@ pub mod index;
 pub mod memtable;
 pub mod metrics;
 pub mod persist;
-pub mod query;
 pub mod quality;
+pub mod query;
 pub mod scan;
 pub mod shard;
 pub mod snapshot;
@@ -67,13 +67,13 @@ pub use index::{BuildError, NnCellIndex, QueryResult};
 pub use memtable::{FoldConfig, FoldError, FoldStatus};
 pub use metrics::{EngineMetrics, IndexMetrics, SLOW_QUERY_CAPACITY};
 pub use nncell_obs::{Registry, SlowQueryEntry, SlowQueryLog, Snapshot};
-pub use query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
-pub use shard::ShardedIndex;
-pub use snapshot::SnapshotCell;
 pub use persist::PersistError;
-pub use vfs::{FaultSchedule, FaultVfs, StdVfs, Vfs, VfsFile};
-pub use wal::{read_wal, WalMetrics, WalRecord, WalReplay, WalTail, WalWriter};
 pub use quality::{
     average_overlap, expected_candidates, measured_candidates, quality_to_performance,
 };
+pub use query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
 pub use scan::{linear_scan_knn, linear_scan_nn};
+pub use shard::ShardedIndex;
+pub use snapshot::SnapshotCell;
+pub use vfs::{FaultSchedule, FaultVfs, StdVfs, Vfs, VfsFile};
+pub use wal::{read_wal, WalMetrics, WalRecord, WalReplay, WalTail, WalWriter};

@@ -415,7 +415,9 @@ fn parse_points(r: &mut SliceReader<'_>) -> Result<Points, PersistError> {
     // cannot hold is corruption, caught *before* any `with_capacity`.
     let point_bytes = 1 + 8 * dim;
     if n > r.remaining() / point_bytes {
-        return Err(corrupt(format!("point count {n} exceeds the bytes present")));
+        return Err(corrupt(format!(
+            "point count {n} exceeds the bytes present"
+        )));
     }
     let mut alive = Vec::with_capacity(n);
     let mut rows = Vec::with_capacity(n * dim);
@@ -441,14 +443,20 @@ fn skip_pieces(r: &mut SliceReader<'_>, n: usize, dim: usize) -> Result<(), Pers
             return Err(corrupt(format!("implausible piece count {k}")));
         }
         if k > r.remaining() / (16 * dim) {
-            return Err(corrupt(format!("piece count {k} exceeds the bytes present")));
+            return Err(corrupt(format!(
+                "piece count {k} exceeds the bytes present"
+            )));
         }
         for _ in 0..k {
             let lo: Vec<f64> = (0..dim).map(|_| r.f64()).collect::<Result<_, _>>()?;
             let hi: Vec<f64> = (0..dim).map(|_| r.f64()).collect::<Result<_, _>>()?;
             // Saved boxes are always normalized (`hi ≥ lo`), so anything
             // inverted at all is corruption.
-            if lo.iter().zip(&hi).any(|(l, h)| !(l.is_finite() && h.is_finite()) || h < l) {
+            if lo
+                .iter()
+                .zip(&hi)
+                .any(|(l, h)| !(l.is_finite() && h.is_finite()) || h < l)
+            {
                 return Err(corrupt(format!("invalid piece bounds for point {id}")));
             }
         }
@@ -588,9 +596,11 @@ mod tests {
         let pts = uniform(60, 3, 1);
         let mut idx = NnCellIndex::build(
             pts.clone(),
-            BuildConfig::builder().strategy(Strategy::Sphere)
+            BuildConfig::builder()
+                .strategy(Strategy::Sphere)
                 .decompose_pieces(4)
-                .seed(7).build(),
+                .seed(7)
+                .build(),
         )
         .unwrap();
         assert!(idx.remove(5));
@@ -620,7 +630,10 @@ mod tests {
         let pts = uniform(30, 2, 11);
         let idx = NnCellIndex::build(
             pts.clone(),
-            BuildConfig::builder().strategy(Strategy::Point).decompose_pieces(3).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::Point)
+                .decompose_pieces(3)
+                .build(),
         )
         .unwrap();
         let cells = crate::NnCells::build(&idx);
@@ -640,18 +653,28 @@ mod tests {
         let first_piece = 8 + 32 + 8 + 30 * 17 + 4;
         bytes[first_piece..first_piece + 8].copy_from_slice(&2.0f64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(NnCellIndex::load(&path), Err(PersistError::Corrupt(_))));
+        assert!(matches!(
+            NnCellIndex::load(&path),
+            Err(PersistError::Corrupt(_))
+        ));
         let mut bytes = with_pieces(&saved, 30, &cells, false);
         bytes[first_piece - 4..first_piece].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(NnCellIndex::load(&path), Err(PersistError::Corrupt(_))));
+        assert!(matches!(
+            NnCellIndex::load(&path),
+            Err(PersistError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn bit_flips_anywhere_are_detected() {
         let pts = uniform(20, 2, 12);
-        let idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+        let idx = NnCellIndex::build(
+            pts,
+            BuildConfig::builder().strategy(Strategy::Point).build(),
+        )
+        .unwrap();
         let path = tmp("bitflip");
         idx.save(&path).unwrap();
         let original = std::fs::read(&path).unwrap();
@@ -673,8 +696,13 @@ mod tests {
     #[test]
     fn roundtrip_with_dead_slots() {
         let pts = uniform(40, 2, 2);
-        let mut idx =
-            NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::NnDirection).build()).unwrap();
+        let mut idx = NnCellIndex::build(
+            pts.clone(),
+            BuildConfig::builder()
+                .strategy(Strategy::NnDirection)
+                .build(),
+        )
+        .unwrap();
         assert!(idx.remove(5));
         assert!(idx.remove(17));
         let path = tmp("dead");
@@ -697,7 +725,11 @@ mod tests {
     #[test]
     fn loaded_index_supports_updates() {
         let pts = uniform(30, 2, 4);
-        let idx = NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+        let idx = NnCellIndex::build(
+            pts.clone(),
+            BuildConfig::builder().strategy(Strategy::Sphere).build(),
+        )
+        .unwrap();
         let path = tmp("updates");
         idx.save(&path).unwrap();
         let mut loaded = NnCellIndex::load(&path).unwrap();
@@ -719,7 +751,11 @@ mod tests {
 
         // Valid prefix, truncated payload.
         let pts = uniform(20, 2, 5);
-        let idx = NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+        let idx = NnCellIndex::build(
+            pts,
+            BuildConfig::builder().strategy(Strategy::Point).build(),
+        )
+        .unwrap();
         idx.save(&path).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();

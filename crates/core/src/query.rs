@@ -341,7 +341,9 @@ mod tests {
         assert!(QueryError::NonFiniteQuery.to_string().contains("NaN"));
         assert!(QueryError::EmptyIndex.to_string().contains("no live"));
         assert!(QueryError::ZeroK.to_string().contains("at least 1"));
-        assert!(QueryError::DeadlineExceeded.to_string().contains("deadline"));
+        assert!(QueryError::DeadlineExceeded
+            .to_string()
+            .contains("deadline"));
         assert!(QueryError::InvalidRadius.to_string().contains("finite"));
         assert!(QueryError::EmptyRadius.to_string().contains("radius"));
     }

@@ -89,9 +89,9 @@
 //! slots of all shards carry exactly the ids `0..n` (checked on open) and
 //! the next insert gets `n`.
 
+use crate::cells::BuildStats;
 use crate::config::BuildConfig;
 use crate::durable::{DurableError, RecoveryReport, ShardLog};
-use crate::cells::BuildStats;
 use crate::engine::{available_threads, QueryEngine, QueryScratch, Shard};
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp};
@@ -235,7 +235,8 @@ impl TailState {
         self.consecutive_failures.store(0, Ordering::Release);
         let recovers = self.degraded.swap(false, Ordering::AcqRel);
         self.folds.fetch_add(1, Ordering::AcqRel);
-        self.folded_records.fetch_add(records as u64, Ordering::AcqRel);
+        self.folded_records
+            .fetch_add(records as u64, Ordering::AcqRel);
         if let Some(m) = fm {
             if recovers {
                 m.degraded.set(0);
@@ -1486,9 +1487,10 @@ mod tests {
                 let h = idx.shard(i);
                 (0..2)
                     .map(|j| {
-                        h.rows().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
-                            (lo.min(r[j]), hi.max(r[j]))
-                        })
+                        h.rows()
+                            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
+                                (lo.min(r[j]), hi.max(r[j]))
+                            })
                     })
                     .collect()
             })
@@ -1511,6 +1513,9 @@ mod tests {
             }
         }
         assert!(held > 500, "{held} of 600 points lie in exactly one region");
-        assert!(kept * 100 >= held * 95, "{kept} of {held} points kept their region");
+        assert!(
+            kept * 100 >= held * 95,
+            "{kept} of {held} points kept their region"
+        );
     }
 }

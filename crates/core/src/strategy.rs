@@ -155,8 +155,14 @@ mod tests {
     #[test]
     fn sphere_candidates_grow_with_radius() {
         let (points, alive, tree) = setup(300, 3, 4);
-        let small = BuildConfig::builder().strategy(Strategy::Sphere).sphere_radius(0.05).build();
-        let large = BuildConfig::builder().strategy(Strategy::Sphere).sphere_radius(0.5).build();
+        let small = BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .sphere_radius(0.05)
+            .build();
+        let large = BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .sphere_radius(0.5)
+            .build();
         let a = gather_rival_ids(&small, 5, &points, &alive, &tree, 300).len();
         let b = gather_rival_ids(&large, 5, &points, &alive, &tree, 300).len();
         assert!(a <= b, "sphere candidates must be monotone in radius");
@@ -167,7 +173,9 @@ mod tests {
     fn nn_direction_is_small_and_directional() {
         let d = 4;
         let (points, alive, tree) = setup(400, d, 5);
-        let cfg = BuildConfig::builder().strategy(Strategy::NnDirection).build();
+        let cfg = BuildConfig::builder()
+            .strategy(Strategy::NnDirection)
+            .build();
         let ids = gather_rival_ids(&cfg, 42, &points, &alive, &tree, 400);
         assert!(!ids.is_empty());
         assert!(

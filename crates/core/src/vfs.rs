@@ -409,7 +409,9 @@ impl VfsFile for FaultFile {
         let mut st = lock(&self.state);
         let op = st.step()?;
         if st.schedule.fail_sync_ops.contains(&op) {
-            return Err(io::Error::other(format!("injected fsync failure at op {op}")));
+            return Err(io::Error::other(format!(
+                "injected fsync failure at op {op}"
+            )));
         }
         st.inodes[self.ino].synced_len = st.inodes[self.ino].current.len();
         Ok(())
@@ -484,7 +486,9 @@ impl Vfs for FaultVfs {
         let mut st = lock(&self.state);
         let op = st.step()?;
         if st.schedule.fail_sync_ops.contains(&op) {
-            return Err(io::Error::other(format!("injected fsync failure at op {op}")));
+            return Err(io::Error::other(format!(
+                "injected fsync failure at op {op}"
+            )));
         }
         // Commit this directory's live name set to the durable namespace:
         // creations, renames, and unlinks all become crash-visible.
@@ -577,7 +581,8 @@ mod tests {
             f.sync().unwrap();
         }
         vfs.sync_dir(&p("/db")).unwrap();
-        vfs.rename(&p("/db/CURRENT.tmp"), &p("/db/CURRENT")).unwrap();
+        vfs.rename(&p("/db/CURRENT.tmp"), &p("/db/CURRENT"))
+            .unwrap();
 
         // Crash before the directory sync: the old name mapping survives.
         let before = vfs.survivor(FaultSchedule::none(6));

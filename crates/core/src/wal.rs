@@ -198,9 +198,8 @@ pub fn read_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalReplay, PersistError> {
         if bytes.len() - pos < 8 {
             break WalTail::Truncated { offset: pos as u64 };
         }
-        let len =
-            u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-                as usize;
+        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
+            as usize;
         let stored_crc = u32::from_le_bytes([
             bytes[pos + 4],
             bytes[pos + 5],
@@ -569,10 +568,7 @@ mod tests {
         assert!(w.is_poisoned());
         // Even though later fsyncs would succeed, the writer refuses: the
         // unacknowledged bytes on disk must not be extended.
-        assert!(matches!(
-            w.append(&rec),
-            Err(PersistError::Corrupt(_))
-        ));
+        assert!(matches!(w.append(&rec), Err(PersistError::Corrupt(_))));
         assert_eq!(w.records(), 0);
     }
 

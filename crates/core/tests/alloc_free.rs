@@ -104,8 +104,14 @@ fn warm_scratch_queries_do_not_allocate() {
             ])
         })
         .collect();
-    let mut index =
-        NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(7).build()).unwrap();
+    let mut index = NnCellIndex::build(
+        pts,
+        BuildConfig::builder()
+            .strategy(Strategy::CorrectPruned)
+            .seed(7)
+            .build(),
+    )
+    .unwrap();
     let nn_queries: Vec<Query> = (0..64)
         .map(|i| {
             Query::nn(vec![
@@ -148,7 +154,8 @@ fn warm_scratch_queries_do_not_allocate() {
             }
         });
         assert_eq!(
-            allocs, 0,
+            allocs,
+            0,
             "k=1 steady state must not allocate ({allocs} allocations over {} queries)",
             nn_queries.len()
         );
@@ -194,7 +201,8 @@ fn warm_scratch_queries_do_not_allocate() {
         }
     });
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "k=1 steady state with a live registry and armed slow-query ring \
          must not allocate ({allocs} allocations over {} queries)",
         nn_queries.len()
@@ -230,7 +238,10 @@ fn a_read_allocates_the_same_at_any_tail_depth() {
     let idx = ShardedIndex::build(
         (0..400).map(|i| grid(i, 0.0)).collect(),
         1,
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(7)
+            .build(),
     )
     .unwrap();
     let q = Query::knn(vec![0.0, 0.0, 0.0], 5);
@@ -271,7 +282,10 @@ fn a_write_without_a_reader_does_not_copy_the_tail() {
     let idx = ShardedIndex::build(
         (0..400).map(point).collect(),
         1,
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(7)
+            .build(),
     )
     .unwrap();
     let insert_64 = |from: usize| {
@@ -315,7 +329,10 @@ fn a_fold_clones_the_shard_once() {
     let idx = ShardedIndex::build(
         (0..4000).map(point).collect(),
         1,
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(7)
+            .build(),
     )
     .unwrap();
     // Warm-up fold: thread-local state the fold path touches (the trace
@@ -349,7 +366,10 @@ fn a_fold_runs_no_duplicate_probe() {
     let idx = ShardedIndex::build(
         (0..4000).map(point).collect(),
         1,
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(7)
+            .build(),
     )
     .unwrap();
     // Warm-up fold, as above.
@@ -386,7 +406,10 @@ fn a_shard_clone_makes_no_per_point_allocation() {
     let idx = ShardedIndex::build(
         (0..N as usize).map(point).collect(),
         1,
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(7)
+            .build(),
     )
     .unwrap();
     let shard = idx.shard(0);
@@ -451,7 +474,11 @@ fn a_warm_sharded_query_allocates_only_its_response() {
         );
     }
     let queries_total = registry.snapshot().counter("nncell_queries_total");
-    assert_eq!(queries_total, Some(4 * queries.len() as u64), "each read counted once");
+    assert_eq!(
+        queries_total,
+        Some(4 * queries.len() as u64),
+        "each read counted once"
+    );
 }
 
 #[test]

@@ -123,9 +123,14 @@ fn batch_races_reset_stats() {
             ])
         })
         .collect();
-    let index =
-        NnCellIndex::build(pts.clone(), BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(9).build())
-            .unwrap();
+    let index = NnCellIndex::build(
+        pts.clone(),
+        BuildConfig::builder()
+            .strategy(BuildStrategy::Sphere)
+            .seed(9)
+            .build(),
+    )
+    .unwrap();
     let queries: Vec<Query> = (0..400)
         .map(|i| {
             Query::knn(
@@ -182,7 +187,10 @@ fn typed_errors_replace_silent_none() {
         .collect();
     let index = NnCellIndex::build(
         pts,
-        BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(1).build(),
+        BuildConfig::builder()
+            .strategy(BuildStrategy::Sphere)
+            .seed(1)
+            .build(),
     )
     .unwrap();
     let engine = index.engine();
@@ -194,14 +202,21 @@ fn typed_errors_replace_silent_none() {
         }
     );
     assert_eq!(
-        engine.execute(&Query::nn([0.5, f64::INFINITY])).unwrap_err(),
+        engine
+            .execute(&Query::nn([0.5, f64::INFINITY]))
+            .unwrap_err(),
         QueryError::NonFiniteQuery
     );
     assert_eq!(
         engine.execute(&Query::knn([0.5, 0.5], 0)).unwrap_err(),
         QueryError::ZeroK
     );
-    let empty = NnCellIndex::new(2, BuildConfig::builder().strategy(BuildStrategy::Sphere).build());
+    let empty = NnCellIndex::new(
+        2,
+        BuildConfig::builder()
+            .strategy(BuildStrategy::Sphere)
+            .build(),
+    );
     assert_eq!(
         empty.engine().execute(&Query::nn([0.5, 0.5])).unwrap_err(),
         QueryError::EmptyIndex
@@ -215,14 +230,15 @@ fn radius_query_contract() {
         .collect();
     let index = NnCellIndex::build(
         pts,
-        BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(1).build(),
+        BuildConfig::builder()
+            .strategy(BuildStrategy::Sphere)
+            .seed(1)
+            .build(),
     )
     .unwrap();
     let engine = index.engine();
     // Ball around 0.45 with r = 0.11 holds exactly ids 3, 4, 5.
-    let resp = engine
-        .execute(&Query::radius([0.45, 0.5], 0.11))
-        .unwrap();
+    let resp = engine.execute(&Query::radius([0.45, 0.5], 0.11)).unwrap();
     let ids: Vec<usize> = resp.iter().map(|r| r.id).collect();
     assert_eq!(ids, vec![4, 3, 5], "ascending (dist, id) inside the ball");
     assert!(resp.iter().all(|r| r.dist <= 0.11));
@@ -234,7 +250,10 @@ fn radius_query_contract() {
             Point::new(vec![0.75, 0.5]),
             Point::new(vec![0.5, 0.125]),
         ],
-        BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(1).build(),
+        BuildConfig::builder()
+            .strategy(BuildStrategy::Sphere)
+            .seed(1)
+            .build(),
     )
     .unwrap();
     let resp = boundary

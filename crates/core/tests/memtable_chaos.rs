@@ -7,8 +7,7 @@
 //! tail and clear the degraded flag without restarting anything.
 
 use nncell_core::{
-    linear_scan_knn, BuildConfig, DurableError, FoldConfig, Query, Registry, ShardedIndex,
-    Strategy,
+    linear_scan_knn, BuildConfig, DurableError, FoldConfig, Query, Registry, ShardedIndex, Strategy,
 };
 use nncell_geom::Point;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,7 +18,10 @@ const DIM: usize = 2;
 const SHARDS: usize = 2;
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(11)
+        .build()
 }
 
 fn pt(i: usize) -> Point {
@@ -97,7 +99,9 @@ fn panicking_folder_degrades_gracefully_and_recovers() {
         // the published shard views keep their pre-write lengths.
         let snap_lens: Vec<usize> = (0..SHARDS).map(|i| idx.shard(i).len()).collect();
         for i in 24..60 {
-            let id = idx.insert(pt(i)).expect("acks must survive a broken folder");
+            let id = idx
+                .insert(pt(i))
+                .expect("acks must survive a broken folder");
             live.push((id, pt(i)));
         }
         let removed_id = live.remove(3).0;
@@ -272,7 +276,10 @@ fn radius_queries_merge_the_unindexed_tail() {
         let got_d: Vec<f64> = got.iter().map(|x| x.dist).collect();
         let want_d: Vec<f64> = want.iter().map(|x| x.dist).collect();
         for (g, w) in got_d.iter().zip(&want_d) {
-            assert!((g - w).abs() < 1e-9, "probe {probe}: {got_d:?} vs {want_d:?}");
+            assert!(
+                (g - w).abs() < 1e-9,
+                "probe {probe}: {got_d:?} vs {want_d:?}"
+            );
         }
         assert!(
             !got.iter().any(|x| x.id == victim),
@@ -282,7 +289,9 @@ fn radius_queries_merge_the_unindexed_tail() {
     // Fold everything and re-check: indexed answers agree with the merge.
     idx.flush().expect("fold");
     assert_eq!(idx.tail_depth(), 0);
-    let resp = idx.query(&Query::radius(vec![0.5, 0.5], 0.4)).expect("ball");
+    let resp = idx
+        .query(&Query::radius(vec![0.5, 0.5], 0.4))
+        .expect("ball");
     let mut want = linear_scan_knn(&points, &[0.5, 0.5], points.len());
     want.retain(|x| x.dist <= 0.4);
     assert_eq!(resp.len(), want.len(), "post-fold ball size");

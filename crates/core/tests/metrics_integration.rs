@@ -22,7 +22,10 @@ fn grid(n: usize) -> Vec<Point> {
 }
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(11)
+        .build()
 }
 
 #[test]
@@ -248,10 +251,7 @@ fn slow_query_ring_captures_over_threshold_queries() {
 
 #[test]
 fn durable_stack_reports_wal_and_rotation_counters() {
-    let dir = std::env::temp_dir().join(format!(
-        "nncell-metrics-durable-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("nncell-metrics-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let d = ShardedIndex::open_durable(&dir, 2, 1, cfg()).unwrap();
@@ -298,9 +298,11 @@ fn durable_stack_reports_wal_and_rotation_counters() {
 fn build_profile_times_every_phase() {
     let index = NnCellIndex::build(
         grid(80),
-        BuildConfig::builder().strategy(Strategy::Sphere)
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
             .seed(3)
-            .threads(2).build(),
+            .threads(2)
+            .build(),
     )
     .unwrap();
     // The index itself is one STR bulk load; the LP phases belong to the

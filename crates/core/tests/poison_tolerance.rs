@@ -16,7 +16,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(11)
+        .build()
 }
 
 fn grid(n: usize, dim: usize) -> Vec<Point> {
@@ -48,7 +51,10 @@ fn reader_panic_mid_query_leaves_index_serving() {
         let died = std::thread::spawn(move || {
             catch_unwind(AssertUnwindSafe(|| {
                 let r = idx.query(&probe).unwrap();
-                panic!("reader {t} dies mid-request holding result id {}", r.best.id);
+                panic!(
+                    "reader {t} dies mid-request holding result id {}",
+                    r.best.id
+                );
             }))
         })
         .join()
@@ -69,7 +75,10 @@ fn reader_panic_mid_query_leaves_index_serving() {
     let target = vec![0.4, 0.5, 0.6];
     let id = idx.insert(Point::new(target.clone())).unwrap();
     let hit = idx.query(&Query::nn(target)).unwrap().best;
-    assert_eq!(hit.id, id, "post-panic insert must win an exact-match query");
+    assert_eq!(
+        hit.id, id,
+        "post-panic insert must win an exact-match query"
+    );
     assert!(hit.dist < 1e-12);
 }
 
@@ -95,7 +104,8 @@ fn concurrent_reader_panics_do_not_block_the_writer() {
         }
         for i in 0..30 {
             let p = Point::new(vec![(i as f64) / 30.0, 0.5]);
-            idx.insert(p).expect("writer must not be wedged by reader panics");
+            idx.insert(p)
+                .expect("writer must not be wedged by reader panics");
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     });

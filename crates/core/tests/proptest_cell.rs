@@ -51,7 +51,13 @@ fn check_cells(
         let winner = live[want.id].0;
         let got = cells.nn(index, q).unwrap();
         prop_assert_eq!(got.id, winner, "{}: wrong id at {:?}", what, q);
-        prop_assert_eq!(got.dist.to_bits(), want.dist.to_bits(), "{}: distance bits at {:?}", what, q);
+        prop_assert_eq!(
+            got.dist.to_bits(),
+            want.dist.to_bits(),
+            "{}: distance bits at {:?}",
+            what,
+            q
+        );
         let cell = cells.cell(winner).unwrap();
         prop_assert!(
             cell.pieces.iter().any(|m| m.contains_point(q)),

@@ -75,10 +75,8 @@ fn assert_answer_parity(
                 (Ok(ra), Ok(rb)) => (ra, rb),
                 (ra, rb) => panic!("{tag}: k={k} q={q:?}: {ra:?} vs {rb:?}"),
             };
-            let ids_a: Vec<(usize, u64)> =
-                ra.iter().map(|r| (r.id, r.dist.to_bits())).collect();
-            let ids_b: Vec<(usize, u64)> =
-                rb.iter().map(|r| (r.id, r.dist.to_bits())).collect();
+            let ids_a: Vec<(usize, u64)> = ra.iter().map(|r| (r.id, r.dist.to_bits())).collect();
+            let ids_b: Vec<(usize, u64)> = rb.iter().map(|r| (r.id, r.dist.to_bits())).collect();
             assert_eq!(ids_a, ids_b, "{tag}: k={k} q={q:?} answers diverged");
         }
     }

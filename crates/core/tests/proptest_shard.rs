@@ -330,7 +330,10 @@ fn grid_point(i: usize) -> Point {
 #[test]
 fn save_load_round_trips_through_a_manifest() {
     let pts: Vec<Point> = (0..17).map(grid_point).collect();
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(9).build();
+    let cfg = BuildConfig::builder()
+        .strategy(BuildStrategy::Sphere)
+        .seed(9)
+        .build();
     let sharded = ShardedIndex::build(pts.clone(), 3, cfg.clone()).unwrap();
     let root = std::env::temp_dir().join(format!("nncell_shard_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
@@ -434,12 +437,17 @@ fn save_load_round_trips_through_a_manifest() {
     assert_eq!(opened.insert(grid_point(17)).unwrap(), 17);
     opened.checkpoint().unwrap();
     drop(opened);
-    assert!(!unsharded_durable.join("shard-0").exists(), "layout must stay unsharded");
+    assert!(
+        !unsharded_durable.join("shard-0").exists(),
+        "layout must stay unsharded"
+    );
     let reopened = ShardedIndex::open(&unsharded_durable).unwrap();
     assert_eq!(reopened.num_shards(), 1);
     assert_eq!(reopened.recovery()[0].generation, 1);
     assert_eq!(reopened.len(), 18);
-    let hit = reopened.query(&Query::nn(grid_point(17).as_slice())).unwrap();
+    let hit = reopened
+        .query(&Query::nn(grid_point(17).as_slice()))
+        .unwrap();
     assert_eq!(hit.best.id, 17);
     assert!(hit.best.dist < 1e-12);
     std::fs::remove_dir_all(&root).ok();
@@ -454,10 +462,14 @@ fn durable_shards_recover_acknowledged_updates() {
     let fault = FaultVfs::new(FaultSchedule::none(11));
     let vfs: Arc<dyn Vfs> = Arc::new(fault.clone());
     let dir = PathBuf::from("/db");
-    let cfg = || BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(13).build();
+    let cfg = || {
+        BuildConfig::builder()
+            .strategy(BuildStrategy::Sphere)
+            .seed(13)
+            .build()
+    };
 
-    let sharded =
-        ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), &dir, 2, 3, cfg()).unwrap();
+    let sharded = ShardedIndex::open_durable_with_vfs(Arc::clone(&vfs), &dir, 2, 3, cfg()).unwrap();
     assert!(sharded.is_durable());
     for i in 0..11 {
         assert_eq!(sharded.insert(grid_point(i)).unwrap(), i);
@@ -477,7 +489,10 @@ fn durable_shards_recover_acknowledged_updates() {
         }
         let p = grid_point(i);
         let r = recovered.query(&Query::nn(p.as_slice())).unwrap();
-        assert_eq!(r.best.id, i, "acknowledged insert {i} must survive the crash");
+        assert_eq!(
+            r.best.id, i,
+            "acknowledged insert {i} must survive the crash"
+        );
     }
     // Numbering resumes after the recovered watermark.
     assert_eq!(recovered.insert(grid_point(11)).unwrap(), 11);
@@ -526,7 +541,10 @@ fn invalid_inserts_journal_nothing() {
     use std::sync::Arc;
 
     let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultSchedule::none(11)));
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(13).build();
+    let cfg = BuildConfig::builder()
+        .strategy(BuildStrategy::Sphere)
+        .seed(13)
+        .build();
     let sharded = ShardedIndex::open_durable_with_vfs(vfs, Path::new("/db"), 2, 2, cfg).unwrap();
     for i in 0..2 {
         sharded.insert(grid_point(i)).unwrap();
@@ -551,10 +569,18 @@ fn invalid_inserts_journal_nothing() {
         sharded.insert(Point::new(vec![0.5])),
         Err(DurableError::Invalid(BuildError::DimensionMismatch { .. }))
     ));
-    assert_eq!(sharded.wal_records(), before, "rejected updates must not reach the WAL");
+    assert_eq!(
+        sharded.wal_records(),
+        before,
+        "rejected updates must not reach the WAL"
+    );
     assert_eq!(sharded.len(), 3);
     assert_eq!(sharded.tail_depth(), 1);
-    assert_eq!(sharded.insert(grid_point(3)).unwrap(), 3, "no id was consumed");
+    assert_eq!(
+        sharded.insert(grid_point(3)).unwrap(),
+        3,
+        "no id was consumed"
+    );
 }
 
 /// −0.0 and +0.0 are one coordinate for a sharded build, as for an
@@ -584,7 +610,10 @@ fn a_signed_zero_twin_is_a_duplicate_for_the_sharded_build() {
     assert_eq!((idx.len(), idx.build_stats().skipped_points), (2, 1));
     assert!(matches!(
         idx.insert(Point::new(vec![-0.0, 0.5])),
-        Err(DurableError::Invalid(BuildError::DuplicatePoint { id: 2, of: 0 }))
+        Err(DurableError::Invalid(BuildError::DuplicatePoint {
+            id: 2,
+            of: 0
+        }))
     ));
 }
 
@@ -604,7 +633,10 @@ fn queries_run_concurrently_with_inserts() {
         .map(|_| Point::new(vec![coord(), coord(), coord()]))
         .collect();
 
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
+    let cfg = BuildConfig::builder()
+        .strategy(BuildStrategy::Sphere)
+        .seed(3)
+        .build();
     let sharded = ShardedIndex::build(pts[..8].to_vec(), 3, cfg).unwrap();
     let stop = AtomicBool::new(false);
     // The writes can finish before a reader thread is even scheduled, so
@@ -842,7 +874,10 @@ fn assert_no_lp(idx: &ShardedIndex) {
 #[test]
 fn removes_race_queries_through_the_memtable_tail() {
     let pts = lcg_points(160, 0x5eed_0011);
-    let cfg = BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(3).build();
+    let cfg = BuildConfig::builder()
+        .strategy(BuildStrategy::Sphere)
+        .seed(3)
+        .build();
     // Seed the shards with a prefix, push the rest through the journaled
     // tail, then race a removal storm against a live folder: answers must
     // stay explainable by a prefix of the removals and bit-identical to

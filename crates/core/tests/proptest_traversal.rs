@@ -173,7 +173,12 @@ proptest! {
 #[test]
 fn expired_query_deadline_rejects() {
     let pts: Vec<Point> = (0..64)
-        .map(|i| Point::new(vec![(i % 8) as f64 / 8.0 + 0.06, (i / 8) as f64 / 8.0 + 0.06]))
+        .map(|i| {
+            Point::new(vec![
+                (i % 8) as f64 / 8.0 + 0.06,
+                (i / 8) as f64 / 8.0 + 0.06,
+            ])
+        })
         .collect();
     let idx = build(pts);
     let engine = QueryEngine::sequential(&idx);
@@ -207,7 +212,10 @@ fn counters_are_sum_consistent_and_monotone_in_k() {
             "examined work shrank from {last_examined} to {} at k={k}",
             resp.stats.candidates_examined
         );
-        assert!(resp.stats.candidates >= k, "need at least k completed evals");
+        assert!(
+            resp.stats.candidates >= k,
+            "need at least k completed evals"
+        );
         last_examined = resp.stats.candidates_examined;
     }
 }

@@ -24,7 +24,10 @@ use std::sync::Arc;
 const DIM: usize = 2;
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(BuildStrategy::Sphere).seed(23).build()
+    BuildConfig::builder()
+        .strategy(BuildStrategy::Sphere)
+        .seed(23)
+        .build()
 }
 
 /// Distinct lattice points, so inserts never collide by accident — the

@@ -23,7 +23,10 @@ fn grid(n: usize) -> Vec<Point> {
 }
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(11).build()
+    BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(11)
+        .build()
 }
 
 /// Spans recorded for one trace, oldest-first.

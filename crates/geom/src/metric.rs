@@ -329,7 +329,10 @@ mod tests {
                     w * d * d
                 })
                 .sum();
-            assert!((dist_sq(&a, &b) - naive).abs() <= 1e-12 * naive.max(1.0), "d={d}");
+            assert!(
+                (dist_sq(&a, &b) - naive).abs() <= 1e-12 * naive.max(1.0),
+                "d={d}"
+            );
             assert!(
                 (weighted_dist_sq(&w, &a, &b) - naive_w).abs() <= 1e-12 * naive_w.max(1.0),
                 "d={d}"
@@ -337,7 +340,10 @@ mod tests {
             // Determinism: bit-identical on repeat calls.
             assert_eq!(dist_sq(&a, &b).to_bits(), dist_sq(&a, &b).to_bits());
             let m = WeightedEuclidean::new(w.clone());
-            assert_eq!(m.dist_sq(&a, &b).to_bits(), weighted_dist_sq(&w, &a, &b).to_bits());
+            assert_eq!(
+                m.dist_sq(&a, &b).to_bits(),
+                weighted_dist_sq(&w, &a, &b).to_bits()
+            );
         }
     }
 

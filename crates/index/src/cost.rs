@@ -52,11 +52,7 @@ impl TreeMetrics {
 
     /// Like [`TreeMetrics::register`] but every series carries the given
     /// label set (e.g. `shard="3"` for one shard of a sharded index).
-    pub fn register_labeled(
-        registry: &Registry,
-        prefix: &str,
-        labels: &[(&str, &str)],
-    ) -> Self {
+    pub fn register_labeled(registry: &Registry, prefix: &str, labels: &[(&str, &str)]) -> Self {
         let l = nncell_obs::format_labels(labels);
         Self {
             page_reads: registry.counter(&format!("nncell_{prefix}_page_reads_total{l}")),
@@ -250,8 +246,7 @@ impl CostTracker {
         };
         // Publish the flag while still holding the lock so `access` can
         // trust a `false` reading (the Mutex acquisition orders the store).
-        self.cache_enabled
-            .store(guard.is_some(), Ordering::Relaxed);
+        self.cache_enabled.store(guard.is_some(), Ordering::Relaxed);
     }
 
     /// Records `pages` page writes.
@@ -459,13 +454,22 @@ mod tests {
         t.split();
         let r = Registry::new();
         t.bind_metrics(TreeMetrics::register(&r, "seeded"));
-        assert_eq!(r.snapshot().counter("nncell_seeded_page_reads_total"), Some(7));
+        assert_eq!(
+            r.snapshot().counter("nncell_seeded_page_reads_total"),
+            Some(7)
+        );
         assert_eq!(r.snapshot().counter("nncell_seeded_splits_total"), Some(1));
         // A second bind must not double-seed.
         t.bind_metrics(TreeMetrics::register(&r, "seeded"));
-        assert_eq!(r.snapshot().counter("nncell_seeded_page_reads_total"), Some(7));
+        assert_eq!(
+            r.snapshot().counter("nncell_seeded_page_reads_total"),
+            Some(7)
+        );
         t.read(1);
-        assert_eq!(r.snapshot().counter("nncell_seeded_page_reads_total"), Some(8));
+        assert_eq!(
+            r.snapshot().counter("nncell_seeded_page_reads_total"),
+            Some(8)
+        );
     }
 
     #[test]

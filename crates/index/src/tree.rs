@@ -1620,7 +1620,11 @@ mod tests {
 
         let leaf = build(SplitPolicy::XTree, &[vec![0.2, 0.2], vec![0.4, 0.6]]);
         assert_eq!(leaf.height(), 1);
-        assert_eq!(leaf.root_min_dist_sq(&[0.3, 0.4]), 0.0, "between the points");
+        assert_eq!(
+            leaf.root_min_dist_sq(&[0.3, 0.4]),
+            0.0,
+            "between the points"
+        );
         let d = leaf.root_min_dist_sq(&[0.5, 0.1]);
         assert!((d - (0.1f64.powi(2) + 0.1f64.powi(2))).abs() < 1e-15, "{d}");
 

@@ -626,7 +626,11 @@ mod tests {
     fn pooled_entry_matches_plain_extents_on_clean_solves() {
         // A well-conditioned pool: the pooled entry must agree with the
         // plain extents solve bit-for-bit and report "not degenerate".
-        for kind in [SolverKind::Simplex, SolverKind::Seidel, SolverKind::ActiveSet] {
+        for kind in [
+            SolverKind::Simplex,
+            SolverKind::Seidel,
+            SolverKind::ActiveSet,
+        ] {
             let s = solver(2, kind);
             let p = [0.25, 0.5];
             let pool = s.bisectors(&p, [&[0.75, 0.5][..], &[0.25, 0.1][..]]);
@@ -788,11 +792,7 @@ mod tests {
             SolverKind::Auto,
         ] {
             let s = solver(d, kind).with_budget(LpBudget::with_max_iterations(0));
-            let solve = s.cell_mbr(
-                &pts[0],
-                pts[1..].iter().map(|q| q.as_slice()),
-                7,
-            );
+            let solve = s.cell_mbr(&pts[0], pts[1..].iter().map(|q| q.as_slice()), 7);
             assert_eq!(
                 solve.stats.clamped_extents,
                 2 * d,
@@ -818,8 +818,11 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..30)
             .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect();
-        let exact = solver(d, SolverKind::Seidel)
-            .cell_mbr(&pts[0], pts[1..].iter().map(|q| q.as_slice()), 7);
+        let exact = solver(d, SolverKind::Seidel).cell_mbr(
+            &pts[0],
+            pts[1..].iter().map(|q| q.as_slice()),
+            7,
+        );
         assert!(!exact.stats.degraded());
         let tight = solver(d, SolverKind::Seidel).with_budget(LpBudget::with_max_iterations(25));
         let degraded = tight.cell_mbr(&pts[0], pts[1..].iter().map(|q| q.as_slice()), 7);

@@ -103,7 +103,9 @@ impl FlightRecorder {
                 keep.push(rec.trace);
             }
         }
-        all.into_iter().filter(|r| keep.contains(&r.trace)).collect()
+        all.into_iter()
+            .filter(|r| keep.contains(&r.trace))
+            .collect()
     }
 
     /// Number of spans currently held.
@@ -224,18 +226,26 @@ mod tests {
             SpanRecord::new(0xab, 2, 1, "child", 2_000, 2_250, 2),
         ];
         let json = chrome_trace_json(&spans);
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), "{json}");
+        assert!(
+            json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
+            "{json}"
+        );
         assert!(json.trim_end().ends_with("]}"), "{json}");
         assert!(json.contains("\"ts\":1.500"), "{json}");
         assert!(json.contains("\"dur\":0.010"), "{json}");
         assert!(json.contains("\"k\":5"), "{json}");
-        assert!(
-            json.contains("\"parent\":\"0000000000000001\""),
+        assert!(json.contains("\"parent\":\"0000000000000001\""), "{json}");
+        // Balanced braces/brackets — cheap well-formedness check.
+        assert_eq!(
+            json.matches('{').count(),
+            json.matches('}').count(),
             "{json}"
         );
-        // Balanced braces/brackets — cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
-        assert_eq!(json.matches('[').count(), json.matches(']').count(), "{json}");
+        assert_eq!(
+            json.matches('[').count(),
+            json.matches(']').count(),
+            "{json}"
+        );
     }
 
     #[test]

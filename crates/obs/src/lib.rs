@@ -41,7 +41,9 @@ mod slowlog;
 pub mod trace;
 
 pub use flight::{chrome_trace_json, FlightRecorder};
-pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
+pub use metrics::{
+    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
+};
 pub use registry::{escape_label_value, format_labels, MetricSnapshot, Registry, Snapshot};
 pub use slowlog::{SlowQueryEntry, SlowQueryLog};
 pub use trace::{SpanContext, SpanGuard, SpanRecord, TraceMetrics};

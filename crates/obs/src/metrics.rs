@@ -152,7 +152,11 @@ pub struct HistogramSnapshot {
 
 impl Default for HistogramSnapshot {
     fn default() -> Self {
-        Self { counts: [0; BUCKETS], sum: 0, max: 0 }
+        Self {
+            counts: [0; BUCKETS],
+            sum: 0,
+            max: 0,
+        }
     }
 }
 

@@ -112,9 +112,7 @@ impl Registry {
                     let v = match m {
                         Metric::Counter(c) => MetricSnapshot::Counter(c.get()),
                         Metric::Gauge(g) => MetricSnapshot::Gauge(g.get()),
-                        Metric::Histogram(h) => {
-                            MetricSnapshot::Histogram(Box::new(h.snapshot()))
-                        }
+                        Metric::Histogram(h) => MetricSnapshot::Histogram(Box::new(h.snapshot())),
                     };
                     (name.clone(), v)
                 })
@@ -458,13 +456,25 @@ mod tests {
         h.record(3);
         h.record(5);
         let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE nncell_queries_total counter"), "{text}");
+        assert!(
+            text.contains("# TYPE nncell_queries_total counter"),
+            "{text}"
+        );
         assert!(text.contains("nncell_queries_total 4"), "{text}");
         assert!(text.contains("nncell_live_points 100"), "{text}");
         // Bucket 2 (ub 3) holds the 3; bucket 3 (ub 7) the 5; cumulative.
-        assert!(text.contains("nncell_query_latency_ns_bucket{le=\"3\"} 1"), "{text}");
-        assert!(text.contains("nncell_query_latency_ns_bucket{le=\"7\"} 2"), "{text}");
-        assert!(text.contains("nncell_query_latency_ns_bucket{le=\"+Inf\"} 2"), "{text}");
+        assert!(
+            text.contains("nncell_query_latency_ns_bucket{le=\"3\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("nncell_query_latency_ns_bucket{le=\"7\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("nncell_query_latency_ns_bucket{le=\"+Inf\"} 2"),
+            "{text}"
+        );
         assert!(text.contains("nncell_query_latency_ns_sum 8"), "{text}");
         assert!(text.contains("nncell_query_latency_ns_count 2"), "{text}");
     }
@@ -476,16 +486,29 @@ mod tests {
         assert_eq!(labels, "{shard=\"0\"}");
         r.counter("nncell_queries_total").add(2);
         r.counter(&format!("nncell_queries_total{labels}")).add(3);
-        r.counter(&format!("nncell_queries_total{}", format_labels(&[("shard", "1")])))
-            .add(4);
+        r.counter(&format!(
+            "nncell_queries_total{}",
+            format_labels(&[("shard", "1")])
+        ))
+        .add(4);
         let h = r.histogram(&format!("nncell_query_latency_ns{labels}"));
         h.record(3);
         let text = r.snapshot().to_prometheus();
         // One TYPE line for the whole family, three series.
-        assert_eq!(text.matches("# TYPE nncell_queries_total counter").count(), 1, "{text}");
+        assert_eq!(
+            text.matches("# TYPE nncell_queries_total counter").count(),
+            1,
+            "{text}"
+        );
         assert!(text.contains("nncell_queries_total 2"), "{text}");
-        assert!(text.contains("nncell_queries_total{shard=\"0\"} 3"), "{text}");
-        assert!(text.contains("nncell_queries_total{shard=\"1\"} 4"), "{text}");
+        assert!(
+            text.contains("nncell_queries_total{shard=\"0\"} 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("nncell_queries_total{shard=\"1\"} 4"),
+            "{text}"
+        );
         // Histogram labels merge into the le block.
         assert!(
             text.contains("nncell_query_latency_ns_bucket{le=\"3\",shard=\"0\"} 1"),
@@ -495,8 +518,14 @@ mod tests {
             text.contains("nncell_query_latency_ns_bucket{le=\"+Inf\",shard=\"0\"} 1"),
             "{text}"
         );
-        assert!(text.contains("nncell_query_latency_ns_sum{shard=\"0\"} 3"), "{text}");
-        assert!(text.contains("nncell_query_latency_ns_count{shard=\"0\"} 1"), "{text}");
+        assert!(
+            text.contains("nncell_query_latency_ns_sum{shard=\"0\"} 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("nncell_query_latency_ns_count{shard=\"0\"} 1"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -530,7 +559,11 @@ mod tests {
         // Exactly one HELP and one TYPE line for the whole family, with
         // HELP first and newline/backslash escaped.
         assert_eq!(text.matches("# HELP nncell_h_total").count(), 1, "{text}");
-        assert_eq!(text.matches("# TYPE nncell_h_total counter").count(), 1, "{text}");
+        assert_eq!(
+            text.matches("# TYPE nncell_h_total counter").count(),
+            1,
+            "{text}"
+        );
         let help_pos = text.find("# HELP nncell_h_total").unwrap();
         let type_pos = text.find("# TYPE nncell_h_total").unwrap();
         assert!(help_pos < type_pos, "{text}");
@@ -565,8 +598,14 @@ mod tests {
         let json = r.snapshot().to_json();
         assert!(json.starts_with("{\n"), "{json}");
         assert!(json.trim_end().ends_with('}'), "{json}");
-        assert!(json.contains("\"a_total\": {\"type\": \"counter\", \"value\": 1},"), "{json}");
-        assert!(json.contains("\"b_hist\": {\"type\": \"histogram\", \"count\": 1,"), "{json}");
+        assert!(
+            json.contains("\"a_total\": {\"type\": \"counter\", \"value\": 1},"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"b_hist\": {\"type\": \"histogram\", \"count\": 1,"),
+            "{json}"
+        );
         assert!(json.contains("\"buckets\": [[127, 1]]"), "{json}");
     }
 

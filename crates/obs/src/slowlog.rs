@@ -65,7 +65,11 @@ impl SlowQueryLog {
         Self {
             threshold_ns: AtomicU64::new(u64::MAX),
             seen: AtomicU64::new(0),
-            ring: Mutex::new(Ring { slots, next: 0, len: 0 }),
+            ring: Mutex::new(Ring {
+                slots,
+                next: 0,
+                len: 0,
+            }),
         }
     }
 

@@ -21,13 +21,11 @@ fn build_fixture() -> String {
         SpanRecord::new(TRACE, 0x11, 0x10, "server.queue_wait", 1_000, 40_000, 1),
         SpanRecord::new(TRACE, 0x12, 0x10, "server.parse", 41_000, 42_750, 1),
         SpanRecord::new(TRACE, 0x13, 0x10, "server.handle", 43_000, 900_000, 1),
-        SpanRecord::new(TRACE, 0x14, 0x13, "shard.query", 44_000, 400_000, 1)
-            .with_arg("shard", 0),
+        SpanRecord::new(TRACE, 0x14, 0x13, "shard.query", 44_000, 400_000, 1).with_arg("shard", 0),
         SpanRecord::new(TRACE, 0x15, 0x14, "engine.query", 45_000, 399_000, 1)
             .with_arg("candidates", 17)
             .with_arg("pages", 3),
-        SpanRecord::new(TRACE, 0x16, 0x13, "shard.query", 400_000, 890_000, 1)
-            .with_arg("shard", 1),
+        SpanRecord::new(TRACE, 0x16, 0x13, "shard.query", 400_000, 890_000, 1).with_arg("shard", 1),
         SpanRecord::new(TRACE, 0x17, 0x16, "engine.query", 401_000, 889_123, 1)
             .with_arg("candidates", 9)
             .with_arg("pages", 2),

@@ -10,7 +10,12 @@ use proptest::prelude::*;
 /// power-of-two bucket boundaries, where off-by-one bucketing bugs live.
 fn decode_samples(raw: &[(u32, u64)]) -> Vec<u64> {
     raw.iter()
-        .map(|&(shift, off)| (1u64 << shift).wrapping_sub(2).wrapping_add(off % 4).wrapping_add(off))
+        .map(|&(shift, off)| {
+            (1u64 << shift)
+                .wrapping_sub(2)
+                .wrapping_add(off % 4)
+                .wrapping_add(off)
+        })
         .collect()
 }
 

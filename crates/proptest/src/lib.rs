@@ -266,8 +266,9 @@ macro_rules! prop_assert_ne {
     ($a:expr, $b:expr $(,)?) => {{
         let (a, b) = (&$a, &$b);
         if a == b {
-            return ::std::result::Result::Err($crate::TestCaseError::Fail(
-                format!("assertion failed: {a:?} != {b:?}")));
+            return ::std::result::Result::Err($crate::TestCaseError::Fail(format!(
+                "assertion failed: {a:?} != {b:?}"
+            )));
         }
     }};
 }

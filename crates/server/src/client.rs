@@ -161,7 +161,9 @@ impl Client {
                 Ok(resp) if resp.status == 429 || resp.status == 503 => {
                     // Honor Retry-After when it asks for longer than the
                     // current backoff.
-                    if let Some(s) = resp.header("retry-after").and_then(|v| v.parse::<u64>().ok())
+                    if let Some(s) = resp
+                        .header("retry-after")
+                        .and_then(|v| v.parse::<u64>().ok())
                     {
                         backoff = backoff.max(Duration::from_secs(s));
                     }
@@ -223,7 +225,8 @@ mod tests {
 
     #[test]
     fn parses_response_bytes() {
-        let raw = b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\nhi";
+        let raw =
+            b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\nhi";
         let r = parse_response(raw).expect("parse");
         assert_eq!(r.status, 429);
         assert_eq!(r.header("retry-after"), Some("1"));

@@ -295,7 +295,10 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -363,7 +366,10 @@ mod tests {
         );
         let v = parse(r#"{"queries": [{"point":[1],"k":1}], "s": "x\n\"y\""}"#).expect("parse");
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x\n\"y\""));
-        assert_eq!(v.get("queries").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            v.get("queries").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
     }
 
     #[test]

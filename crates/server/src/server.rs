@@ -196,10 +196,7 @@ impl HttpMetrics {
     }
 
     fn count_request(&self, route: &str, status: u16) {
-        let labels = nncell_obs::format_labels(&[
-            ("route", route),
-            ("code", &status.to_string()),
-        ]);
+        let labels = nncell_obs::format_labels(&[("route", route), ("code", &status.to_string())]);
         self.registry
             .counter(&format!("nncell_http_requests_total{labels}"))
             .inc();
@@ -529,7 +526,11 @@ fn json_reply(status: u16, route: &'static str, body: String) -> Reply {
 }
 
 fn error_reply(status: u16, route: &'static str, code: &str) -> Reply {
-    json_reply(status, route, format!("{{\"error\":\"{}\"}}", json::escape(code)))
+    json_reply(
+        status,
+        route,
+        format!("{{\"error\":\"{}\"}}", json::escape(code)),
+    )
 }
 
 /// Serves an admitted connection's requests in turn until one of them
@@ -802,8 +803,8 @@ fn parse_query(v: &Json) -> Result<Query, &'static str> {
 // costs nothing.
 #[allow(clippy::result_large_err)]
 fn body_json(body: &[u8]) -> Result<Json, Reply> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| error_reply(400, "(body)", "body_not_utf8"))?;
+    let text =
+        std::str::from_utf8(body).map_err(|_| error_reply(400, "(body)", "body_not_utf8"))?;
     json::parse(text).map_err(|_| error_reply(400, "(body)", "body_not_json"))
 }
 
@@ -902,7 +903,10 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8], deadline: Instant) -> Reply {
         match r {
             Ok(resp) => render_response_into(&mut out, resp),
             Err(e) => {
-                out.push_str(&format!("{{\"error\":\"{}\"}}", json::escape(&e.to_string())));
+                out.push_str(&format!(
+                    "{{\"error\":\"{}\"}}",
+                    json::escape(&e.to_string())
+                ));
             }
         }
     }

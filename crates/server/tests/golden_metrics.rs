@@ -65,9 +65,8 @@ fn metrics_payload_matches_golden_file() {
         std::fs::write(&path, &got).expect("bless golden file");
         return;
     }
-    let want = std::fs::read_to_string(&path).expect(
-        "golden file missing — run with NNCELL_BLESS=1 to create it",
-    );
+    let want = std::fs::read_to_string(&path)
+        .expect("golden file missing — run with NNCELL_BLESS=1 to create it");
     assert_eq!(
         got, want,
         "Prometheus exposition drifted from tests/golden_metrics.txt;\n\

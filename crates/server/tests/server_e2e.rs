@@ -13,7 +13,10 @@ use nncell_geom::Point;
 use nncell_server::{Client, ServeIndex, Server, ServerConfig, ServerHandle};
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build()
+    BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(7)
+        .build()
 }
 
 /// Deterministic pseudo-random points (xorshift — `rand` stays a
@@ -117,7 +120,11 @@ fn query_round_trip_matches_in_process_engine() {
             let dist = got.get("dist").and_then(|v| v.as_f64()).expect("dist");
             // Bit-identical: same engine, same arithmetic, JSON round-trips
             // f64 exactly through shortest-round-trip formatting.
-            assert_eq!(dist.to_bits(), want.dist.to_bits(), "dist not bit-identical");
+            assert_eq!(
+                dist.to_bits(),
+                want.dist.to_bits(),
+                "dist not bit-identical"
+            );
         }
     }
     srv.stop();
@@ -165,12 +172,16 @@ fn writes_are_visible_and_read_only_mode_refuses() {
     let (idx, _) = sharded_index(20, 2);
     let srv = spawn(ServerConfig::default(), ServeIndex::Sharded(idx));
     let client = srv.client();
-    let r = client.post("/insert", "{\"point\":[0.5,0.5]}").expect("insert");
+    let r = client
+        .post("/insert", "{\"point\":[0.5,0.5]}")
+        .expect("insert");
     assert_eq!(r.status, 403, "{}", r.text());
     assert!(r.text().contains("read_only"));
     let r = client.post("/remove", "{\"id\":0}").expect("remove");
     assert_eq!(r.status, 403, "{}", r.text());
-    let r = client.post("/query", "{\"point\":[0.5,0.5]}").expect("query");
+    let r = client
+        .post("/query", "{\"point\":[0.5,0.5]}")
+        .expect("query");
     assert_eq!(r.status, 200);
     srv.stop();
 }
@@ -188,10 +199,16 @@ fn batch_mixes_successes_and_errors() {
         .expect("batch");
     assert_eq!(r.status, 200, "{}", r.text());
     let parsed = nncell_server::json::parse(&r.text()).expect("json");
-    let results = parsed.get("results").and_then(|v| v.as_arr().map(<[_]>::to_vec)).expect("arr");
+    let results = parsed
+        .get("results")
+        .and_then(|v| v.as_arr().map(<[_]>::to_vec))
+        .expect("arr");
     assert_eq!(results.len(), 3);
     assert!(results[0].get("results").is_some(), "first should succeed");
-    assert!(results[1].get("error").is_some(), "dim mismatch should error");
+    assert!(
+        results[1].get("error").is_some(),
+        "dim mismatch should error"
+    );
     assert!(results[2].get("error").is_some(), "k=0 should error");
     srv.stop();
 }
@@ -209,9 +226,13 @@ fn protocol_errors_are_typed() {
     let r = client.post("/query", "{not json").expect("bad json");
     assert_eq!(r.status, 400);
     assert!(r.text().contains("body_not_json"), "{}", r.text());
-    let r = client.post("/query", "{\"point\":[0.1,0.2,0.3]}").expect("dim");
+    let r = client
+        .post("/query", "{\"point\":[0.1,0.2,0.3]}")
+        .expect("dim");
     assert_eq!(r.status, 400);
-    let r = client.post("/query", "{\"point\":[0.1,0.2],\"k\":0}").expect("zero k");
+    let r = client
+        .post("/query", "{\"point\":[0.1,0.2],\"k\":0}")
+        .expect("zero k");
     assert_eq!(r.status, 400);
     let r = client.post("/query", "{\"k\":1}").expect("missing point");
     assert_eq!(r.status, 400);
@@ -230,21 +251,26 @@ fn health_ready_and_metrics_exposition() {
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
     assert_eq!(client.get("/readyz").expect("readyz").status, 200);
 
-    client.post("/query", "{\"point\":[0.5,0.5]}").expect("query");
+    client
+        .post("/query", "{\"point\":[0.5,0.5]}")
+        .expect("query");
     let r = client.get("/metrics").expect("metrics");
     assert_eq!(r.status, 200);
     assert_eq!(r.header("content-type"), Some("text/plain; version=0.0.4"));
     let text = r.text();
+    assert!(text.contains("# HELP nncell_http_requests_total"), "{text}");
     assert!(
-        text.contains("# HELP nncell_http_requests_total"),
+        text.contains("# TYPE nncell_http_requests_total counter"),
         "{text}"
     );
-    assert!(text.contains("# TYPE nncell_http_requests_total counter"), "{text}");
     assert!(
         text.contains("nncell_http_requests_total{route=\"/query\",code=\"200\"}"),
         "{text}"
     );
-    assert!(text.contains("# TYPE nncell_http_request_latency_ns histogram"), "{text}");
+    assert!(
+        text.contains("# TYPE nncell_http_request_latency_ns histogram"),
+        "{text}"
+    );
     assert!(text.contains("nncell_http_queue_depth"), "{text}");
     assert!(text.contains("nncell_http_retry_after_seconds 1"), "{text}");
     srv.stop();
@@ -270,7 +296,9 @@ fn overload_sheds_with_retry_after_and_retry_client_recovers() {
         move || {
             let mut c = Client::new(addr);
             c.max_attempts = 1;
-            c.post("/admin/sleep", "{\"ms\":600}").expect("sleep").status
+            c.post("/admin/sleep", "{\"ms\":600}")
+                .expect("sleep")
+                .status
         }
     });
     std::thread::sleep(Duration::from_millis(150));
@@ -286,7 +314,9 @@ fn overload_sheds_with_retry_after_and_retry_client_recovers() {
 
     // Worker busy + queue full: this must shed, immediately.
     let client = srv.client();
-    let r = client.post("/query", "{\"point\":[0.5,0.5]}").expect("shed");
+    let r = client
+        .post("/query", "{\"point\":[0.5,0.5]}")
+        .expect("shed");
     assert_eq!(r.status, 429, "{}", r.text());
     assert_eq!(r.header("retry-after"), Some("1"));
     assert!(r.text().contains("overloaded"));
@@ -328,12 +358,16 @@ fn stale_queued_requests_answer_deadline_exceeded() {
         move || {
             let mut c = Client::new(addr);
             c.max_attempts = 1;
-            c.post("/admin/sleep", "{\"ms\":400}").expect("sleep").status
+            c.post("/admin/sleep", "{\"ms\":400}")
+                .expect("sleep")
+                .status
         }
     });
     std::thread::sleep(Duration::from_millis(100));
     let client = srv.client();
-    let r = client.post("/query", "{\"point\":[0.5,0.5]}").expect("query");
+    let r = client
+        .post("/query", "{\"point\":[0.5,0.5]}")
+        .expect("query");
     assert_eq!(r.status, 503, "{}", r.text());
     assert!(r.text().contains("deadline_exceeded"), "{}", r.text());
     assert_eq!(pin.join().expect("pin"), 200);
@@ -367,7 +401,9 @@ fn panic_is_isolated_to_the_request() {
     }
     // The pool survived: queries still work on every worker.
     for _ in 0..4 {
-        let r = client.post("/query", "{\"point\":[0.5,0.5]}").expect("query");
+        let r = client
+            .post("/query", "{\"point\":[0.5,0.5]}")
+            .expect("query");
         assert_eq!(r.status, 200, "{}", r.text());
     }
     let m = client.get("/metrics").expect("metrics").text();
@@ -395,14 +431,18 @@ fn graceful_drain_finishes_inflight_and_checkpoints() {
     let client = srv.client();
 
     // Journal a write, then park one worker in a long request.
-    let r = client.post("/insert", "{\"point\":[0.123,0.456]}").expect("insert");
+    let r = client
+        .post("/insert", "{\"point\":[0.123,0.456]}")
+        .expect("insert");
     assert_eq!(r.status, 200, "{}", r.text());
     let slow = std::thread::spawn({
         let addr = addr.clone();
         move || {
             let mut c = Client::new(addr);
             c.max_attempts = 1;
-            c.post("/admin/sleep", "{\"ms\":400}").expect("sleep").status
+            c.post("/admin/sleep", "{\"ms\":400}")
+                .expect("sleep")
+                .status
         }
     });
     std::thread::sleep(Duration::from_millis(100));
@@ -410,7 +450,11 @@ fn graceful_drain_finishes_inflight_and_checkpoints() {
     // Shutdown while the sleep is in flight: it must still answer 200.
     let r = client.post("/admin/shutdown", "").expect("shutdown");
     assert_eq!(r.status, 200, "{}", r.text());
-    assert_eq!(slow.join().expect("slow"), 200, "in-flight request was dropped");
+    assert_eq!(
+        slow.join().expect("slow"),
+        200,
+        "in-flight request was dropped"
+    );
     srv.join
         .join()
         .expect("server thread")
@@ -424,7 +468,10 @@ fn graceful_drain_finishes_inflight_and_checkpoints() {
     let got = reopened
         .query(&Query::nn(vec![0.123, 0.456]))
         .expect("query");
-    assert!(got.best.dist < 1e-12, "inserted point must survive shutdown");
+    assert!(
+        got.best.dist < 1e-12,
+        "inserted point must survive shutdown"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -439,7 +486,9 @@ fn slow_request_ring_captures_over_threshold_requests() {
         ServeIndex::Sharded(idx),
     );
     let client = srv.client();
-    client.post("/query", "{\"point\":[0.25,0.75],\"k\":2}").expect("query");
+    client
+        .post("/query", "{\"point\":[0.25,0.75],\"k\":2}")
+        .expect("query");
     // The ring captured the request with its query point attached.
     let mut tries = 0;
     let entries = loop {
@@ -451,7 +500,9 @@ fn slow_request_ring_captures_over_threshold_requests() {
         std::thread::sleep(Duration::from_millis(10));
     };
     assert!(!entries.is_empty());
-    assert!(entries.iter().any(|e| e.point == vec![0.25, 0.75] && e.k == 2));
+    assert!(entries
+        .iter()
+        .any(|e| e.point == vec![0.25, 0.75] && e.k == 2));
     srv.stop();
 }
 

@@ -27,7 +27,10 @@ fn main() {
     println!("initial build: {} points", initial.len());
     let mut index = NnCellIndex::build(
         initial.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).seed(5).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(5)
+            .build(),
     )
     .expect("build");
     // The paper's cells follow every update of the index (§3.5).
@@ -63,7 +66,11 @@ fn main() {
             (got.dist - want.dist).abs() < 1e-9,
             "stale answer after delete at q={q:?}"
         );
-        assert_eq!(cells.nn(&index, q), Some(got), "stale cell after delete at q={q:?}");
+        assert_eq!(
+            cells.nn(&index, q),
+            Some(got),
+            "stale cell after delete at q={q:?}"
+        );
     }
     println!(
         "after removals: {} live points, all {} queries exact",
@@ -145,7 +152,10 @@ fn main() {
             .query(&Query::nn(q.clone()))
             .ok()
             .map(|r| r.best.id);
-        assert_eq!(&got, want, "query answer changed across the crash at q={q:?}");
+        assert_eq!(
+            &got, want,
+            "query answer changed across the crash at q={q:?}"
+        );
     }
     println!(
         "all {} queries answer identically after recovery",

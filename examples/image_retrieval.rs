@@ -33,7 +33,10 @@ fn main() {
     let t0 = Instant::now();
     let nncell = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(4).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .decompose_pieces(4)
+            .build(),
     )
     .expect("build failed");
     println!("index built in {:.3}s", t0.elapsed().as_secs_f64());

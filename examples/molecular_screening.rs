@@ -29,7 +29,10 @@ fn main() {
 
     let index = NnCellIndex::build_with_metric(
         library.clone(),
-        BuildConfig::builder().strategy(Strategy::CorrectPruned).seed(3).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::CorrectPruned)
+            .seed(3)
+            .build(),
         metric.clone(),
     )
     .expect("build");

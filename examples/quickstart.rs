@@ -17,9 +17,15 @@ fn main() {
     let points = UniformGenerator::new(dim).generate(n, 42);
 
     println!("building the index ...");
-    let index = NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build())
-        .expect("build failed");
-    println!("  built in {:.3}s (one STR bulk load)", index.build_stats().seconds);
+    let index = NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder().strategy(Strategy::Sphere).build(),
+    )
+    .expect("build failed");
+    println!(
+        "  built in {:.3}s (one STR bulk load)",
+        index.build_stats().seconds
+    );
 
     // The engine is the query API: typed errors in, responses with
     // per-query stats out.
@@ -83,5 +89,8 @@ fn main() {
         reloaded.engine().execute(q).unwrap().best.id,
         engine.execute(q).unwrap().best.id
     );
-    println!("index round-tripped through disk ({} points).", reloaded.len());
+    println!(
+        "index round-tripped through disk ({} points).",
+        reloaded.len()
+    );
 }

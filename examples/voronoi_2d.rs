@@ -24,7 +24,10 @@ fn main() {
     for (name, points) in cases {
         let index = NnCellIndex::build(
             points.clone(),
-            BuildConfig::builder().strategy(Strategy::Correct).decompose_pieces(4).build(),
+            BuildConfig::builder()
+                .strategy(Strategy::Correct)
+                .decompose_pieces(4)
+                .build(),
         )
         .expect("build");
         let cells = NnCells::build(&index);

@@ -122,7 +122,9 @@ fn current_surface() -> String {
     items.sort();
     items.dedup();
     let mut out = String::with_capacity(items.len() * 64);
-    out.push_str("# Public API surface — regenerate with NNCELL_BLESS=1 cargo test --test api_surface\n");
+    out.push_str(
+        "# Public API surface — regenerate with NNCELL_BLESS=1 cargo test --test api_surface\n",
+    );
     for item in items {
         out.push_str(&item);
         out.push('\n');

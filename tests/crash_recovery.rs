@@ -43,7 +43,10 @@ fn fault_seed() -> u64 {
 }
 
 fn cfg() -> BuildConfig {
-    BuildConfig::builder().strategy(Strategy::Sphere).seed(7).build()
+    BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(7)
+        .build()
 }
 
 #[derive(Clone, Debug)]
@@ -202,7 +205,11 @@ fn sweep_sharded(shards: usize, seed: u64, dir: &Path) {
     // Fault-free baseline: count syscalls, check the final state.
     let clean = FaultVfs::new(FaultSchedule::none(seed));
     let acked = run_sharded_workload(Arc::new(clean.clone()), dir, &ops, shards);
-    assert_eq!(acked, ops.len(), "S={shards}: fault-free run must acknowledge every op");
+    assert_eq!(
+        acked,
+        ops.len(),
+        "S={shards}: fault-free run must acknowledge every op"
+    );
     let total_ops = clean.ops();
     assert!(!clean.crashed());
     assert!(
@@ -233,14 +240,11 @@ fn sweep_sharded(shards: usize, seed: u64, dir: &Path) {
         );
 
         let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered = ShardedIndex::open_durable_with_vfs(
-            Arc::new(survivor),
-            dir,
-            DIM,
-            shards,
-            cfg(),
-        )
-        .unwrap_or_else(|e| panic!("S={shards}: crash point {k}: sharded recovery failed: {e}"));
+        let recovered =
+            ShardedIndex::open_durable_with_vfs(Arc::new(survivor), dir, DIM, shards, cfg())
+                .unwrap_or_else(|e| {
+                    panic!("S={shards}: crash point {k}: sharded recovery failed: {e}")
+                });
 
         // The manifest can never claim a shard layout that does not
         // exist on disk (manifest-last ordering): recovery reopened all
@@ -323,7 +327,8 @@ fn run_sharded_memtable_workload(fault: &FaultVfs, dir: &Path, ops: &[Op]) -> us
         acked += 1;
         if i % 3 == 2 {
             let before = fault.ops();
-            s.fold_once().expect("no chaos configured — folds cannot fail");
+            s.fold_once()
+                .expect("no chaos configured — folds cannot fail");
             assert_eq!(fault.ops(), before, "folding must make zero syscalls");
         }
     }
@@ -375,14 +380,9 @@ fn every_crash_point_recovers_the_memtable_write_path() {
         );
 
         let survivor = fault.survivor(FaultSchedule::none(seed.wrapping_add(k)));
-        let recovered = ShardedIndex::open_durable_with_vfs(
-            Arc::new(survivor),
-            dir,
-            DIM,
-            SHARDS,
-            cfg(),
-        )
-        .unwrap_or_else(|e| panic!("crash point {k}: memtable recovery failed: {e}"));
+        let recovered =
+            ShardedIndex::open_durable_with_vfs(Arc::new(survivor), dir, DIM, SHARDS, cfg())
+                .unwrap_or_else(|e| panic!("crash point {k}: memtable recovery failed: {e}"));
 
         // Prefix consistency, bit-identical points: every acked write
         // survives (journal-before-ack), nothing double-applies (folds
@@ -441,8 +441,15 @@ fn a_failed_journal_fsync_holds_every_insert_until_a_checkpoint() {
     let clean = FaultVfs::new(FaultSchedule::none(seed));
     let idx = durable(&clean);
     let before = clean.ops();
-    let (ga, gb) = (idx.insert(pa.clone()).unwrap(), idx.insert(pb.clone()).unwrap());
-    assert_eq!(clean.ops() - before, 4, "two appends of one write and one fsync each");
+    let (ga, gb) = (
+        idx.insert(pa.clone()).unwrap(),
+        idx.insert(pb.clone()).unwrap(),
+    );
+    assert_eq!(
+        clean.ops() - before,
+        4,
+        "two appends of one write and one fsync each"
+    );
     let (sa, sb) = (idx.locate(ga).unwrap().0, idx.locate(gb).unwrap().0);
     assert_ne!(sa, sb, "the two points route to different shards");
     let schedule = FaultSchedule {
@@ -456,7 +463,10 @@ fn a_failed_journal_fsync_holds_every_insert_until_a_checkpoint() {
     let fault = FaultVfs::new(schedule.clone());
     let idx = durable(&fault);
     assert_eq!(fault.ops(), before, "the build replays op for op");
-    assert!(matches!(idx.insert(pa.clone()), Err(DurableError::Persist(_))));
+    assert!(matches!(
+        idx.insert(pa.clone()),
+        Err(DurableError::Persist(_))
+    ));
     assert!(
         matches!(idx.insert(pb.clone()), Err(DurableError::Persist(_))),
         "an insert routed to a healthy shard is refused while another's journal is poisoned"
@@ -471,7 +481,8 @@ fn a_failed_journal_fsync_holds_every_insert_until_a_checkpoint() {
     let fault = FaultVfs::new(schedule);
     let idx = durable(&fault);
     assert!(idx.insert(pa.clone()).is_err());
-    idx.checkpoint().expect("a checkpoint rotates the poisoned journal");
+    idx.checkpoint()
+        .expect("a checkpoint rotates the poisoned journal");
     assert_eq!(idx.insert(pb.clone()).unwrap(), n);
     drop(idx);
     let back = reopen(&fault);
@@ -490,10 +501,20 @@ fn a_failed_journal_fsync_holds_every_insert_until_a_checkpoint() {
 fn snapshot_save_is_crash_atomic() {
     let seed = fault_seed().wrapping_mul(3);
     let old_pts: Vec<Point> = (0..12)
-        .map(|i| Point::new(vec![i as f64 / 13.0 + 0.01, (i * 7 % 13) as f64 / 13.0 + 0.01]))
+        .map(|i| {
+            Point::new(vec![
+                i as f64 / 13.0 + 0.01,
+                (i * 7 % 13) as f64 / 13.0 + 0.01,
+            ])
+        })
         .collect();
     let new_pts: Vec<Point> = (0..20)
-        .map(|i| Point::new(vec![(i * 5 % 21) as f64 / 21.0 + 0.01, i as f64 / 21.0 + 0.01]))
+        .map(|i| {
+            Point::new(vec![
+                (i * 5 % 21) as f64 / 21.0 + 0.01,
+                i as f64 / 21.0 + 0.01,
+            ])
+        })
         .collect();
     let old_index = NnCellIndex::build(old_pts.clone(), cfg()).expect("build old");
     let new_index = NnCellIndex::build(new_pts.clone(), cfg()).expect("build new");

@@ -51,7 +51,11 @@ fn uniform_pipeline_all_strategies() {
         Strategy::Sphere,
         Strategy::NnDirection,
     ] {
-        let index = NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(strategy).build()).unwrap();
+        let index = NnCellIndex::build(
+            points.clone(),
+            BuildConfig::builder().strategy(strategy).build(),
+        )
+        .unwrap();
         assert_index_exact(&index, &points, &qs, strategy.name());
     }
 }
@@ -63,7 +67,10 @@ fn fourier_pipeline_with_decomposition() {
     let qs = queries(&gen, 60, 201);
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(4).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .decompose_pieces(4)
+            .build(),
     )
     .unwrap();
     assert_index_exact(&index, &points, &qs, "fourier+decomp");
@@ -74,8 +81,13 @@ fn clustered_pipeline_nn_direction() {
     let gen = ClusteredGenerator::new(5, 4, 0.04);
     let points = gen.generate(400, 300);
     let qs = queries(&UniformGenerator::new(5), 60, 301);
-    let index =
-        NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::NnDirection).build()).unwrap();
+    let index = NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder()
+            .strategy(Strategy::NnDirection)
+            .build(),
+    )
+    .unwrap();
     assert_index_exact(&index, &points, &qs, "clustered");
 }
 
@@ -85,8 +97,11 @@ fn sparse_data_has_worse_overlap_than_grid() {
     // must hold (figure 2).
     let n = 64;
     let overlap = |pts: Vec<Point>| {
-        let index =
-            NnCellIndex::build(pts, BuildConfig::builder().strategy(Strategy::Correct).build()).unwrap();
+        let index = NnCellIndex::build(
+            pts,
+            BuildConfig::builder().strategy(Strategy::Correct).build(),
+        )
+        .unwrap();
         average_overlap(NnCells::build(&index).cells())
     };
     let grid_overlap = overlap(GridGenerator::new(2).generate(n, 0));
@@ -108,7 +123,11 @@ fn all_engines_agree_on_fourier_workload() {
     let points = gen.generate(600, 400);
     let qs = queries(&gen, 50, 401);
 
-    let nncell = NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()).unwrap();
+    let nncell = NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder().strategy(Strategy::Sphere).build(),
+    )
+    .unwrap();
     let mut xtree = XTree::for_points(dim);
     let mut rstar = RStarTree::for_points(dim);
     let mut scan = LinearScan::new(dim);
@@ -145,8 +164,13 @@ fn nncell_beats_tree_nn_on_search_time_high_dim() {
     let points = gen.generate(n, 500);
     let qs = queries(&gen, 200, 501);
 
-    let nncell =
-        NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::CorrectPruned).build()).unwrap();
+    let nncell = NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder()
+            .strategy(Strategy::CorrectPruned)
+            .build(),
+    )
+    .unwrap();
     let mut rstar = RStarTree::for_points(dim);
     for (i, p) in points.iter().enumerate() {
         rstar.insert_point(p, i as u64);

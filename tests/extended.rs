@@ -34,9 +34,11 @@ fn persistence_roundtrip_preserves_exactness_and_updates() {
     let points = gen.generate(300, 700);
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere)
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
             .decompose_pieces(4)
-            .seed(7).build(),
+            .seed(7)
+            .build(),
     )
     .unwrap();
     let path = tmp("roundtrip");
@@ -67,8 +69,13 @@ fn persistence_roundtrip_preserves_exactness_and_updates() {
 fn knn_results_match_scan_ordering() {
     let gen = FourierGenerator::new(6);
     let points = gen.generate(400, 800);
-    let index =
-        NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::NnDirection).build()).unwrap();
+    let index = NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder()
+            .strategy(Strategy::NnDirection)
+            .build(),
+    )
+    .unwrap();
     for q in gen.generate(20, 801) {
         let got = knn(&index, &q, 7);
         let want = linear_scan_knn(&points, &q, 7);
@@ -85,7 +92,10 @@ fn weighted_metric_pipeline_with_decomposition() {
     let points = UniformGenerator::new(3).generate(250, 900);
     let index = NnCellIndex::build_with_metric(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::CorrectPruned).decompose_pieces(4).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::CorrectPruned)
+            .decompose_pieces(4)
+            .build(),
         metric.clone(),
     )
     .unwrap();
@@ -109,7 +119,11 @@ fn weighted_metric_pipeline_with_decomposition() {
 #[test]
 fn corrupted_index_files_are_rejected_not_mislaoded() {
     let points = UniformGenerator::new(2).generate(50, 1000);
-    let index = NnCellIndex::build(points, BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+    let index = NnCellIndex::build(
+        points,
+        BuildConfig::builder().strategy(Strategy::Point).build(),
+    )
+    .unwrap();
     let path = tmp("corrupt");
     index.save(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
@@ -136,14 +150,20 @@ fn duplicate_points_do_not_break_exactness() {
     let mut points = UniformGenerator::new(3).generate(80, 1100);
     points.push(points[10].clone());
     points.push(points[10].clone());
-    match NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Sphere).build()) {
+    match NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder().strategy(Strategy::Sphere).build(),
+    ) {
         Err(BuildError::DuplicatePoint { id: 80, of: 10 }) => {}
         Err(other) => panic!("expected DuplicatePoint {{ id: 80, of: 10 }}, got {other}"),
         Ok(_) => panic!("duplicate input accepted under the default Reject policy"),
     }
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).input_policy(InputPolicy::Skip).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .input_policy(InputPolicy::Skip)
+            .build(),
     )
     .unwrap();
     assert_eq!(index.build_stats().skipped_points, 2);

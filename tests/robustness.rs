@@ -39,7 +39,10 @@ fn corrupted_index_files_never_panic_and_never_disagree() {
     let points = gen.generate(150, 900);
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(3).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .decompose_pieces(3)
+            .build(),
     )
     .unwrap();
     let queries: Vec<Vec<f64>> = gen
@@ -47,10 +50,7 @@ fn corrupted_index_files_never_panic_and_never_disagree() {
         .into_iter()
         .map(nncell::geom::Point::into_vec)
         .collect();
-    let expected: Vec<usize> = queries
-        .iter()
-        .map(|q| nn(&index, q).unwrap().id)
-        .collect();
+    let expected: Vec<usize> = queries.iter().map(|q| nn(&index, q).unwrap().id).collect();
 
     let path = tmp("fuzz");
     index.save(&path).unwrap();
@@ -91,7 +91,10 @@ fn corrupted_index_files_never_panic_and_never_disagree() {
     // 40 truncations, spread over the whole file.
     for i in 0..40 {
         let keep = rng.gen_range(0..original.len());
-        check(&original[..keep], &format!("truncation #{i} to {keep} bytes"));
+        check(
+            &original[..keep],
+            &format!("truncation #{i} to {keep} bytes"),
+        );
     }
     // 30 random-byte stomps of 1–16 consecutive bytes.
     for i in 0..30 {
@@ -188,7 +191,10 @@ fn corrupted_wal_files_replay_clean_prefixes_or_fail_typed() {
     // 40 truncations.
     for i in 0..40 {
         let keep = rng.gen_range(0..original.len());
-        check(&original[..keep], &format!("truncation #{i} to {keep} bytes"));
+        check(
+            &original[..keep],
+            &format!("truncation #{i} to {keep} bytes"),
+        );
     }
     // 30 mid-record stomps of 1–16 consecutive bytes.
     for i in 0..30 {
@@ -218,7 +224,11 @@ fn pristine_file_roundtrips_exactly() {
     let dim = 4;
     let gen = UniformGenerator::new(dim);
     let points = gen.generate(120, 910);
-    let index = NnCellIndex::build(points.clone(), BuildConfig::builder().strategy(Strategy::Point).build()).unwrap();
+    let index = NnCellIndex::build(
+        points.clone(),
+        BuildConfig::builder().strategy(Strategy::Point).build(),
+    )
+    .unwrap();
     let path = tmp("pristine");
     index.save(&path).unwrap();
     let loaded = NnCellIndex::load(&path).unwrap();
@@ -226,10 +236,7 @@ fn pristine_file_roundtrips_exactly() {
     assert!(NnCells::build(&loaded).verify_integrity(&loaded).is_ok());
     for q in gen.generate(40, 911) {
         let q = q.into_vec();
-        assert_eq!(
-            nn(&loaded, &q).unwrap().id,
-            nn(&index, &q).unwrap().id
-        );
+        assert_eq!(nn(&loaded, &q).unwrap().id, nn(&index, &q).unwrap().id);
     }
 }
 
@@ -244,7 +251,10 @@ fn parent_format_files_with_pieces_load_and_reject_corruption() {
     let points = gen.generate(150, 930);
     let index = NnCellIndex::build(
         points.clone(),
-        BuildConfig::builder().strategy(Strategy::Sphere).decompose_pieces(3).build(),
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .decompose_pieces(3)
+            .build(),
     )
     .unwrap();
     let cells = NnCells::build(&index);
