@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: build, test, lint. Run from the repository root.
+# Local CI gate: format, build, test, lint. Run from the repository root.
 #
 # The clippy step denies warnings on the crates that carry the
 # panic-free contract (`nncell-obs`, `nncell-lp`, `nncell-core`,
@@ -14,6 +14,10 @@
 # to sweep a different tear pattern.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "== format =="
+# Every workspace member is rustfmt-clean; perfbench/ is not a member.
+cargo fmt --all -- --check
 
 echo "== build (release) =="
 cargo build --release --workspace

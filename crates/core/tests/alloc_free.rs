@@ -26,15 +26,17 @@
 //! clone itself by count: the coordinates are one flat buffer, so cloning
 //! a shard allocates per tree page, not per point. The last pins build
 //! and load by count: both bulk-load the point tree straight from flat
-//! rows, so neither allocates per point.
+//! rows, so neither allocates per point. The linear-scan oracle is
+//! pinned too: one `linear_scan_knn` call allocates once, its answer,
+//! sized `min(k, n)`, never a buffer of all n distances.
 //!
 //! The counter is gated by a thread-local flag, so only the thread that
 //! opened the gate counts: the surrounding test harness, index
 //! construction and the other test in this binary do not pollute it.
 
 use nncell_core::{
-    BuildConfig, FaultSchedule, FaultVfs, NnCellIndex, Query, QueryScratch, Registry, ShardedIndex,
-    Strategy,
+    linear_scan_knn, BuildConfig, FaultSchedule, FaultVfs, NnCellIndex, Query, QueryScratch,
+    Registry, ShardedIndex, Strategy,
 };
 use nncell_geom::Point;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -511,4 +513,28 @@ fn build_and_load_make_no_per_point_allocation() {
         load_allocs < (N / 4) as u64,
         "loading {N} points made {load_allocs} allocations: a per-point copy is back"
     );
+}
+
+#[test]
+fn a_scan_allocates_its_answer_only() {
+    let pts = distinct_points(2000);
+    let q = vec![0.5; 8];
+    for k in [1usize, 10, 1999, 2000, 2003] {
+        let keep = k.min(pts.len());
+        let mut got = Vec::new();
+        let allocs = count_allocs(|| got = linear_scan_knn(&pts, &q, k));
+        assert_eq!(allocs, 1, "k = {k}: one scan made {allocs} allocations");
+        assert_eq!(got.len(), keep, "k = {k}");
+        assert_eq!(
+            got.capacity(),
+            keep,
+            "k = {k}: the answer holds capacity for {} results, not min(k, n) = {keep}",
+            got.capacity()
+        );
+    }
+    let allocs = count_allocs(|| {
+        std::hint::black_box(linear_scan_knn(&pts, &q, 0));
+        std::hint::black_box(linear_scan_knn(&[], &q, 10));
+    });
+    assert_eq!(allocs, 0, "an empty answer allocates nothing");
 }

@@ -81,24 +81,6 @@ impl LinearScan {
         })
     }
 
-    /// Exact k-NN by scanning everything (sorted ascending by distance).
-    pub fn knn(&self, q: &[f64], k: usize) -> Vec<Neighbor> {
-        self.cost.read(self.scan_pages());
-        self.cost.cpu(self.points.len() as u64);
-        let mut all: Vec<Neighbor> = self
-            .points
-            .iter()
-            .zip(self.ids.iter())
-            .map(|(p, id)| Neighbor {
-                id: *id,
-                dist: dist_sq(q, p).sqrt(),
-            })
-            .collect();
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-        all.truncate(k);
-        all
-    }
-
     /// Cost counters.
     pub fn stats(&self) -> IoStats {
         self.cost.stats()
@@ -127,17 +109,6 @@ mod tests {
         // entry = 24 bytes, 10 per 256B page, 100 points → 10 pages
         assert_eq!(st.page_reads, 10);
         assert_eq!(st.cpu_ops, 100);
-    }
-
-    #[test]
-    fn knn_ordering() {
-        let mut s = LinearScan::new(1);
-        for i in 0..10u64 {
-            s.insert(&[i as f64], i);
-        }
-        let got = s.knn(&[3.2], 3);
-        let ids: Vec<u64> = got.iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![3, 4, 2]);
     }
 
     #[test]
