@@ -277,6 +277,49 @@ else
     echo "sharded count gate: no committed BENCH_sharded.json baseline; skipping"
 fi
 
+echo "== tail-read candidate gate (BENCH_mixed tail-merged mean_candidates vs committed baseline) =="
+# The memtable read path's claim is how few tail inserts a read offers to
+# its k-best: the tail is scanned after the walk, under the walk's k-th
+# bound. For each size row of the fresh BENCH_mixed.json, the storm's
+# tail_read_mean_candidates may exceed the committed row for the same n
+# by at most 10%; a bigger jump means the tail is offered ahead of the
+# walk again, or its bound stopped pruning. The count does not depend on
+# the host. Skipped when the committed file records no such field.
+if baseline_json=$(git show HEAD:BENCH_mixed.json 2>/dev/null); then
+    extract_tail() { grep -o '"n": *[0-9]*, *"tail_read_mean_candidates": *[0-9.]*' | tr -dc '0-9.,\n'; }
+    old_rows=$(printf '%s' "$baseline_json" | extract_tail || true)
+    cur_rows=$(extract_tail < BENCH_mixed.json || true)
+    if [ -z "$cur_rows" ]; then
+        echo "tail-read count gate: could not parse tail_read_mean_candidates from BENCH_mixed.json" >&2
+        exit 1
+    fi
+    if [ -z "$old_rows" ]; then
+        echo "tail-read count gate: committed BENCH_mixed.json records no tail_read_mean_candidates; skipping"
+    else
+        printf '%s\n' "$cur_rows" | awk -F, -v old="$old_rows" 'BEGIN {
+            n = split(old, rows, "\n");
+            for (i = 1; i <= n; i++) { split(rows[i], f, ","); base[f[1]] = f[2]; }
+        }
+        {
+            if (!($1 in base)) {
+                printf "tail-read count gate: n=%d has no committed baseline; skipping it\n", $1;
+                next;
+            }
+            ceil = 1.10 * base[$1];
+            printf "tail-read count gate: n=%d tail_read_mean_candidates %.2f vs baseline %.2f (ceiling %.2f)\n", $1, $2, base[$1], ceil;
+            if ($2 > ceil) { failed = 1; }
+        }
+        END {
+            if (failed) {
+                printf "tail-read count gate: FAIL — candidates per tail-merged read regressed more than 10%%\n";
+                exit 1;
+            }
+        }'
+    fi
+else
+    echo "tail-read count gate: no committed BENCH_mixed.json baseline; skipping"
+fi
+
 echo "== tracing-overhead gate (sampling-off QPS within 2% of committed baseline) =="
 # The tracing hot path with sampling off is one thread-local flag read
 # per span site (plus one relaxed atomic load per request root) — cheap

@@ -24,11 +24,18 @@
 //! `fold_records_per_s` is the drain rate of the one `flush` that folds
 //! the storm's tail into the shards.
 //!
+//! Each row also records the mean evaluation counts, from the responses'
+//! `QueryStats`, of the storm's tail-merged reads (`tail_read_mean_*`)
+//! and of the folded probe reads (`folded_read_mean_*`): candidates within
+//! the k-th-best bound, points evaluated, and pages read. They do not
+//! depend on the host, so ci.sh gates the tail-merged candidates against
+//! the committed file while the clock columns only pair runs.
+//!
 //! Env overrides: `NNCELL_MIXED_NS`, `NNCELL_MIXED_OPS` (storm size),
 //! `NNCELL_DIM`, `NNCELL_BENCH_OUT`.
 
 use nncell_bench::{env_dims, env_usize, provenance_json, timed};
-use nncell_core::{BuildConfig, FoldConfig, Query, ShardedIndex, Strategy};
+use nncell_core::{BuildConfig, FoldConfig, Query, QueryStats, ShardedIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::Point;
 use std::time::Instant;
@@ -43,13 +50,45 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[idx] as f64 / 1e3
 }
 
+/// Summed evaluation counts of a set of reads.
+#[derive(Default)]
+struct Counts {
+    reads: usize,
+    candidates: usize,
+    examined: usize,
+    pages: u64,
+}
+
+impl Counts {
+    fn add(&mut self, stats: &QueryStats) {
+        self.reads += 1;
+        self.candidates += stats.candidates;
+        self.examined += stats.candidates_examined;
+        self.pages += stats.pages;
+    }
+
+    /// `"<prefix>_mean_candidates": …, …_examined, …_pages` for a JSON row.
+    fn json(&self, prefix: &str) -> String {
+        let n = self.reads.max(1) as f64;
+        format!(
+            "\"{prefix}_mean_candidates\": {:.2}, \"{prefix}_mean_examined\": {:.2}, \
+             \"{prefix}_mean_pages\": {:.2}",
+            self.candidates as f64 / n,
+            self.examined as f64 / n,
+            self.pages as f64 / n
+        )
+    }
+}
+
 /// One mixed storm against `idx`: `ops` writes (every 8th a remove of an
 /// id inserted earlier in the storm, the rest inserts of fresh points),
-/// with a timed k=3 read every 4th op. Returns (ack p99 µs, read p99 µs).
-fn storm(idx: &ShardedIndex, fresh: &[Point], probes: &[Vec<f64>]) -> (f64, f64) {
+/// with a timed k=3 read every 4th op. Returns the ack p99 µs, the read
+/// p99 µs and the reads' counts.
+fn storm(idx: &ShardedIndex, fresh: &[Point], probes: &[Vec<f64>]) -> (f64, f64, Counts) {
     let mut acks: Vec<u64> = Vec::with_capacity(fresh.len());
     let mut reads: Vec<u64> = Vec::with_capacity(fresh.len() / 4 + 1);
     let mut inserted: Vec<usize> = Vec::with_capacity(fresh.len());
+    let mut counts = Counts::default();
     for (i, p) in fresh.iter().enumerate() {
         let t0 = Instant::now();
         if i % 8 == 7 {
@@ -65,13 +104,18 @@ fn storm(idx: &ShardedIndex, fresh: &[Point], probes: &[Vec<f64>]) -> (f64, f64)
         if i % 4 == 3 {
             let q = &probes[(i / 4) % probes.len()];
             let t0 = Instant::now();
-            idx.query(&Query::knn(q.clone(), 3)).expect("read");
+            let r = idx.query(&Query::knn(q.clone(), 3)).expect("read");
             reads.push(t0.elapsed().as_nanos() as u64);
+            counts.add(&r.stats);
         }
     }
     acks.sort_unstable();
     reads.sort_unstable();
-    (percentile_us(&acks, 0.99), percentile_us(&reads, 0.99))
+    (
+        percentile_us(&acks, 0.99),
+        percentile_us(&reads, 0.99),
+        counts,
+    )
 }
 
 fn main() {
@@ -116,7 +160,7 @@ fn main() {
         });
         println!("n={n}: built in {build_s:.3}s");
 
-        let (mem_ack_p99, tail_read_p99) = storm(&idx, &fresh, &probes);
+        let (mem_ack_p99, tail_read_p99, tail_counts) = storm(&idx, &fresh, &probes);
         let tail_depth = idx.tail_depth();
         assert!(tail_depth > 0, "storm must leave unfolded tail ops");
 
@@ -135,15 +179,15 @@ fn main() {
         let (folded, fold_s) = timed(|| idx.flush().expect("flush"));
         assert_eq!(idx.tail_depth(), 0, "flush must drain the tail");
         let mut folded_reads: Vec<u64> = Vec::new();
+        let mut folded_counts = Counts::default();
         for (q, want) in probes.iter().zip(&before) {
             let t0 = Instant::now();
-            let got: Vec<(usize, u64)> = idx
+            let r = idx
                 .query(&Query::knn(q.clone(), 3))
-                .expect("probe (folded)")
-                .iter()
-                .map(|r| (r.id, r.dist.to_bits()))
-                .collect();
+                .expect("probe (folded)");
             folded_reads.push(t0.elapsed().as_nanos() as u64);
+            folded_counts.add(&r.stats);
+            let got: Vec<(usize, u64)> = r.iter().map(|r| (r.id, r.dist.to_bits())).collect();
             assert_eq!(&got, want, "fold changed an answer (n={n})");
         }
         folded_reads.sort_unstable();
@@ -156,14 +200,18 @@ fn main() {
              @ {fold_rate:.1}/s"
         );
         memtable_p99s.push((n, mem_ack_p99));
+        // One row per line, the counts first: ci.sh's count gate greps
+        // `"n": …, "tail_read_mean_candidates": …` from it.
         rows.push(format!(
-            "    {{\n      \"n\": {n},\n      \
-             \"memtable_insert_p99_us\": {mem_ack_p99:.2},\n      \
-             \"tail_read_p99_us\": {tail_read_p99:.2},\n      \
-             \"folded_read_p99_us\": {folded_read_p99:.2},\n      \
-             \"tail_depth_at_flush\": {tail_depth},\n      \
-             \"fold_records_per_s\": {fold_rate:.1},\n      \
-             \"build_seconds\": {build_s:.4}\n    }}"
+            "    {{\"n\": {n}, {}, {}, \
+             \"memtable_insert_p99_us\": {mem_ack_p99:.2}, \
+             \"tail_read_p99_us\": {tail_read_p99:.2}, \
+             \"folded_read_p99_us\": {folded_read_p99:.2}, \
+             \"tail_depth_at_flush\": {tail_depth}, \
+             \"fold_records_per_s\": {fold_rate:.1}, \
+             \"build_seconds\": {build_s:.4}}}",
+            tail_counts.json("tail_read"),
+            folded_counts.json("folded_read"),
         ));
     }
 

@@ -53,6 +53,12 @@
 //! relative slop so floating-point differences between MBR MINDIST
 //! accumulation and the kernel can never skip a true answer.
 //!
+//! Inside a [`crate::ShardedIndex`] with a memtable, each shard's
+//! unfolded tail inserts are not in its tree. The engine scans them after
+//! the traversal, under the bound the traversal ended with, with the same
+//! lane kernel: the tail stores its coordinates in dimension-major chunks
+//! of 64 inserts, the layout of a leaf's block.
+//!
 //! Every k-NN query, `k ≥` the live count included, takes the one
 //! traversal: while the k-best is short its bound is ∞, so the traversal
 //! prunes nothing and streams every live point. The k-best fills
@@ -61,7 +67,7 @@
 //! insert per point.
 
 use crate::index::{NnCellIndex, QueryResult};
-use crate::memtable::TailSnapshot;
+use crate::memtable::{TailSnapshot, TAIL_CHUNK};
 use crate::metrics::EngineMetrics;
 use crate::query::{Query, QueryError, QueryKind, QueryResponse, QueryStats};
 use nncell_geom::{Euclidean, Metric};
@@ -91,7 +97,7 @@ pub struct QueryScratch {
     /// Priority-queue scratch of the MINDIST-ordered best-first traversal.
     bf: BestFirstScratch,
     /// The leaf kernel's output: one squared distance per entry of the
-    /// leaf being evaluated.
+    /// leaf (or lane of the tail chunk) being evaluated.
     d2: Vec<f64>,
 }
 
@@ -519,8 +525,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     }
 
     /// Exact k-NN (including `k = 1`) by one MINDIST-ordered best-first
-    /// traversal of every shard's **point** X-tree, optionally seeded by
-    /// the shards' non-empty memtable tails.
+    /// traversal of every shard's **point** X-tree, then one scan of the
+    /// shards' non-empty memtable tails under the walk's bound.
     ///
     /// The traversal ([`nncell_index::Tree::best_first_stream_with`])
     /// expands directory pages of the whole forest in ascending MINDIST
@@ -538,13 +544,18 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// evaluated exactly — with the same kernel, in the same
     /// `(dist, global id)` order, as the linear scan.
     ///
-    /// With tails, every shard's live inserts are scanned first into the
-    /// same k-best (same kernel, same order, same slop), so the traversal
-    /// runs from the bound they set instead of from ∞ (it adopts it at its
-    /// first streamed item). A shard's tombstoned ids are skipped; the
-    /// check runs only for a candidate that would enter the k-best. A
-    /// shard's index and tail are published together, so no point is on
-    /// both sides.
+    /// A shard's tombstoned ids are skipped; the check runs only for a
+    /// candidate that would enter the k-best. With tails, every shard's
+    /// live inserts are scanned after the walk ([`Self::scan_tails`]) into
+    /// the same k-best, with the same lane kernel and the same slop, under
+    /// the k-th-best bound the walk ended with. That bound was taken over a
+    /// subset of the live points, so it never undercuts the final k-th
+    /// distance, and the k-best of `(dist, global id)` does not depend on
+    /// the order its candidates arrive in: the answer is the one the scan
+    /// would give. Run first, from ∞, the tail would offer its first k
+    /// inserts whatever their distance; run last, it offers only inserts
+    /// that beat the forest's k-th best. A shard's index and tail are
+    /// published together, so no point is on both sides.
     ///
     /// A query for at least as many neighbors as there are live points
     /// takes the same path: the bound stays ∞ while the k-best is short,
@@ -567,7 +578,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         let QueryScratch { ranked, bf, d2 } = scratch;
         ranked.clear();
         let mut stats = QueryStats::default();
-        let mut seeded = 0usize;
         let mut visits = 0usize;
         let mut deadline_hit = false;
         // Squared-distance bounds: a candidate beyond `abort_bound` is not
@@ -579,33 +589,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             let abort = (b * b) * BOUND_SLOP;
             (abort, abort / w_min)
         };
-        for s in 0..forest.len() {
-            let Some(t) = forest.tail(s) else {
-                continue;
-            };
-            let mut span = nncell_obs::trace::child("engine.tail_merge");
-            span.arg("tail", t.inserts.len() as u64);
-            stats.tail += t.inserts.len();
-            for (i, row) in t.inserts.rows.chunks_exact(self.dim).enumerate() {
-                if seeded % 256 == 255 && out_of_budget(deadline) {
-                    return Err(QueryError::DeadlineExceeded);
-                }
-                seeded += 1;
-                let d2 = metric.dist_sq(p, row);
-                if d2 > abort_bound {
-                    continue;
-                }
-                stats.candidates += 1;
-                let r = QueryResult {
-                    id: t.inserts.globals[i],
-                    dist: d2.sqrt(),
-                };
-                // A tail insert is never tombstoned: a remove drops it.
-                if let Some(b) = offer(ranked, k, r, &[], 0) {
-                    (abort_bound, tree_bound) = bounds(b);
-                }
-            }
-        }
         // The per-point path updates no counter: the evaluations are the
         // streamed items (counted by the traversal, added after the walk),
         // and only candidates within the bound, rare next to the
@@ -645,6 +628,21 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         if deadline_hit {
             return Err(QueryError::DeadlineExceeded);
         }
+        // The tail inserts last, under the walk's k-th-best bound: a tail
+        // insert is never tombstoned (a remove drops it).
+        stats.tail = self.scan_tails::<D>(metric, p, d2, deadline, |id, d2| {
+            if d2 > abort_bound {
+                return;
+            }
+            stats.candidates += 1;
+            let r = QueryResult {
+                id,
+                dist: d2.sqrt(),
+            };
+            if let Some(b) = offer(ranked, k, r, &[], 0) {
+                abort_bound = bounds(b).0;
+            }
+        })?;
         if ranked.is_empty() {
             // Every indexed point is tombstoned and no tail holds an
             // insert: the live set is empty.
@@ -669,7 +667,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     /// that meet the ball. Every streamed leaf is evaluated with the exact
     /// lane kernel in place, and each live point of it is kept when
     /// `dist ≤ r` and its id is not tombstoned. The shards' live tail
-    /// inserts inside the ball join the hits, and the union is sorted by
+    /// inserts inside the ball join the hits ([`Self::scan_tails`], after
+    /// the walk), and the union is sorted by
     /// `(distance, global id)` once. No truncation — a radius query returns
     /// everything the ball contains. The point trees hold every indexed
     /// live point, and the traversal is exact for *any* center, including
@@ -737,24 +736,12 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         if deadline_hit {
             return Err(QueryError::DeadlineExceeded);
         }
-        let mut seeded = 0usize;
-        for s in 0..forest.len() {
-            let Some(t) = forest.tail(s) else {
-                continue;
-            };
-            stats.tail += t.inserts.len();
-            for (i, row) in t.inserts.rows.chunks_exact(self.dim).enumerate() {
-                if seeded % 256 == 255 && out_of_budget(deadline) {
-                    return Err(QueryError::DeadlineExceeded);
-                }
-                seeded += 1;
-                // A tail insert is never tombstoned: a remove drops it.
-                if let Some(dist) = keep(&[], 0, metric.dist_sq(p, row)) {
-                    let id = t.inserts.globals[i];
-                    hits.push(QueryResult { id, dist });
-                }
+        // A tail insert is never tombstoned: a remove drops it.
+        stats.tail = self.scan_tails::<D>(metric, p, d2, deadline, |id, d2| {
+            if let Some(dist) = keep(&[], 0, d2) {
+                hits.push(QueryResult { id, dist });
             }
-        }
+        })?;
         add_walk(&mut stats, walk);
         hits.sort_unstable_by_key(rank_key);
         match hits.split_first() {
@@ -765,6 +752,47 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 stats,
             }),
         }
+    }
+
+    /// The exact linear scan of every shard's live tail inserts, run
+    /// after the walk: each chunk of [`TAIL_CHUNK`] inserts is evaluated
+    /// by the leaf kernel in one lane-per-point pass, and `visit` gets
+    /// each insert's global id and squared distance in ack order (the
+    /// chunk's padding lanes are skipped). Returns the inserts scanned.
+    ///
+    /// The budget (if any) is checked every 256 inserts; an expired one
+    /// surfaces as [`QueryError::DeadlineExceeded`].
+    fn scan_tails<const D: usize>(
+        &self,
+        metric: &M,
+        p: &[f64],
+        buf: &mut Vec<f64>,
+        deadline: Option<std::time::Instant>,
+        mut visit: impl FnMut(usize, f64),
+    ) -> Result<usize, QueryError> {
+        let (mut scanned, mut since_check) = (0, 0);
+        for s in 0..self.forest.len() {
+            let Some(t) = self.forest.tail(s) else {
+                continue;
+            };
+            let mut span = nncell_obs::trace::child("engine.tail_merge");
+            span.arg("tail", t.inserts.len() as u64);
+            scanned += t.inserts.len();
+            for (block, globals) in t.inserts.chunks() {
+                since_check += globals.len();
+                if since_check >= 256 {
+                    since_check = 0;
+                    if out_of_budget(deadline) {
+                        return Err(QueryError::DeadlineExceeded);
+                    }
+                }
+                let dists = leaf_dists::<D, M>(metric, p, block, buf, TAIL_CHUNK);
+                for (&id, &d2) in globals.iter().zip(dists) {
+                    visit(id, d2);
+                }
+            }
+        }
+        Ok(scanned)
     }
 }
 
@@ -962,6 +990,57 @@ mod tests {
             idx.query(&Query::knn([0.5, 0.5], 2)).unwrap_err(),
             QueryError::EmptyIndex
         );
+    }
+
+    #[test]
+    fn tail_inserts_beyond_the_kth_bound_are_never_candidates() {
+        let pts = lattice();
+        let q = [0.05, 0.05];
+        let dead = [0, 9, 30];
+        // 70 tail inserts (two chunks) in the far corner of the unit
+        // square, every one farther from `q` than the whole lattice.
+        let far: Vec<Point> = (0..70)
+            .map(|i| Point::new(vec![0.9 + 0.001 * i as f64, 0.99]))
+            .collect();
+        let plain = with_unfolded_removes(&pts, &dead);
+        let idx = with_unfolded_removes(&pts, &dead);
+        for p in &far {
+            idx.insert(p.clone()).unwrap();
+        }
+        assert_eq!(idx.tail_depth(), dead.len() + far.len());
+        // The live set in ascending global id: the lattice's survivors,
+        // then the inserts under ids 60, 61, ...
+        let live: Vec<(usize, Point)> = (pts.iter().enumerate())
+            .filter(|(id, _)| !dead.contains(id))
+            .map(|(id, p)| (id, p.clone()))
+            .chain(far.iter().cloned().enumerate().map(|(i, p)| (60 + i, p)))
+            .collect();
+        let live_pts: Vec<Point> = live.iter().map(|(_, p)| p.clone()).collect();
+        let oracle = |k: usize| -> Vec<(usize, u64)> {
+            crate::scan::linear_scan_knn(&live_pts, &q, k)
+                .iter()
+                .map(|r| (live[r.id].0, r.dist.to_bits()))
+                .collect()
+        };
+        for k in [1, 5, live.len(), live.len() + 3] {
+            let r = idx.query(&Query::knn(q, k)).unwrap();
+            assert_eq!(bits(&r), oracle(k), "k = {k}");
+            assert_eq!(r.stats.tail, far.len());
+            if k <= 5 {
+                // The walk's k-th best is nearer than every tail insert,
+                // so the tail adds evaluations but no candidate.
+                let base = plain.query(&Query::knn(q, k)).unwrap();
+                assert_eq!(r.stats.candidates, base.stats.candidates, "k = {k}");
+                assert_eq!(r.stats.pages, base.stats.pages, "k = {k}");
+            }
+        }
+        for radius in [0.3, 2.0] {
+            let r = idx.query(&Query::radius(q, radius)).unwrap();
+            let within = (oracle(live.len()).into_iter())
+                .filter(|&(_, b)| f64::from_bits(b) <= radius)
+                .collect::<Vec<_>>();
+            assert_eq!(bits(&r), within, "radius {radius}");
+        }
     }
 
     #[test]

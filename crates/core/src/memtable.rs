@@ -9,10 +9,11 @@
 //! index together with the tail view that is left.
 //!
 //! Exactness is preserved by construction (a covering-superset argument):
-//! a query's k-NN kernel first scans the tail's live inserts, then
-//! traverses the published index, skipping tombstoned ids. Every live
-//! point is either in the index or in the tail and every tombstone is
-//! applied, so the answer equals a linear scan over the true live set.
+//! a query's k-NN kernel traverses the published index, skipping
+//! tombstoned ids, then scans the tail's live inserts under the k-th-best
+//! bound the traversal ended with. Every live point is either in the
+//! index or in the tail and every tombstone is applied, so the answer
+//! equals a linear scan over the true live set.
 //! The operations (`Memtable`) live under the writer lock; readers see
 //! them through the query-side view (`TailSnapshot`) that every write
 //! and fold publishes in the index's one read state, shared by `Arc`, so
@@ -106,9 +107,11 @@ impl Memtable {
 
 /// The query-side view of one shard's memtable tail, published with the
 /// shard's index in the sharded index's read state and answered together
-/// with it by the fan-out's engine. A read takes it by `Arc` (a refcount
-/// bump), so it never copies the tail; a write changes it in place unless
-/// a reader still holds it ([`Arc::make_mut`]).
+/// with it by the fan-out's engine, which scans its inserts after the
+/// walk, with the leaf kernel, and skips its tombstones during the walk.
+/// A read takes it by `Arc` (a refcount bump), so it never copies the
+/// tail; a write changes it in place unless a reader still holds it
+/// ([`Arc::make_mut`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TailSnapshot {
     /// Live unfolded inserts in ack order — which is ascending slot
@@ -121,17 +124,28 @@ pub(crate) struct TailSnapshot {
     pub(crate) removed: Vec<usize>,
 }
 
+/// Inserts per chunk of [`TailInserts`]'s coordinate store: one
+/// dimension-major block, evaluated by one call of the leaf kernel.
+pub(crate) const TAIL_CHUNK: usize = 64;
+
 /// The live unfolded inserts of a tail view as three parallel columns:
 /// a query's scan reads the coordinates contiguously and touches an id
 /// only for a candidate within its bound, and a write copies no point.
+///
+/// The coordinates are stored like a point-tree leaf, so the query
+/// engine evaluates a tail insert with the leaf kernel: in ack order,
+/// in chunks of [`TAIL_CHUNK`] inserts, each chunk dimension-major —
+/// coordinate `j` of insert `c·64 + l` sits at `c·64·d + j·64 + l`. The
+/// lanes of the last chunk past `len` are padding (zero): the kernel
+/// computes them and the scan ignores them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TailInserts {
-    /// Row-major coordinates, one row per insert.
-    pub(crate) rows: Vec<f64>,
+    /// Dimension-major chunks of [`TAIL_CHUNK`] inserts each.
+    cols: Vec<f64>,
     /// The slot each insert will occupy once folded.
     locals: Vec<usize>,
     /// The global id each insert was acked under.
-    pub(crate) globals: Vec<usize>,
+    globals: Vec<usize>,
 }
 
 impl TailInserts {
@@ -143,18 +157,53 @@ impl TailInserts {
         self.locals.is_empty()
     }
 
+    /// The dimension of the inserts (0 while there are none).
+    fn dim(&self) -> usize {
+        self.cols.len() / (self.len().div_ceil(TAIL_CHUNK) * TAIL_CHUNK).max(1)
+    }
+
+    /// The inserts in ack order, one chunk at a time: its dimension-major
+    /// block of [`TAIL_CHUNK`] lanes and the global ids of its inserts,
+    /// which are as many as the lanes that hold one.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = (&[f64], &[usize])> {
+        let block = (TAIL_CHUNK * self.dim()).max(1);
+        self.cols
+            .chunks_exact(block)
+            .zip(self.globals.chunks(TAIL_CHUNK))
+    }
+
     fn push(&mut self, local: usize, global: usize, point: &[f64]) {
-        self.rows.extend_from_slice(point);
+        let (i, d) = (self.len(), point.len());
+        if i % TAIL_CHUNK == 0 {
+            self.cols.resize(self.cols.len() + TAIL_CHUNK * d, 0.0);
+        }
+        let base = (i / TAIL_CHUNK) * TAIL_CHUNK * d + i % TAIL_CHUNK;
+        for (j, &x) in point.iter().enumerate() {
+            self.cols[base + j * TAIL_CHUNK] = x;
+        }
         self.locals.push(local);
         self.globals.push(global);
     }
 
-    /// Drops insert `at`.
+    /// Drops insert `at`: every later insert moves down one slot, lane 0
+    /// of a chunk into the last lane of the chunk before, and a chunk
+    /// left empty is freed.
     fn remove(&mut self, at: usize) {
-        let d = self.rows.len() / self.len();
-        self.rows.drain(at * d..(at + 1) * d);
+        let d = self.dim();
+        let block = TAIL_CHUNK * d;
+        let mut lane = at % TAIL_CHUNK;
+        for base in (at / TAIL_CHUNK * block..self.cols.len()).step_by(block) {
+            for col in (base..base + block).step_by(TAIL_CHUNK) {
+                self.cols
+                    .copy_within(col + lane + 1..col + TAIL_CHUNK, col + lane);
+                let next = self.cols.get(col + block).copied().unwrap_or(0.0);
+                self.cols[col + TAIL_CHUNK - 1] = next;
+            }
+            lane = 0;
+        }
         self.locals.remove(at);
         self.globals.remove(at);
+        self.cols.truncate(self.len().div_ceil(TAIL_CHUNK) * block);
     }
 }
 
@@ -198,12 +247,12 @@ impl TailSnapshot {
     /// coordinate (`==`, so −0.0 equals +0.0), mirroring the index's
     /// duplicate policy.
     pub(crate) fn find_live_duplicate(&self, p: &Point) -> Option<usize> {
-        let at = self
-            .inserts
-            .rows
-            .chunks_exact(p.dim())
-            .position(|row| row == p.as_slice())?;
-        Some(self.inserts.globals[at])
+        let p = p.as_slice();
+        self.inserts.chunks().find_map(|(block, globals)| {
+            let same =
+                |l: usize| (p.iter().enumerate()).all(|(j, &x)| block[j * TAIL_CHUNK + l] == x);
+            (0..globals.len()).find(|&l| same(l)).map(|l| globals[l])
+        })
     }
 
     /// Tombstones `local`: a live tail insert for it leaves `inserts`,
@@ -380,6 +429,72 @@ mod tests {
         assert_eq!(second.len(), 2);
         assert!(matches!(&second[0], TailOp::Insert { local: 0, .. }));
         assert!(matches!(&second[1], TailOp::Insert { local: 1, .. }));
+    }
+
+    /// Each live insert of `t` as `(local, global, coordinates)`,
+    /// gathered from its dimension-major chunks.
+    fn gather(t: &TailInserts) -> Vec<(usize, usize, Vec<f64>)> {
+        let d = t.dim();
+        assert_eq!(t.cols.len(), t.len().div_ceil(TAIL_CHUNK) * TAIL_CHUNK * d);
+        let mut out = Vec::new();
+        for (block, globals) in t.chunks() {
+            for (l, &g) in globals.iter().enumerate() {
+                let row = (0..d).map(|j| block[j * TAIL_CHUNK + l]).collect();
+                out.push((t.locals[out.len()], g, row));
+            }
+        }
+        assert_eq!(out.len(), t.len());
+        out
+    }
+
+    #[test]
+    fn dimension_major_chunks_match_a_row_model_across_removes() {
+        // Insert 100 has a +0.0 coordinate, in the second chunk.
+        let row = |i: usize| {
+            let x = if i == 100 {
+                0.0
+            } else {
+                0.5 + i as f64 / 1000.0
+            };
+            vec![x, i as f64, 1.0 - i as f64]
+        };
+        let mut view = TailSnapshot::default();
+        let mut model: Vec<(usize, usize, Vec<f64>)> = Vec::new();
+        for i in 0..130 {
+            let op = TailOp::Insert {
+                local: i,
+                global: 1000 + i,
+                point: Point::new(row(i)),
+            };
+            view.apply(&op);
+            model.push((i, 1000 + i, row(i)));
+            assert_eq!(gather(&view.inserts), model, "after push {i}");
+        }
+        // The last insert, positions 0, 63 and 64 (the lanes on either
+        // side of the chunk boundary), and one inside the second chunk.
+        for pos in [129, 0, 63, 64, 90] {
+            let (local, global, _) = model.remove(pos);
+            view.apply(&TailOp::Remove { local });
+            assert_eq!(
+                gather(&view.inserts),
+                model,
+                "after removing position {pos}"
+            );
+            let gone = Point::new(row(global - 1000));
+            assert_eq!(view.find_live_duplicate(&gone), None);
+        }
+        for (_, global, coords) in &model {
+            let p = Point::new(coords.clone());
+            assert_eq!(view.find_live_duplicate(&p), Some(*global));
+        }
+        let negative_zero = Point::new(vec![-0.0, 100.0, -99.0]);
+        assert_eq!(view.find_live_duplicate(&negative_zero), Some(1100));
+        // Removing every insert frees every chunk.
+        while let Some((local, ..)) = model.pop() {
+            view.apply(&TailOp::Remove { local });
+            assert_eq!(gather(&view.inserts), model);
+        }
+        assert!(view.inserts.cols.is_empty());
     }
 
     #[test]

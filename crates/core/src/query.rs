@@ -170,9 +170,9 @@ pub struct QueryStats {
     /// shrank past them; for a radius query, the subtrees whose MBR
     /// misses the query ball.
     pub nodes_pruned: u64,
-    /// Live candidate points whose distance evaluation *started*: memtable
-    /// tail inserts, then points streamed out of the traversal past the
-    /// index's liveness mask. A radius query streams every entry of each
+    /// Live candidate points whose distance evaluation *started*: points
+    /// streamed out of the traversal past the index's liveness mask, then
+    /// memtable tail inserts. A radius query streams every entry of each
     /// leaf page that meets its ball, so this counts those entries, inside
     /// the ball or not.
     pub candidates_examined: usize,
