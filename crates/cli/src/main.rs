@@ -329,22 +329,26 @@ fn checkpoint_if_asked(p: &Parsed, index: ShardedIndex) -> Result<(), String> {
     Ok(())
 }
 
-/// Live points and point slots (live or tombstoned) across the shards.
-fn slot_counts(index: &ShardedIndex) -> (usize, usize) {
-    let slots = (0..index.num_shards())
-        .map(|i| index.shard(i).rows().len())
-        .sum();
-    (index.len(), slots)
+/// Live points, point slots (live or tombstoned) and dead slots across
+/// the shards. The dead slots are the churn a re-shard would reclaim.
+fn slot_counts(index: &ShardedIndex) -> (usize, usize, usize) {
+    let (mut slots, mut dead) = (0, 0);
+    for i in 0..index.num_shards() {
+        let shard = index.shard(i);
+        slots += shard.slots();
+        dead += shard.slots() - shard.len();
+    }
+    (index.len(), slots, dead)
 }
 
 fn cmd_info(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["index"]).map_err(|e| e.to_string())?;
     let index = open_index(p, "info")?;
-    let (live, slots) = slot_counts(&index);
+    let (live, slots, dead) = slot_counts(&index);
     println!("dimensionality : {}", index.dim());
     println!("shards         : {}", index.num_shards());
     println!("live points    : {live}");
-    println!("point slots    : {slots}");
+    println!("point slots    : {slots} ({dead} dead)");
     Ok(())
 }
 
@@ -354,10 +358,10 @@ fn cmd_info(p: &Parsed) -> Result<(), String> {
 fn cmd_verify(p: &Parsed) -> Result<(), String> {
     p.allow_only(&["index"]).map_err(|e| e.to_string())?;
     let index = open_index(p, "verify")?;
-    let (live, slots) = slot_counts(&index);
+    let (live, slots, dead) = slot_counts(&index);
     println!(
-        "ok: checksum and structure verified ({live} live of {slots} point slot(s), d={}, \
-         {} shard(s))",
+        "ok: checksum and structure verified ({live} live of {slots} point slot(s), {dead} dead, \
+         d={}, {} shard(s))",
         index.dim(),
         index.num_shards()
     );

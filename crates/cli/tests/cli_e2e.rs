@@ -59,6 +59,7 @@ fn generate_build_query_info_bench_pipeline() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("live points    : 200"), "{text}");
+    assert!(text.contains("point slots    : 200 (0 dead)"), "{text}");
 
     let out = bin()
         .args(["verify", "--index", idx.to_str().unwrap()])
@@ -176,6 +177,25 @@ fn durable_build_insert_remove_crash_recover_pipeline() {
     assert!(text.contains("torn record"), "{text}");
     assert!(text.contains("live points    : 81"), "{text}");
     assert!(text.contains("checkpointed"), "{text}");
+
+    // Removed point #80 keeps a dead slot, which `info` and `verify` count.
+    let out = bin()
+        .args(["info", "--index", db.to_str().unwrap()])
+        .output()
+        .expect("spawn info");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("point slots    : 82 (1 dead)"), "{text}");
+    let out = bin()
+        .args(["verify", "--index", db.to_str().unwrap()])
+        .output()
+        .expect("spawn verify");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        text.contains("81 live of 82 point slot(s), 1 dead"),
+        "{text}"
+    );
 
     // Queries work straight off the durable directory; the surviving
     // insert near (0.11, 0.12, 0.13) is found, the removed one is gone.

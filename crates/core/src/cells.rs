@@ -213,6 +213,13 @@ impl IntegrityReport {
 /// ```
 pub struct NnCells<M: Metric = Euclidean> {
     vlp: VoronoiLp<M>,
+    /// Row-major coordinates of every index slot (`d` per slot), gathered
+    /// from the index's leaves once by [`Self::build`] and appended to by
+    /// [`Self::insert`]: the cell LPs read rivals' rows by the thousand,
+    /// and the serving index keeps no row copy. A removed point's row
+    /// stays (the cells read only live ids' rows); a slot that was
+    /// already dead when gathered holds zeros.
+    rows: Vec<f64>,
     /// One slot per index point id; removed points keep an empty slot.
     cells: Vec<CellApprox>,
     tree: XTree,
@@ -243,13 +250,13 @@ impl<M: Metric> NnCells<M> {
         let mut this = Self {
             vlp: VoronoiLp::new(index.metric().clone(), index.space().clone(), cfg.solver)
                 .with_budget(cfg.lp_budget),
-            cells: vec![CellApprox::default(); index.rows().len()],
+            rows: Vec::with_capacity(index.slots() * index.dim()),
+            cells: vec![CellApprox::default(); index.slots()],
             tree: XTree::with_config(tree_cfg.clone()),
             stats: BuildStats::default(),
         };
-        let live: Vec<usize> = (0..index.rows().len())
-            .filter(|&id| index.is_live(id))
-            .collect();
+        this.gather_rows(index);
+        let live: Vec<usize> = (0..index.slots()).filter(|&id| index.is_live(id)).collect();
         let threads = cfg.threads.clamp(1, live.len().max(1));
         let chunk = live.len().div_ceil(threads).max(1);
         let shared = &this;
@@ -380,7 +387,7 @@ impl<M: Metric> NnCells<M> {
             Vec::new()
         };
         if candidates.is_empty() {
-            candidates = (0..index.rows().len())
+            candidates = (0..self.cells.len())
                 .filter(|&id| index.is_live(id))
                 .collect();
         }
@@ -390,7 +397,7 @@ impl<M: Metric> NnCells<M> {
         let metric = index.metric();
         let mut best: Option<(usize, f64)> = None;
         for id in candidates {
-            let d2 = metric.dist_sq(q, index.flat_point(id));
+            let d2 = metric.dist_sq(q, self.point(id));
             if best.is_none_or(|(_, b)| d2 < b) {
                 best = Some((id, d2));
             }
@@ -419,7 +426,7 @@ impl<M: Metric> NnCells<M> {
         let d = index.dim();
         let space = index.space();
         let mut report = IntegrityReport::default();
-        for (id, p) in index.rows().enumerate() {
+        for (id, p) in self.rows.chunks_exact(d).enumerate() {
             if !index.is_live(id) {
                 continue;
             }
@@ -473,6 +480,7 @@ impl<M: Metric> NnCells<M> {
         if self.cells.len() <= id {
             self.cells.resize_with(id + 1, CellApprox::default);
         }
+        self.gather_rows(index);
         self.refresh_cell(index, id);
         if !index.config().refine_on_insert || index.len() < 2 {
             return;
@@ -480,7 +488,7 @@ impl<M: Metric> NnCells<M> {
         // The cells that must shrink are those the new point's bisectors
         // cut; all of them lie within twice the new point's NN distance
         // sphere (conservative, and refinement is a quality matter only).
-        let q = index.flat_point(id);
+        let q = self.point(id);
         let Some(nn) = index
             .point_tree()
             .knn_best_first(q, 2)
@@ -506,11 +514,11 @@ impl<M: Metric> NnCells<M> {
         // approximation cannot change under a re-solve: the polytope is
         // inside the box, so the new constraint is inactive over all of it.
         for pid in affected {
-            let owner = index.flat_point(pid);
+            let owner = self.point(pid);
             let cut = self.cells[pid]
                 .pieces
                 .iter()
-                .any(|m| bisector_cuts_mbr(index.metric(), q, owner, m));
+                .any(|m| bisector_cuts_mbr(index.metric(), self.point(id), owner, m));
             if cut {
                 self.stats.insert_refreshes += 1;
                 self.refresh_cell(index, pid);
@@ -552,6 +560,27 @@ impl<M: Metric> NnCells<M> {
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
+
+    /// Row `id` of the cells' own copy of the points.
+    #[inline]
+    fn point(&self, id: usize) -> &[f64] {
+        let d = self.vlp.space().dim();
+        &self.rows[id * d..(id + 1) * d]
+    }
+
+    /// Appends the row of every index slot the cells have not seen yet,
+    /// gathered from its leaf (zeros for a slot already dead).
+    fn gather_rows(&mut self, index: &NnCellIndex<M>) {
+        let d = index.dim();
+        let mut row = Vec::with_capacity(d);
+        for id in self.rows.len() / d..index.slots() {
+            if index.point_tree().gather(id as u64, &mut row) {
+                self.rows.extend_from_slice(&row);
+            } else {
+                self.rows.resize(self.rows.len() + d, 0.0);
+            }
+        }
+    }
 
     /// Folds one cell computation into the lifetime counters.
     fn account(&mut self, lp: CellLpStats, candidates: usize, timings: CellTimings) {
@@ -595,7 +624,7 @@ impl<M: Metric> NnCells<M> {
     fn compute_cell_pieces(&self, index: &NnCellIndex<M>, id: usize) -> CellComputation {
         let cfg = index.config();
         let tree = index.point_tree();
-        let p = index.flat_point(id);
+        let p = self.point(id);
         let d = index.dim();
         let seed = cfg.seed ^ ((id as u64).wrapping_mul(0x9e3779b97f4a7c15));
         let mut stats = CellLpStats::default();
@@ -612,9 +641,7 @@ impl<M: Metric> NnCells<M> {
                     .map(|n| n.id as usize)
                     .filter(|&j| j != id && index.is_live(j))
                     .collect();
-                let cons = self
-                    .vlp
-                    .bisectors(p, rivals.iter().map(|&j| index.flat_point(j)));
+                let cons = self.vlp.bisectors(p, rivals.iter().map(|&j| self.point(j)));
                 let n_cands = cons.len();
                 timings.constraint_ns = elapsed_nanos(phase_start);
 
@@ -642,9 +669,7 @@ impl<M: Metric> NnCells<M> {
             //    sphere query bounds the candidate set without scanning N;
             // 3. the per-bisector prune drops the rest.
             let near = nearest_rivals(p, id, tree, 4 * d);
-            let near_cons = self
-                .vlp
-                .bisectors(p, near.iter().map(|&j| index.flat_point(j)));
+            let near_cons = self.vlp.bisectors(p, near.iter().map(|&j| self.point(j)));
             // A data point is strictly inside its own cell, so the LPs are
             // feasible; a numerically contradictory outcome falls back to
             // the warm-started solve (still a superset).
@@ -675,21 +700,11 @@ impl<M: Metric> NnCells<M> {
                 .collect();
             rivals.sort_unstable();
             rivals.dedup();
-            let all = self
-                .vlp
-                .bisectors(p, rivals.iter().map(|&j| index.flat_point(j)));
+            let all = self.vlp.bisectors(p, rivals.iter().map(|&j| self.point(j)));
             VoronoiLp::<M>::prune_constraints(all, &rough.mbr)
         } else {
-            let rivals = gather_rival_ids(
-                cfg,
-                id,
-                index.points_flat(),
-                index.alive(),
-                tree,
-                index.len(),
-            );
-            self.vlp
-                .bisectors(p, rivals.iter().map(|&j| index.flat_point(j)))
+            let rivals = gather_rival_ids(cfg, id, &self.rows, tree);
+            self.vlp.bisectors(p, rivals.iter().map(|&j| self.point(j)))
         };
         let n_cands = cons.len();
         timings.constraint_ns += elapsed_nanos(phase_start);
@@ -808,7 +823,11 @@ mod tests {
             let got = cells.nn(idx, q).expect("non-empty");
             let want = linear_scan_nn(live, q).unwrap();
             assert_eq!(got.dist.to_bits(), want.dist.to_bits(), "q={q:?}");
-            assert_eq!(idx.flat_point(got.id), live[want.id].as_slice(), "q={q:?}");
+            assert_eq!(
+                idx.row(got.id).unwrap(),
+                live[want.id].as_slice(),
+                "q={q:?}"
+            );
         }
     }
 

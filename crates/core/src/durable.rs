@@ -504,11 +504,9 @@ mod tests {
 
     /// Queries of the recovered index agree with a scan over its points.
     fn assert_self_consistent(idx: &NnCellIndex<Euclidean>) {
-        let live: Vec<Point> = idx
-            .rows()
-            .enumerate()
-            .filter(|&(i, _)| idx.is_live(i))
-            .map(|(_, row)| Point::new(row.to_vec()))
+        let live: Vec<Point> = (0..idx.slots())
+            .filter_map(|i| idx.row(i))
+            .map(Point::new)
             .collect();
         for k in 0..30 {
             let q = vec![(k as f64 * 7.3) % 1.0, (k as f64 * 3.7) % 1.0];

@@ -3,9 +3,10 @@
 //!
 //! [`QueryEngine`] is a cheap, read-only session over a built
 //! [`NnCellIndex`] — or, inside [`crate::ShardedIndex`], over the forest
-//! of every shard's index. It owns no data — it borrows the indexes
-//! (including the cache-friendly flat point layout each index maintains)
-//! — so constructing one is free, and any number of engines can query one
+//! of every shard's index. It owns no data — it borrows the indexes,
+//! whose point-tree leaves hold each point's coordinates in one
+//! dimension-major block, the only copy the index keeps — so
+//! constructing one is free, and any number of engines can query one
 //! index concurrently.
 //!
 //! Execution model:

@@ -82,12 +82,15 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// The point index over a (weighted) Euclidean metric: the stored points,
-/// their liveness, and a point X-tree.
+/// The point index over a (weighted) Euclidean metric: a point X-tree
+/// whose leaves are the only store of each point.
 ///
-/// The points live in one row-major buffer (`n × d`, removed slots
-/// included), indexed by id: the only copy the index owns besides each
-/// live point's row in its point-tree leaf. [`Self::rows`] reads it.
+/// Every point has a slot, its id, numbered from 0 in insertion order;
+/// a removed point's slot stays, dead. A live point's coordinates exist
+/// once, in its leaf's dimension-major block, and the tree's slot column
+/// maps each slot to that leaf: [`Self::len`], [`Self::slots`],
+/// [`Self::is_live`] and [`Self::row`] read the tree. A removed point's
+/// coordinates are gone.
 ///
 /// Queries ([`Self::engine`] + [`crate::Query`]) run a MINDIST-ordered
 /// best-first search over the point tree and are exact — bit-identical to
@@ -96,21 +99,16 @@ impl std::error::Error for BuildError {}
 /// NN-cells are a separate, on-demand structure ([`crate::NnCells`]) built
 /// from an index.
 ///
-/// A clone is a deep copy (the folder's copy-on-write of a shard): point
-/// storage and the tree arena are copied, and an attached metrics bundle
+/// A clone is a deep copy (the folder's copy-on-write of a shard): the
+/// tree arena and its slot column are copied, and an attached metrics bundle
 /// keeps recording into the same registry series (every handle is an
 /// `Arc`; cloning never re-seeds a counter).
 #[derive(Clone)]
 pub struct NnCellIndex<M: Metric = Euclidean> {
     cfg: BuildConfig,
-    /// Row-major coordinates of every slot (`n × d`), indexed by id and
-    /// kept in sync by every mutation. The NN-cells, `remove` and `save`
-    /// read this layout; the k-NN and radius kernels and the duplicate
-    /// probe read each live point's copy in its point-tree leaf's
-    /// dimension-major block.
-    points_flat: Vec<f64>,
-    alive: Vec<bool>,
-    live_count: usize,
+    /// The points, their slots and their liveness: the k-NN and radius
+    /// kernels and the duplicate probe read each leaf's block, and
+    /// `remove` and `save` gather a slot's row through the slot column.
     point_tree: XTree,
     metric: M,
     space: DataSpace,
@@ -145,9 +143,6 @@ impl<M: Metric> NnCellIndex<M> {
         let point_tree = XTree::with_config(point_tree_config(dim, &cfg));
         Self {
             cfg,
-            points_flat: Vec::new(),
-            alive: Vec::new(),
-            live_count: 0,
             point_tree,
             metric,
             space: DataSpace::unit(dim),
@@ -186,7 +181,8 @@ impl<M: Metric> NnCellIndex<M> {
     /// takes already-validated row-major coordinates (`rows`, one row of
     /// `dim` per slot of `alive`) and STR bulk-loads the live ids into the
     /// point tree at [`STR_FILL`], straight from the rows into the leaves'
-    /// blocks (no per-point box). The bulk load is timed into
+    /// blocks (no per-point box); the tree keeps every slot, and the rows
+    /// of dead slots are dropped unread. The bulk load is timed into
     /// [`BuildStats::profile`] when there is a live point to load.
     pub(crate) fn from_rows(
         dim: usize,
@@ -201,17 +197,14 @@ impl<M: Metric> NnCellIndex<M> {
         let ids: Vec<u64> = (0..alive.len() as u64)
             .filter(|&id| alive[id as usize])
             .collect();
-        idx.live_count = ids.len();
+        let cfg = point_tree_config(dim, &idx.cfg);
+        idx.point_tree = XTree::bulk_load_rows(cfg, &rows, &ids, STR_FILL);
         if !ids.is_empty() {
-            let cfg = point_tree_config(dim, &idx.cfg);
-            idx.point_tree = XTree::bulk_load_rows(cfg, &rows, &ids, STR_FILL);
             idx.build_stats
                 .profile
                 .bulk_load
                 .add(elapsed_nanos(load_start));
         }
-        idx.points_flat = rows;
-        idx.alive = alive;
         idx
     }
 
@@ -221,12 +214,12 @@ impl<M: Metric> NnCellIndex<M> {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.live_count
+        self.point_tree.len()
     }
 
     /// Whether the index holds no live points.
     pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.point_tree.is_empty()
     }
 
     /// Dimensionality.
@@ -239,16 +232,22 @@ impl<M: Metric> NnCellIndex<M> {
         &self.cfg
     }
 
-    /// The stored points as `d`-coordinate rows indexed by id, removed
-    /// slots included (check [`Self::is_live`]); `rows().len()` is the slot
-    /// count.
-    pub fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
-        self.points_flat.chunks_exact(self.dim())
+    /// Number of slots, live or removed: the id the next insert gets.
+    pub fn slots(&self) -> usize {
+        self.point_tree.slots()
     }
 
     /// Whether point `id` is live.
     pub fn is_live(&self, id: usize) -> bool {
-        self.alive.get(id).copied().unwrap_or(false)
+        self.point_tree.holds(id as u64)
+    }
+
+    /// The coordinates of live point `id`, gathered from its leaf's
+    /// columns (O(d) past finding it in its leaf; no page is billed);
+    /// `None` for a removed or unknown id.
+    pub fn row(&self, id: usize) -> Option<Vec<f64>> {
+        let mut out = Vec::with_capacity(self.dim());
+        self.point_tree.gather(id as u64, &mut out).then_some(out)
     }
 
     /// Construction counters: wall time, skipped inputs and the bulk-load
@@ -300,7 +299,7 @@ impl<M: Metric> NnCellIndex<M> {
     /// Re-publishes the structural gauges after a mutation.
     fn refresh_gauges(&self) {
         if let Some(m) = &self.metrics {
-            m.live_points.set(self.live_count as i64);
+            m.live_points.set(self.len() as i64);
         }
     }
 
@@ -324,11 +323,6 @@ impl<M: Metric> NnCellIndex<M> {
         &self.point_tree
     }
 
-    /// The liveness mask, indexed by point id.
-    pub(crate) fn alive(&self) -> &[bool] {
-        &self.alive
-    }
-
     /// The metric in use.
     pub(crate) fn metric(&self) -> &M {
         &self.metric
@@ -337,18 +331,6 @@ impl<M: Metric> NnCellIndex<M> {
     /// The unit data space points must lie in.
     pub(crate) fn space(&self) -> &DataSpace {
         &self.space
-    }
-
-    /// The flat point layout: row-major, one row of `d` per slot.
-    pub(crate) fn points_flat(&self) -> &[f64] {
-        &self.points_flat
-    }
-
-    /// Row `id` of the flat point layout.
-    #[inline]
-    pub(crate) fn flat_point(&self, id: usize) -> &[f64] {
-        let d = self.dim();
-        &self.points_flat[id * d..(id + 1) * d]
     }
 
     // ------------------------------------------------------------------
@@ -368,24 +350,13 @@ impl<M: Metric> NnCellIndex<M> {
         Ok(self.insert_validated(p.as_slice()))
     }
 
-    /// Makes room for `additional` more slots, exactly: a fold reserves
-    /// its batch's inserts in the fresh clone, whose buffers hold no spare
-    /// capacity, instead of letting the first insert double them.
-    pub(crate) fn reserve_slots(&mut self, additional: usize) {
-        self.points_flat.reserve_exact(additional * self.dim());
-        self.alive.reserve_exact(additional);
-    }
-
     /// [`Self::insert`] of a point the caller has already validated
     /// against this index (the fold re-applies acked inserts, each checked
     /// at ack time against the state it now lands on), so no duplicate
     /// probe runs. Returns the new point's id.
     pub(crate) fn insert_validated(&mut self, p: &[f64]) -> usize {
-        let id = self.alive.len();
+        let id = self.slots();
         self.point_tree.insert_point(p, id as u64);
-        self.points_flat.extend_from_slice(p);
-        self.alive.push(true);
-        self.live_count += 1;
         self.refresh_gauges();
         id
     }
@@ -398,7 +369,7 @@ impl<M: Metric> NnCellIndex<M> {
     /// # Errors
     /// The same [`BuildError`] variants `insert` would return.
     pub fn validate_insert(&self, p: &Point) -> Result<(), BuildError> {
-        let id = self.alive.len();
+        let id = self.slots();
         validate_point(p, id, self.dim(), &self.space)?;
         if let Some(of) = self.find_live_duplicate(p, &mut BestFirstScratch::new()) {
             return Err(BuildError::DuplicatePoint { id, of });
@@ -441,16 +412,16 @@ impl<M: Metric> NnCellIndex<M> {
         twin
     }
 
-    /// Removes point `id`: marks it dead and deletes it from the point
-    /// tree. Returns `false` when `id` was not live.
+    /// Removes point `id`: gathers its row from its leaf and deletes it
+    /// from the point tree, which leaves its slot dead. Returns `false`
+    /// when `id` was not live.
     pub fn remove(&mut self, id: usize) -> bool {
-        if !self.is_live(id) {
+        let Some(row) = self.row(id) else {
             return false;
-        }
-        self.alive[id] = false;
-        self.live_count -= 1;
-        let mbr = Mbr::from_point(self.flat_point(id));
-        let removed = self.point_tree.delete(&mbr, id as u64);
+        };
+        let removed = self
+            .point_tree
+            .delete(&Mbr::new(row.clone(), row), id as u64);
         debug_assert!(removed, "point tree out of sync");
         self.refresh_gauges();
         true
@@ -780,7 +751,7 @@ mod tests {
             idx.insert(Point::new(vec![-0.1, 0.1])),
             Err(BuildError::OutOfDataSpace { .. })
         ));
-        let twin = Point::new(idx.rows().nth(4).unwrap().to_vec());
+        let twin = Point::new(idx.row(4).unwrap());
         assert!(matches!(
             idx.insert(twin),
             Err(BuildError::DuplicatePoint { of: 4, .. })
@@ -940,13 +911,28 @@ mod tests {
         assert_eq!(idx.build_stats().lp.lp_calls, 0);
     }
 
-    /// The point tree's structure and its leaf blocks, checked against the
-    /// index: `validate()` passes, and the traversal streams every live
-    /// point exactly once with coordinates, gathered from its leaf's
-    /// columns, bit-identical to `flat_point(id)`.
-    fn check_layout(idx: &NnCellIndex) -> Result<(), proptest::TestCaseError> {
+    /// The point tree's structure and its leaf blocks, checked against a
+    /// model of every slot (`None` once removed): `validate()` passes, the
+    /// slot count and every slot's liveness and gathered row match the
+    /// model bit for bit, and the traversal streams every live point
+    /// exactly once with the model's coordinates.
+    fn check_layout(
+        idx: &NnCellIndex,
+        model: &[Option<Vec<f64>>],
+    ) -> Result<(), proptest::TestCaseError> {
         let tree = idx.point_tree();
         tree.validate();
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        proptest::prop_assert_eq!(idx.slots(), model.len());
+        for (id, want) in model.iter().enumerate() {
+            proptest::prop_assert_eq!(idx.is_live(id), want.is_some(), "liveness of {}", id);
+            proptest::prop_assert_eq!(
+                idx.row(id).as_deref().map(bits),
+                want.as_deref().map(bits),
+                "row of {}",
+                id
+            );
+        }
         let mut streamed = 0usize;
         let mut bad: Option<u64> = None;
         let q = vec![0.5; idx.dim()];
@@ -960,20 +946,21 @@ mod tests {
                 let m = ids.len();
                 for (i, &id) in ids.iter().enumerate() {
                     streamed += 1;
-                    let flat = idx.flat_point(id as usize);
-                    let same = block.len() == m * flat.len()
-                        && flat
-                            .iter()
-                            .enumerate()
-                            .all(|(j, x)| block[j * m + i].to_bits() == x.to_bits());
-                    if !same || !idx.is_live(id as usize) {
+                    let want = model.get(id as usize).and_then(|r| r.as_deref());
+                    let same = want.is_some_and(|r| {
+                        block.len() == m * r.len()
+                            && r.iter()
+                                .enumerate()
+                                .all(|(j, x)| block[j * m + i].to_bits() == x.to_bits())
+                    });
+                    if !same {
                         bad = bad.or(Some(id));
                     }
                 }
                 f64::INFINITY // visit every leaf
             },
         );
-        proptest::prop_assert_eq!(bad, None, "leaf block differs from flat_point");
+        proptest::prop_assert_eq!(bad, None, "leaf block differs from the model");
         proptest::prop_assert_eq!(streamed, idx.len(), "every live point streamed once");
         Ok(())
     }
@@ -982,9 +969,10 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         /// Bulk build, then interleaved inserts, removes, clones and
-        /// save→load round trips keep the inline layout consistent.
+        /// save→load round trips keep the leaves, the slot column and a
+        /// model of every slot in step.
         #[test]
-        fn point_leaf_rows_track_flat_points(
+        fn point_leaf_rows_track_a_model_of_every_slot(
             seed_pts in proptest::prelude::prop::collection::vec(
                 proptest::prelude::prop::collection::vec(0u32..=1000, 3), 1..120),
             ops in proptest::prelude::prop::collection::vec(
@@ -994,11 +982,18 @@ mod tests {
             let cfg = BuildConfig::builder().block_size(256).build();
             let pts: Vec<Point> = seed_pts.iter().map(|v| coords(v)).collect();
             let mut idx = NnCellIndex::build(
-                pts,
+                pts.clone(),
                 BuildConfig { input_policy: InputPolicy::Skip, ..cfg },
             )
             .unwrap();
-            check_layout(&idx)?;
+            // The build keeps the first copy of each point, in input order.
+            let mut model: Vec<Option<Vec<f64>>> = Vec::new();
+            for p in &pts {
+                if !model.iter().flatten().any(|r| r.as_slice() == p.as_slice()) {
+                    model.push(Some(p.as_slice().to_vec()));
+                }
+            }
+            check_layout(&idx, &model)?;
             let vfs = crate::vfs::FaultVfs::new(crate::vfs::FaultSchedule::none(1));
             let path = std::path::Path::new("layout.nncell");
             for (op, v) in &ops {
@@ -1006,11 +1001,15 @@ mod tests {
                     // Inserts dominate so trees grow, split and make
                     // supernodes; a duplicate of a live point is rejected.
                     0..=8 => {
-                        let _ = idx.insert(coords(v));
+                        let p = coords(v);
+                        if let Ok(id) = idx.insert(p.clone()) {
+                            proptest::prop_assert_eq!(id, model.len());
+                            model.push(Some(p.into_vec()));
+                        }
                     }
                     9..=12 => {
-                        let slots = idx.rows().len();
-                        idx.remove((v[0] as usize * 7 + v[1] as usize) % slots);
+                        let id = (v[0] as usize * 7 + v[1] as usize) % idx.slots();
+                        proptest::prop_assert_eq!(idx.remove(id), model[id].take().is_some());
                     }
                     13 => idx = idx.clone(),
                     _ => {
@@ -1018,7 +1017,7 @@ mod tests {
                         idx = NnCellIndex::load_with_vfs(&vfs, path).unwrap();
                     }
                 }
-                check_layout(&idx)?;
+                check_layout(&idx, &model)?;
             }
         }
     }

@@ -1,10 +1,13 @@
 //! Index persistence.
 //!
-//! An index is its configuration, its points and their liveness; on load
-//! the coordinates decode straight into the index's flat row buffer and the
-//! live points are STR bulk-loaded into the point X-tree, exactly as a
-//! build does — so a freshly built index and its saved copy read the same
-//! pages.
+//! An index is its configuration, its points and their liveness. A save
+//! gathers each live slot's row from its point-tree leaf, in slot order,
+//! and writes a dead slot as a fixed placeholder row (all zeros) with
+//! liveness 0: the index keeps no coordinates of a removed point. On load
+//! the rows decode into one buffer, the live ones are STR bulk-loaded into
+//! the point X-tree exactly as a build does — so a freshly built index and
+//! its saved copy read the same pages — and the buffer is dropped, with
+//! the rows of dead slots unread.
 //!
 //! **Format `NNCELL02`** ([`NnCellIndex::save`]): an 8-byte magic, the
 //! payload, and a CRC32 (IEEE) trailer over everything before it.
@@ -202,7 +205,7 @@ impl NnCellIndex<Euclidean> {
     /// I/O failures only.
     pub fn save_with_vfs(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), PersistError> {
         self.write_file(vfs, path, MAGIC_V2, |out| {
-            for _ in 0..self.rows().len() {
+            for _ in 0..self.slots() {
                 put_u32(out, 0);
             }
         })
@@ -217,7 +220,7 @@ impl NnCellIndex<Euclidean> {
         vfs: &dyn Vfs,
         path: &Path,
     ) -> Result<(), PersistError> {
-        debug_assert_eq!(ids.len(), self.rows().len(), "one id per slot");
+        debug_assert_eq!(ids.len(), self.slots(), "one id per slot");
         self.write_file(vfs, path, MAGIC_V3, |out| {
             for &g in ids {
                 put_u64(out, g as u64);
@@ -234,7 +237,7 @@ impl NnCellIndex<Euclidean> {
         magic: &[u8; 8],
         slots: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), PersistError> {
-        let mut bytes = Vec::with_capacity(64 + self.rows().len() * (self.dim() * 8 + 9));
+        let mut bytes = Vec::with_capacity(64 + self.slots() * (self.dim() * 8 + 9));
         bytes.extend_from_slice(magic);
         self.write_points(&mut bytes);
         slots(&mut bytes);
@@ -244,8 +247,9 @@ impl NnCellIndex<Euclidean> {
         Ok(())
     }
 
-    /// Serializes the header and the points with their liveness into
-    /// `out` (infallible: the sink is a `Vec`).
+    /// Serializes the header and every slot's liveness and row into `out`
+    /// (infallible: the sink is a `Vec`): a live slot's row gathered from
+    /// its leaf, a dead slot's the all-zero placeholder.
     fn write_points(&self, out: &mut Vec<u8>) {
         let cfg = self.config();
         put_u32(out, self.dim() as u32);
@@ -258,11 +262,14 @@ impl NnCellIndex<Euclidean> {
         put_u64(out, cfg.seed);
         put_u32(out, cfg.block_size as u32);
 
-        let slots = self.rows().len();
+        let slots = self.slots();
         put_u64(out, slots as u64);
-        for (id, row) in self.rows().enumerate() {
-            out.push(self.is_live(id) as u8);
-            for &c in row {
+        let placeholder = vec![0.0; self.dim()];
+        let mut row = Vec::with_capacity(self.dim());
+        for id in 0..slots {
+            let live = self.point_tree().gather(id as u64, &mut row);
+            out.push(live as u8);
+            for &c in if live { &row } else { &placeholder } {
                 put_f64(out, c);
             }
         }
@@ -303,7 +310,7 @@ impl NnCellIndex<Euclidean> {
         rule: RoundRobin,
     ) -> Result<(Self, Vec<usize>), PersistError> {
         let (index, ids) = read_file(vfs, path)?;
-        let ids = ids.unwrap_or_else(|| (0..index.rows().len()).map(|l| rule.global(l)).collect());
+        let ids = ids.unwrap_or_else(|| (0..index.slots()).map(|l| rule.global(l)).collect());
         Ok((index, ids))
     }
 }
@@ -555,6 +562,12 @@ mod tests {
             .collect()
     }
 
+    /// Whether `a` and `b` have the same slots, each with the same
+    /// liveness and row.
+    fn same_slots(a: &NnCellIndex, b: &NnCellIndex) -> bool {
+        a.slots() == b.slots() && (0..a.slots()).all(|id| a.row(id) == b.row(id))
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("nncell_persist_{name}_{}", std::process::id()));
@@ -612,11 +625,14 @@ mod tests {
 
         // Header, points with liveness, one empty piece list per point.
         assert_eq!(bytes.len(), 8 + 32 + 8 + 60 * (1 + 8 * 3) + 60 * 4 + 4);
+        // The removed slot keeps no coordinates: liveness 0, a zero row.
+        let slot5 = 8 + 32 + 8 + 5 * (1 + 8 * 3);
+        assert!(bytes[slot5..slot5 + 1 + 8 * 3].iter().all(|&b| b == 0));
         assert_eq!(loaded.len(), 59);
         assert_eq!(loaded.dim(), idx.dim());
         assert_eq!(loaded.config().strategy, Strategy::Sphere);
         assert_eq!(loaded.config().decompose_pieces, Some(4));
-        assert!(loaded.rows().eq(idx.rows()));
+        assert!(same_slots(&loaded, &idx));
         assert!(!loaded.is_live(5));
         let mut rng = SmallRng::seed_from_u64(9);
         for _ in 0..40 {
@@ -643,7 +659,7 @@ mod tests {
         for v2 in [true, false] {
             std::fs::write(&path, with_pieces(&saved, 30, &cells, v2)).unwrap();
             let loaded = NnCellIndex::load(&path).unwrap();
-            assert!(loaded.rows().eq(idx.rows()));
+            assert!(same_slots(&loaded, &idx));
             assert_eq!(loaded.len(), idx.len());
         }
         // The legacy format has no checksum, so structural checks on the
@@ -790,13 +806,13 @@ mod tests {
         };
         let (loaded, got) = NnCellIndex::load_shard(&vfs, v3, rule).unwrap();
         assert_eq!(got, ids, "the stored column wins over the rule");
-        assert!(loaded.rows().eq(idx.rows()));
+        assert!(same_slots(&loaded, &idx));
         assert!(!loaded.is_live(4));
         let (_, got) = NnCellIndex::load_shard(&vfs, v2, rule).unwrap();
         assert_eq!(got, (0..30).map(|l| 4 * l + 1).collect::<Vec<_>>());
         // A plain load reads a shard file as an index of its slots.
         let plain = NnCellIndex::load_with_vfs(&vfs, v3).unwrap();
-        assert!(plain.rows().eq(idx.rows()));
+        assert!(same_slots(&plain, &idx));
         // The id column is checksummed like every other byte.
         let bytes = vfs.read(v3).unwrap();
         assert_eq!(bytes.len(), 8 + 32 + 8 + 30 * (1 + 8 * 2) + 30 * 8 + 4);

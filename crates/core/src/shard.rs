@@ -24,9 +24,12 @@
 //! keyed by `(distance, global id)`. The bound that prunes every shard is
 //! the global k-th distance, so no point that could tie or beat it is
 //! skipped in any shard, wherever it lives, and ties break by global id
-//! exactly as in the unsharded ranking. Each shard's tail inserts seed
-//! the k-best and its tombstones filter its own points. A radius query
-//! maps each shard's hits to global ids and sorts the union once.
+//! exactly as in the unsharded ranking. Each shard's tombstones filter
+//! its own points during the walk; after the walk, each shard's unfolded
+//! tail inserts are scanned under the walk's k-th-best bound, through the
+//! same leaf kernel, and only those within it are offered to the k-best.
+//! A radius query maps each shard's hits to global ids and sorts the
+//! union once.
 //! `DESIGN.md` §12.1 has the exactness argument.
 //!
 //! The routing rule cannot rebalance: skewed inserts grow one shard (the
@@ -894,13 +897,8 @@ impl ShardedIndex {
                 !chaos.as_ref().is_some_and(|f| f.load(Ordering::Acquire)),
                 "injected fold fault"
             );
-            let inserts = batch
-                .iter()
-                .filter(|op| matches!(op, TailOp::Insert { .. }))
-                .count();
             let mut idx = (*base.index).clone();
-            idx.reserve_slots(inserts);
-            let mut ids = Vec::with_capacity(base.ids.len() + inserts);
+            let mut ids = Vec::with_capacity(base.ids.len() + batch.len());
             ids.extend_from_slice(&base.ids);
             for op in &batch {
                 match op {
@@ -1487,7 +1485,8 @@ mod tests {
                 let h = idx.shard(i);
                 (0..2)
                     .map(|j| {
-                        h.rows()
+                        (0..h.slots())
+                            .filter_map(|l| h.row(l))
                             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
                                 (lo.min(r[j]), hi.max(r[j]))
                             })

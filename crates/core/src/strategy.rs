@@ -11,22 +11,22 @@ use nncell_index::XTree;
 /// Collects the rival point ids whose bisectors constrain the cell of point
 /// `id` under the configured strategy.
 ///
-/// `rows` is the row-major point layout, one row per slot of `alive`;
-/// `tree` is the data-point X-tree (ids are point indices); dead points are
-/// absent from it. `live_count` sizes the Sphere radius heuristic.
+/// `tree` is the data-point X-tree (ids are slots): a point is live
+/// when the tree holds it, and its live count sizes the Sphere radius
+/// heuristic. `rows` is a row-major copy of the points, one row per slot
+/// of the tree; only live slots' rows are read.
 pub(crate) fn gather_rival_ids(
     cfg: &BuildConfig,
     id: usize,
     rows: &[f64],
-    alive: &[bool],
     tree: &XTree,
-    live_count: usize,
 ) -> Vec<usize> {
-    let d = rows.len() / alive.len();
+    let d = tree.config().dim;
     let p = &rows[id * d..(id + 1) * d];
+    let live = |j: usize| tree.holds(j as u64);
     let mut ids: Vec<usize> = match cfg.strategy {
         Strategy::Correct | Strategy::CorrectPruned => {
-            (0..alive.len()).filter(|&j| j != id && alive[j]).collect()
+            (0..tree.slots()).filter(|&j| j != id && live(j)).collect()
         }
         Strategy::Point => tree
             .page_point_query(p)
@@ -34,7 +34,7 @@ pub(crate) fn gather_rival_ids(
             .map(|x| x as usize)
             .collect(),
         Strategy::Sphere => {
-            let r = cfg.effective_sphere_radius(live_count, d);
+            let r = cfg.effective_sphere_radius(tree.len(), d);
             tree.page_sphere_query(p, r)
                 .into_iter()
                 .map(|x| x as usize)
@@ -44,7 +44,7 @@ pub(crate) fn gather_rival_ids(
     };
     ids.sort_unstable();
     ids.dedup();
-    ids.retain(|&j| j != id && alive[j]);
+    ids.retain(|&j| j != id && live(j));
     ids
 }
 
@@ -110,42 +110,43 @@ mod tests {
 
     /// `n` uniform points in `d` dimensions as row-major rows, all live,
     /// in an insert-built point tree.
-    fn setup(n: usize, d: usize, seed: u64) -> (Vec<f64>, Vec<bool>, XTree) {
+    fn setup(n: usize, d: usize, seed: u64) -> (Vec<f64>, XTree) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let rows: Vec<f64> = (0..n * d).map(|_| rng.gen_range(0.0..1.0)).collect();
         let mut tree = XTree::for_points(d);
         for (i, p) in rows.chunks_exact(d).enumerate() {
             tree.insert_point(p, i as u64);
         }
-        let alive = vec![true; n];
-        (rows, alive, tree)
+        (rows, tree)
     }
 
     #[test]
     fn correct_returns_everyone_else() {
-        let (points, alive, tree) = setup(50, 3, 1);
+        let (points, tree) = setup(50, 3, 1);
         let cfg = BuildConfig::builder().strategy(Strategy::Correct).build();
-        let ids = gather_rival_ids(&cfg, 7, &points, &alive, &tree, 50);
+        let ids = gather_rival_ids(&cfg, 7, &points, &tree);
         assert_eq!(ids.len(), 49);
         assert!(!ids.contains(&7));
     }
 
     #[test]
     fn correct_skips_dead_points() {
-        let (points, mut alive, tree) = setup(20, 2, 2);
-        alive[3] = false;
-        alive[4] = false;
+        let (points, mut tree) = setup(20, 2, 2);
+        for id in [3, 4] {
+            let p = &points[id * 2..(id + 1) * 2];
+            assert!(tree.delete(&nncell_geom::Mbr::from_point(p), id as u64));
+        }
         let cfg = BuildConfig::builder().strategy(Strategy::Correct).build();
-        let ids = gather_rival_ids(&cfg, 0, &points, &alive, &tree, 18);
+        let ids = gather_rival_ids(&cfg, 0, &points, &tree);
         assert_eq!(ids.len(), 17);
         assert!(!ids.contains(&3) && !ids.contains(&4));
     }
 
     #[test]
     fn point_strategy_returns_page_mates() {
-        let (points, alive, tree) = setup(200, 4, 3);
+        let (points, tree) = setup(200, 4, 3);
         let cfg = BuildConfig::builder().strategy(Strategy::Point).build();
-        let ids = gather_rival_ids(&cfg, 11, &points, &alive, &tree, 200);
+        let ids = gather_rival_ids(&cfg, 11, &points, &tree);
         // At minimum the other points of 11's own leaf page qualify; the set
         // must never contain the point itself.
         assert!(!ids.contains(&11));
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn sphere_candidates_grow_with_radius() {
-        let (points, alive, tree) = setup(300, 3, 4);
+        let (points, tree) = setup(300, 3, 4);
         let small = BuildConfig::builder()
             .strategy(Strategy::Sphere)
             .sphere_radius(0.05)
@@ -163,8 +164,8 @@ mod tests {
             .strategy(Strategy::Sphere)
             .sphere_radius(0.5)
             .build();
-        let a = gather_rival_ids(&small, 5, &points, &alive, &tree, 300).len();
-        let b = gather_rival_ids(&large, 5, &points, &alive, &tree, 300).len();
+        let a = gather_rival_ids(&small, 5, &points, &tree).len();
+        let b = gather_rival_ids(&large, 5, &points, &tree).len();
         assert!(a <= b, "sphere candidates must be monotone in radius");
         assert!(b > 0);
     }
@@ -172,11 +173,11 @@ mod tests {
     #[test]
     fn nn_direction_is_small_and_directional() {
         let d = 4;
-        let (points, alive, tree) = setup(400, d, 5);
+        let (points, tree) = setup(400, d, 5);
         let cfg = BuildConfig::builder()
             .strategy(Strategy::NnDirection)
             .build();
-        let ids = gather_rival_ids(&cfg, 42, &points, &alive, &tree, 400);
+        let ids = gather_rival_ids(&cfg, 42, &points, &tree);
         assert!(!ids.is_empty());
         assert!(
             ids.len() <= 4 * d,
@@ -205,7 +206,7 @@ mod tests {
 
     #[test]
     fn nearest_rivals_excludes_self_and_is_sorted_by_distance() {
-        let (points, _, tree) = setup(100, 3, 6);
+        let (points, tree) = setup(100, 3, 6);
         let row = |j: usize| &points[j * 3..(j + 1) * 3];
         let ids = nearest_rivals(row(10), 10, &tree, 12);
         assert_eq!(ids.len(), 12);

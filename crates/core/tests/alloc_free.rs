@@ -22,11 +22,14 @@
 //! batch allocates less than 1.5 clones of the shard's index, because
 //! the published snapshot is the shard's only copy. Its twin pins a
 //! 64-record fold by count: the fold re-applies acked inserts without a
-//! second duplicate probe. A fourth pins the
-//! clone itself by count: the coordinates are one flat buffer, so cloning
-//! a shard allocates per tree page, not per point. The last pins build
-//! and load by count: both bulk-load the point tree straight from flat
-//! rows, so neither allocates per point. The linear-scan oracle is
+//! second duplicate probe. The one-record fold's test also pins the bytes
+//! of one clone of its shard at 60% of what a clone allocated while the
+//! index kept a row-major copy of every point beside its leaves. A fourth
+//! pins the clone itself by count: the coordinates live only in the point
+//! tree's leaf blocks and its slot column is one array, so cloning a shard
+//! allocates per tree page, not per point. The last pins build and load
+//! by count: both bulk-load the point tree straight from flat rows, so
+//! neither allocates per point. The linear-scan oracle is
 //! pinned too: one `linear_scan_knn` call allocates once, its answer,
 //! sized `min(k, n)`, never a buffer of all n distances.
 //!
@@ -344,6 +347,16 @@ fn a_fold_clones_the_shard_once() {
     let (_, clone_bytes) = measure(|| {
         std::hint::black_box(idx.shard(0).as_ref().clone());
     });
+    // The point tree's leaves are the only store of the points: one
+    // clone of this shard allocated 577,805 bytes while the index also
+    // kept a row-major copy of every point (256 kB here) and a liveness
+    // mask, and about 334 kB once the leaves and their slot column are
+    // the only store.
+    assert!(
+        clone_bytes * 5 <= 577_805 * 3,
+        "one clone of the shard allocated {clone_bytes} bytes, more than 60% of the \
+         577,805 a clone allocated with a row copy of every point: is a second store back?"
+    );
     idx.insert(Point::new(vec![0.25; 8])).unwrap();
     let (_, fold_bytes) = measure(|| {
         assert_eq!(idx.fold_once().unwrap(), 1);
@@ -508,7 +521,9 @@ fn build_and_load_make_no_per_point_allocation() {
     let load_allocs = count_allocs(|| {
         loaded = Some(NnCellIndex::load_with_vfs(&vfs, path).unwrap());
     });
-    assert!(loaded.unwrap().rows().eq(idx.rows()));
+    let loaded = loaded.unwrap();
+    assert_eq!(loaded.slots(), idx.slots());
+    assert!((0..N).all(|id| loaded.row(id) == idx.row(id)));
     assert!(
         load_allocs < (N / 4) as u64,
         "loading {N} points made {load_allocs} allocations: a per-point copy is back"

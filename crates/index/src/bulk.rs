@@ -48,19 +48,24 @@ pub fn bulk_load(cfg: TreeConfig, items: Vec<(Mbr, ItemId)>, fill: f64) -> Tree 
 /// are never read. The packing sorts the ids by the same keys
 /// [`bulk_load`] sorts a point's box by (ties keep the order of `ids`)
 /// and writes each leaf's dimension-major block straight from the rows,
-/// so no point is copied into a box of its own.
+/// so no point is copied into a box of its own. The tree's slot column
+/// spans every row: [`Tree::slots`] is `rows.len() / d`, and a row not
+/// in `ids` is a slot the tree does not hold. Empty `ids` give an empty
+/// tree with those slots.
 ///
 /// # Panics
-/// Panics on empty `ids`, `rows` not holding `d` values per point, an id
-/// past the last row, a box-leaf configuration, or a `fill` outside
-/// `(0,1]`.
+/// Panics on `rows` not holding `d` values per point, an id past the
+/// last row, a box-leaf configuration, or a `fill` outside `(0,1]`.
 pub fn bulk_load_rows(cfg: TreeConfig, rows: &[f64], ids: &[ItemId], fill: f64) -> Tree {
-    assert!(!ids.is_empty(), "bulk_load needs at least one item");
     assert!(cfg.leaf_stores_points, "rows load into point leaves");
     let dim = cfg.dim;
     assert_eq!(rows.len() % dim, 0, "item dimensionality mismatch");
     let (leaf_cap, dir_cap) = capacities(&cfg, fill);
     let mut tree = Tree::new(cfg);
+    tree.grow_slots(rows.len() / dim);
+    if ids.is_empty() {
+        return tree;
+    }
     let point = |id: ItemId| &rows[id as usize * dim..(id as usize + 1) * dim];
     let mut order = ids.to_vec();
     // A point's box center key is `x + x`, as `box_center` keys `lo + hi`.

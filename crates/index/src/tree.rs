@@ -26,6 +26,12 @@
 //! [`Tree::best_first_stream_with`] is the one serving traversal, behind
 //! every k-NN, radius and duplicate probe of the serving index.
 //!
+//! A point-leaf tree also keeps a **slot column**, one `u32` per item id
+//! (ids are dense slots from 0): the page of the leaf holding the item,
+//! or `NO_LEAF`. It is written only where a leaf entry lands or leaves,
+//! and lets [`Tree::holds`] and [`Tree::gather`] answer liveness and a
+//! point's row from the leaves, the only store of each point.
+//!
 //! Cost accounting has two regimes. The paper's walkers bill every node
 //! touch to the `CostTracker` as it happens — a supernode costs its page
 //! span, and the optional LRU page cache turns re-touches into hits — and
@@ -61,6 +67,10 @@ pub struct Neighbor {
     pub dist: f64,
 }
 
+/// The slot-column value of a slot no leaf holds (never inserted, or
+/// deleted).
+const NO_LEAF: u32 = u32::MAX;
+
 /// Height-balanced MBR tree over a simulated page arena.
 ///
 /// Use the [`crate::RStarTree`] / [`crate::XTree`] wrappers for a
@@ -76,6 +86,10 @@ pub struct Tree {
     free: Vec<PageId>,
     root: PageId,
     len: usize,
+    /// The slot column of a point-leaf tree: `leaf_of[id]` is the page of
+    /// the leaf holding item `id`, `NO_LEAF` for none. Empty in a box-leaf
+    /// tree.
+    leaf_of: Vec<u32>,
     cost: CostTracker,
 }
 
@@ -96,6 +110,7 @@ impl Tree {
             free: Vec::new(),
             root: PageId(0),
             len: 0,
+            leaf_of: Vec::new(),
             cost: CostTracker::default(),
         };
         let root = t.empty_node(0);
@@ -116,6 +131,71 @@ impl Tree {
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Number of slots of a point-leaf tree: one past the highest item id
+    /// it was loaded with or ever held, held now or not (0 for a box-leaf
+    /// tree).
+    pub fn slots(&self) -> usize {
+        self.leaf_of.len()
+    }
+
+    /// Whether a point-leaf tree holds item `id` (`false` for a box-leaf
+    /// tree). O(1): one read of the slot column.
+    pub fn holds(&self, id: ItemId) -> bool {
+        self.leaf_page(id).is_some()
+    }
+
+    /// Writes item `id`'s point into `out`, gathered from the columns of
+    /// the leaf the slot column names (O(m + d) for an `m`-entry leaf),
+    /// and returns `true`; `false`, with `out` untouched, when the tree
+    /// does not hold `id`. Bills no page and no CPU op.
+    pub fn gather(&self, id: ItemId, out: &mut Vec<f64>) -> bool {
+        let Some(page) = self.leaf_page(id) else {
+            return false;
+        };
+        let leaf = self.node(page);
+        let i = leaf
+            .payloads()
+            .iter()
+            .position(|&item| item == id)
+            .expect("the slot column names the leaf holding the item");
+        leaf.gather(i, out);
+        true
+    }
+
+    /// The leaf holding item `id`, by the slot column.
+    #[inline]
+    fn leaf_page(&self, id: ItemId) -> Option<PageId> {
+        let page = *self.leaf_of.get(usize::try_from(id).ok()?)?;
+        (page != NO_LEAF).then_some(PageId(page))
+    }
+
+    /// Records in the slot column that leaf `page` holds item `id`,
+    /// growing the column to `id + 1` slots when `id` is new.
+    fn place(&mut self, id: ItemId, page: PageId) {
+        let slot = id as usize;
+        if slot >= self.leaf_of.len() {
+            self.leaf_of.resize(slot + 1, NO_LEAF);
+        }
+        self.leaf_of[slot] = page.0;
+    }
+
+    /// Records that leaf `page` holds each of its items.
+    fn place_leaf(&mut self, page: PageId) {
+        for i in 0..self.node(page).len() {
+            let id = self.node(page).item(i);
+            self.place(id, page);
+        }
+    }
+
+    /// Bulk-loader plumbing: grows the slot column of a point-leaf tree to
+    /// `slots` slots, each `NO_LEAF` until a leaf holding it is adopted.
+    pub(crate) fn grow_slots(&mut self, slots: usize) {
+        debug_assert!(self.cfg.leaf_stores_points);
+        if slots > self.leaf_of.len() {
+            self.leaf_of.resize(slots, NO_LEAF);
+        }
     }
 
     /// Tree height (1 for a single leaf root).
@@ -307,7 +387,12 @@ impl Tree {
     pub(crate) fn adopt_node(&mut self, node: Node) -> PageId {
         debug_assert!(node.len() <= self.capacity(&node));
         self.cost.write(node.span as u64);
-        self.alloc(node)
+        let points = node.stores_points();
+        let page = self.alloc(node);
+        if points {
+            self.place_leaf(page);
+        }
+        page
     }
 
     /// Bulk-loader plumbing: replaces the (empty) root with a packed
@@ -344,7 +429,9 @@ impl Tree {
     // insertion
     // ------------------------------------------------------------------
 
-    /// Inserts an item with bounding box `mbr`.
+    /// Inserts an item with bounding box `mbr`. In a point-leaf tree `id`
+    /// is a slot: the slot column grows to `id + 1` entries of 4 bytes,
+    /// so ids should be dense from 0.
     ///
     /// # Panics
     /// Panics on a dimensionality mismatch, and when a point-leaf tree
@@ -365,6 +452,9 @@ impl Tree {
         let path = self.choose_path(BoxRef::of(&entry.mbr), level);
         let target = *path.last().expect("path never empty");
         self.node_mut(target).push_entry(&entry);
+        if let (true, Payload::Item(id)) = (self.cfg.leaf_stores_points, entry.payload) {
+            self.place(id, target);
+        }
         self.cost.write(self.node(target).span as u64);
         self.propagate_mbr(&path);
         self.resolve_overflow(&path, reinserted);
@@ -533,7 +623,12 @@ impl Tree {
         sibling.split_history = hist;
         sibling.set_entries(b);
         let sib_mbr = sibling.mbr().expect("split side not empty");
+        let points = sibling.stores_points();
         let sib_id = self.alloc(sibling);
+        if points {
+            // The entries that stay in `id` already map to it.
+            self.place_leaf(sib_id);
+        }
         let node_mbr = self.node(id).mbr().expect("split side not empty");
         self.cost
             .write(self.node(id).span as u64 + self.node(sib_id).span as u64);
@@ -725,6 +820,9 @@ impl Tree {
                 .item_index(id, target)
                 .expect("find_leaf returned a leaf containing the entry");
             n.swap_remove(idx);
+        }
+        if self.cfg.leaf_stores_points {
+            self.leaf_of[id as usize] = NO_LEAF;
         }
         self.cost.write(self.node(leaf).span as u64);
         self.len -= 1;
@@ -1350,8 +1448,9 @@ impl Tree {
     /// coordinate array holds one `lo ‖ hi` row per entry (`2·d` values)
     /// or, in a point leaf, one point per item (`d` values, dimension-major),
     /// directory rows contain their children's entries and are their exact
-    /// unions, and a point leaf's parent entry is bit for bit the minimum
-    /// and maximum of each of its block's columns.
+    /// unions, a point leaf's parent entry is bit for bit the minimum and
+    /// maximum of each of its block's columns, and the slot column maps
+    /// every item of a point leaf to that leaf and holds no other item.
     ///
     /// # Panics
     /// Panics with a description of the violated invariant.
@@ -1362,6 +1461,16 @@ impl Tree {
             self.len,
             "len() disagrees with leaf entry count"
         );
+        // Every item of a point leaf maps to that leaf (checked per leaf),
+        // so as many mapped slots as items make the column exact; a
+        // box-leaf tree maps none.
+        let held = self.leaf_of.iter().filter(|&&p| p != NO_LEAF).count();
+        let want = if self.cfg.leaf_stores_points {
+            self.len
+        } else {
+            0
+        };
+        assert_eq!(held, want, "the slot column maps {held} slots");
     }
 
     fn validate_rec(&self, id: PageId, expected: Option<BoxRef<'_>>) {
@@ -1414,6 +1523,15 @@ impl Tree {
                         exp.hi[i]
                     );
                 }
+            }
+        }
+        if points {
+            for &item in n.payloads() {
+                assert_eq!(
+                    self.leaf_of.get(item as usize).copied(),
+                    Some(id.0),
+                    "slot {item} does not map to its leaf {id:?}"
+                );
             }
         }
         if !n.is_leaf() {

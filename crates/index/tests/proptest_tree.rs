@@ -190,3 +190,111 @@ proptest! {
         }
     }
 }
+
+/// Dimensionality of the slot-column property: at 256 B pages a point
+/// leaf holds 5 entries (an underfull one keeps 1, which the condense
+/// step reinserts) and a directory node 3, whose splits overlap enough to
+/// grow supernodes.
+const SLOT_DIM: usize = 3;
+
+/// What one run of the slot-column property saw happen to the tree.
+#[derive(Debug, Default)]
+struct Seen {
+    supernode: bool,
+    condensed: bool,
+    root_shrank: bool,
+}
+
+/// One step of the slot-column property: runs `step` on `t`, notes the
+/// structural events it caused, then checks `validate` and every slot's
+/// liveness and gathered row against `model`, bit for bit.
+fn slot_step(
+    t: &mut Tree,
+    model: &[Option<Vec<f64>>],
+    seen: &mut Seen,
+    step: impl FnOnce(&mut Tree),
+) -> Result<(), proptest::TestCaseError> {
+    let (nodes, height) = (t.num_nodes(), t.height());
+    step(t);
+    seen.supernode |= t.max_span() > 1;
+    seen.root_shrank |= t.height() < height;
+    seen.condensed |= t.num_nodes() < nodes && t.height() == height;
+    t.validate();
+    prop_assert_eq!(t.slots(), model.len());
+    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut row = Vec::new();
+    for (id, want) in model.iter().enumerate() {
+        let held = t.gather(id as u64, &mut row);
+        prop_assert_eq!(held, want.is_some(), "liveness of slot {}", id);
+        prop_assert_eq!(t.holds(id as u64), held, "holds() of slot {}", id);
+        if let Some(want) = want {
+            prop_assert_eq!(bits(&row), bits(want), "row of slot {}", id);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random point inserts and deletes on a point-leaf X-tree with 256 B
+    /// pages keep the slot column exact. Each case grows the tree to a
+    /// few hundred uniform points, with a delete after every fourth insert, then
+    /// deletes all but three, re-inserting every eighth deleted point
+    /// under a new slot. After every step `validate` checks the column
+    /// against the leaves, and every slot's liveness and gathered row
+    /// match a model, bit for bit. Each case must see leaf splits, a
+    /// directory supernode, a node dissolved by the condense step with
+    /// its entries reinserted, and a root shrink.
+    #[test]
+    fn slot_column_follows_every_point_through_splits_and_condense(
+        pts in prop::collection::vec(prop::collection::vec(coord(), SLOT_DIM), 200..300),
+        picks in prop::collection::vec(0usize..1 << 20, 600),
+    ) {
+        let mut cfg = TreeConfig::xtree(SLOT_DIM).with_point_leaves(true).with_block_size(256);
+        // A directory split must halve the node without any overlap, so
+        // overflowing directories of uniform points often become
+        // supernodes instead.
+        cfg.max_overlap = 0.0;
+        cfg.min_fanout = 0.5;
+        let mut t = Tree::new(cfg);
+        let mut model: Vec<Option<Vec<f64>>> = Vec::new();
+        let mut seen = Seen::default();
+        let mut picks = picks.iter().copied().cycle();
+        // The live slot `pick` lands on, scanning up from it.
+        let live_at = |model: &[Option<Vec<f64>>], pick: usize| {
+            (0..model.len())
+                .map(|i| (pick + i) % model.len())
+                .find(|&i| model[i].is_some())
+                .expect("a live slot")
+        };
+        for (i, p) in pts.iter().enumerate() {
+            let id = model.len() as u64;
+            model.push(Some(p.clone()));
+            slot_step(&mut t, &model, &mut seen, |t| t.insert(Mbr::from_point(p), id))?;
+            if i % 4 == 3 {
+                let id = live_at(&model, picks.next().unwrap());
+                let p = model[id].take().unwrap();
+                slot_step(&mut t, &model, &mut seen, |t| {
+                    assert!(t.delete(&Mbr::from_point(&p), id as u64));
+                })?;
+            }
+        }
+        let mut deleted = 0usize;
+        while t.len() > 3 {
+            let id = live_at(&model, picks.next().unwrap());
+            let p = model[id].take().unwrap();
+            slot_step(&mut t, &model, &mut seen, |t| {
+                assert!(t.delete(&Mbr::from_point(&p), id as u64));
+            })?;
+            deleted += 1;
+            if deleted.is_multiple_of(8) {
+                let id = model.len() as u64;
+                model.push(Some(p.clone()));
+                slot_step(&mut t, &model, &mut seen, |t| t.insert(Mbr::from_point(&p), id))?;
+            }
+        }
+        prop_assert!(t.splits() > 0, "no leaf split");
+        prop_assert!(seen.supernode && seen.condensed && seen.root_shrank, "{:?}", seen);
+    }
+}

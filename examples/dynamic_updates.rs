@@ -113,11 +113,8 @@ fn main() {
     // update. Folding writes nothing: the journal alone carries them.
     durable.flush().expect("fold");
     let shard = durable.shard(0);
-    let expected: Vec<(usize, Option<Vec<f64>>)> = shard
-        .rows()
-        .enumerate()
-        .map(|(i, row)| (i, shard.is_live(i).then(|| row.to_vec())))
-        .collect();
+    let expected: Vec<(usize, Option<Vec<f64>>)> =
+        (0..shard.slots()).map(|i| (i, shard.row(i))).collect();
     let expected_answers: Vec<Option<usize>> = queries
         .iter()
         .map(|q| durable.query(&Query::nn(q.clone())).ok().map(|r| r.best.id))
@@ -141,7 +138,7 @@ fn main() {
     for (i, slot) in &expected {
         match slot {
             Some(p) => assert!(
-                shard.is_live(*i) && shard.rows().nth(*i) == Some(&p[..]),
+                shard.is_live(*i) && shard.row(*i).as_deref() == Some(&p[..]),
                 "point #{i} lost in the crash"
             ),
             None => assert!(!shard.is_live(*i), "removed point #{i} resurrected"),

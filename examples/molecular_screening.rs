@@ -83,10 +83,8 @@ fn main() {
         index.len()
     );
     let probe: Vec<f64> = probes[0].clone().into_vec();
-    let survivors: Vec<(usize, &[f64])> = index
-        .rows()
-        .enumerate()
-        .filter(|&(i, _)| index.is_live(i))
+    let survivors: Vec<(usize, Vec<f64>)> = (0..index.slots())
+        .filter_map(|i| Some((i, index.row(i)?)))
         .collect();
     let hit = index
         .engine()
