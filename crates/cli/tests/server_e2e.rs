@@ -296,7 +296,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
             shard.is_live(local),
             "acked insert id {id} lost by SIGKILL recovery"
         );
-        let got = shard.row(local).expect("acked slot");
+        let got = shard.rows().nth(local).expect("acked slot");
         assert_eq!(
             got,
             &coords[..],
@@ -308,7 +308,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
     // in-process engine (same shard count, same build config) and
     // compare answers bit-for-bit across a probe grid.
     let replay = ShardedIndex::new(DIM, SHARDS, cfg());
-    let total: usize = (0..SHARDS).map(|i| recovered.shard(i).slots()).sum();
+    let total: usize = (0..SHARDS).map(|i| recovered.shard(i).rows().len()).sum();
     for g in 0..total {
         let (shard, local) = recovered
             .locate(g)
@@ -318,7 +318,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
         // here (the storm never removes), so every slot is live.
         assert!(shard.is_live(local), "insert-only storm left a dead slot");
         let id = replay
-            .insert(Point::new(shard.row(local).expect("slot")))
+            .insert(Point::new(shard.rows().nth(local).expect("slot").to_vec()))
             .expect("in-memory replay insert");
         assert_eq!(id, g, "replay must assign the same global ids");
     }

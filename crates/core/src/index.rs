@@ -242,6 +242,14 @@ impl<M: Metric> NnCellIndex<M> {
         self.point_tree.holds(id as u64)
     }
 
+    /// Every slot's row in slot order, as a save writes it: a live
+    /// point's coordinates gathered as by [`Self::row`], a removed slot's
+    /// all-zero placeholder (check [`Self::is_live`]). `rows().len()` is
+    /// the slot count.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Vec<f64>> + '_ {
+        (0..self.slots()).map(|id| self.row(id).unwrap_or_else(|| vec![0.0; self.dim()]))
+    }
+
     /// The coordinates of live point `id`, gathered from its leaf's
     /// columns (O(d) past finding it in its leaf; no page is billed);
     /// `None` for a removed or unknown id.

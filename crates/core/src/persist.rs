@@ -248,8 +248,8 @@ impl NnCellIndex<Euclidean> {
     }
 
     /// Serializes the header and every slot's liveness and row into `out`
-    /// (infallible: the sink is a `Vec`): a live slot's row gathered from
-    /// its leaf, a dead slot's the all-zero placeholder.
+    /// (infallible: the sink is a `Vec`), the rows as
+    /// [`NnCellIndex::rows`] gives them.
     fn write_points(&self, out: &mut Vec<u8>) {
         let cfg = self.config();
         put_u32(out, self.dim() as u32);
@@ -262,14 +262,10 @@ impl NnCellIndex<Euclidean> {
         put_u64(out, cfg.seed);
         put_u32(out, cfg.block_size as u32);
 
-        let slots = self.slots();
-        put_u64(out, slots as u64);
-        let placeholder = vec![0.0; self.dim()];
-        let mut row = Vec::with_capacity(self.dim());
-        for id in 0..slots {
-            let live = self.point_tree().gather(id as u64, &mut row);
-            out.push(live as u8);
-            for &c in if live { &row } else { &placeholder } {
+        put_u64(out, self.slots() as u64);
+        for (id, row) in self.rows().enumerate() {
+            out.push(self.is_live(id) as u8);
+            for c in row {
                 put_f64(out, c);
             }
         }

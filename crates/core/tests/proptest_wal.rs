@@ -154,20 +154,22 @@ proptest! {
         let recovered = recovered_shards.shard(0);
 
         // Slot-exact state equality.
-        prop_assert_eq!(recovered.slots(), reference.slots());
+        prop_assert_eq!(recovered.rows().len(), reference.rows().len());
         prop_assert_eq!(recovered.len(), reference.len());
-        for i in 0..reference.slots() {
+        for (i, (got, want)) in recovered.rows().zip(reference.rows()).enumerate() {
             prop_assert_eq!(recovered.is_live(i), reference.is_live(i), "liveness of id {}", i);
-            prop_assert_eq!(recovered.row(i), reference.row(i), "coords of id {}", i);
+            prop_assert_eq!(got, want, "coords of id {}", i);
         }
 
         // Replay is point-tree work only.
         prop_assert_eq!(recovered.build_stats().lp.lp_calls, 0);
 
         // And queries agree with both the reference and a linear scan.
-        let live: Vec<Point> = (0..reference.slots())
-            .filter_map(|i| reference.row(i))
-            .map(Point::new)
+        let live: Vec<Point> = reference
+            .rows()
+            .enumerate()
+            .filter(|&(i, _)| reference.is_live(i))
+            .map(|(_, row)| Point::new(row.to_vec()))
             .collect();
         for q in &queries {
             let q: Vec<f64> = q.iter().map(|&v| v as f64 / 100.0).collect();

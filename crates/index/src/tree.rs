@@ -175,9 +175,7 @@ impl Tree {
     /// growing the column to `id + 1` slots when `id` is new.
     fn place(&mut self, id: ItemId, page: PageId) {
         let slot = id as usize;
-        if slot >= self.leaf_of.len() {
-            self.leaf_of.resize(slot + 1, NO_LEAF);
-        }
+        self.grow_slots(slot + 1);
         self.leaf_of[slot] = page.0;
     }
 
@@ -189,8 +187,8 @@ impl Tree {
         }
     }
 
-    /// Bulk-loader plumbing: grows the slot column of a point-leaf tree to
-    /// `slots` slots, each `NO_LEAF` until a leaf holding it is adopted.
+    /// Grows the slot column of a point-leaf tree to `slots` slots, each
+    /// `NO_LEAF` until a leaf holding it is adopted or written.
     pub(crate) fn grow_slots(&mut self, slots: usize) {
         debug_assert!(self.cfg.leaf_stores_points);
         if slots > self.leaf_of.len() {
@@ -430,19 +428,26 @@ impl Tree {
     // ------------------------------------------------------------------
 
     /// Inserts an item with bounding box `mbr`. In a point-leaf tree `id`
-    /// is a slot: the slot column grows to `id + 1` entries of 4 bytes,
-    /// so ids should be dense from 0.
+    /// is a slot: ids are dense from 0, and a new id grows the slot column
+    /// to `id + 1` entries.
     ///
     /// # Panics
     /// Panics on a dimensionality mismatch, and when a point-leaf tree
     /// (`TreeConfig::with_point_leaves(true)`) is given a box that is not a
-    /// single point.
+    /// single point or an id past its slot count ([`Self::slots`]).
     pub fn insert(&mut self, mbr: Mbr, id: ItemId) {
         assert_eq!(mbr.dim(), self.cfg.dim, "dimensionality mismatch");
-        assert!(
-            !self.cfg.leaf_stores_points || mbr.lo() == mbr.hi(),
-            "a point-leaf tree indexes points, not boxes"
-        );
+        if self.cfg.leaf_stores_points {
+            assert!(
+                mbr.lo() == mbr.hi(),
+                "a point-leaf tree indexes points, not boxes"
+            );
+            assert!(
+                id <= self.leaf_of.len() as u64,
+                "point-leaf ids are dense slots: id {id} is past slot count {}",
+                self.leaf_of.len()
+            );
+        }
         self.len += 1;
         let mut reinserted: u64 = 0;
         self.insert_at_level(Entry::item(mbr, id), 0, &mut reinserted);

@@ -136,6 +136,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dense slots")]
+    fn a_point_id_past_the_slot_count_is_rejected() {
+        let mut t = XTree::for_points(2);
+        t.insert_point(&[0.1, 0.2], 0);
+        t.insert_point(&[0.3, 0.4], 2);
+    }
+
+    #[test]
     #[should_panic(expected = "requires the XTree policy")]
     fn wrong_policy_rejected() {
         let _ = XTree::with_config(TreeConfig::rstar(2));

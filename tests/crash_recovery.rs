@@ -157,14 +157,15 @@ fn run_sharded_workload(vfs: Arc<dyn Vfs>, dir: &Path, ops: &[Op], shards: usize
 /// also checks that recovery kept the ids dense.
 fn sharded_live_slots(idx: &ShardedIndex) -> Vec<Option<Point>> {
     let handles: Vec<_> = (0..idx.num_shards()).map(|i| idx.shard(i)).collect();
-    let total: usize = handles.iter().map(|h| h.slots()).sum();
+    let total: usize = handles.iter().map(|h| h.rows().len()).sum();
     (0..total)
         .map(|g| {
             let (shard, local) = idx
                 .locate(g)
                 .expect("every id below the slot total is placed");
-            assert!(local < handles[shard].slots(), "a located slot exists");
-            handles[shard].row(local).map(Point::new)
+            let h = &handles[shard];
+            let row = h.rows().nth(local).expect("a located slot exists");
+            h.is_live(local).then(|| Point::new(row.to_vec()))
         })
         .collect()
 }

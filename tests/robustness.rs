@@ -282,8 +282,7 @@ fn parent_format_files_with_pieces_load_and_reject_corruption() {
     for bytes in [&v1, &v2] {
         std::fs::write(&path, bytes).unwrap();
         let loaded = NnCellIndex::load(&path).unwrap();
-        assert_eq!(loaded.slots(), index.slots());
-        assert!((0..index.slots()).all(|id| loaded.row(id) == index.row(id)));
+        assert!(loaded.rows().eq(index.rows()));
         for q in &queries {
             assert_eq!(nn(&loaded, q.as_slice()), nn(&index, q.as_slice()));
         }
