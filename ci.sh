@@ -6,7 +6,9 @@
 # including the `vfs`/`wal`/`durable`/`memtable` modules and the fold
 # machinery in `shard`); their crate-level `#![warn(clippy::unwrap_used)]`
 # is promoted to an error here, so an `unwrap()` in library code fails
-# the gate while tests stay exempt.
+# the gate while tests stay exempt. A second clippy step denies every
+# other warning in every target of the workspace (tests, benches, examples
+# and binaries included).
 #
 # The crash-injection suite runs under a pinned fault-schedule seed so a
 # red CI run is reproducible locally; override with e.g.
@@ -39,6 +41,11 @@ cargo test -q -p nncell-server
 
 echo "== clippy (panic-free library crates) =="
 cargo clippy -p nncell-obs -p nncell-lp -p nncell-core -p nncell-server -p nncell-index --lib -- -D warnings -D clippy::unwrap_used
+
+echo "== clippy (every workspace target: tests, benches, examples, binaries) =="
+# Every target of every member, warnings denied; `unwrap()` stays allowed
+# outside the library code the step above gates.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== query-engine bench smoke (fixed seed; writes BENCH_query_engine.json) =="
 # Sequential vs parallel batch QPS on one fixed-seed workload; the bench

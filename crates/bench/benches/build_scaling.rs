@@ -198,8 +198,7 @@ fn main() {
     let speedup_vs_exhaustive = ex_meas / pooled_at_meas;
     let &(n_32k, pooled_32k) = pooled_pts
         .iter()
-        .filter(|&&(n, _)| n <= 32_000)
-        .next_back()
+        .rfind(|&&(n, _)| n <= 32_000)
         .expect("one pooled size at or below 32k");
     let speedup_32k = predict(ap_a, ap_b, n_32k) / pooled_32k;
     let (po_a, po_b) = fit_power_law(&pooled_pts);

@@ -150,8 +150,6 @@ fn main() {
     let (seq, seq_s) = best_of_two(|| engine_seq.batch(&queries));
     let (par, par_s) = best_of_two(|| engine_par.batch(&queries));
     assert_eq!(seq, par, "parallel batch diverged from sequential");
-    drop(engine_seq);
-    drop(engine_par);
 
     // Overhead A/B: same sequential workload with a live registry
     // attached (latency/candidate/page/pruning histograms recording on

@@ -237,7 +237,7 @@ fn kill_nine_mid_storm_recovers_acked_writes_bit_identical() {
 
     // Write storm: 4 threads hammer inserts, recording (id, coords) for
     // every *acknowledged* (200) write. SIGKILL lands mid-storm.
-    let acked: Arc<Mutex<Vec<(usize, Vec<f64>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let acked = Arc::new(Mutex::new(Vec::<(usize, Vec<f64>)>::new()));
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|t| {

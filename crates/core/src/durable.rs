@@ -49,6 +49,7 @@ use crate::persist::{PersistError, RoundRobin};
 use crate::vfs::{write_atomic, Vfs};
 use crate::wal::{read_wal, WalRecord, WalTail, WalWriter};
 use nncell_geom::Euclidean;
+use nncell_index::BestFirstScratch;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -213,6 +214,27 @@ fn sweep_stale(vfs: &Arc<dyn Vfs>, dir: &Path, keep: u64) {
     }
 }
 
+/// Applies one journaled record to a shard's `index` and id column `ids`,
+/// for WAL replay and the fold alike; returns whether it changed
+/// anything. An insert takes the next slot, and an older release's
+/// `Insert` the global id `rule` gives, without a duplicate probe: the
+/// ack or the replay validated it.
+pub(crate) fn apply_record(
+    index: &mut NnCellIndex<Euclidean>,
+    ids: &mut Vec<usize>,
+    rec: &WalRecord,
+    rule: RoundRobin,
+) -> bool {
+    let (point, global) = match rec {
+        WalRecord::Insert(p) => (p, None),
+        WalRecord::InsertAt { id, point } => (point, Some(*id as usize)),
+        WalRecord::Remove(local) => return index.remove(*local as usize),
+    };
+    let slot = index.insert_validated(point.as_slice());
+    ids.push(global.unwrap_or_else(|| rule.global(slot)));
+    true
+}
+
 impl ShardLog {
     /// Opens the shard directory `dir`, or initializes it with an empty
     /// index of dimensionality `dim` configured by `cfg` when it holds no
@@ -307,20 +329,19 @@ impl ShardLog {
         let (mut index, mut ids) =
             NnCellIndex::load_shard(vfs.as_ref(), &snapshot_path(dir, generation), rule)?;
         let replay = read_wal(vfs.as_ref(), &wal_path(dir, generation))?;
-        let mut replayed = 0usize;
-        let mut skipped = 0usize;
-        for rec in &replay.records {
-            let mut insert = |p: &nncell_geom::Point, global: Option<u64>| {
-                let slot = index.insert(p.clone()).ok()?;
-                ids.push(global.map_or_else(|| rule.global(slot), |g| g as usize));
-                Some(())
+        let records = replay.records.len();
+        let (mut replayed, mut skipped) = (0usize, 0usize);
+        let mut probe = BestFirstScratch::new();
+        for rec in replay.records {
+            // The WAL is input from outside the program: an insert is
+            // checked like any other insert before it is applied.
+            let valid = match &rec {
+                WalRecord::Insert(p) | WalRecord::InsertAt { point: p, .. } => {
+                    index.validate_insert_with(p, &mut probe).is_ok()
+                }
+                WalRecord::Remove(_) => true,
             };
-            let applied = match rec {
-                WalRecord::Insert(p) => insert(p, None).is_some(),
-                WalRecord::InsertAt { id, point } => insert(point, Some(*id)).is_some(),
-                WalRecord::Remove(id) => index.remove(*id as usize),
-            };
-            if applied {
+            if valid && apply_record(&mut index, &mut ids, &rec, rule) {
                 replayed += 1;
             } else {
                 // Deterministic no-op: replay reproduces exactly what the
@@ -330,11 +351,8 @@ impl ShardLog {
         }
 
         let (wal, active_generation, rotated) = if replay.tail == WalTail::Clean {
-            let wal = WalWriter::open_append(
-                vfs.as_ref(),
-                &wal_path(dir, generation),
-                replay.records.len() as u64,
-            )?;
+            let wal =
+                WalWriter::open_append(vfs.as_ref(), &wal_path(dir, generation), records as u64)?;
             (wal, generation, false)
         } else {
             // Damaged tail: never append after it. Rotate to a fresh
@@ -492,14 +510,7 @@ mod tests {
         rec: WalRecord,
     ) {
         log.journal(&rec).unwrap();
-        match rec {
-            WalRecord::InsertAt { id, point } => {
-                idx.insert(point).unwrap();
-                ids.push(id as usize);
-            }
-            WalRecord::Insert(p) => ids.push(idx.insert(p).unwrap()),
-            WalRecord::Remove(id) => assert!(idx.remove(id as usize)),
-        }
+        assert!(apply_record(idx, ids, &rec, ONE));
     }
 
     /// Queries of the recovered index agree with a scan over its points.

@@ -594,8 +594,9 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         // streamed items (counted by the traversal, added after the walk),
         // and only candidates within the bound, rare next to the
         // evaluations beyond it, are counted one by one. The point tree
-        // holds only live ids (`remove` deletes from it as it clears
-        // `alive`), so a streamed point needs no liveness check.
+        // holds only live ids (`remove` deletes the point from it and
+        // leaves its slot dead), so a streamed point needs no liveness
+        // check.
         let walk = forest.stream::<D>(p, bf, |t, items, block| {
             visits += items.len();
             if visits >= 128 {

@@ -377,9 +377,19 @@ impl<M: Metric> NnCellIndex<M> {
     /// # Errors
     /// The same [`BuildError`] variants `insert` would return.
     pub fn validate_insert(&self, p: &Point) -> Result<(), BuildError> {
+        self.validate_insert_with(p, &mut BestFirstScratch::new())
+    }
+
+    /// [`Self::validate_insert`] walking the duplicate probe with the
+    /// caller's `scratch`, which WAL replay keeps warm across its records.
+    pub(crate) fn validate_insert_with(
+        &self,
+        p: &Point,
+        scratch: &mut BestFirstScratch,
+    ) -> Result<(), BuildError> {
         let id = self.slots();
         validate_point(p, id, self.dim(), &self.space)?;
-        if let Some(of) = self.find_live_duplicate(p, &mut BestFirstScratch::new()) {
+        if let Some(of) = self.find_live_duplicate(p, scratch) {
             return Err(BuildError::DuplicatePoint { id, of });
         }
         Ok(())

@@ -1,12 +1,14 @@
 //! The unindexed memtable tail of the LSM-style write path.
 //!
 //! Every [`crate::ShardedIndex`] write takes this path: an insert or
-//! remove journals to the shard's WAL, lands in a small
-//! in-memory tail of raw operations, and is acknowledged — no point-tree
+//! remove journals its [`WalRecord`] to the shard's WAL, lands that same
+//! record in a small in-memory tail and is acknowledged — no point-tree
 //! update, no snapshot clone on the ack path. A supervised background
-//! *folder* ([`crate::ShardedIndex::run_folder`]) later applies the tail
-//! to the shard's index off the write path and publishes the folded
-//! index together with the tail view that is left.
+//! *folder* ([`crate::ShardedIndex::run_folder`]) later applies the
+//! records to the shard's index off the write path, with the function
+//! WAL replay uses, and publishes the folded index together with the
+//! tail view that is left. A checkpoint re-journals the records as they
+//! are.
 //!
 //! Exactness is preserved by construction (a covering-superset argument):
 //! a query's k-NN kernel traverses the published index, skipping
@@ -14,7 +16,7 @@
 //! bound the traversal ended with. Every live point is either in the
 //! index or in the tail and every tombstone is applied, so the answer
 //! equals a linear scan over the true live set.
-//! The operations (`Memtable`) live under the writer lock; readers see
+//! The records (`Memtable`) live under the writer lock; readers see
 //! them through the query-side view (`TailSnapshot`) that every write
 //! and fold publishes in the index's one read state, shared by `Arc`, so
 //! a read never copies the tail.
@@ -24,84 +26,49 @@
 //! ack), so a crash at any point recovers by plain WAL replay and a
 //! broken folder degrades service latency, never correctness.
 
+use crate::persist::RoundRobin;
 use crate::wal::WalRecord;
 use nncell_geom::Point;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One journaled-but-unfolded operation. `local` is the shard-local slot
-/// the operation targets; for inserts it is the slot the point will
-/// occupy once folded — fixed at ack time so folding in ack order is
-/// bit-identical to WAL replay — and `global` the id it was acked under.
-#[derive(Clone, Debug)]
-pub(crate) enum TailOp {
-    Insert {
-        local: usize,
-        global: usize,
-        point: Point,
-    },
-    Remove {
-        local: usize,
-    },
-}
-
-/// Per-shard memtable: operations in ack order, split into the batch a
-/// fold is (or was) working on (`frozen`) and everything acked since
-/// (`active`). It lives under the writer lock; the query-side view of
-/// both is the shard's published `TailSnapshot`, which the writer
-/// changes with every push.
+/// Per-shard memtable: the records the acks journaled, in ack order; the
+/// first `frozen` are the batch a fold is (or was) working on. Its
+/// inserts take the slots after the published index's, in order. It
+/// lives under the writer lock; its query-side view is the shard's
+/// published `TailSnapshot`, which the writer changes with every push.
 #[derive(Debug, Default)]
 pub(crate) struct Memtable {
-    frozen: Vec<TailOp>,
-    active: Vec<TailOp>,
+    /// The unfolded records in ack order, which a checkpoint re-journals.
+    pub(crate) records: Vec<WalRecord>,
+    frozen: usize,
 }
 
 impl Memtable {
-    pub(crate) fn len(&self) -> usize {
-        self.frozen.len() + self.active.len()
-    }
-
-    /// Appends an acked operation.
-    pub(crate) fn push(&mut self, op: TailOp) {
-        self.active.push(op);
-    }
-
-    /// Moves the active ops into the frozen batch (merging with any
-    /// leftovers of a failed fold) and returns a copy for the folder to
-    /// apply off-lock.
-    pub(crate) fn freeze(&mut self) -> Vec<TailOp> {
-        self.frozen.append(&mut self.active);
-        self.frozen.clone()
+    /// Freezes every record (a failed fold's batch stays at the front)
+    /// and returns a copy for the folder to apply off-lock.
+    pub(crate) fn freeze(&mut self) -> Vec<WalRecord> {
+        self.frozen = self.records.len();
+        self.records.clone()
     }
 
     /// Discards the frozen batch once a fold has indexed it and returns
-    /// the view of the ops acked since the freeze: the tail view to
+    /// the view of the records acked since, their inserts in the slots
+    /// from `slots` (the folded index's slot count) on: the tail view to
     /// publish with the folded index.
-    pub(crate) fn clear_frozen(&mut self) -> TailSnapshot {
-        self.frozen.clear();
+    pub(crate) fn clear_frozen(&mut self, slots: usize, rule: RoundRobin) -> TailSnapshot {
+        self.records.drain(..self.frozen);
+        self.frozen = 0;
         let mut view = TailSnapshot::default();
-        for op in &self.active {
-            view.apply(op);
+        let mut slot = slots;
+        for rec in &self.records {
+            view.apply(rec, slot, rule);
+            if !matches!(rec, WalRecord::Remove(_)) {
+                slot += 1;
+            }
         }
         view
-    }
-
-    /// The unfolded tail as WAL records in ack order — exactly the suffix
-    /// a checkpoint must re-journal into its fresh log so replay
-    /// reconstructs the published snapshot + tail.
-    pub(crate) fn wal_records(&self) -> Vec<WalRecord> {
-        self.frozen
-            .iter()
-            .chain(&self.active)
-            .map(|op| match op {
-                TailOp::Insert { global, point, .. } => WalRecord::InsertAt {
-                    id: *global as u64,
-                    point: point.clone(),
-                },
-                TailOp::Remove { local } => WalRecord::Remove(*local as u64),
-            })
-            .collect()
     }
 }
 
@@ -213,16 +180,16 @@ impl TailSnapshot {
         self.inserts.is_empty() && self.removed.is_empty()
     }
 
-    /// Applies one acked operation: an insert joins `inserts`, a remove
-    /// tombstones its slot.
-    pub(crate) fn apply(&mut self, op: &TailOp) {
-        match op {
-            TailOp::Insert {
-                local,
-                global,
-                point,
-            } => self.inserts.push(*local, *global, point.as_slice()),
-            TailOp::Remove { local } => self.push_remove(*local),
+    /// Applies one acked record: an insert joins `inserts` in `slot`
+    /// (an older release's `Insert` under the global id `rule` gives), a
+    /// remove tombstones its slot.
+    pub(crate) fn apply(&mut self, rec: &WalRecord, slot: usize, rule: RoundRobin) {
+        match rec {
+            WalRecord::Insert(p) => self.inserts.push(slot, rule.global(slot), p.as_slice()),
+            WalRecord::InsertAt { id, point } => {
+                self.inserts.push(slot, *id as usize, point.as_slice())
+            }
+            WalRecord::Remove(local) => self.push_remove(*local as usize),
         }
     }
 
@@ -349,40 +316,46 @@ impl std::error::Error for FoldError {}
 mod tests {
     use super::*;
 
+    const ONE: RoundRobin = RoundRobin::ONE;
+
     fn pt(x: f64) -> Point {
         Point::new(vec![x, 1.0 - x])
     }
 
-    /// An insert into slot `local` under global id `10 + local`.
-    fn ins(local: usize, x: f64) -> TailOp {
-        TailOp::Insert {
-            local,
-            global: 10 + local,
+    /// An insert acked under global id `global`.
+    fn ins(global: u64, x: f64) -> WalRecord {
+        WalRecord::InsertAt {
+            id: global,
             point: pt(x),
         }
     }
 
-    /// A memtable and its view, kept in step as the writer keeps them.
+    /// A memtable, its view and the shard's slot count, kept in step as
+    /// the writer keeps them.
     #[derive(Default)]
     struct Tail {
         mem: Memtable,
         view: TailSnapshot,
+        slots: usize,
     }
 
     impl Tail {
-        fn push(&mut self, op: TailOp) {
-            self.view.apply(&op);
-            self.mem.push(op);
+        fn push(&mut self, rec: WalRecord) {
+            self.view.apply(&rec, self.slots, ONE);
+            if !matches!(rec, WalRecord::Remove(_)) {
+                self.slots += 1;
+            }
+            self.mem.records.push(rec);
         }
     }
 
     #[test]
     fn pushes_freeze_and_clear_track_membership() {
         let mut t = Tail::default();
-        t.push(ins(0, 0.1));
-        t.push(ins(1, 0.2));
-        t.push(TailOp::Remove { local: 0 });
-        assert_eq!(t.mem.len(), 3);
+        t.push(ins(10, 0.1));
+        t.push(ins(11, 0.2));
+        t.push(WalRecord::Remove(0));
+        assert_eq!(t.mem.records.len(), 3);
         assert!(t.view.is_removed(0));
         assert!(t.view.has_live_insert(1));
         assert!(!t.view.has_live_insert(0), "tombstoned tail insert is dead");
@@ -392,26 +365,37 @@ mod tests {
 
         let batch = t.mem.freeze();
         assert_eq!(batch.len(), 3);
-        // Ops acked mid-fold land in the next batch but stay visible.
-        t.push(TailOp::Remove { local: 1 });
+        // Records acked mid-fold land in the next batch but stay visible.
+        t.push(WalRecord::Remove(1));
+        t.push(ins(12, 0.3));
         assert!(t.view.is_removed(1));
-        assert!(t.view.inserts.is_empty());
+        assert_eq!(t.view.slot_of(12), Some(2));
         assert_eq!(t.view.removed, vec![0, 1]);
 
-        let view = t.mem.clear_frozen();
-        assert_eq!(t.mem.len(), 1, "only the post-freeze remove is left");
+        // The folded index holds the batch's two inserts in slots 0 and 1.
+        let view = t.mem.clear_frozen(2, ONE);
+        assert_eq!(
+            t.mem.records.len(),
+            2,
+            "only the post-freeze records are left"
+        );
         assert!(!view.is_removed(0), "folded tombstone left the view");
         assert!(view.is_removed(1), "unfolded tombstone stays");
+        assert_eq!(view.slot_of(12), Some(2), "the next slot after the fold");
+        assert_eq!(view.find_live_duplicate(&pt(0.3)), Some(12));
     }
 
     #[test]
     fn tombstones_stay_sorted_for_binary_search() {
-        let mut t = Tail::default();
+        let mut t = Tail {
+            slots: 10,
+            ..Tail::default()
+        };
         for local in [7, 2, 9, 4] {
-            t.push(TailOp::Remove { local });
+            t.push(WalRecord::Remove(local));
         }
         t.push(ins(10, 0.3));
-        t.push(TailOp::Remove { local: 10 });
+        t.push(WalRecord::Remove(10));
         assert_eq!(t.view.removed, vec![2, 4, 7, 9, 10]);
         assert!(t.view.inserts.is_empty());
     }
@@ -419,16 +403,30 @@ mod tests {
     #[test]
     fn failed_fold_batches_merge_in_ack_order() {
         let mut m = Memtable::default();
-        m.push(ins(0, 0.1));
+        m.records.push(ins(10, 0.1));
         let first = m.freeze();
         assert_eq!(first.len(), 1);
-        // The fold fails; more ops arrive; the refreeze must replay the
-        // old batch before the new ops.
-        m.push(ins(1, 0.2));
+        // The fold fails; more records arrive; the refreeze must replay
+        // the old batch before the new records.
+        m.records.push(ins(11, 0.2));
         let second = m.freeze();
-        assert_eq!(second.len(), 2);
-        assert!(matches!(&second[0], TailOp::Insert { local: 0, .. }));
-        assert!(matches!(&second[1], TailOp::Insert { local: 1, .. }));
+        assert_eq!(second, [ins(10, 0.1), ins(11, 0.2)]);
+        assert_eq!(m.records, second, "a checkpoint re-journals both");
+        m.records.push(WalRecord::Remove(0));
+        let view = m.clear_frozen(2, ONE);
+        assert_eq!(m.records, [WalRecord::Remove(0)]);
+        assert_eq!(view.removed, vec![0]);
+    }
+
+    #[test]
+    fn an_older_insert_takes_its_global_id_from_the_rule() {
+        let mut view = TailSnapshot::default();
+        let rule = RoundRobin {
+            shard: 1,
+            shards: 3,
+        };
+        view.apply(&WalRecord::Insert(pt(0.5)), 4, rule);
+        assert_eq!(view.slot_of(13), Some(4));
     }
 
     /// Each live insert of `t` as `(local, global, coordinates)`,
@@ -460,13 +458,15 @@ mod tests {
         };
         let mut view = TailSnapshot::default();
         let mut model: Vec<(usize, usize, Vec<f64>)> = Vec::new();
+        let remove = |view: &mut TailSnapshot, local: usize| {
+            view.apply(&WalRecord::Remove(local as u64), 0, ONE);
+        };
         for i in 0..130 {
-            let op = TailOp::Insert {
-                local: i,
-                global: 1000 + i,
+            let rec = WalRecord::InsertAt {
+                id: 1000 + i as u64,
                 point: Point::new(row(i)),
             };
-            view.apply(&op);
+            view.apply(&rec, i, ONE);
             model.push((i, 1000 + i, row(i)));
             assert_eq!(gather(&view.inserts), model, "after push {i}");
         }
@@ -474,7 +474,7 @@ mod tests {
         // side of the chunk boundary), and one inside the second chunk.
         for pos in [129, 0, 63, 64, 90] {
             let (local, global, _) = model.remove(pos);
-            view.apply(&TailOp::Remove { local });
+            remove(&mut view, local);
             assert_eq!(
                 gather(&view.inserts),
                 model,
@@ -491,23 +491,9 @@ mod tests {
         assert_eq!(view.find_live_duplicate(&negative_zero), Some(1100));
         // Removing every insert frees every chunk.
         while let Some((local, ..)) = model.pop() {
-            view.apply(&TailOp::Remove { local });
+            remove(&mut view, local);
             assert_eq!(gather(&view.inserts), model);
         }
         assert!(view.inserts.cols.is_empty());
-    }
-
-    #[test]
-    fn wal_records_mirror_the_unfolded_suffix() {
-        let mut m = Memtable::default();
-        m.push(ins(3, 0.4));
-        m.push(TailOp::Remove { local: 2 });
-        let recs = m.wal_records();
-        assert_eq!(recs.len(), 2);
-        assert!(matches!(
-            &recs[0],
-            WalRecord::InsertAt { id: 13, point } if point.as_slice() == pt(0.4).as_slice()
-        ));
-        assert!(matches!(recs[1], WalRecord::Remove(2)));
     }
 }

@@ -47,8 +47,8 @@
 //! [`ShardedIndex::batch`], `&self`) load it once — one lock, one `Arc`
 //! clone — and run entirely on it. Writers ([`ShardedIndex::insert`] /
 //! [`ShardedIndex::remove`], also `&self`) serialize on one writer mutex,
-//! journal through the shard's WAL (in durable mode), push the operation
-//! onto the shard's memtable and publish the new tail view, then
+//! journal one WAL record (in durable mode), push that same record onto
+//! the shard's memtable and publish the new tail view, then
 //! acknowledge — O(1), no tree update, no index clone. The state changes
 //! in place unless a reader still holds it, so a tail is copied only
 //! under a concurrent read. The folder ([`ShardedIndex::run_folder`],
@@ -94,10 +94,10 @@
 
 use crate::cells::BuildStats;
 use crate::config::BuildConfig;
-use crate::durable::{DurableError, RecoveryReport, ShardLog};
+use crate::durable::{apply_record, DurableError, RecoveryReport, ShardLog};
 use crate::engine::{available_threads, QueryEngine, QueryScratch, Shard};
 use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
-use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable, TailOp};
+use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable};
 use crate::metrics::{EngineMetrics, FoldMetrics, ShardedMetrics};
 use crate::persist::{PersistError, RoundRobin};
 use crate::query::{Query, QueryError, QueryResponse};
@@ -150,7 +150,7 @@ struct Writer {
     /// Each shard's slot count, unfolded inserts included: the slot its
     /// next insert takes.
     slots: Vec<usize>,
-    /// Each shard's unfolded operations in ack order.
+    /// Each shard's unfolded records in ack order.
     tails: Vec<Memtable>,
     /// The insert duplicate probe's traversal scratch, kept warm across
     /// inserts.
@@ -471,7 +471,7 @@ impl ShardedIndex {
     }
 
     /// The writer lock. A poisoned lock is taken over: it guards only the
-    /// id watermark, the shard logs and the memtables' op lists, and every
+    /// id watermark, the shard logs and the memtables' records, and every
     /// critical section leaves them consistent before it can panic.
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
         match self.writer.lock() {
@@ -780,21 +780,11 @@ impl ShardedIndex {
         for log in &w.logs {
             log.check_writable()?;
         }
-        if let Some(log) = w.logs.get_mut(shard) {
-            // Journal-first: the fsync happens here, before the ack. A
-            // failure leaves the tail untouched.
-            log.journal(&WalRecord::InsertAt {
-                id: g as u64,
-                point: p.clone(),
-            })?;
-        }
-        let local = w.slots[shard];
-        let op = TailOp::Insert {
-            local,
-            global: g,
+        let rec = WalRecord::InsertAt {
+            id: g as u64,
             point: p,
         };
-        self.push(&mut w, shard, op);
+        self.push(&mut w, shard, rec)?;
         w.slots[shard] += 1;
         w.next_global += 1;
         Ok(g)
@@ -825,21 +815,34 @@ impl ShardedIndex {
             return Ok(false);
         }
         self.tail.admit(self.fold_metrics())?;
-        if let Some(log) = w.logs.get_mut(shard) {
-            log.journal(&WalRecord::Remove(local as u64))?;
-        }
-        self.push(&mut w, shard, TailOp::Remove { local });
+        self.push(&mut w, shard, WalRecord::Remove(local as u64))?;
         Ok(true)
     }
 
-    /// Lands an acked operation in `shard`'s memtable and publishes the
-    /// shard's new tail view. No reader holding the state: the view
-    /// changes in place; otherwise the shard's tail is copied once.
-    fn push(&self, w: &mut Writer, shard: usize, op: TailOp) {
+    /// Journals `rec` to `shard`'s log (durable mode; a failure leaves
+    /// the tail untouched), lands that same record in the shard's
+    /// memtable and publishes the shard's new tail view. No reader
+    /// holding the state: the view changes in place; otherwise the
+    /// shard's tail is copied once.
+    fn push(&self, w: &mut Writer, shard: usize, rec: WalRecord) -> Result<(), DurableError> {
+        if let Some(log) = w.logs.get_mut(shard) {
+            // Journal-first: the fsync happens here, before the ack.
+            log.journal(&rec)?;
+        }
+        let (slot, rule) = (w.slots[shard], self.rule(shard));
         self.state
-            .update(|state| Arc::make_mut(&mut state[shard].tail).apply(&op));
-        w.tails[shard].push(op);
+            .update(|state| Arc::make_mut(&mut state[shard].tail).apply(&rec, slot, rule));
+        w.tails[shard].records.push(rec);
         self.tail.add_depth(1, self.fold_metrics());
+        Ok(())
+    }
+
+    /// The global-id rule an older release's records of `shard` follow.
+    fn rule(&self, shard: usize) -> RoundRobin {
+        RoundRobin {
+            shard,
+            shards: self.shards,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -847,8 +850,8 @@ impl ShardedIndex {
     // ------------------------------------------------------------------
 
     /// Folds every shard's frozen-plus-active tail into its index (one
-    /// point-tree insert or delete per operation) and publishes the
-    /// results. Returns the number of operations folded (0 with empty
+    /// point-tree insert or delete per record) and publishes the
+    /// results. Returns the number of records folded (0 with empty
     /// tails). The tree updates run with no lock held; only the freeze
     /// and publish steps take the writer lock.
     ///
@@ -867,7 +870,8 @@ impl ShardedIndex {
 
     /// Folds one shard's tail: freeze the batch, deep-clone the published
     /// index (the fold's only copy) and its id column, re-apply the batch
-    /// in ack order off-lock (under `catch_unwind` — a panicking fold,
+    /// in ack order off-lock, through the function WAL replay applies a
+    /// record with (under `catch_unwind` — a panicking fold,
     /// injected or organic, keeps the batch for retry and never corrupts
     /// the index), then publish the result and the tail view left after
     /// it in one update under the writer lock. Folding performs **zero**
@@ -875,8 +879,11 @@ impl ShardedIndex {
     /// never depends on fold progress and a fold can never double-apply
     /// into durable state. Callers hold the fold lock.
     fn fold_shard(&self, shard: usize) -> Result<usize, FoldError> {
-        let ts = &self.tail;
-        let batch = self.lock_writer().tails[shard].freeze();
+        let (ts, rule) = (&self.tail, self.rule(shard));
+        let (batch, slots) = {
+            let mut w = self.lock_writer();
+            (w.tails[shard].freeze(), w.slots[shard])
+        };
         if batch.is_empty() {
             return Ok(0);
         }
@@ -900,28 +907,20 @@ impl ShardedIndex {
             let mut idx = (*base.index).clone();
             let mut ids = Vec::with_capacity(base.ids.len() + batch.len());
             ids.extend_from_slice(&base.ids);
-            for op in &batch {
-                match op {
-                    TailOp::Insert {
-                        local,
-                        global,
-                        point,
-                    } => {
-                        // The ack validated the insert against exactly the
-                        // state it is re-applied to here, in ack order, so
-                        // it runs no second duplicate probe. A slot that
-                        // differs from the ack-time one is a logic bug;
-                        // surfacing it as a caught panic degrades service
-                        // instead of corrupting the index.
-                        let got = idx.insert_validated(point.as_slice());
-                        assert_eq!(got, *local, "fold slot diverged from ack-time slot");
-                        ids.push(*global);
-                    }
-                    TailOp::Remove { local } => {
-                        idx.remove(*local);
-                    }
-                }
+            for rec in &batch {
+                // The ack validated each record against exactly the state
+                // it is re-applied to here, in ack order, so no second
+                // duplicate probe runs.
+                apply_record(&mut idx, &mut ids, rec, rule);
             }
+            // Each insert was acked in the shard's next slot. A slot count
+            // that differs is a logic bug; a caught panic degrades service
+            // instead of corrupting the index.
+            assert_eq!(
+                idx.slots(),
+                slots,
+                "fold slots diverged from ack-time slots"
+            );
             (idx, ids)
         }));
         let (folded, ids) = match folded {
@@ -937,7 +936,7 @@ impl ShardedIndex {
             // in one update: neither a reader nor the writer ever sees the
             // batch in both, or in neither.
             let mut w = self.lock_writer();
-            let tail = Arc::new(w.tails[shard].clear_frozen());
+            let tail = Arc::new(w.tails[shard].clear_frozen(folded.slots(), rule));
             if let Some(m) = self.metrics.get() {
                 m.live_points[shard].set(folded.len() as i64);
             }
@@ -1021,7 +1020,7 @@ impl ShardedIndex {
             let w = self.lock_writer();
             // Authoritative emptiness check under the writer lock (reads
             // the tails themselves, not the depth counter).
-            if w.tails.iter().all(|m| m.len() == 0) {
+            if w.tails.iter().all(|m| m.records.is_empty()) {
                 break w;
             }
             drop(w);
@@ -1263,7 +1262,7 @@ impl ShardedIndex {
         let Writer { logs, tails, .. } = &mut *w;
         let state = self.state.load();
         for ((log, tail), shard) in logs.iter_mut().zip(tails.iter()).zip(state.iter()) {
-            log.checkpoint_with_tail(&shard.index, &shard.ids, &tail.wal_records())?;
+            log.checkpoint_with_tail(&shard.index, &shard.ids, &tail.records)?;
         }
         Ok(())
     }
@@ -1468,8 +1467,60 @@ fn widest_axis(rows: &[f64], dim: usize, ids: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{FaultSchedule, FaultVfs};
+    use crate::wal::WAL_MAGIC;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// A checkpoint re-journals the memtable's records as the acks wrote
+    /// them. After a fold, a failed fold and more acks, the fresh WAL
+    /// after its magic is byte for byte the frames the acks of the
+    /// unfolded records appended, which end the old WAL.
+    #[test]
+    fn a_checkpoint_rejournals_the_unfolded_acks_byte_for_byte() {
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(FaultSchedule::none(1)));
+        let dir = Path::new("/db");
+        let fault = Arc::new(AtomicBool::new(false));
+        let idx = ShardedIndex::open_durable_with_vfs(
+            Arc::clone(&vfs),
+            dir,
+            2,
+            1,
+            BuildConfig::default(),
+        )
+        .unwrap()
+        .with_memtable(FoldConfig {
+            fault_fold_panic: Some(Arc::clone(&fault)),
+            ..FoldConfig::default()
+        });
+        let pt = |i: usize| Point::new(vec![(i as f64 + 0.5) / 32.0, 1.0 - i as f64 / 64.0]);
+        for i in 0..10 {
+            idx.insert(pt(i)).unwrap();
+        }
+        assert!(idx.remove(3).unwrap());
+        assert_eq!(idx.fold_once().unwrap(), 11);
+        let old_wal = dir.join("shard-0/wal.0.log");
+        let folded = vfs.read(&old_wal).unwrap().len();
+
+        // A batch a failed fold froze, then records acked after it.
+        for i in 10..14 {
+            idx.insert(pt(i)).unwrap();
+        }
+        assert!(idx.remove(5).unwrap(), "a folded point");
+        assert!(idx.remove(11).unwrap(), "a tail insert");
+        fault.store(true, Ordering::Release);
+        assert!(idx.fold_once().is_err());
+        fault.store(false, Ordering::Release);
+        idx.insert(pt(14)).unwrap();
+        assert!(idx.remove(0).unwrap());
+        let old = vfs.read(&old_wal).unwrap();
+
+        idx.checkpoint().unwrap();
+        let new = vfs.read(&dir.join("shard-0/wal.1.log")).unwrap();
+        assert_eq!(&new[..WAL_MAGIC.len()], WAL_MAGIC);
+        assert_eq!(new[WAL_MAGIC.len()..], old[folded..]);
+        assert_eq!(idx.wal_records(), 8);
+    }
 
     /// Inserts into a built index keep its kd regions: a point goes to the
     /// shard whose rows' bounding box holds it. Dealing inserts by live

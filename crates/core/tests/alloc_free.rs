@@ -13,9 +13,10 @@
 //! Its twin pins the write side: with no read in flight, an insert into a
 //! deep tail changes the published tail view in place, and validation
 //! and the duplicate probe reuse the index's space and the writer's
-//! scratch, so an insert allocates at most twice at any depth. Another
-//! pins what a warm `ShardedIndex::query` allocates at S = 2 with a
-//! registry attached: only the response, never the read state, the
+//! scratch, so an insert allocates at most twice at any depth. A durable
+//! insert journals the very record it queues, so it copies no point.
+//! Another pins what a warm `ShardedIndex::query` allocates at S = 2 with
+//! a registry attached: only the response, never the read state, the
 //! query's scratch (the calling thread keeps it warm) or its recording.
 //!
 //! A third pins the fold's copy count by bytes: folding a one-record
@@ -318,6 +319,49 @@ fn a_write_without_a_reader_does_not_copy_the_tail() {
             "64 inserts at tail depth {depth} made {allocs} allocations, more than 2 each"
         );
     }
+}
+
+#[test]
+fn a_durable_insert_journals_the_record_it_queues() {
+    let point = |i: usize| {
+        Point::new(vec![
+            (i % 40) as f64 / 40.0,
+            ((i / 40) % 40) as f64 / 40.0,
+            (i / 1600) as f64 / 40.0,
+        ])
+    };
+    let vfs = std::sync::Arc::new(FaultVfs::new(FaultSchedule::none(1)));
+    let idx = ShardedIndex::build(
+        (0..400).map(point).collect(),
+        1,
+        BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(7)
+            .build(),
+    )
+    .unwrap()
+    .into_durable_with_vfs(vfs, std::path::Path::new("/db"))
+    .unwrap();
+    // Warm-up: the journal's file and the thread's trace state exist
+    // before the measurement.
+    for i in 400..410 {
+        idx.insert(point(i)).unwrap();
+    }
+    let pts: Vec<Point> = (410..474).map(point).collect();
+    let allocs = count_allocs(|| {
+        for p in pts {
+            idx.insert(p).unwrap();
+        }
+    });
+    // Per insert: the journal frame's encoding and the tail's amortized
+    // growth. The ack builds the insert's record once, journals it by
+    // reference and queues that same record, so it copies no point: 204
+    // allocations here, where journaling a copy and queueing the point
+    // in a second shape made 268.
+    assert!(
+        allocs <= 204,
+        "64 durable inserts made {allocs} allocations: does the ack copy the point again?"
+    );
 }
 
 #[test]

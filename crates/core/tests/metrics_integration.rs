@@ -39,7 +39,7 @@ fn registry_counters_agree_with_engine_and_index() {
     // Mixed workload: in-space queries, a k-NN, an out-of-space query, a
     // k ≥ len query (the traversal answers both) and three malformed
     // queries, the first on a cold scratch.
-    let queries = vec![
+    let queries = [
         Query::nn([f64::NAN, 0.5]),
         Query::nn([0.21, 0.34]),
         Query::nn([0.91, 0.13]),

@@ -643,11 +643,11 @@ fn queries_run_concurrently_with_inserts() {
     // the writer waits until both readers are serving.
     let serving = std::sync::Barrier::new(3);
     std::thread::scope(|s| {
-        for reader in 0..2 {
+        for reader in &pts[..2] {
             let sharded = &sharded;
             let stop = &stop;
             let serving = &serving;
-            let probe = pts[reader].as_slice().to_vec();
+            let probe = reader.as_slice().to_vec();
             s.spawn(move || {
                 let mut served = 0u32;
                 loop {

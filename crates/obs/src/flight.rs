@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn oversized_batch_keeps_newest_suffix() {
         let f = FlightRecorder::new(2);
-        let batch: Vec<SpanRecord> = (0..5).map(|i| rec(9, i + 1, i as u64 * 10)).collect();
+        let batch: Vec<SpanRecord> = (0..5).map(|i| rec(9, i + 1, i * 10)).collect();
         assert_eq!(f.record_batch(&batch), 3);
         let spans = f.snapshot();
         assert_eq!(spans.len(), 2);

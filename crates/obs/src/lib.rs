@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod flight;
 mod metrics;

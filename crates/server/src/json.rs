@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn usize_extraction_is_strict() {
-        assert_eq!(parse("3").and_then(|v| Ok(v.as_usize())), Ok(Some(3)));
+        assert_eq!(parse("3").map(|v| v.as_usize()), Ok(Some(3)));
         assert_eq!(parse("3.5").map(|v| v.as_usize()), Ok(None));
         assert_eq!(parse("-1").map(|v| v.as_usize()), Ok(None));
     }
