@@ -8,7 +8,7 @@
 # is promoted to an error here, so an `unwrap()` in library code fails
 # the gate while tests stay exempt. A second clippy step denies every
 # other warning in every target of the workspace (tests, benches, examples
-# and binaries included).
+# and binaries included), and a rustdoc step denies every doc warning.
 #
 # The crash-injection suite runs under a pinned fault-schedule seed so a
 # red CI run is reproducible locally; override with e.g.
@@ -46,6 +46,11 @@ echo "== clippy (every workspace target: tests, benches, examples, binaries) =="
 # Every target of every member, warnings denied; `unwrap()` stays allowed
 # outside the library code the step above gates.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (every workspace crate, warnings denied) =="
+# A broken, private or ambiguous intra-doc link fails here, so a doc
+# comment cannot keep pointing at an item that was renamed or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== query-engine bench smoke (fixed seed; writes BENCH_query_engine.json) =="
 # Sequential vs parallel batch QPS on one fixed-seed workload; the bench

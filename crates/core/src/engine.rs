@@ -16,16 +16,15 @@
 //!   number of worker threads. Workers *steal work* at chunk granularity
 //!   from a shared atomic cursor, so an expensive straggler query cannot
 //!   idle the rest of the pool.
-//! * Each worker carries one [`QueryScratch`] — the ranked buffer (a
-//!   k-NN query's k-best, a radius query's hits), the best-first queue
-//!   and the leaf kernel's distance buffer — reused across every query
-//!   it executes.
+//! * Each worker carries one [`QueryScratch`] — the ranked buffer, the
+//!   best-first queue and the leaf kernel's distance buffer — reused
+//!   across every query it executes.
 //!   Once warm, the per-query path performs **zero heap allocations** for
 //!   `k = 1` (and exactly one — the `rest` vector of the response — for
 //!   `k > 1`); this is property-checked by a counting allocator in
 //!   `crates/core/tests/alloc_free.rs`.
 //!
-//! Nearest-neighbor kernels (see `DESIGN.md` §17): a **MINDIST-ordered
+//! The query kernel (see `DESIGN.md` §17): a **MINDIST-ordered
 //! best-first traversal** of the point X-tree — of every shard's point
 //! X-tree at once, through one queue, for a shard fan-out — streams
 //! leaves to this engine in roughly ascending distance. The engine
@@ -37,15 +36,15 @@
 //! before the node is ever read. The loop has no data-dependent branch
 //! inside the kernel: a mispredicted early-exit check costs more than the
 //! lanes it would skip at these dimensionalities (DESIGN.md §17.3). At
-//! d = 8 both kernels and the traversal's MINDIST are compiled for that
+//! d = 8 the kernel and the traversal's MINDIST are compiled for that
 //! constant dimension, chosen once per query (`execute_inner`): the lane
 //! loop runs fastest when `d` is a constant. Every other `d` runs them
-//! with the dimension read at run time. A radius query runs the same
-//! traversal under the constant bound of its ball, so it reads exactly
-//! the pages that meet the ball. The pruning work is reported per query
-//! in [`QueryStats`] (`nodes_pruned`, `candidates_examined`, and
-//! `candidates` / `candidates_aborted_early` for the evaluations within /
-//! beyond the bound).
+//! with the dimension read at run time. A radius query is the same kernel
+//! with `k = ∞` under the constant bound of its ball and a `dist ≤ r` keep
+//! test, so it reads exactly the pages that meet the ball. The pruning
+//! work is reported per query in [`QueryStats`] (`nodes_pruned`,
+//! `candidates_examined`, and `candidates` / `candidates_aborted_early`
+//! for the evaluations within / beyond the bound).
 //!
 //! Results are **bit-identical** regardless of thread count and shard
 //! count, and identical to a linear scan: every distance evaluation uses
@@ -60,12 +59,16 @@
 //! lane kernel: the tail stores its coordinates in dimension-major chunks
 //! of 64 inserts, the layout of a leaf's block.
 //!
-//! Every k-NN query, `k ≥` the live count included, takes the one
-//! traversal: while the k-best is short its bound is ∞, so the traversal
-//! prunes nothing and streams every live point. The k-best fills
+//! Every query, `k ≥` the live count included, takes the one traversal:
+//! while a k-NN query's k-best is short its bound is ∞, so the traversal
+//! prunes nothing and streams every live point. The ranked buffer fills
 //! unsorted and sorts once, when it reaches k or when the traversal ends
-//! short of k, so a query for every point costs one sort, not one sorted
-//! insert per point.
+//! short of k (a radius query's buffer never reaches k), so a query for
+//! every point costs one sort, not one sorted insert per point.
+//!
+//! The only time budget is the query's own ([`Query::with_deadline`]):
+//! the kernel checks it between leaves and tail chunks, and a batch
+//! checks it before each of its queries.
 
 use crate::index::{NnCellIndex, QueryResult};
 use crate::memtable::{TailSnapshot, TAIL_CHUNK};
@@ -91,9 +94,10 @@ type BatchPart = (usize, Vec<Result<QueryResponse, QueryError>>);
 /// between threads (each [`QueryEngine::batch`] worker owns its own).
 #[derive(Default)]
 pub struct QueryScratch {
-    /// `(global id, dist)` buffer: the running k-best of a k-NN query
-    /// (unsorted until it holds k, then ascending by `(dist, id)`), or the
-    /// hits of a radius query.
+    /// `(global id, dist)` buffer: the running k-best of a query, unsorted
+    /// until it holds k, then ascending by `(dist, id)`. A radius query's
+    /// k is `usize::MAX`, so its hits stay unsorted until the kernel sorts
+    /// them once at the end.
     ranked: Vec<QueryResult>,
     /// Priority-queue scratch of the MINDIST-ordered best-first traversal.
     bf: BestFirstScratch,
@@ -246,10 +250,6 @@ pub struct QueryEngine<'a, M: Metric = Euclidean> {
     /// sharded index's for a fan-out; `None` without a registry or after
     /// [`Self::without_metrics`].
     metrics: Option<&'a EngineMetrics>,
-    /// Optional budget applied to every query this engine executes, set
-    /// only by the shard fan-out; per-request budgets ride on
-    /// [`Query::with_deadline`].
-    deadline: Option<std::time::Instant>,
 }
 
 impl<'a, M: Metric> QueryEngine<'a, M> {
@@ -283,7 +283,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             dim,
             threads: 1,
             metrics,
-            deadline: None,
         }
     }
 
@@ -299,24 +298,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     pub fn without_metrics(mut self) -> Self {
         self.metrics = None;
         self
-    }
-
-    /// Applies one budget to every query this engine executes (the shard
-    /// fan-out applies one admission deadline to a whole batch without
-    /// cloning every query). While a query also carries its own
-    /// [`Query::with_deadline`] budget, the *earlier* of the two wins.
-    pub(crate) fn with_deadline_opt(mut self, deadline: Option<std::time::Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// The deadline that governs `q` on this engine: the earlier of the
-    /// per-request budget and the engine-level one.
-    fn effective_deadline(&self, q: &Query) -> Option<std::time::Instant> {
-        match (self.deadline, q.deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -421,21 +402,20 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             }
             _ => {}
         }
-        let deadline = self.effective_deadline(q);
         if self.forest.is_empty() {
             return Err(QueryError::EmptyIndex);
         }
-        if out_of_budget(deadline) {
+        if out_of_budget(q.deadline()) {
             return Err(QueryError::DeadlineExceeded);
         }
-        // The one dimension dispatch: the kernels compiled for d = 8, the
+        // The one dimension dispatch: the kernel compiled for d = 8, the
         // dimension every benchmark workload measures, or for any (`D = 0`).
         // A constant is added only with a measured end-to-end win at it.
         let run = match self.dim {
             8 => Self::run::<8>,
             _ => Self::run::<0>,
         };
-        run(self, scratch, p, q.kind(), deadline)
+        run(self, scratch, p, q.kind(), q.deadline())
     }
 
     /// Executes a query slice across the configured thread pool, returning
@@ -495,23 +475,8 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
     }
 
     // ------------------------------------------------------------------
-    // the two query kernels
+    // the query kernel
     // ------------------------------------------------------------------
-
-    /// The kernel of `kind`, compiled for dimension `D` (`D = 0`: the
-    /// engine's dimension, read at run time).
-    fn run<const D: usize>(
-        &self,
-        scratch: &mut QueryScratch,
-        p: &[f64],
-        kind: QueryKind,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<QueryResponse, QueryError> {
-        match kind {
-            QueryKind::Nearest { k } => self.run_knn::<D>(scratch, p, k, deadline),
-            QueryKind::Radius { radius } => self.run_radius::<D>(scratch, p, radius, deadline),
-        }
-    }
 
     /// The metric (every shard shares it) and its smallest weight, which
     /// converts a weighted-metric bound into the trees' Euclidean
@@ -525,71 +490,95 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         (metric, w_min)
     }
 
-    /// Exact k-NN (including `k = 1`) by one MINDIST-ordered best-first
-    /// traversal of every shard's **point** X-tree, then one scan of the
-    /// shards' non-empty memtable tails under the walk's bound.
+    /// The one exact query kernel, compiled for dimension `D` (`D = 0`:
+    /// the engine's dimension, read at run time): one MINDIST-ordered
+    /// best-first traversal of every shard's **point** X-tree, then one
+    /// scan of the shards' non-empty memtable tails under the walk's
+    /// bound. A k-NN query and a radius query differ only in their setup:
+    ///
+    /// * **k-NN** keeps the `k` best. Its bound starts at ∞ and shrinks to
+    ///   the slopped k-th-best distance once the k-best is full.
+    /// * **Radius** keeps every point with `dist ≤ r`: `k` is
+    ///   `usize::MAX` ([`Query::k`]), so the ranked buffer never fills and
+    ///   its bound never moves from the constant bounds of the ball. The
+    ///   tree bound is the squared radius of the Euclidean ball that holds
+    ///   the metric ball, the `intersects_sphere` test, so the traversal
+    ///   reads exactly the pages that meet the ball.
     ///
     /// The traversal ([`nncell_index::Tree::best_first_stream_with`])
     /// expands directory pages of the whole forest in ascending MINDIST
     /// order and streams each leaf whole — its tree, its item ids and its
     /// dimension-major block — to the closure below, which evaluates every
     /// entry exactly in one lane-per-point pass, then, in entry order,
-    /// offers each live point under its global id to the one k-best unless
-    /// it lies beyond the slopped k-th-best bound, and hands the shrunk
-    /// bound back for page pruning in every tree. The k-best evolves as if
-    /// the points came one by one: a point's distance does not depend on
-    /// the bound, and the traversal reads the bound only between leaves. Exactness: a page is pruned only when its MINDIST
-    /// **strictly** exceeds the slopped bound
-    /// `(kth_dist)² · BOUND_SLOP / w_min` (see [`Self::metric`]), so every
-    /// point of every shard that could tie or beat the k-th result is
-    /// evaluated exactly — with the same kernel, in the same
-    /// `(dist, global id)` order, as the linear scan.
+    /// offers each live point under its global id to the ranked buffer
+    /// unless it lies beyond the slopped bound, and hands the bound back
+    /// for page pruning in every tree. The k-best evolves as if the points
+    /// came one by one: a point's distance does not depend on the bound,
+    /// and the traversal reads the bound only between leaves. Exactness: a
+    /// page is pruned only when its MINDIST **strictly** exceeds the
+    /// slopped bound (`(kth_dist)² · BOUND_SLOP / w_min` for k-NN, see
+    /// [`Self::metric`]), so every point of every shard that could tie or
+    /// beat the k-th result, or lie in the ball, is evaluated exactly —
+    /// with the same kernel, in the same `(dist, global id)` order, as the
+    /// linear scan. The traversal is exact for *any* center, including
+    /// centers outside the data space.
     ///
     /// A shard's tombstoned ids are skipped; the check runs only for a
-    /// candidate that would enter the k-best. With tails, every shard's
-    /// live inserts are scanned after the walk ([`Self::scan_tails`]) into
-    /// the same k-best, with the same lane kernel and the same slop, under
-    /// the k-th-best bound the walk ended with. That bound was taken over a
-    /// subset of the live points, so it never undercuts the final k-th
-    /// distance, and the k-best of `(dist, global id)` does not depend on
-    /// the order its candidates arrive in: the answer is the one the scan
-    /// would give. Run first, from ∞, the tail would offer its first k
-    /// inserts whatever their distance; run last, it offers only inserts
-    /// that beat the forest's k-th best. A shard's index and tail are
-    /// published together, so no point is on both sides.
+    /// candidate that would enter the ranked buffer. With tails, every
+    /// shard's live inserts are scanned after the walk
+    /// ([`Self::scan_tails`]) into the same buffer, with the same lane
+    /// kernel and the same slop, under the bound the walk ended with. That
+    /// bound was taken over a subset of the live points, so it never
+    /// undercuts the final k-th distance, and the k-best of
+    /// `(dist, global id)` does not depend on the order its candidates
+    /// arrive in: the answer is the one the scan would give. Run first,
+    /// from ∞, the tail would offer its first k inserts whatever their
+    /// distance; run last, it offers only inserts that beat the forest's
+    /// k-th best. A shard's index and tail are published together, so no
+    /// point is on both sides.
     ///
-    /// A query for at least as many neighbors as there are live points
-    /// takes the same path: the bound stays ∞ while the k-best is short,
-    /// so nothing is pruned and every live point is streamed, and the
-    /// k-best, filled unsorted (see [`offer`]), is sorted once at the end.
+    /// A buffer that never fills — a radius query's, or a k-NN query's for
+    /// at least as many neighbors as there are live points — is filled
+    /// unsorted (see [`offer`]) and sorted once at the end.
     ///
-    /// The configured budget (if any) is checked every 256 tail inserts
-    /// and after each leaf that completes 128 streamed items since the
-    /// last check; an expired budget aborts the query and surfaces as
+    /// The query's budget (if any) is checked every 256 tail inserts and
+    /// after each leaf that completes 128 streamed items since the last
+    /// check; an expired budget aborts the query and surfaces as
     /// [`QueryError::DeadlineExceeded`] instead of hogging the worker.
-    fn run_knn<const D: usize>(
+    fn run<const D: usize>(
         &self,
         scratch: &mut QueryScratch,
         p: &[f64],
-        k: usize,
+        kind: QueryKind,
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryResponse, QueryError> {
         let forest = &self.forest;
         let (metric, w_min) = self.metric();
-        let QueryScratch { ranked, bf, d2 } = scratch;
-        ranked.clear();
-        let mut stats = QueryStats::default();
-        let mut visits = 0usize;
-        let mut deadline_hit = false;
-        // Squared-distance bounds: a candidate beyond `abort_bound` is not
-        // offered, `tree_bound` (its Euclidean relaxation) prunes pages.
-        let mut abort_bound = f64::INFINITY;
-        let mut tree_bound = f64::INFINITY;
+        // `k`, the largest distance kept, and the squared-distance bounds:
+        // a candidate beyond `abort_bound` is not offered, `tree_bound`
+        // (its Euclidean relaxation) prunes pages.
+        let (k, max_dist, mut abort_bound, mut tree_bound) = match kind {
+            QueryKind::Nearest { k } => (k, f64::INFINITY, f64::INFINITY, f64::INFINITY),
+            QueryKind::Radius { radius: r } => {
+                // A weighted-metric ball of radius r is contained in the
+                // Euclidean ball of radius r / sqrt(min weight). The tiny
+                // inflation keeps boundary points (dist == r exactly) from
+                // being pruned by the tree's own floating-point arithmetic.
+                let tree_r = (r / w_min.sqrt()) * (1.0 + 1e-9) + 1e-12;
+                let tree_bound = tree_r * tree_r + nncell_geom::EPS;
+                (usize::MAX, r, (r * r) * BOUND_SLOP, tree_bound)
+            }
+        };
         // Both bounds from a new k-th-best distance `b`.
         let bounds = |b: f64| {
             let abort = (b * b) * BOUND_SLOP;
             (abort, abort / w_min)
         };
+        let QueryScratch { ranked, bf, d2 } = scratch;
+        ranked.clear();
+        let mut stats = QueryStats::default();
+        let mut visits = 0usize;
+        let mut deadline_hit = false;
         // The per-point path updates no counter: the evaluations are the
         // streamed items (counted by the traversal, added after the walk),
         // and only candidates within the bound, rare next to the
@@ -614,15 +603,18 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
                 let local = item as usize;
                 debug_assert!(forest.index(t).is_live(local), "point tree out of sync");
                 if d2 > abort_bound {
-                    continue; // provably beyond the k-th best
+                    continue; // provably beyond the bound
                 }
                 stats.candidates += 1;
-                let r = QueryResult {
-                    id: forest.global(t, local),
-                    dist: d2.sqrt(),
-                };
-                if let Some(b) = offer(ranked, k, r, tombstones, local) {
-                    (abort_bound, tree_bound) = bounds(b);
+                let dist = d2.sqrt();
+                if dist <= max_dist {
+                    let r = QueryResult {
+                        id: forest.global(t, local),
+                        dist,
+                    };
+                    if let Some(b) = offer(ranked, k, r, tombstones, local) {
+                        (abort_bound, tree_bound) = bounds(b);
+                    }
                 }
             }
             tree_bound
@@ -630,28 +622,30 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
         if deadline_hit {
             return Err(QueryError::DeadlineExceeded);
         }
-        // The tail inserts last, under the walk's k-th-best bound: a tail
-        // insert is never tombstoned (a remove drops it).
+        // The tail inserts last, under the walk's bound: a tail insert is
+        // never tombstoned (a remove drops it).
         stats.tail = self.scan_tails::<D>(metric, p, d2, deadline, |id, d2| {
             if d2 > abort_bound {
                 return;
             }
             stats.candidates += 1;
-            let r = QueryResult {
-                id,
-                dist: d2.sqrt(),
-            };
-            if let Some(b) = offer(ranked, k, r, &[], 0) {
-                abort_bound = bounds(b).0;
+            let dist = d2.sqrt();
+            if dist <= max_dist {
+                if let Some(b) = offer(ranked, k, QueryResult { id, dist }, &[], 0) {
+                    abort_bound = bounds(b).0;
+                }
             }
         })?;
         if ranked.is_empty() {
-            // Every indexed point is tombstoned and no tail holds an
-            // insert: the live set is empty.
-            return Err(QueryError::EmptyIndex);
+            // k-NN: every indexed point is tombstoned and no tail holds an
+            // insert, so the live set is empty. Radius: the ball is empty.
+            return Err(match kind {
+                QueryKind::Nearest { .. } => QueryError::EmptyIndex,
+                QueryKind::Radius { .. } => QueryError::EmptyRadius,
+            });
         }
         if ranked.len() < k {
-            // The k-best never filled, so it was never sorted.
+            // The buffer never filled, so it was never sorted.
             ranked.sort_unstable_by_key(rank_key);
         }
         add_walk(&mut stats, walk);
@@ -660,100 +654,6 @@ impl<'a, M: Metric> QueryEngine<'a, M> {
             rest: ranked[1..].to_vec(),
             stats,
         })
-    }
-
-    /// Exact radius query: one best-first traversal of every shard's point
-    /// tree under a constant bound, the squared radius of the Euclidean
-    /// ball that holds the metric ball. That bound is the
-    /// `intersects_sphere` test, so the traversal reads exactly the pages
-    /// that meet the ball. Every streamed leaf is evaluated with the exact
-    /// lane kernel in place, and each live point of it is kept when
-    /// `dist ≤ r` and its id is not tombstoned. The shards' live tail
-    /// inserts inside the ball join the hits ([`Self::scan_tails`], after
-    /// the walk), and the union is sorted by
-    /// `(distance, global id)` once. No truncation — a radius query returns
-    /// everything the ball contains. The point trees hold every indexed
-    /// live point, and the traversal is exact for *any* center, including
-    /// centers outside the data space.
-    ///
-    /// The configured budget (if any) is checked as for k-NN: after each
-    /// leaf that completes 128 streamed items, and every 256 tail inserts.
-    fn run_radius<const D: usize>(
-        &self,
-        scratch: &mut QueryScratch,
-        p: &[f64],
-        r: f64,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<QueryResponse, QueryError> {
-        let (metric, w_min) = self.metric();
-        // The trees prune in Euclidean geometry; a weighted-metric ball of
-        // radius r is contained in the Euclidean ball of radius
-        // r / sqrt(min weight). The tiny inflation keeps boundary points
-        // (dist == r exactly) from being pruned by the tree's own
-        // floating-point arithmetic.
-        let tree_r = (r / w_min.sqrt()) * (1.0 + 1e-9) + 1e-12;
-        let tree_bound = tree_r * tree_r + nncell_geom::EPS;
-        let abort_bound = radius_bound(r);
-        let forest = &self.forest;
-        let QueryScratch {
-            ranked: hits,
-            bf,
-            d2,
-        } = scratch;
-        hits.clear();
-        let mut stats = QueryStats::default();
-        // One evaluated point in slot `local` of a shard with `tombstones`:
-        // its distance when it is a hit. The examined count is the
-        // streamed items (added after the walk) plus the tail inserts.
-        let mut keep = |tombstones: &[usize], local: usize, d2: f64| {
-            if d2 > abort_bound {
-                return None; // provably outside the ball
-            }
-            stats.candidates += 1;
-            let dist = d2.sqrt();
-            (dist <= r && tombstones.binary_search(&local).is_err()).then_some(dist)
-        };
-        let mut visits = 0usize;
-        let mut deadline_hit = false;
-        let walk = forest.stream::<D>(p, bf, |t, items, block| {
-            visits += items.len();
-            if visits >= 128 {
-                visits = 0;
-                if out_of_budget(deadline) {
-                    deadline_hit = true;
-                    return f64::NEG_INFINITY; // abort the whole traversal
-                }
-            }
-            let dists = leaf_dists::<D, M>(metric, p, block, d2, items.len());
-            for (&item, &d2) in items.iter().zip(dists) {
-                let local = item as usize;
-                debug_assert!(forest.index(t).is_live(local), "point tree out of sync");
-                if let Some(dist) = keep(forest.tombstones(t), local, d2) {
-                    let id = forest.global(t, local);
-                    hits.push(QueryResult { id, dist });
-                }
-            }
-            tree_bound
-        });
-        if deadline_hit {
-            return Err(QueryError::DeadlineExceeded);
-        }
-        // A tail insert is never tombstoned: a remove drops it.
-        stats.tail = self.scan_tails::<D>(metric, p, d2, deadline, |id, d2| {
-            if let Some(dist) = keep(&[], 0, d2) {
-                hits.push(QueryResult { id, dist });
-            }
-        })?;
-        add_walk(&mut stats, walk);
-        hits.sort_unstable_by_key(rank_key);
-        match hits.split_first() {
-            None => Err(QueryError::EmptyRadius),
-            Some((best, rest)) => Ok(QueryResponse {
-                best: *best,
-                rest: rest.to_vec(),
-                stats,
-            }),
-        }
     }
 
     /// The exact linear scan of every shard's live tail inserts, run
@@ -867,12 +767,6 @@ fn leaf_dists<'b, const D: usize, M: Metric>(
     let out = &mut buf[..m];
     metric.dist_sq_lanes::<D>(p, block, out);
     out
-}
-
-/// The squared bound of a radius-`r` ball: a point beyond `r²` (plus slop,
-/// so an exact-boundary point is never cut) is outside the ball.
-fn radius_bound(r: f64) -> f64 {
-    (r * r) * BOUND_SLOP
 }
 
 /// Every available hardware thread (1 when the count is unknown).
@@ -1042,6 +936,57 @@ mod tests {
                 .filter(|&(_, b)| f64::from_bits(b) <= radius)
                 .collect::<Vec<_>>();
             assert_eq!(bits(&r), within, "radius {radius}");
+        }
+    }
+
+    #[test]
+    fn stamped_deadlines_ride_through_the_fan_out() {
+        use std::time::{Duration, Instant};
+        let cfg = BuildConfig::builder()
+            .strategy(Strategy::Sphere)
+            .seed(5)
+            .build();
+        let idx = ShardedIndex::build(lattice(), 2, cfg).unwrap();
+        // An unfolded tail on both sides of the forest: a tombstoned
+        // indexed point and two inserts.
+        assert!(idx.remove(27).unwrap());
+        idx.insert(Point::new(vec![0.41, 0.43])).unwrap();
+        idx.insert(Point::new(vec![0.93, 0.07])).unwrap();
+        assert_eq!(idx.tail_depth(), 3);
+        let queries = [
+            Query::nn([0.4, 0.4]),
+            Query::knn([0.9, 0.1], 5),
+            Query::knn([0.5, 0.5], 70),
+            Query::radius([0.4, 0.4], 0.2),
+            Query::radius([0.5, 0.5], 2.0),
+        ];
+        let plain: Vec<_> = queries.iter().map(|q| idx.query(q).unwrap()).collect();
+        assert_eq!(plain[2].len(), 61, "every live point");
+        assert!(plain.iter().all(|r| r.iter().all(|x| x.id != 27)));
+        let stamp = |at: Instant| -> Vec<Query> {
+            queries
+                .iter()
+                .map(|q| q.clone().with_deadline(at))
+                .collect()
+        };
+
+        let passed = stamp(Instant::now());
+        for q in &passed {
+            assert_eq!(idx.query(q), Err(QueryError::DeadlineExceeded));
+        }
+        let batch = idx.batch(&passed);
+        assert_eq!(batch.len(), queries.len());
+        assert!(batch
+            .iter()
+            .all(|r| *r == Err(QueryError::DeadlineExceeded)));
+
+        let far = stamp(Instant::now() + Duration::from_secs(3600));
+        let batch = idx.batch(&far);
+        for ((q, b), want) in far.iter().zip(batch).zip(&plain) {
+            for got in [idx.query(q).unwrap(), b.unwrap()] {
+                assert_eq!(&got, want);
+                assert_eq!(bits(&got), bits(want));
+            }
         }
     }
 

@@ -25,7 +25,7 @@
 //! checksummed header and points, then one global id per slot (`u64`) in
 //! place of the piece lists. A shard file of the
 //! two older formats carries no ids; its slots are numbered by the
-//! round-robin rule of the layouts that wrote them ([`RoundRobin`]).
+//! round-robin rule of the layouts that wrote them (`RoundRobin`).
 //!
 //! Every size field read from disk is validated against the actual number
 //! of bytes present *before* any allocation, so a corrupted count cannot

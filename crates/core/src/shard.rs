@@ -654,35 +654,19 @@ impl ShardedIndex {
     /// (see the module docs). Candidate and page counts are summed across
     /// shards.
     /// The query runs on the calling thread's warm scratch (one per
-    /// thread, reused by every later call on it).
+    /// thread, reused by every later call on it). A budget stamped on the
+    /// query ([`Query::with_deadline`]) that runs out surfaces as
+    /// [`QueryError::DeadlineExceeded`].
     ///
     /// # Errors
     /// The [`QueryError`] contract of [`crate::QueryEngine::execute`].
     pub fn query(&self, q: &Query) -> Result<QueryResponse, QueryError> {
-        self.query_with_deadline(q, None)
-    }
-
-    /// [`Self::query`] under an optional time budget: the deadline is
-    /// threaded into the fan-out's engine (equivalent to stamping
-    /// [`Query::with_deadline`] on the request, without cloning it), so a
-    /// budget that runs out mid-traversal surfaces as
-    /// [`QueryError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// The [`QueryError`] contract of [`Self::query`], plus
-    /// [`QueryError::DeadlineExceeded`].
-    pub fn query_with_deadline(
-        &self,
-        q: &Query,
-        deadline: Option<Instant>,
-    ) -> Result<QueryResponse, QueryError> {
         let state = self.state.load();
         // One span for the whole fan-out; the engine's own spans nest
         // underneath it.
         let mut span = nncell_obs::trace::child("shard.query");
         span.arg("shards", state.len() as u64);
-        let engine = QueryEngine::fan_out(self.dim, &state, self.engine_metrics())
-            .with_deadline_opt(deadline);
+        let engine = QueryEngine::fan_out(self.dim, &state, self.engine_metrics());
         // The thread's warm scratch; a cold one if it is already in use
         // on this thread or gone (thread teardown).
         let warm = SCRATCH.try_with(|cell| {
@@ -701,25 +685,14 @@ impl ShardedIndex {
     /// one-forest traversal of [`Self::query`] over the published read
     /// state, spread over the engine's worker pool (every hardware
     /// thread). Results come back in input order with the engine's
-    /// per-query error contract.
+    /// per-query error contract: a query whose stamped budget
+    /// ([`Query::with_deadline`]) runs out answers
+    /// [`QueryError::DeadlineExceeded`], while answers already computed
+    /// are kept.
     pub fn batch(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
-        self.batch_with_deadline(queries, None)
-    }
-
-    /// [`Self::batch`] under an optional time budget: the engine checks the
-    /// deadline between the queries of the batch (and inside the k-NN
-    /// candidate loop), so queries past the budget come back as per-query
-    /// [`QueryError::DeadlineExceeded`] results while answers already
-    /// computed are kept.
-    pub fn batch_with_deadline(
-        &self,
-        queries: &[Query],
-        deadline: Option<Instant>,
-    ) -> Vec<Result<QueryResponse, QueryError>> {
         let state = self.state.load();
         QueryEngine::fan_out(self.dim, &state, self.engine_metrics())
             .with_threads(available_threads())
-            .with_deadline_opt(deadline)
             .batch(queries)
     }
 

@@ -71,8 +71,8 @@ const OP_REMOVE: u8 = 2;
 const OP_INSERT_AT: u8 = 3;
 
 impl WalRecord {
-    /// Serializes the payload (without the frame).
-    fn encode(&self) -> Vec<u8> {
+    /// Appends the payload (without the frame) to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         let put_point = |out: &mut Vec<u8>, p: &Point| {
             out.extend_from_slice(&(p.dim() as u32).to_le_bytes());
             for &c in p.as_slice() {
@@ -81,23 +81,17 @@ impl WalRecord {
         };
         match self {
             WalRecord::Insert(p) => {
-                let mut out = Vec::with_capacity(5 + 8 * p.dim());
                 out.push(OP_INSERT);
-                put_point(&mut out, p);
-                out
+                put_point(out, p);
             }
             WalRecord::InsertAt { id, point } => {
-                let mut out = Vec::with_capacity(13 + 8 * point.dim());
                 out.push(OP_INSERT_AT);
                 out.extend_from_slice(&id.to_le_bytes());
-                put_point(&mut out, point);
-                out
+                put_point(out, point);
             }
             WalRecord::Remove(id) => {
-                let mut out = Vec::with_capacity(9);
                 out.push(OP_REMOVE);
                 out.extend_from_slice(&id.to_le_bytes());
-                out
             }
         }
     }
@@ -237,7 +231,14 @@ pub struct WalWriter {
     records: u64,
     poisoned: bool,
     metrics: Option<WalMetrics>,
+    /// The frames of one journal call, reused by the next (see
+    /// [`Self::journal`]).
+    frames: Vec<u8>,
 }
+
+/// The frame buffer a [`WalWriter`] keeps between journal calls; one that
+/// grew past this (a checkpoint re-journaling a long tail) is freed.
+const FRAMES_KEEP_BYTES: usize = 1 << 16;
 
 /// Registry handles for the write-ahead log (attached via
 /// [`crate::ShardedIndex::attach_metrics`]).
@@ -276,6 +277,7 @@ impl WalWriter {
             records: 0,
             poisoned: false,
             metrics: None,
+            frames: Vec::new(),
         })
     }
 
@@ -294,6 +296,7 @@ impl WalWriter {
             records,
             poisoned: false,
             metrics: None,
+            frames: Vec::new(),
         })
     }
 
@@ -336,16 +339,25 @@ impl WalWriter {
     fn journal(&mut self, span: &'static str, recs: &[WalRecord]) -> Result<(), PersistError> {
         self.check_writable()?;
         let mut span = nncell_obs::trace::child(span);
-        let mut frames = Vec::new();
+        // Each record is encoded in place behind an 8-byte header, which
+        // then takes its payload's length and CRC.
+        let frames = &mut self.frames;
+        frames.clear();
         for rec in recs {
-            let payload = rec.encode();
-            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frames.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frames.extend_from_slice(&payload);
+            let head = frames.len();
+            frames.extend_from_slice(&[0; 8]);
+            rec.encode_into(frames);
+            let payload = &frames[head + 8..];
+            let (len, crc) = (payload.len() as u32, crc32(payload));
+            frames[head..head + 4].copy_from_slice(&len.to_le_bytes());
+            frames[head + 4..head + 8].copy_from_slice(&crc.to_le_bytes());
         }
         span.arg("records", recs.len() as u64);
         span.arg("bytes", frames.len() as u64);
-        let res = self.file.write_all(&frames).and_then(|()| self.file.sync());
+        let res = self.file.write_all(frames).and_then(|()| self.file.sync());
+        if frames.capacity() > FRAMES_KEEP_BYTES {
+            *frames = Vec::new();
+        }
         match res {
             Ok(()) => {
                 self.records += recs.len() as u64;

@@ -38,10 +38,3 @@ pub use polygon::{voronoi_cell_2d, ConvexPolygon};
 /// coordinates and small enough not to merge distinct Voronoi vertices at
 /// realistic database sizes.
 pub const EPS: f64 = 1e-9;
-
-/// Returns `true` when `a` and `b` are equal up to [`EPS`] (absolute, suited
-/// to unit-box coordinates).
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS
-}

@@ -351,7 +351,7 @@ impl Snapshot {
     /// count/sum/max/mean, the standard percentiles, and the non-empty
     /// buckets as `[upper_bound, count]` pairs. Hand-rolled — metric
     /// names are snake_case identifiers, so no string escaping is
-    /// needed beyond what [`json_escape`] provides.
+    /// needed beyond what `json_escape` provides.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, (name, m)) in self.metrics.iter().enumerate() {

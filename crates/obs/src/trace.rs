@@ -285,15 +285,6 @@ pub fn attach_metrics(r: &Registry) {
     *slot = Some(handle);
 }
 
-/// Detaches the metrics handle (used by tests to restore isolation).
-pub fn detach_metrics() {
-    let mut slot = match tracer().metrics.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *slot = None;
-}
-
 // ---------------------------------------------------------------------
 // Thread-local recording state
 // ---------------------------------------------------------------------

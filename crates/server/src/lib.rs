@@ -48,6 +48,5 @@ pub mod server;
 
 pub use client::{Client, ClientError, Response};
 pub use server::{
-    describe_http_metrics, install_signal_handlers, signal_received, ServeIndex, Server,
-    ServerConfig, ServerHandle,
+    describe_http_metrics, install_signal_handlers, ServeIndex, Server, ServerConfig, ServerHandle,
 };

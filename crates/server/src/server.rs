@@ -249,11 +249,6 @@ impl ServerHandle {
         let _ = TcpStream::connect(self.shared.local_addr);
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Current admission-queue depth.
     pub fn queue_depth(&self) -> usize {
         lock(&self.shared.queue).len()
@@ -784,8 +779,9 @@ fn route(shared: &Arc<Shared>, req: &Request, deadline: Instant) -> Reply {
     }
 }
 
-/// Parses `{"point": [...], "k": n}` (k defaults to 1).
-fn parse_query(v: &Json) -> Result<Query, &'static str> {
+/// Parses `{"point": [...], "k": n}` (k defaults to 1) into a query that
+/// carries the request's `deadline`.
+fn parse_query(v: &Json, deadline: Instant) -> Result<Query, &'static str> {
     let point = v
         .get("point")
         .and_then(Json::as_f64_vec)
@@ -794,7 +790,7 @@ fn parse_query(v: &Json) -> Result<Query, &'static str> {
         None => 1,
         Some(k) => k.as_usize().ok_or("k must be a non-negative integer")?,
     };
-    Ok(Query::knn(point, k))
+    Ok(Query::knn(point, k).with_deadline(deadline))
 }
 
 // The Err is a ready-to-send error Reply, moved once straight to the
@@ -853,14 +849,14 @@ fn handle_query(shared: &Arc<Shared>, body: &[u8], deadline: Instant) -> Reply {
         Ok(v) => v,
         Err(r) => return r,
     };
-    let q = match parse_query(&v) {
+    let q = match parse_query(&v, deadline) {
         Ok(q) => q,
         Err(w) => return error_reply(400, "/query", w),
     };
     drop(parse_span);
     let handled = {
         let _span = nncell_obs::trace::child("server.handle");
-        shared.index.query_with_deadline(&q, Some(deadline))
+        shared.index.query(&q)
     };
     let mut reply = match handled {
         Ok(resp) => {
@@ -884,7 +880,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8], deadline: Instant) -> Reply {
     };
     let mut queries = Vec::with_capacity(items.len());
     for item in items {
-        match parse_query(item) {
+        match parse_query(item, deadline) {
             Ok(q) => queries.push(q),
             Err(w) => return error_reply(400, "/batch", w),
         }
@@ -892,7 +888,7 @@ fn handle_batch(shared: &Arc<Shared>, body: &[u8], deadline: Instant) -> Reply {
     let results = {
         let mut span = nncell_obs::trace::child("server.handle");
         span.arg("queries", queries.len() as u64);
-        shared.index.batch_with_deadline(&queries, Some(deadline))
+        shared.index.batch(&queries)
     };
     let _span = nncell_obs::trace::child("server.serialize");
     let mut out = String::from("{\"results\":[");
@@ -1004,12 +1000,6 @@ pub fn install_signal_handlers() {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
     }
-}
-
-/// Whether a shutdown signal has been observed (for embedders that run
-/// their own loop around [`Server::run`]).
-pub fn signal_received() -> bool {
-    SIGNAL_FLAG.load(Ordering::SeqCst)
 }
 
 #[cfg(test)]
