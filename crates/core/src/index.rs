@@ -457,52 +457,35 @@ fn point_tree_config(dim: usize, cfg: &BuildConfig) -> TreeConfig {
 /// dimensionality, data-space membership, duplicates (by `==` on every
 /// coordinate, as [`NnCellIndex::insert`] checks them). Under
 /// [`InputPolicy::Skip`] offenders are dropped and counted; ids are assigned
-/// to the survivors in input order. Returns the survivors' coordinates as
-/// row-major rows of `dim` and the skipped count.
-///
-/// Duplicates are found by sorting the valid points' ids by coordinates
-/// (ties by id), so equal points are adjacent and each run's first id is
-/// the first copy in input order, the one every later copy names. −0.0
-/// sorts as +0.0, the one pair of distinct values `==` equates (NaN is
-/// rejected before the sort). Nothing is allocated per point.
+/// to the survivors in input order; [`InputPolicy::Reject`] names the first
+/// offender in input order. Returns the survivors' coordinates as
+/// row-major rows of `dim` and the skipped count. Duplicates are found by
+/// hashing ([`mark_duplicates`]); nothing is allocated per point.
 pub(crate) fn validate_build_inputs(
     points: Vec<Point>,
     dim: usize,
     policy: InputPolicy,
 ) -> Result<(Vec<f64>, usize), BuildError> {
     let space = DataSpace::unit(dim);
-    let verdicts: Vec<Result<(), BuildError>> = points
+    // `usize::MAX` keeps a point; an invalid one is marked with its own id,
+    // a duplicate (below) with its first copy's.
+    let mut first: Vec<usize> = points
         .iter()
         .enumerate()
-        .map(|(id, p)| validate_point(p, id, dim, &space))
+        .map(|(id, p)| match validate_point(p, id, dim, &space) {
+            Ok(()) => usize::MAX,
+            Err(_) => id,
+        })
         .collect();
-    let mut order: Vec<usize> = (0..points.len())
-        .filter(|&id| verdicts[id].is_ok())
-        .collect();
-    // `+ 0.0` maps −0.0 to +0.0 and leaves every other value as it is.
-    let coords = |id: usize| points[id].as_slice().iter().map(|&c| c + 0.0);
-    let cmp_points = |a: usize, b: usize| {
-        coords(a)
-            .zip(coords(b))
-            .map(|(x, y)| x.total_cmp(&y))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    };
-    order.sort_unstable_by(|&a, &b| cmp_points(a, b).then(a.cmp(&b)));
-    // The first copy of each point that has one, by id (`usize::MAX`: none).
-    let mut first = vec![usize::MAX; points.len()];
-    for run in order.chunk_by(|&a, &b| cmp_points(a, b).is_eq()) {
-        for &dup in &run[1..] {
-            first[dup] = run[0];
-        }
-    }
-    let mut rows: Vec<f64> = Vec::with_capacity(order.len() * dim);
+    mark_duplicates(&points, &mut first, point_hash);
+    let mut rows = Vec::with_capacity(first.iter().filter(|&&f| f == usize::MAX).count() * dim);
     let mut skipped = 0usize;
-    for (id, (p, verdict)) in points.iter().zip(verdicts).enumerate() {
-        let verdict = verdict.and_then(|()| match first[id] {
+    for (id, p) in points.iter().enumerate() {
+        let verdict = match first[id] {
             usize::MAX => Ok(()),
+            of if of == id => validate_point(p, id, dim, &space),
             of => Err(BuildError::DuplicatePoint { id, of }),
-        });
+        };
         match (verdict, policy) {
             (Ok(()), _) => rows.extend_from_slice(p.as_slice()),
             (Err(e), InputPolicy::Reject) => return Err(e),
@@ -513,6 +496,41 @@ pub(crate) fn validate_build_inputs(
         return Err(BuildError::EmptyDatabase);
     }
     Ok((rows, skipped))
+}
+
+/// Marks each later copy of a point `first` keeps with its first copy's
+/// id: the `(hash, id)` pairs are sorted and each group of equal hash by
+/// coordinates, then id (even crafted collisions cost at most one sort of
+/// all points). `+ 0.0` maps −0.0 to +0.0, as `==` equates them; `hash` must too.
+fn mark_duplicates(points: &[Point], first: &mut [usize], hash: impl Fn(&[f64]) -> u64) {
+    let mut keyed: Vec<(u64, usize)> = (0..points.len())
+        .filter(|&id| first[id] == usize::MAX)
+        .map(|id| (hash(points[id].as_slice()), id))
+        .collect();
+    keyed.sort_unstable();
+    let coords = |id: usize| points[id].as_slice().iter().map(|&c| c + 0.0);
+    let cmp_points = |a: usize, b: usize| {
+        coords(a)
+            .zip(coords(b))
+            .map(|(x, y)| x.total_cmp(&y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    for group in keyed.chunk_by_mut(|a, b| a.0 == b.0) {
+        group.sort_unstable_by(|a, b| cmp_points(a.1, b.1).then(a.1.cmp(&b.1)));
+        for run in group.chunk_by(|a, b| cmp_points(a.1, b.1).is_eq()) {
+            for &(_, dup) in &run[1..] {
+                first[dup] = run[0].1;
+            }
+        }
+    }
+}
+
+/// A hash of a point's coordinate bits, −0.0 read as +0.0.
+fn point_hash(p: &[f64]) -> u64 {
+    p.iter().fold(0, |h: u64, &c| {
+        (h.rotate_left(5) ^ (c + 0.0).to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 /// Validates one input point (dimensionality, finiteness, data-space
@@ -833,6 +851,177 @@ mod tests {
         let idx = NnCellIndex::build(pts, cfg(InputPolicy::Skip)).unwrap();
         assert_eq!(idx.build_stats().skipped_points, 2);
         assert_eq!(idx.len(), 12);
+    }
+
+    /// Points on the lattice `{0, ¼, ½, ¾}^d` (each zero drawn as −0.0
+    /// half the time), so most points have copies, with a NaN point every
+    /// 13th and an out-of-space point every 17th.
+    fn faulty_lattice(n: usize, d: usize, seed: u64) -> Vec<Point> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let mut c: Vec<f64> = (0..d)
+                    .map(|_| match rng.gen_range(0..5u32) {
+                        0 => -0.0,
+                        k => f64::from(k - 1) / 4.0,
+                    })
+                    .collect();
+                if i % 13 == 12 {
+                    c[0] = f64::NAN;
+                } else if i % 17 == 16 {
+                    c[d - 1] = 1.5;
+                }
+                Point::new(c)
+            })
+            .collect()
+    }
+
+    /// The `first` column of `validate_build_inputs` before duplicates.
+    fn validity(points: &[Point], dim: usize) -> Vec<usize> {
+        let space = DataSpace::unit(dim);
+        let valid = |(id, p): (usize, &Point)| validate_point(p, id, dim, &space).is_ok();
+        points
+            .iter()
+            .enumerate()
+            .map(|(id, p)| if valid((id, p)) { usize::MAX } else { id })
+            .collect()
+    }
+
+    /// The sort the hashed check replaced: every kept id by coordinates
+    /// (−0.0 as +0.0), then id, and each run's later ids name its first.
+    fn sorted_firsts(points: &[Point], first: &[usize]) -> Vec<usize> {
+        let coords =
+            |id: usize| -> Vec<f64> { points[id].as_slice().iter().map(|&c| c + 0.0).collect() };
+        let cmp = |a: usize, b: usize| {
+            let (a, b) = (coords(a), coords(b));
+            a.iter()
+                .zip(&b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
+        let mut order: Vec<usize> = (0..points.len())
+            .filter(|&id| first[id] == usize::MAX)
+            .collect();
+        order.sort_by(|&a, &b| cmp(a, b).then(a.cmp(&b)));
+        let mut want = first.to_vec();
+        for run in order.chunk_by(|&a, &b| cmp(a, b).is_eq()) {
+            for &dup in &run[1..] {
+                want[dup] = run[0];
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn hashed_duplicates_name_the_first_copy_as_the_sort_did() {
+        let hashes: [fn(&[f64]) -> u64; 2] = [point_hash, |_| 0];
+        for (n, d, seed) in [(300, 1, 1), (400, 2, 2), (500, 3, 3), (300, 8, 4)] {
+            let pts = faulty_lattice(n, d, seed);
+            let valid = validity(&pts, d);
+            let want = sorted_firsts(&pts, &valid);
+            assert!(want
+                .iter()
+                .enumerate()
+                .any(|(id, &f)| f != usize::MAX && f != id));
+            // The constant hash puts every point in one group.
+            for hash in hashes {
+                let mut first = valid.clone();
+                mark_duplicates(&pts, &mut first, hash);
+                assert_eq!(first, want, "n = {n}, d = {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_are_one_coordinate_under_either_hash() {
+        let pts = vec![
+            Point::new(vec![0.0, -0.0, 0.5]),
+            Point::new(vec![0.25, 0.0, 0.5]),
+            Point::new(vec![-0.0, 0.0, 0.5]),
+            Point::new(vec![0.25, -0.0, 0.5]),
+        ];
+        assert_eq!(point_hash(pts[0].as_slice()), point_hash(pts[2].as_slice()));
+        let hashes: [fn(&[f64]) -> u64; 2] = [point_hash, |_| 0];
+        for hash in hashes {
+            let mut first = vec![usize::MAX; 4];
+            mark_duplicates(&pts, &mut first, hash);
+            assert_eq!(first, [usize::MAX, usize::MAX, 0, 1]);
+        }
+    }
+
+    #[test]
+    fn reject_names_the_first_fault_by_input_position() {
+        use crate::config::InputPolicy;
+        let (a, b) = (vec![0.5, 0.25], vec![0.75, 0.0]);
+        let p = |c: &[f64]| Point::new(c.to_vec());
+        let nan = p(&[f64::NAN, 0.5]);
+        let far = p(&[0.5, 1.5]);
+        let cases = [
+            (
+                vec![p(&a), p(&b), nan.clone(), p(&a), far.clone(), p(&b)],
+                "NonFinitePoint { id: 2 }",
+            ),
+            (
+                vec![p(&a), p(&b), p(&b), nan.clone(), p(&a)],
+                "DuplicatePoint { id: 2, of: 1 }",
+            ),
+            (
+                vec![p(&a), far.clone(), p(&a), nan.clone()],
+                "OutOfDataSpace { id: 1 }",
+            ),
+            (
+                vec![nan.clone(), p(&b), far, p(&b)],
+                "NonFinitePoint { id: 0 }",
+            ),
+            (
+                vec![p(&b), p(&a), nan, p(&[0.75, -0.0])],
+                "NonFinitePoint { id: 2 }",
+            ),
+        ];
+        for (pts, want) in cases {
+            let got = validate_build_inputs(pts, 2, InputPolicy::Reject).unwrap_err();
+            assert_eq!(format!("{got:?}"), want);
+        }
+        // On the lattice: the first fault is the first invalid point or
+        // the first later copy of a point, whichever comes first.
+        for (n, d, seed) in [(300, 1, 5), (400, 2, 6), (300, 8, 7)] {
+            let pts = faulty_lattice(n, d, seed);
+            let want = sorted_firsts(&pts, &validity(&pts, d));
+            let id = (0..n).find(|&id| want[id] != usize::MAX).unwrap();
+            let got = validate_build_inputs(pts.clone(), d, InputPolicy::Reject).unwrap_err();
+            match got {
+                BuildError::DuplicatePoint { id: at, of } => assert_eq!((at, of), (id, want[id])),
+                BuildError::NonFinitePoint { id: at } | BuildError::OutOfDataSpace { id: at } => {
+                    assert_eq!((at, want[id]), (id, id));
+                }
+                e => panic!("unexpected {e:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn skip_drops_every_fault_and_keeps_first_copies_in_input_order() {
+        use crate::config::InputPolicy;
+        for (n, d, seed) in [(300, 1, 8), (400, 2, 9), (500, 3, 10), (300, 8, 11)] {
+            let pts = faulty_lattice(n, d, seed);
+            let mut seen = std::collections::HashSet::new();
+            let kept: Vec<f64> = pts
+                .iter()
+                .filter(|p| {
+                    let c = p.as_slice();
+                    c.iter().all(|x| (0.0..=1.0).contains(x))
+                        && seen.insert(c.iter().map(|&x| (x + 0.0).to_bits()).collect::<Vec<_>>())
+                })
+                .flat_map(|p| p.as_slice().to_vec())
+                .collect();
+            let (rows, skipped) = validate_build_inputs(pts, d, InputPolicy::Skip).unwrap();
+            assert_eq!(skipped, n - kept.len() / d, "n = {n}, d = {d}");
+            assert_eq!(
+                rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                kept.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! tree's leaf blocks and its slot column is one array, so cloning a shard
 //! allocates per tree page, not per point. The last pins build and load
 //! by count: both bulk-load the point tree straight from flat rows, so
-//! neither allocates per point. The linear-scan oracle is
+//! neither allocates per point; their bytes are pinned too, below what
+//! the sorting STR and the sorted duplicate check allocated. The
+//! linear-scan oracle is
 //! pinned too: one `linear_scan_knn` call allocates once, its answer,
 //! sized `min(k, n)`, never a buffer of all n distances.
 //!
@@ -572,6 +574,50 @@ fn build_and_load_make_no_per_point_allocation() {
     assert!(
         load_allocs < (N / 4) as u64,
         "loading {N} points made {load_allocs} allocations: a per-point copy is back"
+    );
+}
+
+#[test]
+fn build_and_load_allocate_no_more_bytes_than_sorting_str() {
+    let cfg = BuildConfig::builder()
+        .strategy(Strategy::Sphere)
+        .seed(7)
+        .build();
+    let points = distinct_points(8000);
+    let mut built = None;
+    // Counted on this thread: validation, the shard split and assembly;
+    // each shard bulk-loads on a thread of its own.
+    let (build_allocs, build_bytes) = measure(|| {
+        built = Some(ShardedIndex::build(points, 2, cfg.clone()).unwrap());
+    });
+    assert_eq!(built.unwrap().len(), 8000);
+    // The sorted duplicate check made 48 allocations of 1,543,664 bytes
+    // here, a per-point verdict column among them; the hashed check
+    // makes 47 of 1,417,200. A scratch copy of every coordinate would
+    // add 512,000. (Under `--nocapture` the harness hands the two shard
+    // threads no output capture: 4 allocations and 144 bytes fewer.)
+    assert!(
+        build_allocs <= 47 && build_bytes <= 1_543_664,
+        "a sharded build of 8000 points made {build_allocs} allocations of \
+         {build_bytes} bytes: is a per-point or per-coordinate buffer back?"
+    );
+    let idx = NnCellIndex::build(distinct_points(4000), cfg).unwrap();
+    let vfs = FaultVfs::new(FaultSchedule::none(1));
+    let path = std::path::Path::new("bytes.nncell");
+    idx.save_with_vfs(&vfs, path).unwrap();
+    let mut loaded = None;
+    let (load_allocs, load_bytes) = measure(|| {
+        loaded = Some(NnCellIndex::load_with_vfs(&vfs, path).unwrap());
+    });
+    assert_eq!(loaded.unwrap().len(), 4000);
+    // Sorting STR copied the ids, and stable sorts took buffers: 655
+    // allocations of 1,071,224 bytes. Tiling by selection permutes
+    // `(f32 key, u32 position)` pairs in place: 649 of 971,192. A key
+    // copy of every coordinate would add 256,000.
+    assert!(
+        load_allocs <= 649 && load_bytes <= 1_071_224,
+        "loading 4000 points made {load_allocs} allocations of {load_bytes} bytes: \
+         is a per-point or per-coordinate buffer back?"
     );
 }
 

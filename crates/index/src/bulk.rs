@@ -2,15 +2,24 @@
 //!
 //! Building a tree by repeated insertion costs `O(N log N)` page touches and
 //! produces overlap that queries pay for forever. STR packing (Leutenegger
-//! et al., ICDE 1997 — contemporary with the paper) sorts the entries into
+//! et al., ICDE 1997 — contemporary with the paper) cuts the entries into
 //! `⌈N/c⌉^(1/d)` vertical slices per dimension, recursively, and emits fully
 //! packed, near-overlap-free leaves bottom-up. Both tree flavours accept the
 //! result; the overflow policy only matters for later dynamic inserts.
+//!
+//! Each level cuts its slices by selection (`select_nth_unstable` per cut,
+//! O(n log slices)), and only each emitted tile of ≤ c is sorted, in the
+//! order a stable sort per axis leaves: the level's axis key, the earlier
+//! axes' keys from last to first, then input position. It permutes
+//! `(f32 key, u32 position)` pairs, re-keyed per level, not the entries;
+//! rounding keeps the order (`x < y` ⇒ `x as f32 ≤ y as f32`), so only a
+//! tie of the pairs reads the exact keys.
 
 use crate::config::TreeConfig;
 use crate::node::{BoxRef, ItemId, PageId};
 use crate::tree::Tree;
 use nncell_geom::Mbr;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Bulk-loads box `items` into a fresh box-leaf tree with STR packing.
@@ -36,17 +45,15 @@ pub fn bulk_load(cfg: TreeConfig, items: Vec<(Mbr, ItemId)>, fill: f64) -> Tree 
     }
     let (leaf_cap, dir_cap) = capacities(&cfg, fill);
     let mut tree = Tree::new(cfg);
-    let mut items = items;
-    let tiles = str_tiles(&mut items, dim, leaf_cap, box_center);
-    let leaves = pack_boxes(&mut tree, 0, &items, tiles);
+    let leaves = pack_boxes(&mut tree, 0, &items, leaf_cap);
     pack_directory(tree, leaves, dir_cap)
 }
 
 /// Bulk-loads the points `ids` of a row-major point set into a fresh
 /// point-leaf tree with STR packing: point `id` is
 /// `rows[id·d..(id+1)·d]`, and the rows of ids not listed (removed slots)
-/// are never read. The packing sorts the ids by the same keys
-/// [`bulk_load`] sorts a point's box by (ties keep the order of `ids`)
+/// are never read. The packing orders the ids by the same keys
+/// [`bulk_load`] orders a point's box by (ties keep the order of `ids`)
 /// and writes each leaf's dimension-major block straight from the rows,
 /// so no point is copied into a box of its own. The tree's slot column
 /// spans every row: [`Tree::slots`] is `rows.len() / d`, and a row not
@@ -67,17 +74,19 @@ pub fn bulk_load_rows(cfg: TreeConfig, rows: &[f64], ids: &[ItemId], fill: f64) 
         return tree;
     }
     let point = |id: ItemId| &rows[id as usize * dim..(id as usize + 1) * dim];
-    let mut order = ids.to_vec();
-    // A point's box center key is `x + x`, as `box_center` keys `lo + hi`.
-    let tiles = str_tiles(&mut order, dim, leaf_cap, |&id, axis| {
-        let x = point(id)[axis];
+    // A point's box center key is `x + x`, as a box's is `lo + hi`.
+    let (order, tiles) = str_tiles(ids.len(), dim, leaf_cap, |at, axis| {
+        let x = point(ids[at])[axis];
         x + x
     });
     let leaves = tiles
         .into_iter()
         .map(|tile| {
             let mut node = tree.empty_node(0);
-            node.set_points(order[tile].iter().map(|&id| (point(id), id)));
+            node.set_points(order[tile].iter().map(|&(_, at)| {
+                let id = ids[at as usize];
+                (point(id), id)
+            }));
             adopt(&mut tree, node)
         })
         .collect();
@@ -95,11 +104,9 @@ fn capacities(cfg: &TreeConfig, fill: f64) -> (usize, usize) {
 /// Packs the `(box, page)` pairs of each level into the level above until
 /// one root remains, and installs it.
 fn pack_directory(mut tree: Tree, mut level_nodes: Vec<(Mbr, u64)>, dir_cap: usize) -> Tree {
-    let dim = tree.config().dim;
     let mut level = 1u32;
     while level_nodes.len() > 1 {
-        let tiles = str_tiles(&mut level_nodes, dim, dir_cap, box_center);
-        level_nodes = pack_boxes(&mut tree, level, &level_nodes, tiles);
+        level_nodes = pack_boxes(&mut tree, level, &level_nodes, dir_cap);
         level += 1;
     }
     let (_, root) = level_nodes.pop().expect("exactly one root");
@@ -107,19 +114,21 @@ fn pack_directory(mut tree: Tree, mut level_nodes: Vec<(Mbr, u64)>, dir_cap: usi
     tree
 }
 
-/// Writes each tile of `entries` into a fresh node at `level`; returns
-/// each node's bounding box and page id (as a directory payload).
-fn pack_boxes(
-    tree: &mut Tree,
-    level: u32,
-    entries: &[(Mbr, u64)],
-    tiles: Vec<Range<usize>>,
-) -> Vec<(Mbr, u64)> {
+/// Tiles the `(box, payload)` `entries` by STR on their box centers and
+/// writes each tile of at most `cap` into a fresh node at `level`;
+/// returns each node's bounding box and page id (as a directory payload).
+fn pack_boxes(tree: &mut Tree, level: u32, entries: &[(Mbr, u64)], cap: usize) -> Vec<(Mbr, u64)> {
+    let dim = tree.config().dim;
+    let (order, tiles) = str_tiles(entries.len(), dim, cap, |at, axis| {
+        let m = &entries[at].0;
+        m.lo()[axis] + m.hi()[axis]
+    });
     tiles
         .into_iter()
         .map(|tile| {
             let mut node = tree.empty_node(level);
-            for (m, payload) in &entries[tile] {
+            for &(_, at) in &order[tile] {
+                let (m, payload) = &entries[at as usize];
                 node.push(BoxRef::of(m), *payload);
             }
             adopt(tree, node)
@@ -133,76 +142,90 @@ fn adopt(tree: &mut Tree, node: crate::node::Node) -> (Mbr, u64) {
     (mbr, tree.adopt_node(node).0 as u64)
 }
 
-/// The STR sort key of a box along `axis`: its center, doubled.
-fn box_center(e: &(Mbr, u64), axis: usize) -> f64 {
-    e.0.lo()[axis] + e.0.hi()[axis]
-}
-
-/// Sort-Tile-Recursive tiling of `entries` in place: slice along the
-/// first dimension into `⌈(N/c)^(1/d)⌉` runs by `key`, recurse on the
-/// remaining dimensions, and return the runs of ≤ `cap` entries as ranges
-/// of the reordered slice, in order.
-fn str_tiles<T>(
-    entries: &mut [T],
+/// STR tiling of the `n` entries keyed `key(position, axis)`: returns
+/// their positions in tile order (each beside its last rounded key) and
+/// the tiles of ≤ `cap` as ranges of it, in order.
+fn str_tiles(
+    n: usize,
     dim: usize,
     cap: usize,
-    key: impl Fn(&T, usize) -> f64,
-) -> Vec<Range<usize>> {
-    let mut out = Vec::with_capacity(entries.len().div_ceil(cap));
-    if dim <= 1 && entries.len() > cap {
-        sort_by_axis(entries, 0, &key);
-        push_chunks(0, entries.len(), cap, &mut out);
+    key: impl Fn(usize, usize) -> f64,
+) -> (Vec<(f32, u32)>, Vec<Range<usize>>) {
+    let n = u32::try_from(n).expect("STR tiles at most u32::MAX entries");
+    let mut order: Vec<(f32, u32)> = (0..n).map(|at| (0.0, at)).collect();
+    let mut out = Vec::with_capacity(order.len().div_ceil(cap));
+    if order.len() <= cap {
+        out.push(0..order.len());
     } else {
-        tile(entries, 0, dim, cap, 0, dim, &key, &mut out);
+        tile(&mut order, 0, 0, dim.max(1), cap, &key, &mut out);
     }
-    out
+    (order, out)
 }
 
-/// One level of the STR recursion over `entries`, which start at
-/// `offset` of the whole slice: slice along `axis`, then recurse along
-/// the next one with one dimension fewer left.
-#[allow(clippy::too_many_arguments)]
-fn tile<T>(
-    entries: &mut [T],
+/// One STR level over the `> cap` entries of `order`, at `offset` of the
+/// whole: key them along `axis`, cut `⌈(N/c)^(1/dims_left)⌉` slices (runs
+/// of `cap` in one dimension) by rank, and recurse into each slice along
+/// the next axis, or sort and emit it if it fits a node or `axis` is last.
+fn tile(
+    order: &mut [(f32, u32)],
     offset: usize,
-    dims_left: usize,
-    cap: usize,
     axis: usize,
     dim: usize,
-    key: &impl Fn(&T, usize) -> f64,
+    cap: usize,
+    key: &impl Fn(usize, usize) -> f64,
     out: &mut Vec<Range<usize>>,
 ) {
-    let n = entries.len();
-    if n <= cap {
-        out.push(offset..offset + n);
-        return;
+    let n = order.len();
+    let per = if dim == 1 {
+        cap
+    } else {
+        let n_groups = (n as f64 / cap as f64).ceil();
+        let slices = n_groups.powf(1.0 / (dim - axis) as f64).ceil() as usize;
+        n.div_ceil(slices.max(1))
+    };
+    for e in order.iter_mut() {
+        e.0 = key(e.1 as usize, axis) as f32;
     }
-    if dims_left == 0 || axis >= dim {
-        push_chunks(offset, n, cap, out);
-        return;
-    }
-    let n_groups = (n as f64 / cap as f64).ceil();
-    let slices = n_groups.powf(1.0 / dims_left as f64).ceil() as usize;
-    sort_by_axis(entries, axis, key);
-    let per_slice = n.div_ceil(slices.max(1));
-    for (s, slice) in entries.chunks_mut(per_slice).enumerate() {
-        let at = offset + s * per_slice;
-        tile(slice, at, dims_left - 1, cap, axis + 1, dim, key, out);
+    let cmp = |a: &(f32, u32), b: &(f32, u32)| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| str_order(key, axis, a.1 as usize, b.1 as usize))
+    };
+    select_runs(order, per, &cmp);
+    for (s, run) in order.chunks_mut(per).enumerate() {
+        let start = offset + s * per;
+        if run.len() > cap && axis + 1 < dim {
+            tile(run, start, axis + 1, dim, cap, key, out);
+        } else {
+            run.sort_unstable_by(cmp);
+            for s in (0..run.len()).step_by(cap) {
+                out.push(start + s..start + (s + cap).min(run.len()));
+            }
+        }
     }
 }
 
-/// Consecutive runs of at most `cap` of the `n` entries at `offset`.
-fn push_chunks(offset: usize, n: usize, cap: usize, out: &mut Vec<Range<usize>>) {
-    out.extend(
-        (0..n)
-            .step_by(cap)
-            .map(|s| offset + s..offset + (s + cap).min(n)),
-    );
+/// Reorders `order` so each consecutive run of `per` holds the next `per`
+/// entries by `cmp`, unordered within: O(n log(n/per)) comparisons.
+fn select_runs<T>(order: &mut [T], per: usize, cmp: &impl Fn(&T, &T) -> Ordering) {
+    let runs = order.len().div_ceil(per);
+    if runs < 2 {
+        return;
+    }
+    let cut = runs / 2 * per;
+    order.select_nth_unstable_by(cut, cmp);
+    let (lo, hi) = order.split_at_mut(cut);
+    select_runs(lo, per, cmp);
+    select_runs(hi, per, cmp);
 }
 
-/// A stable sort by `key` along `axis`.
-fn sort_by_axis<T>(entries: &mut [T], axis: usize, key: &impl Fn(&T, usize) -> f64) {
-    entries.sort_by(|a, b| key(a, axis).total_cmp(&key(b, axis)));
+/// The STR order at the level of `axis` of the entries at positions `a`
+/// and `b`: their keys from `axis` back to the first axis, then positions.
+fn str_order(key: &impl Fn(usize, usize) -> f64, axis: usize, a: usize, b: usize) -> Ordering {
+    (0..=axis)
+        .rev()
+        .map(|j| key(a, j).total_cmp(&key(b, j)))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a.cmp(&b))
 }
 
 #[cfg(test)]
@@ -375,5 +398,161 @@ mod tests {
     fn bulk_load_rejects_point_leaves() {
         let cfg = TreeConfig::rstar(2).with_point_leaves(true);
         let _ = bulk_load(cfg, vec![(Mbr::from_point(&[0.5, 0.5]), 0)], 1.0);
+    }
+
+    /// The sorting STR the selection replaced, kept as the oracle of its
+    /// tiles: stable-sort each slice by `key` along its axis, cut it into
+    /// `⌈(N/c)^(1/d)⌉` runs and recurse, all on the entries in place.
+    fn sorted_str_tiles<T>(
+        entries: &mut [T],
+        dim: usize,
+        cap: usize,
+        key: impl Fn(&T, usize) -> f64,
+    ) -> Vec<Range<usize>> {
+        let mut out = Vec::new();
+        if dim <= 1 && entries.len() > cap {
+            sort_by_axis(entries, 0, &key);
+            push_chunks(0, entries.len(), cap, &mut out);
+        } else {
+            sorted_tile(entries, 0, dim, cap, 0, &key, &mut out);
+        }
+        out
+    }
+
+    fn sorted_tile<T>(
+        entries: &mut [T],
+        offset: usize,
+        dims_left: usize,
+        cap: usize,
+        axis: usize,
+        key: &impl Fn(&T, usize) -> f64,
+        out: &mut Vec<Range<usize>>,
+    ) {
+        let n = entries.len();
+        if n <= cap {
+            out.push(offset..offset + n);
+            return;
+        }
+        if dims_left == 0 {
+            push_chunks(offset, n, cap, out);
+            return;
+        }
+        let n_groups = (n as f64 / cap as f64).ceil();
+        let slices = n_groups.powf(1.0 / dims_left as f64).ceil() as usize;
+        sort_by_axis(entries, axis, key);
+        let per_slice = n.div_ceil(slices.max(1));
+        for (s, slice) in entries.chunks_mut(per_slice).enumerate() {
+            let at = offset + s * per_slice;
+            sorted_tile(slice, at, dims_left - 1, cap, axis + 1, key, out);
+        }
+    }
+
+    fn push_chunks(offset: usize, n: usize, cap: usize, out: &mut Vec<Range<usize>>) {
+        out.extend(
+            (0..n)
+                .step_by(cap)
+                .map(|s| offset + s..offset + (s + cap).min(n)),
+        );
+    }
+
+    fn sort_by_axis<T>(entries: &mut [T], axis: usize, key: &impl Fn(&T, usize) -> f64) {
+        entries.sort_by(|a, b| key(a, axis).total_cmp(&key(b, axis)));
+    }
+
+    /// `n` rows of `d` coordinates of `kind` 0: uniform in `[0, 1)`; 1: on
+    /// the 4 values `{¼, ½, ¾, 1}` per axis, so most keys tie; 2: those
+    /// values moved by less than an `f32` step, so most rounded keys tie
+    /// and the exact keys differ.
+    fn test_rows(n: usize, d: usize, kind: u32, rng: &mut SmallRng) -> Vec<f64> {
+        (0..n * d)
+            .map(|_| match kind {
+                0 => rng.gen_range(0.0..1.0),
+                _ => {
+                    let x = f64::from(rng.gen_range(0..4u32)) / 4.0 + 0.25;
+                    x + f64::from(kind - 1) * rng.gen_range(0.0..1e-9)
+                }
+            })
+            .collect()
+    }
+
+    /// The largest number of slices any level of the STR recursion cuts
+    /// `n` entries into.
+    fn widest_cut(n: usize, dim: usize, cap: usize) -> usize {
+        if n <= cap || dim <= 1 {
+            return n.div_ceil(cap);
+        }
+        let slices = ((n as f64 / cap as f64).ceil())
+            .powf(1.0 / dim as f64)
+            .ceil() as usize;
+        slices.max(widest_cut(n.div_ceil(slices), dim - 1, cap))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The selection tiles as the sorting STR did: the same ranges,
+        /// and the same entries in the same order, for the point loader's
+        /// keys over shuffled ids and the box loader's over boxes.
+        #[test]
+        fn selection_tiles_match_sorting_str(
+            d in 1usize..=9,
+            cap in 2usize..=64,
+            n in 1usize..=3000,
+            kind in 0u32..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::seq::SliceRandom;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Every other slot of twice as many rows, in shuffled order.
+            let rows = test_rows(2 * n, d, kind, &mut rng);
+            let mut ids: Vec<ItemId> = (0..2 * n as ItemId).step_by(2).collect();
+            ids.shuffle(&mut rng);
+            let coord = |id: ItemId, axis: usize| rows[id as usize * d + axis];
+
+            let (order, tiles) = str_tiles(n, d, cap, |at, axis| {
+                let x = coord(ids[at], axis);
+                x + x
+            });
+            let mut want = ids.clone();
+            let want_tiles = sorted_str_tiles(&mut want, d, cap, |&id, axis| {
+                let x = coord(id, axis);
+                x + x
+            });
+            let got: Vec<ItemId> = order.iter().map(|&(_, at)| ids[at as usize]).collect();
+            prop_assert_eq!(&tiles, &want_tiles, "point tiles, d = {}, cap = {}, n = {}", d, cap, n);
+            prop_assert_eq!(&got, &want, "point order, d = {}, cap = {}, n = {}", d, cap, n);
+
+            // Boxes of lattice widths, so box centers tie as well.
+            let items: Vec<(Mbr, u64)> = ids
+                .iter()
+                .map(|&id| {
+                    let lo: Vec<f64> = (0..d).map(|j| coord(id, j)).collect();
+                    let hi: Vec<f64> = lo.iter().map(|x| x + f64::from(id as u32 % 3) / 8.0).collect();
+                    (Mbr::new(lo, hi), id)
+                })
+                .collect();
+            let (order, tiles) = str_tiles(n, d, cap, |at, axis| {
+                let m = &items[at].0;
+                m.lo()[axis] + m.hi()[axis]
+            });
+            let mut want = items.clone();
+            let want_tiles =
+                sorted_str_tiles(&mut want, d, cap, |e, axis| e.0.lo()[axis] + e.0.hi()[axis]);
+            let got: Vec<u64> = order.iter().map(|&(_, at)| items[at as usize].1).collect();
+            let want: Vec<u64> = want.iter().map(|e| e.1).collect();
+            prop_assert_eq!(&tiles, &want_tiles, "box tiles, d = {}, cap = {}, n = {}", d, cap, n);
+            prop_assert_eq!(&got, &want, "box order, d = {}, cap = {}, n = {}", d, cap, n);
+        }
+    }
+
+    /// The sizes the property above draws reach levels cut into more than
+    /// two slices in every dimensionality it draws.
+    #[test]
+    fn the_tiling_property_reaches_wide_cuts() {
+        for d in 1..=9 {
+            assert!(widest_cut(3000, d, 2) > 2, "d = {d}");
+        }
     }
 }

@@ -508,20 +508,18 @@ impl Tree {
         // enlargement.
         const CANDIDATE_CAP: usize = 32;
         let len = n.len();
-        let mut order: Vec<usize> = (0..len).collect();
+        // Each entry's area enlargement, computed once.
+        let mut order: Vec<(f64, usize)> =
+            (0..len).map(|i| (n.rect(i).enlargement(b), i)).collect();
         if len > CANDIDATE_CAP {
-            order.sort_by(|&x, &y| {
-                let ex = n.rect(x).enlargement(b);
-                let ey = n.rect(y).enlargement(b);
-                ex.partial_cmp(&ey).unwrap_or(Ordering::Equal)
-            });
+            order.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(Ordering::Equal));
             order.truncate(CANDIDATE_CAP);
         }
         let d = self.cfg.dim;
         let mut grown_row = vec![0.0; 2 * d];
-        let mut best = order[0];
+        let mut best = order[0].1;
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for &i in &order {
+        for &(enlargement, i) in &order {
             let e = n.rect(i);
             e.union_into(b, &mut grown_row);
             let (lo, hi) = grown_row.split_at(d);
@@ -537,7 +535,7 @@ impl Tree {
                 overlap_after += grown.overlap_volume(f);
             }
             self.cost.cpu(len as u64);
-            let key = (overlap_after - overlap_before, e.enlargement(b), e.volume());
+            let key = (overlap_after - overlap_before, enlargement, e.volume());
             if key < best_key {
                 best = i;
                 best_key = key;
@@ -1707,6 +1705,82 @@ mod tests {
         ids.iter()
             .enumerate()
             .map(move |(i, &id)| (id, (0..d).map(|j| block[j * m + i]).collect()))
+    }
+
+    /// `pick_min_overlap_enlargement` as it was, computing each
+    /// enlargement inside the sort's comparator and again for the key.
+    fn pick_by_comparator(n: &Node, b: BoxRef<'_>, d: usize) -> usize {
+        let len = n.len();
+        let mut order: Vec<usize> = (0..len).collect();
+        if len > 32 {
+            order.sort_by(|&x, &y| {
+                let ex = n.rect(x).enlargement(b);
+                let ey = n.rect(y).enlargement(b);
+                ex.partial_cmp(&ey).unwrap_or(Ordering::Equal)
+            });
+            order.truncate(32);
+        }
+        let mut grown_row = vec![0.0; 2 * d];
+        let mut best = order[0];
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for &i in &order {
+            let e = n.rect(i);
+            e.union_into(b, &mut grown_row);
+            let (lo, hi) = grown_row.split_at(d);
+            let grown = BoxRef { lo, hi };
+            let (mut before, mut after) = (0.0, 0.0);
+            for j in (0..len).filter(|&j| j != i) {
+                before += e.overlap_volume(n.rect(j));
+                after += grown.overlap_volume(n.rect(j));
+            }
+            let key = (after - before, e.enlargement(b), e.volume());
+            if key < best_key {
+                best = i;
+                best_key = key;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn min_overlap_choice_matches_the_comparator_it_replaced() {
+        const D: usize = 4;
+        let tree = Tree::new(TreeConfig::rstar(D));
+        let mut rng = SmallRng::seed_from_u64(31);
+        // Lattice boxes, so enlargements, overlaps and volumes tie often.
+        let mut on_lattice = |steps: u32| -> Vec<f64> {
+            (0..D)
+                .map(|_| f64::from(rng.gen_range(0..steps)) / 4.0)
+                .collect()
+        };
+        let mut ties = 0;
+        for round in 0..200 {
+            let len = 33 + round % 60;
+            let mut node = tree.empty_node(1);
+            for c in 0..len {
+                let lo = on_lattice(3);
+                let hi: Vec<f64> = lo.iter().zip(on_lattice(3)).map(|(l, w)| l + w).collect();
+                node.push(BoxRef::of(&Mbr::new(lo, hi)), c as u64);
+            }
+            let p = on_lattice(4);
+            let b = BoxRef { lo: &p, hi: &p };
+            let want = pick_by_comparator(&node, b, D);
+            assert_eq!(
+                tree.pick_min_overlap_enlargement(&node, b),
+                want,
+                "round {round}"
+            );
+            let least = (0..len)
+                .map(|i| node.rect(i).enlargement(b))
+                .fold(f64::INFINITY, f64::min);
+            ties += usize::from(
+                (0..len)
+                    .filter(|&i| node.rect(i).enlargement(b) == least)
+                    .count()
+                    > 1,
+            );
+        }
+        assert!(ties > 50, "only {ties} rounds tie on the least enlargement");
     }
 
     fn build(policy: SplitPolicy, pts: &[Vec<f64>]) -> Tree {
