@@ -4,7 +4,7 @@
 # The clippy step denies warnings on the crates that carry the
 # panic-free contract (`nncell-obs`, `nncell-lp`, `nncell-core`,
 # including the `vfs`/`wal`/`durable`/`memtable` modules and the fold
-# machinery in `shard`); their crate-level `#![warn(clippy::unwrap_used)]`
+# machinery in `shard`, and `nncell-cells`); their crate-level `#![warn(clippy::unwrap_used)]`
 # is promoted to an error here, so an `unwrap()` in library code fails
 # the gate while tests stay exempt. A second clippy step denies every
 # other warning in every target of the workspace (tests, benches, examples
@@ -40,7 +40,20 @@ cargo test -q -p nncell-cli --test server_e2e
 cargo test -q -p nncell-server
 
 echo "== clippy (panic-free library crates) =="
-cargo clippy -p nncell-obs -p nncell-lp -p nncell-core -p nncell-server -p nncell-index --lib -- -D warnings -D clippy::unwrap_used
+cargo clippy -p nncell-obs -p nncell-lp -p nncell-core -p nncell-cells -p nncell-server -p nncell-index --lib -- -D warnings -D clippy::unwrap_used
+
+echo "== serving dependency gate (the server and the CLI do not link nncell-cells) =="
+# The paper's NN-cells are a structure for experiments: the figure
+# benches, the examples and the tests build them on demand. Nothing on
+# the serving path may depend on them.
+for pkg in nncell-server nncell-cli; do
+    deps=$(cargo tree --offline -e normal -p "$pkg")
+    if grep -q "nncell-cells" <<<"$deps"; then
+        echo "serving dependency gate: $pkg depends on nncell-cells" >&2
+        exit 1
+    fi
+    echo "$pkg: no nncell-cells dependency"
+done
 
 echo "== clippy (every workspace target: tests, benches, examples, binaries) =="
 # Every target of every member, warnings denied; `unwrap()` stays allowed

@@ -28,12 +28,12 @@ fn main() {
         .iter()
         .flat_map(|p| p.as_slice().iter().copied())
         .collect();
-    let ids: Vec<u64> = (0..n as u64).collect();
+    let alive = vec![true; n];
 
     let cfg = TreeConfig::rstar(d).with_point_leaves(true);
     let mut rows = Vec::new();
 
-    let (bulk, t_bulk) = timed(|| bulk_load_rows(cfg.clone(), &flat, &ids, 1.0));
+    let (bulk, t_bulk) = timed(|| bulk_load_rows(cfg.clone(), &flat, &alive, 1.0));
     let (incr, t_incr) = timed(|| {
         let mut t = Tree::new(cfg.clone());
         for (m, id) in items.clone() {

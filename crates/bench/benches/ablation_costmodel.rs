@@ -8,7 +8,8 @@
 //! never searches a neighborhood.
 
 use nncell_bench::{as_queries, cell_nn_run, env_dims, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::costmodel::{expected_access_fraction, expected_nn_distance};
 use nncell_index::{RStarTree, XTree};

@@ -4,9 +4,9 @@
 //!
 //! Sweeps `decompose_pieces ∈ {1, 2, 4, 8}` on one fixed-seed workload
 //! and reports, per depth: the cells' build time
-//! ([`nncell_core::NnCells::build`]), cell-tree candidates per point
+//! ([`nncell_cells::NnCells::build`]), cell-tree candidates per point
 //! query (the paper's overlap-driven number, via
-//! [`nncell_core::measured_candidates`]), and the query engine's
+//! [`nncell_cells::measured_candidates`]), and the query engine's
 //! throughput and per-query evaluation work.
 //!
 //! What the sweep shows — and why the default is **no decomposition**:
@@ -24,9 +24,8 @@
 //! JSON lands in `BENCH_ablation_decompose.json` for CI trend tracking.
 
 use nncell_bench::{as_queries, env_usize, print_table, provenance_json, timed};
-use nncell_core::{
-    measured_candidates, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Strategy,
-};
+use nncell_cells::{measured_candidates, NnCells};
+use nncell_core::{BuildConfig, ConstraintPool, NnCellIndex, Query, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
 fn main() {

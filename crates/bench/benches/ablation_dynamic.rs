@@ -11,10 +11,8 @@
 //! approaches a rebuild — turn it off there or batch the updates.
 
 use nncell_bench::{as_queries, env_usize, print_table, secs, timed};
-use nncell_core::{
-    average_overlap, linear_scan_nn, measured_candidates, BuildConfig, NnCellIndex, NnCells,
-    Strategy,
-};
+use nncell_cells::{average_overlap, measured_candidates, NnCells};
+use nncell_core::{linear_scan_nn, BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
 fn main() {

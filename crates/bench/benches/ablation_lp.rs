@@ -8,7 +8,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use nncell_bench::{env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_lp::SolverKind;
 

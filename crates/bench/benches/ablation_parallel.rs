@@ -8,7 +8,8 @@
 //! are escaping from.
 
 use nncell_bench::{as_queries, cell_nn_run, env_usize, print_table};
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{DeclusteredScan, LinearScan};
 

@@ -42,7 +42,8 @@
 //! `1000,2000,4000`), `NNCELL_BENCH_OUT`.
 
 use nncell_bench::{env_usize, provenance_json, timed};
-use nncell_core::{linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 
 fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {

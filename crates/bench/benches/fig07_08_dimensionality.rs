@@ -4,11 +4,12 @@
 //! Paper shape to reproduce: comparable at low d; the NN-cell approach pulls
 //! far ahead as d grows (paper: >300% speed-up over the R\*-tree at d=16 on
 //! 100k points; we run laptop scale, same ordering expected). The NN-cell
-//! column is the paper's query ([`nncell_core::NnCells::nn`]), not the
+//! column is the paper's query ([`nncell_cells::NnCells::nn`]), not the
 //! point-tree engine that serves queries.
 
 use nncell_bench::{as_queries, cell_nn_run, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{LinearScan, RStarTree, XTree};
 

@@ -7,10 +7,11 @@
 //! NN-cell CPU advantage is the decisive one; its page-access standing
 //! depends on density (the paper ran 100k points; at laptop scale the
 //! trees' NN search is less degraded, see EXPERIMENTS.md). The NN-cell
-//! column is the paper's query ([`nncell_core::NnCells::nn`]).
+//! column is the paper's query ([`nncell_cells::NnCells::nn`]).
 
 use nncell_bench::{as_queries, cell_nn_run, env_dims, env_usize, print_table, timed};
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{RStarTree, XTree};
 

@@ -3,10 +3,11 @@
 //!
 //! Paper shape to reproduce: the NN-cell approach stays far below the
 //! R\*-tree and X-tree at every size and grows roughly logarithmically in N.
-//! The NN-cell column is the paper's query ([`nncell_core::NnCells::nn`]).
+//! The NN-cell column is the paper's query ([`nncell_cells::NnCells::nn`]).
 
 use nncell_bench::{as_queries, cell_nn_run, env_dims, env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_index::{RStarTree, XTree};
 

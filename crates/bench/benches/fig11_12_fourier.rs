@@ -5,10 +5,11 @@
 //! (paper: up to ~2.5×), and — unlike the uniform case — a win on *both*
 //! page accesses and CPU time, because the clustered real data yields much
 //! tighter cell approximations. The NN-cell column is the paper's query
-//! ([`nncell_core::NnCells::nn`]).
+//! ([`nncell_cells::NnCells::nn`]).
 
 use nncell_bench::{as_queries, cell_nn_run, env_usize, print_table, secs, timed};
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{FourierGenerator, Generator};
 use nncell_index::XTree;
 

@@ -7,7 +7,8 @@
 //! dimensionality.
 
 use nncell_bench::{env_dims, env_usize, print_table};
-use nncell_core::{average_overlap, BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::{average_overlap, NnCells};
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{FourierGenerator, Generator, UniformGenerator};
 
 fn main() {

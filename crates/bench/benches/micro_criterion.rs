@@ -5,7 +5,8 @@
 //! benchmark warms up, then reports the median of `SAMPLES` timed batches.
 
 use nncell_bench::env_usize;
-use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell_cells::NnCells;
+use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 use nncell_data::{Generator, UniformGenerator};
 use nncell_geom::{DataSpace, Euclidean, Mbr};
 use nncell_index::{RStarTree, XTree};

@@ -3,7 +3,7 @@
 //! trend tracking (`BENCH_query_engine.json`).
 //!
 //! `build_seconds` times the serving index (an STR bulk load);
-//! `cell_build_seconds` times [`nncell_core::NnCells::build`] on the same
+//! `cell_build_seconds` times [`nncell_cells::NnCells::build`] on the same
 //! points and configuration — the pooled NN-cell construction path that
 //! the CI build-time gate guards.
 //!
@@ -43,8 +43,9 @@
 //! reported overhead to 8%.
 
 use nncell_bench::{env_usize, provenance_json, timed};
+use nncell_cells::NnCells;
 use nncell_core::{
-    linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, Registry, Strategy,
+    linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, Query, Registry, Strategy,
 };
 use nncell_data::{Generator, UniformGenerator};
 

@@ -8,7 +8,8 @@
 //! Results are printed as aligned tables — the same rows/series the paper
 //! plots — and recorded in `EXPERIMENTS.md`.
 
-use nncell_core::{NnCellIndex, NnCells};
+use nncell_cells::NnCells;
+use nncell_core::NnCellIndex;
 use nncell_geom::{Metric, Point};
 use nncell_index::IoStats;
 use std::time::Instant;

@@ -15,10 +15,12 @@
 //! quality metrics and the tests of its lemmas — and follows the index's
 //! updates through [`NnCells::insert`] and [`NnCells::remove`] (§3.5).
 
-use crate::config::{ConstraintPool, Strategy};
 use crate::decompose::decompose_cell;
-use crate::index::{NnCellIndex, QueryResult, STR_FILL};
 use crate::strategy::{gather_rival_ids, nearest_rivals};
+use nncell_core::{
+    BuildProfile, BuildStats, ConstraintPool, NnCellIndex, PhaseTiming, QueryResult, Strategy,
+    STR_FILL,
+};
 use nncell_geom::{Euclidean, Halfspace, Mbr, Metric};
 use nncell_index::{IoStats, TreeConfig, XTree};
 use nncell_lp::{CellLpStats, CellSolve, SolverKind, VoronoiLp};
@@ -26,9 +28,10 @@ use std::time::Instant;
 
 /// Bits of the cell-tree item id reserved for the piece index; the rest is
 /// the point id. Decomposition budgets are tiny (≤ ~10 pieces), so 10 bits
-/// is generous.
+/// is generous. The older index file formats (`NNCELL01`/`02`), which
+/// stored piece lists, cap a point's list at the same 1024.
 pub(crate) const PIECE_BITS: u32 = 10;
-pub(crate) const MAX_PIECES: usize = 1 << PIECE_BITS;
+const MAX_PIECES: usize = 1 << PIECE_BITS;
 
 /// Seed salt distinguishing the CorrectPruned rough solve from the final
 /// solve ("rough" in ASCII).
@@ -61,104 +64,6 @@ impl CellApprox {
     }
 }
 
-/// Counters describing one construction.
-///
-/// [`NnCellIndex::build_stats`] fills only `seconds`, `skipped_points` and
-/// `profile.bulk_load` (the point-tree STR load of a build or a load); its
-/// LP, candidate and refresh fields read 0 because the index runs no LP.
-/// [`NnCells::build_stats`] fills the rest, accumulated over the cells'
-/// build and every later insert, remove and repair.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BuildStats {
-    /// Aggregate LP work.
-    pub lp: CellLpStats,
-    /// Total rival candidates fed into bisector construction.
-    pub candidates: usize,
-    /// Wall-clock build time in seconds.
-    pub seconds: f64,
-    /// Invalid input points dropped under [`crate::InputPolicy::Skip`].
-    pub skipped_points: usize,
-    /// Cells whose first-attempt pooled solve
-    /// ([`crate::ConstraintPool::ApproxKnn`]) came back degenerate —
-    /// infeasible or clamped — and was redone against the exhaustive pool.
-    /// Always 0 under [`crate::ConstraintPool::Exhaustive`].
-    pub pool_fallback_cells: usize,
-    /// Cells re-solved after a dynamic insert because the new point's
-    /// bisector provably cut their stored approximation.
-    pub insert_refreshes: usize,
-    /// Sphere-prefilter candidates the exact bisector-cut test dismissed on
-    /// insert (their approximation lies strictly on their own side of the
-    /// new bisector, so a re-solve could not change it).
-    pub insert_refreshes_skipped: usize,
-    /// Per-phase wall-clock profile (constraint selection, LP solves,
-    /// decomposition, bulk load) with per-batch timings.
-    pub profile: BuildProfile,
-}
-
-/// Wall-clock accumulator for one build phase.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTiming {
-    /// Total nanoseconds spent in the phase.
-    pub nanos: u64,
-    /// Times the phase ran (once per cell for the per-cell phases; once per
-    /// build for bulk load).
-    pub calls: u64,
-}
-
-impl PhaseTiming {
-    pub(crate) fn add(&mut self, nanos: u64) {
-        self.nanos += nanos;
-        self.calls += 1;
-    }
-
-    /// Total time in seconds.
-    pub fn seconds(&self) -> f64 {
-        self.nanos as f64 / 1e9
-    }
-}
-
-/// Per-phase build profile, exposed via [`BuildStats::profile`].
-///
-/// Dynamic updates of [`NnCells`] keep accruing into the per-cell phases
-/// (insert and refresh recompute cells through the same path), so the
-/// profile describes the cells' lifetime LP effort, not just the initial
-/// build. Batch counters describe the initial build's worker chunks only.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BuildProfile {
-    /// Rival gathering and bisector assembly (for *CorrectPruned*, includes
-    /// the rough pre-solve that bounds the candidate set).
-    pub constraint_selection: PhaseTiming,
-    /// The `2·d` extent LPs per cell.
-    pub lp_solve: PhaseTiming,
-    /// MBR decomposition (zero calls when decomposition is off).
-    pub decomposition: PhaseTiming,
-    /// Tree population: the point tree's STR load on an index, the cell
-    /// tree's on [`NnCells`].
-    pub bulk_load: PhaseTiming,
-    /// Cell-computation batches (worker chunks; 1 for a sequential build).
-    pub batches: u64,
-    /// Total nanoseconds across batches (≈ sum of worker wall-clocks).
-    pub batch_total_nanos: u64,
-    /// Slowest single batch in nanoseconds (the build's critical path).
-    pub batch_max_nanos: u64,
-}
-
-impl BuildProfile {
-    fn absorb_cell(&mut self, t: CellTimings) {
-        self.constraint_selection.add(t.constraint_ns);
-        self.lp_solve.add(t.lp_ns);
-        if t.decomposed {
-            self.decomposition.add(t.decomp_ns);
-        }
-    }
-
-    fn record_batch(&mut self, nanos: u64) {
-        self.batches += 1;
-        self.batch_total_nanos += nanos;
-        self.batch_max_nanos = self.batch_max_nanos.max(nanos);
-    }
-}
-
 /// Phase timings of one cell computation (build-profiler plumbing), plus
 /// whether the pooled first attempt had to be redone exhaustively.
 #[derive(Clone, Copy, Debug, Default)]
@@ -168,6 +73,28 @@ struct CellTimings {
     decomp_ns: u64,
     decomposed: bool,
     pool_fellback: bool,
+}
+
+/// Adds one run of `nanos` to `phase`.
+fn add_phase(phase: &mut PhaseTiming, nanos: u64) {
+    phase.nanos += nanos;
+    phase.calls += 1;
+}
+
+/// Folds one cell computation's phase timings into `profile`.
+fn absorb_cell(profile: &mut BuildProfile, t: CellTimings) {
+    add_phase(&mut profile.constraint_selection, t.constraint_ns);
+    add_phase(&mut profile.lp_solve, t.lp_ns);
+    if t.decomposed {
+        add_phase(&mut profile.decomposition, t.decomp_ns);
+    }
+}
+
+/// Records one worker batch of `nanos` in `profile`.
+fn record_batch(profile: &mut BuildProfile, nanos: u64) {
+    profile.batches += 1;
+    profile.batch_total_nanos += nanos;
+    profile.batch_max_nanos = profile.batch_max_nanos.max(nanos);
 }
 
 /// Outcome of [`NnCells::verify_integrity`].
@@ -196,7 +123,8 @@ impl IntegrityReport {
 /// mirror it with [`Self::insert`] or [`Self::remove`].
 ///
 /// ```
-/// use nncell_core::{BuildConfig, NnCellIndex, NnCells, Strategy};
+/// use nncell_cells::NnCells;
+/// use nncell_core::{BuildConfig, NnCellIndex, Strategy};
 /// use nncell_geom::Point;
 /// let pts = (0..40)
 ///     .map(|i| Point::new(vec![(i as f64 + 0.5) / 40.0, ((i * 7 % 40) as f64 + 0.5) / 40.0]))
@@ -286,7 +214,7 @@ impl<M: Metric> NnCells<M> {
         let mut items: Vec<(Mbr, u64)> = Vec::with_capacity(live.len());
         let mut ids = live.iter();
         for (part, batch_nanos) in batches {
-            this.stats.profile.record_batch(batch_nanos);
+            record_batch(&mut this.stats.profile, batch_nanos);
             for (pieces, lp, candidates, timings) in part {
                 let id = *ids.next().expect("one computation per live id");
                 this.account(lp, candidates, timings);
@@ -301,7 +229,7 @@ impl<M: Metric> NnCells<M> {
         if !items.is_empty() {
             this.tree = XTree::bulk_load(tree_cfg, items, STR_FILL);
         }
-        this.stats.profile.bulk_load.add(elapsed_nanos(load_start));
+        add_phase(&mut this.stats.profile.bulk_load, elapsed_nanos(load_start));
         this.stats.seconds = start.elapsed().as_secs_f64();
         this
     }
@@ -471,7 +399,7 @@ impl<M: Metric> NnCells<M> {
     // ------------------------------------------------------------------
 
     /// Mirrors [`NnCellIndex::insert`], which returned `id`: computes the
-    /// new point's cell and (when [`crate::BuildConfig::refine_on_insert`]
+    /// new point's cell and (when [`nncell_core::BuildConfig::refine_on_insert`]
     /// is set) re-tightens the neighbor cells the new bisector cuts.
     /// Exactness holds either way: existing approximations stay supersets
     /// of their (shrunken) true cells.
@@ -587,7 +515,7 @@ impl<M: Metric> NnCells<M> {
         self.stats.lp.merge(lp);
         self.stats.candidates += candidates;
         self.stats.pool_fallback_cells += timings.pool_fellback as usize;
-        self.stats.profile.absorb_cell(timings);
+        absorb_cell(&mut self.stats.profile, timings);
     }
 
     /// Recomputes `id`'s cell and replaces its pieces in the cell tree.
@@ -760,7 +688,7 @@ fn piece_key(id: usize, k: usize) -> u64 {
 }
 
 /// Elapsed nanoseconds since `start`, saturating into `u64` (≈ 584 years).
-pub(crate) fn elapsed_nanos(start: Instant) -> u64 {
+fn elapsed_nanos(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -791,8 +719,7 @@ fn bisector_cuts_mbr<M: Metric>(metric: &M, q: &[f64], p: &[f64], mbr: &Mbr) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BuildConfig;
-    use crate::scan::linear_scan_nn;
+    use nncell_core::{linear_scan_nn, BuildConfig};
     use nncell_geom::Point;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

@@ -25,7 +25,7 @@ use nncell_lp::{CellLpStats, CellSolve, VoronoiLp};
 /// paper prescribes ("the number of partitions … is also decreasing").
 ///
 /// ```
-/// use nncell_core::decompose::plan_partitions;
+/// use nncell_cells::decompose::plan_partitions;
 /// assert!(plan_partitions(1).is_empty());   // no decomposition
 /// assert_eq!(plan_partitions(8), vec![2, 2, 2]);
 /// assert_eq!(plan_partitions(10), vec![5, 2]);

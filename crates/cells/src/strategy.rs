@@ -5,7 +5,7 @@
 //! rival points whose bisectors are used. By Lemma 1, *any* subset yields a
 //! superset approximation, so every strategy preserves exact query answers.
 
-use crate::config::{BuildConfig, Strategy};
+use nncell_core::{BuildConfig, Strategy};
 use nncell_index::XTree;
 
 /// Collects the rival point ids whose bisectors constrain the cell of point
@@ -104,7 +104,6 @@ pub(crate) fn nearest_rivals(p: &[f64], id: usize, tree: &XTree, k: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BuildConfig;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

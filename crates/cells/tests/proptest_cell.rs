@@ -2,8 +2,9 @@
 //! every construction setting and under dynamic updates, and on the point
 //! index that serves queries.
 
+use nncell_cells::NnCells;
 use nncell_core::{
-    linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, QueryEngine,
+    linear_scan_nn, BuildConfig, ConstraintPool, NnCellIndex, Query, QueryEngine,
     Strategy as BuildStrategy,
 };
 use nncell_geom::{dist_sq, Point};

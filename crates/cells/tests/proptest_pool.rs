@@ -8,9 +8,10 @@
 //! static builds, for build-then-insert with the incremental re-solve
 //! rule, and for the new radius query against a linear scan.
 
+use nncell_cells::NnCells;
 use nncell_core::{
-    linear_scan_knn, BuildConfig, ConstraintPool, NnCellIndex, NnCells, Query, QueryEngine,
-    QueryError, ShardedIndex, Strategy as BuildStrategy,
+    linear_scan_knn, BuildConfig, ConstraintPool, NnCellIndex, Query, QueryEngine, QueryError,
+    ShardedIndex, Strategy as BuildStrategy,
 };
 use nncell_geom::{dist_sq, Point};
 use proptest::prelude::*;

@@ -813,9 +813,8 @@ fn cmd_stats(p: &Parsed) -> Result<(), String> {
         );
     }
     println!(
-        "point tree     : {} page read(s), {} cache hit(s), {} split(s)",
+        "point tree     : {} page read(s), {} split(s)",
         get("nncell_point_tree_page_reads_total"),
-        get("nncell_point_tree_cache_hits_total"),
         get("nncell_point_tree_splits_total"),
     );
     if snap.sum_counters("nncell_wal_appends_total").is_some() {

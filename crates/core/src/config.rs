@@ -103,12 +103,12 @@ pub enum InputPolicy {
 }
 
 /// Configuration for [`crate::NnCellIndex::build`] and the NN-cells built
-/// from it ([`crate::NnCells::build`]).
+/// from it (`nncell_cells::NnCells::build`).
 ///
 /// The index itself reads only `block_size` and `input_policy`; every
 /// other field configures cell construction and maintenance, is stored
 /// with the index (and, except `pool`, `threads` and `lp_budget`, in its
-/// snapshots) and is read by [`crate::NnCells`].
+/// snapshots) and is read by the cells.
 ///
 /// Construct with [`BuildConfig::builder`]:
 ///
@@ -146,9 +146,9 @@ pub struct BuildConfig {
     /// After a dynamic insert, recompute the cells the new point affects
     /// (quality refinement; exactness holds either way).
     pub refine_on_insert: bool,
-    /// Worker threads for [`crate::NnCells::build`] (cells are independent
-    /// given the index's shared read-only point tree). `1` = one worker;
-    /// queries and dynamic updates are unaffected.
+    /// Worker threads for `nncell_cells::NnCells::build` (cells are
+    /// independent given the index's shared read-only point tree). `1` =
+    /// one worker; queries and dynamic updates are unaffected.
     pub threads: usize,
     /// Work budget per LP solve. The default lets each backend size its own
     /// cap; a tiny explicit cap (even 0) is safe — exhausted solves walk the

@@ -1,19 +1,103 @@
 //! The point index: build, exact queries, dynamic updates.
 
-use crate::cells::{elapsed_nanos, BuildStats};
 use crate::config::{BuildConfig, InputPolicy};
 use crate::engine::QueryEngine;
 use crate::metrics::{EngineMetrics, IndexMetrics};
 use nncell_geom::{DataSpace, Euclidean, Mbr, Metric, Point};
 use nncell_index::{BestFirstScratch, IoStats, Tree, TreeConfig, TreeMetrics, XTree};
+use nncell_lp::CellLpStats;
 use nncell_obs::Registry;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// STR bulk-load fill fraction: nearly packed (reads dominate a built
-/// index), with a little slack so early dynamic inserts don't split every
-/// touched leaf.
-pub(crate) const STR_FILL: f64 = 0.9;
+/// STR bulk-load fill fraction of the point tree (and of the paper's
+/// cell tree): nearly packed (reads dominate a built index), with a little
+/// slack so early dynamic inserts don't split every touched leaf.
+pub const STR_FILL: f64 = 0.9;
+
+/// Counters describing one construction.
+///
+/// [`NnCellIndex::build_stats`] fills only `seconds`, `skipped_points` and
+/// `profile.bulk_load` (the point-tree STR load of a build or a load); its
+/// LP, candidate and refresh fields read 0 because the index runs no LP.
+/// The paper's cells (`nncell_cells::NnCells::build_stats`) fill the rest,
+/// accumulated over the cells' build and every later insert, remove and
+/// repair.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BuildStats {
+    /// Aggregate LP work.
+    pub lp: CellLpStats,
+    /// Total rival candidates fed into bisector construction.
+    pub candidates: usize,
+    /// Wall-clock build time in seconds.
+    pub seconds: f64,
+    /// Invalid input points dropped under [`crate::InputPolicy::Skip`].
+    pub skipped_points: usize,
+    /// Cells whose first-attempt pooled solve
+    /// ([`crate::ConstraintPool::ApproxKnn`]) came back degenerate —
+    /// infeasible or clamped — and was redone against the exhaustive pool.
+    /// Always 0 under [`crate::ConstraintPool::Exhaustive`].
+    pub pool_fallback_cells: usize,
+    /// Cells re-solved after a dynamic insert because the new point's
+    /// bisector provably cut their stored approximation.
+    pub insert_refreshes: usize,
+    /// Sphere-prefilter candidates the exact bisector-cut test dismissed on
+    /// insert (their approximation lies strictly on their own side of the
+    /// new bisector, so a re-solve could not change it).
+    pub insert_refreshes_skipped: usize,
+    /// Per-phase wall-clock profile (constraint selection, LP solves,
+    /// decomposition, bulk load) with per-batch timings.
+    pub profile: BuildProfile,
+}
+
+/// Wall-clock accumulator for one build phase.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PhaseTiming {
+    /// Total nanoseconds spent in the phase.
+    pub nanos: u64,
+    /// Times the phase ran (once per cell for the per-cell phases; once per
+    /// build for bulk load).
+    pub calls: u64,
+}
+
+impl PhaseTiming {
+    pub(crate) fn add(&mut self, nanos: u64) {
+        self.nanos += nanos;
+        self.calls += 1;
+    }
+
+    /// Total time in seconds.
+    pub fn seconds(&self) -> f64 {
+        self.nanos as f64 / 1e9
+    }
+}
+
+/// Per-phase build profile, exposed via [`BuildStats::profile`].
+///
+/// Dynamic updates of the paper's cells (`nncell_cells::NnCells`) keep
+/// accruing into the per-cell phases (insert and refresh recompute cells
+/// through the same path), so the profile describes the cells' lifetime LP
+/// effort, not just the initial build. Batch counters describe the initial
+/// build's worker chunks only.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BuildProfile {
+    /// Rival gathering and bisector assembly (for *CorrectPruned*, includes
+    /// the rough pre-solve that bounds the candidate set).
+    pub constraint_selection: PhaseTiming,
+    /// The `2·d` extent LPs per cell.
+    pub lp_solve: PhaseTiming,
+    /// MBR decomposition (zero calls when decomposition is off).
+    pub decomposition: PhaseTiming,
+    /// Tree population: the point tree's STR load on an index, the cell
+    /// tree's on the cells.
+    pub bulk_load: PhaseTiming,
+    /// Cell-computation batches (worker chunks; 1 for a sequential build).
+    pub batches: u64,
+    /// Total nanoseconds across batches (≈ sum of worker wall-clocks).
+    pub batch_total_nanos: u64,
+    /// Slowest single batch in nanoseconds (the build's critical path).
+    pub batch_max_nanos: u64,
+}
 
 /// An exact nearest-neighbor answer.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -96,8 +180,8 @@ impl std::error::Error for BuildError {}
 /// best-first search over the point tree and are exact — bit-identical to
 /// a linear scan. Build and load are one STR bulk load of the live points;
 /// insert and remove are point-tree updates; no LP runs. The paper's
-/// NN-cells are a separate, on-demand structure ([`crate::NnCells`]) built
-/// from an index.
+/// NN-cells are a separate, on-demand structure (`nncell_cells::NnCells`)
+/// built from an index.
 ///
 /// A clone is a deep copy (the folder's copy-on-write of a shard): the
 /// tree arena and its slot column are copied, and an attached metrics bundle
@@ -194,12 +278,9 @@ impl<M: Metric> NnCellIndex<M> {
         debug_assert_eq!(rows.len(), alive.len() * dim);
         let mut idx = Self::new_with_metric(dim, cfg, metric);
         let load_start = Instant::now();
-        let ids: Vec<u64> = (0..alive.len() as u64)
-            .filter(|&id| alive[id as usize])
-            .collect();
         let cfg = point_tree_config(dim, &idx.cfg);
-        idx.point_tree = XTree::bulk_load_rows(cfg, &rows, &ids, STR_FILL);
-        if !ids.is_empty() {
+        idx.point_tree = XTree::bulk_load_rows(cfg, &rows, &alive, STR_FILL);
+        if !idx.point_tree.is_empty() {
             idx.build_stats
                 .profile
                 .bulk_load
@@ -323,21 +404,22 @@ impl<M: Metric> NnCellIndex<M> {
     }
 
     // ------------------------------------------------------------------
-    // engine plumbing (read-only views shared by all query threads)
+    // read-only views (shared by all query threads and read by the
+    // paper's cells, which are built from an index)
     // ------------------------------------------------------------------
 
-    /// The data-point tree.
-    pub(crate) fn point_tree(&self) -> &XTree {
+    /// The point X-tree: every live point, keyed by its slot.
+    pub fn point_tree(&self) -> &XTree {
         &self.point_tree
     }
 
     /// The metric in use.
-    pub(crate) fn metric(&self) -> &M {
+    pub fn metric(&self) -> &M {
         &self.metric
     }
 
     /// The unit data space points must lie in.
-    pub(crate) fn space(&self) -> &DataSpace {
+    pub fn space(&self) -> &DataSpace {
         &self.space
     }
 
@@ -451,6 +533,11 @@ fn point_tree_config(dim: usize, cfg: &BuildConfig) -> TreeConfig {
     TreeConfig::xtree(dim)
         .with_block_size(cfg.block_size)
         .with_point_leaves(true)
+}
+
+/// Elapsed nanoseconds since `start`, saturating into `u64` (≈ 584 years).
+pub(crate) fn elapsed_nanos(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Input validation shared by the unsharded and sharded builds: NaN/∞,

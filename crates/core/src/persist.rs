@@ -18,8 +18,8 @@
 //! guards those files. Both end with one NN-cell piece list per point.
 //! `save` writes every list empty; `load` still reads and bounds-checks
 //! the lists of files that carry pieces, then drops them — nothing on the
-//! serving path reads cells, and [`crate::NnCells::build`] recomputes
-//! them on demand.
+//! serving path reads cells, and `nncell_cells::NnCells::build`
+//! recomputes them on demand.
 //!
 //! **Format `NNCELL03`** (a shard of a [`crate::ShardedIndex`]): the same
 //! checksummed header and points, then one global id per slot (`u64`) in
@@ -33,7 +33,6 @@
 //!
 //! Only the Euclidean index is persistable: the metric is not serialized.
 
-use crate::cells::MAX_PIECES;
 use crate::config::{BuildConfig, SolverKind, Strategy};
 use crate::index::NnCellIndex;
 use crate::vfs::{write_atomic, StdVfs, Vfs};
@@ -44,6 +43,10 @@ use std::path::Path;
 const MAGIC_V3: &[u8; 8] = b"NNCELL03";
 const MAGIC_V2: &[u8; 8] = b"NNCELL02";
 const MAGIC_V1: &[u8; 8] = b"NNCELL01";
+
+/// The largest decomposition budget, and piece count per point, a file may
+/// carry: the paper's cell tree keys a piece by 10 bits of its item id.
+const MAX_PIECES: usize = 1 << 10;
 
 /// The global ids of a shard written before shard files carried an id
 /// column: sharded layouts then dealt global id `g` to shard `g % S` at
@@ -577,17 +580,21 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// Rewrites a freshly saved file in the parent format: the same header
-    /// and points followed by the NN-cell piece lists of `cells`, under the
-    /// v2 magic with a recomputed checksum, or the v1 magic without one.
-    fn with_pieces(saved: &[u8], n: usize, cells: &crate::NnCells, v2: bool) -> Vec<u8> {
+    /// Rewrites a freshly saved file of `n` points in `dim` dimensions in
+    /// the parent format: the same header and points followed by one
+    /// piece list per point — `1 + id % 3` copies of the unit box, as a
+    /// decomposed cell of an older release might carry — under the v2
+    /// magic with a recomputed checksum, or the v1 magic without one.
+    fn with_pieces(saved: &[u8], n: usize, dim: usize, v2: bool) -> Vec<u8> {
         let mut out = saved[..saved.len() - 4 - 4 * n].to_vec();
         for id in 0..n {
-            let pieces = cells.cell(id).map_or(&[][..], |c| &c.pieces[..]);
-            put_u32(&mut out, pieces.len() as u32);
-            for m in pieces {
-                for &c in m.lo().iter().chain(m.hi()) {
-                    put_f64(&mut out, c);
+            let pieces = 1 + id % 3;
+            put_u32(&mut out, pieces as u32);
+            for _ in 0..pieces {
+                for c in [0.0, 1.0] {
+                    for _ in 0..dim {
+                        put_f64(&mut out, c);
+                    }
                 }
             }
         }
@@ -648,12 +655,11 @@ mod tests {
                 .build(),
         )
         .unwrap();
-        let cells = crate::NnCells::build(&idx);
         let path = tmp("legacy");
         idx.save(&path).unwrap();
         let saved = std::fs::read(&path).unwrap();
         for v2 in [true, false] {
-            std::fs::write(&path, with_pieces(&saved, 30, &cells, v2)).unwrap();
+            std::fs::write(&path, with_pieces(&saved, 30, 2, v2)).unwrap();
             let loaded = NnCellIndex::load(&path).unwrap();
             assert!(same_slots(&loaded, &idx));
             assert_eq!(loaded.len(), idx.len());
@@ -661,7 +667,7 @@ mod tests {
         // The legacy format has no checksum, so structural checks on the
         // piece lists are its only guard: an inverted box and an
         // implausible piece count are both typed corruption.
-        let mut bytes = with_pieces(&saved, 30, &cells, false);
+        let mut bytes = with_pieces(&saved, 30, 2, false);
         let first_piece = 8 + 32 + 8 + 30 * 17 + 4;
         bytes[first_piece..first_piece + 8].copy_from_slice(&2.0f64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -669,7 +675,7 @@ mod tests {
             NnCellIndex::load(&path),
             Err(PersistError::Corrupt(_))
         ));
-        let mut bytes = with_pieces(&saved, 30, &cells, false);
+        let mut bytes = with_pieces(&saved, 30, 2, false);
         bytes[first_piece - 4..first_piece].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(

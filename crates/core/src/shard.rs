@@ -92,11 +92,10 @@
 //! slots of all shards carry exactly the ids `0..n` (checked on open) and
 //! the next insert gets `n`.
 
-use crate::cells::BuildStats;
 use crate::config::BuildConfig;
 use crate::durable::{apply_record, DurableError, RecoveryReport, ShardLog};
 use crate::engine::{available_threads, QueryEngine, QueryScratch, Shard};
-use crate::index::{validate_build_inputs, validate_point, BuildError, NnCellIndex};
+use crate::index::{validate_build_inputs, validate_point, BuildError, BuildStats, NnCellIndex};
 use crate::memtable::{FoldConfig, FoldError, FoldStatus, Memtable};
 use crate::metrics::{EngineMetrics, FoldMetrics, ShardedMetrics};
 use crate::persist::{PersistError, RoundRobin};

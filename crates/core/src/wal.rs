@@ -380,11 +380,6 @@ impl WalWriter {
         self.records
     }
 
-    /// Whether an append failure has poisoned this writer.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     /// The error a poisoned writer refuses every append with; `Ok` while
     /// the writer is usable.
     pub(crate) fn check_writable(&self) -> Result<(), PersistError> {
@@ -577,7 +572,6 @@ mod tests {
         let rec = WalRecord::Remove(7);
         let err = w.append(&rec).unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
-        assert!(w.is_poisoned());
         // Even though later fsyncs would succeed, the writer refuses: the
         // unacknowledged bytes on disk must not be extended.
         assert!(matches!(w.append(&rec), Err(PersistError::Corrupt(_))));

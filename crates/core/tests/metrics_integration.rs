@@ -4,8 +4,7 @@
 //! recovery report) — the registry is a mirror, never a second opinion.
 
 use nncell_core::{
-    BuildConfig, NnCellIndex, NnCells, Query, QueryScratch, QueryStats, Registry, ShardedIndex,
-    Strategy,
+    BuildConfig, NnCellIndex, Query, QueryScratch, QueryStats, Registry, ShardedIndex, Strategy,
 };
 use nncell_geom::Point;
 use std::sync::Arc;
@@ -292,31 +291,4 @@ fn durable_stack_reports_wal_and_rotation_counters() {
     assert_eq!(snap.gauge("nncell_live_points"), Some(d.len() as i64));
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn build_profile_times_every_phase() {
-    let index = NnCellIndex::build(
-        grid(80),
-        BuildConfig::builder()
-            .strategy(Strategy::Sphere)
-            .seed(3)
-            .threads(2)
-            .build(),
-    )
-    .unwrap();
-    // The index itself is one STR bulk load; the LP phases belong to the
-    // cells built from it.
-    let own = index.build_stats().profile;
-    assert_eq!(own.bulk_load.calls, 1);
-    assert_eq!((own.lp_solve.calls, own.batches), (0, 0));
-    let profile = NnCells::build(&index).build_stats().profile;
-    assert_eq!(profile.constraint_selection.calls, 80);
-    assert_eq!(profile.lp_solve.calls, 80);
-    assert!(profile.lp_solve.nanos > 0);
-    assert_eq!(profile.decomposition.calls, 0); // decomposition off
-    assert_eq!(profile.bulk_load.calls, 1);
-    assert_eq!(profile.batches, 2);
-    assert!(profile.batch_max_nanos <= profile.batch_total_nanos);
-    assert!(profile.batch_max_nanos > 0);
 }

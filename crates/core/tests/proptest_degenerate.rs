@@ -2,7 +2,9 @@
 //! pipelines (collinear sites, constant coordinates, one dimension) and
 //! inputs the validation layer must handle (exact duplicates). In every
 //! case the index either returns a typed error or agrees with a linear
-//! scan — never a panic, never a wrong answer.
+//! scan — never a panic, never a wrong answer. The index runs no LP; the
+//! same geometry through the cells' LPs is checked in
+//! `crates/cells/tests/proptest_degenerate.rs`.
 
 use nncell_core::{
     linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex, Query, QueryEngine,

@@ -21,11 +21,6 @@ impl DataSpace {
         }
     }
 
-    /// A custom box-shaped data space.
-    pub fn from_mbr(bounds: Mbr) -> Self {
-        Self { bounds }
-    }
-
     /// Dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -88,14 +83,5 @@ mod tests {
         ds.clamp(&mut p);
         assert_eq!(p, [1.0, 0.0]);
         assert!(ds.contains(&p));
-    }
-
-    #[test]
-    fn custom_bounds() {
-        let ds = DataSpace::from_mbr(Mbr::new(vec![-1.0, -1.0], vec![1.0, 1.0]));
-        assert_eq!(ds.volume(), 4.0);
-        assert!(ds.contains(&[-0.5, 0.9]));
-        assert_eq!(ds.lo(0), -1.0);
-        assert_eq!(ds.hi(1), 1.0);
     }
 }

@@ -50,12 +50,6 @@ impl Point {
         self.coords.into_vec()
     }
 
-    /// Squared Euclidean norm `‖p‖²`.
-    #[inline]
-    pub fn norm_sq(&self) -> f64 {
-        self.coords.iter().map(|c| c * c).sum()
-    }
-
     /// Returns `true` if all coordinates are finite.
     pub fn is_finite(&self) -> bool {
         self.coords.iter().all(|c| c.is_finite())
@@ -109,16 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn norm_sq_matches_hand_computation() {
-        let p = Point::new(vec![3.0, 4.0]);
-        assert_eq!(p.norm_sq(), 25.0);
-    }
-
-    #[test]
     fn origin_is_all_zero() {
         let p = Point::origin(4);
         assert_eq!(p.as_slice(), &[0.0; 4]);
-        assert_eq!(p.norm_sq(), 0.0);
     }
 
     #[test]

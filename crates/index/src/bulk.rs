@@ -49,44 +49,47 @@ pub fn bulk_load(cfg: TreeConfig, items: Vec<(Mbr, ItemId)>, fill: f64) -> Tree 
     pack_directory(tree, leaves, dir_cap)
 }
 
-/// Bulk-loads the points `ids` of a row-major point set into a fresh
-/// point-leaf tree with STR packing: point `id` is
-/// `rows[id·d..(id+1)·d]`, and the rows of ids not listed (removed slots)
-/// are never read. The packing orders the ids by the same keys
-/// [`bulk_load`] orders a point's box by (ties keep the order of `ids`)
-/// and writes each leaf's dimension-major block straight from the rows,
-/// so no point is copied into a box of its own. The tree's slot column
-/// spans every row: [`Tree::slots`] is `rows.len() / d`, and a row not
-/// in `ids` is a slot the tree does not hold. Empty `ids` give an empty
-/// tree with those slots.
+/// Bulk-loads the live points of a row-major point set into a fresh
+/// point-leaf tree with STR packing: slot `id` is
+/// `rows[id·d..(id+1)·d]`, it is live when `alive[id]`, and the rows of
+/// dead slots (removed points) are never read. The packing orders the
+/// live slots by the same keys [`bulk_load`] orders a point's box by
+/// (ties keep slot order) and writes each leaf's dimension-major block
+/// straight from the rows, so no point is copied into a box of its own.
+/// The tree's slot column spans every row: [`Tree::slots`] is
+/// `alive.len()`, and a dead slot is one the tree does not hold. No live
+/// slot gives an empty tree with those slots.
 ///
 /// # Panics
-/// Panics on `rows` not holding `d` values per point, an id past the
-/// last row, a box-leaf configuration, or a `fill` outside `(0,1]`.
-pub fn bulk_load_rows(cfg: TreeConfig, rows: &[f64], ids: &[ItemId], fill: f64) -> Tree {
+/// Panics on `rows` not holding `d` values per slot of `alive`, a
+/// box-leaf configuration, or a `fill` outside `(0,1]`.
+pub fn bulk_load_rows(cfg: TreeConfig, rows: &[f64], alive: &[bool], fill: f64) -> Tree {
     assert!(cfg.leaf_stores_points, "rows load into point leaves");
     let dim = cfg.dim;
-    assert_eq!(rows.len() % dim, 0, "item dimensionality mismatch");
+    assert_eq!(rows.len(), alive.len() * dim, "one row of d per slot");
     let (leaf_cap, dir_cap) = capacities(&cfg, fill);
     let mut tree = Tree::new(cfg);
-    tree.grow_slots(rows.len() / dim);
-    if ids.is_empty() {
+    tree.grow_slots(alive.len());
+    let n = alive.iter().filter(|&&live| live).count();
+    if n == 0 {
         return tree;
     }
-    let point = |id: ItemId| &rows[id as usize * dim..(id as usize + 1) * dim];
+    let live = (0..alive.len()).filter(|&id| alive[id]);
+    let point = |id: usize| &rows[id * dim..(id + 1) * dim];
     // A point's box center key is `x + x`, as a box's is `lo + hi`.
-    let (order, tiles) = str_tiles(ids.len(), dim, leaf_cap, |at, axis| {
-        let x = point(ids[at])[axis];
+    let (order, tiles) = str_tiles(n, live, dim, leaf_cap, |id, axis| {
+        let x = point(id)[axis];
         x + x
     });
     let leaves = tiles
         .into_iter()
         .map(|tile| {
             let mut node = tree.empty_node(0);
-            node.set_points(order[tile].iter().map(|&(_, at)| {
-                let id = ids[at as usize];
-                (point(id), id)
-            }));
+            node.set_points(
+                order[tile]
+                    .iter()
+                    .map(|&(_, id)| (point(id as usize), ItemId::from(id))),
+            );
             adopt(&mut tree, node)
         })
         .collect();
@@ -119,7 +122,8 @@ fn pack_directory(mut tree: Tree, mut level_nodes: Vec<(Mbr, u64)>, dir_cap: usi
 /// returns each node's bounding box and page id (as a directory payload).
 fn pack_boxes(tree: &mut Tree, level: u32, entries: &[(Mbr, u64)], cap: usize) -> Vec<(Mbr, u64)> {
     let dim = tree.config().dim;
-    let (order, tiles) = str_tiles(entries.len(), dim, cap, |at, axis| {
+    let n = entries.len();
+    let (order, tiles) = str_tiles(n, 0..n, dim, cap, |at, axis| {
         let m = &entries[at].0;
         m.lo()[axis] + m.hi()[axis]
     });
@@ -142,17 +146,20 @@ fn adopt(tree: &mut Tree, node: crate::node::Node) -> (Mbr, u64) {
     (mbr, tree.adopt_node(node).0 as u64)
 }
 
-/// STR tiling of the `n` entries keyed `key(position, axis)`: returns
-/// their positions in tile order (each beside its last rounded key) and
-/// the tiles of ≤ `cap` as ranges of it, in order.
+/// STR tiling of the `n` entries at ascending `positions`, keyed
+/// `key(position, axis)`: returns their positions in tile order (each
+/// beside its last rounded key) and the tiles of ≤ `cap` as ranges of it,
+/// in order.
 fn str_tiles(
     n: usize,
+    positions: impl Iterator<Item = usize>,
     dim: usize,
     cap: usize,
     key: impl Fn(usize, usize) -> f64,
 ) -> (Vec<(f32, u32)>, Vec<Range<usize>>) {
-    let n = u32::try_from(n).expect("STR tiles at most u32::MAX entries");
-    let mut order: Vec<(f32, u32)> = (0..n).map(|at| (0.0, at)).collect();
+    let position = |at: usize| u32::try_from(at).expect("STR tiles positions below u32::MAX");
+    let mut order: Vec<(f32, u32)> = Vec::with_capacity(n);
+    order.extend(positions.map(|at| (0.0, position(at))));
     let mut out = Vec::with_capacity(order.len().div_ceil(cap));
     if order.len() <= cap {
         out.push(0..order.len());
@@ -242,9 +249,9 @@ mod tests {
             .collect()
     }
 
-    /// The row-major rows of `pts` and their ids, `0..n`.
-    fn rows(pts: &[Vec<f64>]) -> (Vec<f64>, Vec<ItemId>) {
-        (pts.concat(), (0..pts.len() as ItemId).collect())
+    /// The row-major rows of `pts` and their liveness, all live.
+    fn rows(pts: &[Vec<f64>]) -> (Vec<f64>, Vec<bool>) {
+        (pts.concat(), vec![true; pts.len()])
     }
 
     #[test]
@@ -253,8 +260,8 @@ mod tests {
         let cfg = TreeConfig::xtree(3)
             .with_point_leaves(true)
             .with_block_size(512);
-        let (rows, ids) = rows(&pts);
-        let t = bulk_load_rows(cfg, &rows, &ids, 1.0);
+        let (rows, alive) = rows(&pts);
+        let t = bulk_load_rows(cfg, &rows, &alive, 1.0);
         assert_eq!(t.len(), 777);
         t.validate();
         for (i, p) in pts.iter().enumerate() {
@@ -266,8 +273,8 @@ mod tests {
     fn bulk_loaded_nn_matches_scan() {
         let pts = points(400, 4, 2);
         let cfg = TreeConfig::rstar(4).with_point_leaves(true);
-        let (rows, ids) = rows(&pts);
-        let t = bulk_load_rows(cfg, &rows, &ids, 0.7);
+        let (rows, alive) = rows(&pts);
+        let t = bulk_load_rows(cfg, &rows, &alive, 0.7);
         let qs = points(40, 4, 3);
         for q in &qs {
             let scan = (0..pts.len())
@@ -287,8 +294,8 @@ mod tests {
         let cfg = TreeConfig::rstar(6)
             .with_point_leaves(true)
             .with_block_size(512);
-        let (rows, ids) = rows(&pts);
-        let bulk = bulk_load_rows(cfg.clone(), &rows, &ids, 1.0);
+        let (rows, alive) = rows(&pts);
+        let bulk = bulk_load_rows(cfg.clone(), &rows, &alive, 1.0);
         let mut incr = Tree::new(cfg);
         for (i, p) in pts.iter().enumerate() {
             incr.insert(Mbr::from_point(p), i as u64);
@@ -327,8 +334,8 @@ mod tests {
         let cfg = TreeConfig::xtree(2)
             .with_point_leaves(true)
             .with_block_size(512);
-        let (rows, ids) = rows(&pts);
-        let mut t = bulk_load_rows(cfg, &rows, &ids, 0.7);
+        let (rows, alive) = rows(&pts);
+        let mut t = bulk_load_rows(cfg, &rows, &alive, 0.7);
         let extra = points(100, 2, 6);
         for (i, p) in extra.iter().enumerate() {
             t.insert(Mbr::from_point(p), (300 + i) as u64);
@@ -345,17 +352,19 @@ mod tests {
         let cfg = TreeConfig::rstar(2).with_point_leaves(true);
         let mut rows = vec![0.0; 20];
         rows[18..].copy_from_slice(&[0.5, 0.5]);
-        let t = bulk_load_rows(cfg, &rows, &[9], 1.0);
+        let mut alive = [false; 10];
+        alive[9] = true;
+        let t = bulk_load_rows(cfg, &rows, &alive, 1.0);
         assert_eq!(t.len(), 1);
         assert_eq!(t.height(), 1);
         assert_eq!(t.nn_best_first(&[0.0, 0.0]).unwrap().id, 9);
     }
 
     #[test]
-    fn bulk_load_rows_reads_only_the_listed_ids() {
+    fn bulk_load_rows_reads_only_the_live_slots() {
         let pts = points(300, 3, 7);
         let (rows, _) = rows(&pts);
-        let even: Vec<ItemId> = (0..300).step_by(2).collect();
+        let even: Vec<bool> = (0..300).map(|i| i % 2 == 0).collect();
         let cfg = TreeConfig::xtree(3)
             .with_point_leaves(true)
             .with_block_size(512);
@@ -494,7 +503,8 @@ mod tests {
 
         /// The selection tiles as the sorting STR did: the same ranges,
         /// and the same entries in the same order, for the point loader's
-        /// keys over shuffled ids and the box loader's over boxes.
+        /// keys over every other slot and the box loader's over boxes in
+        /// shuffled order.
         #[test]
         fn selection_tiles_match_sorting_str(
             d in 1usize..=9,
@@ -505,14 +515,14 @@ mod tests {
         ) {
             use rand::seq::SliceRandom;
             let mut rng = SmallRng::seed_from_u64(seed);
-            // Every other slot of twice as many rows, in shuffled order.
+            // Every other slot of twice as many rows: the point loader's
+            // positions are the live slots themselves.
             let rows = test_rows(2 * n, d, kind, &mut rng);
             let mut ids: Vec<ItemId> = (0..2 * n as ItemId).step_by(2).collect();
-            ids.shuffle(&mut rng);
             let coord = |id: ItemId, axis: usize| rows[id as usize * d + axis];
 
-            let (order, tiles) = str_tiles(n, d, cap, |at, axis| {
-                let x = coord(ids[at], axis);
+            let (order, tiles) = str_tiles(n, (0..2 * n).step_by(2), d, cap, |id, axis| {
+                let x = coord(id as ItemId, axis);
                 x + x
             });
             let mut want = ids.clone();
@@ -520,11 +530,13 @@ mod tests {
                 let x = coord(id, axis);
                 x + x
             });
-            let got: Vec<ItemId> = order.iter().map(|&(_, at)| ids[at as usize]).collect();
+            let got: Vec<ItemId> = order.iter().map(|&(_, id)| ItemId::from(id)).collect();
             prop_assert_eq!(&tiles, &want_tiles, "point tiles, d = {}, cap = {}, n = {}", d, cap, n);
             prop_assert_eq!(&got, &want, "point order, d = {}, cap = {}, n = {}", d, cap, n);
 
-            // Boxes of lattice widths, so box centers tie as well.
+            // Boxes of lattice widths in shuffled order, so box centers tie
+            // as well.
+            ids.shuffle(&mut rng);
             let items: Vec<(Mbr, u64)> = ids
                 .iter()
                 .map(|&id| {
@@ -533,7 +545,7 @@ mod tests {
                     (Mbr::new(lo, hi), id)
                 })
                 .collect();
-            let (order, tiles) = str_tiles(n, d, cap, |at, axis| {
+            let (order, tiles) = str_tiles(n, 0..n, d, cap, |at, axis| {
                 let m = &items[at].0;
                 m.lo()[axis] + m.hi()[axis]
             });

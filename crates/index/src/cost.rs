@@ -37,14 +37,12 @@ pub struct TreeMetrics {
     pub(crate) page_reads: Arc<Counter>,
     /// `nncell_<tree>_page_writes_total`
     pub(crate) page_writes: Arc<Counter>,
-    /// `nncell_<tree>_cache_hits_total`
-    pub(crate) cache_hits: Arc<Counter>,
     /// `nncell_<tree>_splits_total`
     pub(crate) splits: Arc<Counter>,
 }
 
 impl TreeMetrics {
-    /// Registers the four tree counters under
+    /// Registers the three tree counters under
     /// `nncell_<prefix>_…_total` names.
     pub fn register(registry: &Registry, prefix: &str) -> Self {
         Self::register_labeled(registry, prefix, &[])
@@ -57,7 +55,6 @@ impl TreeMetrics {
         Self {
             page_reads: registry.counter(&format!("nncell_{prefix}_page_reads_total{l}")),
             page_writes: registry.counter(&format!("nncell_{prefix}_page_writes_total{l}")),
-            cache_hits: registry.counter(&format!("nncell_{prefix}_cache_hits_total{l}")),
             splits: registry.counter(&format!("nncell_{prefix}_splits_total{l}")),
         }
     }
@@ -182,7 +179,6 @@ impl CostTracker {
             if let Some(m) = self.metrics.get() {
                 m.page_reads.add(self.reads.load(Ordering::Relaxed));
                 m.page_writes.add(self.writes.load(Ordering::Relaxed));
-                m.cache_hits.add(self.cache_hits.load(Ordering::Relaxed));
                 m.splits.add(self.splits.load(Ordering::Relaxed));
             }
         }
@@ -224,9 +220,6 @@ impl CostTracker {
                 drop(guard);
                 if hits > 0 {
                     self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-                    if let Some(m) = self.metrics.get() {
-                        m.cache_hits.add(hits);
-                    }
                 }
                 if misses > 0 {
                     self.read(misses);

@@ -2174,13 +2174,12 @@ mod tests {
         assert!(s.avg_fill > 0.2 && s.avg_fill <= 1.0, "fill {:?}", s);
         assert!((0.0..=1.0).contains(&s.avg_sibling_overlap));
         // STR-packed trees must show lower directory overlap.
-        let ids: Vec<ItemId> = (0..pts.len() as ItemId).collect();
         let packed = crate::bulk::bulk_load_rows(
             TreeConfig::rstar(4)
                 .with_point_leaves(true)
                 .with_block_size(512),
             &pts.concat(),
-            &ids,
+            &vec![true; pts.len()],
             1.0,
         );
         let sp = packed.structure_stats();

@@ -68,19 +68,20 @@ impl XTree {
     }
 
     /// An X-tree with point leaves bulk-loaded from row-major points (see
-    /// [`crate::bulk_load_rows`]): point `id` is `rows[id·d..(id+1)·d]`.
+    /// [`crate::bulk_load_rows`]): slot `id` is `rows[id·d..(id+1)·d]`, and
+    /// it is loaded when `alive[id]`.
     ///
     /// # Panics
     /// As [`crate::bulk_load_rows`], and if the configuration's policy is
     /// not [`crate::SplitPolicy::XTree`].
-    pub fn bulk_load_rows(cfg: TreeConfig, rows: &[f64], ids: &[ItemId], fill: f64) -> Self {
+    pub fn bulk_load_rows(cfg: TreeConfig, rows: &[f64], alive: &[bool], fill: f64) -> Self {
         assert_eq!(
             cfg.policy,
             crate::SplitPolicy::XTree,
             "XTree requires the XTree policy"
         );
         Self {
-            inner: crate::bulk::bulk_load_rows(cfg, rows, ids, fill),
+            inner: crate::bulk::bulk_load_rows(cfg, rows, alive, fill),
         }
     }
 
@@ -167,9 +168,8 @@ mod tests {
                 vec![v, (v * 13.0).fract(), (v * 29.0).fract()]
             })
             .collect();
-        let ids: Vec<ItemId> = (0..400).collect();
         let cfg = TreeConfig::xtree(3).with_point_leaves(true);
-        let mut t = XTree::bulk_load_rows(cfg, &pts.concat(), &ids, 0.9);
+        let mut t = XTree::bulk_load_rows(cfg, &pts.concat(), &[true; 400], 0.9);
         assert_eq!(t.len(), 400);
         t.validate();
         for (i, p) in pts.iter().enumerate().step_by(37) {

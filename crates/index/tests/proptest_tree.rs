@@ -134,7 +134,8 @@ proptest! {
     }
 
     /// Random inserts and removes — on an insert-built tree and on an STR
-    /// bulk load — split leaves, reinsert entries (R*) and dissolve
+    /// bulk load whose liveness mask leaves every third slot dead — split
+    /// leaves, reinsert entries (R*) and dissolve
     /// underfull nodes; after every step `validate` checks each point
     /// leaf's dimension-major block against its items and its parent
     /// entry, and the tree holds exactly the live points.
@@ -151,12 +152,12 @@ proptest! {
             .with_point_leaves(true)
             .with_block_size(256);
             let rows: Vec<f64> = seed_pts.iter().flatten().copied().collect();
-            let ids: Vec<u64> = (0..seed_pts.len() as u64).collect();
+            let alive: Vec<bool> = (0..seed_pts.len()).map(|i| i % 3 != 1).collect();
             for bulk in [false, true] {
                 let mut pts: Vec<Vec<f64>> = seed_pts.clone();
-                let mut live = vec![true; pts.len()];
+                let mut live = if bulk { alive.clone() } else { vec![true; pts.len()] };
                 let mut t = if bulk {
-                    bulk_load_rows(cfg.clone(), &rows, &ids, 0.9)
+                    bulk_load_rows(cfg.clone(), &rows, &alive, 0.9)
                 } else {
                     build(policy, 3, &pts)
                 };

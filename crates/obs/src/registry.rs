@@ -262,22 +262,6 @@ impl Snapshot {
         seen.then_some(total)
     }
 
-    /// Sums every gauge series with base name `base` (see
-    /// [`Snapshot::sum_counters`]).
-    pub fn sum_gauges(&self, base: &str) -> Option<i64> {
-        let mut total = 0i64;
-        let mut seen = false;
-        for (name, m) in &self.metrics {
-            if let MetricSnapshot::Gauge(v) = m {
-                if split_series(name).0 == base {
-                    total += v;
-                    seen = true;
-                }
-            }
-        }
-        seen.then_some(total)
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format.
     /// Histograms emit cumulative `_bucket{le="…"}` series (up to the
     /// highest non-empty bucket, then `+Inf`), `_sum`, and `_count`.
@@ -582,12 +566,9 @@ mod tests {
         r.counter("nncell_x_total{shard=\"0\"}").add(2);
         r.counter("nncell_x_total{shard=\"1\"}").add(3);
         r.counter("nncell_x_total_other").add(100);
-        r.gauge("nncell_live{shard=\"0\"}").set(5);
-        r.gauge("nncell_live{shard=\"1\"}").set(7);
         let s = r.snapshot();
         assert_eq!(s.sum_counters("nncell_x_total"), Some(6));
         assert_eq!(s.sum_counters("nncell_missing"), None);
-        assert_eq!(s.sum_gauges("nncell_live"), Some(12));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! cargo run --release --example dynamic_updates
 //! ```
 
-use nncell::core::{
-    linear_scan_nn, BuildConfig, NnCellIndex, NnCells, Query, ShardedIndex, Strategy,
-};
+use nncell::cells::NnCells;
+use nncell::core::{linear_scan_nn, BuildConfig, NnCellIndex, Query, ShardedIndex, Strategy};
 use nncell::data::{ClusteredGenerator, Generator, UniformGenerator};
 use nncell::geom::Point;
 

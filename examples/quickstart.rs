@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nncell::core::{linear_scan_nn, NnCells};
+use nncell::cells::NnCells;
+use nncell::core::linear_scan_nn;
 use nncell::data::{Generator, UniformGenerator};
 use nncell::prelude::*;
 

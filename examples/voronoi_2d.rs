@@ -7,8 +7,8 @@
 //! # writes nn_diagram_{uniform,grid,sparse}.svg to the working directory
 //! ```
 
-use nncell::core::cells::CellApprox;
-use nncell::core::{average_overlap, BuildConfig, NnCellIndex, NnCells, Strategy};
+use nncell::cells::{average_overlap, CellApprox, NnCells};
+use nncell::core::{BuildConfig, NnCellIndex, Strategy};
 use nncell::data::{Generator, GridGenerator, SparseGenerator, UniformGenerator};
 use std::fmt::Write as _;
 use std::fs;

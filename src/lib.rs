@@ -8,7 +8,7 @@
 //! approximated by a minimum bounding hyper-rectangle obtained from `2·d`
 //! linear programs; the rectangles are stored in an X-tree, and a
 //! nearest-neighbor query becomes a cheap *point query* on that index
-//! ([`core::NnCells`]).
+//! ([`cells::NnCells`]).
 //!
 //! Serving keeps only what queries read: [`core::NnCellIndex`] stores the
 //! points and a point X-tree, runs no LP, and answers every query — a
@@ -22,8 +22,10 @@
 //! * [`lp`] — simplex & Seidel LP solvers, Voronoi-cell extents ([`nncell_lp`])
 //! * [`index`] — R\*-tree and X-tree on a simulated page store ([`nncell_index`])
 //! * [`data`] — workload generators ([`nncell_data`])
-//! * [`core`] — the point index, its query engine and the NN-cells
+//! * [`core`] — the serving point index and its query engine
 //!   ([`nncell_core`])
+//! * [`cells`] — the paper's NN-cells, built on demand from an index
+//!   ([`nncell_cells`])
 //!
 //! ## Quickstart
 //!
@@ -56,7 +58,7 @@
 //! ```
 //!
 //! Everything configurable hangs off [`core::BuildConfig`]: the index's
-//! block size and input policy, and the settings [`core::NnCells`] reads —
+//! block size and input policy, and the settings [`cells::NnCells`] reads —
 //! the constraint-selection [`core::Strategy`], the LP backend, cell
 //! decomposition, build threads, and insert-time refinement. Built indexes
 //! persist with `index.save(path)` / [`core::NnCellIndex::load`], support
@@ -85,6 +87,7 @@
 //! build / insert / remove / recover / query / info / stats / bench flows
 //! for the shell.
 
+pub use nncell_cells as cells;
 pub use nncell_core as core;
 pub use nncell_data as data;
 pub use nncell_geom as geom;

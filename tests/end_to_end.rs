@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: full pipelines from generator to query.
 
+use nncell::cells::{average_overlap, NnCells};
 use nncell::core::{
-    average_overlap, linear_scan_nn, BuildConfig, NnCellIndex, NnCells, Query, QueryEngine,
-    QueryScratch, Strategy,
+    linear_scan_nn, BuildConfig, NnCellIndex, Query, QueryEngine, QueryScratch, Strategy,
 };
 use nncell::data::{
     ClusteredGenerator, FourierGenerator, Generator, GridGenerator, SparseGenerator,

@@ -1,8 +1,9 @@
 //! Extended integration tests: persistence, kNN, weighted metrics, CLI-less
 //! end-to-end flows, and failure paths.
 
+use nncell::cells::NnCells;
 use nncell::core::{
-    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex, NnCells,
+    linear_scan_knn, linear_scan_nn, BuildConfig, BuildError, InputPolicy, NnCellIndex,
     PersistError, Query, QueryEngine, Strategy,
 };
 use nncell::data::{FourierGenerator, Generator, UniformGenerator};

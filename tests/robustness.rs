@@ -2,10 +2,11 @@
 //! random corruptions must never panic the loader and must never produce
 //! an index that silently disagrees with the original.
 
+use nncell::cells::NnCells;
 use nncell::core::vfs::StdVfs;
 use nncell::core::wal::{read_wal, WalRecord, WalTail, WalWriter};
 use nncell::core::{
-    linear_scan_nn, BuildConfig, NnCellIndex, NnCells, PersistError, Query, QueryEngine, Strategy,
+    linear_scan_nn, BuildConfig, NnCellIndex, PersistError, Query, QueryEngine, Strategy,
 };
 use nncell::data::{Generator, UniformGenerator};
 use nncell::geom::Point;
